@@ -256,6 +256,36 @@ func TestOpsProperty(t *testing.T) {
 	}
 }
 
+// TestOrAllProperty checks the many-operand union against the model,
+// including no operands, empty operands and the container seams.
+func TestOrAllProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dst := New()
+	for trial := 0; trial < 40; trial++ {
+		var refs []refSet
+		var srcs []*Bitmap
+		want := refSet{}
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			r := refSet{}
+			if rng.Intn(5) > 0 {
+				r = randomRef(rng)
+			}
+			b := fromRef(r)
+			if rng.Intn(2) == 0 {
+				b.Optimize()
+			}
+			refs, srcs = append(refs, r), append(srcs, b)
+			want = refOp(1, want, r)
+		}
+		dst.OrAll(srcs)
+		checkEqual(t, "orall", dst, want)
+		checkRankContains(t, "orall", dst, want, probesFor(want, rng))
+		for i, b := range srcs {
+			checkEqual(t, "orall/src", b, refs[i])
+		}
+	}
+}
+
 func TestAddRangeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {

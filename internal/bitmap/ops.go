@@ -1,6 +1,9 @@
 package bitmap
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // And, Or and AndNot write the combination of a and b into the receiver,
 // which must be a different bitmap from both operands. The receiver's
@@ -122,6 +125,46 @@ func (dst *Bitmap) Or(a, b *Bitmap) *Bitmap {
 			j++
 		}
 	}
+	return dst
+}
+
+// OrAll sets dst to the union of srcs and returns dst, which must not be
+// one of srcs. Each result chunk accumulates in a bitset that every source
+// container folds into once, so the cost is linear in the sources' total
+// size; a chain of pairwise Or calls copies the growing result once per
+// operand instead.
+func (dst *Bitmap) OrAll(srcs []*Bitmap) *Bitmap {
+	dst.Clear()
+	var keys []uint16
+	for _, s := range srcs {
+		keys = append(keys, s.keys...)
+	}
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		dst.appendChunk(k).ensureBits()
+	}
+	for _, s := range srcs {
+		j := 0
+		for i, k := range s.keys {
+			for dst.keys[j] != k {
+				j++
+			}
+			orInto(dst.ctrs[j].bits, &s.ctrs[i])
+		}
+	}
+	// Drop chunks whose sources were all empty containers.
+	n := 0
+	for i := range dst.ctrs {
+		c := &dst.ctrs[i]
+		if c.count(); c.n == 0 {
+			continue
+		}
+		c.demote()
+		dst.keys[n] = dst.keys[i]
+		dst.ctrs[n], dst.ctrs[i] = dst.ctrs[i], dst.ctrs[n]
+		n++
+	}
+	dst.keys, dst.ctrs = dst.keys[:n], dst.ctrs[:n]
 	return dst
 }
 

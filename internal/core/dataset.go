@@ -92,6 +92,11 @@ type Dataset struct {
 	selOnce sync.Once
 	selx    *selIndexes
 
+	// Whole-table scan state of the fused kernels, built on the first
+	// FusedScan or cohort scan and reused by every later one (fused.go).
+	wholeOnce sync.Once
+	whole     *wholeScan
+
 	start, end time.Time
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
@@ -87,66 +89,250 @@ func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
 	return concentrationFromGroups(by, p.Groups(by), keys, outcomes)
 }
 
-// FusedScan runs every registered aggregation kernel over the job and event
-// column views in one pass each, fanned out over at most workers goroutines
-// (≤ 0 means GOMAXPROCS). Results are bit-identical to the legacy
-// per-analysis walks at any worker count.
-func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
-	jv := d.JobView()
-	ev := d.EventView()
-	tk := newTemporalJobKernel(d)
-	jobKernels := []JobKernel{
+// Kernel slots: the fused job and event kernels in registration order,
+// which is also the order of the merged states scan.Run returns.
+const (
+	kSummary = iota
+	kExitTally
+	kJointTally
+	kUserGroups
+	kProjectGroups
+	kWaste
+	kTemporalJobs
+)
+
+const (
+	kRASProfile = iota
+	kTemporalFatals
+	kLocalityMid
+	kLocalityRack
+)
+
+func fusedJobKernels(jv *scan.JobView, joint *jointKernel, tk *temporalJobKernel) []JobKernel {
+	return []JobKernel{
 		summaryKernel{},
 		exitTallyKernel{},
-		newJointKernel(d, DefaultJointOptions()),
+		joint,
 		newGroupKernel(ByUser, len(jv.Users)),
 		newGroupKernel(ByProject, len(jv.Projects)),
 		wasteKernel{},
 		tk,
 	}
-	jsts, err := scan.Run(jv, jv.N, jobKernels, workers)
-	if err != nil {
-		return nil, err
-	}
-	eventKernels := []EventKernel{
+}
+
+func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
+	return []EventKernel{
 		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
-		&temporalEventKernel{monthCap: tk.monthCap},
+		&temporalEventKernel{monthCap: monthCap},
 		&localityKernel{level: machine.LevelMidplane},
 		&localityKernel{level: machine.LevelRack},
 	}
-	ests, err := scan.Run(ev, ev.N, eventKernels, workers)
+}
+
+// wholeScan is a Dataset's memoized whole-table scan state: the merged
+// state of every fused kernel over all rows, the all-FATAL joint kernel,
+// and the job-side span extremes. States are read-only once built; the
+// finishing step only reads them.
+type wholeScan struct {
+	joint  *jointKernel
+	jobs   []JobState   // indexed by the kSummary… job slots
+	events []EventState // indexed by the kRASProfile… event slots
+	// jobStart/jobEnd are the earliest Submit and latest End over all
+	// jobs, the seed of NewDataset's span walk before the events.
+	jobStart, jobEnd time.Time
+	// temporal holds all-jobs temporal states binned from the dataset's
+	// start and, when it differs, from jobStart: the start of every
+	// cohort that selects all jobs and no event before the first submit.
+	temporal []*temporalJobState
+	err      error
+}
+
+// testHookWholeScan, when set, is called each time a Dataset builds its
+// whole-table scan state.
+var testHookWholeScan func(*Dataset)
+
+// wholeTable returns the dataset's whole-table scan state, running the
+// fused kernels over every row on first use (fanned out over workers).
+func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
+	d.wholeOnce.Do(func() {
+		if testHookWholeScan != nil {
+			testHookWholeScan(d)
+		}
+		jv, ev := d.JobView(), d.EventView()
+		w := &wholeScan{joint: newJointKernel(d, DefaultJointOptions())}
+		d.whole = w
+		w.jobStart, w.jobEnd, _ = d.jobExtremes(nil)
+		tk := newTemporalJobKernel(d)
+		kernels := fusedJobKernels(jv, w.joint, tk)
+		if w.jobStart.Unix() != tk.startUnix {
+			kernels = append(kernels, newTemporalJobKernelSpan(w.jobStart, w.jobEnd))
+		}
+		sts, err := scan.Run(jv, jv.N, kernels, workers)
+		if err != nil {
+			w.err = err
+			return
+		}
+		w.jobs = sts[:kTemporalJobs+1]
+		for _, st := range sts[kTemporalJobs:] {
+			w.temporal = append(w.temporal, st.(*temporalJobState))
+		}
+		w.events, w.err = scan.Run(ev, ev.N, fusedEventKernels(ev, tk.monthCap), workers)
+	})
+	return d.whole, d.whole.err
+}
+
+// temporalFrom returns the memoized all-jobs temporal state whose day bins
+// start at startUnix, or nil.
+func (w *wholeScan) temporalFrom(startUnix int64) *temporalJobState {
+	for _, st := range w.temporal {
+		if st.k.startUnix == startUnix {
+			return st
+		}
+	}
+	return nil
+}
+
+// jobExtremes returns the earliest Submit and latest End over the selected
+// jobs (nil = all), each from the first job that reaches it, as
+// NewDataset's span walk finds them; ok is false for an empty selection.
+// The column view narrows the search to the extreme seconds, so only the
+// jobs inside those seconds are compared at full precision.
+func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end time.Time, ok bool) {
+	jv := d.JobView()
+	var minSub, maxEnd int64
+	forEachSelected(jobSel, jv.N, func(i int) {
+		if !ok {
+			minSub, maxEnd, ok = jv.SubmitUnix[i], jv.EndUnix[i], true
+			return
+		}
+		minSub = min(minSub, jv.SubmitUnix[i])
+		maxEnd = max(maxEnd, jv.EndUnix[i])
+	})
+	if !ok {
+		return start, end, false
+	}
+	firstSub, firstEnd := true, true
+	forEachSelected(jobSel, jv.N, func(i int) {
+		if jv.SubmitUnix[i] == minSub {
+			if t := d.Jobs[i].Submit; firstSub || t.Before(start) {
+				start, firstSub = t, false
+			}
+		}
+		if jv.EndUnix[i] == maxEnd {
+			if t := d.Jobs[i].End; firstEnd || t.After(end) {
+				end, firstEnd = t, false
+			}
+		}
+	})
+	return start, end, true
+}
+
+// FusedScan runs every registered aggregation kernel over the job and event
+// column views in one pass each, fanned out over at most workers goroutines
+// (≤ 0 means GOMAXPROCS). Results are bit-identical to the legacy
+// per-analysis walks at any worker count. The merged kernel states are
+// memoized per Dataset, so only the first call scans; later calls (and
+// the unconstrained side of every cohort scan) reuse them.
+func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
+	return d.fusedScanSel(nil, nil, workers)
+}
+
+// fusedScanSel runs the fused kernels restricted to the given row
+// selections (nil = all rows on that side). A nil side takes its states
+// from the whole-table memo; only the job kernels whose state depends on
+// the other side re-run over the whole job table (DESIGN.md §14).
+func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*FusedProfile, error) {
+	w, err := d.wholeTable(workers)
 	if err != nil {
 		return nil, err
 	}
+	jv, ev := d.JobView(), d.EventView()
+	// The temporal kernel and Summary.Days depend on the observation span,
+	// which for a cohort is the span NewDataset would derive from the
+	// selected records, so day bins line up exactly with a materialized
+	// dataset's.
+	start, end := d.cohortSpan(w, jobSel, eventSel)
+	tk := newTemporalJobKernelSpan(start, end)
 
-	p := &FusedProfile{jv: jv}
-	sum := jsts[0].(*summaryState)
+	ests := w.events
+	joint := w.joint
+	if eventSel != nil {
+		if ests, err = scan.RunWhere(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
+			return nil, err
+		}
+		joint = newJointKernelWhere(d, DefaultJointOptions(), eventSel)
+	}
+	kernels := fusedJobKernels(jv, joint, tk)
+	var jsts []JobState
+	if jobSel != nil {
+		if jsts, err = scan.RunWhere(jv, jv.N, jobSel, kernels, workers); err != nil {
+			return nil, err
+		}
+	} else {
+		// Every job: only the joint tally (which reads the event
+		// selection) and the temporal bins (which read the span's start)
+		// can differ from the memo.
+		jsts = append([]JobState(nil), w.jobs...)
+		var redo []int
+		if eventSel != nil {
+			redo = append(redo, kJointTally)
+		}
+		if ts := w.temporalFrom(tk.startUnix); ts != nil {
+			jsts[kTemporalJobs] = ts
+		} else {
+			redo = append(redo, kTemporalJobs)
+		}
+		if len(redo) > 0 {
+			sub := make([]JobKernel, len(redo))
+			for i, k := range redo {
+				sub[i] = kernels[k]
+			}
+			sts, err := scan.Run(jv, jv.N, sub, workers)
+			if err != nil {
+				return nil, err
+			}
+			for i, k := range redo {
+				jsts[k] = sts[i]
+			}
+		}
+	}
+	return d.finishProfile(jobSel, jsts, ests, start, end), nil
+}
+
+// finishProfile assembles a profile from merged kernel states. It only
+// reads the states, so memoized ones can be finished any number of times.
+func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, start, end time.Time) *FusedProfile {
+	jv, ev := d.JobView(), d.EventView()
+	p := &FusedProfile{jv: jv, jobSel: jobSel}
+	sum := jsts[kSummary].(*summaryState)
+	prof := ests[kRASProfile].(*profileState)
+	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
+	p.Exit = jsts[kExitTally].(*exitTallyState).t
+	p.Joint = jsts[kJointTally].(*jointState).t
+	p.UserGroups = jsts[kUserGroups].(*groupState).finish(jv.Users)
+	p.ProjectGroups = jsts[kProjectGroups].(*groupState).finish(jv.Projects)
+	p.Waste = jsts[kWaste].(*wasteState).finish()
+	p.Temporal = finishTemporal(jsts[kTemporalJobs].(*temporalJobState), ests[kTemporalFatals].(*temporalEventState))
+	p.RAS = prof.finish(ev)
+	p.localityMid, p.localityMidErr = ests[kLocalityMid].(*localityState).finish()
+	p.localityRack, p.localityRackErr = ests[kLocalityRack].(*localityState).finish()
+	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
 	p.Summary = Summary{
-		Days:        d.Days(),
-		Jobs:        len(d.Jobs),
-		Tasks:       len(d.Tasks),
-		Users:       len(jv.Users),
-		Projects:    len(jv.Projects),
+		Days:        end.Sub(start).Hours() / 24,
+		Jobs:        nJobs,
+		Tasks:       nTasks,
+		Users:       len(p.UserGroups),
+		Projects:    len(p.ProjectGroups),
 		CoreHours:   float64(sum.coreSec) / 3600,
-		RASTotal:    len(d.Events),
-		RASFatal:    len(d.fatalIdx),
-		RASWarn:     len(d.warnIdx),
-		RASInfo:     d.infoN,
-		IORecords:   len(d.IO),
+		RASTotal:    prof.total,
+		RASFatal:    prof.sevs[raslog.Fatal],
+		RASWarn:     prof.sevs[raslog.Warn],
+		RASInfo:     prof.total - prof.sevs[raslog.Fatal] - prof.sevs[raslog.Warn],
+		IORecords:   nIO,
 		FailedJobs:  sum.failed,
 		SuccessJobs: sum.success,
 	}
-	p.Exit = jsts[1].(*exitTallyState).t
-	p.Joint = jsts[2].(*jointState).t
-	p.UserGroups = jsts[3].(*groupState).finish(jv.Users)
-	p.ProjectGroups = jsts[4].(*groupState).finish(jv.Projects)
-	p.Waste = jsts[5].(*wasteState).finish()
-	p.Temporal = finishTemporal(jsts[6].(*temporalJobState), ests[1].(*temporalEventState))
-	p.RAS = ests[0].(*profileState).finish(ev)
-	p.localityMid, p.localityMidErr = ests[2].(*localityState).finish()
-	p.localityRack, p.localityRackErr = ests[3].(*localityState).finish()
-	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
-	return p, nil
+	return p
 }
 
 // finishTemporal combines the job- and event-side temporal states into the
@@ -160,7 +346,9 @@ func finishTemporal(js *temporalJobState, es *temporalEventState) *TemporalProfi
 		JobsByWeekday:  js.jobsWd,
 		FailsByWeekday: js.failsWd,
 		FatalByHour:    es.fatalHour,
-		JobsByDay:      js.jobsDay,
+		// A copy, so the memoized state stays read-only, and never nil,
+		// even for a cohort without jobs.
+		JobsByDay: append(make([]int, 0, len(js.jobsDay)), js.jobsDay...),
 	}
 	idx := make(map[int32]int, len(js.months)+len(es.months))
 	for i, ym := range js.months {

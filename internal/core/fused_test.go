@@ -11,13 +11,14 @@ import (
 
 // TestFusedScanMatchesLegacy pins the tentpole equivalence: every aggregate
 // the fused single-pass engine produces deep-equals the dedicated
-// per-analysis walk, at any worker count.
+// per-analysis walk, at any worker count. Each worker count scans a cold
+// Dataset, since FusedScan memoizes its kernel states per Dataset.
 func TestFusedScanMatchesLegacy(t *testing.T) {
 	d, _ := dataset(t)
 	cls := d.ClassifyByExit()
 	joint := d.ClassifyJoint(DefaultJointOptions())
 	for _, workers := range []int{1, 4} {
-		p, err := d.FusedScan(workers)
+		p, err := freshDataset(t).FusedScan(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

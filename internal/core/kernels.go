@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -268,24 +269,29 @@ func newGroupKernel(by GroupBy, dictLen int) *groupKernel {
 
 func (k *groupKernel) Name() string { return "groups-by-" + k.by.String() }
 
-func (k *groupKernel) NewState() JobState {
-	return &groupState{
-		by:       k.by,
-		jobs:     make([]int32, k.n),
-		failed:   make([]int32, k.n),
-		sysfails: make([]int32, k.n),
-		coreSec:  make([]int64, k.n),
-	}
-}
+func (k *groupKernel) NewState() JobState { return &groupState{by: k.by, n: k.n} }
 
+// groupState allocates its dense tallies on the first block it sees, so
+// the shards a cohort scan leaves empty cost no per-key arrays.
 type groupState struct {
 	by                     GroupBy
+	n                      int
 	jobs, failed, sysfails []int32
 	coreSec                []int64
 }
 
+func (s *groupState) alloc() {
+	s.jobs = make([]int32, s.n)
+	s.failed = make([]int32, s.n)
+	s.sysfails = make([]int32, s.n)
+	s.coreSec = make([]int64, s.n)
+}
+
 //mira:hotpath
 func (s *groupState) ProcessBlock(v *scan.JobView, lo, hi int) {
+	if s.jobs == nil {
+		s.alloc()
+	}
 	ids := v.UserID
 	if s.by == ByProject {
 		ids = v.ProjectID
@@ -306,6 +312,15 @@ func (s *groupState) ProcessBlock(v *scan.JobView, lo, hi int) {
 
 func (s *groupState) Merge(other JobState) {
 	o := other.(*groupState)
+	if o.jobs == nil {
+		return
+	}
+	if s.jobs == nil {
+		// scan.Run never touches a merged-away state again, so its
+		// tallies can be adopted instead of copied.
+		s.jobs, s.failed, s.sysfails, s.coreSec = o.jobs, o.failed, o.sysfails, o.coreSec
+		return
+	}
 	for i := range s.jobs {
 		s.jobs[i] += o.jobs[i]
 		s.failed[i] += o.failed[i]
@@ -321,6 +336,9 @@ func (s *groupState) Merge(other JobState) {
 // dictionary.
 func (s *groupState) finish(keys []string) []GroupStats {
 	out := make([]GroupStats, 0, len(keys))
+	if s.jobs == nil {
+		return out
+	}
 	for i, key := range keys {
 		if s.jobs[i] == 0 {
 			continue
@@ -445,15 +463,7 @@ func newTemporalJobKernelSpan(start, end time.Time) *temporalJobKernel {
 
 func (k *temporalJobKernel) Name() string { return "temporal-jobs" }
 
-func (k *temporalJobKernel) NewState() JobState {
-	return &temporalJobState{
-		k:       k,
-		months:  make([]int32, 0, k.monthCap),
-		mJobs:   make([]int, 0, k.monthCap),
-		mFails:  make([]int, 0, k.monthCap),
-		jobsDay: make([]int, 0, k.dayCap),
-	}
-}
+func (k *temporalJobKernel) NewState() JobState { return &temporalJobState{k: k} }
 
 type temporalJobState struct {
 	k         *temporalJobKernel
@@ -468,6 +478,15 @@ type temporalJobState struct {
 	mFails []int
 	// jobsDay grows to the last day seen, like the legacy profile.
 	jobsDay []int
+}
+
+// alloc sizes the bins for the kernel's span on the first block, so the
+// shards a cohort scan leaves empty allocate nothing.
+func (s *temporalJobState) alloc() {
+	s.months = make([]int32, 0, s.k.monthCap)
+	s.mJobs = make([]int, 0, s.k.monthCap)
+	s.mFails = make([]int, 0, s.k.monthCap)
+	s.jobsDay = make([]int, 0, s.k.dayCap)
 }
 
 // monthSlot returns the bin index of ym, appending a new bin on first
@@ -490,13 +509,22 @@ func (s *temporalJobState) monthSlot(ym int32) int {
 
 //mira:hotpath
 func (s *temporalJobState) ProcessBlock(v *scan.JobView, lo, hi int) {
+	if s.jobsDay == nil {
+		s.alloc()
+	}
 	sub, fam := v.SubmitUnix, v.Family
 	start := s.k.startUnix
+	// ymOf depends only on the day number; rows arrive in near submit
+	// order, so one civil-date conversion serves a whole day's run.
+	lastDay, ym := int64(math.MinInt64), int32(0)
 	for i := lo; i < hi; i++ {
 		u := sub[i]
 		h := int(u%86400) / 3600
 		w := int((u/86400 + 4) % 7)
-		m := s.monthSlot(ymOf(u))
+		if d := u / 86400; d != lastDay {
+			lastDay, ym = d, ymOf(u)
+		}
+		m := s.monthSlot(ym)
 		day := int((u - start) / 86400)
 		if day < 0 {
 			day = 0
@@ -551,15 +579,11 @@ type profileKernel struct {
 
 func (k *profileKernel) Name() string { return "ras-profile" }
 
-func (k *profileKernel) NewState() EventState {
-	return &profileState{
-		cats:      make([]int, k.nCats),
-		comps:     make([]int, k.nComps),
-		fatalCats: make([]int, k.nCats),
-	}
-}
+func (k *profileKernel) NewState() EventState { return &profileState{k: k} }
 
+// profileState allocates its dictionary tallies on the first block.
 type profileState struct {
+	k         *profileKernel
 	total     int
 	sevs      [4]int // indexed by raslog.Severity (1..3)
 	cats      []int
@@ -569,6 +593,11 @@ type profileState struct {
 
 //mira:hotpath
 func (s *profileState) ProcessBlock(v *scan.EventView, lo, hi int) {
+	if s.cats == nil {
+		s.cats = make([]int, s.k.nCats)
+		s.comps = make([]int, s.k.nComps)
+		s.fatalCats = make([]int, s.k.nCats)
+	}
 	sev, cat, comp := v.Sev, v.CatID, v.CompID
 	for i := lo; i < hi; i++ {
 		s.total++
@@ -586,6 +615,13 @@ func (s *profileState) Merge(other EventState) {
 	s.total += o.total
 	for i := range s.sevs {
 		s.sevs[i] += o.sevs[i]
+	}
+	if o.cats == nil {
+		return
+	}
+	if s.cats == nil { // adopt, as in groupState.Merge
+		s.cats, s.comps, s.fatalCats = o.cats, o.comps, o.fatalCats
+		return
 	}
 	for i := range s.cats {
 		s.cats[i] += o.cats[i]
@@ -632,14 +668,11 @@ type temporalEventKernel struct {
 
 func (k *temporalEventKernel) Name() string { return "temporal-fatals" }
 
-func (k *temporalEventKernel) NewState() EventState {
-	return &temporalEventState{
-		months:  make([]int32, 0, k.monthCap),
-		mFatals: make([]int, 0, k.monthCap),
-	}
-}
+func (k *temporalEventKernel) NewState() EventState { return &temporalEventState{k: k} }
 
+// temporalEventState allocates its month bins on the first block.
 type temporalEventState struct {
+	k         *temporalEventKernel
 	fatalHour [24]int
 	months    []int32
 	mFatals   []int
@@ -661,14 +694,22 @@ func (s *temporalEventState) monthSlot(ym int32) int {
 
 //mira:hotpath
 func (s *temporalEventState) ProcessBlock(v *scan.EventView, lo, hi int) {
+	if s.months == nil {
+		s.months = make([]int32, 0, s.k.monthCap)
+		s.mFatals = make([]int, 0, s.k.monthCap)
+	}
 	sev, times := v.Sev, v.TimeUnix
+	lastDay, ym := int64(math.MinInt64), int32(0) // as in temporalJobState
 	for i := lo; i < hi; i++ {
 		if sev[i] != uint8(raslog.Fatal) {
 			continue
 		}
 		u := times[i]
 		s.fatalHour[int(u%86400)/3600]++
-		s.mFatals[s.monthSlot(ymOf(u))]++
+		if d := u / 86400; d != lastDay {
+			lastDay, ym = d, ymOf(u)
+		}
+		s.mFatals[s.monthSlot(ym)]++
 	}
 }
 
@@ -689,22 +730,27 @@ type localityKernel struct {
 
 func (k *localityKernel) Name() string { return "locality-" + k.level.String() }
 
-func (k *localityKernel) NewState() EventState {
-	slots := machine.NumRacks
-	if k.level == machine.LevelMidplane {
-		slots = machine.TotalMidplanes
-	}
-	return &localityState{level: k.level, counts: make([]int32, slots)}
-}
+func (k *localityKernel) NewState() EventState { return &localityState{level: k.level} }
 
+// localityState allocates its per-location counts on the first block.
 type localityState struct {
 	level  machine.Level
 	counts []int32
 	total  int
 }
 
+func (s *localityState) slots() int {
+	if s.level == machine.LevelMidplane {
+		return machine.TotalMidplanes
+	}
+	return machine.NumRacks
+}
+
 //mira:hotpath
 func (s *localityState) ProcessBlock(v *scan.EventView, lo, hi int) {
+	if s.counts == nil {
+		s.counts = make([]int32, s.slots())
+	}
 	sev := v.Sev
 	ids := v.RackID
 	if s.level == machine.LevelMidplane {
@@ -726,13 +772,20 @@ func (s *localityState) ProcessBlock(v *scan.EventView, lo, hi int) {
 func (s *localityState) Merge(other EventState) {
 	o := other.(*localityState)
 	s.total += o.total
+	if o.counts == nil {
+		return
+	}
+	if s.counts == nil { // adopt, as in groupState.Merge
+		s.counts = o.counts
+		return
+	}
 	for i := range s.counts {
 		s.counts[i] += o.counts[i]
 	}
 }
 
 func (s *localityState) finish() (*LocalityResult, error) {
-	dense := make([]int, len(s.counts))
+	dense := make([]int, s.slots())
 	for i, n := range s.counts {
 		dense[i] = int(n)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sel"
@@ -115,6 +116,63 @@ func TestRaceColdFirstTouch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRaceWholeScanMemo makes the first FusedScan and FusedScanWhere
+// calls on a cold Dataset from many goroutines at once: the whole-table
+// memo they all read must be built exactly once, and every result must
+// equal the sequential reference.
+func TestRaceWholeScanMemo(t *testing.T) {
+	ref := freshDataset(t)
+	d := freshDataset(t)
+	var builds atomic.Int32
+	testHookWholeScan = func(got *Dataset) {
+		if got == d {
+			builds.Add(1)
+		}
+	}
+	defer func() { testHookWholeScan = nil }()
+
+	wheres := append([]string{""}, memoBranchPredicates(t, ref)...)
+	wheres = append(wheres, "exit == system", "sev == FATAL", "user == nosuchuser")
+	want := make([]*FusedProfile, len(wheres))
+	for i, wh := range wheres {
+		var err error
+		if wh == "" {
+			want[i], err = ref.FusedScan(1)
+		} else {
+			want[i], err = ref.FusedScanWhere(mustParse(t, wh), 1)
+		}
+		if err != nil {
+			t.Fatalf("reference %q: %v", wh, err)
+		}
+	}
+
+	const workers = 24
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			i := w % len(wheres)
+			var p *FusedProfile
+			var err error
+			if wheres[i] == "" {
+				p, err = d.FusedScan(1 + w%3)
+			} else {
+				p, err = d.FusedScanWhere(mustParse(t, wheres[i]), 1+w%3)
+			}
+			if err != nil {
+				t.Errorf("worker %d %q: %v", w, wheres[i], err)
+				return
+			}
+			profileFields(t, fmt.Sprintf("worker %d %q", w, wheres[i]), p, want[i])
+		}(w)
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("whole-table memo built %d times, want 1", n)
+	}
 }
 
 // TestRaceWarmQueryStorm hammers a pre-warmed Dataset with the mirad

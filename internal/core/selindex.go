@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,9 +83,20 @@ type selIndexes struct {
 	sev, cat, comp, mid, rack                     []bitmap.Bitmap
 	catID, compID                                 map[string]int32
 
+	// cache maps canonical expression keys to compiled selections. It is
+	// bounded: order holds the resident keys as a ring, oldest at next,
+	// and a full cache evicts the oldest entry on insert.
 	mu    sync.Mutex
 	cache map[string]*bitmap.Bitmap
+	order []string
+	next  int
 }
+
+// selCacheCap bounds the compiled-selection cache. A cohort query caches
+// one entry per expression node, so the bound holds the last few dozen
+// queries; a stream of unique predicates would otherwise grow the cache
+// without limit.
+const selCacheCap = 256
 
 func newSelIndexes(jv *scan.JobView, ev *scan.EventView) *selIndexes {
 	return &selIndexes{jv: jv, ev: ev, cache: map[string]*bitmap.Bitmap{}}
@@ -265,6 +277,7 @@ func (d *Dataset) CompileWhere(e sel.Expr) (jobSel, eventSel *bitmap.Bitmap, err
 		return nil, nil, err
 	}
 	x := d.selIdx()
+	jobs, events = coalesceRanges(jobs), coalesceRanges(events)
 	if len(jobs) > 0 {
 		if jobSel, err = x.selectDomain(conjoin(jobs), domJob); err != nil {
 			return nil, nil, err
@@ -310,6 +323,67 @@ func splitConjuncts(e sel.Expr, jobs, events *[]sel.Expr) error {
 		*jobs = append(*jobs, e)
 	}
 	return nil
+}
+
+// coalesceRanges merges a column's lower-bound-only and upper-bound-only
+// Range conjuncts into one two-sided Range, so `submit >= a and submit <
+// b` compiles as one leaf over [a, b) instead of two one-sided leaves
+// (each of which would cover most of the table) and their intersection.
+// The merged Range takes the place of the first of the pair. A column
+// with more than one lower or upper bound, or a bound that does not
+// parse, stays as written, so the selected rows and any error are those
+// of the uncoalesced conjunction.
+func coalesceRanges(es []sel.Expr) []sel.Expr {
+	type pair struct{ lo, hi, nLo, nHi int }
+	var cols map[string]*pair
+	for i, e := range es {
+		r, ok := e.(sel.Range)
+		if !ok || (r.Lo == "") == (r.Hi == "") {
+			continue
+		}
+		if _, _, err := rangeBounds(r); err != nil {
+			continue
+		}
+		if cols == nil {
+			cols = map[string]*pair{}
+		}
+		p := cols[r.Col]
+		if p == nil {
+			p = &pair{}
+			cols[r.Col] = p
+		}
+		if r.Lo != "" {
+			p.lo = i
+			p.nLo++
+		} else {
+			p.hi = i
+			p.nHi++
+		}
+	}
+	var drop []bool
+	for _, p := range cols {
+		if p.nLo != 1 || p.nHi != 1 {
+			continue
+		}
+		lo, hi := es[p.lo].(sel.Range), es[p.hi].(sel.Range)
+		merged := sel.Range{Col: lo.Col, Lo: lo.Lo, LoIncl: lo.LoIncl, Hi: hi.Hi, HiIncl: hi.HiIncl}
+		if drop == nil {
+			es = append([]sel.Expr(nil), es...)
+			drop = make([]bool, len(es))
+		}
+		es[min(p.lo, p.hi)] = merged
+		drop[max(p.lo, p.hi)] = true
+	}
+	if drop == nil {
+		return es
+	}
+	out := es[:0]
+	for i, e := range es {
+		if !drop[i] {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func conjoin(es []sel.Expr) sel.Expr {
@@ -382,8 +456,23 @@ func (x *selIndexes) compile(e sel.Expr, dom selDomain) (*bitmap.Bitmap, error) 
 	if err != nil {
 		return nil, err
 	}
-	x.cache[key] = b
+	x.remember(key, b)
 	return b, nil
+}
+
+// remember caches a compiled selection, evicting the oldest entry when
+// the cache is full. Resident entries never change, so a repeated query
+// gets the same bitmap back until its entry ages out. Called with x.mu
+// held, for a key not in the cache.
+func (x *selIndexes) remember(key string, b *bitmap.Bitmap) {
+	if len(x.order) < selCacheCap {
+		x.order = append(x.order, key)
+	} else {
+		delete(x.cache, x.order[x.next])
+		x.order[x.next] = key
+		x.next = (x.next + 1) % selCacheCap
+	}
+	x.cache[key] = b
 }
 
 func (x *selIndexes) binary(l, r sel.Expr, dom selDomain, op func(dst, a, b *bitmap.Bitmap) *bitmap.Bitmap) (*bitmap.Bitmap, error) {
@@ -490,38 +579,9 @@ func (x *selIndexes) leafEq(dom selDomain, col, val string) (*bitmap.Bitmap, err
 // leafRange resolves a bounded comparison. Bounds normalize to an
 // inclusive [lo, hi] over the column's integer form.
 func (x *selIndexes) leafRange(dom selDomain, r sel.Range) (*bitmap.Bitmap, error) {
-	parse := strconv.ParseInt
-	isTime := r.Col == "submit" || r.Col == "time"
-	bound := func(s string, missing int64) (int64, error) {
-		if s == "" {
-			return missing, nil
-		}
-		if isTime {
-			return timeValue(s)
-		}
-		n, err := parse(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("core: %s value %q is not a number", r.Col, s)
-		}
-		return n, nil
-	}
-	const (
-		minInt = -1 << 63
-		maxInt = 1<<63 - 1
-	)
-	lo, err := bound(r.Lo, minInt)
+	lo, hi, err := rangeBounds(r)
 	if err != nil {
 		return nil, err
-	}
-	hi, err := bound(r.Hi, maxInt)
-	if err != nil {
-		return nil, err
-	}
-	if r.Lo != "" && !r.LoIncl {
-		lo++
-	}
-	if r.Hi != "" && !r.HiIncl {
-		hi--
 	}
 	if lo > hi {
 		return bitmap.New(), nil
@@ -535,6 +595,39 @@ func (x *selIndexes) leafRange(dom selDomain, r sel.Range) (*bitmap.Bitmap, erro
 		return x.timeRange(lo, hi), nil
 	}
 	return nil, fmt.Errorf("core: column %q does not support range comparison", r.Col)
+}
+
+// rangeBounds normalizes a Range's bounds to an inclusive [lo, hi] over
+// the column's integer form (Unix seconds for the timestamp columns); a
+// missing bound is the int64 extreme.
+func rangeBounds(r sel.Range) (lo, hi int64, err error) {
+	isTime := r.Col == "submit" || r.Col == "time"
+	bound := func(s string, missing int64) (int64, error) {
+		if s == "" {
+			return missing, nil
+		}
+		if isTime {
+			return timeValue(s)
+		}
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("core: %s value %q is not a number", r.Col, s)
+		}
+		return n, nil
+	}
+	if lo, err = bound(r.Lo, math.MinInt64); err != nil {
+		return 0, 0, err
+	}
+	if hi, err = bound(r.Hi, math.MaxInt64); err != nil {
+		return 0, 0, err
+	}
+	if r.Lo != "" && !r.LoIncl {
+		lo++
+	}
+	if r.Hi != "" && !r.HiIncl {
+		hi--
+	}
+	return lo, hi, nil
 }
 
 // scanJobCol selects jobs whose numeric column lies in [lo, hi] by a
@@ -562,25 +655,25 @@ func (x *selIndexes) scanJobCol(col string, lo, hi int64) *bitmap.Bitmap {
 
 // submitRange selects jobs with lo ≤ SubmitUnix ≤ hi from the per-day
 // buckets: fully covered days union wholesale, the two boundary days
-// refine against the column.
+// refine against the column. One OrAll folds every day in, so a window's
+// cost is linear in its size.
 func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
 	buckets := x.submitIdx()
-	res := bitmap.New()
 	if len(buckets) == 0 {
-		return res
+		return bitmap.New()
 	}
 	sub := x.jv.SubmitUnix
 	loDay := clampDay(lo, x.submitBase, len(buckets))
 	hiDay := clampDay(hi, x.submitBase, len(buckets))
 	if lo/86400 > x.submitBase+int64(len(buckets)-1) || hi/86400 < x.submitBase {
-		return res
+		return bitmap.New()
 	}
-	tmp := bitmap.New()
+	days := make([]*bitmap.Bitmap, 0, hiDay-loDay+1)
 	for day := loDay; day <= hiDay; day++ {
 		bucket := &buckets[day-x.submitBase]
 		dayLo, dayHi := day*86400, day*86400+86399
 		if dayLo >= lo && dayHi <= hi {
-			res, tmp = tmp.Or(res, bucket), res
+			days = append(days, bucket)
 			continue
 		}
 		edge := bitmap.New()
@@ -590,8 +683,9 @@ func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
 			}
 			return true
 		})
-		res, tmp = tmp.Or(res, edge), res
+		days = append(days, edge)
 	}
+	res := bitmap.New().OrAll(days)
 	res.Optimize()
 	return res
 }
@@ -615,11 +709,8 @@ func clampDay(u, base int64, n int) int64 {
 // search; an unsorted adopted view falls back to a sweep.
 func (x *selIndexes) timeRange(lo, hi int64) *bitmap.Bitmap {
 	times := x.ev.TimeUnix
-	x.timesOnce.Do(func() {
-		x.timesSorted = sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
-	})
 	b := bitmap.New()
-	if !x.timesSorted {
+	if !x.eventTimesSorted() {
 		for i, u := range times {
 			if u >= lo && u <= hi {
 				b.Add(uint32(i))
@@ -634,6 +725,16 @@ func (x *selIndexes) timeRange(lo, hi int64) *bitmap.Bitmap {
 		b.AddRange(uint32(first), uint32(last))
 	}
 	return b
+}
+
+// eventTimesSorted reports whether the event view's TimeUnix column is
+// ascending, checked once.
+func (x *selIndexes) eventTimesSorted() bool {
+	x.timesOnce.Do(func() {
+		times := x.ev.TimeUnix
+		x.timesSorted = sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
+	})
+	return x.timesSorted
 }
 
 // IndexStat describes one selection-index dimension: how many key bitmaps

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
-	"repro/internal/machine"
 	"repro/internal/raslog"
-	"repro/internal/scan"
 	"repro/internal/sel"
 )
 
@@ -30,80 +28,6 @@ func (d *Dataset) FusedScanWhere(e sel.Expr, workers int) (*FusedProfile, error)
 	return d.fusedScanSel(jobSel, eventSel, workers)
 }
 
-// fusedScanSel is FusedScan restricted to the given row selections (nil =
-// all rows on that side).
-func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*FusedProfile, error) {
-	if jobSel == nil && eventSel == nil {
-		return d.FusedScan(workers)
-	}
-	jv := d.JobView()
-	ev := d.EventView()
-	// The temporal kernel and Summary.Days depend on the observation span,
-	// which for a cohort is the span NewDataset would derive from the
-	// selected records — computed in a cheap pre-pass so day bins line up
-	// exactly with a materialized dataset's.
-	start, end := d.cohortSpan(jobSel, eventSel)
-	tk := newTemporalJobKernelSpan(start, end)
-	jobKernels := []JobKernel{
-		summaryKernel{},
-		exitTallyKernel{},
-		newJointKernelWhere(d, DefaultJointOptions(), eventSel),
-		newGroupKernel(ByUser, len(jv.Users)),
-		newGroupKernel(ByProject, len(jv.Projects)),
-		wasteKernel{},
-		tk,
-	}
-	jsts, err := scan.RunWhere(jv, jv.N, jobSel, jobKernels, workers)
-	if err != nil {
-		return nil, err
-	}
-	eventKernels := []EventKernel{
-		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
-		&temporalEventKernel{monthCap: tk.monthCap},
-		&localityKernel{level: machine.LevelMidplane},
-		&localityKernel{level: machine.LevelRack},
-	}
-	ests, err := scan.RunWhere(ev, ev.N, eventSel, eventKernels, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	p := &FusedProfile{jv: jv, jobSel: jobSel}
-	sum := jsts[0].(*summaryState)
-	prof := ests[0].(*profileState)
-	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
-	nEvents := len(d.Events)
-	if eventSel != nil {
-		nEvents = eventSel.Cardinality()
-	}
-	p.Exit = jsts[1].(*exitTallyState).t
-	p.Joint = jsts[2].(*jointState).t
-	p.UserGroups = jsts[3].(*groupState).finish(jv.Users)
-	p.ProjectGroups = jsts[4].(*groupState).finish(jv.Projects)
-	p.Waste = jsts[5].(*wasteState).finish()
-	p.Temporal = finishTemporal(jsts[6].(*temporalJobState), ests[1].(*temporalEventState))
-	p.RAS = prof.finish(ev)
-	p.localityMid, p.localityMidErr = ests[2].(*localityState).finish()
-	p.localityRack, p.localityRackErr = ests[3].(*localityState).finish()
-	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
-	p.Summary = Summary{
-		Days:        end.Sub(start).Hours() / 24,
-		Jobs:        nJobs,
-		Tasks:       nTasks,
-		Users:       len(p.UserGroups),
-		Projects:    len(p.ProjectGroups),
-		CoreHours:   float64(sum.coreSec) / 3600,
-		RASTotal:    nEvents,
-		RASFatal:    prof.sevs[raslog.Fatal],
-		RASWarn:     prof.sevs[raslog.Warn],
-		RASInfo:     nEvents - prof.sevs[raslog.Fatal] - prof.sevs[raslog.Warn],
-		IORecords:   nIO,
-		FailedJobs:  sum.failed,
-		SuccessJobs: sum.success,
-	}
-	return p, nil
-}
-
 // cohortJobCounts tallies the selected jobs and their task and I/O record
 // counts (the Summary rows a materialized dataset would report).
 func (d *Dataset) cohortJobCounts(jobSel *bitmap.Bitmap) (jobs, tasks, io int) {
@@ -121,28 +45,28 @@ func (d *Dataset) cohortJobCounts(jobSel *bitmap.Bitmap) (jobs, tasks, io int) {
 	return jobs, tasks, io
 }
 
-// cohortSpan computes the observation window of the selected records with
-// exactly NewDataset's min/max walk — first selected job seeds the bounds,
-// jobs widen by Submit/End, then events widen in the same else-if pattern —
-// so a cohort profile's calendar math matches a materialized dataset's
-// bit for bit. An empty cohort yields the zero span.
-func (d *Dataset) cohortSpan(jobSel, eventSel *bitmap.Bitmap) (start, end time.Time) {
-	seeded := false
-	forEachSelected(jobSel, len(d.Jobs), func(row int) {
-		j := &d.Jobs[row]
-		if !seeded {
-			start, end = j.Submit, j.End
-			seeded = true
-			return
-		}
-		if j.Submit.Before(start) {
-			start = j.Submit
-		}
-		if j.End.After(end) {
-			end = j.End
-		}
-	})
-	forEachSelected(eventSel, len(d.Events), func(row int) {
+// cohortSpan computes the observation window of the selected records as
+// exactly NewDataset's min/max walk would — first selected job seeds the
+// bounds, jobs widen by Submit/End, then events widen in an else-if
+// pattern — so a cohort profile's calendar math matches a materialized
+// dataset's bit for bit. An empty cohort yields the zero span.
+//
+// The walk is short-cut wherever its answer is known: the job extremes
+// come from the column view (memoized for all jobs), and over the
+// time-sorted event stream only the first and last selected events can
+// widen a consistent (start ≤ end) span. An unsorted event view or an
+// inverted job span falls back to walking every selected event.
+func (d *Dataset) cohortSpan(w *wholeScan, jobSel, eventSel *bitmap.Bitmap) (start, end time.Time) {
+	if jobSel == nil && eventSel == nil {
+		return d.Span()
+	}
+	var seeded bool
+	if jobSel == nil {
+		start, end, seeded = w.jobStart, w.jobEnd, true
+	} else {
+		start, end, seeded = d.jobExtremes(jobSel)
+	}
+	widen := func(row int) {
 		t := d.Events[row].Time
 		if !seeded {
 			start, end = t, t
@@ -154,7 +78,25 @@ func (d *Dataset) cohortSpan(jobSel, eventSel *bitmap.Bitmap) (start, end time.T
 		} else if t.After(end) {
 			end = t
 		}
-	})
+	}
+	if !d.selIdx().eventTimesSorted() || (seeded && end.Before(start)) {
+		forEachSelected(eventSel, len(d.Events), widen)
+		return start, end
+	}
+	first, last := 0, len(d.Events)-1
+	if eventSel != nil {
+		lo, ok := eventSel.Minimum()
+		if !ok {
+			return start, end
+		}
+		hi, _ := eventSel.Maximum()
+		first, last = int(lo), int(hi)
+	}
+	if last < first {
+		return start, end
+	}
+	widen(first)
+	widen(last)
 	return start, end
 }
 

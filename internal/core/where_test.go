@@ -3,8 +3,13 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bitmap"
+	"repro/internal/scan"
 	"repro/internal/sel"
 )
 
@@ -43,7 +48,84 @@ func equivalencePredicates(t *testing.T, d *Dataset) []string {
 		fmt.Sprintf("submit >= %s and time >= %s and exit != success",
 			day(start.AddDate(0, 1, 0)), day(start.AddDate(0, 1, 0))),
 	}
-	return preds
+	return append(preds, memoBranchPredicates(t, d)...)
+}
+
+// memoBranchPredicates are the cohorts that take each reuse branch of the
+// whole-table memo (fusedScanSel, cohortSpan) and each coalesced range
+// pair of CompileWhere. The job-only cohorts above (user, exit, nodes,
+// submit) already leave the event side unconstrained.
+func memoBranchPredicates(t *testing.T, d *Dataset) []string {
+	t.Helper()
+	jv, ev := d.JobView(), d.EventView()
+	w, err := d.wholeTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An event-only cohort starting at an event that precedes every job
+	// submit but is not the corpus's first event: its span starts before
+	// the memo's job extremes and after the memo's start, so the temporal
+	// job bins must re-run over all jobs.
+	first := sort.Search(ev.N, func(i int) bool { return ev.TimeUnix[i] > ev.TimeUnix[0] })
+	if first == ev.N || !d.Events[first].Time.Before(w.jobStart) {
+		t.Fatal("corpus has no second-second event before the first job submit")
+	}
+	return []string{
+		fmt.Sprintf("time >= %d", ev.TimeUnix[first]),
+		// An event-only cohort holding the corpus's first event: its span
+		// equals the memo's, so every job state comes from the memo.
+		fmt.Sprintf("sev == %s", d.Events[0].Sev),
+		// Job-only cohort with a coalesced numeric pair.
+		"nodes > 512 and nodes <= 4096",
+		// Coalesced submit pair next to an event constraint.
+		fmt.Sprintf("submit >= %d and exit == system and submit < %d and sev == FATAL",
+			jv.SubmitUnix[jv.N/4], jv.SubmitUnix[jv.N/2]),
+	}
+}
+
+// referenceScanSel is the unmemoized cohort scan: every kernel over both
+// selections with the span walked record by record — the oracle for
+// cohorts MaterializeWhere cannot build (an empty job side).
+func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfile, error) {
+	jv, ev := d.JobView(), d.EventView()
+	var start, end time.Time
+	seeded := false
+	forEachSelected(jobSel, len(d.Jobs), func(row int) {
+		j := &d.Jobs[row]
+		if !seeded {
+			start, end, seeded = j.Submit, j.End, true
+			return
+		}
+		if j.Submit.Before(start) {
+			start = j.Submit
+		}
+		if j.End.After(end) {
+			end = j.End
+		}
+	})
+	forEachSelected(eventSel, len(d.Events), func(row int) {
+		t := d.Events[row].Time
+		if !seeded {
+			start, end, seeded = t, t, true
+			return
+		}
+		if t.Before(start) {
+			start = t
+		} else if t.After(end) {
+			end = t
+		}
+	})
+	tk := newTemporalJobKernelSpan(start, end)
+	joint := newJointKernelWhere(d, DefaultJointOptions(), eventSel)
+	jsts, err := scan.RunWhere(jv, jv.N, jobSel, fusedJobKernels(jv, joint, tk), 1)
+	if err != nil {
+		return nil, err
+	}
+	ests, err := scan.RunWhere(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), 1)
+	if err != nil {
+		return nil, err
+	}
+	return d.finishProfile(jobSel, jsts, ests, start, end), nil
 }
 
 // profileFields compares every exported aggregate of two fused profiles.
@@ -87,8 +169,15 @@ func profileFields(t *testing.T, label string, got, want *FusedProfile) {
 // TestFusedScanWhereEquivalence is the pushdown acceptance suite: for
 // every predicate, FusedScanWhere must reproduce filter-then-FusedScan
 // exactly, and must itself be identical across worker counts.
+//
+// Each worker count gets its own cold Dataset, so the whole-table memo the
+// unconstrained side reuses is itself built at that worker count.
 func TestFusedScanWhereEquivalence(t *testing.T) {
 	d, _ := dataset(t)
+	cold := map[int]*Dataset{}
+	for _, workers := range []int{1, 4, 8} {
+		cold[workers] = freshDataset(t)
+	}
 	for _, where := range equivalencePredicates(t, d) {
 		e, err := sel.Parse(where)
 		if err != nil {
@@ -104,7 +193,7 @@ func TestFusedScanWhereEquivalence(t *testing.T) {
 		}
 		var first *FusedProfile
 		for _, workers := range []int{1, 4, 8} {
-			got, err := d.FusedScanWhere(e, workers)
+			got, err := cold[workers].FusedScanWhere(e, workers)
 			if err != nil {
 				t.Fatalf("FusedScanWhere(%q, workers=%d): %v", where, workers, err)
 			}
@@ -116,6 +205,177 @@ func TestFusedScanWhereEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFusedScanWhereEmptyJobCohort covers the cohort MaterializeWhere
+// cannot build: no job matches, every event is selected, so the span is
+// seeded from the first and last events alone.
+func TestFusedScanWhereEmptyJobCohort(t *testing.T) {
+	for _, where := range []string{"user == nosuchuser", "user == nosuchuser and sev == FATAL"} {
+		e := mustParse(t, where)
+		for _, workers := range []int{1, 4, 8} {
+			d := freshDataset(t)
+			got, err := d.FusedScanWhere(e, workers)
+			if err != nil {
+				t.Fatalf("%q workers=%d: %v", where, workers, err)
+			}
+			jobSel, eventSel, err := d.CompileWhere(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceScanSel(d, jobSel, eventSel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profileFields(t, fmt.Sprintf("%q workers=%d vs reference", where, workers), got, want)
+			if got.Summary.Jobs != 0 || got.Summary.Days <= 0 {
+				t.Errorf("%q: summary %+v, want no jobs over a positive event span", where, got.Summary)
+			}
+		}
+	}
+}
+
+// TestCohortSpanMatchesWalk pins the short-cut span against the record
+// walk NewDataset performs, for every matrix predicate and both sides
+// unconstrained or empty.
+func TestCohortSpanMatchesWalk(t *testing.T) {
+	d, _ := dataset(t)
+	w, err := d.wholeTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wheres := append(equivalencePredicates(t, d), "user == nosuchuser", "cat == nosuchcat", "user == nosuchuser and cat == nosuchcat")
+	for _, where := range wheres {
+		jobSel, eventSel, err := d.CompileWhere(mustParse(t, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got0, got1 := d.cohortSpan(w, jobSel, eventSel)
+		ref, err := referenceScanSel(d, jobSel, eventSel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if days := got1.Sub(got0).Hours() / 24; days != ref.Summary.Days {
+			t.Errorf("%q: span %v..%v is %v days, walk gives %v", where, got0, got1, days, ref.Summary.Days)
+		}
+	}
+}
+
+// TestCoalesceRanges pins which range conjuncts merge into one leaf.
+func TestCoalesceRanges(t *testing.T) {
+	for _, c := range []struct{ where, want string }{
+		{`submit >= 100 and submit < 200`, `(submit >= "100" and submit < "200")`},
+		{`nodes > 512 and user == u1 and nodes <= 4096`, `(nodes > "512" and nodes <= "4096") | user == "u1"`},
+		{`nodes <= 4096 and nodes > 512`, `(nodes > "512" and nodes <= "4096")`},
+		// Two lower bounds on one column: left as written.
+		{`dur > 1 and dur > 2 and dur < 9`, `dur > "1" | dur > "2" | dur < "9"`},
+		// A bound that does not parse keeps its own leaf (and error).
+		{`nodes >= abc and nodes < 9`, `nodes >= "abc" | nodes < "9"`},
+		// Different columns never merge.
+		{`submit >= 100 and time < 200`, `submit >= "100" | time < "200"`},
+	} {
+		var jobs, events []sel.Expr
+		if err := splitConjuncts(mustParse(t, c.where), &jobs, &events); err != nil {
+			t.Fatal(err)
+		}
+		var parts []string
+		for _, e := range append(coalesceRanges(jobs), coalesceRanges(events)...) {
+			parts = append(parts, e.String())
+		}
+		if got := strings.Join(parts, " | "); got != c.want {
+			t.Errorf("coalesce %q = %s, want %s", c.where, got, c.want)
+		}
+	}
+}
+
+// TestCoalescedRangesMatchSweep checks coalesced range pairs select
+// exactly the rows a column sweep does, with bounds on existing values
+// under every inclusivity. (The materialized reference compiles through
+// CompileWhere too, so the equivalence matrix alone cannot see a wrong
+// merge.)
+func TestCoalescedRangesMatchSweep(t *testing.T) {
+	d := freshDataset(t)
+	jv, ev := d.JobView(), d.EventView()
+	cols := []struct {
+		name   string
+		n      int
+		val    func(i int) int64
+		domain selDomain
+	}{
+		{"submit", jv.N, func(i int) int64 { return jv.SubmitUnix[i] }, domJob},
+		{"nodes", jv.N, func(i int) int64 { return int64(jv.Nodes[i]) }, domJob},
+		{"time", ev.N, func(i int) int64 { return ev.TimeUnix[i] }, domEvent},
+	}
+	for _, c := range cols {
+		lo, hi := c.val(c.n/4), c.val(c.n/2)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		for _, ops := range [][2]string{{">=", "<"}, {">=", "<="}, {">", "<"}, {">", "<="}} {
+			where := fmt.Sprintf("%s %s %d and %s %s %d", c.name, ops[0], lo, c.name, ops[1], hi)
+			jobSel, eventSel, err := d.CompileWhere(mustParse(t, where))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := jobSel
+			if c.domain == domEvent {
+				b = eventSel
+			}
+			n := 0
+			for i := 0; i < c.n; i++ {
+				v := c.val(i)
+				want := (v > lo || ops[0] == ">=" && v == lo) && (v < hi || ops[1] == "<=" && v == hi)
+				if b.Contains(uint32(i)) != want {
+					t.Fatalf("%q: row %d (value %d) selected=%v, want %v", where, i, v, !want, want)
+				}
+				if want {
+					n++
+				}
+			}
+			if b.Cardinality() != n {
+				t.Fatalf("%q: cardinality %d, want %d", where, b.Cardinality(), n)
+			}
+		}
+	}
+}
+
+// TestSelectionCacheBounded compiles more distinct predicates than the
+// compiled-selection cache holds: the cache stays within its bound and
+// every result (fresh or evicted and recompiled) equals a column sweep.
+func TestSelectionCacheBounded(t *testing.T) {
+	d := freshDataset(t)
+	jv := d.JobView()
+	check := func(lo int) {
+		t.Helper()
+		b, err := d.SelectJobs(mustParse(t, fmt.Sprintf("dur >= %d", lo)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for i, v := range jv.DurSec {
+			want := v >= int64(lo)
+			if b.Contains(uint32(i)) != want {
+				t.Fatalf("dur >= %d: row %d selected=%v, want %v", lo, i, !want, want)
+			}
+			if want {
+				n++
+			}
+		}
+		if b.Cardinality() != n {
+			t.Fatalf("dur >= %d: cardinality %d, want %d", lo, b.Cardinality(), n)
+		}
+	}
+	x := d.selIdx()
+	for i := 0; i < selCacheCap+50; i++ {
+		check(60 * i)
+		x.mu.Lock()
+		size, ring := len(x.cache), len(x.order)
+		x.mu.Unlock()
+		if size > selCacheCap || size != ring {
+			t.Fatalf("after %d predicates: cache holds %d entries (ring %d), bound %d", i+1, size, ring, selCacheCap)
+		}
+	}
+	check(0) // evicted long ago: recompiles to the same rows
 }
 
 // TestFusedScanWhereNilPredicate pins the degenerate path: no predicate
