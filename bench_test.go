@@ -1,5 +1,5 @@
 // Package repro's root benchmark harness regenerates every table and
-// figure of the paper (experiments E1–E15) and reports the headline
+// figure of the paper (experiments E1–E23) and reports the headline
 // metrics via b.ReportMetric, plus micro-benchmarks of the substrates
 // (corpus generation, CSV codecs, event filtering, distribution fitting,
 // the partition allocator and the scheduler).
@@ -52,7 +52,7 @@ func sharedEnv(b *testing.B) *experiments.Env {
 		cfg.Days = benchDays
 		cfg.NumUsers = 300
 		cfg.NumProjects = 120
-		benchEnv, benchErr = experiments.NewEnv(cfg)
+		benchEnv, benchErr = experiments.NewEnv(cfg, 0)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -192,13 +192,13 @@ func benchFilterSweep(b *testing.B, workers int) {
 		2 * time.Hour, 6 * time.Hour,
 	}
 	serial := timeOnce(b, func() {
-		if _, err := core.FilterSweepParallel(env.D.Events, base, windows, 1); err != nil {
+		if _, err := core.FilterSweep(env.D.Events, base, windows, 1); err != nil {
 			b.Fatal(err)
 		}
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := core.FilterSweepParallel(env.D.Events, base, windows, workers)
+		points, err := core.FilterSweep(env.D.Events, base, windows, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,8 +213,8 @@ func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1) }
 func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
 
 // benchRunAll reuses the shared env across iterations, so its memoized
-// profiles stay warm — it measures suite overhead on a hot cache. The
-// paired Benchmark_RunAll_Legacy/Fused below measure cold runs.
+// profiles stay warm — it measures suite overhead on a hot cache.
+// Benchmark_RunAll_Fused below measures cold-Env runs.
 func benchRunAll(b *testing.B, workers int) {
 	env := sharedEnv(b)
 	// Warm the memoized classifications so neither variant pays the one-off
@@ -239,26 +239,16 @@ func benchRunAll(b *testing.B, workers int) {
 	reportSpeedup(b, serial)
 }
 
-// Paired legacy/fused benchmarks of the full E1–E23 suite. Each iteration
-// builds a fresh Env over the shared dataset, so every memoization cache is
-// cold and the timing covers the complete cost of regenerating the paper:
-// the legacy variant re-walks the corpus per experiment, the fused variant
-// runs the single shared scan plus the memoized incident/MTTI passes. Both
-// time three back-to-back legacy passes outside the timer and report
-// "speedup" relative to the median — back-to-back passes carry the same
-// allocation debt as the timed loop, so the reference matches the legacy
-// variant's own steady-state ns/op (whose ratio sits near 1.0 by
-// construction). The equivalence tests prove the two modes render
-// byte-identical output.
-
-func Benchmark_RunAll_Legacy(b *testing.B) { benchRunAllCold(b, true) }
-func Benchmark_RunAll_Fused(b *testing.B)  { benchRunAllCold(b, false) }
-
-func benchRunAllCold(b *testing.B, legacy bool) {
+// Benchmark_RunAll_Fused times the full E1–E23 suite on a cold Env over a
+// warm Dataset. Each iteration builds a fresh Env over the shared dataset,
+// so every Env memoization is cold and the timing covers the complete cost
+// of regenerating the paper from the Dataset's indexes and memoized scan
+// state. BenchmarkAccessors in internal/experiments measures what fusion
+// buys against the reference walks.
+func Benchmark_RunAll_Fused(b *testing.B) {
 	d := sharedEnv(b).D
-	run := func(legacy bool) {
+	run := func() {
 		env := experiments.NewEnvFromDataset(d)
-		env.Legacy = legacy
 		env.Parallelism = 1
 		results, err := experiments.RunAll(env, 1)
 		if err != nil {
@@ -268,24 +258,17 @@ func benchRunAllCold(b *testing.B, legacy bool) {
 			b.Fatal("short suite")
 		}
 	}
-	passes := make([]time.Duration, 3)
-	for i := range passes {
-		passes[i] = timeOnce(b, func() { run(true) })
-	}
-	slices.Sort(passes)
-	legacyTime := passes[1]
-	// One untimed pass of the measured mode builds the dataset's lazy
-	// caches (column views, interned filter keys) — the benchmark contract
-	// is a cold Env over a warm Dataset, like fatalIdx/warnIdx built at
-	// NewDataset. Then collect the warm-up garbage outside the timer.
-	run(legacy)
+	// One untimed pass builds the dataset's lazy caches (column views,
+	// interned filter keys, the whole-table scan state) — the benchmark
+	// contract is a cold Env over a warm Dataset. Then collect the warm-up
+	// garbage outside the timer.
+	run()
 	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(legacy)
+		run()
 	}
-	reportSpeedup(b, legacyTime)
 }
 
 // Paired cohort-query benchmarks (DESIGN.md §14). One iteration answers a
@@ -698,7 +681,7 @@ func runSchedulerWorkload(b *testing.B, policy sched.Policy) time.Duration {
 func BenchmarkTakeaways(b *testing.B) {
 	env := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		ts, err := env.D.Takeaways()
+		ts, err := env.D.Takeaways(env.Parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}

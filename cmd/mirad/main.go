@@ -130,7 +130,7 @@ func buildEnv(in, format string, days int, seed int64, small bool, parallelism i
 			cfg.Seed = seed
 		}
 		fmt.Fprintf(os.Stderr, "mirad: generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
-		return experiments.NewEnvParallel(cfg, parallelism)
+		return experiments.NewEnv(cfg, parallelism)
 	}
 	ft, err := pack.ParseFormat(format)
 	if err != nil {

@@ -1,4 +1,4 @@
-// Command mirareport runs the paper's analyses — experiments E1–E22 and the
+// Command mirareport runs the paper's analyses — experiments E1–E23 and the
 // 22-takeaway report — over a corpus, either loaded from a directory
 // written by miragen or generated in memory.
 //
@@ -51,13 +51,12 @@ func run() error {
 	days := flag.Int("days", 0, "override days when generating")
 	seed := flag.Int64("seed", 0, "override seed when generating")
 	small := flag.Bool("small", false, "generate the fast 30-day corpus")
-	expID := flag.String("exp", "", "run a single experiment (E1..E22)")
+	expID := flag.String("exp", "", "run a single experiment (E1..E23)")
 	takeaways := flag.Bool("takeaways", false, "print only the 22-takeaway report")
 	where := flag.String("where", "", "print the cohort profile this predicate selects and exit (e.g. 'exit != success and nodes >= 1024')")
 	list := flag.Bool("list", false, "list the experiments and exit")
 	csvDir := flag.String("csv", "", "also dump figure/table CSVs into this directory")
 	parallelism := flag.Int("parallelism", 0, "worker bound for corpus generation and the experiment suite (0 = all cores, 1 = serial; results are identical)")
-	legacy := flag.Bool("legacy", false, "disable the fused scan engine and recompute every analysis per experiment (output is byte-identical; for benchmarking and bisection)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -99,20 +98,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	env.Legacy = *legacy
 
 	if *where != "" {
 		return printCohort(env, *where)
 	}
 	if *takeaways {
-		return printTakeaways(env.D)
+		return printTakeaways(env.D, *parallelism)
 	}
 
 	var results []*experiments.Result
 	if *expID != "" {
 		exp, ok := experiments.ByID(*expID)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (run with -list to see E1..E22)", *expID)
+			return fmt.Errorf("unknown experiment %q (run with -list to see E1..E23)", *expID)
 		}
 		res, err := exp.Run(env)
 		if err != nil {
@@ -149,7 +147,7 @@ func run() error {
 	}
 	if *expID == "" {
 		fmt.Println("=== 22 takeaways ===")
-		return printTakeaways(env.D)
+		return printTakeaways(env.D, *parallelism)
 	}
 	return nil
 }
@@ -169,7 +167,7 @@ func buildEnv(in, format string, days int, seed int64, small bool, parallelism i
 			cfg.Seed = seed
 		}
 		fmt.Fprintf(os.Stderr, "generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
-		return experiments.NewEnvParallel(cfg, parallelism)
+		return experiments.NewEnv(cfg, parallelism)
 	}
 	ft, err := pack.ParseFormat(format)
 	if err != nil {
@@ -202,8 +200,8 @@ func printCohort(env *experiments.Env, where string) error {
 	return experiments.RenderCohort(os.Stdout, p, expr.String())
 }
 
-func printTakeaways(d *core.Dataset) error {
-	ts, err := d.Takeaways()
+func printTakeaways(d *core.Dataset, workers int) error {
+	ts, err := d.Takeaways(workers)
 	if err != nil {
 		return err
 	}

@@ -363,7 +363,7 @@ func TestInterruptsByUser(t *testing.T) {
 
 func TestTakeaways(t *testing.T) {
 	d, _ := dataset(t)
-	ts, err := d.Takeaways()
+	ts, err := d.Takeaways(0)
 	if err != nil {
 		t.Fatal(err)
 	}

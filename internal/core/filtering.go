@@ -332,22 +332,15 @@ type SweepPoint struct {
 // FilterSweep runs FilterFatal across the given windows (holding the rest
 // of the rule fixed) and reports the incident counts — the knee of this
 // curve is how the paper picks its filtering window. The window grid is
-// evaluated concurrently on all cores; use FilterSweepParallel to bound the
-// worker count.
-func FilterSweep(events []raslog.Event, base FilterRule, windows []time.Duration) ([]SweepPoint, error) {
-	return FilterSweepParallel(events, base, windows, 0)
-}
-
-// FilterSweepParallel is FilterSweep with an explicit worker bound (≤ 0
-// means GOMAXPROCS). Each window's filter pass is independent and writes
-// its SweepPoint to the slot of its window index, so the sweep is identical
-// to the serial path for any worker count.
+// evaluated on at most workers goroutines (≤ 0 means GOMAXPROCS). Each
+// window's filter pass is independent and writes its SweepPoint to the slot
+// of its window index, so the sweep is identical for any worker count.
 //
 // Similarity keys depend on the rule's Spatial/SameMessage settings but not
 // on the window, so the sweep interns them once and each window only pays
 // for the array-indexed coalesce: O(events) key work total instead of
 // O(windows × events), and no per-window hash table.
-func FilterSweepParallel(events []raslog.Event, base FilterRule, windows []time.Duration, workers int) ([]SweepPoint, error) {
+func FilterSweep(events []raslog.Event, base FilterRule, windows []time.Duration, workers int) ([]SweepPoint, error) {
 	idx := severityIndex(events, raslog.Fatal)
 	raw := len(idx)
 	ik := internKeys(events, idx, base)

@@ -89,7 +89,7 @@ func BenchmarkFilterSweepVsReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		got, err = FilterSweepParallel(d.Events, base, windows, 1)
+		got, err = FilterSweep(d.Events, base, windows, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

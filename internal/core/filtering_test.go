@@ -128,7 +128,7 @@ func TestFilterWindowMonotonicity(t *testing.T) {
 	windows := []time.Duration{
 		time.Minute, 5 * time.Minute, 20 * time.Minute, time.Hour, 6 * time.Hour,
 	}
-	sweep, err := FilterSweep(d.Events, DefaultFilterRule(), windows)
+	sweep, err := FilterSweep(d.Events, DefaultFilterRule(), windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 			want[i].Reduction = 1 - float64(len(incidents))/float64(raw)
 		}
 	}
-	got, err := FilterSweep(d.Events, base, windows)
+	got, err := FilterSweep(d.Events, base, windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 
 func TestFilterSweepRejectsBadWindow(t *testing.T) {
 	d, _ := dataset(t)
-	if _, err := FilterSweep(d.Events, DefaultFilterRule(), []time.Duration{time.Minute, 0}); err == nil {
+	if _, err := FilterSweep(d.Events, DefaultFilterRule(), []time.Duration{time.Minute, 0}, 0); err == nil {
 		t.Error("sweep accepted a non-positive window")
 	}
 }

@@ -22,12 +22,12 @@ func TestFilterSweepParallelMatchesSerial(t *testing.T) {
 		30 * time.Second, time.Minute, 5 * time.Minute, 20 * time.Minute,
 		time.Hour, 6 * time.Hour,
 	}
-	want, err := FilterSweepParallel(events, DefaultFilterRule(), windows, 1)
+	want, err := FilterSweep(events, DefaultFilterRule(), windows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		got, err := FilterSweepParallel(events, DefaultFilterRule(), windows, workers)
+		got, err := FilterSweep(events, DefaultFilterRule(), windows, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -20,16 +20,20 @@ type Takeaway struct {
 
 // Takeaways runs the full joint analysis and renders the paper's 22
 // takeaways with the corpus' measured values. The wording follows the
-// paper's findings; every number is computed, not quoted.
-func (d *Dataset) Takeaways() ([]Takeaway, error) {
-	sum := d.Summarize()
-	cls := d.ClassifyByExit()
-	joint := d.ClassifyJoint(DefaultJointOptions())
-	userConc, err := d.Concentration(ByUser, cls)
+// paper's findings; every number is computed, not quoted. The whole-corpus
+// aggregates come from the Dataset's memoized fused profile, scanned on at
+// most workers goroutines (≤ 0 means GOMAXPROCS).
+func (d *Dataset) Takeaways(workers int) ([]Takeaway, error) {
+	p, err := d.FusedScan(workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	projConc, err := d.Concentration(ByProject, cls)
+	sum, cls, joint := p.Summary, p.Exit, p.Joint
+	userConc, err := p.Concentration(ByUser)
+	if err != nil {
+		return nil, fmt.Errorf("core: takeaways: %w", err)
+	}
+	projConc, err := p.Concentration(ByProject)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
@@ -41,12 +45,11 @@ func (d *Dataset) Takeaways() ([]Takeaway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	locality, err := d.Locality(machine.LevelMidplane)
+	locality, err := p.Locality(machine.LevelMidplane)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	profile := d.Profile()
-	temporal := d.Temporal()
+	profile, temporal := p.RAS, p.Temporal
 	scale, err := d.FailureByStructure(DimNodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
@@ -56,7 +59,7 @@ func (d *Dataset) Takeaways() ([]Takeaway, error) {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
 	ioCorr, ioErr := d.IOBehavior()
-	interrupts, err := d.InterruptsByUser(cls)
+	interrupts, err := p.Interrupts, p.InterruptsErr
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}

@@ -7,9 +7,9 @@ import (
 
 // This file is the experiments-side face of the selection layer: cohort
 // profiles — the full fused analysis suite restricted to the jobs and
-// events a -where predicate selects — memoized per environment under the
-// predicate's canonical form, so repeated queries (a report re-rendering a
-// cohort, a sweep revisiting a user) cost one scan.
+// events a -where predicate selects. Cohort profiles are not memoized
+// here: mirad caches rendered responses in its own LRU, and mirareport
+// -where issues one query per process.
 
 // CohortProfile parses a -where expression and returns the fused profile
 // of the cohort it selects (see core.FusedScanWhere and DESIGN.md §14).
@@ -21,62 +21,12 @@ func (e *Env) CohortProfile(where string) (*core.FusedProfile, error) {
 	return e.CohortProfileExpr(expr)
 }
 
-// UserProfile returns the cohort profile of one user's jobs.
-func (e *Env) UserProfile(user string) (*core.FusedProfile, error) {
-	return e.CohortProfileExpr(sel.Eq{Col: "user", Val: user})
-}
-
-// ProjectProfile returns the cohort profile of one project's jobs.
-func (e *Env) ProjectProfile(project string) (*core.FusedProfile, error) {
-	return e.CohortProfileExpr(sel.Eq{Col: "project", Val: project})
-}
-
 // CohortProfileExpr is CohortProfile for an already-parsed predicate. A nil
-// predicate is the whole corpus — the shared FusedScan profile. Results are
-// cached under the predicate's canonical String(), so syntactic variants of
-// one selection ("a and b" vs "(a) && b") share an entry.
+// predicate is the whole corpus — the shared, memoized FusedScan profile;
+// any other predicate is pushed down into a fresh core.FusedScanWhere.
 func (e *Env) CohortProfileExpr(expr sel.Expr) (*core.FusedProfile, error) {
 	if expr == nil {
-		if e.fused() {
-			return e.fusedProfile()
-		}
-		return e.D.FusedScan(e.Parallelism)
-	}
-	if e.cache == nil {
-		return e.cohortScan(expr)
-	}
-	c := e.cache
-	key := expr.String()
-	// The lock covers the scan itself: concurrent requests for distinct
-	// cohorts serialize, which keeps the cache a plain map and matches how
-	// the CLI and report paths issue queries (one at a time).
-	c.cohortMu.Lock()
-	defer c.cohortMu.Unlock()
-	if p, ok := c.cohorts[key]; ok {
-		return p, nil
-	}
-	p, err := e.cohortScan(expr)
-	if err != nil {
-		return nil, err
-	}
-	if c.cohorts == nil {
-		c.cohorts = make(map[string]*core.FusedProfile)
-	}
-	c.cohorts[key] = p
-	return p, nil
-}
-
-// cohortScan computes a cohort profile: predicate pushdown in fused mode,
-// materialize-then-scan in legacy mode. Both are bit-identical (the
-// equivalence suite in core enforces it); the legacy path exists for the
-// paired benchmark and for bisecting pushdown regressions.
-func (e *Env) cohortScan(expr sel.Expr) (*core.FusedProfile, error) {
-	if e.Legacy {
-		md, err := e.D.MaterializeWhere(expr)
-		if err != nil {
-			return nil, err
-		}
-		return md.FusedScan(e.Parallelism)
+		return e.fusedProfile()
 	}
 	return e.D.FusedScanWhere(expr, e.Parallelism)
 }

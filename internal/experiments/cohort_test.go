@@ -17,64 +17,28 @@ func mustParse(t *testing.T, where string) sel.Expr {
 	return e
 }
 
-// TestCohortProfileMatchesCore checks the accessor is a cached façade over
-// core.FusedScanWhere: same numbers, and the second request returns the
-// same profile pointer.
+// TestCohortProfileMatchesCore checks the accessor is a façade over
+// core.FusedScanWhere: same numbers for any spelling of one predicate.
 func TestCohortProfileMatchesCore(t *testing.T) {
 	e := env(t)
 	user := e.D.JobView().Users[0]
 	where := fmt.Sprintf("user == %s", user)
 
-	p1, err := e.CohortProfile(where)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := e.D.FusedScanWhere(mustParse(t, where), e.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p1.Summary, want.Summary) {
-		t.Errorf("Summary differs:\n  got  %+v\n  want %+v", p1.Summary, want.Summary)
-	}
-	if p1.Summary.Jobs == 0 {
+	if want.Summary.Jobs == 0 {
 		t.Errorf("cohort %q selected no jobs", where)
 	}
-
-	// Warm path: same canonical predicate (different surface syntax) must
-	// hand back the identical cached profile.
-	p2, err := e.CohortProfile(fmt.Sprintf("(user == %q)", user))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("cohort profile was not cached under the canonical form")
-	}
-}
-
-// TestUserProjectProfileHelpers checks the Eq shorthands agree with the
-// textual predicates they stand for.
-func TestUserProjectProfileHelpers(t *testing.T) {
-	e := env(t)
-	jv := e.D.JobView()
-
-	up, err := e.UserProfile(jv.Users[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	uw, err := e.CohortProfile(fmt.Sprintf("user == %s", jv.Users[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up != uw {
-		t.Error("UserProfile and the equivalent -where predicate did not share a cache entry")
-	}
-
-	pp, err := e.ProjectProfile(jv.Projects[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.Summary.Projects != 1 {
-		t.Errorf("project cohort reports %d projects, want 1", pp.Summary.Projects)
+	for _, spelling := range []string{where, fmt.Sprintf("(user == %q)", user)} {
+		p, err := e.CohortProfile(spelling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Summary, want.Summary) {
+			t.Errorf("%q: Summary differs:\n  got  %+v\n  want %+v", spelling, p.Summary, want.Summary)
+		}
 	}
 }
 
@@ -102,13 +66,11 @@ func TestCohortProfileNilAndErrors(t *testing.T) {
 	}
 }
 
-// TestCohortProfileLegacyEquivalence checks the legacy (materialize) path
-// agrees with pushdown — the experiments-level mirror of the core
-// equivalence suite.
+// TestCohortProfileLegacyEquivalence checks pushdown against the reference
+// cohort path, materialize-then-scan — the experiments-level mirror of the
+// core equivalence suite.
 func TestCohortProfileLegacyEquivalence(t *testing.T) {
 	e := env(t)
-	legacy := NewEnvFromDataset(e.D)
-	legacy.Legacy = true
 	for _, where := range []string{
 		"exit != success and nodes >= 1024",
 		"sev == FATAL",
@@ -117,7 +79,11 @@ func TestCohortProfileLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.CohortProfile(where)
+		md, err := e.D.MaterializeWhere(mustParse(t, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := md.FusedScan(e.Parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the E1–E15 index in DESIGN.md) from a synthetic corpus. Each
+// evaluation (the E1–E23 index in DESIGN.md) from a synthetic corpus. Each
 // experiment returns renderable tables/figures plus a flat metric map that
 // EXPERIMENTS.md and the regression tests compare against the paper's
 // anchors.
@@ -29,18 +29,12 @@ type Env struct {
 	// ≤ 0 means GOMAXPROCS. Results are identical at any setting.
 	Parallelism int
 
-	// Legacy disables the fused scan engine: every accessor recomputes its
-	// analysis with the pre-fusion per-experiment walks. Results are
-	// bit-identical either way (the equivalence tests enforce it); the
-	// switch exists for the paired benchmark and for bisecting regressions.
-	// Set it before the first experiment runs.
-	Legacy bool
-
-	cache *envCache
+	cache envCache
 }
 
-// envCache memoizes analyses shared across experiments. It lives behind a
-// pointer so an Env value can be copied without copying locks; sync.Once
+// envCache memoizes analyses shared across experiments. It is held by
+// value, so every Env — a constructor's or a bare &Env{D: d} literal —
+// memoizes; an Env must therefore not be copied once in use. sync.Once
 // makes each analysis safe to request from concurrently running
 // experiments while computing it exactly once.
 //
@@ -69,9 +63,9 @@ type envCache struct {
 	surv             *core.SurvivalResult
 	survErr          error
 
-	// Fused-scan profile plus the fused-mode memoizations layered on it
-	// (see fused.go). profileOnce guards the single shared scan RunAll
-	// triggers instead of ~20 private corpus walks.
+	// Fused-scan profile plus the memoizations layered on it (see
+	// fused.go). profileOnce guards the single shared scan RunAll triggers
+	// instead of ~20 private corpus walks.
 	profileOnce sync.Once
 	profile     *core.FusedProfile
 	profileErr  error
@@ -89,25 +83,13 @@ type envCache struct {
 	warnIncOnce  sync.Once
 	warnInc      []core.Incident
 	warnIncErr   error
-
-	// Cohort profiles keyed by the predicate's canonical form (see
-	// cohort.go). A map rather than sync.Once because the key space is
-	// open-ended — any -where expression.
-	cohortMu sync.Mutex
-	cohorts  map[string]*core.FusedProfile
 }
 
-// NewEnv generates a corpus and indexes it. Generation uses all cores; use
-// NewEnvParallel to bound the worker count.
-func NewEnv(cfg sim.Config) (*Env, error) {
-	return NewEnvParallel(cfg, 0)
-}
-
-// NewEnvParallel generates a corpus with at most workers goroutines (≤ 0
-// means GOMAXPROCS) and indexes it. The corpus — and therefore every
-// downstream experiment — is identical for any worker count; the bound also
-// becomes the environment's Parallelism.
-func NewEnvParallel(cfg sim.Config, workers int) (*Env, error) {
+// NewEnv generates a corpus with at most workers goroutines (≤ 0 means
+// GOMAXPROCS) and indexes it. The corpus — and therefore every downstream
+// experiment — is identical for any worker count; the bound also becomes
+// the environment's Parallelism.
+func NewEnv(cfg sim.Config, workers int) (*Env, error) {
 	c, err := sim.GenerateParallel(cfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -116,23 +98,18 @@ func NewEnvParallel(cfg sim.Config, workers int) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return &Env{Cfg: cfg, Corpus: c, D: d, Parallelism: workers, cache: &envCache{}}, nil
+	return &Env{Cfg: cfg, Corpus: c, D: d, Parallelism: workers}, nil
 }
 
 // NewEnvFromDataset wraps an already-loaded dataset (e.g. a CSV corpus read
 // back by mirareport) as an evaluation environment.
 func NewEnvFromDataset(d *core.Dataset) *Env {
-	return &Env{D: d, cache: &envCache{}}
+	return &Env{D: d}
 }
 
 // ClassifyByExit returns the exit-status-only classification, computed once
 // per environment no matter how many experiments (or workers) request it.
 func (e *Env) ClassifyByExit() *core.Classification {
-	if e.cache == nil {
-		// Env literals built without a constructor have no cache; fall back
-		// to direct computation rather than racing to create one.
-		return e.D.ClassifyByExit()
-	}
 	e.cache.exitOnce.Do(func() { e.cache.exit = e.D.ClassifyByExit() })
 	return e.cache.exit
 }
@@ -140,9 +117,6 @@ func (e *Env) ClassifyByExit() *core.Classification {
 // ClassifyJoint returns the joint (RAS-correlated) classification under
 // core.DefaultJointOptions, computed once per environment.
 func (e *Env) ClassifyJoint() *core.Classification {
-	if e.cache == nil {
-		return e.D.ClassifyJoint(core.DefaultJointOptions())
-	}
 	e.cache.jointOnce.Do(func() { e.cache.joint = e.D.ClassifyJoint(core.DefaultJointOptions()) })
 	return e.cache.joint
 }
@@ -152,31 +126,23 @@ func (e *Env) ClassifyJoint() *core.Classification {
 // The extraction and sort happen once per environment no matter how many
 // experiments request them.
 func (e *Env) DurationSamples() (succeeded, failed *dist.Sample) {
-	build := func() (*dist.Sample, *dist.Sample) {
+	e.cache.durOnce.Do(func() {
 		s, f := e.D.ExecutionLengthCDFs() // already sorted ascending
-		return dist.NewSampleSorted(s), dist.NewSampleSorted(f)
-	}
-	if e.cache == nil {
-		return build()
-	}
-	e.cache.durOnce.Do(func() { e.cache.durSucc, e.cache.durFail = build() })
+		e.cache.durSucc, e.cache.durFail = dist.NewSampleSorted(s), dist.NewSampleSorted(f)
+	})
 	return e.cache.durSucc, e.cache.durFail
 }
 
 // JobCoreHours returns the per-job core-hours series, aligned with D.Jobs
 // (use D.JobPos to index it by job id), computed once per environment.
 func (e *Env) JobCoreHours() []float64 {
-	build := func() []float64 {
+	e.cache.coreHoursOnce.Do(func() {
 		ch := make([]float64, len(e.D.Jobs))
 		for i := range e.D.Jobs {
 			ch[i] = e.D.Jobs[i].CoreHours()
 		}
-		return ch
-	}
-	if e.cache == nil {
-		return build()
-	}
-	e.cache.coreHoursOnce.Do(func() { e.cache.coreHours = build() })
+		e.cache.coreHours = ch
+	})
 	return e.cache.coreHours
 }
 
@@ -184,9 +150,6 @@ func (e *Env) JobCoreHours() []float64 {
 // computed once per environment. Experiments needing a non-default filter
 // rule should call D.MTTI directly.
 func (e *Env) MTTI() (*core.MTTIResult, error) {
-	if e.cache == nil {
-		return e.D.MTTI(core.DefaultFilterRule())
-	}
 	e.cache.mttiOnce.Do(func() { e.cache.mtti, e.cache.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
 	return e.cache.mtti, e.cache.mttiErr
 }
@@ -218,9 +181,6 @@ func (e *Env) LostCoreHours(r *core.MTTIResult) float64 {
 // Availability returns the service-action availability analysis (with its
 // repair-time Sample), computed once per environment.
 func (e *Env) Availability() (*core.AvailabilityResult, error) {
-	if e.cache == nil {
-		return e.D.Availability()
-	}
 	e.cache.availOnce.Do(func() { e.cache.avail, e.cache.availErr = e.D.Availability() })
 	return e.cache.avail, e.cache.availErr
 }
@@ -228,9 +188,6 @@ func (e *Env) Availability() (*core.AvailabilityResult, error) {
 // Survival returns the Kaplan–Meier time-to-user-failure analysis, computed
 // once per environment.
 func (e *Env) Survival() (*core.SurvivalResult, error) {
-	if e.cache == nil {
-		return e.D.Survival()
-	}
 	e.cache.survOnce.Do(func() { e.cache.surv, e.cache.survErr = e.D.Survival() })
 	return e.cache.surv, e.cache.survErr
 }

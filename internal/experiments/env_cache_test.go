@@ -9,49 +9,73 @@ import (
 )
 
 // TestDerivedSeriesMemoized checks every derived-series accessor hands back
-// the same computed object instead of re-deriving per caller.
+// the same computed object instead of re-deriving per caller, both for a
+// constructed Env and for a bare &Env{D: d} literal.
 func TestDerivedSeriesMemoized(t *testing.T) {
-	e := env(t)
-	s1, f1 := e.DurationSamples()
-	s2, f2 := e.DurationSamples()
-	if s1 != s2 || f1 != f2 {
-		t.Error("DurationSamples recomputed instead of memoized")
-	}
-	ch1, ch2 := e.JobCoreHours(), e.JobCoreHours()
-	if len(ch1) == 0 || &ch1[0] != &ch2[0] {
-		t.Error("JobCoreHours recomputed instead of memoized")
-	}
-	m1, err1 := e.MTTI()
-	m2, err2 := e.MTTI()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("MTTI: %v, %v", err1, err2)
-	}
-	if m1 != m2 {
-		t.Error("MTTI recomputed instead of memoized")
-	}
-	iv1, _ := e.InterruptionIntervals()
-	iv2, _ := e.InterruptionIntervals()
-	if iv1 != iv2 {
-		t.Error("InterruptionIntervals not served from the memoized MTTI result")
-	}
-	if iv1 != m1.IntervalSample {
-		t.Error("InterruptionIntervals does not alias the MTTI interval sample")
-	}
-	a1, err1 := e.Availability()
-	a2, err2 := e.Availability()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("Availability: %v, %v", err1, err2)
-	}
-	if a1 != a2 {
-		t.Error("Availability recomputed instead of memoized")
-	}
-	sv1, err1 := e.Survival()
-	sv2, err2 := e.Survival()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("Survival: %v, %v", err1, err2)
-	}
-	if sv1 != sv2 {
-		t.Error("Survival recomputed instead of memoized")
+	for name, e := range map[string]*Env{
+		"constructed": env(t),
+		"literal":     {D: env(t).D},
+	} {
+		s1, f1 := e.DurationSamples()
+		s2, f2 := e.DurationSamples()
+		if s1 != s2 || f1 != f2 {
+			t.Errorf("%s: DurationSamples recomputed instead of memoized", name)
+		}
+		ch1, ch2 := e.JobCoreHours(), e.JobCoreHours()
+		if len(ch1) == 0 || &ch1[0] != &ch2[0] {
+			t.Errorf("%s: JobCoreHours recomputed instead of memoized", name)
+		}
+		m1, err1 := e.MTTI()
+		m2, err2 := e.MTTI()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: MTTI: %v, %v", name, err1, err2)
+		}
+		if m1 != m2 {
+			t.Errorf("%s: MTTI recomputed instead of memoized", name)
+		}
+		if got, want := e.LostCoreHours(m1), e.D.LostCoreHours(m1); got != want {
+			t.Errorf("%s: LostCoreHours via cache = %v, direct = %v", name, got, want)
+		}
+		iv1, _ := e.InterruptionIntervals()
+		iv2, _ := e.InterruptionIntervals()
+		if iv1 != iv2 {
+			t.Errorf("%s: InterruptionIntervals not served from the memoized MTTI result", name)
+		}
+		if iv1 != m1.IntervalSample {
+			t.Errorf("%s: InterruptionIntervals does not alias the MTTI interval sample", name)
+		}
+		a1, err1 := e.Availability()
+		a2, err2 := e.Availability()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: Availability: %v, %v", name, err1, err2)
+		}
+		if a1 != a2 {
+			t.Errorf("%s: Availability recomputed instead of memoized", name)
+		}
+		sv1, err1 := e.Survival()
+		sv2, err2 := e.Survival()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: Survival: %v, %v", name, err1, err2)
+		}
+		if sv1 != sv2 {
+			t.Errorf("%s: Survival recomputed instead of memoized", name)
+		}
+		p1, err1 := e.CohortProfileExpr(nil)
+		p2, err2 := e.CohortProfileExpr(nil)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: whole-corpus profile: %v, %v", name, err1, err2)
+		}
+		if p1 != p2 {
+			t.Errorf("%s: whole-corpus profile recomputed instead of memoized", name)
+		}
+		fi1, err1 := e.FatalIncidents()
+		fi2, err2 := e.FatalIncidents()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: FatalIncidents: %v, %v", name, err1, err2)
+		}
+		if len(fi1) == 0 || &fi1[0] != &fi2[0] {
+			t.Errorf("%s: FatalIncidents recomputed instead of memoized", name)
+		}
 	}
 }
 
@@ -105,18 +129,19 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestEnvCacheNilFallback checks an Env built without a constructor (no
-// cache) still serves every derived series by direct computation.
+// TestEnvCacheNilFallback checks an Env built without a constructor (a
+// literal with a zero-value cache) serves every derived series with the
+// same results as a constructed Env.
 func TestEnvCacheNilFallback(t *testing.T) {
 	cached := env(t)
 	bare := &Env{D: cached.D}
 	s, f := bare.DurationSamples()
 	cs, cf := cached.DurationSamples()
 	if s.N() != cs.N() || f.N() != cf.N() {
-		t.Errorf("fallback DurationSamples sizes (%d,%d) != cached (%d,%d)", s.N(), f.N(), cs.N(), cf.N())
+		t.Errorf("literal DurationSamples sizes (%d,%d) != constructed (%d,%d)", s.N(), f.N(), cs.N(), cf.N())
 	}
 	if len(bare.JobCoreHours()) != len(cached.JobCoreHours()) {
-		t.Error("fallback JobCoreHours length mismatch")
+		t.Error("literal JobCoreHours length mismatch")
 	}
 	m, err := bare.MTTI()
 	if err != nil {
@@ -124,16 +149,16 @@ func TestEnvCacheNilFallback(t *testing.T) {
 	}
 	cm, _ := cached.MTTI()
 	if m.Interruptions != cm.Interruptions {
-		t.Errorf("fallback MTTI interruptions %d != cached %d", m.Interruptions, cm.Interruptions)
+		t.Errorf("literal MTTI interruptions %d != constructed %d", m.Interruptions, cm.Interruptions)
 	}
 	if got, want := bare.LostCoreHours(m), bare.D.LostCoreHours(m); got != want {
 		t.Errorf("LostCoreHours via cache = %v, direct = %v", got, want)
 	}
 	if _, err := bare.Availability(); err != nil {
-		t.Errorf("fallback Availability: %v", err)
+		t.Errorf("literal Availability: %v", err)
 	}
 	if _, err := bare.Survival(); err != nil {
-		t.Errorf("fallback Survival: %v", err)
+		t.Errorf("literal Survival: %v", err)
 	}
 }
 

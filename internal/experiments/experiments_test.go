@@ -11,16 +11,16 @@ import (
 // fitting and MTTI statistics, short enough to generate in a few seconds.
 var testEnv *Env
 
-func env(t *testing.T) *Env {
-	t.Helper()
+func env(tb testing.TB) *Env {
+	tb.Helper()
 	if testEnv == nil {
 		cfg := sim.DefaultConfig()
 		cfg.Days = 150
 		cfg.NumUsers = 300
 		cfg.NumProjects = 120
-		e, err := NewEnv(cfg)
+		e, err := NewEnv(cfg, 0)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		testEnv = e
 	}

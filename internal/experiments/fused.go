@@ -9,27 +9,21 @@ import (
 
 // This file is the experiments-side face of the fused scan engine: every
 // accessor serves the hot whole-corpus aggregates (E1/E2/E4/E7/E9/E10/E14/
-// E15/E16/E18/E19/E21) from one shared core.FusedScan — or, when Legacy is
-// set (or the Env has no cache), from the pre-fusion per-experiment walks.
-// Both paths are bit-identical; the equivalence tests compare rendered
-// output byte for byte.
-
-// fused reports whether the fused engine serves this environment.
-func (e *Env) fused() bool { return !e.Legacy && e.cache != nil }
+// E15/E16/E18/E19/E21) from one shared core.FusedScan and the memoized
+// incident and MTTI passes. The pre-fusion per-experiment walks survive in
+// fused_test.go as oracles; the equivalence table there compares every
+// accessor with its walk bit for bit.
 
 // fusedProfile returns the shared scan profile, running the scan once per
 // environment no matter how many experiments (or workers) request it.
 func (e *Env) fusedProfile() (*core.FusedProfile, error) {
-	c := e.cache
+	c := &e.cache
 	c.profileOnce.Do(func() { c.profile, c.profileErr = e.D.FusedScan(e.Parallelism) })
 	return c.profile, c.profileErr
 }
 
 // Summary returns the Table-I dataset summary (E1).
 func (e *Env) Summary() (core.Summary, error) {
-	if !e.fused() {
-		return e.D.Summarize(), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return core.Summary{}, err
@@ -40,9 +34,6 @@ func (e *Env) Summary() (core.Summary, error) {
 // ExitTally returns the exit-status-only failure tally (E4/E19 and the
 // family tables).
 func (e *Env) ExitTally() (core.FailTally, error) {
-	if !e.fused() {
-		return core.TallyOf(e.ClassifyByExit()), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return core.FailTally{}, err
@@ -53,9 +44,6 @@ func (e *Env) ExitTally() (core.FailTally, error) {
 // JointTally returns the RAS-correlated failure tally under
 // core.DefaultJointOptions (E4).
 func (e *Env) JointTally() (core.FailTally, error) {
-	if !e.fused() {
-		return core.TallyOf(e.ClassifyJoint()), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return core.FailTally{}, err
@@ -66,9 +54,6 @@ func (e *Env) JointTally() (core.FailTally, error) {
 // Groups returns the per-user or per-project aggregates in Aggregate order
 // (E2/E7), with system attribution from the exit-status classification.
 func (e *Env) Groups(by core.GroupBy) ([]core.GroupStats, error) {
-	if !e.fused() {
-		return e.D.Aggregate(by, e.ClassifyByExit()), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -79,14 +64,11 @@ func (e *Env) Groups(by core.GroupBy) ([]core.GroupStats, error) {
 // Concentration returns the concentration/correlation profile for the
 // grouping (E2/E7), computed once per environment and grouping.
 func (e *Env) Concentration(by core.GroupBy) (*core.ConcentrationResult, error) {
-	if !e.fused() {
-		return e.D.Concentration(by, e.ClassifyByExit())
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
-	c := e.cache
+	c := &e.cache
 	if by == core.ByProject {
 		c.concProjOnce.Do(func() { c.concProj, c.concProjErr = p.Concentration(by) })
 		return c.concProj, c.concProjErr
@@ -97,9 +79,6 @@ func (e *Env) Concentration(by core.GroupBy) (*core.ConcentrationResult, error) 
 
 // Temporal returns the hour/weekday/month activity profile (E14).
 func (e *Env) Temporal() (*core.TemporalProfile, error) {
-	if !e.fused() {
-		return e.D.Temporal(), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -109,9 +88,6 @@ func (e *Env) Temporal() (*core.TemporalProfile, error) {
 
 // RASProfile returns the severity/category/component composition (E9).
 func (e *Env) RASProfile() (*core.CategoryProfile, error) {
-	if !e.fused() {
-		return e.D.Profile(), nil
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -122,9 +98,6 @@ func (e *Env) RASProfile() (*core.CategoryProfile, error) {
 // Waste returns the wasted core-hours breakdown under the exit-status
 // classification (E19).
 func (e *Env) Waste() (*core.WasteResult, error) {
-	if !e.fused() {
-		return e.D.Waste(e.ClassifyByExit())
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -134,9 +107,6 @@ func (e *Env) Waste() (*core.WasteResult, error) {
 
 // Interrupts returns the interruptions-vs-consumption correlation (E15).
 func (e *Env) Interrupts() (*core.InterruptCorrelation, error) {
-	if !e.fused() {
-		return e.D.InterruptsByUser(e.ClassifyByExit())
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -148,7 +118,7 @@ func (e *Env) Interrupts() (*core.InterruptCorrelation, error) {
 // (E10). Only rack and midplane are served by the fused scan; other levels
 // fall through to the direct walk.
 func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
-	if !e.fused() || (level != machine.LevelRack && level != machine.LevelMidplane) {
+	if level != machine.LevelRack && level != machine.LevelMidplane {
 		return e.D.Locality(level)
 	}
 	p, err := e.fusedProfile()
@@ -159,12 +129,9 @@ func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
 }
 
 // FatalIncidents returns the default-rule filtered FATAL incident stream,
-// computed once per environment (E16/E21 share it in fused mode).
+// computed once per environment (E16/E21 share it).
 func (e *Env) FatalIncidents() ([]core.Incident, error) {
-	if e.cache == nil {
-		return e.D.FilterFatalCached(core.DefaultFilterRule())
-	}
-	c := e.cache
+	c := &e.cache
 	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatalCached(core.DefaultFilterRule()) })
 	return c.fatalInc, c.fatalIncErr
 }
@@ -172,35 +139,20 @@ func (e *Env) FatalIncidents() ([]core.Incident, error) {
 // WarnIncidents returns the default-rule filtered WARN burst stream,
 // computed once per environment.
 func (e *Env) WarnIncidents() ([]core.Incident, error) {
-	if e.cache == nil {
-		return e.D.FilterWarnCached(core.DefaultFilterRule())
-	}
-	c := e.cache
+	c := &e.cache
 	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarnCached(core.DefaultFilterRule()) })
 	return c.warnInc, c.warnIncErr
 }
 
 // LeadTimes evaluates the WARN→FATAL precursor analysis for several
-// lookbacks (E16). In fused mode the filtering and location indexing happen
-// once via core.LeadTimeSweep; in legacy mode each lookback re-filters, as
-// the pre-fusion experiment did.
+// lookbacks (E16). The filtering and location indexing happen once, via
+// the memoized incident streams and core.LeadTimeSweep.
 func (e *Env) LeadTimes(lookbacks []time.Duration) ([]*core.LeadTimeResult, error) {
 	opts := make([]core.LeadTimeOptions, len(lookbacks))
 	for i, lb := range lookbacks {
 		opt := core.DefaultLeadTimeOptions()
 		opt.Lookback = lb
 		opts[i] = opt
-	}
-	if !e.fused() {
-		rs := make([]*core.LeadTimeResult, len(opts))
-		for i, opt := range opts {
-			r, err := e.D.LeadTime(core.DefaultFilterRule(), opt)
-			if err != nil {
-				return nil, err
-			}
-			rs[i] = r
-		}
-		return rs, nil
 	}
 	fatals, err := e.FatalIncidents()
 	if err != nil {
@@ -214,11 +166,8 @@ func (e *Env) LeadTimes(lookbacks []time.Duration) ([]*core.LeadTimeResult, erro
 }
 
 // LifePhases returns the n-phase reliability trajectory (E18), reusing the
-// memoized default-rule MTTI in fused mode.
+// memoized default-rule MTTI.
 func (e *Env) LifePhases(n int) ([]core.LifePhase, error) {
-	if !e.fused() {
-		return e.D.LifePhases(n, core.DefaultFilterRule())
-	}
 	mtti, err := e.MTTI()
 	if err != nil {
 		return nil, err
@@ -227,11 +176,8 @@ func (e *Env) LifePhases(n int) ([]core.LifePhase, error) {
 }
 
 // SpatialCorr returns the torus spatial-correlation result for one time
-// window (E21), reusing the memoized incident stream in fused mode.
+// window (E21), reusing the memoized incident stream.
 func (e *Env) SpatialCorr(window time.Duration) (*core.SpatialCorrResult, error) {
-	if !e.fused() {
-		return e.D.SpatialCorrelation(core.DefaultFilterRule(), window)
-	}
 	incidents, err := e.FatalIncidents()
 	if err != nil {
 		return nil, err

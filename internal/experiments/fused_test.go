@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -28,67 +33,284 @@ func renderAll(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestRunAllFusedMatchesLegacy is the PR's equivalence contract: the full
-// E1–E23 suite over the fused scan engine renders byte-identically to the
-// pre-fusion per-experiment walks, at several worker counts, over one
-// shared dataset. Metrics must match bit-for-bit (NaN equals NaN —
-// "undefined" is a deterministic outcome too).
-func TestRunAllFusedMatchesLegacy(t *testing.T) {
-	cfg := sim.SmallConfig()
-	c, err := sim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+// The small corpus is generated once, for the suite-level test.
+var (
+	smallOnce sync.Once
+	small     *sim.Corpus
+	smallErr  error
+)
+
+func smallCorpus(tb testing.TB) *sim.Corpus {
+	tb.Helper()
+	smallOnce.Do(func() { small, smallErr = sim.Generate(sim.SmallConfig()) })
+	if smallErr != nil {
+		tb.Fatal(smallErr)
 	}
+	return small
+}
+
+// freshDataset indexes c anew, so the Dataset's memoized scan state is
+// built at the caller's worker count.
+func freshDataset(tb testing.TB, c *sim.Corpus) *core.Dataset {
+	tb.Helper()
 	d, err := core.NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	legacyEnv := NewEnvFromDataset(d)
-	legacyEnv.Legacy = true
-	legacyEnv.Parallelism = 1
-	legacy, err := RunAll(legacyEnv, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		fusedEnv := NewEnvFromDataset(d)
-		fusedEnv.Parallelism = workers
-		fused, err := RunAll(fusedEnv, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(fused) != len(legacy) {
-			t.Fatalf("workers=%d: %d results, legacy has %d", workers, len(fused), len(legacy))
-		}
-		for i := range legacy {
-			l, f := legacy[i], fused[i]
-			if l.ID != f.ID {
-				t.Fatalf("workers=%d: result %d is %s, legacy %s", workers, i, f.ID, l.ID)
+	return d
+}
+
+// accessorOracles pairs every Env accessor served by the fused profile or
+// the memoized incident and MTTI passes with the pre-fusion walk it
+// replaced. The walks are the reference implementations: each calls the
+// core analysis directly, one corpus pass per analysis, with the arguments
+// the experiments use.
+var accessorOracles = []struct {
+	name  string
+	fused func(e *Env) (any, error)
+	walk  func(e *Env) (any, error)
+}{
+	{"Summary",
+		func(e *Env) (any, error) { return e.Summary() },
+		func(e *Env) (any, error) { return e.D.Summarize(), nil }},
+	{"ExitTally",
+		func(e *Env) (any, error) { return e.ExitTally() },
+		func(e *Env) (any, error) { return core.TallyOf(e.ClassifyByExit()), nil }},
+	{"JointTally",
+		func(e *Env) (any, error) { return e.JointTally() },
+		func(e *Env) (any, error) { return core.TallyOf(e.ClassifyJoint()), nil }},
+	{"Groups/user",
+		func(e *Env) (any, error) { return e.Groups(core.ByUser) },
+		func(e *Env) (any, error) { return e.D.Aggregate(core.ByUser, e.ClassifyByExit()), nil }},
+	{"Groups/project",
+		func(e *Env) (any, error) { return e.Groups(core.ByProject) },
+		func(e *Env) (any, error) { return e.D.Aggregate(core.ByProject, e.ClassifyByExit()), nil }},
+	{"Concentration/user",
+		func(e *Env) (any, error) { return e.Concentration(core.ByUser) },
+		func(e *Env) (any, error) { return e.D.Concentration(core.ByUser, e.ClassifyByExit()) }},
+	{"Concentration/project",
+		func(e *Env) (any, error) { return e.Concentration(core.ByProject) },
+		func(e *Env) (any, error) { return e.D.Concentration(core.ByProject, e.ClassifyByExit()) }},
+	{"Temporal",
+		func(e *Env) (any, error) { return e.Temporal() },
+		func(e *Env) (any, error) { return e.D.Temporal(), nil }},
+	{"RASProfile",
+		func(e *Env) (any, error) { return e.RASProfile() },
+		func(e *Env) (any, error) { return e.D.Profile(), nil }},
+	{"Waste",
+		func(e *Env) (any, error) { return e.Waste() },
+		func(e *Env) (any, error) { return e.D.Waste(e.ClassifyByExit()) }},
+	{"Interrupts",
+		func(e *Env) (any, error) { return e.Interrupts() },
+		func(e *Env) (any, error) { return e.D.InterruptsByUser(e.ClassifyByExit()) }},
+	{"Locality/midplane",
+		func(e *Env) (any, error) { return e.Locality(machine.LevelMidplane) },
+		func(e *Env) (any, error) { return e.D.Locality(machine.LevelMidplane) }},
+	{"Locality/rack",
+		func(e *Env) (any, error) { return e.Locality(machine.LevelRack) },
+		func(e *Env) (any, error) { return e.D.Locality(machine.LevelRack) }},
+	{"LeadTimes",
+		func(e *Env) (any, error) { return e.LeadTimes(e16Lookbacks) },
+		func(e *Env) (any, error) {
+			rs := make([]*core.LeadTimeResult, len(e16Lookbacks))
+			for i, lb := range e16Lookbacks {
+				opt := core.DefaultLeadTimeOptions()
+				opt.Lookback = lb
+				r, err := e.D.LeadTime(core.DefaultFilterRule(), opt)
+				if err != nil {
+					return nil, err
+				}
+				rs[i] = r
 			}
-			if len(f.Metrics) != len(l.Metrics) {
-				t.Errorf("workers=%d %s: %d metrics, legacy %d", workers, l.ID, len(f.Metrics), len(l.Metrics))
+			return rs, nil
+		}},
+	{"LifePhases",
+		func(e *Env) (any, error) { return e.LifePhases(e18Phases) },
+		func(e *Env) (any, error) { return e.D.LifePhases(e18Phases, core.DefaultFilterRule()) }},
+	{"SpatialCorr/1h",
+		func(e *Env) (any, error) { return e.SpatialCorr(time.Hour) },
+		func(e *Env) (any, error) { return e.D.SpatialCorrelation(core.DefaultFilterRule(), time.Hour) }},
+	{"SpatialCorr/24h",
+		func(e *Env) (any, error) { return e.SpatialCorr(24 * time.Hour) },
+		func(e *Env) (any, error) { return e.D.SpatialCorrelation(core.DefaultFilterRule(), 24*time.Hour) }},
+	{"CohortProfileExpr/nil",
+		func(e *Env) (any, error) { return e.CohortProfileExpr(nil) },
+		func(e *Env) (any, error) { return e.D.FusedScan(e.Parallelism) }},
+}
+
+// The E16 lookbacks and E18 phase count the oracle table evaluates.
+var (
+	e16Lookbacks = []time.Duration{time.Hour, 6 * time.Hour, 12 * time.Hour, 24 * time.Hour}
+	e18Phases    = 8
+)
+
+// TestAccessorsMatchWalks is the fused engine's equivalence contract:
+// every accessor returns exactly what its pre-fusion walk computes, at
+// several worker counts. Floats must match bit for bit (NaN equals NaN —
+// "undefined" is a deterministic outcome too). It runs on the 150-day
+// corpus, where the exit-status and joint classifications disagree.
+func TestAccessorsMatchWalks(t *testing.T) {
+	c := env(t).Corpus
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		e := NewEnvFromDataset(freshDataset(t, c))
+		e.Parallelism = workers
+		for _, o := range accessorOracles {
+			got, gotErr := o.fused(e)
+			want, wantErr := o.walk(e)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("workers=%d %s: error %v, walk %v", workers, o.name, gotErr, wantErr)
 				continue
 			}
-			for k, lv := range l.Metrics {
-				fv, ok := f.Metrics[k]
-				if !ok {
-					t.Errorf("workers=%d %s: metric %q missing", workers, l.ID, k)
-					continue
-				}
-				if fv != lv && !(math.IsNaN(fv) && math.IsNaN(lv)) {
-					t.Errorf("workers=%d %s: metric %q = %v fused, %v legacy", workers, l.ID, k, fv, lv)
-				}
-			}
-			if got, want := renderAll(t, f), renderAll(t, l); !bytes.Equal(got, want) {
-				t.Errorf("workers=%d %s: rendered output differs from legacy", workers, l.ID)
+			if diff := bitDiff(reflect.ValueOf(got), reflect.ValueOf(want), o.name); diff != "" {
+				t.Errorf("workers=%d: fused accessor differs from the walk at %s", workers, diff)
 			}
 		}
 	}
 }
 
-// TestFusedAccessorsNilCache pins the constructor-less Env fallback: every
-// fused accessor must work (recomputing directly) on an Env literal with no
-// cache, matching the cached path.
+// bitDiff returns the path of the first difference between a and b, or ""
+// when they are deeply equal with every float compared bit for bit, except
+// that NaN equals NaN. Unlike reflect.DeepEqual it reads unexported fields
+// and treats two NaNs as equal.
+func bitDiff(a, b reflect.Value, path string) string {
+	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
+		return path
+	}
+	if !a.IsValid() {
+		return ""
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		x, y := a.Float(), b.Float()
+		if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+			return fmt.Sprintf("%s (%v vs %v)", path, x, y)
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return path
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s (%d vs %d)", path, a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if a.Uint() != b.Uint() {
+			return path
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			return fmt.Sprintf("%s (%q vs %q)", path, a.String(), b.String())
+		}
+	case reflect.Pointer, reflect.Interface:
+		if a.Kind() == reflect.Pointer && a.Pointer() == b.Pointer() {
+			return ""
+		}
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path
+			}
+			return ""
+		}
+		return bitDiff(a.Elem(), b.Elem(), path)
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (len %d vs %d)", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := bitDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (len %d vs %d)", path, a.Len(), b.Len())
+		}
+		iter := a.MapRange()
+		for iter.Next() {
+			bv := b.MapIndex(iter.Key())
+			if d := bitDiff(iter.Value(), bv, fmt.Sprintf("%s[%v]", path, iter.Key())); d != "" {
+				return d
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := bitDiff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	default:
+		return path + " (uncomparable kind " + a.Kind().String() + ")"
+	}
+	return ""
+}
+
+// BenchmarkAccessors measures what fusion buys: one iteration evaluates
+// every accessor of the oracle table on a cold Env over a freshly indexed
+// 150-day Dataset, either through the pre-fusion walks or through the fused
+// accessors (one shared scan plus the memoized incident and MTTI passes).
+// Indexing the Dataset is outside the timer; everything it builds lazily
+// (column views, scan state, filter keys) is inside it.
+func BenchmarkAccessors(b *testing.B) {
+	c := env(b).Corpus
+	for _, mode := range []string{"walk", "fused"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := NewEnvFromDataset(freshDataset(b, c))
+				e.Parallelism = 1
+				b.StartTimer()
+				for _, o := range accessorOracles {
+					f := o.fused
+					if mode == "walk" {
+						f = o.walk
+					}
+					if _, err := f(e); err != nil {
+						b.Fatalf("%s: %v", o.name, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRunAllRenderedAcrossWorkers is the suite-level determinism contract:
+// the full E1–E23 suite, each pass over its own Dataset and Env, renders
+// byte-identically and reports bit-identical metrics at every worker count.
+func TestRunAllRenderedAcrossWorkers(t *testing.T) {
+	var ref []*Result
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		e := NewEnvFromDataset(freshDataset(t, smallCorpus(t)))
+		e.Parallelism = workers
+		got, err := RunAll(e, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d results, workers=1 has %d", workers, len(got), len(ref))
+		}
+		for i := range ref {
+			r, g := ref[i], got[i]
+			if r.ID != g.ID {
+				t.Fatalf("workers=%d: result %d is %s, workers=1 has %s", workers, i, g.ID, r.ID)
+			}
+			if diff := bitDiff(reflect.ValueOf(g.Metrics), reflect.ValueOf(r.Metrics), r.ID+" metrics"); diff != "" {
+				t.Errorf("workers=%d: %s differs from workers=1", workers, diff)
+			}
+			if !bytes.Equal(renderAll(t, g), renderAll(t, r)) {
+				t.Errorf("workers=%d %s: rendered output differs from workers=1", workers, r.ID)
+			}
+		}
+	}
+}
+
+// TestFusedAccessorsNilCache pins the constructor-less Env: every fused
+// accessor must work on an Env literal (zero-value cache) and match a
+// constructed Env.
 func TestFusedAccessorsNilCache(t *testing.T) {
 	cfg := sim.SmallConfig()
 	c, err := sim.Generate(cfg)

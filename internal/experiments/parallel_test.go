@@ -14,11 +14,11 @@ import (
 // deterministic outcome too.
 func TestRunAllMatchesSerial(t *testing.T) {
 	cfg := sim.SmallConfig()
-	serialEnv, err := NewEnvParallel(cfg, 1)
+	serialEnv, err := NewEnv(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelEnv, err := NewEnvParallel(cfg, 8)
+	parallelEnv, err := NewEnv(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,16 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
+	// Every other task takes a millisecond, so the 999 of them need at
+	// least ~250 ms on 4 workers. Task 3 is among the first four
+	// dispatched; its error must stop dispatch long before the rest run,
+	// however the scheduler interleaves the workers.
 	err := ForEach(context.Background(), 1000, 4, func(i int) error {
 		calls.Add(1)
 		if i == 3 {
 			return fmt.Errorf("task %d: %w", i, boom)
 		}
+		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if !errors.Is(err, boom) {

@@ -71,14 +71,12 @@ func TestHealthz(t *testing.T) {
 // TestCohortGolden is the bit-identity contract: for every predicate of
 // the table, the endpoint's report field must equal — byte for byte —
 // what `mirareport -where <canonical>` prints for the same predicate.
-// The reference is computed through the legacy materialize path on an
-// independent Env, so the comparison crosses both the serving layer and
-// the pushdown engine.
+// The reference is computed by materializing the cohort and scanning it
+// (the reference path of DESIGN §14), so the comparison crosses both the
+// serving layer and the pushdown engine.
 func TestCohortGolden(t *testing.T) {
 	s := newTestServer(t)
-	refEnv := experiments.NewEnvFromDataset(testDataset(t))
-	refEnv.Parallelism = 1
-	refEnv.Legacy = true // reference = materialize + scan, as in DESIGN §14
+	d := testDataset(t)
 
 	for _, where := range []string{
 		"exit != success",
@@ -109,7 +107,11 @@ func TestCohortGolden(t *testing.T) {
 		}
 
 		// What mirareport -where prints for the canonical predicate.
-		p, err := refEnv.CohortProfile(canon)
+		md, err := d.MaterializeWhere(expr)
+		if err != nil {
+			t.Fatalf("reference cohort %q: %v", canon, err)
+		}
+		p, err := md.FusedScan(1)
 		if err != nil {
 			t.Fatalf("reference cohort %q: %v", canon, err)
 		}
@@ -187,11 +189,10 @@ func TestCacheCountersViaStats(t *testing.T) {
 	}
 }
 
-// TestCanonicalizationSharedWithEnvCache is the cross-layer
-// canonicalization contract: the serve LRU and the experiments.Env
-// cohort cache must key by the same canonical form, so a predicate and
-// its canonical rendering land on one entry in both layers.
-func TestCanonicalizationSharedWithEnvCache(t *testing.T) {
+// TestCanonicalizationSharedLRU is the canonicalization contract of the
+// response cache: every spelling of one predicate canonicalizes to the
+// same form, so all of them land on one serve LRU entry.
+func TestCanonicalizationSharedLRU(t *testing.T) {
 	variants := []string{
 		"dur > 1800 and exit != success",
 		"(dur > 1800) && (exit != 'success')",
@@ -208,22 +209,6 @@ func TestCanonicalizationSharedWithEnvCache(t *testing.T) {
 			canon = e.String()
 		} else if e.String() != canon {
 			t.Fatalf("canonical drift: %q -> %q, want %q", v, e.String(), canon)
-		}
-	}
-	// ...share one Env cohort-cache entry (same *FusedProfile)...
-	env := experiments.NewEnvFromDataset(testDataset(t))
-	env.Parallelism = 1
-	first, err := env.CohortProfile(variants[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range variants[1:] {
-		p, err := env.CohortProfile(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != first {
-			t.Errorf("Env cohort cache: %q computed a fresh profile; canonicalization not shared", v)
 		}
 	}
 	// ...and share one serve LRU entry (miss, then hits).

@@ -288,9 +288,8 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The canonical form is the cache key — the same canonicalization the
-	// experiments.Env cohort cache keys by, so every syntactic variant of
-	// one selection shares a single entry in both layers.
+	// The canonical form is the cache key, so every syntactic variant of
+	// one selection shares a single entry.
 	canon := expr.String()
 	body, src, err := s.cache.GetOrCompute(canon, func() ([]byte, error) {
 		return s.renderCohortBody(expr, canon)

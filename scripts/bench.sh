@@ -20,10 +20,11 @@
 # filter-sweep speedup comparison in internal/core (speedup metric), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric), the FitLegacy/FitSample model-selection comparison in
-# internal/dist (speedup metric), the headline fused-vs-legacy suite
-# comparison Benchmark_RunAll_{Legacy,Fused} at the repo root (speedup
-# metric, measured against a median legacy reference pass — DESIGN.md
-# §13), the cohort-query pushdown comparison
+# internal/dist (speedup metric), the fusion comparison
+# BenchmarkAccessors/{walk,fused} in internal/experiments (every Env
+# accessor against the pre-fusion walk it replaced — DESIGN.md §13), the
+# cold-Env suite run Benchmark_RunAll_Fused at the repo root, the
+# cohort-query pushdown comparison
 # Benchmark_CohortSweep_{Materialize,Where} (speedup metric, measured
 # against a median materialize reference pass — DESIGN.md §14), and the
 # serving-layer cache comparison Benchmark_CohortServe_{Cold,Warm}
@@ -47,8 +48,9 @@ raw="$(go test -bench=. -benchmem -count=1 -run '^$' "${pkgs[@]}")"
 if [[ "${BENCH_FULL:-0}" != "1" ]]; then
   # The full run covers the repo root already; otherwise run just the
   # paired suite and cohort comparisons with a bounded iteration count.
-  raw+=$'\n'"$(go test -bench 'Benchmark_(RunAll_(Legacy|Fused)|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
+  raw+=$'\n'"$(go test -bench 'Benchmark_(RunAll_Fused|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
 fi
+raw+=$'\n'"$(go test -bench '^BenchmarkAccessors$' -benchmem -count=1 -run '^$' ./internal/experiments/)"
 echo "$raw"
 go run ./scripts/benchjson -out "$out" -sha "$sha" <<<"$raw"
 echo "wrote $out"
