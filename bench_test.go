@@ -169,10 +169,10 @@ func benchFitAll(b *testing.B, workers int) {
 	for i := range data {
 		data[i] = w.Rand(rng)
 	}
-	serial := timeOnce(b, func() { dist.FitAllParallel(data, nil, 1) })
+	serial := timeOnce(b, func() { dist.FitAllSampleParallel(dist.NewSample(data), nil, 1) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := dist.FitAllParallel(data, nil, workers)
+		results := dist.FitAllSampleParallel(dist.NewSample(data), nil, workers)
 		if results[0].Err != nil {
 			b.Fatal(results[0].Err)
 		}
@@ -592,7 +592,7 @@ func BenchmarkModelSelection(b *testing.B) {
 		data[i] = p.Rand(rng)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := dist.SelectBest(data, nil); err != nil {
+		if _, err := dist.SelectBestSample(dist.NewSample(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

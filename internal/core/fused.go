@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bitmap"
+	"repro/internal/joblog"
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/scan"
@@ -92,40 +93,40 @@ func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
 // Kernel slots: the fused job and event kernels in registration order,
 // which is also the order of the merged states scan.Run returns.
 const (
-	kSummary = iota
-	kExitTally
+	kFamilies = iota
+	kUsers
+	kProjects
 	kJointTally
-	kUserGroups
-	kProjectGroups
-	kWaste
-	kTemporalJobs
+	kTemporalJobs // last: wholeTable appends a second temporal state
 )
 
 const (
-	kRASProfile = iota
+	kSeverities = iota
+	kCategories
+	kComponents
+	kMidplanes
+	kRacks
 	kTemporalFatals
-	kLocalityMid
-	kLocalityRack
 )
 
 func fusedJobKernels(jv *scan.JobView, joint *jointKernel, tk *temporalJobKernel) []JobKernel {
 	return []JobKernel{
-		summaryKernel{},
-		exitTallyKernel{},
+		&tallyKernel[uint8]{"family", joblog.NumFamilies, func(v *scan.JobView) []uint8 { return v.Family }},
+		&tallyKernel[int32]{"user", len(jv.Users), func(v *scan.JobView) []int32 { return v.UserID }},
+		&tallyKernel[int32]{"project", len(jv.Projects), func(v *scan.JobView) []int32 { return v.ProjectID }},
 		joint,
-		newGroupKernel(ByUser, len(jv.Users)),
-		newGroupKernel(ByProject, len(jv.Projects)),
-		wasteKernel{},
 		tk,
 	}
 }
 
 func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
 	return []EventKernel{
-		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
+		&countKernel[uint8]{"severity", int(raslog.Fatal) + 1, func(v *scan.EventView) []uint8 { return v.Sev }},
+		&countKernel[int32]{"category", len(ev.Cats), func(v *scan.EventView) []int32 { return v.CatID }},
+		&countKernel[int32]{"component", len(ev.Comps), func(v *scan.EventView) []int32 { return v.CompID }},
+		&countKernel[int32]{"midplane", machine.TotalMidplanes, func(v *scan.EventView) []int32 { return v.MidplaneID }},
+		&countKernel[int32]{"rack", machine.NumRacks, func(v *scan.EventView) []int32 { return v.RackID }},
 		&temporalEventKernel{monthCap: monthCap},
-		&localityKernel{level: machine.LevelMidplane},
-		&localityKernel{level: machine.LevelRack},
 	}
 }
 
@@ -135,8 +136,8 @@ func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
 // finishing step only reads them.
 type wholeScan struct {
 	joint  *jointKernel
-	jobs   []JobState   // indexed by the kSummary… job slots
-	events []EventState // indexed by the kRASProfile… event slots
+	jobs   []JobState   // indexed by the kFamilies… job slots
+	events []EventState // indexed by the kSeverities… event slots
 	// jobStart/jobEnd are the earliest Submit and latest End over all
 	// jobs, the seed of NewDataset's span walk before the events.
 	jobStart, jobEnd time.Time
@@ -304,33 +305,35 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, start, end time.Time) *FusedProfile {
 	jv, ev := d.JobView(), d.EventView()
 	p := &FusedProfile{jv: jv, jobSel: jobSel}
-	sum := jsts[kSummary].(*summaryState)
-	prof := ests[kRASProfile].(*profileState)
+	fams := familyTotalsOf(jsts[kFamilies].(*tallyState[uint8]))
 	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
-	p.Exit = jsts[kExitTally].(*exitTallyState).t
-	p.Joint = jsts[kJointTally].(*jointState).t
-	p.UserGroups = jsts[kUserGroups].(*groupState).finish(jv.Users)
-	p.ProjectGroups = jsts[kProjectGroups].(*groupState).finish(jv.Projects)
-	p.Waste = jsts[kWaste].(*wasteState).finish()
+	p.Exit = fams.exit()
+	p.Joint = p.Exit
+	p.Joint.SystemCause = jsts[kJointTally].(*jointState).sys
+	p.Joint.UserCaused = p.Joint.Failed - p.Joint.SystemCause
+	p.UserGroups = jsts[kUsers].(*tallyState[int32]).groups(jv.Users)
+	p.ProjectGroups = jsts[kProjects].(*tallyState[int32]).groups(jv.Projects)
+	p.Waste = fams.waste()
 	p.Temporal = finishTemporal(jsts[kTemporalJobs].(*temporalJobState), ests[kTemporalFatals].(*temporalEventState))
-	p.RAS = prof.finish(ev)
-	p.localityMid, p.localityMidErr = ests[kLocalityMid].(*localityState).finish()
-	p.localityRack, p.localityRackErr = ests[kLocalityRack].(*localityState).finish()
+	p.RAS = rasProfile(ests[kSeverities].(*countState[uint8]), ests[kCategories].(*countState[int32]), ests[kComponents].(*countState[int32]), ev)
+	p.localityMid, p.localityMidErr = ests[kMidplanes].(*countState[int32]).locality(machine.LevelMidplane)
+	p.localityRack, p.localityRackErr = ests[kRacks].(*countState[int32]).locality(machine.LevelRack)
 	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
+	fatal, warn := p.RAS.BySeverity[raslog.Fatal], p.RAS.BySeverity[raslog.Warn]
 	p.Summary = Summary{
 		Days:        end.Sub(start).Hours() / 24,
 		Jobs:        nJobs,
 		Tasks:       nTasks,
 		Users:       len(p.UserGroups),
 		Projects:    len(p.ProjectGroups),
-		CoreHours:   float64(sum.coreSec) / 3600,
-		RASTotal:    prof.total,
-		RASFatal:    prof.sevs[raslog.Fatal],
-		RASWarn:     prof.sevs[raslog.Warn],
-		RASInfo:     prof.total - prof.sevs[raslog.Fatal] - prof.sevs[raslog.Warn],
+		CoreHours:   float64(fams.totalCoreSec()) / 3600,
+		RASTotal:    p.RAS.Total,
+		RASFatal:    fatal,
+		RASWarn:     warn,
+		RASInfo:     p.RAS.Total - fatal - warn,
 		IORecords:   nIO,
-		FailedJobs:  sum.failed,
-		SuccessJobs: sum.success,
+		FailedJobs:  p.Exit.Failed,
+		SuccessJobs: fams.jobs[0],
 	}
 	return p
 }
@@ -350,15 +353,15 @@ func finishTemporal(js *temporalJobState, es *temporalEventState) *TemporalProfi
 		// even for a cohort without jobs.
 		JobsByDay: append(make([]int, 0, len(js.jobsDay)), js.jobsDay...),
 	}
-	idx := make(map[int32]int, len(js.months)+len(es.months))
-	for i, ym := range js.months {
+	idx := make(map[int32]int, len(js.months.yms)+len(es.months.yms))
+	for i, ym := range js.months.yms {
 		idx[ym] = i
 		p.Months = append(p.Months, ymLabel(ym))
-		p.JobsByMonth = append(p.JobsByMonth, js.mJobs[i])
-		p.FailsByMonth = append(p.FailsByMonth, js.mFails[i])
+		p.JobsByMonth = append(p.JobsByMonth, js.months.counts[i][0])
+		p.FailsByMonth = append(p.FailsByMonth, js.months.counts[i][1])
 		p.FatalByMonth = append(p.FatalByMonth, 0)
 	}
-	for i, ym := range es.months {
+	for i, ym := range es.months.yms {
 		j, ok := idx[ym]
 		if !ok {
 			j = len(p.Months)
@@ -368,7 +371,7 @@ func finishTemporal(js *temporalJobState, es *temporalEventState) *TemporalProfi
 			p.FailsByMonth = append(p.FailsByMonth, 0)
 			p.FatalByMonth = append(p.FatalByMonth, 0)
 		}
-		p.FatalByMonth[j] += es.mFatals[i]
+		p.FatalByMonth[j] += es.months.counts[i][0]
 	}
 	return p
 }

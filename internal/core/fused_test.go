@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/joblog"
 	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
@@ -82,6 +84,49 @@ func TestFusedScanMatchesLegacy(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("workers=%d: locality at %v differs", workers, level)
 			}
+		}
+	}
+}
+
+// TestFusedScanPreEpoch pins the calendar math of the temporal kernels
+// for instants before 1970, where truncating division would put the hour,
+// weekday and month of a timestamp on the wrong side of midnight: the
+// fused Temporal must equal the time.Time walk.
+func TestFusedScanPreEpoch(t *testing.T) {
+	job := func(id int64, submit time.Time, exit int) joblog.Job {
+		return joblog.Job{
+			ID: id, User: "u1", Project: "p", Queue: "q",
+			Submit: submit, Start: submit, End: submit.Add(10 * time.Minute),
+			WalltimeReq: time.Hour, Nodes: 512, RanksPerNode: 16, NumTasks: 1,
+			ExitStatus: exit,
+		}
+	}
+	jobs := []joblog.Job{
+		job(1, time.Date(1968, 2, 29, 12, 0, 0, 0, time.UTC), 1),
+		job(2, time.Date(1969, 12, 31, 0, 0, 0, 0, time.UTC), 0),
+		job(3, time.Date(1969, 12, 31, 19, 0, 0, 0, time.UTC), 1),
+		job(4, time.Date(1970, 1, 1, 2, 0, 0, 0, time.UTC), 0),
+	}
+	loc, err := machine.MidplaneByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := []raslog.Event{{
+		RecID: 1, MsgID: "00140004", Comp: raslog.CompMMCS, Cat: raslog.CatSoftware,
+		Sev: raslog.Fatal, Time: time.Date(1969, 12, 31, 21, 30, 0, 0, time.UTC),
+		Loc: loc, Count: 1, Message: "x",
+	}}
+	for _, workers := range []int{1, 4} {
+		d, err := NewDataset(jobs, nil, events, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.FusedScan(workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got, want := p.Temporal, d.Temporal(); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: temporal profile:\n fused %+v\nwalk  %+v", workers, got, want)
 		}
 	}
 }
@@ -236,36 +281,21 @@ func TestViewBuildersMatchDataset(t *testing.T) {
 
 // TestKernelProcessBlockAllocFree pins the steady-state scan loops as
 // allocation-free: after the warm-up pass, processing further blocks must
-// not allocate for any registered kernel.
+// not allocate for any kernel the fused scan registers.
 func TestKernelProcessBlockAllocFree(t *testing.T) {
 	d, _ := dataset(t)
 	jv := d.JobView()
 	ev := d.EventView()
 	tk := newTemporalJobKernel(d)
-	jobKernels := []JobKernel{
-		summaryKernel{},
-		exitTallyKernel{},
-		newJointKernel(d, DefaultJointOptions()),
-		newGroupKernel(ByUser, len(jv.Users)),
-		newGroupKernel(ByProject, len(jv.Projects)),
-		wasteKernel{},
-		tk,
-	}
 	blk := scan.BlockRows
-	for _, k := range jobKernels {
+	for _, k := range fusedJobKernels(jv, newJointKernel(d, DefaultJointOptions()), tk) {
 		st := k.NewState()
 		hi := min(blk, jv.N)
 		if avg := testing.AllocsPerRun(20, func() { st.ProcessBlock(jv, 0, hi) }); avg != 0 {
 			t.Errorf("job kernel %s: %.1f allocs per block", k.Name(), avg)
 		}
 	}
-	eventKernels := []EventKernel{
-		&profileKernel{nCats: len(ev.Cats), nComps: len(ev.Comps)},
-		&temporalEventKernel{monthCap: tk.monthCap},
-		&localityKernel{level: machine.LevelMidplane},
-		&localityKernel{level: machine.LevelRack},
-	}
-	for _, k := range eventKernels {
+	for _, k := range fusedEventKernels(ev, tk.monthCap) {
 		st := k.NewState()
 		hi := min(blk, ev.N)
 		if avg := testing.AllocsPerRun(20, func() { st.ProcessBlock(ev, 0, hi) }); avg != 0 {

@@ -68,87 +68,184 @@ func TallyOf(c *Classification) FailTally {
 	return t
 }
 
+// denseKey is the element type of a dictionary-coded key column.
+type denseKey interface{ uint8 | int32 }
+
 // ---------------------------------------------------------------------------
 // Job kernels
 
-// summaryKernel feeds Summarize: core-second total plus outcome counts.
-type summaryKernel struct{}
+// tallyKernel is the job side's dense-key tally: per key of one coded
+// column (exit family, user or project) it folds the job count, failed
+// jobs, failures in the "system" exit family and core-seconds. Summary, the
+// exit tally, Waste and both group lists are finished from its instances.
+type tallyKernel[K denseKey] struct {
+	key string
+	n   int                     // key-space size
+	col func(*scan.JobView) []K // the key column, picked once per block
+}
 
-func (summaryKernel) Name() string       { return "summary" }
-func (summaryKernel) NewState() JobState { return &summaryState{} }
+func (k *tallyKernel[K]) Name() string       { return "tally-by-" + k.key }
+func (k *tallyKernel[K]) NewState() JobState { return &tallyState[K]{k: k} }
 
-type summaryState struct {
-	coreSec         int64
-	success, failed int
+// tallyState allocates its per-key arrays on the first block, so the
+// shards a cohort scan leaves empty cost nothing.
+type tallyState[K denseKey] struct {
+	k                      *tallyKernel[K]
+	jobs, failed, sysfails []int32
+	coreSec                []int64
+}
+
+func (s *tallyState[K]) alloc() {
+	s.jobs = make([]int32, s.k.n)
+	s.failed = make([]int32, s.k.n)
+	s.sysfails = make([]int32, s.k.n)
+	s.coreSec = make([]int64, s.k.n)
 }
 
 //mira:hotpath
-func (s *summaryState) ProcessBlock(v *scan.JobView, lo, hi int) {
-	cs, fam := v.CoreSec, v.Family
-	var coreSec int64
-	var succ, fail int
+func (s *tallyState[K]) ProcessBlock(v *scan.JobView, lo, hi int) {
+	if s.jobs == nil {
+		s.alloc()
+	}
+	ids, fam, cs := s.k.col(v), v.Family, v.CoreSec
 	for i := lo; i < hi; i++ {
-		coreSec += cs[i]
-		if fam[i] == 0 {
-			succ++
-		} else {
-			fail++
+		id := ids[i]
+		s.jobs[id]++
+		s.coreSec[id] += cs[i]
+		if c := fam[i]; c != 0 {
+			s.failed[id]++
+			if c == familySystemCode {
+				s.sysfails[id]++
+			}
 		}
 	}
-	s.coreSec += coreSec
-	s.success += succ
-	s.failed += fail
 }
 
-func (s *summaryState) Merge(other JobState) {
-	o := other.(*summaryState)
-	s.coreSec += o.coreSec
-	s.success += o.success
-	s.failed += o.failed
+func (s *tallyState[K]) Merge(other JobState) {
+	o := other.(*tallyState[K])
+	if o.jobs == nil {
+		return
+	}
+	if s.jobs == nil {
+		// scan.Run never touches a merged-away state again, so its
+		// tallies can be adopted instead of copied.
+		s.jobs, s.failed, s.sysfails, s.coreSec = o.jobs, o.failed, o.sysfails, o.coreSec
+		return
+	}
+	for i := range s.jobs {
+		s.jobs[i] += o.jobs[i]
+		s.failed[i] += o.failed[i]
+		s.sysfails[i] += o.sysfails[i]
+		s.coreSec[i] += o.coreSec[i]
+	}
 }
 
-// exitTallyKernel feeds ClassifyByExit consumers: the exit-status-only
-// failure tally (scheduler-reserved statuses are system-caused).
-type exitTallyKernel struct{}
-
-func (exitTallyKernel) Name() string       { return "exit-tally" }
-func (exitTallyKernel) NewState() JobState { return &exitTallyState{} }
-
-type exitTallyState struct{ t FailTally }
-
-//mira:hotpath
-func (s *exitTallyState) ProcessBlock(v *scan.JobView, lo, hi int) {
-	fam := v.Family
-	for i := lo; i < hi; i++ {
-		s.t.Total++
-		c := fam[i]
-		if c == 0 {
+// groups converts the tallies into Aggregate's sorted GroupStats list.
+// Keys with no jobs are skipped: a whole-corpus scan never produces one
+// (the dictionary is built from the jobs), and in a cohort scan the skip
+// makes the list match a materialized dataset's smaller dictionary.
+func (s *tallyState[K]) groups(keys []string) []GroupStats {
+	out := make([]GroupStats, 0, len(keys))
+	if s.jobs == nil {
+		return out
+	}
+	for i, key := range keys {
+		if s.jobs[i] == 0 {
 			continue
 		}
-		s.t.Failed++
-		s.t.ByFamily[c]++
-		if c == familySystemCode {
-			s.t.SystemCause++
-		} else {
-			s.t.UserCaused++
+		g := GroupStats{
+			Key:         key,
+			Jobs:        int(s.jobs[i]),
+			Failed:      int(s.failed[i]),
+			SystemFails: int(s.sysfails[i]),
+			CoreHours:   float64(s.coreSec[i]) / 3600,
 		}
+		g.FailRate = float64(g.Failed) / float64(g.Jobs)
+		out = append(out, g)
 	}
+	sortGroups(out)
+	return out
 }
 
-func (s *exitTallyState) Merge(other JobState) {
-	o := other.(*exitTallyState)
-	s.t.Total += o.t.Total
-	s.t.Failed += o.t.Failed
-	s.t.UserCaused += o.t.UserCaused
-	s.t.SystemCause += o.t.SystemCause
-	for i := range s.t.ByFamily {
-		s.t.ByFamily[i] += o.t.ByFamily[i]
-	}
+// familyTotals is the by-family tally as plain counts: jobs and
+// core-seconds per exit family code, zero for a state that saw no rows.
+type familyTotals struct {
+	jobs    [joblog.NumFamilies]int
+	coreSec [joblog.NumFamilies]int64
 }
 
-// jointKernel feeds ClassifyJoint consumers: the RAS-correlated tally. The
-// kernel precomputes the block-attributable FATAL streams once (locations at
-// rack level or finer, their times, and the directly attributed job ids) so
+func familyTotalsOf(s *tallyState[uint8]) familyTotals {
+	var t familyTotals
+	for f := range s.jobs {
+		t.jobs[f] = int(s.jobs[f])
+		t.coreSec[f] = s.coreSec[f]
+	}
+	return t
+}
+
+// exit is the exit-status failure tally: scheduler-reserved statuses (the
+// "system" family) are system-caused, every other failure user-caused.
+func (t *familyTotals) exit() FailTally {
+	var x FailTally
+	for f := 1; f < joblog.NumFamilies; f++ {
+		x.ByFamily[f] = t.jobs[f]
+		x.Failed += t.jobs[f]
+	}
+	x.Total = t.jobs[0] + x.Failed
+	x.SystemCause = t.jobs[familySystemCode]
+	x.UserCaused = x.Failed - x.SystemCause
+	return x
+}
+
+func (t *familyTotals) totalCoreSec() int64 {
+	var cs int64
+	for _, c := range t.coreSec {
+		cs += c
+	}
+	return cs
+}
+
+// waste assembles Waste's result. Under the exit-status classification
+// system-caused waste is exactly the "system" family's.
+func (t *familyTotals) waste() *WasteResult {
+	totalCS := t.totalCoreSec()
+	res := &WasteResult{TotalCoreHours: float64(totalCS) / 3600}
+	wastedCS := totalCS - t.coreSec[0]
+	sysCS := t.coreSec[familySystemCode]
+	res.WastedCoreHours = float64(wastedCS) / 3600
+	res.SystemCoreHours = float64(sysCS) / 3600
+	res.UserCoreHours = float64(wastedCS-sysCS) / 3600
+	if res.TotalCoreHours > 0 {
+		res.WastedShare = res.WastedCoreHours / res.TotalCoreHours
+	}
+	for f := 1; f < joblog.NumFamilies; f++ {
+		if t.jobs[f] == 0 {
+			continue
+		}
+		row := WasteRow{
+			Family:    joblog.FamilyOfCode(uint8(f)),
+			Jobs:      t.jobs[f],
+			CoreHours: float64(t.coreSec[f]) / 3600,
+		}
+		if res.WastedCoreHours > 0 {
+			row.Share = row.CoreHours / res.WastedCoreHours
+		}
+		res.ByFamily = append(res.ByFamily, row)
+	}
+	sort.Slice(res.ByFamily, func(i, j int) bool {
+		if res.ByFamily[i].CoreHours != res.ByFamily[j].CoreHours {
+			return res.ByFamily[i].CoreHours > res.ByFamily[j].CoreHours
+		}
+		return res.ByFamily[i].Family < res.ByFamily[j].Family
+	})
+	return res
+}
+
+// jointKernel feeds ClassifyJoint consumers: the failed jobs RAS
+// correlation attributes to the system. The rest of the joint tally
+// (totals and per-family counts) is the by-family tally's. The kernel
+// precomputes the block-attributable FATAL streams once (locations at rack
+// level or finer, their times, and the directly attributed job ids) so
 // each shard only binary-searches the times array.
 type jointKernel struct {
 	d          *Dataset
@@ -191,8 +288,8 @@ func (k *jointKernel) Name() string       { return "joint-tally" }
 func (k *jointKernel) NewState() JobState { return &jointState{k: k} }
 
 type jointState struct {
-	k *jointKernel
-	t FailTally
+	k   *jointKernel
+	sys int // failed jobs attributed to the system
 }
 
 //mira:hotpath
@@ -200,17 +297,11 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 	k := s.k
 	fam, ids, ends := v.Family, v.ID, v.EndUnix
 	for i := lo; i < hi; i++ {
-		s.t.Total++
-		c := fam[i]
-		if c == 0 {
+		if fam[i] == 0 {
 			continue
 		}
-		s.t.Failed++
-		s.t.ByFamily[c]++
 		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]*int64(time.Second)) {
-			s.t.SystemCause++
-		} else {
-			s.t.UserCaused++
+			s.sys++
 		}
 	}
 }
@@ -242,194 +333,7 @@ func (k *jointKernel) fatalNearEnd(row int, endNs int64) bool {
 	return false
 }
 
-func (s *jointState) Merge(other JobState) {
-	o := other.(*jointState)
-	s.t.Total += o.t.Total
-	s.t.Failed += o.t.Failed
-	s.t.UserCaused += o.t.UserCaused
-	s.t.SystemCause += o.t.SystemCause
-	for i := range s.t.ByFamily {
-		s.t.ByFamily[i] += o.t.ByFamily[i]
-	}
-}
-
-// groupKernel feeds Aggregate/Concentration/InterruptsByUser: dense per-key
-// job, failure, system-failure and core-second tallies over the user or
-// project dictionary. System attribution follows the exit-status
-// classification (family "system"), matching the classification the
-// experiments pass to the legacy aggregators.
-type groupKernel struct {
-	by GroupBy
-	n  int // dictionary size
-}
-
-func newGroupKernel(by GroupBy, dictLen int) *groupKernel {
-	return &groupKernel{by: by, n: dictLen}
-}
-
-func (k *groupKernel) Name() string { return "groups-by-" + k.by.String() }
-
-func (k *groupKernel) NewState() JobState { return &groupState{by: k.by, n: k.n} }
-
-// groupState allocates its dense tallies on the first block it sees, so
-// the shards a cohort scan leaves empty cost no per-key arrays.
-type groupState struct {
-	by                     GroupBy
-	n                      int
-	jobs, failed, sysfails []int32
-	coreSec                []int64
-}
-
-func (s *groupState) alloc() {
-	s.jobs = make([]int32, s.n)
-	s.failed = make([]int32, s.n)
-	s.sysfails = make([]int32, s.n)
-	s.coreSec = make([]int64, s.n)
-}
-
-//mira:hotpath
-func (s *groupState) ProcessBlock(v *scan.JobView, lo, hi int) {
-	if s.jobs == nil {
-		s.alloc()
-	}
-	ids := v.UserID
-	if s.by == ByProject {
-		ids = v.ProjectID
-	}
-	fam, cs := v.Family, v.CoreSec
-	for i := lo; i < hi; i++ {
-		id := ids[i]
-		s.jobs[id]++
-		s.coreSec[id] += cs[i]
-		if c := fam[i]; c != 0 {
-			s.failed[id]++
-			if c == familySystemCode {
-				s.sysfails[id]++
-			}
-		}
-	}
-}
-
-func (s *groupState) Merge(other JobState) {
-	o := other.(*groupState)
-	if o.jobs == nil {
-		return
-	}
-	if s.jobs == nil {
-		// scan.Run never touches a merged-away state again, so its
-		// tallies can be adopted instead of copied.
-		s.jobs, s.failed, s.sysfails, s.coreSec = o.jobs, o.failed, o.sysfails, o.coreSec
-		return
-	}
-	for i := range s.jobs {
-		s.jobs[i] += o.jobs[i]
-		s.failed[i] += o.failed[i]
-		s.sysfails[i] += o.sysfails[i]
-		s.coreSec[i] += o.coreSec[i]
-	}
-}
-
-// finish converts the dense tallies into the legacy sorted GroupStats
-// view. Keys with no jobs are skipped: a whole-corpus scan never produces
-// one (the dictionary is built from the jobs), and in a cohort scan the
-// skip makes the group list match a materialized dataset's smaller
-// dictionary.
-func (s *groupState) finish(keys []string) []GroupStats {
-	out := make([]GroupStats, 0, len(keys))
-	if s.jobs == nil {
-		return out
-	}
-	for i, key := range keys {
-		if s.jobs[i] == 0 {
-			continue
-		}
-		g := GroupStats{
-			Key:         key,
-			Jobs:        int(s.jobs[i]),
-			Failed:      int(s.failed[i]),
-			SystemFails: int(s.sysfails[i]),
-			CoreHours:   float64(s.coreSec[i]) / 3600,
-		}
-		if g.Jobs > 0 {
-			g.FailRate = float64(g.Failed) / float64(g.Jobs)
-		}
-		out = append(out, g)
-	}
-	sortGroups(out)
-	return out
-}
-
-// wasteKernel feeds Waste: total and per-family core-seconds of failed jobs.
-type wasteKernel struct{}
-
-func (wasteKernel) Name() string       { return "waste" }
-func (wasteKernel) NewState() JobState { return &wasteState{} }
-
-type wasteState struct {
-	totalCS int64
-	famJobs [joblog.NumFamilies]int32
-	famCS   [joblog.NumFamilies]int64
-}
-
-//mira:hotpath
-func (s *wasteState) ProcessBlock(v *scan.JobView, lo, hi int) {
-	fam, cs := v.Family, v.CoreSec
-	for i := lo; i < hi; i++ {
-		c := cs[i]
-		s.totalCS += c
-		if f := fam[i]; f != 0 {
-			s.famJobs[f]++
-			s.famCS[f] += c
-		}
-	}
-}
-
-func (s *wasteState) Merge(other JobState) {
-	o := other.(*wasteState)
-	s.totalCS += o.totalCS
-	for i := range s.famJobs {
-		s.famJobs[i] += o.famJobs[i]
-		s.famCS[i] += o.famCS[i]
-	}
-}
-
-// finish assembles the legacy WasteResult. Under the exit-status
-// classification system-caused waste is exactly the "system" family's.
-func (s *wasteState) finish() *WasteResult {
-	res := &WasteResult{TotalCoreHours: float64(s.totalCS) / 3600}
-	var wastedCS int64
-	for f := 1; f < joblog.NumFamilies; f++ {
-		wastedCS += s.famCS[f]
-	}
-	sysCS := s.famCS[familySystemCode]
-	res.WastedCoreHours = float64(wastedCS) / 3600
-	res.SystemCoreHours = float64(sysCS) / 3600
-	res.UserCoreHours = float64(wastedCS-sysCS) / 3600
-	if res.TotalCoreHours > 0 {
-		res.WastedShare = res.WastedCoreHours / res.TotalCoreHours
-	}
-	for f := 1; f < joblog.NumFamilies; f++ {
-		if s.famJobs[f] == 0 {
-			continue
-		}
-		row := WasteRow{
-			Family:    joblog.FamilyOfCode(uint8(f)),
-			Jobs:      int(s.famJobs[f]),
-			CoreHours: float64(s.famCS[f]) / 3600,
-		}
-		if res.WastedCoreHours > 0 {
-			row.Share = row.CoreHours / res.WastedCoreHours
-		}
-		res.ByFamily = append(res.ByFamily, row)
-	}
-	sort.Slice(res.ByFamily, func(i, j int) bool {
-		if res.ByFamily[i].CoreHours != res.ByFamily[j].CoreHours {
-			return res.ByFamily[i].CoreHours > res.ByFamily[j].CoreHours
-		}
-		return res.ByFamily[i].Family < res.ByFamily[j].Family
-	})
-	return res
-}
+func (s *jointState) Merge(other JobState) { s.sys += other.(*jointState).sys }
 
 // temporalJobKernel feeds Temporal's job-side bins: hour-of-day, weekday,
 // month and day histograms of submissions and failures. All calendar math is
@@ -471,60 +375,33 @@ type temporalJobState struct {
 	failsHour [24]int
 	jobsWd    [7]int
 	failsWd   [7]int
-	// Monthly bins keyed by year-month code in first-appearance (= submit)
-	// order; labels are materialized at finish time.
-	months []int32
-	mJobs  []int
-	mFails []int
+	// months counts jobs ([0]) and failures ([1]) per submit month.
+	months monthBins
 	// jobsDay grows to the last day seen, like the legacy profile.
 	jobsDay []int
-}
-
-// alloc sizes the bins for the kernel's span on the first block, so the
-// shards a cohort scan leaves empty allocate nothing.
-func (s *temporalJobState) alloc() {
-	s.months = make([]int32, 0, s.k.monthCap)
-	s.mJobs = make([]int, 0, s.k.monthCap)
-	s.mFails = make([]int, 0, s.k.monthCap)
-	s.jobsDay = make([]int, 0, s.k.dayCap)
-}
-
-// monthSlot returns the bin index of ym, appending a new bin on first
-// appearance. The corpus is time-ordered, so the current month is almost
-// always the last bin.
-func (s *temporalJobState) monthSlot(ym int32) int {
-	if n := len(s.months); n > 0 && s.months[n-1] == ym {
-		return n - 1
-	}
-	for i := range s.months {
-		if s.months[i] == ym {
-			return i
-		}
-	}
-	s.months = append(s.months, ym)
-	s.mJobs = append(s.mJobs, 0)
-	s.mFails = append(s.mFails, 0)
-	return len(s.months) - 1
 }
 
 //mira:hotpath
 func (s *temporalJobState) ProcessBlock(v *scan.JobView, lo, hi int) {
 	if s.jobsDay == nil {
-		s.alloc()
+		// Sized for the kernel's span on the first block, so the shards a
+		// cohort scan leaves empty allocate nothing.
+		s.months.init(s.k.monthCap)
+		s.jobsDay = make([]int, 0, s.k.dayCap)
 	}
 	sub, fam := v.SubmitUnix, v.Family
 	start := s.k.startUnix
-	// ymOf depends only on the day number; rows arrive in near submit
-	// order, so one civil-date conversion serves a whole day's run.
-	lastDay, ym := int64(math.MinInt64), int32(0)
+	// The month bin and weekday depend only on the day number; rows
+	// arrive in near submit order, so one civil-date conversion serves a
+	// whole day's run.
+	lastDay, m, w := int64(math.MinInt64), 0, 0
 	for i := lo; i < hi; i++ {
 		u := sub[i]
-		h := int(u%86400) / 3600
-		w := int((u/86400 + 4) % 7)
-		if d := u / 86400; d != lastDay {
-			lastDay, ym = d, ymOf(u)
+		d, sod := floorDay(u)
+		if d != lastDay {
+			lastDay, m, w = d, s.months.slot(ymOfDay(d)), weekdayOfDay(d)
 		}
-		m := s.monthSlot(ym)
+		h := int(sod / 3600)
 		day := int((u - start) / 86400)
 		if day < 0 {
 			day = 0
@@ -535,11 +412,11 @@ func (s *temporalJobState) ProcessBlock(v *scan.JobView, lo, hi int) {
 		s.jobsDay[day]++
 		s.jobsHour[h]++
 		s.jobsWd[w]++
-		s.mJobs[m]++
+		s.months.counts[m][0]++
 		if fam[i] != 0 {
 			s.failsHour[h]++
 			s.failsWd[w]++
-			s.mFails[m]++
+			s.months.counts[m][1]++
 		}
 	}
 }
@@ -554,13 +431,7 @@ func (s *temporalJobState) Merge(other JobState) {
 		s.jobsWd[i] += o.jobsWd[i]
 		s.failsWd[i] += o.failsWd[i]
 	}
-	// Other covers later rows: its new months append after ours, preserving
-	// global first-appearance order.
-	for i, ym := range o.months {
-		m := s.monthSlot(ym)
-		s.mJobs[m] += o.mJobs[i]
-		s.mFails[m] += o.mFails[i]
-	}
+	s.months.merge(&o.months)
 	if len(o.jobsDay) > len(s.jobsDay) {
 		s.jobsDay = append(s.jobsDay, make([]int, len(o.jobsDay)-len(s.jobsDay))...)
 	}
@@ -572,93 +443,110 @@ func (s *temporalJobState) Merge(other JobState) {
 // ---------------------------------------------------------------------------
 // Event kernels
 
-// profileKernel feeds Profile: dense severity/category/component tallies.
-type profileKernel struct {
-	nCats, nComps int
+// countKernel is the event side's dense-key count: per key of one coded
+// column (severity, category, component, midplane or rack) it counts all
+// rows and FATAL rows. Rows whose key is -1 — a location coarser than the
+// column's level — are not counted. The RAS profile and both locality
+// results are finished from its instances.
+type countKernel[K denseKey] struct {
+	key string
+	n   int                       // key-space size
+	col func(*scan.EventView) []K // the key column, picked once per block
 }
 
-func (k *profileKernel) Name() string { return "ras-profile" }
+func (k *countKernel[K]) Name() string         { return "count-by-" + k.key }
+func (k *countKernel[K]) NewState() EventState { return &countState[K]{k: k} }
 
-func (k *profileKernel) NewState() EventState { return &profileState{k: k} }
-
-// profileState allocates its dictionary tallies on the first block.
-type profileState struct {
-	k         *profileKernel
-	total     int
-	sevs      [4]int // indexed by raslog.Severity (1..3)
-	cats      []int
-	comps     []int
-	fatalCats []int
+// countState allocates its per-key counts on the first block. Key id
+// counts in slot id+1; slot 0 takes the rows whose key is -1 and is
+// dropped when finishing, so the row loop needs no branch on the key.
+type countState[K denseKey] struct {
+	k      *countKernel[K]
+	counts [][2]int32 // all rows, FATAL rows
 }
 
 //mira:hotpath
-func (s *profileState) ProcessBlock(v *scan.EventView, lo, hi int) {
-	if s.cats == nil {
-		s.cats = make([]int, s.k.nCats)
-		s.comps = make([]int, s.k.nComps)
-		s.fatalCats = make([]int, s.k.nCats)
+func (s *countState[K]) ProcessBlock(v *scan.EventView, lo, hi int) {
+	if s.counts == nil {
+		s.counts = make([][2]int32, s.k.n+1)
 	}
-	sev, cat, comp := v.Sev, v.CatID, v.CompID
+	ids, sev, counts := s.k.col(v), v.Sev, s.counts
 	for i := lo; i < hi; i++ {
-		s.total++
-		s.sevs[sev[i]]++
-		s.cats[cat[i]]++
-		s.comps[comp[i]]++
+		c := &counts[int(ids[i])+1]
+		c[0]++
 		if sev[i] == uint8(raslog.Fatal) {
-			s.fatalCats[cat[i]]++
+			c[1]++
 		}
 	}
 }
 
-func (s *profileState) Merge(other EventState) {
-	o := other.(*profileState)
-	s.total += o.total
-	for i := range s.sevs {
-		s.sevs[i] += o.sevs[i]
-	}
-	if o.cats == nil {
+func (s *countState[K]) Merge(other EventState) {
+	o := other.(*countState[K])
+	if o.counts == nil {
 		return
 	}
-	if s.cats == nil { // adopt, as in groupState.Merge
-		s.cats, s.comps, s.fatalCats = o.cats, o.comps, o.fatalCats
+	if s.counts == nil { // adopt, as in tallyState.Merge
+		s.counts = o.counts
 		return
 	}
-	for i := range s.cats {
-		s.cats[i] += o.cats[i]
-		s.fatalCats[i] += o.fatalCats[i]
-	}
-	for i := range s.comps {
-		s.comps[i] += o.comps[i]
+	for i := range s.counts {
+		s.counts[i][0] += o.counts[i][0]
+		s.counts[i][1] += o.counts[i][1]
 	}
 }
 
-func (s *profileState) finish(v *scan.EventView) *CategoryProfile {
+// keys returns the counts of keys 0..n-1; nil for a state that saw no rows.
+func (s *countState[K]) keys() [][2]int32 {
+	if s.counts == nil {
+		return nil
+	}
+	return s.counts[1:]
+}
+
+// rasProfile assembles Profile's result from the severity, category and
+// component counts.
+func rasProfile(sev *countState[uint8], cat, comp *countState[int32], ev *scan.EventView) *CategoryProfile {
 	p := &CategoryProfile{
 		BySeverity:      map[raslog.Severity]int{},
 		ByCategory:      map[raslog.Category]int{},
 		ByComponent:     map[raslog.Component]int{},
 		FatalByCategory: map[raslog.Category]int{},
-		Total:           s.total,
 	}
-	for sev, n := range s.sevs {
-		if n > 0 {
-			p.BySeverity[raslog.Severity(sev)] = n
+	for s, c := range sev.keys() {
+		if c[0] > 0 {
+			p.BySeverity[raslog.Severity(s)] = int(c[0])
+			p.Total += int(c[0])
 		}
 	}
-	for i, n := range s.cats {
-		if n > 0 {
-			p.ByCategory[raslog.Category(v.Cats[i])] = n
+	for i, c := range cat.keys() {
+		if c[0] > 0 {
+			p.ByCategory[raslog.Category(ev.Cats[i])] = int(c[0])
 		}
-		if fn := s.fatalCats[i]; fn > 0 {
-			p.FatalByCategory[raslog.Category(v.Cats[i])] = fn
+		if c[1] > 0 {
+			p.FatalByCategory[raslog.Category(ev.Cats[i])] = int(c[1])
 		}
 	}
-	for i, n := range s.comps {
-		if n > 0 {
-			p.ByComponent[raslog.Component(v.Comps[i])] = n
+	for i, c := range comp.keys() {
+		if c[0] > 0 {
+			p.ByComponent[raslog.Component(ev.Comps[i])] = int(c[0])
 		}
 	}
 	return p
+}
+
+// locality assembles Locality's result from a midplane or rack count.
+func (s *countState[K]) locality(level machine.Level) (*LocalityResult, error) {
+	dense := make([]int, s.k.n)
+	total := 0
+	for i, c := range s.keys() {
+		dense[i] = int(c[1])
+		total += int(c[1])
+	}
+	counts, err := locationCounts(level, dense)
+	if err != nil {
+		return nil, err
+	}
+	return localityFromCounts(level, counts, total)
 }
 
 // temporalEventKernel feeds Temporal's FATAL-side bins.
@@ -670,46 +558,30 @@ func (k *temporalEventKernel) Name() string { return "temporal-fatals" }
 
 func (k *temporalEventKernel) NewState() EventState { return &temporalEventState{k: k} }
 
-// temporalEventState allocates its month bins on the first block.
 type temporalEventState struct {
 	k         *temporalEventKernel
 	fatalHour [24]int
-	months    []int32
-	mFatals   []int
-}
-
-func (s *temporalEventState) monthSlot(ym int32) int {
-	if n := len(s.months); n > 0 && s.months[n-1] == ym {
-		return n - 1
-	}
-	for i := range s.months {
-		if s.months[i] == ym {
-			return i
-		}
-	}
-	s.months = append(s.months, ym)
-	s.mFatals = append(s.mFatals, 0)
-	return len(s.months) - 1
+	// months counts FATAL events ([0]) per month.
+	months monthBins
 }
 
 //mira:hotpath
 func (s *temporalEventState) ProcessBlock(v *scan.EventView, lo, hi int) {
-	if s.months == nil {
-		s.months = make([]int32, 0, s.k.monthCap)
-		s.mFatals = make([]int, 0, s.k.monthCap)
+	if s.months.yms == nil {
+		s.months.init(s.k.monthCap) // on the first block, as in temporalJobState
 	}
 	sev, times := v.Sev, v.TimeUnix
-	lastDay, ym := int64(math.MinInt64), int32(0) // as in temporalJobState
+	lastDay, m := int64(math.MinInt64), 0
 	for i := lo; i < hi; i++ {
 		if sev[i] != uint8(raslog.Fatal) {
 			continue
 		}
-		u := times[i]
-		s.fatalHour[int(u%86400)/3600]++
-		if d := u / 86400; d != lastDay {
-			lastDay, ym = d, ymOf(u)
+		d, sod := floorDay(times[i])
+		if d != lastDay {
+			lastDay, m = d, s.months.slot(ymOfDay(d))
 		}
-		s.mFatals[s.monthSlot(ym)]++
+		s.fatalHour[sod/3600]++
+		s.months.counts[m][0]++
 	}
 }
 
@@ -718,93 +590,82 @@ func (s *temporalEventState) Merge(other EventState) {
 	for i := 0; i < 24; i++ {
 		s.fatalHour[i] += o.fatalHour[i]
 	}
-	for i, ym := range o.months {
-		s.mFatals[s.monthSlot(ym)] += o.mFatals[i]
-	}
-}
-
-// localityKernel feeds Locality: dense FATAL counts per midplane or rack.
-type localityKernel struct {
-	level machine.Level
-}
-
-func (k *localityKernel) Name() string { return "locality-" + k.level.String() }
-
-func (k *localityKernel) NewState() EventState { return &localityState{level: k.level} }
-
-// localityState allocates its per-location counts on the first block.
-type localityState struct {
-	level  machine.Level
-	counts []int32
-	total  int
-}
-
-func (s *localityState) slots() int {
-	if s.level == machine.LevelMidplane {
-		return machine.TotalMidplanes
-	}
-	return machine.NumRacks
-}
-
-//mira:hotpath
-func (s *localityState) ProcessBlock(v *scan.EventView, lo, hi int) {
-	if s.counts == nil {
-		s.counts = make([]int32, s.slots())
-	}
-	sev := v.Sev
-	ids := v.RackID
-	if s.level == machine.LevelMidplane {
-		ids = v.MidplaneID
-	}
-	for i := lo; i < hi; i++ {
-		if sev[i] != uint8(raslog.Fatal) {
-			continue
-		}
-		id := ids[i]
-		if id < 0 {
-			continue
-		}
-		s.counts[id]++
-		s.total++
-	}
-}
-
-func (s *localityState) Merge(other EventState) {
-	o := other.(*localityState)
-	s.total += o.total
-	if o.counts == nil {
-		return
-	}
-	if s.counts == nil { // adopt, as in groupState.Merge
-		s.counts = o.counts
-		return
-	}
-	for i := range s.counts {
-		s.counts[i] += o.counts[i]
-	}
-}
-
-func (s *localityState) finish() (*LocalityResult, error) {
-	dense := make([]int, s.slots())
-	for i, n := range s.counts {
-		dense[i] = int(n)
-	}
-	counts, err := locationCounts(s.level, dense)
-	if err != nil {
-		return nil, err
-	}
-	return localityFromCounts(s.level, counts, s.total)
+	s.months.merge(&o.months)
 }
 
 // ---------------------------------------------------------------------------
 // Calendar helpers (integer civil-date math over Unix seconds, UTC)
 
-// ymOf returns the year-month code (year*12 + month-1) of a Unix timestamp,
-// using Howard Hinnant's civil-from-days algorithm. Valid for sec ≥ 0.
-func ymOf(sec int64) int32 {
-	e := sec/86400 + 719468
+// monthBins holds up to two counters per month, keyed by year-month code
+// in first-appearance order.
+type monthBins struct {
+	yms    []int32
+	counts [][2]int
+}
+
+func (b *monthBins) init(capacity int) {
+	b.yms = make([]int32, 0, capacity)
+	b.counts = make([][2]int, 0, capacity)
+}
+
+// slot returns the bin index of ym, appending a new bin on first
+// appearance. The corpus is time-ordered, so the current month is almost
+// always the last bin.
+func (b *monthBins) slot(ym int32) int {
+	if n := len(b.yms); n > 0 && b.yms[n-1] == ym {
+		return n - 1
+	}
+	for i := range b.yms {
+		if b.yms[i] == ym {
+			return i
+		}
+	}
+	b.yms = append(b.yms, ym)
+	b.counts = append(b.counts, [2]int{})
+	return len(b.yms) - 1
+}
+
+// merge folds o, which covers later rows, into b: o's new months append
+// after b's, preserving global first-appearance order.
+func (b *monthBins) merge(o *monthBins) {
+	for i, ym := range o.yms {
+		m := b.slot(ym)
+		b.counts[m][0] += o.counts[i][0]
+		b.counts[m][1] += o.counts[i][1]
+	}
+}
+
+// floorDay splits a Unix timestamp into its day number and the second
+// within that day. Both are floored, so an instant before 1970 falls on
+// the previous day at a non-negative second.
+func floorDay(sec int64) (day, secOfDay int64) {
+	day, secOfDay = sec/86400, sec%86400
+	if secOfDay < 0 {
+		day--
+		secOfDay += 86400
+	}
+	return day, secOfDay
+}
+
+// weekdayOfDay returns the time.Weekday index (Sunday = 0) of a day number;
+// day 0, 1970-01-01, was a Thursday.
+func weekdayOfDay(day int64) int {
+	w := (day + 4) % 7
+	if w < 0 {
+		w += 7
+	}
+	return int(w)
+}
+
+// ymOfDay returns the year-month code (year*12 + month-1) of a day number,
+// using Howard Hinnant's civil-from-days algorithm with floored eras.
+func ymOfDay(day int64) int32 {
+	e := day + 719468
 	era := e / 146097
-	doe := e % 146097
+	if e < 0 && e%146097 != 0 {
+		era--
+	}
+	doe := e - era*146097
 	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
 	y := yoe + era*400
 	doy := doe - (365*yoe + yoe/4 - yoe/100)

@@ -7,10 +7,10 @@ import (
 	"repro/internal/dist"
 )
 
-// ExampleSelectBest shows the model-selection workflow the paper applies
+// ExampleSelectBestSample shows the model-selection workflow the paper applies
 // to failed-job execution lengths: draw a sample, fit every candidate
 // family, and rank by the KS statistic.
-func ExampleSelectBest() {
+func ExampleSelectBestSample() {
 	truth, err := dist.NewWeibull(0.62, 2100)
 	if err != nil {
 		fmt.Println(err)
@@ -21,7 +21,7 @@ func ExampleSelectBest() {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	best, err := dist.SelectBest(data, nil)
+	best, err := dist.SelectBestSample(dist.NewSample(data), nil)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -180,7 +180,7 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 	}
 	for i, truth := range cases {
 		data := sampleFrom(truth, n, int64(100+i))
-		best, err := SelectBest(data, nil)
+		best, err := SelectBestSample(NewSample(data), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", truth.Name(), err)
 		}
@@ -202,7 +202,7 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 func TestFitAllRanksErrorsLast(t *testing.T) {
 	// Sample with a zero: positive-support fitters fail, normal succeeds.
 	data := []float64{0, 1, 2, 3, 4, 5}
-	results := FitAll(data, []Fitter{ParetoFitter{}, NormalFitter{}})
+	results := FitAllSampleParallel(NewSample(data), []Fitter{ParetoFitter{}, NormalFitter{}}, 0)
 	if len(results) != 2 {
 		t.Fatalf("len = %d", len(results))
 	}
@@ -300,7 +300,7 @@ func TestADStatistic(t *testing.T) {
 func TestFitAllReportsAD(t *testing.T) {
 	truth, _ := NewWeibull(0.62, 2100)
 	data := sampleFrom(truth, 4000, 52)
-	results := FitAll(data, nil)
+	results := FitAllSampleParallel(NewSample(data), nil, 0)
 	if results[0].Family != "weibull" {
 		t.Fatalf("winner %s", results[0].Family)
 	}

@@ -122,7 +122,7 @@ func TestLogLogisticInModelSelection(t *testing.T) {
 	truth, _ := NewLogLogistic(900, 2.0)
 	data := sampleFrom(truth, 8000, 43)
 	fitters := append(DefaultFitters(), LogLogisticFitter{})
-	best, err := SelectBest(data, fitters)
+	best, err := SelectBestSample(NewSample(data), fitters)
 	if err != nil {
 		t.Fatal(err)
 	}

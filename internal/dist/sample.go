@@ -310,7 +310,7 @@ func (s *Sample) Quantile(p float64) float64 {
 
 // SampleFitter is a Fitter that can estimate its family directly from a
 // precomputed Sample, skipping the per-fit validation and moment passes. All
-// families in this package implement it; FitAllSample falls back to
+// families in this package implement it; FitAllSampleParallel falls back to
 // Fit(sample.Sorted()) for third-party fitters that do not.
 type SampleFitter interface {
 	Fitter

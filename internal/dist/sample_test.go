@@ -230,43 +230,6 @@ func TestFitSampleMatchesFit(t *testing.T) {
 	}
 }
 
-// TestFitAllSampleMatchesFitAll pins the full model-selection output —
-// ranking, params, KS/AD/PValue/LogL/AIC/BIC — across the two entry points.
-func TestFitAllSampleMatchesFitAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	truth, _ := NewWeibull(0.7, 40)
-	data := make([]float64, 6000)
-	for i := range data {
-		data[i] = truth.Rand(rng)
-	}
-	legacy := FitAll(data, nil)
-	viaSample := FitAllSample(NewSample(data), nil)
-	if len(legacy) != len(viaSample) {
-		t.Fatalf("result count %d != %d", len(legacy), len(viaSample))
-	}
-	for i := range legacy {
-		a, b := legacy[i], viaSample[i]
-		if a.Family != b.Family {
-			t.Fatalf("rank %d: family %s != %s", i, a.Family, b.Family)
-		}
-		if a.KS != b.KS || a.AD != b.AD || a.PValue != b.PValue ||
-			a.LogL != b.LogL || a.AIC != b.AIC || a.BIC != b.BIC {
-			t.Errorf("%s: statistics differ: %+v vs %+v", a.Family, a, b)
-		}
-		if a.Err == nil {
-			if pa, ok := a.Dist.(Parametric); ok {
-				pb := b.Dist.(Parametric)
-				xa, xb := pa.Params(), pb.Params()
-				for j := range xa {
-					if xa[j] != xb[j] {
-						t.Errorf("%s: param %d: %v != %v", a.Family, j, xa[j], xb[j])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestKSPolishSampleMatchesKSPolish pins the polish path equivalence.
 func TestKSPolishSampleMatchesKSPolish(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))

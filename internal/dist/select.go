@@ -26,7 +26,7 @@ func KSStatistic(d Distribution, data []float64) float64 {
 
 // KSStatisticSorted is KSStatistic over ascending-sorted data. It is the
 // shared zero-allocation core of KSStatistic, KSPolish and the model
-// selection in FitAll.
+// selection in FitAllSampleParallel.
 //
 //mira:hotpath
 func KSStatisticSorted(d Distribution, sorted []float64) float64 {
@@ -111,38 +111,17 @@ func DefaultFitters() []Fitter {
 	}
 }
 
-// FitAll fits every candidate family to data and returns the results ranked
-// best-first by KS statistic (the paper's goodness-of-fit criterion), with
-// AIC as a tiebreaker. Families that fail to fit sort last and carry Err.
-// The candidates are fitted concurrently on all cores; use FitAllParallel
-// to bound the worker count.
+// FitAllSampleParallel fits every candidate family (nil = DefaultFitters)
+// to a precomputed Sample and returns the results ranked best-first by KS
+// statistic (the paper's goodness-of-fit criterion), with AIC as a
+// tiebreaker. Families that fail to fit sort last and carry Err. No
+// candidate copies or re-sorts the data, and the KS/AD/likelihood
+// statistics are computed allocation-free over the shared sorted view.
 //
-// FitAll is a compatibility wrapper: it builds one Sample (copy + sort +
-// sufficient statistics) and delegates to FitAllSample, so the data is
-// sorted once for all candidates instead of once per statistic.
-func FitAll(data []float64, fitters []Fitter) []FitResult {
-	return FitAllParallel(data, fitters, 0)
-}
-
-// FitAllParallel is FitAll with an explicit worker bound (≤ 0 means
-// GOMAXPROCS).
-func FitAllParallel(data []float64, fitters []Fitter, workers int) []FitResult {
-	return FitAllSampleParallel(NewSample(data), fitters, workers)
-}
-
-// FitAllSample fits every candidate family to a precomputed Sample; see
-// FitAll for the ranking contract. No candidate copies or re-sorts the
-// data, and the KS/AD/likelihood statistics are computed allocation-free
-// over the shared sorted view.
-func FitAllSample(s *Sample, fitters []Fitter) []FitResult {
-	return FitAllSampleParallel(s, fitters, 0)
-}
-
-// FitAllSampleParallel is FitAllSample with an explicit worker bound (≤ 0
-// means GOMAXPROCS). Each candidate family's fit + goodness-of-fit
-// statistics are independent, so they fan out across the pool; results land
-// in the slot of their fitter and the final stable sort is unchanged,
-// making the ranking identical to the serial path for any worker count.
+// The candidates fan out over at most workers goroutines (≤ 0 means
+// GOMAXPROCS). Each family's fit is independent and lands in its fitter's
+// slot before the stable sort, so the ranking is identical for any worker
+// count.
 func FitAllSampleParallel(s *Sample, fitters []Fitter, workers int) []FitResult {
 	if len(fitters) == 0 {
 		fitters = DefaultFitters()
@@ -201,15 +180,10 @@ func fitOne(f Fitter, s *Sample) FitResult {
 	return r
 }
 
-// SelectBest fits every candidate family and returns the winner by KS
-// statistic. It errors only if no family fits.
-func SelectBest(data []float64, fitters []Fitter) (FitResult, error) {
-	return SelectBestSample(NewSample(data), fitters)
-}
-
-// SelectBestSample is SelectBest over a precomputed Sample.
+// SelectBestSample fits every candidate family to a precomputed Sample and
+// returns the winner by KS statistic. It errors only if no family fits.
 func SelectBestSample(s *Sample, fitters []Fitter) (FitResult, error) {
-	results := FitAllSample(s, fitters)
+	results := FitAllSampleParallel(s, fitters, 0)
 	if len(results) == 0 || results[0].Err != nil {
 		return FitResult{}, fmt.Errorf("dist: no candidate family fits the sample (n=%d)", s.N())
 	}

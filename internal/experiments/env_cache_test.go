@@ -163,9 +163,9 @@ func TestEnvCacheNilFallback(t *testing.T) {
 }
 
 // TestLegacySampleEquivalenceOnExperimentSeries pins the compatibility
-// contract on the real E6/E12/E22 inputs: the legacy slice entry points and
-// the Sample-based cores must agree bit-for-bit on family ranking,
-// parameters, and every goodness-of-fit statistic.
+// contract on the real E6/E12/E22 inputs: the slice entry point KSPolish
+// and its Sample-based core must land on the same polished KS statistic
+// for each series' winning family.
 func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	e := env(t)
 	series := map[string][]float64{}
@@ -190,28 +190,11 @@ func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	}
 
 	for name, data := range series {
-		legacy := dist.FitAll(data, nil)
-		viaSample := dist.FitAllSample(dist.NewSample(data), nil)
-		if len(legacy) != len(viaSample) {
-			t.Fatalf("%s: result counts %d vs %d", name, len(legacy), len(viaSample))
+		best, err := dist.SelectBestSample(dist.NewSample(data), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for i := range legacy {
-			a, b := legacy[i], viaSample[i]
-			if a.Family != b.Family || a.KS != b.KS || a.AD != b.AD ||
-				a.PValue != b.PValue || a.LogL != b.LogL || a.AIC != b.AIC || a.BIC != b.BIC {
-				t.Errorf("%s rank %d: legacy %+v != sample %+v", name, i, a, b)
-			}
-		}
-		bestLegacy, err1 := dist.SelectBest(data, nil)
-		bestSample, err2 := dist.SelectBestSample(dist.NewSample(data), nil)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: SelectBest err mismatch: %v vs %v", name, err1, err2)
-		}
-		if err1 == nil && (bestLegacy.Family != bestSample.Family || bestLegacy.KS != bestSample.KS) {
-			t.Errorf("%s: SelectBest %s/%v != SelectBestSample %s/%v",
-				name, bestLegacy.Family, bestLegacy.KS, bestSample.Family, bestSample.KS)
-		}
-		if p, ok := bestLegacy.Dist.(dist.Parametric); ok && err1 == nil {
+		if p, ok := best.Dist.(dist.Parametric); ok {
 			_, ks1, e1 := dist.KSPolish(p, data, 10)
 			_, ks2, e2 := dist.KSPolishSample(p, dist.NewSample(data), 10)
 			if e1 != nil || e2 != nil {

@@ -18,6 +18,9 @@
 # The default set is the cheap paired benchmarks: the codec allocation
 # comparisons in internal/raslog (alloc_reduction metric), the
 # filter-sweep speedup comparison in internal/core (speedup metric), the
+# whole-table kernel pass Benchmark_WholeTableScan/{jobs,events} in
+# internal/core (the fused kernel set through scan.Run at one worker,
+# bypassing the per-Dataset memo that FusedScan hits), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric), the FitLegacy/FitSample model-selection comparison in
 # internal/dist (speedup metric), the fusion comparison
