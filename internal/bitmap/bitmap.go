@@ -207,53 +207,6 @@ func (b *Bitmap) Cardinality() int {
 // IsEmpty reports whether no value is set.
 func (b *Bitmap) IsEmpty() bool { return b.Cardinality() == 0 }
 
-// Rank returns the number of set values ≤ x.
-func (b *Bitmap) Rank(x uint32) int {
-	key, low := uint16(x>>16), uint16(x)
-	n := 0
-	for i := range b.keys {
-		if b.keys[i] > key {
-			break
-		}
-		c := &b.ctrs[i]
-		if b.keys[i] < key {
-			n += int(c.n)
-			continue
-		}
-		switch c.typ {
-		case arrayT:
-			j := searchU16(c.arr, low)
-			if j < len(c.arr) && c.arr[j] == low {
-				j++
-			}
-			n += j
-		case bitsetT:
-			w := int(low >> 6)
-			for k := 0; k < w; k++ {
-				n += bits.OnesCount64(c.bits[k])
-			}
-			mask := uint64(1)<<(low&63+1) - 1
-			if low&63 == 63 {
-				mask = ^uint64(0)
-			}
-			n += bits.OnesCount64(c.bits[w] & mask)
-		default: // runT
-			for r := 0; r+1 < len(c.arr); r += 2 {
-				rlo, rhi := c.arr[r], c.arr[r+1]
-				if rlo > low {
-					break
-				}
-				if rhi <= low {
-					n += int(rhi) - int(rlo) + 1
-				} else {
-					n += int(low) - int(rlo) + 1
-				}
-			}
-		}
-	}
-	return n
-}
-
 // Iterate calls f on every set value in ascending order until f returns
 // false.
 func (b *Bitmap) Iterate(f func(x uint32) bool) {

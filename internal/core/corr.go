@@ -189,14 +189,6 @@ func concentrationFromGroups(by GroupBy, groups []GroupStats, keys, outcomes []s
 	return res, nil
 }
 
-// TopGroups returns the k groups with the most jobs.
-func TopGroups(groups []GroupStats, k int) []GroupStats {
-	if k > len(groups) {
-		k = len(groups)
-	}
-	return groups[:k]
-}
-
 // TopFailing returns the k groups with the most failed jobs.
 func TopFailing(groups []GroupStats, k int) []GroupStats {
 	sorted := append([]GroupStats(nil), groups...)

@@ -58,7 +58,6 @@ type Dataset struct {
 	// for consistent corpora.
 	orphanTasks  map[int64][]tasklog.Task
 	orphanEvents map[int64][]int
-	orphanIO     map[int64]iolog.Record
 
 	// Severity-partitioned views into Events, built once: indices of FATAL
 	// and WARN events in time order. Most analyses touch only these slivers
@@ -159,7 +158,8 @@ func (d *Dataset) buildJobIndex() error {
 		}
 	}
 	if n := len(d.ids); n > 0 {
-		if span := d.ids[n-1] - d.ids[0] + 1; span <= int64(4*n+64) {
+		// A span past MaxInt64 wraps negative; such ids stay sparse.
+		if span := d.ids[n-1] - d.ids[0] + 1; span > 0 && span <= int64(4*n+64) {
 			d.idBase = d.ids[0]
 			d.posOf = make([]int32, span)
 			for i := range d.posOf {
@@ -244,11 +244,6 @@ func (d *Dataset) buildPerJob() {
 		id := d.IO[i].JobID
 		if p, ok := cur.pos(id); ok {
 			d.ioOf[p] = int32(i)
-		} else {
-			if d.orphanIO == nil {
-				d.orphanIO = map[int64]iolog.Record{}
-			}
-			d.orphanIO[id] = d.IO[i]
 		}
 	}
 }
@@ -360,18 +355,6 @@ func (d *Dataset) TasksOf(id int64) []tasklog.Task {
 		return d.tasksOf[p]
 	}
 	return d.orphanTasks[id]
-}
-
-// IOOf returns the I/O record of a job if one was captured.
-func (d *Dataset) IOOf(id int64) (iolog.Record, bool) {
-	if p, ok := d.jobPos(id); ok {
-		if j := d.ioOf[p]; j >= 0 {
-			return d.IO[j], true
-		}
-		return iolog.Record{}, false
-	}
-	r, ok := d.orphanIO[id]
-	return r, ok
 }
 
 // Summary holds the dataset-level statistics of Table I.

@@ -52,9 +52,6 @@ type Incident struct {
 	JobIDs      []int64 // distinct nonzero job ids attributed to the burst
 }
 
-// Duration returns the incident's burst span.
-func (in *Incident) Duration() time.Duration { return in.Last.Sub(in.First) }
-
 // key is the similarity identity of an open incident.
 type filterKey struct {
 	msg string

@@ -45,8 +45,8 @@ func TestFilterCoalescesBurst(t *testing.T) {
 	if len(in.JobIDs) != 1 || in.JobIDs[0] != 7 {
 		t.Errorf("job ids = %v", in.JobIDs)
 	}
-	if in.Duration() != 49*10*time.Second {
-		t.Errorf("duration = %v", in.Duration())
+	if d := in.Last.Sub(in.First); d != 49*10*time.Second {
+		t.Errorf("duration = %v", d)
 	}
 }
 

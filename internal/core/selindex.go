@@ -75,7 +75,7 @@ type selIndexes struct {
 
 	submitOnce  sync.Once
 	submitDays  []bitmap.Bitmap
-	submitBase  int64 // day number (unix/86400) of bucket 0
+	submitBase  int64 // day number (floorDay) of bucket 0
 	timesSorted bool  // event TimeUnix ascending (checked once)
 	timesOnce   sync.Once
 
@@ -209,16 +209,17 @@ func (x *selIndexes) rackIdx() []bitmap.Bitmap {
 }
 
 // submitIdx builds the coarse per-day submit buckets: bucket k holds the
-// jobs submitted on day submitBase+k (unix/86400, UTC).
+// jobs submitted on day submitBase+k (floorDay, UTC).
 func (x *selIndexes) submitIdx() []bitmap.Bitmap {
 	x.submitOnce.Do(func() {
 		sub := x.jv.SubmitUnix
 		if len(sub) == 0 {
 			return
 		}
-		minDay, maxDay := sub[0]/86400, sub[0]/86400
+		minDay, _ := floorDay(sub[0])
+		maxDay := minDay
 		for _, u := range sub {
-			d := u / 86400
+			d, _ := floorDay(u)
 			if d < minDay {
 				minDay = d
 			}
@@ -228,7 +229,7 @@ func (x *selIndexes) submitIdx() []bitmap.Bitmap {
 		}
 		x.submitBase = minDay
 		x.submitDays = denseIndex(x.jv.N, int(maxDay-minDay)+1,
-			func(i int) int32 { return int32(sub[i]/86400 - minDay) })
+			func(i int) int32 { d, _ := floorDay(sub[i]); return int32(d - minDay) })
 	})
 	return x.submitDays
 }
@@ -663,11 +664,13 @@ func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
 		return bitmap.New()
 	}
 	sub := x.jv.SubmitUnix
-	loDay := clampDay(lo, x.submitBase, len(buckets))
-	hiDay := clampDay(hi, x.submitBase, len(buckets))
-	if lo/86400 > x.submitBase+int64(len(buckets)-1) || hi/86400 < x.submitBase {
+	loDay, _ := floorDay(lo)
+	hiDay, _ := floorDay(hi)
+	lastDay := x.submitBase + int64(len(buckets)-1)
+	if loDay > lastDay || hiDay < x.submitBase {
 		return bitmap.New()
 	}
+	loDay, hiDay = max(loDay, x.submitBase), min(hiDay, lastDay)
 	days := make([]*bitmap.Bitmap, 0, hiDay-loDay+1)
 	for day := loDay; day <= hiDay; day++ {
 		bucket := &buckets[day-x.submitBase]
@@ -688,20 +691,6 @@ func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
 	res := bitmap.New().OrAll(days)
 	res.Optimize()
 	return res
-}
-
-func clampDay(u, base int64, n int) int64 {
-	d := u / 86400
-	if u < 0 && u%86400 != 0 {
-		d-- // floor division for pre-epoch instants
-	}
-	if d < base {
-		d = base
-	}
-	if max := base + int64(n-1); d > max {
-		d = max
-	}
-	return d
 }
 
 // timeRange selects events with lo ≤ TimeUnix ≤ hi. The event stream is

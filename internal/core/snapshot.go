@@ -70,6 +70,21 @@ func NewDatasetFromSnapshot(jobs []joblog.Job, tasks []tasklog.Task, events []ra
 	if got := len(snap.FatalIdx) + len(snap.WarnIdx) + snap.InfoN; got != len(events) {
 		return nil, fmt.Errorf("core: index snapshot covers %d events, stream has %d", got, len(events))
 	}
+	// The severity views index Events directly wherever FATAL or WARN
+	// events are read, so each must be ascending, in range and of its
+	// severity. Given the count check above, that also makes InfoN ≥ 0.
+	for _, view := range []struct {
+		idx []int
+		sev raslog.Severity
+	}{{snap.FatalIdx, raslog.Fatal}, {snap.WarnIdx, raslog.Warn}} {
+		last := -1
+		for _, v := range view.idx {
+			if v <= last || v >= len(events) || events[v].Sev != view.sev {
+				return nil, fmt.Errorf("core: index snapshot: %s index %d out of order, out of range or of another severity", view.sev, v)
+			}
+			last = v
+		}
+	}
 	d := &Dataset{
 		Jobs:     jobs,
 		Tasks:    tasks,

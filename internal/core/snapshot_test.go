@@ -61,6 +61,18 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 		t.Error("out-of-order event index accepted")
 	}
 
+	// Severity views must index events of their own severity, in range.
+	bad = snap
+	bad.FatalIdx = append(append([]int(nil), snap.FatalIdx[:len(snap.FatalIdx)-1]...), len(d.Events))
+	if _, err := NewDatasetFromSnapshot(d.Jobs, d.Tasks, d.Events, d.IO, bad); err == nil {
+		t.Error("out-of-range FATAL index accepted")
+	}
+	bad = snap
+	bad.FatalIdx, bad.WarnIdx = snap.WarnIdx, snap.FatalIdx
+	if _, err := NewDatasetFromSnapshot(d.Jobs, d.Tasks, d.Events, d.IO, bad); err == nil {
+		t.Error("swapped severity views accepted")
+	}
+
 	// Duplicate job ids are still caught on the snapshot path.
 	jobs := append(append([]joblog.Job(nil), d.Jobs...), d.Jobs[0])
 	if _, err := NewDatasetFromSnapshot(jobs, d.Tasks, d.Events, d.IO, snap); err == nil {

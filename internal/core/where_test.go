@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bitmap"
+	"repro/internal/joblog"
 	"repro/internal/scan"
 	"repro/internal/sel"
 )
@@ -293,24 +294,27 @@ func TestCoalesceRanges(t *testing.T) {
 // under every inclusivity. (The materialized reference compiles through
 // CompileWhere too, so the equivalence matrix alone cannot see a wrong
 // merge.)
+//
+// The pre-epoch case bounds submit on 1970-01-01 over jobs submitted
+// either side of that midnight: the submit-day buckets must floor
+// pre-epoch instants onto 1969-12-31, or a window covering all of
+// 1970-01-01 selects the last hours of 1969 with it.
 func TestCoalescedRangesMatchSweep(t *testing.T) {
 	d := freshDataset(t)
 	jv, ev := d.JobView(), d.EventView()
-	cols := []struct {
+	type rangeCol struct {
 		name   string
 		n      int
 		val    func(i int) int64
 		domain selDomain
-	}{
+	}
+	cols := []rangeCol{
 		{"submit", jv.N, func(i int) int64 { return jv.SubmitUnix[i] }, domJob},
 		{"nodes", jv.N, func(i int) int64 { return int64(jv.Nodes[i]) }, domJob},
 		{"time", ev.N, func(i int) int64 { return ev.TimeUnix[i] }, domEvent},
 	}
-	for _, c := range cols {
-		lo, hi := c.val(c.n/4), c.val(c.n/2)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
+	check := func(d *Dataset, c rangeCol, lo, hi int64) {
+		t.Helper()
 		for _, ops := range [][2]string{{">=", "<"}, {">=", "<="}, {">", "<"}, {">", "<="}} {
 			where := fmt.Sprintf("%s %s %d and %s %s %d", c.name, ops[0], lo, c.name, ops[1], hi)
 			jobSel, eventSel, err := d.CompileWhere(mustParse(t, where))
@@ -336,6 +340,51 @@ func TestCoalescedRangesMatchSweep(t *testing.T) {
 				t.Fatalf("%q: cardinality %d, want %d", where, b.Cardinality(), n)
 			}
 		}
+	}
+	for _, c := range cols {
+		lo, hi := c.val(c.n/4), c.val(c.n/2)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		check(d, c, lo, hi)
+	}
+
+	// Pre-epoch submit-day buckets.
+	var jobs []joblog.Job
+	for i, submit := range []time.Time{
+		time.Date(1969, 12, 30, 12, 0, 0, 0, time.UTC),
+		time.Date(1969, 12, 31, 0, 0, 0, 0, time.UTC),
+		time.Date(1969, 12, 31, 23, 0, 0, 0, time.UTC),
+		time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
+		time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1970, 1, 1, 12, 0, 0, 0, time.UTC),
+		time.Date(1970, 1, 1, 23, 59, 59, 0, time.UTC),
+		time.Date(1970, 1, 2, 0, 0, 0, 0, time.UTC),
+		time.Date(1970, 1, 2, 6, 0, 0, 0, time.UTC),
+	} {
+		jobs = append(jobs, joblog.Job{
+			ID: int64(i + 1), User: "u1", Project: "p", Queue: "q",
+			Submit: submit, Start: submit, End: submit.Add(10 * time.Minute),
+			WalltimeReq: time.Hour, Nodes: 512, RanksPerNode: 16, NumTasks: 1,
+		})
+	}
+	pre, err := NewDataset(jobs, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pjv := pre.JobView()
+	day := int64(86400)
+	c := rangeCol{name: "submit", n: pjv.N, val: func(i int) int64 { return pjv.SubmitUnix[i] }, domain: domJob}
+	check(pre, c, 0, day)   // exactly 1970-01-01
+	check(pre, c, -1, day)  // from the last second of 1969
+	check(pre, c, -day, 0)  // exactly 1969-12-31
+	check(pre, c, 1, day-1) // strictly inside 1970-01-01
+	jobSel, _, err := pre.CompileWhere(mustParse(t, "submit >= 1970-01-01 and submit < 1970-01-02"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jobSel.Cardinality(); got != 3 {
+		t.Errorf("submit on 1970-01-01 selected %d jobs, want 3", got)
 	}
 }
 

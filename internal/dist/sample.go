@@ -7,8 +7,8 @@ import (
 )
 
 // Sample is an immutable, sort-once view of a float64 series. It carries the
-// ascending-sorted data plus one-pass sufficient statistics — n, Σx, Σx²,
-// Σln x, Σ(ln x)², Σ1/x, min, max — and stable two-pass central moments, so
+// ascending-sorted data plus one-pass sufficient statistics — n, Σx, Σln x,
+// Σ1/x, min — and stable two-pass central moments, so
 // the fitting stack can estimate every candidate family and compute
 // goodness-of-fit statistics without re-copying, re-sorting, or re-deriving
 // moments per family.
@@ -17,20 +17,18 @@ import (
 // concurrent use. The slice returned by Sorted is shared, not copied;
 // callers must treat it as read-only.
 //
-// Sufficient-statistics contract: Sum/SumSq/Min/Max/Mean/Variance are valid
+// Sufficient-statistics contract: the sum, Min, Mean and variance are valid
 // whenever the data is finite (no NaN/±Inf); the log- and reciprocal-based
-// statistics (SumLog, SumLogSq, SumInv, MeanLog, VarLog) are valid only when
-// every point is strictly positive, and are NaN otherwise. Err reports why a
-// sample cannot be fitted (too few points, non-finite values).
+// statistics (SumLog, SumInv, MeanLog, VarLog) are valid only when every
+// point is strictly positive, and are NaN otherwise. A sample that cannot be
+// fitted (too few points, non-finite values) makes every fit return why.
 type Sample struct {
 	sorted []float64 // ascending; shared with Sorted callers
 
-	sum      float64 // Σx
-	sumSq    float64 // Σx²
-	sumLog   float64 // Σ ln x   (NaN unless all x > 0)
-	sumLogSq float64 // Σ (ln x)² (NaN unless all x > 0)
-	sumInv   float64 // Σ 1/x    (NaN unless all x > 0)
-	min, max float64
+	sum    float64 // Σx
+	sumLog float64 // Σ ln x (NaN unless all x > 0)
+	sumInv float64 // Σ 1/x  (NaN unless all x > 0)
+	min    float64
 
 	mean, variance  float64 // two-pass population moments
 	meanLog, varLog float64 // two-pass moments of ln x (NaN unless all x > 0)
@@ -73,12 +71,12 @@ func newSampleOwned(sorted []float64) *Sample {
 	n := len(sorted)
 	if n == 0 {
 		s.err = ErrTooFewPoints
-		s.min, s.max = math.NaN(), math.NaN()
+		s.min = math.NaN()
 		s.setLogStatsNaN()
 		s.mean, s.variance = math.NaN(), math.NaN()
 		return s
 	}
-	s.min, s.max = sorted[0], sorted[n-1]
+	s.min = sorted[0]
 	s.positive = true
 	finite := true
 	for _, x := range sorted {
@@ -89,7 +87,6 @@ func newSampleOwned(sorted []float64) *Sample {
 			s.positive = false
 		}
 		s.sum += x
-		s.sumSq += x * x
 	}
 	if !finite {
 		s.err = ErrBadSample
@@ -105,7 +102,6 @@ func newSampleOwned(sorted []float64) *Sample {
 		for _, x := range sorted {
 			l := math.Log(x)
 			s.sumLog += l
-			s.sumLogSq += l * l
 			s.sumInv += 1 / x
 		}
 		s.meanLog = s.sumLog / float64(n)
@@ -132,7 +128,7 @@ func newSampleOwned(sorted []float64) *Sample {
 
 func (s *Sample) setLogStatsNaN() {
 	nan := math.NaN()
-	s.sumLog, s.sumLogSq, s.sumInv = nan, nan, nan
+	s.sumLog, s.sumInv = nan, nan
 	s.meanLog, s.varLog = nan, nan
 }
 
@@ -143,31 +139,11 @@ func (s *Sample) N() int { return len(s.sorted) }
 // Sample — callers must not mutate it.
 func (s *Sample) Sorted() []float64 { return s.sorted }
 
-// Err reports why the sample cannot be fitted: ErrTooFewPoints for n < 2,
-// ErrBadSample when a NaN or ±Inf is present, nil otherwise.
-func (s *Sample) Err() error { return s.err }
-
-// Positive reports whether every point is strictly positive (the support
-// requirement of all heavy-tailed candidate families).
-func (s *Sample) Positive() bool { return s.positive }
-
 // Min returns the smallest point.
 func (s *Sample) Min() float64 { return s.min }
 
-// Max returns the largest point.
-func (s *Sample) Max() float64 { return s.max }
-
-// Sum returns Σx.
-func (s *Sample) Sum() float64 { return s.sum }
-
-// SumSq returns Σx².
-func (s *Sample) SumSq() float64 { return s.sumSq }
-
 // SumLog returns Σ ln x (NaN unless all points are positive).
 func (s *Sample) SumLog() float64 { return s.sumLog }
-
-// SumLogSq returns Σ (ln x)² (NaN unless all points are positive).
-func (s *Sample) SumLogSq() float64 { return s.sumLogSq }
 
 // SumInv returns Σ 1/x (NaN unless all points are positive) — the extra
 // sufficient statistic the inverse-Gaussian closed-form MLE needs.
@@ -175,9 +151,6 @@ func (s *Sample) SumInv() float64 { return s.sumInv }
 
 // Mean returns the arithmetic mean.
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Variance returns the population variance (two-pass, stable).
-func (s *Sample) Variance() float64 { return s.variance }
 
 // MeanLog returns mean(ln x) (NaN unless all points are positive).
 func (s *Sample) MeanLog() float64 { return s.meanLog }
@@ -196,18 +169,6 @@ func (s *Sample) moments(positive bool) (n int, mean, variance float64, err erro
 		return 0, 0, 0, ErrBadSample
 	}
 	return len(s.sorted), s.mean, s.variance, nil
-}
-
-// ECDF returns F_n(x) = (#points ≤ x)/n, via binary search on the sorted
-// data — zero allocation.
-//
-//mira:hotpath
-func (s *Sample) ECDF(x float64) float64 {
-	if len(s.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := sort.SearchFloat64s(s.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(s.sorted))
 }
 
 // ECDFPoints returns the empirical CDF's step points (x, F_n(x)) at every
@@ -392,15 +353,4 @@ func (s *Sample) gammaLogLikelihood(shape, rate float64) float64 {
 	}
 	n := float64(len(s.sorted))
 	return n*shape*math.Log(rate) + (shape-1)*s.sumLog - rate*s.sum - n*lnGamma(shape)
-}
-
-// AIC returns 2k − 2lnL using the closed-form likelihood where available.
-func (s *Sample) AIC(d Distribution) float64 {
-	return 2*float64(d.NumParams()) - 2*s.LogLikelihood(d)
-}
-
-// BIC returns k·ln n − 2lnL using the closed-form likelihood where
-// available.
-func (s *Sample) BIC(d Distribution) float64 {
-	return float64(d.NumParams())*math.Log(float64(len(s.sorted))) - 2*s.LogLikelihood(d)
 }

@@ -93,20 +93,6 @@ func regIncGammaLower(a, x float64) float64 {
 	}
 }
 
-// regIncGammaUpper returns Q(a, x) = 1 − P(a, x).
-func regIncGammaUpper(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaSeries(a, x)
-	default:
-		return gammaContFrac(a, x)
-	}
-}
-
 // gammaSeries evaluates P(a,x) by its power series.
 func gammaSeries(a, x float64) float64 {
 	ap := a

@@ -11,19 +11,11 @@ import (
 // here: mirad caches rendered responses in its own LRU, and mirareport
 // -where issues one query per process.
 
-// CohortProfile parses a -where expression and returns the fused profile
-// of the cohort it selects (see core.FusedScanWhere and DESIGN.md §14).
-func (e *Env) CohortProfile(where string) (*core.FusedProfile, error) {
-	expr, err := sel.Parse(where)
-	if err != nil {
-		return nil, err
-	}
-	return e.CohortProfileExpr(expr)
-}
-
-// CohortProfileExpr is CohortProfile for an already-parsed predicate. A nil
-// predicate is the whole corpus — the shared, memoized FusedScan profile;
-// any other predicate is pushed down into a fresh core.FusedScanWhere.
+// CohortProfileExpr returns the fused profile of the cohort a parsed -where
+// predicate (sel.Parse) selects (see core.FusedScanWhere and DESIGN.md
+// §14). A nil predicate is the whole corpus — the shared, memoized
+// FusedScan profile; any other predicate is pushed down into a fresh
+// core.FusedScanWhere.
 func (e *Env) CohortProfileExpr(expr sel.Expr) (*core.FusedProfile, error) {
 	if expr == nil {
 		return e.fusedProfile()

@@ -32,7 +32,7 @@ func TestCohortProfileMatchesCore(t *testing.T) {
 		t.Errorf("cohort %q selected no jobs", where)
 	}
 	for _, spelling := range []string{where, fmt.Sprintf("(user == %q)", user)} {
-		p, err := e.CohortProfile(spelling)
+		p, err := e.CohortProfileExpr(mustParse(t, spelling))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestCohortProfileMatchesCore(t *testing.T) {
 
 // TestCohortProfileNilAndErrors pins the degenerate paths: nil predicate
 // serves the shared whole-corpus profile; a bad predicate reports the
-// parse or compile error.
+// parse error (sel.Parse) or the compile error (CohortProfileExpr).
 func TestCohortProfileNilAndErrors(t *testing.T) {
 	e := env(t)
 	p, err := e.CohortProfileExpr(nil)
@@ -58,10 +58,10 @@ func TestCohortProfileNilAndErrors(t *testing.T) {
 	if p != whole {
 		t.Error("nil predicate did not serve the shared FusedScan profile")
 	}
-	if _, err := e.CohortProfile("user =="); err == nil {
+	if _, err := sel.Parse("user =="); err == nil {
 		t.Error("syntax error was not reported")
 	}
-	if _, err := e.CohortProfile("bogus == 1"); err == nil {
+	if _, err := e.CohortProfileExpr(mustParse(t, "bogus == 1")); err == nil {
 		t.Error("unknown column was not reported")
 	}
 }
@@ -75,7 +75,7 @@ func TestCohortProfileLegacyEquivalence(t *testing.T) {
 		"exit != success and nodes >= 1024",
 		"sev == FATAL",
 	} {
-		got, err := e.CohortProfile(where)
+		got, err := e.CohortProfileExpr(mustParse(t, where))
 		if err != nil {
 			t.Fatal(err)
 		}

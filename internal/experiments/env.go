@@ -154,17 +154,6 @@ func (e *Env) MTTI() (*core.MTTIResult, error) {
 	return e.cache.mtti, e.cache.mttiErr
 }
 
-// InterruptionIntervals returns the sorted interruption-interval Sample
-// (hours) from the memoized default-rule MTTI analysis; nil when there are
-// too few incidents to form intervals.
-func (e *Env) InterruptionIntervals() (*dist.Sample, error) {
-	res, err := e.MTTI()
-	if err != nil {
-		return nil, err
-	}
-	return res.IntervalSample, nil
-}
-
 // LostCoreHours sums the core-hours of the jobs interrupted in r using the
 // memoized per-job core-hours series.
 func (e *Env) LostCoreHours(r *core.MTTIResult) float64 {

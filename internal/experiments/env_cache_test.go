@@ -36,14 +36,6 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		if got, want := e.LostCoreHours(m1), e.D.LostCoreHours(m1); got != want {
 			t.Errorf("%s: LostCoreHours via cache = %v, direct = %v", name, got, want)
 		}
-		iv1, _ := e.InterruptionIntervals()
-		iv2, _ := e.InterruptionIntervals()
-		if iv1 != iv2 {
-			t.Errorf("%s: InterruptionIntervals not served from the memoized MTTI result", name)
-		}
-		if iv1 != m1.IntervalSample {
-			t.Errorf("%s: InterruptionIntervals does not alias the MTTI interval sample", name)
-		}
 		a1, err1 := e.Availability()
 		a2, err2 := e.Availability()
 		if err1 != nil || err2 != nil {

@@ -14,15 +14,14 @@ import (
 	"testing"
 )
 
-// TestWriterAllocFree pins the writer hot path — sep, String, Bytes,
-// Int, Int64, Float, EndRecord — to zero steady-state allocations.
+// TestWriterAllocFree pins the writer hot path — sep, String, Int,
+// Int64, Float, EndRecord — to zero steady-state allocations.
 func TestWriterAllocFree(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	row := func() {
 		w.String("plain field")
 		w.String(`needs "quoting", badly`)
-		w.Bytes([]byte("byte field"))
 		w.Int(12345)
 		w.Int64(-9876543210)
 		w.Float(3.14159, 6)

@@ -34,9 +34,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// Line returns the number of physical lines consumed so far.
-func (r *Reader) Line() int { return r.line }
-
 // readLine returns the next physical line including its trailing newline
 // (if present). The returned slice is only valid until the next call.
 //

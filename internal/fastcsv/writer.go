@@ -17,9 +17,9 @@ const flushThreshold = 32 << 10
 // output is byte-identical to encoding/csv with default settings (',',
 // '\n' line terminator, RFC-4180 quoting).
 //
-// Append fields with String/Bytes/Int/Int64/Float, close each row with
+// Append fields with String/Int/Int64/Float, close each row with
 // EndRecord, and finish with Flush. Write errors are sticky: they surface
-// from Flush (and Err) and make further writes no-ops.
+// from Flush and make further writes no-ops.
 type Writer struct {
 	w       io.Writer
 	buf     []byte
@@ -63,16 +63,6 @@ func (w *Writer) String(s string) {
 		s = s[i+1:]
 	}
 	w.buf = append(w.buf, '"')
-}
-
-// Bytes appends one field given as a byte slice, with the same quoting.
-//
-//mira:hotpath
-func (w *Writer) Bytes(b []byte) {
-	// The compiler does not allocate for this conversion unless the field
-	// needs escaping (String keeps sub-slicing the argument).
-	//lint:ignore hotalloc non-escaping conversion: String only sub-slices its argument, so no copy is made
-	w.String(string(b))
 }
 
 // Int appends an integer field.
@@ -123,9 +113,6 @@ func (w *Writer) Flush() error {
 	w.flush()
 	return w.err
 }
-
-// Err returns the first write error without flushing.
-func (w *Writer) Err() error { return w.err }
 
 // needsQuotes reports whether encoding/csv (Comma == ',') would quote the
 // field: it contains a comma, quote or line break, starts with a space, or

@@ -1,7 +1,6 @@
 package iolog
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 )
@@ -59,31 +58,4 @@ func csvGranular(d time.Duration) int64 {
 		return int64(d) // unreachable: s was just formatted
 	}
 	return int64(time.Duration(v * float64(time.Second)))
-}
-
-// FromColumns rehydrates records row-major. It is the inverse of ToColumns.
-func FromColumns(c *Columns) ([]Record, error) {
-	n := c.Rows()
-	for name, col := range map[string]int{
-		"bytes_read": len(c.BytesRead), "bytes_written": len(c.BytesWritten),
-		"files_read": len(c.FilesRead), "files_written": len(c.FilesWritten),
-		"meta_ops": len(c.MetaOps), "io_time": len(c.IOTimeNanos),
-	} {
-		if col != n {
-			return nil, fmt.Errorf("iolog: column %s has %d rows, want %d", name, col, n)
-		}
-	}
-	records := make([]Record, n)
-	for i := range records {
-		records[i] = Record{
-			JobID:        c.JobID[i],
-			BytesRead:    c.BytesRead[i],
-			BytesWritten: c.BytesWritten[i],
-			FilesRead:    int(c.FilesRead[i]),
-			FilesWritten: int(c.FilesWritten[i]),
-			MetaOps:      c.MetaOps[i],
-			IOTime:       time.Duration(c.IOTimeNanos[i]),
-		}
-	}
-	return records, nil
 }

@@ -146,12 +146,3 @@ func parseRow(rec [][]byte) (Record, error) {
 	r.IOTime = time.Duration(secs * float64(time.Second))
 	return r, nil
 }
-
-// ByJob indexes records by job ID.
-func ByJob(records []Record) map[int64]Record {
-	m := make(map[int64]Record, len(records))
-	for _, r := range records {
-		m[r.JobID] = r
-	}
-	return m
-}

@@ -74,41 +74,3 @@ func TestReadCSVErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestByJob(t *testing.T) {
-	r1 := sampleRecord()
-	r2 := sampleRecord()
-	r2.JobID = 42
-	m := ByJob([]Record{r1, r2})
-	if len(m) != 2 || m[11].JobID != 11 || m[42].JobID != 42 {
-		t.Errorf("ByJob = %v", m)
-	}
-}
-
-func TestScannerMatchesSlurp(t *testing.T) {
-	records := []Record{sampleRecord()}
-	r2 := sampleRecord()
-	r2.JobID = 99
-	records = append(records, r2)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Record
-	for sc.Scan() {
-		streamed = append(streamed, sc.Record())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(records, streamed) {
-		t.Error("scanner and slurp disagree")
-	}
-	if _, err := NewScanner(strings.NewReader("bad\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-}

@@ -1,9 +1,6 @@
 package joblog
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Columns is the column-major decomposition of a job log, the shape the
 // binary corpus snapshot (internal/pack) stores. Times are unix seconds and
@@ -60,37 +57,4 @@ func ToColumns(jobs []Job) *Columns {
 		c.Exit[i] = int64(j.ExitStatus)
 	}
 	return c
-}
-
-// FromColumns rehydrates jobs row-major. It is the inverse of ToColumns.
-func FromColumns(c *Columns) ([]Job, error) {
-	n := c.Rows()
-	for name, col := range map[string]int{
-		"user": len(c.User), "project": len(c.Project), "queue": len(c.Queue),
-		"submit": len(c.Submit), "start": len(c.Start), "end": len(c.End),
-		"walltime": len(c.Walltime), "nodes": len(c.Nodes), "ranks": len(c.Ranks),
-		"num_tasks": len(c.NumTasks), "exit": len(c.Exit),
-	} {
-		if col != n {
-			return nil, fmt.Errorf("joblog: column %s has %d rows, want %d", name, col, n)
-		}
-	}
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{
-			ID:           c.ID[i],
-			User:         c.User[i],
-			Project:      c.Project[i],
-			Queue:        c.Queue[i],
-			Submit:       time.Unix(c.Submit[i], 0).UTC(),
-			Start:        time.Unix(c.Start[i], 0).UTC(),
-			End:          time.Unix(c.End[i], 0).UTC(),
-			WalltimeReq:  time.Duration(c.Walltime[i]) * time.Second,
-			Nodes:        int(c.Nodes[i]),
-			RanksPerNode: int(c.Ranks[i]),
-			NumTasks:     int(c.NumTasks[i]),
-			ExitStatus:   int(c.Exit[i]),
-		}
-	}
-	return jobs, nil
 }

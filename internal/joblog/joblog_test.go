@@ -153,42 +153,3 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestScannerMatchesSlurp(t *testing.T) {
-	jobs := []Job{sampleJob()}
-	j2 := sampleJob()
-	j2.ID = 2
-	jobs = append(jobs, j2)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Job
-	for sc.Scan() {
-		streamed = append(streamed, sc.Job())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jobs, streamed) {
-		t.Error("scanner and slurp disagree")
-	}
-	if sc.Scan() {
-		t.Error("Scan after EOF returned true")
-	}
-	if _, err := NewScanner(strings.NewReader("bad\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-	badRow, err := NewScanner(strings.NewReader(
-		"job_id,user,project,queue,submit_unix,start_unix,end_unix,walltime_req_s,nodes,ranks_per_node,num_tasks,exit_status\nx,u,p,q,1,2,3,4,5,6,7,8\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if badRow.Scan() || badRow.Err() == nil {
-		t.Error("bad row not reported")
-	}
-}

@@ -222,18 +222,6 @@ func buildParents(files []*ast.File) parentMap {
 	return pm
 }
 
-// enclosingFunc returns the innermost function literal or declaration
-// containing n, or nil.
-func (pm parentMap) enclosingFunc(n ast.Node) ast.Node {
-	for p := pm[n]; p != nil; p = pm[p] {
-		switch p.(type) {
-		case *ast.FuncLit, *ast.FuncDecl:
-			return p
-		}
-	}
-	return nil
-}
-
 // isTestFile reports whether the file's position belongs to a _test.go
 // file. The loader only feeds non-test sources to the analyzers, but
 // the test harness may not, and several analyzers exempt test code.

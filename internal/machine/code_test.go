@@ -32,18 +32,29 @@ func TestLocationCodeRoundTrip(t *testing.T) {
 
 func TestLocationCodeRoundTripExhaustive(t *testing.T) {
 	// Every node-level location must survive the round trip.
-	for id := 0; id < TotalNodes; id++ {
-		loc, err := NodeByID(id)
-		if err != nil {
-			t.Fatal(err)
+	n := 0
+	for r := 0; r < NumRacks; r++ {
+		for m := 0; m < MidplanesPerRack; m++ {
+			for b := 0; b < NodeBoardsPerMid; b++ {
+				for j := 0; j < NodesPerBoard; j++ {
+					loc, err := Node(r, m, b, j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := LocationFromCode(loc.Code())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != loc {
+						t.Fatalf("round trip of %s gave %s", loc, got)
+					}
+					n++
+				}
+			}
 		}
-		got, err := LocationFromCode(loc.Code())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != loc {
-			t.Fatalf("node %d: round trip of %s gave %s", id, loc, got)
-		}
+	}
+	if n != TotalNodes {
+		t.Errorf("enumerated %d nodes, want %d", n, TotalNodes)
 	}
 }
 

@@ -162,12 +162,6 @@ func (l Location) RackIndex() int { return l.rack }
 // MidplaneOrdinal returns the midplane number within its rack (0 or 1).
 func (l Location) MidplaneOrdinal() int { return l.mid }
 
-// BoardIndex returns the node-board number within its midplane (0..15).
-func (l Location) BoardIndex() int { return l.board }
-
-// NodeIndex returns the compute-card number within its board (0..31).
-func (l Location) NodeIndex() int { return l.node }
-
 // String formats the location as a Mira location code, e.g. "R17-M0-N06-J11".
 // The system location formats as "MIR" (the machine prefix used in ALCF logs).
 func (l Location) String() string {
@@ -254,26 +248,6 @@ func parseComponent(part string, prefix byte, whole string) (int, error) {
 	return v, nil
 }
 
-// Contains reports whether l contains (or equals) other in the hardware
-// hierarchy. The system contains everything; a node contains only itself.
-func (l Location) Contains(other Location) bool {
-	if l.Level() > other.Level() {
-		return false
-	}
-	switch l.Level() {
-	case LevelSystem:
-		return true
-	case LevelRack:
-		return l.rack == other.rack
-	case LevelMidplane:
-		return l.rack == other.rack && l.mid == other.mid
-	case LevelNodeBoard:
-		return l.rack == other.rack && l.mid == other.mid && l.board == other.board
-	default:
-		return l == other
-	}
-}
-
 // Ancestor returns the location truncated to the given (coarser or equal)
 // level. Requesting a level finer than l's is an error.
 func (l Location) Ancestor(level Level) (Location, error) {
@@ -310,83 +284,4 @@ func MidplaneByID(id int) (Location, error) {
 		return Location{}, fmt.Errorf("machine: midplane id %d out of range [0,%d)", id, TotalMidplanes)
 	}
 	return Midplane(id/MidplanesPerRack, id%MidplanesPerRack)
-}
-
-// NodeID returns the machine-wide linear node index (0..49151). Valid only
-// for node-level locations.
-func (l Location) NodeID() (int, error) {
-	if l.Level() != LevelNode {
-		return 0, fmt.Errorf("machine: %s is not a node", l)
-	}
-	mid, _ := l.MidplaneID()
-	return mid*NodesPerMidplane + l.board*NodesPerBoard + l.node, nil
-}
-
-// NodeByID returns the node location with machine-wide linear index id.
-func NodeByID(id int) (Location, error) {
-	if id < 0 || id >= TotalNodes {
-		return Location{}, fmt.Errorf("machine: node id %d out of range [0,%d)", id, TotalNodes)
-	}
-	mid := id / NodesPerMidplane
-	rem := id % NodesPerMidplane
-	return Node(mid/MidplanesPerRack, mid%MidplanesPerRack, rem/NodesPerBoard, rem%NodesPerBoard)
-}
-
-// Nodes returns the number of compute nodes contained in the location.
-func (l Location) Nodes() int {
-	switch l.Level() {
-	case LevelSystem:
-		return TotalNodes
-	case LevelRack:
-		return NodesPerRack
-	case LevelMidplane:
-		return NodesPerMidplane
-	case LevelNodeBoard:
-		return NodesPerBoard
-	default:
-		return 1
-	}
-}
-
-// RackGridPos returns the (row, column) position of the location's rack on
-// the machine-room floor (3 rows × 16 columns). Valid for rack granularity
-// or finer.
-func (l Location) RackGridPos() (row, col int, err error) {
-	if l.Level() < LevelRack {
-		return 0, 0, fmt.Errorf("machine: %s has no rack", l)
-	}
-	return l.rack / RacksPerRow, l.rack % RacksPerRow, nil
-}
-
-// FloorDistance returns the Manhattan distance between the racks of two
-// locations on the machine-room floor grid, a coarse proxy for the cabling
-// distance relevant to spatial-correlation analysis. Both locations must be
-// at rack granularity or finer.
-func FloorDistance(a, b Location) (int, error) {
-	ar, ac, err := a.RackGridPos()
-	if err != nil {
-		return 0, err
-	}
-	br, bc, err := b.RackGridPos()
-	if err != nil {
-		return 0, err
-	}
-	return abs(ar-br) + abs(ac-bc), nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// AllMidplanes enumerates every midplane location in linear-ID order.
-func AllMidplanes() []Location {
-	out := make([]Location, 0, TotalMidplanes)
-	for id := 0; id < TotalMidplanes; id++ {
-		loc, _ := MidplaneByID(id)
-		out = append(out, loc)
-	}
-	return out
 }

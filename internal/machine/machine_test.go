@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -97,34 +96,6 @@ func TestParseLocationPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	node, _ := Node(17, 0, 6, 11)
-	board, _ := NodeBoard(17, 0, 6)
-	mid, _ := Midplane(17, 0)
-	otherMid, _ := Midplane(17, 1)
-	rack, _ := Rack(17)
-	otherRack, _ := Rack(18)
-
-	if !System().Contains(node) {
-		t.Error("system should contain node")
-	}
-	if !rack.Contains(node) || !mid.Contains(node) || !board.Contains(node) {
-		t.Error("ancestors should contain node")
-	}
-	if !node.Contains(node) {
-		t.Error("node should contain itself")
-	}
-	if node.Contains(board) {
-		t.Error("node should not contain its board")
-	}
-	if otherMid.Contains(node) {
-		t.Error("sibling midplane should not contain node")
-	}
-	if otherRack.Contains(node) {
-		t.Error("other rack should not contain node")
-	}
-}
-
 func TestAncestor(t *testing.T) {
 	node, _ := Node(17, 1, 6, 11)
 	mid, err := node.Ancestor(LevelMidplane)
@@ -166,81 +137,6 @@ func TestMidplaneIDRoundTrip(t *testing.T) {
 	}
 	if _, err := MidplaneByID(TotalMidplanes); err == nil {
 		t.Error("MidplaneByID out of range should fail")
-	}
-}
-
-func TestNodeIDRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		id := rng.Intn(TotalNodes)
-		loc, err := NodeByID(id)
-		if err != nil {
-			t.Fatalf("NodeByID(%d): %v", id, err)
-		}
-		back, err := loc.NodeID()
-		if err != nil {
-			t.Fatalf("NodeID: %v", err)
-		}
-		if back != id {
-			t.Errorf("node id round trip %d -> %d", id, back)
-		}
-	}
-	mid, _ := Midplane(0, 0)
-	if _, err := mid.NodeID(); err == nil {
-		t.Error("NodeID on midplane should fail")
-	}
-}
-
-func TestNodesCount(t *testing.T) {
-	rack, _ := Rack(3)
-	mid, _ := Midplane(3, 1)
-	board, _ := NodeBoard(3, 1, 2)
-	node, _ := Node(3, 1, 2, 9)
-	checks := []struct {
-		loc  Location
-		want int
-	}{
-		{System(), 49152}, {rack, 1024}, {mid, 512}, {board, 32}, {node, 1},
-	}
-	for _, c := range checks {
-		if got := c.loc.Nodes(); got != c.want {
-			t.Errorf("%s.Nodes() = %d, want %d", c.loc, got, c.want)
-		}
-	}
-}
-
-func TestFloorDistance(t *testing.T) {
-	a, _ := Rack(0)  // row 0, col 0
-	b, _ := Rack(17) // row 1, col 1
-	d, err := FloorDistance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2 {
-		t.Errorf("FloorDistance(R00,R17) = %d, want 2", d)
-	}
-	if d2, _ := FloorDistance(a, a); d2 != 0 {
-		t.Errorf("self distance = %d, want 0", d2)
-	}
-	if _, err := FloorDistance(System(), a); err == nil {
-		t.Error("FloorDistance with system location should fail")
-	}
-}
-
-func TestAllMidplanes(t *testing.T) {
-	mids := AllMidplanes()
-	if len(mids) != TotalMidplanes {
-		t.Fatalf("len = %d, want %d", len(mids), TotalMidplanes)
-	}
-	seen := map[string]bool{}
-	for _, m := range mids {
-		if m.Level() != LevelMidplane {
-			t.Errorf("%s is not a midplane", m)
-		}
-		if seen[m.String()] {
-			t.Errorf("duplicate midplane %s", m)
-		}
-		seen[m.String()] = true
 	}
 }
 

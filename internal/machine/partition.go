@@ -115,11 +115,6 @@ func (b Block) ContainsLocation(loc Location) bool {
 	}
 }
 
-// Overlaps reports whether two blocks share any midplane.
-func (b Block) Overlaps(o Block) bool {
-	return b.BaseMidplane < o.BaseMidplane+o.Midplanes && o.BaseMidplane < b.BaseMidplane+b.Midplanes
-}
-
 // MidplaneIDs returns the linear midplane IDs covered by the block.
 func (b Block) MidplaneIDs() []int {
 	out := make([]int, b.Midplanes)
@@ -127,23 +122,6 @@ func (b Block) MidplaneIDs() []int {
 		out[i] = b.BaseMidplane + i
 	}
 	return out
-}
-
-// BlocksForNodes enumerates every valid block of the given node count, in
-// base order.
-func BlocksForNodes(n int) ([]Block, error) {
-	mids, err := MidplanesForNodes(n)
-	if err != nil {
-		return nil, err
-	}
-	if mids > 64 {
-		return []Block{{BaseMidplane: 0, Midplanes: TotalMidplanes}}, nil
-	}
-	var out []Block
-	for base := 0; base+mids <= TotalMidplanes; base += mids {
-		out = append(out, Block{BaseMidplane: base, Midplanes: mids})
-	}
-	return out, nil
 }
 
 // Allocator tracks which midplanes are in use and hands out aligned

@@ -84,47 +84,6 @@ func TestBlockContainsLocation(t *testing.T) {
 	}
 }
 
-func TestBlockOverlaps(t *testing.T) {
-	a := Block{0, 4}
-	tests := []struct {
-		b    Block
-		want bool
-	}{
-		{Block{0, 4}, true},
-		{Block{2, 2}, true},
-		{Block{4, 4}, false},
-		{Block{0, TotalMidplanes}, true},
-	}
-	for _, tt := range tests {
-		if got := a.Overlaps(tt.b); got != tt.want {
-			t.Errorf("Overlaps(%v,%v) = %v, want %v", a, tt.b, got, tt.want)
-		}
-		if got := tt.b.Overlaps(a); got != tt.want {
-			t.Errorf("Overlaps symmetric (%v,%v) = %v, want %v", tt.b, a, got, tt.want)
-		}
-	}
-}
-
-func TestBlocksForNodes(t *testing.T) {
-	bs, err := BlocksForNodes(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != 96 {
-		t.Errorf("512-node blocks = %d, want 96", len(bs))
-	}
-	bs, err = BlocksForNodes(49152)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != 1 || bs[0].Midplanes != TotalMidplanes {
-		t.Errorf("full-machine blocks = %v", bs)
-	}
-	if _, err := BlocksForNodes(300); err == nil {
-		t.Error("BlocksForNodes(300) should fail")
-	}
-}
-
 func TestAllocatorBasic(t *testing.T) {
 	a := NewAllocator()
 	b1, ok := a.Alloc(512)
@@ -138,7 +97,7 @@ func TestAllocatorBasic(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc 1024 failed")
 	}
-	if b1.Overlaps(b2) {
+	if overlaps(b1, b2) {
 		t.Error("allocated blocks overlap")
 	}
 	if a.UsedMidplanes() != 3 {
@@ -201,6 +160,11 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
+// overlaps reports whether two blocks share any midplane.
+func overlaps(a, b Block) bool {
+	return a.BaseMidplane < b.BaseMidplane+b.Midplanes && b.BaseMidplane < a.BaseMidplane+a.Midplanes
+}
+
 // TestAllocatorNeverOverlapsProperty drives a random alloc/free workload and
 // checks the invariant that live blocks never overlap and accounting stays
 // exact.
@@ -218,7 +182,7 @@ func TestAllocatorNeverOverlapsProperty(t *testing.T) {
 					continue
 				}
 				for _, o := range live {
-					if b.Overlaps(o) {
+					if overlaps(b, o) {
 						return false
 					}
 				}

@@ -37,9 +37,6 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 	w.deltaInts(ints)
 	w.varints(bounded)
 	for _, id := range indexes {
-		w.uvarint(id) // dictIndexesInto stream
-	}
-	for _, id := range indexes {
 		w.uvarint(id) // dictIndexes32Into stream
 	}
 	w.uvarint(42)
@@ -56,7 +53,6 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 		r.raw64sInto(dst64)
 		r.deltaInts(dstInt)
 		r.varints32Into(dst32, bound, "bounded value")
-		r.dictIndexesInto(dst64, tableN)
 		r.dictIndexes32Into(dst32, tableN)
 		if got := r.uv(); got != 42 {
 			t.Fatalf("uv decoded %d, want 42", got)
@@ -71,8 +67,8 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 	// Correctness first: the final columns decoded must match the input.
 	decodeAll()
 	for i := range indexes {
-		if dst64[i] != int64(indexes[i]) || dst32[i] != int32(indexes[i]) {
-			t.Fatalf("dictionary index %d decoded as %d/%d, want %d", i, dst64[i], dst32[i], indexes[i])
+		if dst32[i] != int32(indexes[i]) {
+			t.Fatalf("dictionary index %d decoded as %d, want %d", i, dst32[i], indexes[i])
 		}
 	}
 	if n := testing.AllocsPerRun(10, decodeAll); n != 0 {

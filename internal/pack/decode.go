@@ -15,8 +15,8 @@ import (
 // bounded loop over a corrupt payload terminates without doing further
 // work.
 //
-// The column decoders (varintsInto, deltasInto, raw64sInto,
-// dictIndexesInto) run the whole column as one loop over local variables —
+// The column decoders (varintsInto, deltasInto, raw64sInto, varints32Into,
+// dictIndexes32Into) run the whole column as one loop over local variables —
 // no per-value method calls — because the snapshot load path decodes about
 // a million values per 120 corpus days and the call overhead alone would
 // otherwise dominate the load. One-, two- and three-byte varints decode
@@ -197,42 +197,6 @@ func (r *sectionReader) dictTable() []string {
 	return entries
 }
 
-// dictIndexesInto decodes len(dst) dictionary row indexes into dst, each
-// bounds-checked against a table of n entries. Callers must not use dst to
-// index the table if r.err is set afterwards.
-//
-//mira:hotpath
-func (r *sectionReader) dictIndexesInto(dst []int64, n int) {
-	b, off := r.b, r.off
-	for i := range dst {
-		var ux uint64
-		if off < len(b) && b[off] < 0x80 {
-			ux = uint64(b[off])
-			off++
-		} else if off+1 < len(b) && b[off+1] < 0x80 {
-			ux = uint64(b[off]&0x7f) | uint64(b[off+1])<<7
-			off += 2
-		} else {
-			x, sz := binary.Uvarint(b[off:])
-			if sz <= 0 {
-				r.off = off
-				r.fail("truncated or overlong uvarint")
-				return
-			}
-			ux = x
-			off += sz
-		}
-		if ux >= uint64(n) {
-			r.off = off
-			//lint:ignore hotalloc cold corrupt-input path; boxing happens only when the decode already failed
-			r.fail("dictionary index %d out of range [0,%d)", ux, n)
-			return
-		}
-		dst[i] = int64(ux)
-	}
-	r.off = off
-}
-
 // varints32Into decodes len(dst) zigzag varints into dst, failing on any
 // value outside [0, bound). Columns whose values are bounded by
 // construction (severities, location codes, dictionary indexes, counts)
@@ -276,7 +240,9 @@ func (r *sectionReader) varints32Into(dst []int32, bound int64, what string) {
 	r.off = off
 }
 
-// dictIndexes32Into is dictIndexesInto with int32 scratch.
+// dictIndexes32Into decodes len(dst) dictionary row indexes into int32
+// scratch, each bounds-checked against a table of n entries. Callers must
+// not use dst to index the table if r.err is set afterwards.
 //
 //mira:hotpath
 func (r *sectionReader) dictIndexes32Into(dst []int32, n int) {

@@ -1,0 +1,115 @@
+package pack_test
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/joblog"
+	"repro/internal/pack"
+	"repro/internal/raslog"
+)
+
+// Snapshot envelope geometry (see the layout comment in pack.go).
+const (
+	fuzzHeaderSize = 8 + 4 + 4
+	fuzzEntrySize  = 4 + 4 + 8 + 8
+)
+
+// splitSections returns the payloads of a valid snapshot in table order.
+func splitSections(t testing.TB, data []byte) [][]byte {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(data[12:]))
+	payloads := make([][]byte, count)
+	for i := range payloads {
+		entry := data[fuzzHeaderSize+i*fuzzEntrySize:]
+		off := binary.LittleEndian.Uint64(entry[8:])
+		length := binary.LittleEndian.Uint64(entry[16:])
+		payloads[i] = data[off : off+length]
+	}
+	return payloads
+}
+
+// resign rebuilds the snapshot with section k's payload replaced and the
+// section table (offsets, lengths, checksums) rewritten to match, so the
+// replacement passes the envelope checks and reaches the section decoder.
+func resign(data []byte, payloads [][]byte, k int, payload []byte) []byte {
+	out := append([]byte(nil), data[:fuzzHeaderSize]...)
+	offset := uint64(fuzzHeaderSize + len(payloads)*fuzzEntrySize)
+	body := make([]byte, 0, len(data)+len(payload))
+	for i, p := range payloads {
+		if i == k {
+			p = payload
+		}
+		entry := data[fuzzHeaderSize+i*fuzzEntrySize:]
+		out = binary.LittleEndian.AppendUint32(out, binary.LittleEndian.Uint32(entry))
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+		out = binary.LittleEndian.AppendUint64(out, offset)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(p)))
+		offset += uint64(len(p))
+		body = append(body, p...)
+	}
+	return append(out, body...)
+}
+
+// FuzzDecode replaces one fuzz-chosen section of a small valid snapshot
+// with the fuzz bytes and re-signs it. Unmarshal must return exactly one
+// of an error or a dataset, never panic, and never allocate more than the
+// image can justify: every decoder sizes its allocations from counts that
+// sectionReader.count bounds by the bytes remaining, so the total stays
+// within a constant factor of the image size. A dataset it returns must
+// have severity views that index events of their severity.
+func FuzzDecode(f *testing.F) {
+	base := pack.Marshal(trickyDataset(f))
+	payloads := splitSections(f, base)
+	for k, p := range payloads {
+		f.Add(uint8(k), append([]byte(nil), p...))
+		f.Add(uint8(k), append([]byte(nil), p[:len(p)/2]...))
+	}
+	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// A jobs section whose ids span more than int64 holds.
+	t0 := time.Date(2013, 4, 9, 0, 0, 0, 0, time.UTC)
+	var jobs []joblog.Job
+	for _, id := range []int64{math.MinInt64 + 1, math.MaxInt64} {
+		jobs = append(jobs, joblog.Job{ID: id, User: "u", Project: "p", Queue: "q",
+			Submit: t0, Start: t0, End: t0.Add(time.Hour), WalltimeReq: time.Hour,
+			Nodes: 512, RanksPerNode: 16, NumTasks: 1})
+	}
+	extreme, err := core.NewDataset(jobs, nil, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), splitSections(f, pack.Marshal(extreme))[0])
+	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
+		k := int(which) % len(payloads)
+		image := resign(base, payloads, k, payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := pack.Unmarshal(image)
+		runtime.ReadMemStats(&after)
+		if (err == nil) == (d == nil) {
+			t.Fatalf("Unmarshal returned dataset %v with error %v", d != nil, err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(image)); got > limit {
+			t.Fatalf("Unmarshal of a %d-byte image allocated %d bytes (limit %d)", len(image), got, limit)
+		}
+		if d == nil {
+			return
+		}
+		// The severity views index Events directly in every FATAL/WARN pass.
+		for _, idx := range d.FatalEvents() {
+			if d.Events[idx].Sev != raslog.Fatal {
+				t.Fatalf("FATAL view holds event %d of severity %v", idx, d.Events[idx].Sev)
+			}
+		}
+		for _, idx := range d.WarnEvents() {
+			if d.Events[idx].Sev != raslog.Warn {
+				t.Fatalf("WARN view holds event %d of severity %v", idx, d.Events[idx].Sev)
+			}
+		}
+	})
+}

@@ -22,7 +22,7 @@ import (
 // messages with embedded quotes/newlines/leading spaces (the PR 2 golden
 // corpus cases), unsorted job ids, out-of-order timestamps in jobs, jobs
 // without tasks or I/O records, and events without job attribution.
-func trickyDataset(t *testing.T) *core.Dataset {
+func trickyDataset(t testing.TB) *core.Dataset {
 	t.Helper()
 	t0 := time.Date(2013, 4, 9, 0, 0, 0, 0, time.UTC)
 	jobs := []joblog.Job{

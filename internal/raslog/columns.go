@@ -1,12 +1,5 @@
 package raslog
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/machine"
-)
-
 // Columns is the column-major decomposition of a RAS log, the shape the
 // binary corpus snapshot (internal/pack) stores. Locations are packed
 // machine codes (machine.Location.Code), times are unix seconds and
@@ -56,54 +49,4 @@ func ToColumns(events []Event) *Columns {
 		c.Message[i] = e.Message
 	}
 	return c
-}
-
-// FromColumns rehydrates events row-major. It is the inverse of ToColumns;
-// invalid location codes and severities are rejected. Locations decode once
-// per distinct code (a RAS log references few distinct locations relative
-// to its row count).
-func FromColumns(c *Columns) ([]Event, error) {
-	n := c.Rows()
-	for name, col := range map[string]int{
-		"msg_id": len(c.MsgID), "component": len(c.Comp), "category": len(c.Cat),
-		"severity": len(c.Sev), "time": len(c.Time), "location": len(c.Loc),
-		"job_id": len(c.JobID), "count": len(c.Count), "message": len(c.Message),
-	} {
-		if col != n {
-			return nil, fmt.Errorf("raslog: column %s has %d rows, want %d", name, col, n)
-		}
-	}
-	locs := make(map[int64]machine.Location, 256)
-	events := make([]Event, n)
-	for i := range events {
-		sev := Severity(c.Sev[i])
-		if sev < Info || sev > Fatal {
-			return nil, fmt.Errorf("raslog: row %d: severity %d out of range", i, c.Sev[i])
-		}
-		loc, ok := locs[c.Loc[i]]
-		if !ok {
-			code := c.Loc[i]
-			if code < 0 || code > int64(^uint32(0)) {
-				return nil, fmt.Errorf("raslog: row %d: location code %d out of range", i, code)
-			}
-			var err error
-			if loc, err = machine.LocationFromCode(uint32(code)); err != nil {
-				return nil, fmt.Errorf("raslog: row %d: %w", i, err)
-			}
-			locs[code] = loc
-		}
-		events[i] = Event{
-			RecID:   c.RecID[i],
-			MsgID:   c.MsgID[i],
-			Comp:    Component(c.Comp[i]),
-			Cat:     Category(c.Cat[i]),
-			Sev:     sev,
-			Time:    time.Unix(c.Time[i], 0).UTC(),
-			Loc:     loc,
-			JobID:   c.JobID[i],
-			Count:   int(c.Count[i]),
-			Message: c.Message[i],
-		}
-	}
-	return events, nil
 }

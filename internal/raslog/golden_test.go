@@ -43,7 +43,7 @@ func legacyWriteCSV(w io.Writer, events []Event) error {
 }
 
 // goldenEvents exercises quoting-sensitive messages alongside plain rows.
-func goldenEvents(t *testing.T) []Event {
+func goldenEvents(t testing.TB) []Event {
 	t.Helper()
 	base := sampleEvent(t)
 	loc2, err := machine.ParseLocation("R00-M1-N00-J00")

@@ -181,9 +181,9 @@ var header = []string{
 	"location", "job_id", "count", "message",
 }
 
-// encoder caches the per-column string materializations shared by WriteCSV
-// and the streaming Writer: hardware locations repeat heavily, so their
-// String() rendering is computed once per distinct location.
+// encoder caches WriteCSV's per-column string materializations: hardware
+// locations repeat heavily, so their String() rendering is computed once
+// per distinct location.
 type encoder struct {
 	fw   *fastcsv.Writer
 	locs map[machine.Location]string

@@ -10,7 +10,7 @@ import (
 	"repro/internal/machine"
 )
 
-func sampleEvent(t *testing.T) Event {
+func sampleEvent(t testing.TB) Event {
 	t.Helper()
 	loc, err := machine.ParseLocation("R17-M0-N06-J11")
 	if err != nil {

@@ -3,7 +3,6 @@ package raslog
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/fastcsv"
 )
@@ -75,65 +74,3 @@ func (s *Scanner) Event() Event { return s.cur }
 
 // Err returns the first error encountered, if any.
 func (s *Scanner) Err() error { return s.err }
-
-// Writer streams events out one at a time, the counterpart of Scanner for
-// generators that do not want to hold the full log in memory.
-type Writer struct {
-	enc *encoder
-	n   int
-}
-
-// NewWriter writes the header and returns a streaming writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	enc := newEncoder(w)
-	if err := enc.fw.Err(); err != nil {
-		return nil, fmt.Errorf("raslog: write header: %w", err)
-	}
-	return &Writer{enc: enc}, nil
-}
-
-// Write appends one event.
-func (w *Writer) Write(e *Event) error {
-	w.enc.event(e)
-	if err := w.enc.fw.Err(); err != nil {
-		return fmt.Errorf("raslog: write event %d: %w", e.RecID, err)
-	}
-	w.n++
-	return nil
-}
-
-// Flush flushes buffered rows and reports any write error.
-func (w *Writer) Flush() error {
-	if err := w.enc.fw.Flush(); err != nil {
-		return fmt.Errorf("raslog: flush: %w", err)
-	}
-	return nil
-}
-
-// Count returns how many events have been written.
-func (w *Writer) Count() int { return w.n }
-
-// CountBySeverityStreaming is a convenience single-pass aggregation used by
-// tools that must not slurp the log: it scans r and tallies severities and
-// the time range.
-func CountBySeverityStreaming(r io.Reader) (counts map[Severity]int, first, last time.Time, err error) {
-	sc, err := NewScanner(r)
-	if err != nil {
-		return nil, time.Time{}, time.Time{}, err
-	}
-	counts = map[Severity]int{}
-	for sc.Scan() {
-		e := sc.Event()
-		counts[e.Sev]++
-		if first.IsZero() || e.Time.Before(first) {
-			first = e.Time
-		}
-		if e.Time.After(last) {
-			last = e.Time
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, time.Time{}, time.Time{}, err
-	}
-	return counts, first, last, nil
-}

@@ -89,51 +89,3 @@ func TestScannerErrors(t *testing.T) {
 		t.Error("Scan after error returned true")
 	}
 }
-
-func TestStreamingWriter(t *testing.T) {
-	events := streamEvents(t, 25)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range events {
-		if err := w.Write(&events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != len(events) {
-		t.Errorf("count = %d", w.Count())
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events, back) {
-		t.Error("streaming writer round trip mismatch")
-	}
-}
-
-func TestCountBySeverityStreaming(t *testing.T) {
-	events := streamEvents(t, 99)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	counts, first, last, err := CountBySeverityStreaming(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[Info] != 33 || counts[Warn] != 33 || counts[Fatal] != 33 {
-		t.Errorf("counts = %v", counts)
-	}
-	if !first.Equal(events[0].Time) || !last.Equal(events[98].Time) {
-		t.Errorf("range = %v .. %v", first, last)
-	}
-	if _, _, _, err := CountBySeverityStreaming(strings.NewReader("x\n")); err == nil {
-		t.Error("bad input accepted")
-	}
-}

@@ -123,7 +123,10 @@ func TestJobsValid(t *testing.T) {
 
 func TestTasksConsistent(t *testing.T) {
 	c := small(t)
-	byJob := tasklog.ByJob(c.Tasks)
+	byJob := map[int64][]tasklog.Task{}
+	for _, task := range c.Tasks {
+		byJob[task.JobID] = append(byJob[task.JobID], task)
+	}
 	if len(byJob) != len(c.Jobs) {
 		t.Fatalf("tasks cover %d jobs, corpus has %d", len(byJob), len(c.Jobs))
 	}

@@ -156,44 +156,6 @@ func Spearman(x, y []float64) (float64, error) {
 	return Pearson(ranks(x), ranks(y))
 }
 
-// Kendall returns Kendall's τ-b rank correlation of the paired samples.
-// O(n²); fine for the bucketed series it is used on.
-func Kendall(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrLengthMismatch
-	}
-	n := len(x)
-	if n < 2 {
-		return 0, ErrEmpty
-	}
-	var concordant, discordant, tiesX, tiesY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := x[i] - x[j]
-			dy := y[i] - y[j]
-			switch {
-			case dx == 0 && dy == 0:
-				tiesX++
-				tiesY++
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	n0 := float64(n*(n-1)) / 2
-	den := math.Sqrt((n0 - tiesX) * (n0 - tiesY))
-	if den == 0 {
-		return 0, errors.New("stats: all pairs tied in kendall input")
-	}
-	return (concordant - discordant) / den, nil
-}
-
 // ContingencyTable is a two-way table of counts over categorical variables.
 type ContingencyTable struct {
 	rows, cols map[string]int

@@ -167,29 +167,6 @@ func TestRanksSmallDomainMatchesSort(t *testing.T) {
 	}
 }
 
-func TestKendall(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 2, 3, 4, 5}
-	tau, err := Kendall(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tau-1) > 1e-12 {
-		t.Errorf("identical kendall = %v", tau)
-	}
-	rev := []float64{5, 4, 3, 2, 1}
-	tau, _ = Kendall(x, rev)
-	if math.Abs(tau+1) > 1e-12 {
-		t.Errorf("reversed kendall = %v", tau)
-	}
-	if _, err := Kendall([]float64{1, 1}, []float64{2, 2}); err == nil {
-		t.Error("all ties should fail")
-	}
-	if _, err := Kendall(x, x[:2]); !errors.Is(err, ErrLengthMismatch) {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func TestContingencyChiSquare(t *testing.T) {
 	// Perfectly associated 2x2.
 	a := []string{"u1", "u1", "u2", "u2"}
@@ -295,26 +272,5 @@ func TestTopKShare(t *testing.T) {
 	}
 	if s, _ := TopKShare([]float64{0, 0}, 1); s != 0 {
 		t.Errorf("zero-total share = %v", s)
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	data := make([]float64, 500)
-	for i := range data {
-		data[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapMeanCI(data, 500, 0.05, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%v,%v] misses true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI too wide: [%v,%v]", lo, hi)
-	}
-	if _, _, err := BootstrapMeanCI(nil, 100, 0.05, rng); !errors.Is(err, ErrEmpty) {
-		t.Error("empty bootstrap should fail")
 	}
 }

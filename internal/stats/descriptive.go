@@ -137,23 +137,6 @@ func Mean(data []float64) float64 {
 	return sum / float64(len(data))
 }
 
-// Variance returns the population variance, or NaN for samples of size < 1.
-func Variance(data []float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	m := Mean(data)
-	ss := 0.0
-	for _, x := range data {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(data))
-}
-
-// Std returns the population standard deviation.
-func Std(data []float64) float64 { return math.Sqrt(Variance(data)) }
-
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) of data using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 func Quantile(data []float64, p float64) (float64, error) {

@@ -32,19 +32,13 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(data); got != 5 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := Variance(data); got != 4 {
-		t.Errorf("variance = %v", got)
-	}
-	if got := Std(data); got != 2 {
-		t.Errorf("std = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) {
-		t.Error("empty mean/variance should be NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty mean should be NaN")
 	}
 }
 

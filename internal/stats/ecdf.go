@@ -10,16 +10,6 @@ type ECDF struct {
 	sorted []float64
 }
 
-// NewECDF builds an ECDF from data (copied, then sorted).
-func NewECDF(data []float64) (*ECDF, error) {
-	if len(data) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
-}
-
 // NewECDFSorted builds an ECDF around an already-sorted series without
 // copying it — the zero-allocation path for sorted derived series (e.g. a
 // dist.Sample's sorted view). The ECDF shares the slice and never mutates
@@ -37,31 +27,8 @@ func NewECDFSorted(sorted []float64) (*ECDF, error) {
 	return &ECDF{sorted: sorted}, nil
 }
 
-// At returns F_n(x) = (#points ≤ x) / n.
-func (e *ECDF) At(x float64) float64 {
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Quantile returns the empirical p-quantile (inverse CDF).
 func (e *ECDF) Quantile(p float64) float64 { return quantileSorted(e.sorted, p) }
-
-// Points returns (x, F(x)) pairs suitable for plotting the step function,
-// evaluated at every distinct sample value.
-func (e *ECDF) Points() (xs, fs []float64) {
-	n := float64(len(e.sorted))
-	for i := 0; i < len(e.sorted); i++ {
-		if i+1 < len(e.sorted) && e.sorted[i+1] == e.sorted[i] {
-			continue // collapse ties to the last occurrence
-		}
-		xs = append(xs, e.sorted[i])
-		fs = append(fs, float64(i+1)/n)
-	}
-	return xs, fs
-}
 
 // Series samples the ECDF at k evenly spaced probabilities and returns the
 // (value, probability) pairs — the form used for the paper's CDF figures.
@@ -115,91 +82,4 @@ func KSTwoSampleSorted(sa, sb []float64) (float64, error) {
 		}
 	}
 	return d, nil
-}
-
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	Lo, Hi float64   // data range covered
-	Edges  []float64 // len = bins+1
-	Counts []int     // len = bins
-	N      int       // total points (including clamped outliers)
-}
-
-// NewHistogram bins data into the given number of equal-width bins spanning
-// [min, max]. Values exactly at max land in the last bin.
-func NewHistogram(data []float64, bins int) (*Histogram, error) {
-	if len(data) == 0 {
-		return nil, ErrEmpty
-	}
-	if bins < 1 {
-		bins = 1
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range data {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), N: len(data)}
-	h.Edges = make([]float64, bins+1)
-	width := (hi - lo) / float64(bins)
-	for i := range h.Edges {
-		h.Edges[i] = lo + float64(i)*width
-	}
-	h.Edges[bins] = hi
-	for _, x := range data {
-		idx := bins - 1
-		if width > 0 {
-			idx = int((x - lo) / width)
-			if idx >= bins {
-				idx = bins - 1
-			}
-			if idx < 0 {
-				idx = 0
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
-}
-
-// Density returns the normalized bin heights (fraction of points per bin).
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
-// LogBinnedHistogram bins positive data into logarithmically spaced bins,
-// the natural binning for job durations spanning seconds to days.
-func LogBinnedHistogram(data []float64, bins int) (*Histogram, error) {
-	if len(data) == 0 {
-		return nil, ErrEmpty
-	}
-	logs := make([]float64, 0, len(data))
-	for _, x := range data {
-		if x <= 0 {
-			continue
-		}
-		logs = append(logs, math.Log10(x))
-	}
-	if len(logs) == 0 {
-		return nil, ErrEmpty
-	}
-	h, err := NewHistogram(logs, bins)
-	if err != nil {
-		return nil, err
-	}
-	// Convert edges back to linear scale.
-	for i := range h.Edges {
-		h.Edges[i] = math.Pow(10, h.Edges[i])
-	}
-	h.Lo = math.Pow(10, h.Lo)
-	h.Hi = math.Pow(10, h.Hi)
-	return h, nil
 }

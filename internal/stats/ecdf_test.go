@@ -9,54 +9,68 @@ import (
 )
 
 func TestECDFBasic(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 3, 4})
+	sorted := []float64{1, 2, 3, 4}
+	e, err := NewECDFSorted(sorted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tests := []struct {
-		x, want float64
+		p, want float64
 	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
+		{-1, 1}, {0, 1}, {0.5, 2.5}, {1, 4}, {2, 4},
 	}
 	for _, tt := range tests {
-		if got := e.At(tt.x); got != tt.want {
-			t.Errorf("F(%v) = %v, want %v", tt.x, got, tt.want)
+		if got := e.Quantile(tt.p); got != tt.want {
+			t.Errorf("Q(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
+	// Unsorted input falls back to a private sorted copy and leaves the
+	// caller's slice alone.
+	unsorted := []float64{4, 1, 3, 2}
+	u, err := NewECDFSorted(unsorted)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewECDF(nil); !errors.Is(err, ErrEmpty) {
+	if u.Quantile(0) != 1 || u.Quantile(1) != 4 {
+		t.Errorf("unsorted fallback: Q(0) = %v, Q(1) = %v", u.Quantile(0), u.Quantile(1))
+	}
+	if unsorted[0] != 4 || unsorted[3] != 2 {
+		t.Errorf("input mutated: %v", unsorted)
+	}
+	if _, err := NewECDFSorted(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("empty ECDF should fail")
 	}
 }
 
 func TestECDFTies(t *testing.T) {
-	e, _ := NewECDF([]float64{2, 2, 2, 5})
-	if got := e.At(2); got != 0.75 {
-		t.Errorf("F(2) = %v, want 0.75", got)
+	e, _ := NewECDFSorted([]float64{2, 2, 2, 5})
+	for _, p := range []float64{0, 1.0 / 3, 2.0 / 3} {
+		if got := e.Quantile(p); got != 2 {
+			t.Errorf("Q(%v) = %v, want 2 inside the tie", p, got)
+		}
 	}
-	xs, fs := e.Points()
-	if len(xs) != 2 || xs[0] != 2 || fs[0] != 0.75 || xs[1] != 5 || fs[1] != 1 {
-		t.Errorf("Points = %v, %v", xs, fs)
+	if got := e.Quantile(5.0 / 6); got != 3.5 {
+		t.Errorf("Q(5/6) = %v, want 3.5", got)
 	}
 }
 
-// TestECDFMonotoneProperty: F is monotone non-decreasing in x.
+// TestECDFMonotoneProperty: the quantile is monotone non-decreasing in p,
+// on sorted and unsorted input alike.
 func TestECDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		data := cleanFinite(raw)
 		if len(data) == 0 {
 			return true
 		}
-		e, err := NewECDF(data)
+		e, err := NewECDFSorted(data)
 		if err != nil {
 			return false
 		}
+		a, b = math.Abs(math.Mod(a, 1)), math.Abs(math.Mod(b, 1))
 		if a > b {
 			a, b = b, a
 		}
-		return e.At(a) <= e.At(b)
+		return e.Quantile(a) <= e.Quantile(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -78,7 +92,7 @@ func TestECDFSeries(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i)
 	}
-	e, _ := NewECDF(data)
+	e, _ := NewECDFSorted(data)
 	xs, ps := e.Series(11)
 	if len(xs) != 11 || ps[0] != 0 || ps[10] != 1 {
 		t.Fatalf("series shape wrong: %v %v", xs, ps)
@@ -113,82 +127,5 @@ func TestKSTwoSample(t *testing.T) {
 	d, _ := KSTwoSample(x, y)
 	if d > 0.05 {
 		t.Errorf("KS same law = %v, want small", d)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	data := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h, err := NewHistogram(data, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != len(data) {
-		t.Errorf("histogram loses points: %d != %d", total, len(data))
-	}
-	if len(h.Edges) != 6 {
-		t.Errorf("edges = %d", len(h.Edges))
-	}
-	if h.Counts[4] != 3 { // 8, 9, 10 (max lands in last bin)
-		t.Errorf("last bin = %d, want 3", h.Counts[4])
-	}
-	dens := h.Density()
-	sum := 0.0
-	for _, d := range dens {
-		sum += d
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("density sums to %v", sum)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h, err := NewHistogram([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("constant data histogram total = %d", total)
-	}
-	if _, err := NewHistogram(nil, 3); !errors.Is(err, ErrEmpty) {
-		t.Error("empty histogram should fail")
-	}
-}
-
-func TestLogBinnedHistogram(t *testing.T) {
-	data := []float64{1, 10, 100, 1000, 10000}
-	h, err := LogBinnedHistogram(data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bins cover one decade each; the closed upper edge puts 1000 and
-	// 10000 together in the last bin.
-	want := []int{1, 1, 1, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("log bin counts = %v, want %v", h.Counts, want)
-			break
-		}
-	}
-	if math.Abs(h.Edges[0]-1) > 1e-9 || math.Abs(h.Edges[4]-10000) > 1e-6 {
-		t.Errorf("edges = %v", h.Edges)
-	}
-	// Non-positive values are dropped, not fatal.
-	h2, err := LogBinnedHistogram([]float64{-1, 0, 10, 100}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.N != 2 {
-		t.Errorf("N = %d, want 2", h2.N)
-	}
-	if _, err := LogBinnedHistogram([]float64{-1, 0}, 2); !errors.Is(err, ErrEmpty) {
-		t.Error("all-nonpositive should fail")
 	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -84,26 +83,4 @@ func TopKShare(data []float64, k int) (float64, error) {
 		return 0, nil
 	}
 	return top / total, nil
-}
-
-// BootstrapMeanCI returns a (1−alpha) percentile-bootstrap confidence
-// interval for the mean of data using b resamples drawn with rng.
-func BootstrapMeanCI(data []float64, b int, alpha float64, rng *rand.Rand) (lo, hi float64, err error) {
-	if len(data) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if b < 10 {
-		b = 10
-	}
-	means := make([]float64, b)
-	n := len(data)
-	for i := 0; i < b; i++ {
-		sum := 0.0
-		for j := 0; j < n; j++ {
-			sum += data[rng.Intn(n)]
-		}
-		means[i] = sum / float64(n)
-	}
-	sort.Float64s(means)
-	return quantileSorted(means, alpha/2), quantileSorted(means, 1-alpha/2), nil
 }

@@ -97,60 +97,6 @@ func SurvivalAt(curve []SurvivalPoint, t float64) float64 {
 	return s
 }
 
-// MedianSurvival returns the earliest time at which S(t) ≤ 0.5, or
-// (0, false) when the curve never crosses one half (more than half of the
-// subjects are censored late).
-func MedianSurvival(curve []SurvivalPoint) (float64, bool) {
-	for _, p := range curve {
-		if p.Survival <= 0.5 {
-			return p.Time, true
-		}
-	}
-	return 0, false
-}
-
-// CumulativeHazard returns the Nelson–Aalen cumulative-hazard estimate
-// H(t_i) = Σ d_j/n_j aligned with the event times of the KM curve. A
-// concave H (decreasing hazard) is the infant-mortality signature.
-func CumulativeHazard(curve []SurvivalPoint) []float64 {
-	out := make([]float64, len(curve))
-	h := 0.0
-	for i, p := range curve {
-		h += float64(p.Events) / float64(p.AtRisk)
-		out[i] = h
-	}
-	return out
-}
-
-// LinearFit returns the least-squares line y = a + b·x and the R²
-// coefficient of determination for paired samples. Used for trend tests
-// on monthly series.
-func LinearFit(x, y []float64) (a, b, r2 float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, 0, ErrLengthMismatch
-	}
-	if len(x) < 2 {
-		return 0, 0, 0, ErrEmpty
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return 0, 0, 0, fmt.Errorf("stats: zero variance in x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	if syy > 0 {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return a, b, r2, nil
-}
-
 // Autocorrelation returns the sample autocorrelation of the series at the
 // given lag (0 < lag < len(series)).
 func Autocorrelation(series []float64, lag int) (float64, error) {

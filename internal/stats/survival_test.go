@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -40,9 +41,8 @@ func TestKaplanMeierTextbook(t *testing.T) {
 	if s := SurvivalAt(curve, 3.5); math.Abs(s-0.8*2.0/3.0) > 1e-12 {
 		t.Errorf("S(3.5) = %v", s)
 	}
-	med, ok := MedianSurvival(curve)
-	if !ok || med != 4 {
-		t.Errorf("median = %v, %v; want 4", med, ok)
+	if s := SurvivalAt(curve, 4); math.Abs(s-0.8*2.0/3.0*0.5) > 1e-12 {
+		t.Errorf("S(4) = %v", s)
 	}
 }
 
@@ -96,13 +96,19 @@ func TestKaplanMeierNoCensoringMatchesECDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecdf, err := NewECDF(data)
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	ecdf, err := NewECDFSorted(sorted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []float64{10, 50, 120, 300} {
+	// Halfway between the k-th and (k+1)-th order statistics the ECDF is
+	// (k+1)/n, so the KM curve there must be 1 − (k+1)/n.
+	n := len(sorted)
+	for _, k := range []int{0, 49, 249, 449, n - 2} {
+		q := ecdf.Quantile((float64(k) + 0.5) / float64(n-1))
 		km := SurvivalAt(curve, q)
-		want := 1 - ecdf.At(q)
+		want := 1 - float64(k+1)/float64(n)
 		if math.Abs(km-want) > 1e-9 {
 			t.Errorf("S(%v) = %v, 1-ECDF = %v", q, km, want)
 		}
@@ -133,58 +139,6 @@ func TestKaplanMeierRecoversCensoredExponential(t *testing.T) {
 	trueMedian := math.Ln2 / rate
 	if s := SurvivalAt(curve, trueMedian); math.Abs(s-0.5) > 0.02 {
 		t.Errorf("S(true median) = %v, want ≈0.5", s)
-	}
-	med, ok := MedianSurvival(curve)
-	if !ok || math.Abs(med-trueMedian)/trueMedian > 0.05 {
-		t.Errorf("KM median %v, want ≈%v", med, trueMedian)
-	}
-}
-
-func TestCumulativeHazard(t *testing.T) {
-	obs := []Observation{{1, true}, {2, true}, {3, true}, {4, true}}
-	curve, err := KaplanMeier(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := CumulativeHazard(curve)
-	// H = 1/4, 1/4+1/3, +1/2, +1.
-	want := []float64{0.25, 0.25 + 1.0/3, 0.25 + 1.0/3 + 0.5, 0.25 + 1.0/3 + 0.5 + 1}
-	for i := range want {
-		if math.Abs(h[i]-want[i]) > 1e-12 {
-			t.Errorf("H[%d] = %v, want %v", i, h[i], want[i])
-		}
-	}
-	// Monotone non-decreasing.
-	for i := 1; i < len(h); i++ {
-		if h[i] < h[i-1] {
-			t.Fatal("cumulative hazard decreasing")
-		}
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4}
-	y := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
-	a, b, r2, err := LinearFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-1) > 1e-12 || math.Abs(b-2) > 1e-12 || math.Abs(r2-1) > 1e-12 {
-		t.Errorf("fit = %v + %vx, r2 %v", a, b, r2)
-	}
-	if _, _, _, err := LinearFit(x, y[:2]); !errors.Is(err, ErrLengthMismatch) {
-		t.Error("mismatch accepted")
-	}
-	if _, _, _, err := LinearFit([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("zero x-variance accepted")
-	}
-	// Noise lowers R².
-	_, _, r2n, err := LinearFit(x, []float64{1, 9, 2, 8, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2n >= 0.9 {
-		t.Errorf("noisy r2 = %v", r2n)
 	}
 }
 

@@ -1,12 +1,5 @@
 package tasklog
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/machine"
-)
-
 // Columns is the column-major decomposition of a task log, the shape the
 // binary corpus snapshot (internal/pack) stores. Blocks are packed machine
 // codes (machine.Block.Code), times are unix seconds.
@@ -46,39 +39,4 @@ func ToColumns(tasks []Task) *Columns {
 		c.Exit[i] = int64(t.ExitStatus)
 	}
 	return c
-}
-
-// FromColumns rehydrates tasks row-major. It is the inverse of ToColumns;
-// invalid block codes are rejected.
-func FromColumns(c *Columns) ([]Task, error) {
-	n := c.Rows()
-	for name, col := range map[string]int{
-		"job_id": len(c.JobID), "block": len(c.Block), "start": len(c.Start),
-		"end": len(c.End), "nodes": len(c.Nodes), "exit": len(c.Exit),
-	} {
-		if col != n {
-			return nil, fmt.Errorf("tasklog: column %s has %d rows, want %d", name, col, n)
-		}
-	}
-	tasks := make([]Task, n)
-	for i := range tasks {
-		code := c.Block[i]
-		if code < 0 || code > int64(^uint32(0)) {
-			return nil, fmt.Errorf("tasklog: row %d: block code %d out of range", i, code)
-		}
-		blk, err := machine.BlockFromCode(uint32(code))
-		if err != nil {
-			return nil, fmt.Errorf("tasklog: row %d: %w", i, err)
-		}
-		tasks[i] = Task{
-			ID:         c.ID[i],
-			JobID:      c.JobID[i],
-			Block:      blk,
-			Start:      time.Unix(c.Start[i], 0).UTC(),
-			End:        time.Unix(c.End[i], 0).UTC(),
-			Nodes:      int(c.Nodes[i]),
-			ExitStatus: int(c.Exit[i]),
-		}
-	}
-	return tasks, nil
 }

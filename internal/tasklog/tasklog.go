@@ -24,9 +24,6 @@ type Task struct {
 	ExitStatus int // per-run exit status
 }
 
-// Runtime returns the task's wall-clock duration.
-func (t *Task) Runtime() time.Duration { return t.End.Sub(t.Start) }
-
 // Validate performs sanity checks.
 func (t *Task) Validate() error {
 	switch {
@@ -186,27 +183,4 @@ func (d *decoder) parseRow(rec [][]byte) (Task, error) {
 		return Task{}, fmt.Errorf("exit_status: %w", err)
 	}
 	return t, nil
-}
-
-// ByJob groups tasks by job ID.
-func ByJob(tasks []Task) map[int64][]Task {
-	// Cobalt records a job's task partitions consecutively, so group by
-	// run: each run becomes a (capped) subslice of the input — one map
-	// entry per job, no copying. A job id that reappears later falls back
-	// to concatenating, preserving stream order.
-	m := make(map[int64][]Task, len(tasks))
-	for i := 0; i < len(tasks); {
-		id := tasks[i].JobID
-		j := i + 1
-		for j < len(tasks) && tasks[j].JobID == id {
-			j++
-		}
-		if prev, ok := m[id]; ok {
-			m[id] = append(prev, tasks[i:j]...)
-		} else {
-			m[id] = tasks[i:j:j]
-		}
-		i = j
-	}
-	return m
 }

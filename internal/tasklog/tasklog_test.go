@@ -20,9 +20,6 @@ func sampleTask() Task {
 
 func TestTaskDerived(t *testing.T) {
 	task := sampleTask()
-	if task.Runtime() != time.Hour {
-		t.Errorf("Runtime = %v", task.Runtime())
-	}
 	if err := task.Validate(); err != nil {
 		t.Errorf("valid task rejected: %v", err)
 	}
@@ -78,46 +75,5 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
-	}
-}
-
-func TestByJob(t *testing.T) {
-	t1 := sampleTask()
-	t2 := sampleTask()
-	t2.ID = 8
-	t3 := sampleTask()
-	t3.ID = 9
-	t3.JobID = 42
-	m := ByJob([]Task{t1, t2, t3})
-	if len(m) != 2 || len(m[3]) != 2 || len(m[42]) != 1 {
-		t.Errorf("ByJob = %v", m)
-	}
-}
-
-func TestScannerMatchesSlurp(t *testing.T) {
-	tasks := []Task{sampleTask()}
-	t2 := sampleTask()
-	t2.ID = 9
-	tasks = append(tasks, t2)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tasks); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewScanner(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Task
-	for sc.Scan() {
-		streamed = append(streamed, sc.Task())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tasks, streamed) {
-		t.Error("scanner and slurp disagree")
-	}
-	if _, err := NewScanner(strings.NewReader("bad\n")); err == nil {
-		t.Error("bad header accepted")
 	}
 }
