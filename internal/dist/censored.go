@@ -28,25 +28,23 @@ type CensoredObservation struct {
 // job-failure data it recovers the infant-mortality shape (k < 1) directly
 // from the censored stream.
 func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
-	// Hoist the times and their logarithms into flat arrays once: the shape
-	// equation is evaluated O(iterations) times and ln x does not depend on
-	// k, so caching it removes one transcendental per sample per evaluation
-	// (and the flat float64 arrays scan with half the stride of the
-	// observation structs). The summation order and every arithmetic step of
-	// g are unchanged, so the fitted parameters are bit-identical.
-	times := make([]float64, len(obs))
-	logs := make([]float64, len(obs))
+	// Job runtimes are integer seconds, so a corpus of ≈345k jobs holds only
+	// ≈26k distinct times. Intern them once: every transcendental below
+	// (ln x, and x^k at each trial shape) is evaluated once per distinct
+	// time and gathered through the per-observation index. The sums still
+	// run over the observations in their original order, and math.Log and
+	// math.Pow are deterministic, so every addend, every sum and the fitted
+	// parameters carry the same bits as a per-observation evaluation.
+	tt, err := internTimes(obs)
+	if err != nil {
+		return Weibull{}, err
+	}
 	var nObs int
 	var meanLogObs float64
 	for i, o := range obs {
-		if o.Time <= 0 || math.IsNaN(o.Time) || math.IsInf(o.Time, 0) {
-			return Weibull{}, fmt.Errorf("fit censored weibull: %w", ErrBadSample)
-		}
-		times[i] = o.Time
-		logs[i] = math.Log(o.Time)
 		if o.Observed {
 			nObs++
-			meanLogObs += logs[i]
+			meanLogObs += tt.logs[tt.idx[i]]
 		}
 	}
 	if len(obs) < 2 {
@@ -57,34 +55,40 @@ func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
 	}
 	meanLogObs /= float64(nObs)
 
+	xk := make([]float64, len(tt.times))
 	g := func(k float64) float64 {
+		tt.pow(xk, k)
 		var sxk, sxkl float64
-		for i, t := range times {
-			xk := math.Pow(t, k)
-			sxk += xk
-			sxkl += xk * logs[i]
+		for _, d := range tt.idx {
+			x := xk[d]
+			sxk += x
+			sxkl += x * tt.logs[d]
 		}
 		return sxkl/sxk - 1/k - meanLogObs
 	}
-	// gTriple evaluates g at k, k+h and k−h in a single sweep of the sample
-	// arrays. Each of the six sums has its own accumulator fed in the same
-	// element order as three separate g calls, and the final expressions are
-	// unchanged, so the results carry the exact same bits — only the two
-	// extra array traversals per Newton step disappear.
+	// gTriple evaluates g at k, k+h and k−h in a single sweep of the index.
+	// Each of the six sums has its own accumulator fed in the same
+	// observation order as three separate g calls, and the final
+	// expressions are unchanged, so the results carry the exact same bits.
+	xp := make([]float64, len(tt.times))
+	xm := make([]float64, len(tt.times))
 	gTriple := func(k, h float64) (gk, gp, gm float64) {
 		kp, km := k+h, k-h
+		tt.pow(xk, k)
+		tt.pow(xp, kp)
+		tt.pow(xm, km)
 		var sxk, sxkl, sxkp, sxklp, sxkm, sxklm float64
-		for i, t := range times {
-			l := logs[i]
-			xk := math.Pow(t, k)
-			sxk += xk
-			sxkl += xk * l
-			xp := math.Pow(t, kp)
-			sxkp += xp
-			sxklp += xp * l
-			xm := math.Pow(t, km)
-			sxkm += xm
-			sxklm += xm * l
+		for _, d := range tt.idx {
+			l := tt.logs[d]
+			x := xk[d]
+			sxk += x
+			sxkl += x * l
+			p := xp[d]
+			sxkp += p
+			sxklp += p * l
+			m := xm[d]
+			sxkm += m
+			sxklm += m * l
 		}
 		gk = sxkl/sxk - 1/k - meanLogObs
 		gp = sxklp/sxkp - 1/kp - meanLogObs
@@ -136,12 +140,52 @@ func FitCensoredWeibull(obs []CensoredObservation) (Weibull, error) {
 		}
 	}
 
+	tt.pow(xk, k)
 	var sxk float64
-	for _, t := range times {
-		sxk += math.Pow(t, k)
+	for _, d := range tt.idx {
+		sxk += xk[d]
 	}
 	scale := math.Pow(sxk/float64(nObs), 1/k)
 	return NewWeibull(k, scale)
+}
+
+// tiedTimes is a set of observation times interned to their distinct
+// values: times[idx[i]] is observation i's time and logs holds ln of each
+// distinct time.
+type tiedTimes struct {
+	times, logs []float64
+	idx         []int32
+}
+
+// internTimes interns the observation times in first-occurrence order,
+// rejecting the first non-positive, NaN or infinite time.
+func internTimes(obs []CensoredObservation) (tiedTimes, error) {
+	tt := tiedTimes{idx: make([]int32, len(obs))}
+	// For positive finite times, equal bits is the same equality as ==, and
+	// the runtime looks a 64-bit key up faster than a float64 one.
+	slot := make(map[uint64]int32)
+	for i, o := range obs {
+		if o.Time <= 0 || math.IsNaN(o.Time) || math.IsInf(o.Time, 0) {
+			return tiedTimes{}, fmt.Errorf("fit censored weibull: %w", ErrBadSample)
+		}
+		key := math.Float64bits(o.Time)
+		d, ok := slot[key]
+		if !ok {
+			d = int32(len(tt.times))
+			slot[key] = d
+			tt.times = append(tt.times, o.Time)
+			tt.logs = append(tt.logs, math.Log(o.Time))
+		}
+		tt.idx[i] = d
+	}
+	return tt, nil
+}
+
+// pow fills dst[d] = times[d]^k.
+func (tt *tiedTimes) pow(dst []float64, k float64) {
+	for d, t := range tt.times {
+		dst[d] = math.Pow(t, k)
+	}
 }
 
 // CensoredLogLikelihood evaluates the right-censored log-likelihood of d

@@ -66,20 +66,40 @@ func ADStatistic(d Distribution, data []float64) float64 {
 // ADStatisticSorted is ADStatistic over ascending-sorted data, with zero
 // allocations.
 //
+// Runtime samples are heavily tied, so the forward cursor (i) and the
+// backward cursor (n−1−i) each keep ln F and ln(1−F) for their current run
+// of equal values and call CDF once per run. Runs are keyed by the exact
+// bits of the value, CDF is a pure function, and the sum still adds
+// (2i+1)·(ln F_i + ln(1−F_{n−1−i})) in index order, so the statistic is
+// bit-identical to one CDF evaluation per point per side.
+//
 //mira:hotpath
 func ADStatisticSorted(d Distribution, sorted []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return math.NaN()
 	}
+	// Start each run key one bit off its side's first value, so the first
+	// point of each side opens a run.
+	loBits, hiBits := math.Float64bits(sorted[0])^1, math.Float64bits(sorted[n-1])^1
+	var logLo, logHi float64
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		fi := d.CDF(sorted[i])
-		fj := d.CDF(sorted[n-1-i])
-		if fi <= 0 || fj >= 1 {
-			return math.Inf(1)
+		if b := math.Float64bits(sorted[i]); b != loBits {
+			fi := d.CDF(sorted[i])
+			if fi <= 0 {
+				return math.Inf(1)
+			}
+			loBits, logLo = b, math.Log(fi)
 		}
-		sum += float64(2*i+1) * (math.Log(fi) + math.Log1p(-fj))
+		if b := math.Float64bits(sorted[n-1-i]); b != hiBits {
+			fj := d.CDF(sorted[n-1-i])
+			if fj >= 1 {
+				return math.Inf(1)
+			}
+			hiBits, logHi = b, math.Log1p(-fj)
+		}
+		sum += float64(2*i+1) * (logLo + logHi)
 	}
 	return -float64(n) - sum/float64(n)
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -36,47 +37,52 @@ func KaplanMeier(obs []Observation) ([]SurvivalPoint, error) {
 	if len(obs) == 0 {
 		return nil, ErrEmpty
 	}
-	sorted := append([]Observation(nil), obs...)
-	for _, o := range sorted {
+	// Tally events and censorings per distinct time, then sort only the
+	// distinct times: job runtimes are integer seconds, so ≈345k
+	// observations collapse to ≈26k times. The product-limit loop below
+	// sees the same (time, events, censored) groups, in the same order, as
+	// a walk over the sorted observations would, so every point carries the
+	// same bits. Time equality stays ==: the map key is the time's bits
+	// with −0 folded onto +0 (NaN is rejected), a 64-bit key the runtime
+	// looks up faster than a float64 one, and a tied zero point keeps the
+	// sign of whichever zero came first.
+	type tally struct {
+		t                float64
+		events, censored int
+	}
+	slot := make(map[uint64]int32)
+	var tallies []tally
+	for _, o := range obs {
 		if o.Time < 0 || math.IsNaN(o.Time) {
 			return nil, fmt.Errorf("stats: negative or NaN survival time %v", o.Time)
 		}
-	}
-	// Sort by time with the generic sorter (no reflection per swap). The
-	// estimator aggregates events and censorings per unique time, so the
-	// order equal times land in cannot affect the curve; NaNs were rejected
-	// above.
-	slices.SortFunc(sorted, func(a, b Observation) int {
-		switch {
-		case a.Time < b.Time:
-			return -1
-		case a.Time > b.Time:
-			return 1
-		default:
-			return 0
+		key := math.Float64bits(o.Time)
+		if o.Time == 0 {
+			key = 0
 		}
-	})
+		d, ok := slot[key]
+		if !ok {
+			d = int32(len(tallies))
+			slot[key] = d
+			tallies = append(tallies, tally{t: o.Time})
+		}
+		if o.Observed {
+			tallies[d].events++
+		} else {
+			tallies[d].censored++
+		}
+	}
+	slices.SortFunc(tallies, func(a, b tally) int { return cmp.Compare(a.t, b.t) })
 
 	var curve []SurvivalPoint
 	surv := 1.0
-	atRisk := len(sorted)
-	i := 0
-	for i < len(sorted) {
-		t := sorted[i].Time
-		events, censored := 0, 0
-		for i < len(sorted) && sorted[i].Time == t {
-			if sorted[i].Observed {
-				events++
-			} else {
-				censored++
-			}
-			i++
+	atRisk := len(obs)
+	for _, g := range tallies {
+		if g.events > 0 {
+			surv *= 1 - float64(g.events)/float64(atRisk)
+			curve = append(curve, SurvivalPoint{Time: g.t, AtRisk: atRisk, Events: g.events, Survival: surv})
 		}
-		if events > 0 {
-			surv *= 1 - float64(events)/float64(atRisk)
-			curve = append(curve, SurvivalPoint{Time: t, AtRisk: atRisk, Events: events, Survival: surv})
-		}
-		atRisk -= events + censored
+		atRisk -= g.events + g.censored
 	}
 	if len(curve) == 0 {
 		return nil, fmt.Errorf("stats: no observed events (all %d censored)", len(obs))

@@ -22,8 +22,9 @@
 # internal/core (the fused kernel set through scan.Run at one worker,
 # bypassing the per-Dataset memo that FusedScan hits), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
-# metric), the FitLegacy/FitSample model-selection comparison in
-# internal/dist (speedup metric), the fusion comparison
+# metric), the FitLegacy/FitSample model-selection comparison and the
+# CensoredWeibull_{PerJob,Distinct} E23 survival-fit comparison in
+# internal/dist (speedup metrics), the fusion comparison
 # BenchmarkAccessors/{walk,fused} in internal/experiments (every Env
 # accessor against the pre-fusion walk it replaced — DESIGN.md §13), the
 # cold-Env suite run Benchmark_RunAll_Fused at the repo root, the
