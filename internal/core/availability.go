@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -77,7 +76,7 @@ func (d *Dataset) Availability() (*AvailabilityResult, error) {
 	// One sort covers the summary statistics, the median, and — through the
 	// Sample's sufficient statistics — the repair-time model selection.
 	sorted := append([]float64(nil), res.RepairHours...)
-	sort.Float64s(sorted)
+	stats.SortFloat64s(sorted)
 	summary, err := stats.SummarizeSorted(sorted)
 	if err != nil {
 		return nil, err

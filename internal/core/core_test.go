@@ -213,7 +213,7 @@ func TestAggregateAndConcentration(t *testing.T) {
 func TestFailureByStructure(t *testing.T) {
 	d, c := dataset(t)
 	for _, dim := range []StructureDim{DimNodes, DimTasks, DimCoreHours, DimRuntime} {
-		res, err := d.FailureByStructure(dim)
+		res, err := NewJobOrders(d).FailureByStructure(dim)
 		if err != nil {
 			t.Fatalf("%v: %v", dim, err)
 		}
@@ -232,7 +232,7 @@ func TestFailureByStructure(t *testing.T) {
 		}
 	}
 	// Node buckets are the block sizes.
-	res, _ := d.FailureByStructure(DimNodes)
+	res, _ := NewJobOrders(d).FailureByStructure(DimNodes)
 	if len(res.Buckets) != 8 || res.Buckets[0].Lo != 512 {
 		t.Errorf("node buckets = %+v", res.Buckets)
 	}
@@ -240,7 +240,7 @@ func TestFailureByStructure(t *testing.T) {
 
 func TestStructureSummary(t *testing.T) {
 	d, c := dataset(t)
-	s, err := d.StructureSummary()
+	s, err := NewJobOrders(d).StructureSummary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStructureSummary(t *testing.T) {
 
 func TestExecutionLengthCDFs(t *testing.T) {
 	d, _ := dataset(t)
-	succ, fail := d.ExecutionLengthCDFs()
+	succ, fail := NewJobOrders(d).ExecutionLengthCDFs()
 	if len(succ) == 0 || len(fail) == 0 {
 		t.Fatal("empty CDFs")
 	}

@@ -37,7 +37,7 @@ func TestResubmissionScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := d.Resubmission()
+	r, err := NewJobOrders(d).Resubmission()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestResubmissionNeedsBothOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Resubmission(); err == nil {
+	if _, err := NewJobOrders(d).Resubmission(); err == nil {
 		t.Error("all-failure stream accepted (no success pairs)")
 	}
 }
 
 func TestResubmissionOnCorpus(t *testing.T) {
 	d, c := dataset(t)
-	r, err := d.Resubmission()
+	r, err := NewJobOrders(d).Resubmission()
 	if err != nil {
 		t.Fatal(err)
 	}

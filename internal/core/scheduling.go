@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/joblog"
@@ -42,81 +41,93 @@ type SchedulingResult struct {
 	PearsonReqUsed float64
 }
 
-// Scheduling computes the queue-wait and walltime-accuracy profile.
-func (d *Dataset) Scheduling() (*SchedulingResult, error) {
+// Scheduling computes the queue-wait and walltime-accuracy profile. The
+// per-size wait quantiles come from one stable pass of the wait order into
+// per-size buckets, so each bucket comes out ascending; the size-wait trend
+// correlates the shared nodes and wait ranks.
+func (o *JobOrders) Scheduling() (*SchedulingResult, error) {
+	d := o.d
 	if len(d.Jobs) == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
-	waits := map[int][]float64{}
-	// The paired-sample slices reach one entry per job; sizing them up front
-	// avoids repeated growth copies on the hot suite path.
-	sizes := make([]float64, 0, len(d.Jobs))
-	waitVals := make([]float64, 0, len(d.Jobs))
-	var okReq, okUsed []float64
-	ratiosByOutcome := map[string][]float64{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		w := j.QueueWait()
-		if w < 0 {
-			w = 0
+	nodes, wait := o.nodesCol(), o.waitCol()
+	// One bucket per block size, in ascending size order: the runs of the
+	// nodes order. start[b] is where bucket b begins in byBucket.
+	bucketOf := make([]int32, len(d.Jobs))
+	var sizes, start []int
+	for k, r := range nodes.order {
+		if k == 0 || nodes.sorted[k] != nodes.sorted[k-1] {
+			sizes = append(sizes, int(nodes.sorted[k]))
+			start = append(start, k)
 		}
-		waits[j.Nodes] = append(waits[j.Nodes], w.Seconds())
-		sizes = append(sizes, float64(j.Nodes))
-		waitVals = append(waitVals, w.Seconds())
-		if j.WalltimeReq > 0 {
-			ratio := float64(j.Runtime()) / float64(j.WalltimeReq)
-			ratiosByOutcome[j.Outcome().String()] = append(ratiosByOutcome[j.Outcome().String()], ratio)
-			if j.Outcome() == joblog.OutcomeSuccess {
-				okReq = append(okReq, j.WalltimeReq.Seconds())
-				okUsed = append(okUsed, j.Runtime().Seconds())
-			}
-		}
+		bucketOf[r] = int32(len(sizes) - 1)
+	}
+	start = append(start, len(d.Jobs))
+	next := append([]int(nil), start...)
+	byBucket := make([]float64, len(d.Jobs))
+	for k, r := range wait.order {
+		b := bucketOf[r]
+		byBucket[next[b]] = wait.sorted[k]
+		next[b]++
 	}
 	res := &SchedulingResult{}
-	nodes := make([]int, 0, len(waits))
-	for n := range waits {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		qs, err := stats.Quantiles(waits[n], []float64{0.5, 0.95})
-		if err != nil {
-			return nil, err
-		}
+	for b, n := range sizes {
+		ws := byBucket[start[b]:start[b+1]]
 		res.WaitBySize = append(res.WaitBySize, WaitBucket{
 			Nodes:      n,
-			Jobs:       len(waits[n]),
-			MedianWait: time.Duration(qs[0] * float64(time.Second)),
-			P95Wait:    time.Duration(qs[1] * float64(time.Second)),
+			Jobs:       len(ws),
+			MedianWait: time.Duration(stats.QuantileSorted(ws, 0.5) * float64(time.Second)),
+			P95Wait:    time.Duration(stats.QuantileSorted(ws, 0.95) * float64(time.Second)),
 		})
 	}
-	trend, err := stats.Spearman(sizes, waitVals)
+	trend, err := stats.SpearmanRanks(nodes.rank(), wait.rank())
 	if err != nil {
 		return nil, fmt.Errorf("core: size-wait trend: %w", err)
 	}
 	res.SpearmanSizeWait = trend
 
-	for _, outcome := range []string{"success", "failure"} {
-		ratios := ratiosByOutcome[outcome]
-		if len(ratios) == 0 {
+	// Runtime / requested walltime per outcome: successes fill ratios from
+	// the front, failures from the back (each is sorted below). The
+	// requested vs used pairs of succeeded jobs stay in job order.
+	n := len(d.Jobs)
+	all := make([]float64, n)
+	okReq, okUsed := make([]float64, 0, n), make([]float64, 0, n)
+	front, back := 0, n
+	for i := range d.Jobs {
+		j := &d.Jobs[i]
+		if j.WalltimeReq <= 0 {
 			continue
 		}
-		qs, err := stats.Quantiles(ratios, []float64{0.5, 0.95})
-		if err != nil {
-			return nil, err
+		ratio := float64(j.Runtime()) / float64(j.WalltimeReq)
+		if j.Outcome() == joblog.OutcomeSuccess {
+			all[front] = ratio
+			front++
+			okReq = append(okReq, j.WalltimeReq.Seconds())
+			okUsed = append(okUsed, j.Runtime().Seconds())
+		} else {
+			back--
+			all[back] = ratio
+		}
+	}
+	ratios := [2][]float64{all[:front], all[back:]}
+	for k, outcome := range []string{"success", "failure"} {
+		rs := ratios[k]
+		if len(rs) == 0 {
+			continue
 		}
 		under := 0
-		for _, r := range ratios {
+		for _, r := range rs {
 			if r < 0.1 {
 				under++
 			}
 		}
+		stats.SortFloat64s(rs)
 		res.Accuracy = append(res.Accuracy, WalltimeAccuracy{
 			Outcome:     outcome,
-			Jobs:        len(ratios),
-			MedianRatio: qs[0],
-			P95Ratio:    qs[1],
-			UnderTenPct: float64(under) / float64(len(ratios)),
+			Jobs:        len(rs),
+			MedianRatio: stats.QuantileSorted(rs, 0.5),
+			P95Ratio:    stats.QuantileSorted(rs, 0.95),
+			UnderTenPct: float64(under) / float64(len(rs)),
 		})
 	}
 	if len(okReq) >= 2 {

@@ -8,7 +8,7 @@ import (
 
 func TestScheduling(t *testing.T) {
 	d, c := dataset(t)
-	res, err := d.Scheduling()
+	res, err := NewJobOrders(d).Scheduling()
 	if err != nil {
 		t.Fatal(err)
 	}

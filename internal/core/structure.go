@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/joblog"
 	"repro/internal/stats"
 )
 
@@ -37,16 +36,18 @@ func (s StructureDim) String() string {
 	}
 }
 
-func (s StructureDim) value(j *joblog.Job) float64 {
-	switch s {
+// col returns the JobOrders column behind dim; every dimension other than
+// nodes, tasks and core-hours is runtime.
+func (o *JobOrders) col(dim StructureDim) *column {
+	switch dim {
 	case DimNodes:
-		return float64(j.Nodes)
+		return o.nodesCol()
 	case DimTasks:
-		return float64(j.NumTasks)
+		return o.tasksCol()
 	case DimCoreHours:
-		return j.CoreHours()
+		return o.coreHoursCol()
 	default:
-		return j.Runtime().Hours()
+		return o.runtimeCol()
 	}
 }
 
@@ -69,12 +70,17 @@ type StructureResult struct {
 
 // FailureByStructure buckets jobs by a structure attribute and reports the
 // per-bucket failure rate. For DimNodes the buckets are the schedulable
-// block sizes; other dimensions use logarithmic buckets.
-func (d *Dataset) FailureByStructure(dim StructureDim) (*StructureResult, error) {
+// block sizes; other dimensions use logarithmic buckets from the smallest
+// positive value to the largest, and values ≤ 0 count in the first bucket.
+// The trend correlates the attribute's shared ranks with the shared ranks
+// of the failure indicator.
+func (o *JobOrders) FailureByStructure(dim StructureDim) (*StructureResult, error) {
+	d := o.d
 	if len(d.Jobs) == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
 	res := &StructureResult{Dim: dim}
+	c := o.col(dim)
 
 	var edges []float64
 	if dim == DimNodes {
@@ -83,19 +89,11 @@ func (d *Dataset) FailureByStructure(dim StructureDim) (*StructureResult, error)
 		}
 		edges = append(edges, float64(49152+1))
 	} else {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range d.Jobs {
-			v := dim.value(&d.Jobs[i])
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
+		lo := math.SmallestNonzeroFloat64
+		if k := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > 0 }); k < len(c.sorted) {
+			lo = c.sorted[k]
 		}
-		if lo <= 0 {
-			lo = math.SmallestNonzeroFloat64
-		}
+		hi := c.sorted[len(c.sorted)-1]
 		if hi <= lo {
 			hi = lo * 10
 		}
@@ -113,30 +111,22 @@ func (d *Dataset) FailureByStructure(dim StructureDim) (*StructureResult, error)
 		res.Buckets[i].Lo = edges[i]
 		res.Buckets[i].Hi = edges[i+1]
 	}
-	values := make([]float64, len(d.Jobs))
-	failed := make([]float64, len(d.Jobs))
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		v := dim.value(j)
-		values[i] = v
-		if j.Outcome() == joblog.OutcomeFailure {
-			failed[i] = 1
+	// One walk of the ascending series. lt, the number of edges below the
+	// value, only grows, and is what a binary search of edges would return.
+	fam := d.JobView().Family
+	lt := 0
+	for k, v := range c.sorted {
+		for lt < len(edges) && edges[lt] < v {
+			lt++
 		}
-		idx := sort.SearchFloat64s(edges, v)
-		// SearchFloat64s returns the first edge ≥ v; bucket index is idx-1
-		// except when v equals an edge exactly.
+		// The bucket index is lt-1, except when v equals an edge exactly.
+		idx := lt
 		if idx < len(edges) && edges[idx] == v {
 			idx++
 		}
-		idx--
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(res.Buckets) {
-			idx = len(res.Buckets) - 1
-		}
+		idx = min(max(idx-1, 0), len(res.Buckets)-1)
 		res.Buckets[idx].Jobs++
-		if failed[i] == 1 {
+		if fam[c.order[k]] != 0 {
 			res.Buckets[idx].Failed++
 		}
 	}
@@ -145,7 +135,7 @@ func (d *Dataset) FailureByStructure(dim StructureDim) (*StructureResult, error)
 			res.Buckets[i].FailRate = float64(res.Buckets[i].Failed) / float64(res.Buckets[i].Jobs)
 		}
 	}
-	trend, err := stats.Spearman(values, failed)
+	trend, err := stats.SpearmanRanks(c.rank(), o.failRank())
 	if err != nil {
 		return nil, fmt.Errorf("core: structure trend: %w", err)
 	}
@@ -164,34 +154,31 @@ type JobStructureSummary struct {
 	SizeHistogram map[int]int
 }
 
-// StructureSummary computes E3's distributions.
-func (d *Dataset) StructureSummary() (*JobStructureSummary, error) {
-	n := len(d.Jobs)
-	nodes := make([]float64, n)
-	tasks := make([]float64, n)
-	runtime := make([]float64, n)
-	ch := make([]float64, n)
+// StructureSummary computes E3's distributions from the shared sorted
+// series; the size histogram counts the runs of the nodes order.
+func (o *JobOrders) StructureSummary() (*JobStructureSummary, error) {
+	nodes := o.nodesCol()
 	hist := map[int]int{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		nodes[i] = float64(j.Nodes)
-		tasks[i] = float64(j.NumTasks)
-		runtime[i] = j.Runtime().Hours()
-		ch[i] = j.CoreHours()
-		hist[j.Nodes]++
+	for i := 0; i < len(nodes.sorted); {
+		j := i + 1
+		for j < len(nodes.sorted) && nodes.sorted[j] == nodes.sorted[i] {
+			j++
+		}
+		hist[int(nodes.sorted[i])] = j - i
+		i = j
 	}
 	out := &JobStructureSummary{SizeHistogram: hist}
 	var err error
-	if out.Nodes, err = stats.Summarize(nodes); err != nil {
+	if out.Nodes, err = stats.SummarizeSorted(nodes.sorted); err != nil {
 		return nil, err
 	}
-	if out.Tasks, err = stats.Summarize(tasks); err != nil {
+	if out.Tasks, err = stats.SummarizeSorted(o.tasksCol().sorted); err != nil {
 		return nil, err
 	}
-	if out.RuntimeH, err = stats.Summarize(runtime); err != nil {
+	if out.RuntimeH, err = stats.SummarizeSorted(o.runtimeCol().sorted); err != nil {
 		return nil, err
 	}
-	if out.CoreHours, err = stats.Summarize(ch); err != nil {
+	if out.CoreHours, err = stats.SummarizeSorted(o.coreHoursCol().sorted); err != nil {
 		return nil, err
 	}
 	return out, nil

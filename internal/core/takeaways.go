@@ -50,11 +50,12 @@ func (d *Dataset) Takeaways(workers int) ([]Takeaway, error) {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
 	profile, temporal := p.RAS, p.Temporal
-	scale, err := d.FailureByStructure(DimNodes)
+	orders := NewJobOrders(d)
+	scale, err := orders.FailureByStructure(DimNodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	tasks, err := d.FailureByStructure(DimTasks)
+	tasks, err := orders.FailureByStructure(DimTasks)
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
@@ -63,7 +64,7 @@ func (d *Dataset) Takeaways(workers int) ([]Takeaway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: takeaways: %w", err)
 	}
-	succ, fail := d.ExecutionLengthCDFs()
+	succ, fail := orders.ExecutionLengthCDFs()
 
 	pct := func(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 	var ts []Takeaway

@@ -41,7 +41,7 @@ func E16(env *Env) (*Result, error) {
 // E17 regenerates the queue-behaviour analysis: waiting time by job size
 // and walltime-request accuracy by outcome.
 func E17(env *Env) (*Result, error) {
-	res, err := env.D.Scheduling()
+	res, err := env.Orders().Scheduling()
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,7 @@ func E19(env *Env) (*Result, error) {
 // E20 regenerates the resubmission-behaviour analysis: outcome repetition
 // across a user's consecutive jobs and resubmission latency after failures.
 func E20(env *Env) (*Result, error) {
-	r, err := env.D.Resubmission()
+	r, err := env.Orders().Resubmission()
 	if err != nil {
 		return nil, err
 	}

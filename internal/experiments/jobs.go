@@ -99,7 +99,7 @@ func E2(env *Env) (*Result, error) {
 // E3 regenerates the job-structure distribution figure: jobs per block
 // size, tasks per job, runtime distribution.
 func E3(env *Env) (*Result, error) {
-	s, err := env.D.StructureSummary()
+	s, err := env.Orders().StructureSummary()
 	if err != nil {
 		return nil, err
 	}

@@ -20,15 +20,13 @@ func NewECDFSorted(sorted []float64) (*ECDF, error) {
 		return nil, ErrEmpty
 	}
 	if !sort.Float64sAreSorted(sorted) {
-		cp := append([]float64(nil), sorted...)
-		sort.Float64s(cp)
-		sorted = cp
+		sorted = sortedCopy(sorted)
 	}
 	return &ECDF{sorted: sorted}, nil
 }
 
 // Quantile returns the empirical p-quantile (inverse CDF).
-func (e *ECDF) Quantile(p float64) float64 { return quantileSorted(e.sorted, p) }
+func (e *ECDF) Quantile(p float64) float64 { return QuantileSorted(e.sorted, p) }
 
 // Series samples the ECDF at k evenly spaced probabilities and returns the
 // (value, probability) pairs — the form used for the paper's CDF figures.
@@ -46,22 +44,9 @@ func (e *ECDF) Series(k int) (xs, ps []float64) {
 	return xs, ps
 }
 
-// KSTwoSample returns the two-sample Kolmogorov–Smirnov statistic between
-// samples a and b: sup_x |F_a(x) − F_b(x)|. The inputs need not be sorted;
-// KSTwoSampleSorted is the allocation-free path for pre-sorted series.
-func KSTwoSample(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	return KSTwoSampleSorted(sa, sb)
-}
-
-// KSTwoSampleSorted is KSTwoSample over ascending-sorted samples, with no
-// copies and no re-sorts. The inputs are not mutated.
+// KSTwoSampleSorted returns the two-sample Kolmogorov–Smirnov statistic
+// sup_x |F_a(x) − F_b(x)| between ascending-sorted samples sa and sb, with
+// no copies and no re-sorts. The inputs are not mutated.
 func KSTwoSampleSorted(sa, sb []float64) (float64, error) {
 	if len(sa) == 0 || len(sb) == 0 {
 		return 0, ErrEmpty

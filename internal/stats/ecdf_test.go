@@ -104,16 +104,21 @@ func TestECDFSeries(t *testing.T) {
 	}
 }
 
+// ksTwoSample is the two-sample KS statistic over unsorted inputs.
+func ksTwoSample(a, b []float64) (float64, error) {
+	return KSTwoSampleSorted(sortedCopy(a), sortedCopy(b))
+}
+
 func TestKSTwoSample(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	if d, err := KSTwoSample(a, a); err != nil || d != 0 {
+	if d, err := ksTwoSample(a, a); err != nil || d != 0 {
 		t.Errorf("KS(a,a) = %v, %v", d, err)
 	}
 	b := []float64{101, 102, 103}
-	if d, _ := KSTwoSample(a, b); d != 1 {
+	if d, _ := ksTwoSample(a, b); d != 1 {
 		t.Errorf("KS disjoint = %v, want 1", d)
 	}
-	if _, err := KSTwoSample(nil, a); !errors.Is(err, ErrEmpty) {
+	if _, err := ksTwoSample(nil, a); !errors.Is(err, ErrEmpty) {
 		t.Error("empty KS should fail")
 	}
 	// Same law → small statistic.
@@ -124,7 +129,7 @@ func TestKSTwoSample(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = rng.NormFloat64()
 	}
-	d, _ := KSTwoSample(x, y)
+	d, _ := ksTwoSample(x, y)
 	if d > 0.05 {
 		t.Errorf("KS same law = %v, want small", d)
 	}

@@ -13,8 +13,7 @@ func Gini(data []float64) (float64, error) {
 	if len(data) == 0 {
 		return 0, ErrEmpty
 	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
+	sorted := sortedCopy(data)
 	n := float64(len(sorted))
 	var cum, total float64
 	for i, x := range sorted {
@@ -39,8 +38,7 @@ func Lorenz(data []float64, k int) (ps, shares []float64, err error) {
 	if k < 1 {
 		k = 10
 	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
+	sorted := sortedCopy(data)
 	total := 0.0
 	for _, x := range sorted {
 		total += x

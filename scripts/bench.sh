@@ -21,6 +21,9 @@
 # whole-table kernel pass Benchmark_WholeTableScan/{jobs,events} in
 # internal/core (the fused kernel set through scan.Run at one worker,
 # bypassing the per-Dataset memo that FusedScan hits), the
+# OrderStats_{PerAnalysis,Shared} order-statistics comparison in
+# internal/core (E3/E5/E8/E13/E17/E20 on a paper-sized job log: the walks
+# they replaced against one cold core.JobOrders, speedup metric), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric), the FitLegacy/FitSample model-selection comparison and the
 # CensoredWeibull_{PerJob,Distinct} E23 survival-fit comparison in
