@@ -11,7 +11,8 @@ import (
 // environments generated at different worker counts, with the full suite
 // fanned out at different worker counts, must produce metric-for-metric
 // identical results. NaN compares equal to NaN here — "undefined" is a
-// deterministic outcome too.
+// deterministic outcome too. The pass's shared job orders must not outlive
+// it.
 func TestRunAllMatchesSerial(t *testing.T) {
 	cfg := sim.SmallConfig()
 	serialEnv, err := NewEnv(cfg, 1)
@@ -29,6 +30,9 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	parallel, err := RunAll(parallelEnv, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serialEnv.cache.orders != nil || parallelEnv.cache.orders != nil {
+		t.Error("RunAll kept its job orders after the pass")
 	}
 	if len(serial) != len(parallel) || len(serial) != len(All()) {
 		t.Fatalf("result counts: serial %d, parallel %d, suite %d", len(serial), len(parallel), len(All()))

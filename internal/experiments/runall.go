@@ -13,8 +13,11 @@ import (
 // which worker finished first, and each Result is identical to a serial
 // run: the experiments only read the shared dataset, and the analyses
 // memoized on Env are sync.Once-guarded so concurrent experiments compute
-// them exactly once.
+// them exactly once. The experiments share one job-order layer (Env.Orders)
+// for the pass, which is dropped when the pass ends.
 func RunAll(env *Env, workers int) ([]*Result, error) {
+	release := env.shareOrders()
+	defer release()
 	exps := All()
 	results, err := par.Map(context.Background(), exps, workers, func(i int, exp Experiment) (*Result, error) {
 		res, err := exp.Run(env)
