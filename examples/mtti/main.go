@@ -64,7 +64,7 @@ func run() error {
 	for _, w := range windows {
 		fmt.Printf("%-22s", w)
 		for _, r := range rules {
-			sweep, err := core.FilterSweep(d.Events, r.rule, []time.Duration{w}, 0)
+			sweep, err := d.FilterSweep(r.rule, []time.Duration{w}, 0)
 			if err != nil {
 				return err
 			}
@@ -74,7 +74,7 @@ func run() error {
 	}
 
 	// Where does the curve flatten? That window is the filtering choice.
-	sweep, err := core.FilterSweep(d.Events, core.DefaultFilterRule(), windows, 0)
+	sweep, err := d.FilterSweep(core.DefaultFilterRule(), windows, 0)
 	if err != nil {
 		return err
 	}

@@ -39,14 +39,26 @@ func run() error {
 		Title:   "precursor watch: WARN bursts before FATAL incidents (180 days)",
 		Columns: []string{"lookback", "coverage", "median lead", "alarms", "precision"},
 	}
-	for _, lookback := range []time.Duration{time.Hour, 3 * time.Hour, 6 * time.Hour, 12 * time.Hour} {
-		opt := core.DefaultLeadTimeOptions()
-		opt.Lookback = lookback
-		res, err := d.LeadTime(core.DefaultFilterRule(), opt)
-		if err != nil {
-			return err
-		}
-		t.AddRow(lookback.String(),
+	fatals, err := d.FilterFatal(core.DefaultFilterRule())
+	if err != nil {
+		return err
+	}
+	warns, err := d.FilterWarn(core.DefaultFilterRule())
+	if err != nil {
+		return err
+	}
+	lookbacks := []time.Duration{time.Hour, 3 * time.Hour, 6 * time.Hour, 12 * time.Hour}
+	opts := make([]core.LeadTimeOptions, len(lookbacks))
+	for i, lookback := range lookbacks {
+		opts[i] = core.DefaultLeadTimeOptions()
+		opts[i].Lookback = lookback
+	}
+	results, err := core.LeadTimeSweep(fatals, warns, opts)
+	if err != nil {
+		return err
+	}
+	for i, res := range results {
+		t.AddRow(lookbacks[i].String(),
 			fmt.Sprintf("%.0f%%", 100*res.Coverage),
 			fmt.Sprintf("%.1fh", res.MedianLeadH),
 			res.WarnBursts,

@@ -76,14 +76,12 @@ type Dataset struct {
 	eventViewOnce sync.Once
 	eventView     *scan.EventView
 
-	// Interned similarity keys of the FATAL/WARN views for the default
-	// filter rule's key configuration, built lazily by the *Cached filter
-	// entry points. Keys are window-independent, so one interning serves
-	// every window an analysis sweeps.
-	fatalKeyOnce sync.Once
-	fatalKeys    internedKeys
-	warnKeyOnce  sync.Once
-	warnKeys     internedKeys
+	// Interned similarity keys of the FATAL/WARN views, one entry per key
+	// configuration (severity, Spatial, SameMessage), built lazily by the
+	// filter entry points (filtering.go). Keys are window-independent, so
+	// one interning serves every window an analysis sweeps.
+	keyMu   sync.Mutex
+	keyMemo map[keyConfig]*keyMemo
 
 	// Selection machinery: per-dimension bitmap indexes over the column
 	// views plus the compiled-predicate cache, built lazily on the first

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -52,7 +53,8 @@ type Incident struct {
 	JobIDs      []int64 // distinct nonzero job ids attributed to the burst
 }
 
-// key is the similarity identity of an open incident.
+// filterKey is the similarity identity of an event: events with equal keys
+// coalesce when they are close enough in time.
 type filterKey struct {
 	msg string
 	cat raslog.Category
@@ -84,16 +86,6 @@ func keyOf(e *raslog.Event, rule FilterRule) filterKey {
 	return k
 }
 
-// keyedEvents is the window-independent part of a filter pass: the
-// severity-selected event indices (time order) and their similarity keys.
-// Computing it once and coalescing per window turns a sweep's key work from
-// O(windows × events) into O(events).
-type keyedEvents struct {
-	events []raslog.Event
-	idx    []int       // indices into events, severity-filtered, time order
-	keys   []filterKey // keys[i] belongs to events[idx[i]]
-}
-
 // severityIndex lists the indices of the events with the given severity.
 func severityIndex(events []raslog.Event, sev raslog.Severity) []int {
 	var idx []int
@@ -103,95 +95,6 @@ func severityIndex(events []raslog.Event, sev raslog.Severity) []int {
 		}
 	}
 	return idx
-}
-
-// precomputeKeys computes the similarity key of every indexed event.
-func precomputeKeys(events []raslog.Event, idx []int, rule FilterRule) keyedEvents {
-	keys := make([]filterKey, len(idx))
-	for n, i := range idx {
-		keys[n] = keyOf(&events[i], rule)
-	}
-	return keyedEvents{events: events, idx: idx, keys: keys}
-}
-
-// coalesce folds the keyed events into incidents for one window. The loop
-// body is the original FilterBySeverity coalescing logic, unchanged, so the
-// output is bit-identical to the pre-index implementation.
-func coalesce(ke keyedEvents, window time.Duration) []Incident {
-	open := map[filterKey]int{} // key → index into incidents
-	// jobSeen deduplicates job attributions in O(1) per event: one map for
-	// the whole pass, keyed by (incident index, job id), replacing the old
-	// per-event linear scan of Incident.JobIDs (O(n·m) on bursts that touch
-	// many jobs).
-	type incidentJob struct {
-		incident int
-		job      int64
-	}
-	jobSeen := map[incidentJob]struct{}{}
-	var incidents []Incident
-	for n, i := range ke.idx {
-		e := &ke.events[i]
-		k := ke.keys[n]
-		if idx, ok := open[k]; ok && e.Time.Sub(incidents[idx].Last) <= window {
-			in := &incidents[idx]
-			in.Last = e.Time
-			in.Events++
-			if e.JobID != 0 {
-				if _, dup := jobSeen[incidentJob{idx, e.JobID}]; !dup {
-					jobSeen[incidentJob{idx, e.JobID}] = struct{}{}
-					in.JobIDs = append(in.JobIDs, e.JobID)
-				}
-			}
-			continue
-		}
-		incidents = append(incidents, Incident{
-			First: e.Time, Last: e.Time, Events: 1,
-			Loc: e.Loc, MsgID: e.MsgID, Cat: e.Cat,
-		})
-		if e.JobID != 0 {
-			incidents[len(incidents)-1].JobIDs = []int64{e.JobID}
-			jobSeen[incidentJob{len(incidents) - 1, e.JobID}] = struct{}{}
-		}
-		open[k] = len(incidents) - 1
-	}
-	return incidents
-}
-
-// FilterFatal coalesces the FATAL events of the stream into incidents under
-// the rule. Events must be sorted by time (Dataset guarantees this).
-func FilterFatal(events []raslog.Event, rule FilterRule) ([]Incident, error) {
-	return FilterBySeverity(events, raslog.Fatal, rule)
-}
-
-// FilterBySeverity coalesces the events of one severity into incidents
-// under the rule — FATAL bursts become interruption incidents, WARN bursts
-// become the precursor signals the lead-time analysis mines. Events must be
-// sorted by time.
-func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	return coalesce(precomputeKeys(events, severityIndex(events, sev), rule), rule.Window), nil
-}
-
-// filterIndexed coalesces an already severity-partitioned index list (e.g.
-// a Dataset's FATAL view) so Dataset-level analyses skip the severity scan.
-func filterIndexed(events []raslog.Event, idx []int, rule FilterRule) ([]Incident, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	return coalesce(precomputeKeys(events, idx, rule), rule.Window), nil
-}
-
-// FilterFatal coalesces the dataset's FATAL view into incidents, reusing the
-// severity partition built at NewDataset time.
-func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
-	return filterIndexed(d.Events, d.fatalIdx, rule)
-}
-
-// FilterWarn coalesces the dataset's WARN view into incidents.
-func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
-	return filterIndexed(d.Events, d.warnIdx, rule)
 }
 
 // internedKeys is a severity index's similarity keys interned to dense ids
@@ -220,27 +123,25 @@ func internKeys(events []raslog.Event, idx []int, rule FilterRule) internedKeys 
 	return internedKeys{ids: ids, nKeys: len(seen)}
 }
 
-// defaultKeyConfig reports whether the rule's key-relevant settings match
-// DefaultFilterRule — the configuration the dataset caches interned keys
-// for.
-func defaultKeyConfig(rule FilterRule) bool {
-	def := DefaultFilterRule()
-	return rule.Spatial == def.Spatial && rule.SameMessage == def.SameMessage
-}
-
-// coalesceInterned is coalesce with pre-interned keys: the open-incident
-// table becomes a flat array indexed by key id, and job attributions
-// deduplicate by scanning the incident's (short) JobIDs list. Decisions,
-// append order and output are identical to coalesce — only the bookkeeping
-// representation changes.
+// coalesce folds the indexed events into incidents for one window. An
+// event extends the open incident of its key when it is at most window
+// after that incident's last event, and opens a new incident otherwise.
+// The open-incident table is a flat array indexed by key id, and job
+// attributions deduplicate by scanning the incident's (short) JobIDs list.
+// Incidents come out in the order of their first events, so a time-ordered
+// index yields incidents in non-decreasing First order.
 //
 //mira:hotpath
-func coalesceInterned(events []raslog.Event, idx []int, ik internedKeys, window time.Duration) []Incident {
+func coalesce(events []raslog.Event, idx []int, ik internedKeys, window time.Duration) []Incident {
+	if len(idx) == 0 {
+		return nil // no events, no incidents: nil, as a fold that never appends
+	}
 	// Counting pre-pass: replay just the open/extend decision (key id plus
 	// window check against the last event of the key) to size the incident
-	// slice exactly, so the fill pass never grows or copies it. The zero
-	// time.Time makes the first event of every key read as "gap larger than
-	// any window", i.e. a new incident, matching the map version's miss.
+	// slice, so the fill pass does not grow or copy it. The zero time.Time
+	// makes the first event of every key read as "gap larger than any
+	// window", i.e. a new incident; only events within a window of the zero
+	// time can undercount, which costs an append growth, never a result.
 	lastOf := make([]time.Time, ik.nKeys)
 	count := 0
 	for n, i := range idx {
@@ -287,36 +188,72 @@ func coalesceInterned(events []raslog.Event, idx []int, ik internedKeys, window 
 	return incidents
 }
 
-// FilterFatalCached is FilterFatal through the dataset's interned-key cache:
-// the first call interns the FATAL view's similarity keys (for the default
-// rule's key configuration), later calls — and calls with other windows —
-// only pay the array-indexed coalesce. Output is identical to FilterFatal.
-// Rules with a non-default key configuration fall back to the plain pass.
-func (d *Dataset) FilterFatalCached(rule FilterRule) ([]Incident, error) {
+// FilterBySeverity coalesces the events of one severity into incidents
+// under the rule — FATAL bursts become interruption incidents, WARN bursts
+// become the precursor signals the lead-time analysis mines. Events must be
+// sorted by time. It is the raw-stream entry point; analyses over a Dataset
+// use FilterFatal/FilterWarn, which reuse its severity views and keys.
+func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	if !defaultKeyConfig(rule) {
-		return d.FilterFatal(rule)
-	}
-	d.fatalKeyOnce.Do(func() {
-		d.fatalKeys = internKeys(d.Events, d.fatalIdx, rule)
-	})
-	return coalesceInterned(d.Events, d.fatalIdx, d.fatalKeys, rule.Window), nil
+	idx := severityIndex(events, sev)
+	return coalesce(events, idx, internKeys(events, idx, rule), rule.Window), nil
 }
 
-// FilterWarnCached is the WARN-severity counterpart of FilterFatalCached.
-func (d *Dataset) FilterWarnCached(rule FilterRule) ([]Incident, error) {
+// keyConfig identifies one memoized key interning: the severity view and
+// the rule settings a similarity key depends on (not the window).
+type keyConfig struct {
+	sev         raslog.Severity
+	spatial     machine.Level
+	sameMessage bool
+}
+
+// keyMemo is one key configuration's interned keys, built once.
+type keyMemo struct {
+	once sync.Once
+	ik   internedKeys
+}
+
+// filterKeys returns the interned similarity keys of the dataset's sev view
+// (idx) under the rule's key configuration, interning them on first use.
+// Every window and every later call with the same configuration reuses
+// them.
+func (d *Dataset) filterKeys(sev raslog.Severity, idx []int, rule FilterRule) internedKeys {
+	kc := keyConfig{sev: sev, spatial: rule.Spatial, sameMessage: rule.SameMessage}
+	d.keyMu.Lock()
+	m := d.keyMemo[kc]
+	if m == nil {
+		if d.keyMemo == nil {
+			d.keyMemo = make(map[keyConfig]*keyMemo)
+		}
+		m = &keyMemo{}
+		d.keyMemo[kc] = m
+	}
+	d.keyMu.Unlock()
+	m.once.Do(func() { m.ik = internKeys(d.Events, idx, rule) })
+	return m.ik
+}
+
+// filterView coalesces one of the dataset's severity views under the rule.
+func (d *Dataset) filterView(sev raslog.Severity, idx []int, rule FilterRule) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	if !defaultKeyConfig(rule) {
-		return d.FilterWarn(rule)
-	}
-	d.warnKeyOnce.Do(func() {
-		d.warnKeys = internKeys(d.Events, d.warnIdx, rule)
-	})
-	return coalesceInterned(d.Events, d.warnIdx, d.warnKeys, rule.Window), nil
+	return coalesce(d.Events, idx, d.filterKeys(sev, idx, rule), rule.Window), nil
+}
+
+// FilterFatal coalesces the dataset's FATAL view into incidents. It skips
+// the severity scan via the view built at NewDataset time and the key
+// interning via the dataset's key memo, so repeated calls — and calls with
+// other windows — pay only the array-indexed coalesce.
+func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
+	return d.filterView(raslog.Fatal, d.fatalIdx, rule)
+}
+
+// FilterWarn coalesces the dataset's WARN view into incidents.
+func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
+	return d.filterView(raslog.Warn, d.warnIdx, rule)
 }
 
 // SweepPoint is one point of the filtering sensitivity sweep.
@@ -330,25 +267,24 @@ type SweepPoint struct {
 // of the rule fixed) and reports the incident counts — the knee of this
 // curve is how the paper picks its filtering window. The window grid is
 // evaluated on at most workers goroutines (≤ 0 means GOMAXPROCS). Each
-// window's filter pass is independent and writes its SweepPoint to the slot
+// window's coalesce is independent and writes its SweepPoint to the slot
 // of its window index, so the sweep is identical for any worker count.
 //
-// Similarity keys depend on the rule's Spatial/SameMessage settings but not
-// on the window, so the sweep interns them once and each window only pays
-// for the array-indexed coalesce: O(events) key work total instead of
-// O(windows × events), and no per-window hash table.
-func FilterSweep(events []raslog.Event, base FilterRule, windows []time.Duration, workers int) ([]SweepPoint, error) {
-	idx := severityIndex(events, raslog.Fatal)
-	raw := len(idx)
-	ik := internKeys(events, idx, base)
+// Similarity keys do not depend on the window, so every window shares the
+// FATAL view's memoized keys and pays only the array-indexed coalesce.
+func (d *Dataset) FilterSweep(base FilterRule, windows []time.Duration, workers int) ([]SweepPoint, error) {
+	for _, w := range windows {
+		rule := base
+		rule.Window = w
+		if err := rule.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	raw := len(d.fatalIdx)
+	ik := d.filterKeys(raslog.Fatal, d.fatalIdx, base)
 	out := make([]SweepPoint, len(windows))
 	err := par.ForEach(context.Background(), len(windows), workers, func(i int) error {
-		rule := base
-		rule.Window = windows[i]
-		if err := rule.Validate(); err != nil {
-			return err
-		}
-		incidents := coalesceInterned(events, idx, ik, rule.Window)
+		incidents := coalesce(d.Events, d.fatalIdx, ik, windows[i])
 		p := SweepPoint{Window: windows[i], Incidents: len(incidents)}
 		if raw > 0 {
 			p.Reduction = 1 - float64(len(incidents))/float64(raw)

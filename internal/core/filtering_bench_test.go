@@ -9,9 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The filter-sweep paired benchmark compares the key-precomputed sweep
-// against the pre-index reference (severity re-scan + key recomputation per
-// window) on the same corpus and reports the ratio as "speedup".
+// The filter-sweep paired benchmark compares the Dataset sweep (FATAL view,
+// memoized interned keys, one coalesce per window) against the pre-index
+// reference (severity re-scan + key recomputation per window) on the same
+// corpus and reports the ratio as "speedup".
 
 var (
 	fbOnce sync.Once
@@ -89,7 +90,7 @@ func BenchmarkFilterSweepVsReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		got, err = FilterSweep(d.Events, base, windows, 1)
+		got, err = d.FilterSweep(base, windows, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,8 +107,10 @@ func BenchmarkFilterSweepVsReference(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterFatalIndexed measures the Dataset-level filter, which skips
-// the severity scan entirely via the FATAL view.
+// BenchmarkFilterFatalIndexed measures the Dataset-level filter, the one
+// path the analyses use: the FATAL view skips the severity scan and, after
+// the first iteration, the key memo skips the interning, so each call pays
+// only the array-indexed coalesce.
 func BenchmarkFilterFatalIndexed(b *testing.B) {
 	d := benchDataset(b)
 	rule := DefaultFilterRule()

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/joblog"
+	"repro/internal/machine"
+	"repro/internal/raslog"
+)
+
+// fuzzMsgs are the message catalog of decoded events: distinct message ids
+// that share categories, so message-id and category similarity disagree.
+var fuzzMsgs = []struct {
+	id  string
+	cat raslog.Category
+}{
+	{"00040003", raslog.CatMemory},
+	{"00040004", raslog.CatMemory},
+	{"00080004", raslog.CatNetwork},
+	{"00061001", raslog.CatNetwork},
+}
+
+// fuzzEvents decodes bytes into a time-sorted RAS stream. The first byte
+// picks the stream's start: the zero time.Time (the coalesce capacity
+// pre-pass's sentinel), a few seconds after it, or a realistic date. Each
+// event then takes five bytes:
+//
+//	time step (0 ties the previous event; the top two bits pick the unit),
+//	severity, location level and rack, midplane/board/node, and message
+//	plus job id (0 for none, else one of three ids, so bursts repeat them).
+//
+// Locations use few racks and components so keys collide at every level.
+func fuzzEvents(t *testing.T, data []byte) []raslog.Event {
+	t.Helper()
+	if len(data) == 0 {
+		return nil
+	}
+	var at time.Time
+	switch data[0] % 3 {
+	case 1:
+		at = at.Add(time.Duration(data[0]) * time.Second)
+	case 2:
+		at = filterT0
+	}
+	data = data[1:]
+	units := []time.Duration{time.Second, time.Minute, 10 * time.Minute, time.Hour}
+	const maxEvents = 256
+	var events []raslog.Event
+	for len(data) >= 5 && len(events) < maxEvents {
+		b := data[:5]
+		data = data[5:]
+		at = at.Add(time.Duration(b[0]&0x3f) * units[b[0]>>6])
+		rack, mid, board, node := int(b[2]>>3)%4, int(b[3])%2, int(b[3]>>1)%3, int(b[3]>>3)%3
+		var loc machine.Location
+		var err error
+		switch b[2] % 5 {
+		case 0:
+			loc = machine.System()
+		case 1:
+			loc, err = machine.Rack(rack)
+		case 2:
+			loc, err = machine.Midplane(rack, mid)
+		case 3:
+			loc, err = machine.NodeBoard(rack, mid, board)
+		default:
+			loc, err = machine.Node(rack, mid, board, node)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := fuzzMsgs[int(b[4])%len(fuzzMsgs)]
+		events = append(events, raslog.Event{
+			RecID: int64(len(events) + 1), MsgID: msg.id, Cat: msg.cat,
+			Sev:  []raslog.Severity{raslog.Fatal, raslog.Warn, raslog.Info}[int(b[1])%3],
+			Time: at, Loc: loc, JobID: int64(b[4]>>2) % 4, Count: 1,
+		})
+	}
+	return events
+}
+
+// FuzzFilter is the differential fuzzer of the incident filter: on any
+// decoded stream and under every equivRules configuration, the raw-stream
+// entry point, the memoized Dataset entry points (each called twice, so the
+// second call reads the key memo) and the Dataset sweep must reproduce the
+// reference fold exactly.
+func FuzzFilter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 4, 0, 5, 0, 0, 4, 0, 5, 1, 0, 4, 0, 4})
+	f.Add([]byte{2, 1, 0, 4, 9, 4, 0, 1, 12, 1, 8, 64, 0, 20, 2, 1, 0, 1, 4, 9, 6})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 0, 3, 3, 3, 0, 0, 3, 3, 3, 63, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := fuzzEvents(t, data)
+		var start time.Time
+		if len(events) > 0 {
+			start = events[0].Time
+		}
+		jobs := []joblog.Job{{
+			ID: 1, User: "u", Project: "p", Queue: "q",
+			Submit: start, Start: start, End: start.Add(time.Hour),
+			WalltimeReq: 2 * time.Hour, Nodes: 512, RanksPerNode: 16, NumTasks: 1,
+		}}
+		d, err := NewDataset(jobs, nil, events, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rule := range equivRules() {
+			for _, sev := range []struct {
+				sev    raslog.Severity
+				filter func(FilterRule) ([]Incident, error)
+			}{
+				{raslog.Fatal, d.FilterFatal},
+				{raslog.Warn, d.FilterWarn},
+			} {
+				want, err := referenceFilterBySeverity(events, sev.sev, rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := FilterBySeverity(events, sev.sev, rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("FilterBySeverity %v rule %+v:\n got %+v\nwant %+v", sev.sev, rule, got, want)
+				}
+				if want, err = referenceFilterBySeverity(d.Events, sev.sev, rule); err != nil {
+					t.Fatal(err)
+				}
+				for call := 0; call < 2; call++ {
+					got, err := sev.filter(rule)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("Dataset filter %v rule %+v call %d:\n got %+v\nwant %+v", sev.sev, rule, call, got, want)
+					}
+				}
+			}
+			fatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []SweepPoint{{Window: rule.Window, Incidents: len(fatals)}}
+			if raw := len(d.FatalEvents()); raw > 0 {
+				want[0].Reduction = 1 - float64(len(fatals))/float64(raw)
+			}
+			got, err := d.FilterSweep(rule, []time.Duration{rule.Window}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("FilterSweep rule %+v: %+v, reference %+v", rule, got, want)
+			}
+		}
+	})
+}

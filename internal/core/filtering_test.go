@@ -31,7 +31,7 @@ var filterT0 = time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
 
 func TestFilterCoalescesBurst(t *testing.T) {
 	events := burst(t, filterT0, 50, 10*time.Second, 3, "00040003", 7)
-	incidents, err := FilterFatal(events, DefaultFilterRule())
+	incidents, err := FilterBySeverity(events, raslog.Fatal, DefaultFilterRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFilterSeparatesDistantBursts(t *testing.T) {
 	a := burst(t, filterT0, 10, time.Second, 3, "00040003", 0)
 	b := burst(t, filterT0.Add(6*time.Hour), 10, time.Second, 3, "00040003", 0)
 	events := append(a, b...)
-	incidents, err := FilterFatal(events, DefaultFilterRule())
+	incidents, err := FilterBySeverity(events, raslog.Fatal, DefaultFilterRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFilterSeparatesByLocation(t *testing.T) {
 	a := burst(t, filterT0, 10, time.Second, 3, "00040003", 0)
 	b := burst(t, filterT0, 10, time.Second, 40, "00040003", 0)
 	events := mergeByTime(a, b)
-	incidents, err := FilterFatal(events, DefaultFilterRule())
+	incidents, err := FilterBySeverity(events, raslog.Fatal, DefaultFilterRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFilterSeparatesByLocation(t *testing.T) {
 	// With the spatial condition disabled they merge.
 	rule := DefaultFilterRule()
 	rule.Spatial = machine.LevelSystem
-	incidents, err = FilterFatal(events, rule)
+	incidents, err = FilterBySeverity(events, raslog.Fatal, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFilterSeparatesByMessage(t *testing.T) {
 	// hard-codes CatMemory, so same category: message similarity decides.
 	events := mergeByTime(a, b)
 	rule := DefaultFilterRule() // SameMessage: true
-	incidents, err := FilterFatal(events, rule)
+	incidents, err := FilterBySeverity(events, raslog.Fatal, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFilterSeparatesByMessage(t *testing.T) {
 		t.Fatalf("distinct messages gave %d incidents, want 2", len(incidents))
 	}
 	rule.SameMessage = false // category similarity only → one incident
-	incidents, err = FilterFatal(events, rule)
+	incidents, err = FilterBySeverity(events, raslog.Fatal, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFilterIgnoresNonFatal(t *testing.T) {
 	events := burst(t, filterT0, 5, time.Second, 3, "00040003", 0)
 	events[2].Sev = raslog.Warn
 	events[3].Sev = raslog.Info
-	incidents, err := FilterFatal(events, DefaultFilterRule())
+	incidents, err := FilterBySeverity(events, raslog.Fatal, DefaultFilterRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFilterWindowMonotonicity(t *testing.T) {
 	windows := []time.Duration{
 		time.Minute, 5 * time.Minute, 20 * time.Minute, time.Hour, 6 * time.Hour,
 	}
-	sweep, err := FilterSweep(d.Events, DefaultFilterRule(), windows, 0)
+	sweep, err := d.FilterSweep(DefaultFilterRule(), windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestFilterRuleValidate(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("rule %+v accepted", r)
 		}
-		if _, err := FilterFatal(nil, r); err == nil {
-			t.Errorf("FilterFatal accepted rule %+v", r)
+		if _, err := FilterBySeverity(nil, raslog.Fatal, r); err == nil {
+			t.Errorf("FilterBySeverity accepted rule %+v", r)
 		}
 	}
 }

@@ -131,61 +131,47 @@ func TestFusedScanPreEpoch(t *testing.T) {
 	}
 }
 
-// TestFilterCachedMatchesPlain pins the interned-key coalesce to the plain
-// map-based pass: identical incidents for the default rule at several
-// windows, for both severities, plus the non-default-key fallback.
+// TestFilterCachedMatchesPlain pins the memoized Dataset filter to the
+// reference fold: identical incidents for every equivRules configuration
+// and both severities. Each rule is filtered twice, so the second call
+// reads the key memo the first one built.
 func TestFilterCachedMatchesPlain(t *testing.T) {
-	// A private dataset, so the lazily interned key cache this test builds
-	// does not show up in the shared dataset other tests DeepEqual against
-	// fresh rebuilds.
+	// A private dataset, so this test starts from a cold key memo.
 	_, c := dataset(t)
 	d, err := NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, window := range []time.Duration{time.Minute, 20 * time.Minute, 2 * time.Hour} {
-		rule := DefaultFilterRule()
-		rule.Window = window
+	for _, rule := range equivRules() {
 		for _, sev := range []struct {
-			name   string
-			plain  func(FilterRule) ([]Incident, error)
-			cached func(FilterRule) ([]Incident, error)
+			sev    raslog.Severity
+			filter func(FilterRule) ([]Incident, error)
 		}{
-			{"fatal", d.FilterFatal, d.FilterFatalCached},
-			{"warn", d.FilterWarn, d.FilterWarnCached},
+			{raslog.Fatal, d.FilterFatal},
+			{raslog.Warn, d.FilterWarn},
 		} {
-			want, err := sev.plain(rule)
+			want, err := referenceFilterBySeverity(d.Events, sev.sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sev.cached(rule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s window %v: cached filter differs from plain", sev.name, window)
+			for call := 0; call < 2; call++ {
+				got, err := sev.filter(rule)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v rule %+v call %d: memoized filter differs from the reference", sev.sev, rule, call)
+				}
 			}
 		}
 	}
-	odd := FilterRule{Window: 20 * time.Minute, Spatial: machine.LevelRack}
-	want, err := d.FilterFatal(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.FilterFatalCached(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("non-default key config fallback differs from plain")
-	}
-	if _, err := d.FilterFatalCached(FilterRule{Window: -1}); err == nil {
+	if _, err := d.FilterFatal(FilterRule{Window: -1}); err == nil {
 		t.Error("invalid rule accepted")
 	}
 }
 
 // TestLeadTimeSweepMatchesLeadTime pins the E16 sweep: evaluating several
-// lookbacks over one filtering pass matches the one-option path exactly.
+// lookbacks at once matches a one-option sweep per lookback exactly.
 func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 	d, _ := dataset(t)
 	rule := DefaultFilterRule()
@@ -208,12 +194,12 @@ func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, opt := range opts {
-		want, err := d.LeadTime(rule, opt)
+		want, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(swept[i], want) {
-			t.Errorf("lookback %v: sweep %+v, single %+v", lookbacks[i], swept[i], want)
+		if !reflect.DeepEqual(swept[i], want[0]) {
+			t.Errorf("lookback %v: sweep %+v, single %+v", lookbacks[i], swept[i], want[0])
 		}
 	}
 	if _, err := LeadTimeSweep(fatals, warns, nil); err == nil {

@@ -11,8 +11,10 @@ import (
 
 // referenceFilterBySeverity is a verbatim copy of the pre-index
 // implementation: one pass that re-tests severity and recomputes the
-// similarity key for every event. The equivalence tests pin the
-// key-precomputed path to its exact output.
+// similarity key for every event, with a map-keyed open-incident table.
+// It is the oracle for every production filter entry point: the
+// equivalence tests and FuzzFilter pin the interned-key coalesce to its
+// exact output.
 func referenceFilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
@@ -108,7 +110,7 @@ func TestFilterBySeverityMatchesReference(t *testing.T) {
 func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 	d, _ := dataset(t)
 	for _, rule := range equivRules() {
-		wantF, err := FilterFatal(d.Events, rule)
+		wantF, err := FilterBySeverity(d.Events, raslog.Fatal, rule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotF, wantF) {
-			t.Fatalf("rule %+v: Dataset.FilterFatal diverges from FilterFatal", rule)
+			t.Fatalf("rule %+v: Dataset.FilterFatal diverges from FilterBySeverity", rule)
 		}
 		wantW, err := FilterBySeverity(d.Events, raslog.Warn, rule)
 		if err != nil {
@@ -153,7 +155,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 			want[i].Reduction = 1 - float64(len(incidents))/float64(raw)
 		}
 	}
-	got, err := FilterSweep(d.Events, base, windows, 0)
+	got, err := d.FilterSweep(base, windows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +166,81 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 
 func TestFilterSweepRejectsBadWindow(t *testing.T) {
 	d, _ := dataset(t)
-	if _, err := FilterSweep(d.Events, DefaultFilterRule(), []time.Duration{time.Minute, 0}, 0); err == nil {
+	if _, err := d.FilterSweep(DefaultFilterRule(), []time.Duration{time.Minute, 0}, 0); err == nil {
 		t.Error("sweep accepted a non-positive window")
+	}
+}
+
+// jobFatalEvents lists the FATAL events with a job attribution, in time
+// order — the stream the MTTI analysis coalesces.
+func jobFatalEvents(d *Dataset) []raslog.Event {
+	var out []raslog.Event
+	for i := range d.Events {
+		if e := d.Events[i]; e.Sev == raslog.Fatal && e.JobID != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestMTTIIncidentsMatchReference pins the MTTI incidents — the FATAL
+// view's memoized keys restricted to job-attributed events — to the
+// reference fold over exactly those events.
+func TestMTTIIncidentsMatchReference(t *testing.T) {
+	d, _ := dataset(t)
+	jobFatal := jobFatalEvents(d)
+	for _, rule := range equivRules() {
+		want, err := referenceFilterBySeverity(jobFatal, raslog.Fatal, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.MTTI(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Incidents, want) {
+			t.Fatalf("rule %+v: MTTI has %d incidents, reference %d (or contents differ)",
+				rule, len(res.Incidents), len(want))
+		}
+	}
+}
+
+// TestIncidentsInFirstOrder checks the order contract MTTI's interval
+// computation relies on: every filter entry point emits incidents in
+// non-decreasing First order over a time-sorted stream.
+func TestIncidentsInFirstOrder(t *testing.T) {
+	d, _ := dataset(t)
+	inOrder := func(name string, rule FilterRule, incidents []Incident) {
+		t.Helper()
+		for i := 1; i < len(incidents); i++ {
+			if incidents[i].First.Before(incidents[i-1].First) {
+				t.Fatalf("%s rule %+v: incident %d starts before incident %d", name, rule, i, i-1)
+			}
+		}
+	}
+	for _, rule := range equivRules() {
+		for _, sev := range []raslog.Severity{raslog.Fatal, raslog.Warn} {
+			incidents, err := FilterBySeverity(d.Events, sev, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inOrder("FilterBySeverity "+sev.String(), rule, incidents)
+		}
+		fatals, err := d.FilterFatal(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOrder("FilterFatal", rule, fatals)
+		warns, err := d.FilterWarn(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOrder("FilterWarn", rule, warns)
+		res, err := d.MTTI(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOrder("MTTI", rule, res.Incidents)
 	}
 }
 

@@ -39,22 +39,19 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
 	}
-	// The FATAL view replaces the full-stream scan; it is time-ordered, so
-	// jobFatal is built in the same order as before.
-	var jobFatal []raslog.Event
+	// Coalesce the job-affecting FATALs: the FATAL view's memoized keys,
+	// restricted to the events with a job attribution, in time order.
 	raw := len(d.fatalIdx)
-	for _, i := range d.fatalIdx {
+	ik := d.filterKeys(raslog.Fatal, d.fatalIdx, rule)
+	var jobIdx []int
+	jobKeys := internedKeys{nKeys: ik.nKeys}
+	for n, i := range d.fatalIdx {
 		if d.Events[i].JobID != 0 {
-			jobFatal = append(jobFatal, d.Events[i])
+			jobIdx = append(jobIdx, i)
+			jobKeys.ids = append(jobKeys.ids, ik.ids[n])
 		}
 	}
-	// Coalescing job-affecting FATALs: same incident may attribute several
-	// events to the same job; a job id is also a similarity witness, so
-	// collapse exact (job, msg, window) duplicates via the generic filter.
-	incidents, err := FilterFatal(jobFatal, rule)
-	if err != nil {
-		return nil, err
-	}
+	incidents := coalesce(d.Events, jobIdx, jobKeys, rule.Window)
 	res := &MTTIResult{
 		SpanDays:  d.Days(),
 		RawFatal:  raw,
@@ -68,7 +65,6 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 		res.MTBFRawDays = res.SpanDays / float64(raw)
 	}
 	if len(incidents) >= 3 {
-		sort.Slice(incidents, func(i, j int) bool { return incidents[i].First.Before(incidents[j].First) })
 		res.Intervals = make([]float64, 0, len(incidents)-1)
 		for i := 1; i < len(incidents); i++ {
 			gap := incidents[i].First.Sub(incidents[i-1].First).Hours()

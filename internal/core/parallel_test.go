@@ -22,12 +22,16 @@ func TestFilterSweepParallelMatchesSerial(t *testing.T) {
 		30 * time.Second, time.Minute, 5 * time.Minute, 20 * time.Minute,
 		time.Hour, 6 * time.Hour,
 	}
-	want, err := FilterSweep(events, DefaultFilterRule(), windows, 1)
+	d, err := NewDataset(testJobsForEvents(t, events), nil, events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.FilterSweep(DefaultFilterRule(), windows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		got, err := FilterSweep(events, DefaultFilterRule(), windows, workers)
+		got, err := d.FilterSweep(DefaultFilterRule(), windows, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -42,32 +42,13 @@ type LeadTimeResult struct {
 	Precision  float64
 }
 
-// LeadTime coalesces WARN and FATAL streams into bursts/incidents with the
-// filtering rule and measures precursor coverage, lead time and alarm
-// precision at the chosen spatial level.
-func (d *Dataset) LeadTime(rule FilterRule, opt LeadTimeOptions) (*LeadTimeResult, error) {
-	fatals, err := d.FilterFatal(rule)
-	if err != nil {
-		return nil, err
-	}
-	warns, err := d.FilterWarn(rule)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // LeadTimeSweep evaluates the precursor analysis over pre-filtered FATAL
 // incidents and WARN bursts for several lookback windows at once. The
 // nearest-preceding-burst search and the per-burst next-incident gap are
 // lookback-independent, so they are computed once and each result is just a
-// different thresholding — results are identical to calling LeadTime per
-// option but the expensive filtering and indexing happen once. All options
-// must share a spatial level.
+// different thresholding — results are identical to one call per option
+// but the location indexing happens once. All options must share a
+// spatial level.
 func LeadTimeSweep(fatals, warns []Incident, opts []LeadTimeOptions) ([]*LeadTimeResult, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("core: lead time sweep needs ≥1 option")

@@ -51,7 +51,7 @@ func TestLeadTimeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.LeadTime(DefaultFilterRule(), DefaultLeadTimeOptions())
+	res, err := leadTime(t, d, DefaultFilterRule(), DefaultLeadTimeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLeadTimeLookbackTooShort(t *testing.T) {
 	}
 	opt := DefaultLeadTimeOptions()
 	opt.Lookback = 30 * time.Minute // precursor is 2h before: missed
-	res, err := d.LeadTime(DefaultFilterRule(), opt)
+	res, err := leadTime(t, d, DefaultFilterRule(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLeadTimeDefaultsOnBadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.LeadTime(DefaultFilterRule(), LeadTimeOptions{})
+	res, err := leadTime(t, d, DefaultFilterRule(), LeadTimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLeadTimeDefaultsOnBadOptions(t *testing.T) {
 
 func TestLeadTimeOnCorpus(t *testing.T) {
 	d, _ := dataset(t)
-	res, err := d.LeadTime(DefaultFilterRule(), DefaultLeadTimeOptions())
+	res, err := leadTime(t, d, DefaultFilterRule(), DefaultLeadTimeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,26 @@ func TestLeadTimeOnCorpus(t *testing.T) {
 
 // testJobsForEvents fabricates a minimal job list so NewDataset accepts the
 // stream (the lead-time analysis itself does not use jobs).
+// leadTime runs the precursor analysis for one option the way the
+// experiments do: the dataset's FATAL incidents and WARN bursts under the
+// rule, then LeadTimeSweep.
+func leadTime(t *testing.T, d *Dataset, rule FilterRule, opt LeadTimeOptions) (*LeadTimeResult, error) {
+	t.Helper()
+	fatals, err := d.FilterFatal(rule)
+	if err != nil {
+		return nil, err
+	}
+	warns, err := d.FilterWarn(rule)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 func testJobsForEvents(t *testing.T, events []raslog.Event) []joblog.Job {
 	t.Helper()
 	base := events[0].Time

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/raslog"
 	"repro/internal/sel"
 )
 
@@ -20,11 +23,12 @@ func mustParse(t *testing.T, where string) sel.Expr {
 
 // This file is the concurrency contract for serving (DESIGN.md §15): a
 // Dataset and everything it builds lazily — SoA views, per-dimension
-// bitmap indexes, compiled selections, the memoized whole-corpus profile
-// — must be safe to hammer from many goroutines, including the very
-// first touch, where every sync.Once and the compiled-selection cache
-// are under maximal contention. mirad relies on exactly this: N
-// concurrent requests over one warm (or still-cold) Dataset.
+// bitmap indexes, compiled selections, the memoized whole-corpus profile,
+// the filter key memo — must be safe to hammer from many goroutines,
+// including the very first touch, where every sync.Once and the
+// compiled-selection cache are under maximal contention. mirad relies on
+// exactly this: N concurrent requests over one warm (or still-cold)
+// Dataset.
 //
 // The tests run under the CI -race job; correctness is pinned by
 // comparing every concurrent result against a sequentially computed
@@ -259,4 +263,70 @@ func TestRaceSelectionCacheStampede(t *testing.T) {
 			t.Fatalf("worker %d got a different compiled bitmap than worker 0", w)
 		}
 	}
+}
+
+// TestRaceFilterKeyMemo drives the filter entry points of a cold Dataset
+// from many goroutines at once, under different key configurations of both
+// severities: the mutex-guarded key memo must build each configuration's
+// keys once and every result must equal the reference fold.
+func TestRaceFilterKeyMemo(t *testing.T) {
+	d := freshDataset(t)
+	// One rule per key configuration: the memo's entries are what race.
+	var rules []FilterRule
+	for _, rule := range equivRules() {
+		if rule.Window == 20*time.Minute {
+			rules = append(rules, rule)
+		}
+	}
+	want := make([][2][]Incident, len(rules))
+	for i, rule := range rules {
+		for s, sev := range []raslog.Severity{raslog.Fatal, raslog.Warn} {
+			incidents, err := referenceFilterBySeverity(d.Events, sev, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][s] = incidents
+		}
+	}
+
+	const workers = 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the rules from its own offset, so first
+			// touches of one configuration come from several goroutines.
+			for k := range rules {
+				i := (k + w) % len(rules)
+				fatals, err := d.FilterFatal(rules[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				warns, err := d.FilterWarn(rules[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(fatals, want[i][0]) || !reflect.DeepEqual(warns, want[i][1]) {
+					t.Errorf("worker %d rule %+v: filter differs from the reference", w, rules[i])
+					return
+				}
+				if w%3 == 0 {
+					sweep, err := d.FilterSweep(rules[i], []time.Duration{rules[i].Window}, 2)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if sweep[0].Incidents != len(want[i][0]) {
+						t.Errorf("worker %d rule %+v: sweep %d incidents, reference %d",
+							w, rules[i], sweep[0].Incidents, len(want[i][0]))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -24,17 +24,6 @@ type SpatialCorrResult struct {
 	Correlated bool
 }
 
-// SpatialCorrelation filters FATAL events into incidents and compares the
-// torus distance of incident pairs that start within window of each other
-// against the all-pairs baseline.
-func (d *Dataset) SpatialCorrelation(rule FilterRule, window time.Duration) (*SpatialCorrResult, error) {
-	incidents, err := d.FilterFatal(rule)
-	if err != nil {
-		return nil, err
-	}
-	return SpatialCorrelationIncidents(incidents, window)
-}
-
 // SpatialCorrelationIncidents runs the torus-correlation analysis over
 // already-filtered incidents, letting callers reuse one filtering pass for
 // several windows.

@@ -52,6 +52,16 @@ func pairScenario(t *testing.T) []raslog.Event {
 	}
 }
 
+// spatialCorrelation filters the dataset's FATAL view under the rule and
+// runs the torus-correlation analysis over the incidents.
+func spatialCorrelation(d *Dataset, rule FilterRule, window time.Duration) (*SpatialCorrResult, error) {
+	incidents, err := d.FilterFatal(rule)
+	if err != nil {
+		return nil, err
+	}
+	return SpatialCorrelationIncidents(incidents, window)
+}
+
 func TestSpatialCorrelationScenario(t *testing.T) {
 	events := pairScenario(t)
 	jobs := testJobsForEvents(t, events)
@@ -59,7 +69,7 @@ func TestSpatialCorrelationScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.SpatialCorrelation(DefaultFilterRule(), time.Hour)
+	res, err := spatialCorrelation(d, DefaultFilterRule(), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +100,10 @@ func TestSpatialCorrelationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SpatialCorrelation(DefaultFilterRule(), 0); err == nil {
+	if _, err := spatialCorrelation(d, DefaultFilterRule(), 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := d.SpatialCorrelation(FilterRule{}, time.Hour); err == nil {
+	if _, err := spatialCorrelation(d, FilterRule{}, time.Hour); err == nil {
 		t.Error("bad rule accepted")
 	}
 	// Too few localizable incidents.
@@ -101,7 +111,7 @@ func TestSpatialCorrelationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := short.SpatialCorrelation(DefaultFilterRule(), time.Hour); err == nil {
+	if _, err := spatialCorrelation(short, DefaultFilterRule(), time.Hour); err == nil {
 		t.Error("2-incident stream accepted")
 	}
 }

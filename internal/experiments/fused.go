@@ -115,12 +115,8 @@ func (e *Env) Interrupts() (*core.InterruptCorrelation, error) {
 }
 
 // Locality returns the FATAL spatial-concentration profile at the level
-// (E10). Only rack and midplane are served by the fused scan; other levels
-// fall through to the direct walk.
+// (E10), rack or midplane, from the fused scan.
 func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
-	if level != machine.LevelRack && level != machine.LevelMidplane {
-		return e.D.Locality(level)
-	}
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
@@ -132,7 +128,7 @@ func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
 // computed once per environment (E16/E21 share it).
 func (e *Env) FatalIncidents() ([]core.Incident, error) {
 	c := &e.cache
-	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatalCached(core.DefaultFilterRule()) })
+	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatal(core.DefaultFilterRule()) })
 	return c.fatalInc, c.fatalIncErr
 }
 
@@ -140,7 +136,7 @@ func (e *Env) FatalIncidents() ([]core.Incident, error) {
 // computed once per environment.
 func (e *Env) WarnIncidents() ([]core.Incident, error) {
 	c := &e.cache
-	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarnCached(core.DefaultFilterRule()) })
+	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarn(core.DefaultFilterRule()) })
 	return c.warnInc, c.warnIncErr
 }
 

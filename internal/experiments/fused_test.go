@@ -112,15 +112,23 @@ var accessorOracles = []struct {
 	{"LeadTimes",
 		func(e *Env) (any, error) { return e.LeadTimes(e16Lookbacks) },
 		func(e *Env) (any, error) {
+			fatals, err := e.D.FilterFatal(core.DefaultFilterRule())
+			if err != nil {
+				return nil, err
+			}
+			warns, err := e.D.FilterWarn(core.DefaultFilterRule())
+			if err != nil {
+				return nil, err
+			}
 			rs := make([]*core.LeadTimeResult, len(e16Lookbacks))
 			for i, lb := range e16Lookbacks {
 				opt := core.DefaultLeadTimeOptions()
 				opt.Lookback = lb
-				r, err := e.D.LeadTime(core.DefaultFilterRule(), opt)
+				r, err := core.LeadTimeSweep(fatals, warns, []core.LeadTimeOptions{opt})
 				if err != nil {
 					return nil, err
 				}
-				rs[i] = r
+				rs[i] = r[0]
 			}
 			return rs, nil
 		}},
@@ -129,13 +137,23 @@ var accessorOracles = []struct {
 		func(e *Env) (any, error) { return e.D.LifePhases(e18Phases, core.DefaultFilterRule()) }},
 	{"SpatialCorr/1h",
 		func(e *Env) (any, error) { return e.SpatialCorr(time.Hour) },
-		func(e *Env) (any, error) { return e.D.SpatialCorrelation(core.DefaultFilterRule(), time.Hour) }},
+		func(e *Env) (any, error) { return spatialCorrWalk(e.D, time.Hour) }},
 	{"SpatialCorr/24h",
 		func(e *Env) (any, error) { return e.SpatialCorr(24 * time.Hour) },
-		func(e *Env) (any, error) { return e.D.SpatialCorrelation(core.DefaultFilterRule(), 24*time.Hour) }},
+		func(e *Env) (any, error) { return spatialCorrWalk(e.D, 24*time.Hour) }},
 	{"CohortProfileExpr/nil",
 		func(e *Env) (any, error) { return e.CohortProfileExpr(nil) },
 		func(e *Env) (any, error) { return e.D.FusedScan(e.Parallelism) }},
+}
+
+// spatialCorrWalk is the E21 analysis over a fresh FATAL filter pass,
+// bypassing the Env's memoized incident stream.
+func spatialCorrWalk(d *core.Dataset, window time.Duration) (*core.SpatialCorrResult, error) {
+	fatals, err := d.FilterFatal(core.DefaultFilterRule())
+	if err != nil {
+		return nil, err
+	}
+	return core.SpatialCorrelationIncidents(fatals, window)
 }
 
 // The E16 lookbacks and E18 phase count the oracle table evaluates.

@@ -190,7 +190,7 @@ func E11(env *Env) (*Result, error) {
 	}
 	metrics := map[string]float64{}
 	for _, r := range rules {
-		sweep, err := core.FilterSweep(env.D.Events, r.rule, filterWindows(), env.Parallelism)
+		sweep, err := env.D.FilterSweep(r.rule, filterWindows(), env.Parallelism)
 		if err != nil {
 			return nil, err
 		}
