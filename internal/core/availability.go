@@ -86,7 +86,7 @@ func (d *Dataset) Availability() (*AvailabilityResult, error) {
 	res.MedianRepairH = summary.Median
 	res.RepairSample = dist.NewSampleSorted(sorted)
 	if len(res.RepairHours) >= 30 {
-		best, err := dist.SelectBestSample(res.RepairSample, nil)
+		best, err := dist.SelectBest(res.RepairSample, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: fit repair times: %w", err)
 		}

@@ -15,9 +15,6 @@ type FamilyFit struct {
 	Family  joblog.ExitFamily
 	N       int              // failed jobs in the family
 	Results []dist.FitResult // ranked best-first by KS
-	// Sample is the sorted execution-length sample (seconds) the candidates
-	// were fitted against, with its precomputed sufficient statistics.
-	Sample *dist.Sample
 	// Summary are the descriptive statistics of the same sample, computed
 	// from the sorted view without an extra copy.
 	Summary stats.Summary
@@ -35,8 +32,6 @@ func (f *FamilyFit) Best() dist.FitResult {
 type FitOptions struct {
 	// MinSamples skips families with fewer failed jobs (default 50).
 	MinSamples int
-	// Fitters overrides the candidate set (default dist.DefaultFitters).
-	Fitters []dist.Fitter
 	// MaxSamples caps the per-family sample (0 = unlimited). Fitting is
 	// O(n) per candidate; the cap keeps interactive runs fast without
 	// changing the winner on large corpora.
@@ -81,7 +76,7 @@ func (d *Dataset) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 		// One Sample per family: sorted once, sufficient statistics shared
 		// by every candidate fit and goodness-of-fit statistic.
 		sample := dist.NewSample(data)
-		results := dist.FitAllSampleParallel(sample, opt.Fitters, opt.Parallelism)
+		results := dist.FitAll(sample, nil, opt.Parallelism)
 		if len(results) == 0 {
 			return nil, fmt.Errorf("core: no fit results for family %s", fam)
 		}
@@ -89,7 +84,7 @@ func (d *Dataset) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: summarize family %s: %w", fam, err)
 		}
-		out = append(out, FamilyFit{Family: fam, N: sample.N(), Results: results, Sample: sample, Summary: summary})
+		out = append(out, FamilyFit{Family: fam, N: sample.N(), Results: results, Summary: summary})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no exit family had ≥%d failed jobs", opt.MinSamples)

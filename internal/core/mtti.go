@@ -76,7 +76,7 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 			res.IntervalSample = dist.NewSample(res.Intervals)
 		}
 		if len(res.Intervals) >= 10 {
-			best, err := dist.SelectBestSample(res.IntervalSample, nil)
+			best, err := dist.SelectBest(res.IntervalSample, nil)
 			if err != nil {
 				return nil, fmt.Errorf("core: fit interruption intervals: %w", err)
 			}

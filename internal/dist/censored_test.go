@@ -65,7 +65,7 @@ func TestNaiveFitIsBiasedCensoredIsNot(t *testing.T) {
 			observedOnly = append(observedOnly, o.Time)
 		}
 	}
-	naive, err := (WeibullFitter{}).Fit(observedOnly)
+	naive, err := (WeibullFitter{}).Fit(NewSample(observedOnly))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Distribution is a continuous univariate probability law.
 //
@@ -31,33 +28,23 @@ type Distribution interface {
 	Rand(rng *rand.Rand) float64
 }
 
-// Fitter estimates a distribution's parameters from data by maximum
-// likelihood.
+// Fitter estimates a distribution's parameters from a Sample by maximum
+// likelihood. A series enters model selection only as a Sample, sorted once
+// and shared by every candidate.
 type Fitter interface {
 	// FamilyName returns the family this fitter estimates, e.g. "pareto".
 	FamilyName() string
 	// Fit returns the MLE distribution for the sample.
-	Fit(data []float64) (Distribution, error)
+	Fit(s *Sample) (Distribution, error)
 }
 
-// LogLikelihood returns the sample log-likelihood Σ ln f(x_i) under d.
+// LogLikelihood returns the sample log-likelihood Σ ln f(x_i) under d by a
+// scan of data. Sample.LogLikelihood uses it for Weibull (no closed form)
+// and for non-finite samples; it is also the closed forms' test oracle.
 func LogLikelihood(d Distribution, data []float64) float64 {
 	ll := 0.0
 	for _, x := range data {
 		ll += d.LogPDF(x)
 	}
 	return ll
-}
-
-// AIC returns the Akaike information criterion 2k − 2lnL for distribution d
-// on data; lower is better.
-func AIC(d Distribution, data []float64) float64 {
-	return 2*float64(d.NumParams()) - 2*LogLikelihood(d, data)
-}
-
-// BIC returns the Bayesian information criterion k·ln n − 2lnL; lower is
-// better.
-func BIC(d Distribution, data []float64) float64 {
-	n := float64(len(data))
-	return float64(d.NumParams())*math.Log(n) - 2*LogLikelihood(d, data)
 }

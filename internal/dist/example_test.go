@@ -7,10 +7,10 @@ import (
 	"repro/internal/dist"
 )
 
-// ExampleSelectBestSample shows the model-selection workflow the paper applies
+// ExampleSelectBest shows the model-selection workflow the paper applies
 // to failed-job execution lengths: draw a sample, fit every candidate
 // family, and rank by the KS statistic.
-func ExampleSelectBestSample() {
+func ExampleSelectBest() {
 	truth, err := dist.NewWeibull(0.62, 2100)
 	if err != nil {
 		fmt.Println(err)
@@ -21,7 +21,7 @@ func ExampleSelectBestSample() {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	best, err := dist.SelectBestSample(dist.NewSample(data), nil)
+	best, err := dist.SelectBest(dist.NewSample(data), nil)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -42,7 +42,7 @@ func ExampleWeibullFitter() {
 	for i := range data {
 		data[i] = truth.Rand(rng)
 	}
-	fitted, err := (dist.WeibullFitter{}).Fit(data)
+	fitted, err := (dist.WeibullFitter{}).Fit(dist.NewSample(data))
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -66,8 +66,9 @@ func ExampleKSPolish() {
 	}
 	// Deliberately wrong starting point.
 	start, _ := dist.NewExponential(0.01)
-	startKS := dist.KSStatistic(start, data)
-	_, polishedKS, err := dist.KSPolish(start, data, 0)
+	sample := dist.NewSample(data)
+	startKS := sample.KSStatistic(start)
+	_, polishedKS, err := dist.KSPolish(start, sample, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -76,22 +76,14 @@ func (e Exponential) Rand(rng *rand.Rand) float64 { return rng.ExpFloat64() / e.
 // ExponentialFitter estimates an exponential law by MLE (λ̂ = 1/mean).
 type ExponentialFitter struct{}
 
-var (
-	_ Fitter       = ExponentialFitter{}
-	_ SampleFitter = ExponentialFitter{}
-)
+var _ Fitter = ExponentialFitter{}
 
 // FamilyName implements Fitter.
 func (ExponentialFitter) FamilyName() string { return "exponential" }
 
-// Fit implements Fitter.
-func (f ExponentialFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the MLE is closed-form in the cached
-// mean, so the fit touches no data.
-func (ExponentialFitter) FitSample(s *Sample) (Distribution, error) {
+// Fit implements Fitter: the MLE is closed-form in the cached mean, so
+// the fit touches no data.
+func (ExponentialFitter) Fit(s *Sample) (Distribution, error) {
 	_, mean, _, err := s.moments(true)
 	if err != nil {
 		return nil, fmt.Errorf("fit exponential: %w", err)

@@ -1,6 +1,11 @@
 package dist
 
-// FitCensoredWeibullPerJob exposes the per-observation oracle to the
-// external dist_test package, whose corpus test and benchmark pair need
-// internal/sim (which imports dist).
-var FitCensoredWeibullPerJob = fitCensoredWeibullPerJob
+// The per-observation and per-point oracles, exposed to the external
+// dist_test package, whose corpus tests and benchmark pairs need
+// internal/sim and internal/core (which import dist).
+var (
+	FitCensoredWeibullPerJob = fitCensoredWeibullPerJob
+	KSStatisticPerPoint      = ksStatisticPerPoint
+	ADStatisticPerPoint      = adStatisticPerPoint
+	KSPolishFullScan         = ksPolishFullScan
+)

@@ -4,75 +4,57 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/joblog"
-	"repro/internal/sim"
 )
 
 // The paired BenchmarkFitLegacy/BenchmarkFitSample benchmarks measure the
 // full model-selection hot path — fit every candidate family, rank by KS,
 // KS-polish the winner — over the same 150-day corpus series.
 //
-// The legacy side composes the slice entry points exactly the way the
-// experiments used to: each family pays its own copy+sort for the KS and AD
-// statistics, the log-likelihood is rescanned for LogL/AIC/BIC, and the
-// Erlang profile search evaluates an O(n) likelihood per candidate shape
-// (the pre-Sample cost profile). The Sample side sorts once and reads every
+// The legacy side reproduces the pre-Sample cost profile: each family's fit
+// builds its own Sample, each family pays its own copy+sort for the KS and
+// AD statistics (the per-point oracles), the log-likelihood is rescanned
+// for LogL/AIC/BIC, and the Erlang profile search evaluates an O(n)
+// likelihood per candidate shape. The Sample side sorts once and reads every
 // statistic off the precomputed sufficient statistics. BenchmarkFitSample
 // reports "speedup": the median of three legacy runs divided by the
 // per-iteration Sample time, following the Serial/Parallel pairing
 // convention of the earlier PR benches. Both sides run serially (workers=1)
 // so the ratio isolates the algorithmic gain, not parallel fan-out.
 
-var (
-	benchSeriesOnce sync.Once
-	benchSeriesData []float64
-	benchSeriesErr  error
-)
-
-// benchSeries extracts the failed-job runtime series of the largest exit
-// family from a 150-day corpus, generated once per process.
+// benchSeries is the failed-job runtime series of the largest exit family
+// of the 150-day corpus, capped at 50,000 points.
 func benchSeries(b testing.TB) []float64 {
 	b.Helper()
-	benchSeriesOnce.Do(func() {
-		cfg := sim.SmallConfig()
-		cfg.Days = 150
-		c, err := sim.Generate(cfg)
-		if err != nil {
-			benchSeriesErr = err
-			return
+	c := simCorpus(b, 150)
+	byFamily := map[joblog.ExitFamily][]float64{}
+	for i := range c.Jobs {
+		j := &c.Jobs[i]
+		if j.Outcome() != joblog.OutcomeFailure {
+			continue
 		}
-		byFamily := map[joblog.ExitFamily][]float64{}
-		for i := range c.Jobs {
-			j := &c.Jobs[i]
-			if j.Outcome() != joblog.OutcomeFailure {
-				continue
-			}
-			if sec := j.Runtime().Seconds(); sec > 0 {
-				fam := joblog.Family(j.ExitStatus)
-				byFamily[fam] = append(byFamily[fam], sec)
-			}
+		if sec := j.Runtime().Seconds(); sec > 0 {
+			fam := joblog.Family(j.ExitStatus)
+			byFamily[fam] = append(byFamily[fam], sec)
 		}
-		for _, s := range byFamily {
-			if len(s) > len(benchSeriesData) {
-				benchSeriesData = s
-			}
-		}
-		if len(benchSeriesData) > 50000 {
-			benchSeriesData = benchSeriesData[:50000]
-		}
-	})
-	if benchSeriesErr != nil {
-		b.Fatal(benchSeriesErr)
 	}
-	if len(benchSeriesData) < 100 {
-		b.Fatalf("largest failure family has only %d samples", len(benchSeriesData))
+	var series []float64
+	for _, s := range byFamily {
+		if len(s) > len(series) {
+			series = s
+		}
 	}
-	return benchSeriesData
+	if len(series) > 50000 {
+		series = series[:50000]
+	}
+	if len(series) < 100 {
+		b.Fatalf("largest failure family has only %d samples", len(series))
+	}
+	return series
 }
 
 // legacyErlangFit reproduces the pre-Sample Erlang profile search: one full
@@ -162,11 +144,11 @@ func legacyWeibullFit(data []float64) (dist.Distribution, error) {
 	return dist.NewWeibull(k, math.Pow(sxk/float64(n), 1/k))
 }
 
-// legacyFitAll composes the slice APIs per family: per-statistic copy+sort
-// (KSStatistic, ADStatistic) and per-criterion likelihood scans (LogL, AIC,
-// BIC), serially, with the same ranking as FitAll. The Erlang and Weibull
-// fits — the two whose estimators the Sample path restructured — use
-// faithful reconstructions of the pre-Sample algorithms.
+// legacyFitAll fits and scores each family on its own: per-statistic
+// copy+sort (the per-point KS and AD oracles) and per-criterion likelihood
+// scans (LogL, AIC, BIC), serially, with the same ranking as FitAll. The
+// Erlang and Weibull fits — the two whose estimators the Sample path
+// restructured — use faithful reconstructions of the pre-Sample algorithms.
 func legacyFitAll(data []float64) []dist.FitResult {
 	fitters := dist.DefaultFitters()
 	results := make([]dist.FitResult, len(fitters))
@@ -180,7 +162,7 @@ func legacyFitAll(data []float64) []dist.FitResult {
 		case dist.WeibullFitter:
 			d, err = legacyWeibullFit(data)
 		default:
-			d, err = f.Fit(data)
+			d, err = f.Fit(dist.NewSample(data))
 		}
 		if err != nil {
 			r.Err = err
@@ -190,12 +172,13 @@ func legacyFitAll(data []float64) []dist.FitResult {
 			continue
 		}
 		r.Dist = d
-		r.KS = dist.KSStatistic(d, data)
-		r.AD = dist.ADStatistic(d, data)
+		k, n := float64(d.NumParams()), float64(len(data))
+		r.KS = dist.KSStatisticPerPoint(d, sortedCopy(data))
+		r.AD = dist.ADStatisticPerPoint(d, sortedCopy(data))
 		r.PValue = dist.KolmogorovPValue(r.KS, len(data))
 		r.LogL = dist.LogLikelihood(d, data)
-		r.AIC = dist.AIC(d, data)
-		r.BIC = dist.BIC(d, data)
+		r.AIC = 2*k - 2*dist.LogLikelihood(d, data)
+		r.BIC = k*math.Log(n) - 2*dist.LogLikelihood(d, data)
 		results[i] = r
 	}
 	sort.SliceStable(results, func(i, j int) bool {
@@ -214,46 +197,11 @@ func legacyFitAll(data []float64) []dist.FitResult {
 	return results
 }
 
-// legacyKSPolish reproduces the pre-Sample coordinate descent: its own
-// copy+sort of the data, a fresh candidate slice per perturbation, and a
-// full KS scan for every candidate (no branch-and-bound abort).
-func legacyKSPolish(d dist.Parametric, data []float64, iters int) (dist.Distribution, float64) {
+// sortedCopy is the copy+sort each legacy statistic paid for on its own.
+func sortedCopy(data []float64) []float64 {
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
-	best := dist.Distribution(d)
-	bestKS := dist.KSStatisticSorted(best, sorted)
-	params := d.Params()
-	step := 0.25
-	for sweep := 0; sweep < iters; sweep++ {
-		improved := false
-		for i := range params {
-			for _, dir := range []float64{1 + step, 1 / (1 + step)} {
-				cand := append([]float64(nil), params...)
-				if cand[i] == 0 {
-					cand[i] = dir - 1
-				} else {
-					cand[i] *= dir
-				}
-				nd, err := d.WithParams(cand)
-				if err != nil {
-					continue
-				}
-				if ks := dist.KSStatisticSorted(nd, sorted); ks < bestKS {
-					bestKS = ks
-					best = nd
-					params = cand
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			step /= 2
-			if step < 1e-4 {
-				break
-			}
-		}
-	}
-	return best, bestKS
+	return sorted
 }
 
 func legacySelectAndPolish(b testing.TB, data []float64) float64 {
@@ -266,13 +214,13 @@ func legacySelectAndPolish(b testing.TB, data []float64) float64 {
 	if !ok {
 		return best.KS
 	}
-	_, ks := legacyKSPolish(p, data, 20)
+	_, ks := dist.KSPolishFullScan(p, data, 20)
 	return ks
 }
 
 func sampleSelectAndPolish(b testing.TB, data []float64) float64 {
 	s := dist.NewSample(data)
-	results := dist.FitAllSampleParallel(s, nil, 1)
+	results := dist.FitAll(s, nil, 1)
 	best := results[0]
 	if best.Err != nil {
 		b.Fatal(best.Err)
@@ -281,7 +229,7 @@ func sampleSelectAndPolish(b testing.TB, data []float64) float64 {
 	if !ok {
 		return best.KS
 	}
-	_, ks, err := dist.KSPolishSample(p, s, 20)
+	_, ks, err := dist.KSPolish(p, s, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,7 +277,7 @@ func BenchmarkFitSample(b *testing.B) {
 func TestLegacyAndSamplePathsAgree(t *testing.T) {
 	data := benchSeries(t)
 	legacy := legacyFitAll(data)
-	viaSample := dist.FitAllSampleParallel(dist.NewSample(data), nil, 1)
+	viaSample := dist.FitAll(dist.NewSample(data), nil, 1)
 	if legacy[0].Family != viaSample[0].Family {
 		t.Fatalf("winners differ: legacy %s, sample %s", legacy[0].Family, viaSample[0].Family)
 	}

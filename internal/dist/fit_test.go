@@ -23,7 +23,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	const n = 50000
 	t.Run("exponential", func(t *testing.T) {
 		truth, _ := NewExponential(0.3)
-		got, err := (ExponentialFitter{}).Fit(sampleFrom(truth, n, 1))
+		got, err := (ExponentialFitter{}).Fit(NewSample(sampleFrom(truth, n, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("weibull", func(t *testing.T) {
 		truth, _ := NewWeibull(0.7, 5)
-		got, err := (WeibullFitter{}).Fit(sampleFrom(truth, n, 2))
+		got, err := (WeibullFitter{}).Fit(NewSample(sampleFrom(truth, n, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("weibull-increasing-hazard", func(t *testing.T) {
 		truth, _ := NewWeibull(3.2, 1.4)
-		got, err := (WeibullFitter{}).Fit(sampleFrom(truth, n, 3))
+		got, err := (WeibullFitter{}).Fit(NewSample(sampleFrom(truth, n, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("pareto", func(t *testing.T) {
 		truth, _ := NewPareto(2, 1.8)
-		got, err := (ParetoFitter{}).Fit(sampleFrom(truth, n, 4))
+		got, err := (ParetoFitter{}).Fit(NewSample(sampleFrom(truth, n, 4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("lognormal", func(t *testing.T) {
 		truth, _ := NewLogNormal(2, 0.6)
-		got, err := (LogNormalFitter{}).Fit(sampleFrom(truth, n, 5))
+		got, err := (LogNormalFitter{}).Fit(NewSample(sampleFrom(truth, n, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("gamma", func(t *testing.T) {
 		truth, _ := NewGamma(2.5, 0.8)
-		got, err := (GammaFitter{}).Fit(sampleFrom(truth, n, 6))
+		got, err := (GammaFitter{}).Fit(NewSample(sampleFrom(truth, n, 6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("erlang", func(t *testing.T) {
 		truth, _ := NewErlang(4, 2)
-		got, err := (ErlangFitter{}).Fit(sampleFrom(truth, n, 7))
+		got, err := (ErlangFitter{}).Fit(NewSample(sampleFrom(truth, n, 7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,24 +100,13 @@ func TestFitterRecoversParameters(t *testing.T) {
 	})
 	t.Run("inverse-gaussian", func(t *testing.T) {
 		truth, _ := NewInverseGaussian(3, 9)
-		got, err := (InverseGaussianFitter{}).Fit(sampleFrom(truth, n, 8))
+		got, err := (InverseGaussianFitter{}).Fit(NewSample(sampleFrom(truth, n, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ig := got.(InverseGaussian)
 		if math.Abs(ig.Mu-3) > 0.05 || math.Abs(ig.Lambda-9) > 0.3 {
 			t.Errorf("ig fit = %+v, want mu 3 lambda 9", ig)
-		}
-	})
-	t.Run("normal", func(t *testing.T) {
-		truth, _ := NewNormal(-2, 3)
-		got, err := (NormalFitter{}).Fit(sampleFrom(truth, n, 9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nn := got.(Normal)
-		if math.Abs(nn.Mu+2) > 0.05 || math.Abs(nn.Sigma-3) > 0.05 {
-			t.Errorf("normal fit = %+v, want mu -2 sigma 3", nn)
 		}
 	})
 }
@@ -128,31 +117,30 @@ func TestFittersRejectBadSamples(t *testing.T) {
 		LogNormalFitter{}, GammaFitter{}, ErlangFitter{}, InverseGaussianFitter{},
 	}
 	for _, f := range positiveFitters {
-		if _, err := f.Fit([]float64{1, -2, 3}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1, -2, 3})); err == nil {
 			t.Errorf("%s: negative value accepted", f.FamilyName())
 		}
-		if _, err := f.Fit([]float64{1}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1})); err == nil {
 			t.Errorf("%s: single point accepted", f.FamilyName())
 		}
-		if _, err := f.Fit(nil); err == nil {
+		if _, err := f.Fit(NewSample(nil)); err == nil {
 			t.Errorf("%s: empty sample accepted", f.FamilyName())
 		}
-		if _, err := f.Fit([]float64{1, math.NaN()}); err == nil {
+		if _, err := f.Fit(NewSample([]float64{1, math.NaN()})); err == nil {
 			t.Errorf("%s: NaN accepted", f.FamilyName())
 		}
 	}
 	// Degenerate constant samples should error, not return garbage.
-	constant := []float64{2, 2, 2, 2}
-	for _, f := range []Fitter{ParetoFitter{}, LogNormalFitter{}, InverseGaussianFitter{}, GammaFitter{}, NormalFitter{}} {
+	constant := NewSample([]float64{2, 2, 2, 2})
+	for _, f := range []Fitter{ParetoFitter{}, LogNormalFitter{}, InverseGaussianFitter{}, GammaFitter{}} {
 		if _, err := f.Fit(constant); err == nil {
 			t.Errorf("%s: constant sample accepted", f.FamilyName())
 		}
 	}
-	if _, err := (ExponentialFitter{}).Fit([]float64{1, 2}); err != nil {
+	if _, err := (ExponentialFitter{}).Fit(NewSample([]float64{1, 2})); err != nil {
 		t.Errorf("exponential on valid pair: %v", err)
 	}
-	var tooFew = []float64{3}
-	if _, err := (ExponentialFitter{}).Fit(tooFew); !errors.Is(err, ErrTooFewPoints) {
+	if _, err := (ExponentialFitter{}).Fit(NewSample([]float64{3})); !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("want ErrTooFewPoints, got %v", err)
 	}
 }
@@ -180,7 +168,7 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 	}
 	for i, truth := range cases {
 		data := sampleFrom(truth, n, int64(100+i))
-		best, err := SelectBestSample(NewSample(data), nil)
+		best, err := SelectBest(NewSample(data), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", truth.Name(), err)
 		}
@@ -199,55 +187,82 @@ func TestModelSelectionIdentifiesTrueFamily(t *testing.T) {
 	}
 }
 
+// failingFitter is a candidate that never fits, for the ranking test.
+type failingFitter struct{}
+
+func (failingFitter) FamilyName() string { return "failing" }
+
+func (failingFitter) Fit(*Sample) (Distribution, error) {
+	return nil, errors.New("failing: never fits")
+}
+
 func TestFitAllRanksErrorsLast(t *testing.T) {
-	// Sample with a zero: positive-support fitters fail, normal succeeds.
-	data := []float64{0, 1, 2, 3, 4, 5}
-	results := FitAllSampleParallel(NewSample(data), []Fitter{ParetoFitter{}, NormalFitter{}}, 0)
-	if len(results) != 2 {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	// The failing candidates come first so the ranking has to move them.
+	fitters := []Fitter{failingFitter{}, ParetoFitter{}, failingFitter{}, ExponentialFitter{}}
+	results := FitAll(NewSample(data), fitters, 0)
+	if len(results) != len(fitters) {
 		t.Fatalf("len = %d", len(results))
 	}
-	if results[0].Family != "normal" || results[0].Err != nil {
-		t.Errorf("normal should rank first, got %+v", results[0])
+	for i, r := range results[:2] {
+		if r.Err != nil {
+			t.Errorf("rank %d: fitted family ranked after a failure: %+v", i, r)
+		}
 	}
-	if results[1].Err == nil {
-		t.Errorf("pareto on zero should have failed")
+	if results[0].KS > results[1].KS {
+		t.Errorf("fitted families out of KS order: %v > %v", results[0].KS, results[1].KS)
+	}
+	for i, r := range results[2:] {
+		if r.Err == nil || r.Family != "failing" || r.Dist != nil {
+			t.Errorf("rank %d: want the failing candidate with its error, got %+v", i+2, r)
+		}
+		if !math.IsInf(r.KS, 1) || !math.IsInf(r.AIC, 1) || !math.IsInf(r.LogL, -1) {
+			t.Errorf("rank %d: failed fit carries finite statistics: %+v", i+2, r)
+		}
 	}
 }
 
 func TestKSStatisticProperties(t *testing.T) {
 	e, _ := NewExponential(1)
-	if !math.IsNaN(KSStatistic(e, nil)) {
+	if !math.IsNaN(NewSample(nil).KSStatistic(e)) {
 		t.Error("KS of empty sample should be NaN")
 	}
 	// Perfectly wrong model: all mass below support.
 	p, _ := NewPareto(100, 2)
-	small := []float64{1, 2, 3}
-	if ks := KSStatistic(p, small); ks < 0.99 {
+	small := NewSample([]float64{1, 2, 3})
+	if ks := small.KSStatistic(p); ks < 0.99 {
 		t.Errorf("KS against disjoint support = %v, want ≈1", ks)
 	}
 	// KS is in [0,1].
-	data := sampleFrom(e, 100, 11)
-	if ks := KSStatistic(e, data); ks < 0 || ks > 1 {
+	data := NewSample(sampleFrom(e, 100, 11))
+	if ks := data.KSStatistic(e); ks < 0 || ks > 1 {
 		t.Errorf("KS out of range: %v", ks)
 	}
 }
 
 func TestAICBICOrdering(t *testing.T) {
 	truth, _ := NewWeibull(0.6, 10)
-	data := sampleFrom(truth, 5000, 21)
-	wFit, err := (WeibullFitter{}).Fit(data)
-	if err != nil {
-		t.Fatal(err)
+	data := NewSample(sampleFrom(truth, 5000, 21))
+	byFamily := map[string]FitResult{}
+	for _, r := range FitAll(data, []Fitter{WeibullFitter{}, ExponentialFitter{}}, 1) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		byFamily[r.Family] = r
 	}
-	eFit, err := (ExponentialFitter{}).Fit(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if AIC(wFit, data) >= AIC(eFit, data) {
+	w, e := byFamily["weibull"], byFamily["exponential"]
+	if w.AIC >= e.AIC {
 		t.Error("true Weibull family should beat exponential by AIC")
 	}
-	if BIC(wFit, data) >= BIC(eFit, data) {
+	if w.BIC >= e.BIC {
 		t.Error("true Weibull family should beat exponential by BIC")
+	}
+	// The criteria are the textbook forms over the reported likelihood.
+	for _, r := range []FitResult{w, e} {
+		k, n := float64(r.Dist.NumParams()), float64(data.N())
+		if r.AIC != 2*k-2*r.LogL || r.BIC != k*math.Log(n)-2*r.LogL {
+			t.Errorf("%s: AIC %v / BIC %v disagree with LogL %v", r.Family, r.AIC, r.BIC, r.LogL)
+		}
 	}
 }
 
@@ -255,7 +270,7 @@ func TestParamString(t *testing.T) {
 	for _, d := range []Distribution{
 		mustAny(NewExponential(1)), mustAny(NewWeibull(1, 2)), mustAny(NewPareto(1, 2)),
 		mustAny(NewLogNormal(0, 1)), mustAny(NewGamma(1, 1)), mustAny(NewErlang(2, 1)),
-		mustAny(NewInverseGaussian(1, 1)), mustAny(NewNormal(0, 1)),
+		mustAny(NewInverseGaussian(1, 1)),
 	} {
 		if s := ParamString(d); s == "" || s == "<nil>" {
 			t.Errorf("%s: empty param string", d.Name())
@@ -275,11 +290,11 @@ func mustAny[D Distribution](d D, err error) Distribution {
 
 func TestADStatistic(t *testing.T) {
 	e, _ := NewExponential(0.5)
-	if !math.IsNaN(ADStatistic(e, nil)) {
+	if !math.IsNaN(NewSample(nil).ADStatistic(e)) {
 		t.Error("empty AD should be NaN")
 	}
-	data := sampleFrom(e, 5000, 51)
-	ad := ADStatistic(e, data)
+	data := NewSample(sampleFrom(e, 5000, 51))
+	ad := data.ADStatistic(e)
 	// Under the true model A² concentrates near its asymptotic mean 1; the
 	// 1% critical value is ≈3.9.
 	if ad < 0 || ad > 3.9 {
@@ -287,12 +302,12 @@ func TestADStatistic(t *testing.T) {
 	}
 	// A wrong model has a much larger A².
 	wrong, _ := NewExponential(2.5)
-	if adWrong := ADStatistic(wrong, data); adWrong < 10*ad {
+	if adWrong := data.ADStatistic(wrong); adWrong < 10*ad {
 		t.Errorf("AD should expose the wrong rate: %v vs %v", adWrong, ad)
 	}
 	// Support violation: point below Pareto xm → +Inf.
 	p, _ := NewPareto(10, 2)
-	if !math.IsInf(ADStatistic(p, []float64{5, 20}), 1) {
+	if !math.IsInf(NewSample([]float64{5, 20}).ADStatistic(p), 1) {
 		t.Error("out-of-support AD should be +Inf")
 	}
 }
@@ -300,7 +315,7 @@ func TestADStatistic(t *testing.T) {
 func TestFitAllReportsAD(t *testing.T) {
 	truth, _ := NewWeibull(0.62, 2100)
 	data := sampleFrom(truth, 4000, 52)
-	results := FitAllSampleParallel(NewSample(data), nil, 0)
+	results := FitAll(NewSample(data), nil, 0)
 	if results[0].Family != "weibull" {
 		t.Fatalf("winner %s", results[0].Family)
 	}

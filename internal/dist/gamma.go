@@ -143,22 +143,14 @@ func (g Gamma) Rand(rng *rand.Rand) float64 {
 // where s = ln(mean) − mean(ln x).
 type GammaFitter struct{}
 
-var (
-	_ Fitter       = GammaFitter{}
-	_ SampleFitter = GammaFitter{}
-)
+var _ Fitter = GammaFitter{}
 
 // FamilyName implements Fitter.
 func (GammaFitter) FamilyName() string { return "gamma" }
 
-// Fit implements Fitter.
-func (f GammaFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the Minka iteration consumes only the
-// cached mean and mean-log, so the fit is O(iterations) with no data pass.
-func (GammaFitter) FitSample(sm *Sample) (Distribution, error) {
+// Fit implements Fitter: the Minka iteration consumes only the cached
+// mean and mean-log, so the fit is O(iterations) with no data pass.
+func (GammaFitter) Fit(sm *Sample) (Distribution, error) {
 	_, mean, _, err := sm.moments(true)
 	if err != nil {
 		return nil, fmt.Errorf("fit gamma: %w", err)
@@ -253,24 +245,15 @@ type ErlangFitter struct {
 	MaxK int
 }
 
-var (
-	_ Fitter       = ErlangFitter{}
-	_ SampleFitter = ErlangFitter{}
-)
+var _ Fitter = ErlangFitter{}
 
 // FamilyName implements Fitter.
 func (ErlangFitter) FamilyName() string { return "erlang" }
 
-// Fit implements Fitter.
-func (f ErlangFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter. The Erlang log-likelihood is linear in
-// the sufficient statistics (n·k·lnβ + (k−1)Σln x − βΣx − n·lnΓ(k)), so the
-// profile search over shapes is O(maxK) instead of the slice path's
-// O(maxK·n) — the single largest win of the sorted-sample engine.
-func (f ErlangFitter) FitSample(s *Sample) (Distribution, error) {
+// Fit implements Fitter. The Erlang log-likelihood is linear in the
+// sufficient statistics (n·k·lnβ + (k−1)Σln x − βΣx − n·lnΓ(k)), so the
+// profile search over shapes is O(maxK) rather than O(maxK·n).
+func (f ErlangFitter) Fit(s *Sample) (Distribution, error) {
 	_, mean, _, err := s.moments(true)
 	if err != nil {
 		return nil, fmt.Errorf("fit erlang: %w", err)

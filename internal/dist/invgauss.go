@@ -114,22 +114,14 @@ func (ig InverseGaussian) Rand(rng *rand.Rand) float64 {
 // MLE: μ̂ = mean, 1/λ̂ = mean(1/x − 1/μ̂).
 type InverseGaussianFitter struct{}
 
-var (
-	_ Fitter       = InverseGaussianFitter{}
-	_ SampleFitter = InverseGaussianFitter{}
-)
+var _ Fitter = InverseGaussianFitter{}
 
 // FamilyName implements Fitter.
 func (InverseGaussianFitter) FamilyName() string { return "inverse-gaussian" }
 
-// Fit implements Fitter.
-func (f InverseGaussianFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: Σ(1/x − 1/μ̂) = Σ1/x − n/μ̂, so both
+// Fit implements Fitter: Σ(1/x − 1/μ̂) = Σ1/x − n/μ̂, so both
 // parameters are closed-form in the cached mean and reciprocal sum.
-func (InverseGaussianFitter) FitSample(s *Sample) (Distribution, error) {
+func (InverseGaussianFitter) Fit(s *Sample) (Distribution, error) {
 	n, mean, _, err := s.moments(true)
 	if err != nil {
 		return nil, fmt.Errorf("fit inverse-gaussian: %w", err)

@@ -11,22 +11,12 @@ import (
 // the design contrasts against plain MLE — it usually buys a slightly
 // smaller KS at a much higher cost and with no likelihood guarantees.
 //
-// KSPolish is a compatibility wrapper that sorts the data once (via a
-// Sample) and delegates to KSPolishSample; iters bounds the outer sweeps
+// The descent evaluates every candidate through the sample's memoized
+// collapsed ECDF (one CDF evaluation per distinct value rather than per
+// point) with a branch-and-bound abort, reusing a single candidate buffer
+// instead of allocating one per perturbation. iters bounds the outer sweeps
 // (0 means 40).
-func KSPolish(d Parametric, data []float64, iters int) (Distribution, float64, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
-	}
-	return KSPolishSample(d, NewSample(data), iters)
-}
-
-// KSPolishSample is KSPolish over a precomputed Sample: the coordinate
-// descent evaluates every candidate through the sample's memoized collapsed
-// ECDF (one CDF evaluation per distinct value rather than per point), with a
-// single reusable candidate buffer instead of one allocation per
-// perturbation.
-func KSPolishSample(d Parametric, s *Sample, iters int) (Distribution, float64, error) {
+func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error) {
 	if s.N() == 0 {
 		return nil, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
 	}
@@ -73,43 +63,4 @@ func KSPolishSample(d Parametric, s *Sample, iters int) (Distribution, float64, 
 		}
 	}
 	return best, bestKS, nil
-}
-
-// KSPolishFitter wraps a base MLE fitter and polishes its result by KS
-// coordinate descent. It satisfies Fitter (and SampleFitter), so it can be
-// dropped into the model-selection candidate set for the ablation.
-type KSPolishFitter struct {
-	Base  Fitter
-	Iters int
-}
-
-var (
-	_ Fitter       = KSPolishFitter{}
-	_ SampleFitter = KSPolishFitter{}
-)
-
-// FamilyName implements Fitter.
-func (f KSPolishFitter) FamilyName() string { return f.Base.FamilyName() + "+kspolish" }
-
-// Fit implements Fitter.
-func (f KSPolishFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the base fit and the polish share one
-// sorted sample.
-func (f KSPolishFitter) FitSample(s *Sample) (Distribution, error) {
-	d, err := fitWith(f.Base, s)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := d.(Parametric)
-	if !ok {
-		return d, nil
-	}
-	polished, _, err := KSPolishSample(p, s, f.Iters)
-	if err != nil {
-		return nil, err
-	}
-	return polished, nil
 }

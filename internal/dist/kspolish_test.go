@@ -14,7 +14,6 @@ func TestParamsRoundTrip(t *testing.T) {
 		mustP(NewGamma(2.5, 0.3)),
 		mustP(NewErlang(3, 2)),
 		mustP(NewInverseGaussian(4, 9)),
-		mustP(NewNormal(-1, 2)),
 	} {
 		p := d.Params()
 		back, err := d.WithParams(p)
@@ -64,12 +63,12 @@ func TestErlangWithParamsRoundsShape(t *testing.T) {
 
 func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 	truth, _ := NewWeibull(0.62, 2100)
-	data := sampleFrom(truth, 4000, 31)
+	data := NewSample(sampleFrom(truth, 4000, 31))
 	mle, err := (WeibullFitter{}).Fit(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mleKS := KSStatistic(mle, data)
+	mleKS := data.KSStatistic(mle)
 	polished, polishedKS, err := KSPolish(mle.(Parametric), data, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 		t.Errorf("polished params drifted: %+v", w)
 	}
 	// Reported KS matches an independent computation.
-	if math.Abs(polishedKS-KSStatistic(polished, data)) > 1e-12 {
+	if math.Abs(polishedKS-data.KSStatistic(polished)) > 1e-12 {
 		t.Error("reported KS inconsistent")
 	}
 }
@@ -92,9 +91,9 @@ func TestKSPolishFromBadStart(t *testing.T) {
 	// Start from deliberately wrong parameters: polish must recover most
 	// of the gap to the true law.
 	truth, _ := NewExponential(0.001)
-	data := sampleFrom(truth, 3000, 32)
+	data := NewSample(sampleFrom(truth, 3000, 32))
 	bad, _ := NewExponential(0.01) // 10x off
-	badKS := KSStatistic(bad, data)
+	badKS := data.KSStatistic(bad)
 	_, polishedKS, err := KSPolish(bad, data, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -109,31 +108,7 @@ func TestKSPolishFromBadStart(t *testing.T) {
 
 func TestKSPolishEmptyData(t *testing.T) {
 	e, _ := NewExponential(1)
-	if _, _, err := KSPolish(e, nil, 0); err == nil {
+	if _, _, err := KSPolish(e, NewSample(nil), 0); err == nil {
 		t.Error("empty data accepted")
-	}
-}
-
-func TestKSPolishFitter(t *testing.T) {
-	truth, _ := NewPareto(45, 1.25)
-	data := sampleFrom(truth, 3000, 33)
-	f := KSPolishFitter{Base: ParetoFitter{}}
-	if got, want := f.FamilyName(), "pareto+kspolish"; got != want {
-		t.Errorf("FamilyName = %q", got)
-	}
-	d, err := f.Fit(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := (ParetoFitter{}).Fit(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if KSStatistic(d, data) > KSStatistic(base, data)+1e-12 {
-		t.Error("polished fit worse than base")
-	}
-	// Propagates base errors.
-	if _, err := f.Fit([]float64{-1, 2}); err == nil {
-		t.Error("bad sample accepted")
 	}
 }

@@ -87,22 +87,14 @@ func (l LogNormal) Rand(rng *rand.Rand) float64 {
 // standard deviation of ln x.
 type LogNormalFitter struct{}
 
-var (
-	_ Fitter       = LogNormalFitter{}
-	_ SampleFitter = LogNormalFitter{}
-)
+var _ Fitter = LogNormalFitter{}
 
 // FamilyName implements Fitter.
 func (LogNormalFitter) FamilyName() string { return "lognormal" }
 
-// Fit implements Fitter.
-func (f LogNormalFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: the MLE is the cached mean and
+// Fit implements Fitter: the MLE is the cached mean and
 // variance of ln x — no log pass and no scratch slice per fit.
-func (LogNormalFitter) FitSample(s *Sample) (Distribution, error) {
+func (LogNormalFitter) Fit(s *Sample) (Distribution, error) {
 	if _, _, _, err := s.moments(true); err != nil {
 		return nil, fmt.Errorf("fit lognormal: %w", err)
 	}
@@ -111,94 +103,4 @@ func (LogNormalFitter) FitSample(s *Sample) (Distribution, error) {
 		return nil, fmt.Errorf("fit lognormal: degenerate sample (all values equal)")
 	}
 	return NewLogNormal(s.MeanLog(), math.Sqrt(variance))
-}
-
-// Normal is the Gaussian distribution N(μ, σ²). Included to complete the
-// candidate set and for internal use (CLT-based approximations in tests).
-type Normal struct {
-	Mu    float64
-	Sigma float64 // > 0
-}
-
-var _ Distribution = Normal{}
-
-// NewNormal returns a normal distribution with the given mean and standard
-// deviation.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if sigma <= 0 || math.IsNaN(mu) || math.IsNaN(sigma) {
-		return Normal{}, fmt.Errorf("dist: normal sigma %v must be positive", sigma)
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
-}
-
-// Name implements Distribution.
-func (Normal) Name() string { return "normal" }
-
-// NumParams implements Distribution.
-func (Normal) NumParams() int { return 2 }
-
-// PDF implements Distribution.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// LogPDF implements Distribution.
-func (n Normal) LogPDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return -z*z/2 - math.Log(n.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
-// CDF implements Distribution.
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf((x-n.Mu)/(n.Sigma*math.Sqrt2)))
-}
-
-// Quantile implements Distribution.
-func (n Normal) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	default:
-		return n.Mu + n.Sigma*math.Sqrt2*erfInv(2*p-1)
-	}
-}
-
-// Mean implements Distribution.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Var implements Distribution.
-func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
-
-// Rand implements Distribution.
-func (n Normal) Rand(rng *rand.Rand) float64 { return n.Mu + n.Sigma*rng.NormFloat64() }
-
-// NormalFitter estimates a Gaussian by MLE.
-type NormalFitter struct{}
-
-var (
-	_ Fitter       = NormalFitter{}
-	_ SampleFitter = NormalFitter{}
-)
-
-// FamilyName implements Fitter.
-func (NormalFitter) FamilyName() string { return "normal" }
-
-// Fit implements Fitter.
-func (f NormalFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter.
-func (NormalFitter) FitSample(s *Sample) (Distribution, error) {
-	_, mu, variance, err := s.moments(false)
-	if err != nil {
-		return nil, fmt.Errorf("fit normal: %w", err)
-	}
-	if variance <= 0 {
-		return nil, fmt.Errorf("fit normal: degenerate sample (all values equal)")
-	}
-	return NewNormal(mu, math.Sqrt(variance))
 }

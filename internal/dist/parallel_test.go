@@ -20,9 +20,9 @@ func TestFitAllParallelMatchesSerial(t *testing.T) {
 	for i := range data {
 		data[i] = w.Rand(rng)
 	}
-	want := FitAllSampleParallel(NewSample(data), nil, 1)
+	want := FitAll(NewSample(data), nil, 1)
 	for _, workers := range []int{0, 2, 8} {
-		got := FitAllSampleParallel(NewSample(data), nil, workers)
+		got := FitAll(NewSample(data), nil, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}

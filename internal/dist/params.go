@@ -2,9 +2,8 @@ package dist
 
 import "fmt"
 
-// Parametric exposes a distribution's parameter vector so generic
-// optimizers (the KS-polishing fitter, bootstrap refitters) can perturb a
-// law without knowing its family.
+// Parametric exposes a distribution's parameter vector so a generic
+// optimizer (KSPolish) can perturb a law without knowing its family.
 type Parametric interface {
 	Distribution
 	// Params returns the parameter vector (a fresh slice).
@@ -23,7 +22,6 @@ var (
 	_ Parametric = Gamma{}
 	_ Parametric = Erlang{}
 	_ Parametric = InverseGaussian{}
-	_ Parametric = Normal{}
 )
 
 func checkArity(name string, p []float64, want int) error {
@@ -110,15 +108,4 @@ func (InverseGaussian) WithParams(p []float64) (Distribution, error) {
 		return nil, err
 	}
 	return NewInverseGaussian(p[0], p[1])
-}
-
-// Params implements Parametric.
-func (n Normal) Params() []float64 { return []float64{n.Mu, n.Sigma} }
-
-// WithParams implements Parametric.
-func (Normal) WithParams(p []float64) (Distribution, error) {
-	if err := checkArity("normal", p, 2); err != nil {
-		return nil, err
-	}
-	return NewNormal(p[0], p[1])
 }

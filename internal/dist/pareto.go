@@ -95,22 +95,14 @@ func (p Pareto) Rand(rng *rand.Rand) float64 {
 // x̂_m = min(x), α̂ = n / Σ ln(x_i/x̂_m).
 type ParetoFitter struct{}
 
-var (
-	_ Fitter       = ParetoFitter{}
-	_ SampleFitter = ParetoFitter{}
-)
+var _ Fitter = ParetoFitter{}
 
 // FamilyName implements Fitter.
 func (ParetoFitter) FamilyName() string { return "pareto" }
 
-// Fit implements Fitter.
-func (f ParetoFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter: both parameters are closed-form in the
+// Fit implements Fitter: both parameters are closed-form in the
 // cached minimum and Σln x — Σ ln(x_i/x_m) = Σln x − n·ln x_m.
-func (ParetoFitter) FitSample(s *Sample) (Distribution, error) {
+func (ParetoFitter) Fit(s *Sample) (Distribution, error) {
 	if _, _, _, err := s.moments(true); err != nil {
 		return nil, fmt.Errorf("fit pareto: %w", err)
 	}

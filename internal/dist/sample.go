@@ -159,8 +159,8 @@ func (s *Sample) MeanLog() float64 { return s.meanLog }
 // positive).
 func (s *Sample) VarLog() float64 { return s.varLog }
 
-// moments mirrors the validation the slice-based fitters performed: n ≥ 2,
-// finite data, and (when positive is set) a strictly positive support.
+// moments is the validation every fitter runs first: n ≥ 2, finite data,
+// and (when positive is set) a strictly positive support.
 func (s *Sample) moments(positive bool) (n int, mean, variance float64, err error) {
 	if s.err != nil {
 		return 0, 0, 0, s.err
@@ -192,7 +192,7 @@ func (s *Sample) ECDFPoints() (xs, fs []float64) {
 // sample against d, evaluated over the memoized collapsed ECDF: within a run
 // of tied points the deviation |F_n − F| is extremal at the run boundaries,
 // so only distinct values need a CDF evaluation. The result is bit-identical
-// to KSStatisticSorted over the full sorted data (the boundary fractions are
+// to a per-point scan of the full sorted data (the boundary fractions are
 // the same float64(i)/float64(n) quotients), just cheaper whenever the
 // series has ties — quantized job runtimes commonly do.
 //
@@ -246,54 +246,56 @@ func (s *Sample) ksBelow(d Distribution, bound float64) (float64, bool) {
 	return maxD, true
 }
 
-// Quantile returns the type-7 (R/NumPy default) p-quantile of the sample.
+// ADStatistic returns the Anderson–Darling statistic A² of the sample
+// against d, with zero allocations. AD weights the tails more heavily than
+// KS, so the two statistics disagreeing flags a tail mismatch. Returns NaN
+// for an empty sample or +Inf when a point falls outside d's support (F = 0
+// or 1).
+//
+// Runtime samples are heavily tied, so the forward cursor (i) and the
+// backward cursor (n−1−i) each keep ln F and ln(1−F) for their current run
+// of equal values and call CDF once per run. Runs are keyed by the exact
+// bits of the value, CDF is a pure function, and the sum still adds
+// (2i+1)·(ln F_i + ln(1−F_{n−1−i})) in index order, so the statistic is
+// bit-identical to one CDF evaluation per point per side.
 //
 //mira:hotpath
-func (s *Sample) Quantile(p float64) float64 {
-	n := len(s.sorted)
+func (s *Sample) ADStatistic(d Distribution) float64 {
+	sorted := s.sorted
+	n := len(sorted)
 	if n == 0 {
 		return math.NaN()
 	}
-	if p <= 0 || n == 1 {
-		return s.sorted[0]
+	// Start each run key one bit off its side's first value, so the first
+	// point of each side opens a run.
+	loBits, hiBits := math.Float64bits(sorted[0])^1, math.Float64bits(sorted[n-1])^1
+	var logLo, logHi float64
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		if b := math.Float64bits(sorted[i]); b != loBits {
+			fi := d.CDF(sorted[i])
+			if fi <= 0 {
+				return math.Inf(1)
+			}
+			loBits, logLo = b, math.Log(fi)
+		}
+		if b := math.Float64bits(sorted[n-1-i]); b != hiBits {
+			fj := d.CDF(sorted[n-1-i])
+			if fj >= 1 {
+				return math.Inf(1)
+			}
+			hiBits, logHi = b, math.Log1p(-fj)
+		}
+		sum += float64(2*i+1) * (logLo + logHi)
 	}
-	if p >= 1 {
-		return s.sorted[n-1]
-	}
-	h := p * float64(n-1)
-	lo := int(math.Floor(h))
-	frac := h - float64(lo)
-	if lo+1 >= n {
-		return s.sorted[n-1]
-	}
-	return s.sorted[lo] + frac*(s.sorted[lo+1]-s.sorted[lo])
-}
-
-// SampleFitter is a Fitter that can estimate its family directly from a
-// precomputed Sample, skipping the per-fit validation and moment passes. All
-// families in this package implement it; FitAllSampleParallel falls back to
-// Fit(sample.Sorted()) for third-party fitters that do not.
-type SampleFitter interface {
-	Fitter
-	// FitSample returns the MLE distribution for the sample.
-	FitSample(s *Sample) (Distribution, error)
-}
-
-// fitWith dispatches to the Sample-based estimator when the fitter supports
-// it and falls back to the slice API (over the sorted view, zero-copy)
-// otherwise.
-func fitWith(f Fitter, s *Sample) (Distribution, error) {
-	if sf, ok := f.(SampleFitter); ok {
-		return sf.FitSample(s)
-	}
-	return f.Fit(s.Sorted())
+	return -float64(n) - sum/float64(n)
 }
 
 // LogLikelihood returns Σ ln f(x_i) over the sample. For the families whose
 // log-density is linear in the precomputed sufficient statistics
-// (exponential, gamma/Erlang, Pareto, log-normal, normal, inverse Gaussian)
-// it is evaluated in closed form with zero passes over the data; Weibull and
-// unknown families fall back to one O(n) scan of the sorted view.
+// (exponential, gamma/Erlang, Pareto, log-normal, inverse Gaussian) it is
+// evaluated in closed form with zero passes over the data; Weibull falls
+// back to one O(n) scan of the sorted view.
 //
 //mira:hotpath
 func (s *Sample) LogLikelihood(d Distribution) float64 {
@@ -302,7 +304,7 @@ func (s *Sample) LogLikelihood(d Distribution) float64 {
 		return 0
 	}
 	if s.err == ErrBadSample {
-		// NaN/Inf present: the scan reproduces the slice semantics exactly.
+		// NaN/Inf present: only the per-point scan gives the exact sum.
 		return LogLikelihood(d, s.sorted)
 	}
 	switch v := d.(type) {
@@ -336,10 +338,6 @@ func (s *Sample) LogLikelihood(d Distribution) float64 {
 		// Σ(x−μ)²/x = Σx − 2nμ + μ²Σ1/x.
 		q := s.sum - 2*v.Mu*n + v.Mu*v.Mu*s.sumInv
 		return 0.5*n*math.Log(v.Lambda/(2*math.Pi)) - 1.5*s.sumLog - v.Lambda*q/(2*v.Mu*v.Mu)
-	case Normal:
-		dm := s.mean - v.Mu
-		zz := n * (s.variance + dm*dm) / (v.Sigma * v.Sigma)
-		return -zz/2 - n*math.Log(v.Sigma) - 0.5*n*math.Log(2*math.Pi)
 	default:
 		return LogLikelihood(d, s.sorted)
 	}

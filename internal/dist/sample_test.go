@@ -117,27 +117,7 @@ func testDists(t *testing.T) []Distribution {
 	gm, _ := NewGamma(2.2, 0.9)
 	er, _ := NewErlang(3, 1.2)
 	ig, _ := NewInverseGaussian(2.5, 4)
-	nm, _ := NewNormal(3, 2)
-	return []Distribution{exp, wb, par, ln, gm, er, ig, nm}
-}
-
-// TestKSADSortedEquivalence pins the compatibility contract: the slice APIs
-// (copy + sort) and the Sorted cores produce bit-identical statistics.
-func TestKSADSortedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	data := make([]float64, 4000)
-	for i := range data {
-		data[i] = rng.ExpFloat64()*5 + 0.1
-	}
-	s := NewSample(data)
-	for _, d := range testDists(t) {
-		if got, want := KSStatisticSorted(d, s.Sorted()), KSStatistic(d, data); got != want {
-			t.Errorf("%T: KS sorted %v != slice %v", d, got, want)
-		}
-		if got, want := ADStatisticSorted(d, s.Sorted()), ADStatistic(d, data); got != want {
-			t.Errorf("%T: AD sorted %v != slice %v", d, got, want)
-		}
-	}
+	return []Distribution{exp, wb, par, ln, gm, er, ig}
 }
 
 // TestKSCollapsedECDFBitIdentical pins that the memoized-ECDF KS — which
@@ -155,7 +135,7 @@ func TestKSCollapsedECDFBitIdentical(t *testing.T) {
 		t.Fatal("test series has no ties; quantize harder")
 	}
 	for _, d := range testDists(t) {
-		if got, want := s.KSStatistic(d), KSStatisticSorted(d, s.Sorted()); got != want {
+		if got, want := s.KSStatistic(d), ksStatisticPerPoint(d, s.Sorted()); got != want {
 			t.Errorf("%T: collapsed KS %v != full scan %v", d, got, want)
 		}
 	}
@@ -179,46 +159,10 @@ func TestClosedFormLogLikelihood(t *testing.T) {
 	}
 }
 
-// TestFitSampleMatchesFit pins bit-identical parameters between the slice
-// and Sample fitting paths for every built-in family.
-func TestFitSampleMatchesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	data := make([]float64, 8000)
-	for i := range data {
-		data[i] = rng.ExpFloat64()*3 + 0.2
-	}
-	s := NewSample(data)
-	fitters := append(DefaultFitters(), LogLogisticFitter{}, NormalFitter{})
-	for _, f := range fitters {
-		sf, ok := f.(SampleFitter)
-		if !ok {
-			t.Errorf("%s does not implement SampleFitter", f.FamilyName())
-			continue
-		}
-		viaSlice, err1 := f.Fit(data)
-		viaSample, err2 := sf.FitSample(s)
-		if (err1 == nil) != (err2 == nil) {
-			t.Errorf("%s: err mismatch slice=%v sample=%v", f.FamilyName(), err1, err2)
-			continue
-		}
-		if err1 != nil {
-			continue
-		}
-		p1, ok1 := viaSlice.(Parametric)
-		p2, ok2 := viaSample.(Parametric)
-		if !ok1 || !ok2 {
-			continue
-		}
-		a, b := p1.Params(), p2.Params()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s: param %d differs: slice %v, sample %v", f.FamilyName(), i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// TestKSPolishSampleMatchesKSPolish pins the polish path equivalence.
+// TestKSPolishSampleMatchesKSPolish pins the polish path equivalence: the
+// Sample-based KSPolish (collapsed ECDF, branch-and-bound, one candidate
+// buffer) must land on exactly the parameters and KS bits of the full-scan
+// coordinate descent over the sorted points, and must not make the fit worse.
 func TestKSPolishSampleMatchesKSPolish(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	truth, _ := NewExponential(0.5)
@@ -227,24 +171,25 @@ func TestKSPolishSampleMatchesKSPolish(t *testing.T) {
 		data[i] = truth.Rand(rng)
 	}
 	start, _ := NewExponential(0.4)
-	d1, ks1, err1 := KSPolish(start, data, 15)
-	d2, ks2, err2 := KSPolishSample(start, NewSample(data), 15)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v, %v", err1, err2)
+	s := NewSample(data)
+	d1, ks1 := ksPolishFullScan(start, s.Sorted(), 15)
+	d2, ks2, err := KSPolish(start, s, 15)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ks1 != ks2 {
-		t.Errorf("polished KS %v != %v", ks1, ks2)
+	if math.Float64bits(ks1) != math.Float64bits(ks2) {
+		t.Errorf("polished KS: full scan %v, sample %v", ks1, ks2)
 	}
 	if d1.(Exponential).Rate != d2.(Exponential).Rate {
-		t.Errorf("polished rate %v != %v", d1.(Exponential).Rate, d2.(Exponential).Rate)
+		t.Errorf("polished rate: full scan %v, sample %v", d1.(Exponential).Rate, d2.(Exponential).Rate)
 	}
-	if ks2 > KSStatisticSorted(start, NewSample(data).Sorted()) {
+	if ks2 > s.KSStatistic(start) {
 		t.Error("polish made the KS statistic worse")
 	}
 }
 
-// TestSortedStatisticsAllocFree verifies the KS/AD cores allocate nothing —
-// the point of the sort-once refactor.
+// TestSortedStatisticsAllocFree verifies the Sample statistics allocate
+// nothing — the point of the sort-once design.
 func TestSortedStatisticsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	data := make([]float64, 2000)
@@ -254,23 +199,21 @@ func TestSortedStatisticsAllocFree(t *testing.T) {
 	s := NewSample(data)
 	exp, _ := NewExponential(1)
 	// Convert to the interface once: a per-call conversion would itself
-	// allocate and mask what the cores do.
+	// allocate and mask what the statistics do.
 	var d Distribution = exp
-	sorted := s.Sorted()
 	s.ECDFPoints() // warm the lazily built ECDF outside the counted runs
 	var sink float64
 	if n := testing.AllocsPerRun(20, func() {
-		sink += KSStatisticSorted(d, sorted)
-		sink += ADStatisticSorted(d, sorted)
+		sink += s.ADStatistic(d)
 		sink += s.KSStatistic(d)
 		sink += s.LogLikelihood(d)
 	}); n != 0 {
-		t.Errorf("sorted statistic cores allocate %v per run, want 0", n)
+		t.Errorf("Sample statistics allocate %v per run, want 0", n)
 	}
 	_ = sink
 }
 
-func TestSampleECDFAndQuantile(t *testing.T) {
+func TestSampleECDFPoints(t *testing.T) {
 	s := NewSample([]float64{1, 2, 2, 3})
 	xs, fs := s.ECDFPoints()
 	wantX := []float64{1, 2, 3}
@@ -282,15 +225,6 @@ func TestSampleECDFAndQuantile(t *testing.T) {
 		if xs[i] != wantX[i] || fs[i] != wantF[i] {
 			t.Errorf("ECDFPoints[%d] = (%v,%v), want (%v,%v)", i, xs[i], fs[i], wantX[i], wantF[i])
 		}
-	}
-	if got := s.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v, want 2", got)
-	}
-	if got := s.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0) = %v, want 1", got)
-	}
-	if got := s.Quantile(1); got != 3 {
-		t.Errorf("Quantile(1) = %v, want 3", got)
 	}
 }
 
@@ -312,8 +246,8 @@ func TestSampleConcurrentUse(t *testing.T) {
 			xs, _ := s.ECDFPoints()
 			_ = len(xs)
 			_ = s.LogLikelihood(exp)
-			_ = KSStatisticSorted(exp, s.Sorted())
-			_ = s.Quantile(0.9)
+			_ = s.KSStatistic(exp)
+			_ = s.ADStatistic(exp)
 		}()
 	}
 	wg.Wait()

@@ -1,7 +1,8 @@
 // Package dist implements the probability distributions the paper fits to
 // failed-job execution lengths and interruption intervals — exponential,
-// Erlang, gamma, Weibull, Pareto, lognormal, inverse Gaussian and normal —
-// together with maximum-likelihood fitters and random sampling.
+// Erlang, gamma, Weibull, Pareto, lognormal and inverse Gaussian —
+// together with maximum-likelihood fitters over a sorted Sample and random
+// sampling.
 //
 // Go's standard library has no statistics stack, so the special functions
 // (regularized incomplete gamma, digamma, Kolmogorov distribution) are
@@ -181,7 +182,7 @@ func KolmogorovPValue(d float64, n int) float64 {
 	return math.Min(1, math.Max(0, p))
 }
 
-// erfInv returns the inverse error function, used by the normal quantile.
+// erfInv returns the inverse error function, used by the log-normal quantile.
 // Implementation follows Giles (2010) with a polishing Newton step.
 func erfInv(x float64) float64 {
 	if x <= -1 {

@@ -104,26 +104,18 @@ func (w Weibull) Rand(rng *rand.Rand) float64 {
 // the closed form λ̂ = (Σ x_i^k / n)^{1/k}.
 type WeibullFitter struct{}
 
-var (
-	_ Fitter       = WeibullFitter{}
-	_ SampleFitter = WeibullFitter{}
-)
+var _ Fitter = WeibullFitter{}
 
 // FamilyName implements Fitter.
 func (WeibullFitter) FamilyName() string { return "weibull" }
 
-// Fit implements Fitter.
-func (f WeibullFitter) Fit(data []float64) (Distribution, error) {
-	return f.FitSample(NewSample(data))
-}
-
-// FitSample implements SampleFitter. The shape equation still needs Σx^k
+// Fit implements Fitter. The shape equation still needs Σx^k
 // per iteration (it is not linear in the sufficient statistics), but the
 // Sample engine cuts the cost three ways: ln x is computed once and reused
 // so each x^k is one Exp instead of a Pow, the derivative g′ is analytic
 // (g, g′ share a single data pass where the numeric derivative needed
 // three), and mean/variance/mean-log come from the cached statistics.
-func (WeibullFitter) FitSample(s *Sample) (Distribution, error) {
+func (WeibullFitter) Fit(s *Sample) (Distribution, error) {
 	n, mean, variance, err := s.moments(true)
 	if err != nil {
 		return nil, fmt.Errorf("fit weibull: %w", err)

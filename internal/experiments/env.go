@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -38,11 +37,10 @@ type Env struct {
 // makes each analysis safe to request from concurrently running
 // experiments while computing it exactly once.
 //
-// Beyond the classifications it holds the derived-series cache: sorted
-// job-duration Samples per outcome, the per-job core-hours series, and the
-// default-rule MTTI / availability / survival results with their interval
-// and repair-time Samples — the series E5/E6/E12/E22/E23 would otherwise
-// re-extract and re-sort per experiment.
+// Beyond the classifications it holds the derived-series cache: the per-job
+// core-hours series and the default-rule MTTI / availability / survival
+// results with their interval and repair-time Samples — the series
+// E12/E22/E23 would otherwise re-extract and re-sort per experiment.
 type envCache struct {
 	exitOnce  sync.Once
 	exit      *core.Classification
@@ -51,22 +49,20 @@ type envCache struct {
 
 	// orders is the job-order layer RunAll shares across a pass, nil
 	// outside one; ordersPins counts the passes in flight.
-	ordersMu         sync.Mutex
-	ordersPins       int
-	orders           *core.JobOrders
-	durOnce          sync.Once
-	durSucc, durFail *dist.Sample
-	coreHoursOnce    sync.Once
-	coreHours        []float64
-	mttiOnce         sync.Once
-	mtti             *core.MTTIResult
-	mttiErr          error
-	availOnce        sync.Once
-	avail            *core.AvailabilityResult
-	availErr         error
-	survOnce         sync.Once
-	surv             *core.SurvivalResult
-	survErr          error
+	ordersMu      sync.Mutex
+	ordersPins    int
+	orders        *core.JobOrders
+	coreHoursOnce sync.Once
+	coreHours     []float64
+	mttiOnce      sync.Once
+	mtti          *core.MTTIResult
+	mttiErr       error
+	availOnce     sync.Once
+	avail         *core.AvailabilityResult
+	availErr      error
+	survOnce      sync.Once
+	surv          *core.SurvivalResult
+	survErr       error
 
 	// Fused-scan profile plus the memoizations layered on it (see
 	// fused.go). profileOnce guards the single shared scan RunAll triggers
@@ -160,18 +156,6 @@ func (e *Env) shareOrders() (release func()) {
 			c.orders = nil
 		}
 	}
-}
-
-// DurationSamples returns the per-outcome execution-length Samples
-// (seconds, sorted with sufficient statistics): succeeded and failed jobs.
-// The extraction and sort happen once per environment no matter how many
-// experiments request them.
-func (e *Env) DurationSamples() (succeeded, failed *dist.Sample) {
-	e.cache.durOnce.Do(func() {
-		s, f := e.Orders().ExecutionLengthCDFs() // already sorted ascending
-		e.cache.durSucc, e.cache.durFail = dist.NewSampleSorted(s), dist.NewSampleSorted(f)
-	})
-	return e.cache.durSucc, e.cache.durFail
 }
 
 // JobCoreHours returns the per-job core-hours series, aligned with D.Jobs

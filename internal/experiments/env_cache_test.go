@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -17,11 +20,6 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		"constructed": env(t),
 		"literal":     {D: env(t).D},
 	} {
-		s1, f1 := e.DurationSamples()
-		s2, f2 := e.DurationSamples()
-		if s1 != s2 || f1 != f2 {
-			t.Errorf("%s: DurationSamples recomputed instead of memoized", name)
-		}
 		ch1, ch2 := e.JobCoreHours(), e.JobCoreHours()
 		if len(ch1) == 0 || &ch1[0] != &ch2[0] {
 			t.Errorf("%s: JobCoreHours recomputed instead of memoized", name)
@@ -90,14 +88,13 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 	e := env(t)
 	const goroutines = 16
 	type view struct {
-		succ, fail *dist.Sample
-		coreHours  []float64
-		orders     interface{}
-		mtti       interface{}
-		avail      interface{}
-		surv       interface{}
-		exit       interface{}
-		joint      interface{}
+		coreHours []float64
+		orders    interface{}
+		mtti      interface{}
+		avail     interface{}
+		surv      interface{}
+		exit      interface{}
+		joint     interface{}
 	}
 	views := make([]view, goroutines)
 	release := e.shareOrders()
@@ -108,7 +105,6 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			v := &views[g]
-			v.succ, v.fail = e.DurationSamples()
 			v.coreHours = e.JobCoreHours()
 			v.orders = e.Orders()
 			v.mtti, _ = e.MTTI()
@@ -123,9 +119,6 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
-		if views[g].succ != views[0].succ || views[g].fail != views[0].fail {
-			t.Fatalf("goroutine %d saw a different DurationSamples result", g)
-		}
 		if &views[g].coreHours[0] != &views[0].coreHours[0] {
 			t.Fatalf("goroutine %d saw a different JobCoreHours slice", g)
 		}
@@ -143,11 +136,6 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 func TestEnvCacheNilFallback(t *testing.T) {
 	cached := env(t)
 	bare := &Env{D: cached.D}
-	s, f := bare.DurationSamples()
-	cs, cf := cached.DurationSamples()
-	if s.N() != cs.N() || f.N() != cf.N() {
-		t.Errorf("literal DurationSamples sizes (%d,%d) != constructed (%d,%d)", s.N(), f.N(), cs.N(), cf.N())
-	}
 	if len(bare.JobCoreHours()) != len(cached.JobCoreHours()) {
 		t.Error("literal JobCoreHours length mismatch")
 	}
@@ -170,13 +158,15 @@ func TestEnvCacheNilFallback(t *testing.T) {
 	}
 }
 
-// TestLegacySampleEquivalenceOnExperimentSeries pins the compatibility
-// contract on the real E6/E12/E22 inputs: the slice entry point KSPolish
-// and its Sample-based core must land on the same polished KS statistic
-// for each series' winning family.
+// TestLegacySampleEquivalenceOnExperimentSeries pins the Sample contract on
+// the real E6/E12/E22 inputs: for each series' winning family, KSPolish must
+// land on the same parameters and KS bits whether the Sample is built from
+// the raw series, from a pre-sorted copy, or is the one the Env memoizes and
+// shares between experiments.
 func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	e := env(t)
 	series := map[string][]float64{}
+	shared := map[string]*dist.Sample{}
 
 	// E6 input: failed-job runtimes of the largest exit family.
 	for _, fam := range joblog.FailureFamilies() {
@@ -188,28 +178,50 @@ func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 	// E12 input: interruption intervals.
 	if m, err := e.MTTI(); err == nil && len(m.Intervals) >= 10 {
 		series["e12_intervals"] = m.Intervals
+		shared["e12_intervals"] = m.IntervalSample
 	}
 	// E22 input: repair durations.
 	if a, err := e.Availability(); err == nil && len(a.RepairHours) >= 30 {
 		series["e22_repairs"] = a.RepairHours
+		shared["e22_repairs"] = a.RepairSample
 	}
 	if len(series) < 3 {
 		t.Fatalf("expected all three experiment series, got %d", len(series))
 	}
 
 	for name, data := range series {
-		best, err := dist.SelectBestSample(dist.NewSample(data), nil)
+		fresh := dist.NewSample(data)
+		best, err := dist.SelectBest(fresh, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p, ok := best.Dist.(dist.Parametric); ok {
-			_, ks1, e1 := dist.KSPolish(p, data, 10)
-			_, ks2, e2 := dist.KSPolishSample(p, dist.NewSample(data), 10)
-			if e1 != nil || e2 != nil {
-				t.Fatalf("%s: polish errs %v, %v", name, e1, e2)
+		p, ok := best.Dist.(dist.Parametric)
+		if !ok {
+			continue
+		}
+		sorted := append([]float64(nil), data...)
+		sort.Float64s(sorted)
+		samples := map[string]*dist.Sample{
+			"NewSample":       fresh,
+			"NewSampleSorted": dist.NewSampleSorted(sorted),
+		}
+		if s := shared[name]; s != nil {
+			samples["shared"] = s
+		}
+		wantD, wantKS, err := dist.KSPolish(p, dist.NewSample(data), 10)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for via, s := range samples {
+			gotD, gotKS, err := dist.KSPolish(p, s, 10)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", name, via, err)
 			}
-			if ks1 != ks2 {
-				t.Errorf("%s: KSPolish %v != KSPolishSample %v", name, ks1, ks2)
+			if math.Float64bits(gotKS) != math.Float64bits(wantKS) {
+				t.Errorf("%s via %s: KS %v, want %v", name, via, gotKS, wantKS)
+			}
+			if !reflect.DeepEqual(gotD, wantD) {
+				t.Errorf("%s via %s: polished to %+v, want %+v", name, via, gotD, wantD)
 			}
 		}
 	}

@@ -183,12 +183,11 @@ func E4(env *Env) (*Result, error) {
 }
 
 // E5 regenerates the execution-length CDF comparison of succeeded vs
-// failed jobs, reading the per-outcome duration Samples from the shared
-// environment cache: the series are extracted and sorted once, and the
-// ECDFs and two-sample KS reuse the sorted views without copying.
+// failed jobs. The per-outcome series come out of one filtered walk over the
+// shared runtime order already sorted, and the ECDFs and two-sample KS reuse
+// them without copying.
 func E5(env *Env) (*Result, error) {
-	succS, failS := env.DurationSamples()
-	succ, fail := succS.Sorted(), failS.Sorted()
+	succ, fail := env.Orders().ExecutionLengthCDFs()
 	se, err := stats.NewECDFSorted(succ)
 	if err != nil {
 		return nil, err
@@ -283,8 +282,8 @@ func E6(env *Env) (*Result, error) {
 			continue
 		}
 		sample := dist.NewSample(raw)
-		mleKS := dist.KSStatisticSorted(best.Dist, sample.Sorted())
-		_, polishedKS, err := dist.KSPolishSample(p, sample, 20)
+		mleKS := sample.KSStatistic(best.Dist)
+		_, polishedKS, err := dist.KSPolish(p, sample, 20)
 		if err != nil {
 			return nil, err
 		}
