@@ -217,10 +217,6 @@ func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
 // Benchmark_RunAll_Fused below measures cold-Env runs.
 func benchRunAll(b *testing.B, workers int) {
 	env := sharedEnv(b)
-	// Warm the memoized classifications so neither variant pays the one-off
-	// cost inside the timed region.
-	env.ClassifyByExit()
-	env.ClassifyJoint()
 	serial := timeOnce(b, func() {
 		if _, err := experiments.RunAll(env, 1); err != nil {
 			b.Fatal(err)
@@ -680,11 +676,15 @@ func runSchedulerWorkload(b *testing.B, policy sched.Policy) time.Duration {
 	return now.Sub(t0)
 }
 
-// BenchmarkTakeaways measures the full 22-takeaway joint analysis.
+// BenchmarkTakeaways measures the 22 takeaways on their own. Each
+// iteration takes a fresh Env over the shared dataset, so the analyses the
+// takeaways quote run every time instead of coming from the Env's memos.
 func BenchmarkTakeaways(b *testing.B) {
-	env := sharedEnv(b)
+	shared := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		ts, err := env.D.Takeaways(env.Parallelism)
+		env := experiments.NewEnvFromDataset(shared.D)
+		env.Parallelism = shared.Parallelism
+		ts, err := experiments.Takeaways(env)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,13 +25,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pack"
 	"repro/internal/sel"
@@ -39,27 +39,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mirareport:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	in := flag.String("in", "", "corpus directory written by miragen (empty = generate)")
-	format := flag.String("format", "auto", "corpus format for -in: auto (prefer pack), csv, pack")
-	days := flag.Int("days", 0, "override days when generating")
-	seed := flag.Int64("seed", 0, "override seed when generating")
-	small := flag.Bool("small", false, "generate the fast 30-day corpus")
-	expID := flag.String("exp", "", "run a single experiment (E1..E23)")
-	takeaways := flag.Bool("takeaways", false, "print only the 22-takeaway report")
-	where := flag.String("where", "", "print the cohort profile this predicate selects and exit (e.g. 'exit != success and nodes >= 1024')")
-	list := flag.Bool("list", false, "list the experiments and exit")
-	csvDir := flag.String("csv", "", "also dump figure/table CSVs into this directory")
-	parallelism := flag.Int("parallelism", 0, "worker bound for corpus generation and the experiment suite (0 = all cores, 1 = serial; results are identical)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// run parses args as the command line and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mirareport", flag.ExitOnError)
+	in := fs.String("in", "", "corpus directory written by miragen (empty = generate)")
+	format := fs.String("format", "auto", "corpus format for -in: auto (prefer pack), csv, pack")
+	days := fs.Int("days", 0, "override days when generating")
+	seed := fs.Int64("seed", 0, "override seed when generating")
+	small := fs.Bool("small", false, "generate the fast 30-day corpus")
+	expID := fs.String("exp", "", "run a single experiment (E1..E23)")
+	takeaways := fs.Bool("takeaways", false, "print only the 22-takeaway report")
+	where := fs.String("where", "", "print the cohort profile this predicate selects and exit (e.g. 'exit != success and nodes >= 1024')")
+	list := fs.Bool("list", false, "list the experiments and exit")
+	csvDir := fs.String("csv", "", "also dump figure/table CSVs into this directory")
+	parallelism := fs.Int("parallelism", 0, "worker bound for corpus generation and the experiment suite (0 = all cores, 1 = serial; results are identical)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -89,7 +93,7 @@ func run() error {
 
 	if *list {
 		for _, exp := range experiments.All() {
-			fmt.Printf("%-4s %s\n", exp.ID, exp.Description)
+			fmt.Fprintf(stdout, "%-4s %s\n", exp.ID, exp.Description)
 		}
 		return nil
 	}
@@ -100,10 +104,10 @@ func run() error {
 	}
 
 	if *where != "" {
-		return printCohort(env, *where)
+		return printCohort(stdout, env, *where)
 	}
 	if *takeaways {
-		return printTakeaways(env.D, *parallelism)
+		return printTakeaways(stdout, env)
 	}
 
 	var results []*experiments.Result
@@ -118,6 +122,10 @@ func run() error {
 		}
 		results = []*experiments.Result{res}
 	} else {
+		// One pass covers the suite and the takeaways after it, so the
+		// takeaways read the job orders RunAll already sorted.
+		release := env.Pass()
+		defer release()
 		// Fan the suite out across workers; results come back in index
 		// order, so the report reads identically at any parallelism.
 		if results, err = experiments.RunAll(env, *parallelism); err != nil {
@@ -126,18 +134,18 @@ func run() error {
 	}
 
 	for _, res := range results {
-		fmt.Printf("=== %s: %s ===\n", res.ID, res.Description)
+		fmt.Fprintf(stdout, "=== %s: %s ===\n", res.ID, res.Description)
 		for _, t := range res.Tables {
-			if err := t.Render(os.Stdout); err != nil {
+			if err := t.Render(stdout); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		for _, f := range res.Figures {
-			if err := f.Render(os.Stdout); err != nil {
+			if err := f.Render(stdout); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if *csvDir != "" {
 			if err := dumpCSVs(*csvDir, res); err != nil {
@@ -146,8 +154,8 @@ func run() error {
 		}
 	}
 	if *expID == "" {
-		fmt.Println("=== 22 takeaways ===")
-		return printTakeaways(env.D, *parallelism)
+		fmt.Fprintln(stdout, "=== 22 takeaways ===")
+		return printTakeaways(stdout, env)
 	}
 	return nil
 }
@@ -188,7 +196,7 @@ func buildEnv(in, format string, days int, seed int64, small bool, parallelism i
 // with the predicate's *canonical* form — the cache key every layer
 // shares — so the output is bit-identical for any spelling of one
 // selection.
-func printCohort(env *experiments.Env, where string) error {
+func printCohort(w io.Writer, env *experiments.Env, where string) error {
 	expr, err := sel.Parse(where)
 	if err != nil {
 		return err
@@ -197,16 +205,18 @@ func printCohort(env *experiments.Env, where string) error {
 	if err != nil {
 		return err
 	}
-	return experiments.RenderCohort(os.Stdout, p, expr.String())
+	return experiments.RenderCohort(w, p, expr.String())
 }
 
-func printTakeaways(d *core.Dataset, workers int) error {
-	ts, err := d.Takeaways(workers)
+// printTakeaways renders the 22 takeaways. Alone (-takeaways) it runs only
+// the analyses they quote, none of the experiments.
+func printTakeaways(w io.Writer, env *experiments.Env) error {
+	ts, err := experiments.Takeaways(env)
 	if err != nil {
 		return err
 	}
 	for _, t := range ts {
-		fmt.Printf("%2d. [%s] %s\n", t.ID, t.Tag, t.Text)
+		fmt.Fprintf(w, "%2d. [%s] %s\n", t.ID, t.Tag, t.Text)
 	}
 	return nil
 }

@@ -280,6 +280,14 @@ func TestExecutionLengthCDFs(t *testing.T) {
 	}
 }
 
+// medianOf returns the middle element of an ascending series, 0 when empty.
+func medianOf(sorted []float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[len(sorted)/2]
+}
+
 func TestTemporalProfile(t *testing.T) {
 	d, c := dataset(t)
 	p := d.Temporal()
@@ -357,30 +365,6 @@ func TestInterruptsByUser(t *testing.T) {
 	}
 	if res.TopDecileShare <= 0.1 {
 		t.Errorf("top decile share %v, want above uniform", res.TopDecileShare)
-	}
-}
-
-func TestTakeaways(t *testing.T) {
-	d, _ := dataset(t)
-	ts, err := d.Takeaways(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 22 {
-		t.Fatalf("got %d takeaways, want 22", len(ts))
-	}
-	seen := map[string]bool{}
-	for i, tk := range ts {
-		if tk.ID != i+1 {
-			t.Errorf("takeaway %d has id %d", i, tk.ID)
-		}
-		if tk.Text == "" || tk.Tag == "" {
-			t.Errorf("takeaway %d empty", tk.ID)
-		}
-		if seen[tk.Tag] {
-			t.Errorf("duplicate tag %s", tk.Tag)
-		}
-		seen[tk.Tag] = true
 	}
 }
 

@@ -124,7 +124,10 @@ type ConcentrationResult struct {
 // Concentration computes the concentration/correlation profile for the
 // grouping.
 func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*ConcentrationResult, error) {
-	groups := d.Aggregate(by, cls)
+	res, err := concentrationFromGroups(by, d.Aggregate(by, cls))
+	if err != nil {
+		return nil, err
+	}
 	// Categorical per-job columns for Cramér's V.
 	keys := make([]string, len(d.Jobs))
 	outcomes := make([]string, len(d.Jobs))
@@ -136,13 +139,16 @@ func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*Concentration
 		}
 		outcomes[i] = d.Jobs[i].Outcome().String()
 	}
-	return concentrationFromGroups(by, groups, keys, outcomes)
+	if res.CramersV, err = stats.CramersV(keys, outcomes); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // concentrationFromGroups computes the concentration/correlation profile
-// from pre-aggregated groups plus the per-job key/outcome columns (aligned
-// with the dataset's job order) that feed the categorical association.
-func concentrationFromGroups(by GroupBy, groups []GroupStats, keys, outcomes []string) (*ConcentrationResult, error) {
+// from pre-aggregated groups, all but the categorical association
+// (CramersV), which needs the per-job outcomes.
+func concentrationFromGroups(by GroupBy, groups []GroupStats) (*ConcentrationResult, error) {
 	if len(groups) < 2 {
 		return nil, fmt.Errorf("core: need ≥2 groups, have %d", len(groups))
 	}
@@ -180,10 +186,6 @@ func concentrationFromGroups(by GroupBy, groups []GroupStats, keys, outcomes []s
 		return nil, err
 	}
 	if res.SpearmanJobsFailRate, err = stats.Spearman(jobs, rates); err != nil {
-		return nil, err
-	}
-	// Categorical association between the grouping and the outcome.
-	if res.CramersV, err = stats.CramersV(keys, outcomes); err != nil {
 		return nil, err
 	}
 	return res, nil

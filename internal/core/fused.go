@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/bitmap"
@@ -39,6 +40,8 @@ type FusedProfile struct {
 
 	localityMid, localityRack       *LocalityResult
 	localityMidErr, localityRackErr error
+	// userTally / projTally are the per-key counts behind the groups.
+	userTally, projTally *tallyState[int32]
 }
 
 // Groups returns the per-user or per-project aggregates.
@@ -62,32 +65,73 @@ func (p *FusedProfile) Locality(level machine.Level) (*LocalityResult, error) {
 }
 
 // Concentration computes the concentration/correlation profile for the
-// grouping from the fused aggregates; the per-job key and outcome columns
-// for Cramér's V come from the scan view instead of a fresh AoS walk.
+// grouping from the fused aggregates.
 func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
-	v := p.jv
-	ids := v.UserID
-	dict := v.Users
+	res, err := concentrationFromGroups(by, p.Groups(by))
+	if err != nil {
+		return nil, err
+	}
+	res.CramersV = p.cramersV(by)
+	return res, nil
+}
+
+// cramersV is stats.CramersV of the selected jobs' key and outcome
+// columns, computed from the 2×G table the group tally already holds: each
+// key's successes and failures. χ² is summed in the string path's cell
+// order, so the result matches it bit for bit: keys in first-appearance
+// order among the selected jobs (for the whole table, dictionary order, as
+// the view interns keys in first-appearance order), outcomes in the order
+// the first selected job fixes. It is called only with ≥ 2 groups.
+func (p *FusedProfile) cramersV(by GroupBy) float64 {
+	v, s, ids := p.jv, p.userTally, p.jv.UserID
 	if by == ByProject {
-		ids = v.ProjectID
-		dict = v.Projects
+		s, ids = p.projTally, v.ProjectID
 	}
-	n := v.N
-	if p.jobSel != nil {
-		n = p.jobSel.Cardinality()
-	}
-	keys := make([]string, 0, n)
-	outcomes := make([]string, 0, n)
-	forEachSelected(p.jobSel, v.N, func(i int) {
-		keys = append(keys, dict[ids[i]])
-		// Matches joblog.Outcome.String for the two possible values.
-		if v.Family[i] == 0 {
-			outcomes = append(outcomes, "success")
-		} else {
-			outcomes = append(outcomes, "failure")
+	var rows []int32
+	first := 0 // the first selected job
+	if p.jobSel == nil {
+		for id, n := range s.jobs {
+			if n > 0 {
+				rows = append(rows, int32(id))
+			}
 		}
-	})
-	return concentrationFromGroups(by, p.Groups(by), keys, outcomes)
+	} else {
+		seen := make([]bool, len(s.jobs))
+		forEachSelected(p.jobSel, v.N, func(i int) {
+			if len(rows) == 0 {
+				first = i
+			}
+			if id := ids[i]; !seen[id] {
+				seen[id] = true
+				rows = append(rows, id)
+			}
+		})
+	}
+	failedFirst := v.Family[first] != 0
+	cells := func(id int32) [2]float64 {
+		if failedFirst {
+			return [2]float64{float64(s.failed[id]), float64(s.jobs[id] - s.failed[id])}
+		}
+		return [2]float64{float64(s.jobs[id] - s.failed[id]), float64(s.failed[id])}
+	}
+	var col [2]float64
+	for _, id := range rows {
+		c := cells(id)
+		col[0], col[1] = col[0]+c[0], col[1]+c[1]
+	}
+	if col[0] == 0 || col[1] == 0 { // one outcome: min(rows, cols) - 1 is zero
+		return 0
+	}
+	total, chi2 := col[0]+col[1], 0.0
+	for _, id := range rows {
+		c, rowSum := cells(id), float64(s.jobs[id])
+		for j := range c {
+			expected := rowSum * col[j] / total
+			d := c[j] - expected
+			chi2 += d * d / expected
+		}
+	}
+	return math.Sqrt(chi2 / total)
 }
 
 // Kernel slots: the fused job and event kernels in registration order,
@@ -311,8 +355,10 @@ func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []E
 	p.Joint = p.Exit
 	p.Joint.SystemCause = jsts[kJointTally].(*jointState).sys
 	p.Joint.UserCaused = p.Joint.Failed - p.Joint.SystemCause
-	p.UserGroups = jsts[kUsers].(*tallyState[int32]).groups(jv.Users)
-	p.ProjectGroups = jsts[kProjects].(*tallyState[int32]).groups(jv.Projects)
+	p.userTally = jsts[kUsers].(*tallyState[int32])
+	p.projTally = jsts[kProjects].(*tallyState[int32])
+	p.UserGroups = p.userTally.groups(jv.Users)
+	p.ProjectGroups = p.projTally.groups(jv.Projects)
 	p.Waste = fams.waste()
 	p.Temporal = finishTemporal(jsts[kTemporalJobs].(*temporalJobState), ests[kTemporalFatals].(*temporalEventState))
 	p.RAS = rasProfile(ests[kSeverities].(*countState[uint8]), ests[kCategories].(*countState[int32]), ests[kComponents].(*countState[int32]), ev)

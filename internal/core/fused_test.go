@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/scan"
+	"repro/internal/sel"
 )
 
 // TestFusedScanMatchesLegacy pins the tentpole equivalence: every aggregate
@@ -288,4 +290,74 @@ func TestKernelProcessBlockAllocFree(t *testing.T) {
 			t.Errorf("event kernel %s: %.1f allocs per block", k.Name(), avg)
 		}
 	}
+}
+
+// TestCramersVOutcomeOrder pins the outcome order of the tally-based
+// Cramér's V. On this 2×4 table (successes, failures per user) χ² summed
+// with the failure column first differs in the last bit from the success
+// column first, so the fused value matches the string-column path only if
+// it takes the column order from the first selected job: a failure for the
+// whole table, and for the cohort that drops the leading successful job of
+// a fifth user.
+func TestCramersVOutcomeOrder(t *testing.T) {
+	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	var jobs []joblog.Job
+	add := func(user string, exit int) {
+		at := base.Add(time.Duration(len(jobs)) * time.Hour)
+		jobs = append(jobs, joblog.Job{ID: int64(len(jobs) + 1), User: user, Project: "p" + user,
+			Submit: at, Start: at, End: at.Add(time.Hour), Nodes: 512, RanksPerNode: 16, NumTasks: 1, ExitStatus: exit})
+	}
+	cells := []struct {
+		user           string
+		success, fails int
+	}{{"u0", 1, 1}, {"u1", 5, 1}, {"u2", 4, 3}, {"u3", 5, 0}}
+	build := func(lead bool) *Dataset {
+		jobs = jobs[:0]
+		if lead {
+			add("lead", 0)
+		}
+		for _, c := range cells {
+			for i := 0; i < c.fails; i++ {
+				add(c.user, 1)
+			}
+			for i := 0; i < c.success; i++ {
+				add(c.user, 0)
+			}
+		}
+		d, err := NewDataset(append([]joblog.Job(nil), jobs...), nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	check := func(name string, p *FusedProfile, d *Dataset) {
+		t.Helper()
+		got, err := p.Concentration(ByUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Concentration(ByUser, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.CramersV) != math.Float64bits(want.CramersV) {
+			t.Errorf("%s: Cramér's V %v, string path %v", name, got.CramersV, want.CramersV)
+		}
+	}
+	whole := build(false)
+	p, err := whole.FusedScan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("whole table", p, whole)
+
+	expr, err := sel.Parse("user != lead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := build(true).FusedScanWhere(expr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cohort", cp, whole)
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // Env is the shared evaluation environment: one generated corpus and its
-// indexed dataset, plus lazily memoized cross-experiment analyses (the
-// classifications five experiments would otherwise recompute from scratch).
+// indexed dataset, plus lazily memoized cross-experiment analyses. It is
+// the one place a whole-corpus number is derived: the experiments and the
+// takeaways read the same accessors.
 type Env struct {
 	Cfg    sim.Config
 	Corpus *sim.Corpus
@@ -37,32 +38,32 @@ type Env struct {
 // makes each analysis safe to request from concurrently running
 // experiments while computing it exactly once.
 //
-// Beyond the classifications it holds the derived-series cache: the per-job
-// core-hours series and the default-rule MTTI / availability / survival
-// results with their interval and repair-time Samples — the series
-// E12/E22/E23 would otherwise re-extract and re-sort per experiment.
+// Every memo has a shipped reader: the default-rule MTTI / availability /
+// survival results with their interval and repair-time Samples
+// (E12/E18/E22/E23), E6's per-family fits and E13's I/O comparison (both
+// also quoted by the takeaways), and the fused profile with the analyses
+// layered on it.
 type envCache struct {
-	exitOnce  sync.Once
-	exit      *core.Classification
-	jointOnce sync.Once
-	joint     *core.Classification
-
-	// orders is the job-order layer RunAll shares across a pass, nil
-	// outside one; ordersPins counts the passes in flight.
-	ordersMu      sync.Mutex
-	ordersPins    int
-	orders        *core.JobOrders
-	coreHoursOnce sync.Once
-	coreHours     []float64
-	mttiOnce      sync.Once
-	mtti          *core.MTTIResult
-	mttiErr       error
-	availOnce     sync.Once
-	avail         *core.AvailabilityResult
-	availErr      error
-	survOnce      sync.Once
-	surv          *core.SurvivalResult
-	survErr       error
+	// orders is the job-order layer a pass shares, nil outside one;
+	// ordersPins counts the passes in flight.
+	ordersMu   sync.Mutex
+	ordersPins int
+	orders     *core.JobOrders
+	mttiOnce   sync.Once
+	mtti       *core.MTTIResult
+	mttiErr    error
+	availOnce  sync.Once
+	avail      *core.AvailabilityResult
+	availErr   error
+	survOnce   sync.Once
+	surv       *core.SurvivalResult
+	survErr    error
+	fitsOnce   sync.Once
+	fits       []core.FamilyFit
+	fitsErr    error
+	ioOnce     sync.Once
+	io         *core.IOCorrelation
+	ioErr      error
 
 	// Fused-scan profile plus the memoizations layered on it (see
 	// fused.go). profileOnce guards the single shared scan RunAll triggers
@@ -108,27 +109,13 @@ func NewEnvFromDataset(d *core.Dataset) *Env {
 	return &Env{D: d}
 }
 
-// ClassifyByExit returns the exit-status-only classification, computed once
-// per environment no matter how many experiments (or workers) request it.
-func (e *Env) ClassifyByExit() *core.Classification {
-	e.cache.exitOnce.Do(func() { e.cache.exit = e.D.ClassifyByExit() })
-	return e.cache.exit
-}
-
-// ClassifyJoint returns the joint (RAS-correlated) classification under
-// core.DefaultJointOptions, computed once per environment.
-func (e *Env) ClassifyJoint() *core.Classification {
-	e.cache.jointOnce.Do(func() { e.cache.joint = e.D.ClassifyJoint(core.DefaultJointOptions()) })
-	return e.cache.joint
-}
-
 // Orders returns a job-order layer over D: each job attribute E3, E5, E8,
-// E17 and E20 sort or rank is sorted on first use and shared by every
-// holder of the layer. Creating one is O(1). Within a RunAll pass every call
-// returns the pass's layer, so each attribute is sorted once per pass;
+// E17, E20 and the takeaways sort or rank is sorted on first use and shared
+// by every holder of the layer. Creating one is O(1). Within a Pass every
+// call returns the pass's layer, so each attribute is sorted once per pass;
 // outside one (an experiment run on its own, as mirad serves each at most
 // once) every call returns a fresh layer, which dies with its run instead of
-// living as long as the Env. An experiment calls it once per run.
+// living as long as the Env. An analysis calls it once per run.
 func (e *Env) Orders() *core.JobOrders {
 	c := &e.cache
 	c.ordersMu.Lock()
@@ -139,9 +126,10 @@ func (e *Env) Orders() *core.JobOrders {
 	return core.NewJobOrders(e.D)
 }
 
-// shareOrders makes Orders return one layer until release is called.
-// Passes may overlap; the layer is dropped when the last one releases.
-func (e *Env) shareOrders() (release func()) {
+// Pass makes Orders return one layer until release is called. Passes may
+// nest or overlap (mirareport holds one around RunAll's and the
+// takeaways); the layer is dropped when the last one releases.
+func (e *Env) Pass() (release func()) {
 	c := &e.cache
 	c.ordersMu.Lock()
 	defer c.ordersMu.Unlock()
@@ -158,38 +146,12 @@ func (e *Env) shareOrders() (release func()) {
 	}
 }
 
-// JobCoreHours returns the per-job core-hours series, aligned with D.Jobs
-// (use D.JobPos to index it by job id), computed once per environment.
-func (e *Env) JobCoreHours() []float64 {
-	e.cache.coreHoursOnce.Do(func() {
-		ch := make([]float64, len(e.D.Jobs))
-		for i := range e.D.Jobs {
-			ch[i] = e.D.Jobs[i].CoreHours()
-		}
-		e.cache.coreHours = ch
-	})
-	return e.cache.coreHours
-}
-
 // MTTI returns the default-rule mean-time-to-interruption analysis,
 // computed once per environment. Experiments needing a non-default filter
 // rule should call D.MTTI directly.
 func (e *Env) MTTI() (*core.MTTIResult, error) {
 	e.cache.mttiOnce.Do(func() { e.cache.mtti, e.cache.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
 	return e.cache.mtti, e.cache.mttiErr
-}
-
-// LostCoreHours sums the core-hours of the jobs interrupted in r using the
-// memoized per-job core-hours series.
-func (e *Env) LostCoreHours(r *core.MTTIResult) float64 {
-	ch := e.JobCoreHours()
-	total := 0.0
-	for _, id := range r.InterruptedJobs() {
-		if pos, ok := e.D.JobPos(id); ok {
-			total += ch[pos]
-		}
-	}
-	return total
 }
 
 // Availability returns the service-action availability analysis (with its
@@ -204,6 +166,22 @@ func (e *Env) Availability() (*core.AvailabilityResult, error) {
 func (e *Env) Survival() (*core.SurvivalResult, error) {
 	e.cache.survOnce.Do(func() { e.cache.surv, e.cache.survErr = e.D.Survival() })
 	return e.cache.surv, e.cache.survErr
+}
+
+// FamilyFits returns E6's per-exit-family execution-length fits, computed
+// once per environment; the takeaways quote the same fits.
+func (e *Env) FamilyFits() ([]core.FamilyFit, error) {
+	e.cache.fitsOnce.Do(func() {
+		e.cache.fits, e.cache.fitsErr = e.D.FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: e.Parallelism})
+	})
+	return e.cache.fits, e.cache.fitsErr
+}
+
+// IOBehavior returns E13's I/O-vs-outcome comparison, computed once per
+// environment; the takeaways quote the same comparison.
+func (e *Env) IOBehavior() (*core.IOCorrelation, error) {
+	e.cache.ioOnce.Do(func() { e.cache.io, e.cache.ioErr = e.D.IOBehavior() })
+	return e.cache.io, e.cache.ioErr
 }
 
 // Result is one experiment's regenerated artifact.

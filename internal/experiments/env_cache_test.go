@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/joblog"
 )
@@ -20,14 +21,10 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		"constructed": env(t),
 		"literal":     {D: env(t).D},
 	} {
-		ch1, ch2 := e.JobCoreHours(), e.JobCoreHours()
-		if len(ch1) == 0 || &ch1[0] != &ch2[0] {
-			t.Errorf("%s: JobCoreHours recomputed instead of memoized", name)
-		}
 		if e.Orders() == e.Orders() {
-			t.Errorf("%s: Orders kept outside a RunAll pass", name)
+			t.Errorf("%s: Orders kept outside a pass", name)
 		}
-		release := e.shareOrders()
+		release := e.Pass()
 		if e.Orders() != e.Orders() {
 			t.Errorf("%s: Orders rebuilt inside a shared pass", name)
 		}
@@ -42,9 +39,6 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		}
 		if m1 != m2 {
 			t.Errorf("%s: MTTI recomputed instead of memoized", name)
-		}
-		if got, want := e.LostCoreHours(m1), e.D.LostCoreHours(m1); got != want {
-			t.Errorf("%s: LostCoreHours via cache = %v, direct = %v", name, got, want)
 		}
 		a1, err1 := e.Availability()
 		a2, err2 := e.Availability()
@@ -61,6 +55,22 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		}
 		if sv1 != sv2 {
 			t.Errorf("%s: Survival recomputed instead of memoized", name)
+		}
+		f1, err1 := e.FamilyFits()
+		f2, err2 := e.FamilyFits()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: FamilyFits: %v, %v", name, err1, err2)
+		}
+		if len(f1) == 0 || &f1[0] != &f2[0] {
+			t.Errorf("%s: FamilyFits recomputed instead of memoized", name)
+		}
+		io1, err1 := e.IOBehavior()
+		io2, err2 := e.IOBehavior()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: IOBehavior: %v, %v", name, err1, err2)
+		}
+		if io1 != io2 {
+			t.Errorf("%s: IOBehavior recomputed instead of memoized", name)
 		}
 		p1, err1 := e.CohortProfileExpr(nil)
 		p2, err2 := e.CohortProfileExpr(nil)
@@ -88,16 +98,15 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 	e := env(t)
 	const goroutines = 16
 	type view struct {
-		coreHours []float64
-		orders    interface{}
-		mtti      interface{}
-		avail     interface{}
-		surv      interface{}
-		exit      interface{}
-		joint     interface{}
+		orders interface{}
+		mtti   interface{}
+		avail  interface{}
+		surv   interface{}
+		fits   []core.FamilyFit
+		io     interface{}
 	}
 	views := make([]view, goroutines)
-	release := e.shareOrders()
+	release := e.Pass()
 	defer release()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -105,26 +114,21 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			v := &views[g]
-			v.coreHours = e.JobCoreHours()
 			v.orders = e.Orders()
 			v.mtti, _ = e.MTTI()
 			v.avail, _ = e.Availability()
 			v.surv, _ = e.Survival()
-			v.exit = e.ClassifyByExit()
-			v.joint = e.ClassifyJoint()
-			if res, _ := e.MTTI(); res != nil {
-				_ = e.LostCoreHours(res)
-			}
+			v.fits, _ = e.FamilyFits()
+			v.io, _ = e.IOBehavior()
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
-		if &views[g].coreHours[0] != &views[0].coreHours[0] {
-			t.Fatalf("goroutine %d saw a different JobCoreHours slice", g)
+		if len(views[g].fits) == 0 || &views[g].fits[0] != &views[0].fits[0] {
+			t.Fatalf("goroutine %d saw different FamilyFits", g)
 		}
 		if views[g].orders != views[0].orders || views[g].mtti != views[0].mtti || views[g].avail != views[0].avail ||
-			views[g].surv != views[0].surv || views[g].exit != views[0].exit ||
-			views[g].joint != views[0].joint {
+			views[g].surv != views[0].surv || views[g].io != views[0].io {
 			t.Fatalf("goroutine %d saw a different memoized analysis", g)
 		}
 	}
@@ -136,9 +140,6 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 func TestEnvCacheNilFallback(t *testing.T) {
 	cached := env(t)
 	bare := &Env{D: cached.D}
-	if len(bare.JobCoreHours()) != len(cached.JobCoreHours()) {
-		t.Error("literal JobCoreHours length mismatch")
-	}
 	m, err := bare.MTTI()
 	if err != nil {
 		t.Fatal(err)
@@ -147,14 +148,29 @@ func TestEnvCacheNilFallback(t *testing.T) {
 	if m.Interruptions != cm.Interruptions {
 		t.Errorf("literal MTTI interruptions %d != constructed %d", m.Interruptions, cm.Interruptions)
 	}
-	if got, want := bare.LostCoreHours(m), bare.D.LostCoreHours(m); got != want {
-		t.Errorf("LostCoreHours via cache = %v, direct = %v", got, want)
-	}
 	if _, err := bare.Availability(); err != nil {
 		t.Errorf("literal Availability: %v", err)
 	}
 	if _, err := bare.Survival(); err != nil {
 		t.Errorf("literal Survival: %v", err)
+	}
+	// The literal's Parallelism is 0, the constructed Env's the test's;
+	// the fits are identical at any worker count.
+	fits, err := bare.FamilyFits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfits, _ := cached.FamilyFits()
+	if !reflect.DeepEqual(fits, cfits) {
+		t.Error("literal FamilyFits differ from constructed")
+	}
+	io, err := bare.IOBehavior()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cio, _ := cached.IOBehavior()
+	if !reflect.DeepEqual(io, cio) {
+		t.Errorf("literal IOBehavior %+v != constructed %+v", io, cio)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sel"
 	"repro/internal/sim"
 )
 
@@ -75,22 +76,22 @@ var accessorOracles = []struct {
 		func(e *Env) (any, error) { return e.D.Summarize(), nil }},
 	{"ExitTally",
 		func(e *Env) (any, error) { return e.ExitTally() },
-		func(e *Env) (any, error) { return core.TallyOf(e.ClassifyByExit()), nil }},
+		func(e *Env) (any, error) { return core.TallyOf(e.D.ClassifyByExit()), nil }},
 	{"JointTally",
 		func(e *Env) (any, error) { return e.JointTally() },
-		func(e *Env) (any, error) { return core.TallyOf(e.ClassifyJoint()), nil }},
+		func(e *Env) (any, error) { return core.TallyOf(e.D.ClassifyJoint(core.DefaultJointOptions())), nil }},
 	{"Groups/user",
 		func(e *Env) (any, error) { return e.Groups(core.ByUser) },
-		func(e *Env) (any, error) { return e.D.Aggregate(core.ByUser, e.ClassifyByExit()), nil }},
+		func(e *Env) (any, error) { return e.D.Aggregate(core.ByUser, e.D.ClassifyByExit()), nil }},
 	{"Groups/project",
 		func(e *Env) (any, error) { return e.Groups(core.ByProject) },
-		func(e *Env) (any, error) { return e.D.Aggregate(core.ByProject, e.ClassifyByExit()), nil }},
+		func(e *Env) (any, error) { return e.D.Aggregate(core.ByProject, e.D.ClassifyByExit()), nil }},
 	{"Concentration/user",
 		func(e *Env) (any, error) { return e.Concentration(core.ByUser) },
-		func(e *Env) (any, error) { return e.D.Concentration(core.ByUser, e.ClassifyByExit()) }},
+		func(e *Env) (any, error) { return e.D.Concentration(core.ByUser, e.D.ClassifyByExit()) }},
 	{"Concentration/project",
 		func(e *Env) (any, error) { return e.Concentration(core.ByProject) },
-		func(e *Env) (any, error) { return e.D.Concentration(core.ByProject, e.ClassifyByExit()) }},
+		func(e *Env) (any, error) { return e.D.Concentration(core.ByProject, e.D.ClassifyByExit()) }},
 	{"Temporal",
 		func(e *Env) (any, error) { return e.Temporal() },
 		func(e *Env) (any, error) { return e.D.Temporal(), nil }},
@@ -99,10 +100,10 @@ var accessorOracles = []struct {
 		func(e *Env) (any, error) { return e.D.Profile(), nil }},
 	{"Waste",
 		func(e *Env) (any, error) { return e.Waste() },
-		func(e *Env) (any, error) { return e.D.Waste(e.ClassifyByExit()) }},
+		func(e *Env) (any, error) { return e.D.Waste(e.D.ClassifyByExit()) }},
 	{"Interrupts",
 		func(e *Env) (any, error) { return e.Interrupts() },
-		func(e *Env) (any, error) { return e.D.InterruptsByUser(e.ClassifyByExit()) }},
+		func(e *Env) (any, error) { return e.D.InterruptsByUser(e.D.ClassifyByExit()) }},
 	{"Locality/midplane",
 		func(e *Env) (any, error) { return e.Locality(machine.LevelMidplane) },
 		func(e *Env) (any, error) { return e.D.Locality(machine.LevelMidplane) }},
@@ -144,6 +145,45 @@ var accessorOracles = []struct {
 	{"CohortProfileExpr/nil",
 		func(e *Env) (any, error) { return e.CohortProfileExpr(nil) },
 		func(e *Env) (any, error) { return e.D.FusedScan(e.Parallelism) }},
+	// Cohort Cramér's V comes from the group tally with its rows in the
+	// selection's first-appearance order; the walk materializes the cohort
+	// and runs the string-column path. The first cohort's first job
+	// succeeds, the second's fails, so both outcome orders are covered.
+	{"Concentration/user/cohort-success-first",
+		func(e *Env) (any, error) { return cohortConcentration(e, cohortSuccessFirst, core.ByUser, false) },
+		func(e *Env) (any, error) { return cohortConcentration(e, cohortSuccessFirst, core.ByUser, true) }},
+	{"Concentration/project/cohort-failure-first",
+		func(e *Env) (any, error) { return cohortConcentration(e, cohortFailureFirst, core.ByProject, false) },
+		func(e *Env) (any, error) { return cohortConcentration(e, cohortFailureFirst, core.ByProject, true) }},
+}
+
+// The cohorts of the Cramér's V rows: their first selected jobs succeed
+// and fail, respectively, on the 150-day corpus.
+const (
+	cohortSuccessFirst = "nodes >= 2048"
+	cohortFailureFirst = "exit != success or nodes >= 32768"
+)
+
+// cohortConcentration returns the concentration profile of the cohort
+// where selects, from its pushed-down fused profile or, with walk, from
+// the materialized cohort's string-column path.
+func cohortConcentration(e *Env, where string, by core.GroupBy, walk bool) (*core.ConcentrationResult, error) {
+	expr, err := sel.Parse(where)
+	if err != nil {
+		return nil, err
+	}
+	if walk {
+		md, err := e.D.MaterializeWhere(expr)
+		if err != nil {
+			return nil, err
+		}
+		return md.Concentration(by, md.ClassifyByExit())
+	}
+	p, err := e.CohortProfileExpr(expr)
+	if err != nil {
+		return nil, err
+	}
+	return p.Concentration(by)
 }
 
 // spatialCorrWalk is the E21 analysis over a fresh FATAL filter pass,

@@ -224,7 +224,7 @@ func E5(env *Env) (*Result, error) {
 // E6 regenerates the best-fit distribution table per exit family — the
 // paper's Weibull / Pareto / inverse-Gaussian / Erlang-exponential result.
 func E6(env *Env) (*Result, error) {
-	fits, err := env.D.FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: env.Parallelism})
+	fits, err := env.FamilyFits()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -16,6 +17,36 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
+}
+
+// rankCounts returns the keys of a count map by descending count, ties by
+// ascending key — the order E9's tables and the takeaways list them in.
+func rankCounts[K ~string](m map[K]int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
+}
+
+// peakTrough returns the busiest and the quietest hour, the first of each
+// on ties — E14's peak and trough hours, which the takeaways quote.
+func peakTrough(hours [24]int) (peak, trough int) {
+	for h := 1; h < 24; h++ {
+		if hours[h] > hours[peak] {
+			peak = h
+		}
+		if hours[h] < hours[trough] {
+			trough = h
+		}
+	}
+	return peak, trough
 }
 
 // boolMetric encodes a boolean as a 0/1 metric value.

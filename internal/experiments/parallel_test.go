@@ -62,15 +62,3 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestClassificationMemoized checks the cache hands every caller the same
-// computed classification rather than recomputing per experiment.
-func TestClassificationMemoized(t *testing.T) {
-	e := env(t)
-	if e.ClassifyByExit() != e.ClassifyByExit() {
-		t.Error("ClassifyByExit recomputed instead of memoized")
-	}
-	if e.ClassifyJoint() != e.ClassifyJoint() {
-		t.Error("ClassifyJoint recomputed instead of memoized")
-	}
-}

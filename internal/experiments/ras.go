@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -90,36 +89,12 @@ func E9(env *Env) (*Result, error) {
 		sev.AddRow(s.String(), p.BySeverity[s], float64(p.BySeverity[s])/float64(p.Total))
 	}
 	cat := &report.Table{Title: "E9: FATAL events by category", Columns: []string{"category", "events"}}
-	type kv struct {
-		k string
-		v int
-	}
-	var cats []kv
-	for c, n := range p.FatalByCategory {
-		cats = append(cats, kv{string(c), n})
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if cats[i].v != cats[j].v {
-			return cats[i].v > cats[j].v
-		}
-		return cats[i].k < cats[j].k
-	})
-	for _, c := range cats {
-		cat.AddRow(c.k, c.v)
+	for _, c := range rankCounts(p.FatalByCategory) {
+		cat.AddRow(string(c), p.FatalByCategory[c])
 	}
 	comp := &report.Table{Title: "E9: events by component", Columns: []string{"component", "events"}}
-	var comps []kv
-	for c, n := range p.ByComponent {
-		comps = append(comps, kv{string(c), n})
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].v != comps[j].v {
-			return comps[i].v > comps[j].v
-		}
-		return comps[i].k < comps[j].k
-	})
-	for _, c := range comps {
-		comp.AddRow(c.k, c.v)
+	for _, c := range rankCounts(p.ByComponent) {
+		comp.AddRow(string(c), p.ByComponent[c])
 	}
 	return &Result{
 		ID: "E9", Description: "RAS composition",
@@ -215,9 +190,9 @@ func E11(env *Env) (*Result, error) {
 
 // E12 regenerates the MTTI analysis: filtered job-interrupting incidents,
 // MTTI in days, and the best-fit law of interruption intervals. The
-// default-rule analysis and the per-job core-hours series come from the
-// shared environment cache, and the interval CDF figure reuses the sorted
-// interval Sample the best-fit selection already built.
+// default-rule analysis comes from the shared environment cache, and the
+// interval CDF figure reuses the sorted interval Sample the best-fit
+// selection already built.
 func E12(env *Env) (*Result, error) {
 	res, err := env.MTTI()
 	if err != nil {
@@ -234,7 +209,7 @@ func E12(env *Env) (*Result, error) {
 	t.AddRow("MTTI (days)", res.MTTIDays)
 	t.AddRow("raw MTBF (days)", res.MTBFRawDays)
 	t.AddRow("interrupted jobs", len(res.InterruptedJobs()))
-	t.AddRow("lost core-hours (M)", env.LostCoreHours(res)/1e6)
+	t.AddRow("lost core-hours (M)", env.D.LostCoreHours(res)/1e6)
 	metrics := map[string]float64{
 		"mtti_days":     res.MTTIDays,
 		"interruptions": float64(res.Interruptions),
@@ -266,7 +241,7 @@ func E12(env *Env) (*Result, error) {
 
 // E13 regenerates the I/O-vs-outcome comparison.
 func E13(env *Env) (*Result, error) {
-	io, err := env.D.IOBehavior()
+	io, err := env.IOBehavior()
 	if err != nil {
 		return nil, err
 	}
@@ -325,15 +300,7 @@ func E14(env *Env) (*Result, error) {
 			{Name: "fatal events", X: mx, Y: mfatal},
 		},
 	}
-	peakJobs, troughJobs := 0, 0
-	for h := 1; h < 24; h++ {
-		if p.JobsByHour[h] > p.JobsByHour[peakJobs] {
-			peakJobs = h
-		}
-		if p.JobsByHour[h] < p.JobsByHour[troughJobs] {
-			troughJobs = h
-		}
-	}
+	peakJobs, troughJobs := peakTrough(p.JobsByHour)
 	rateSpread := 0.0
 	minRate, maxRate := 1.0, 0.0
 	for _, r := range rates {

@@ -14,9 +14,10 @@ import (
 // run: the experiments only read the shared dataset, and the analyses
 // memoized on Env are sync.Once-guarded so concurrent experiments compute
 // them exactly once. The experiments share one job-order layer (Env.Orders)
-// for the pass, which is dropped when the pass ends.
+// for the pass (Env.Pass), which is dropped when the pass ends unless an
+// enclosing pass still holds it.
 func RunAll(env *Env, workers int) ([]*Result, error) {
-	release := env.shareOrders()
+	release := env.Pass()
 	defer release()
 	exps := All()
 	results, err := par.Map(context.Background(), exps, workers, func(i int, exp Experiment) (*Result, error) {
