@@ -23,21 +23,16 @@ import (
 // 150-day corpus with another seed, and the -small corpus written to disk
 // as miragen writes it and read back from the snapshot and from the CSVs.
 // The goldens are edited only by a change that means to alter the report.
-//
-// The loaded corpus has its own golden because the logs store whole Unix
-// seconds while the in-memory corpus has sub-second submit and event
-// times. Truncation shifts the few quantities that resolve seconds: E11's
-// 30 s and 1 m filter-window rows and the figure beside them, and single
-// digits of E13's failed-job I/O median, E17's queue waits and E18's bars.
-// Pack and CSV load the same corpus, so they share that golden.
+// A corpus in memory and the same corpus on disk are one dataset, so the
+// -small runs and both loaded runs share one golden.
 func TestGolden(t *testing.T) {
 	corpus := writeSmallCorpus(t)
 	for _, c := range []struct {
 		name, golden string
 		args         []string
 	}{
-		{"small/parallelism=1", "small.golden", []string{"-small", "-parallelism", "1"}},
-		{"small/parallelism=0", "small.golden", []string{"-small", "-parallelism", "0"}},
+		{"small/parallelism=1", "small_loaded.golden", []string{"-small", "-parallelism", "1"}},
+		{"small/parallelism=0", "small_loaded.golden", []string{"-small", "-parallelism", "0"}},
 		{"small/takeaways", "small_takeaways.golden", []string{"-small", "-takeaways"}},
 		{"days150/seed7", "days150_seed7.golden", []string{"-days", "150", "-seed", "7"}},
 		{"loaded/pack", "small_loaded.golden", []string{"-in", corpus, "-format", "pack"}},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/sim"
+	"repro/internal/tasklog"
 )
 
 // corpus/dataset shared across the package tests (90 days: enough failures
@@ -46,6 +48,34 @@ func TestNewDatasetErrors(t *testing.T) {
 	jobs := []joblog.Job{{ID: 1}, {ID: 1}}
 	if _, err := NewDataset(jobs, nil, nil, nil); err == nil {
 		t.Error("duplicate job ids accepted")
+	}
+}
+
+// TestNewDatasetRejectsSubSecond pins the corpus resolution: a job, task
+// or event time finer than a whole second is an error naming the record.
+func TestNewDatasetRejectsSubSecond(t *testing.T) {
+	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		name, want string
+		edit       func(*joblog.Job, *tasklog.Task, *raslog.Event)
+	}{
+		{"job", "job 7", func(j *joblog.Job, _ *tasklog.Task, _ *raslog.Event) { j.End = j.End.Add(time.Millisecond) }},
+		{"task", "task 3", func(_ *joblog.Job, k *tasklog.Task, _ *raslog.Event) { k.Start = k.Start.Add(time.Nanosecond) }},
+		{"event", "event 5", func(_ *joblog.Job, _ *tasklog.Task, e *raslog.Event) { e.Time = e.Time.Add(500 * time.Millisecond) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			jobs := []joblog.Job{{ID: 7, User: "u", Project: "p", Submit: base, Start: base, End: base.Add(time.Hour), Nodes: 512, RanksPerNode: 16, NumTasks: 1}}
+			tasks := []tasklog.Task{{ID: 3, JobID: 7, Start: base, End: base.Add(time.Hour), Nodes: 512}}
+			events := []raslog.Event{{RecID: 5, Time: base.Add(time.Minute), Sev: raslog.Fatal, JobID: 7}}
+			if _, err := NewDataset(jobs, tasks, events, nil); err != nil {
+				t.Fatalf("whole-second corpus rejected: %v", err)
+			}
+			c.edit(&jobs[0], &tasks[0], &events[0])
+			_, err := NewDataset(jobs, tasks, events, nil)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %v, want one naming %s", err, c.want)
+			}
+		})
 	}
 }
 
@@ -382,8 +412,8 @@ func TestNewDatasetExtremeJobIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		if p, ok := d.JobPos(jobs[i].ID); !ok || p != i {
-			t.Errorf("JobPos(%d) = %d, %v; want %d", jobs[i].ID, p, ok, i)
+		if p, ok := d.jobPos(jobs[i].ID); !ok || p != i {
+			t.Errorf("jobPos(%d) = %d, %v; want %d", jobs[i].ID, p, ok, i)
 		}
 	}
 }

@@ -97,11 +97,6 @@ type Dataset struct {
 	start, end time.Time
 }
 
-// JobPos returns the position in Jobs of the job with the given id, so
-// callers holding per-job derived series (slices aligned with Jobs, e.g.
-// the experiments environment's core-hours cache) can index them by job id.
-func (d *Dataset) JobPos(id int64) (int, bool) { return d.jobPos(id) }
-
 // jobPos returns the position in Jobs of the job with the given id.
 func (d *Dataset) jobPos(id int64) (int, bool) {
 	if d.posOf != nil {
@@ -202,7 +197,7 @@ func (c *jobCursor) pos(id int64) (int, bool) {
 // job's tasks consecutively, so tasks group into runs, each adopted as a
 // (capped) subslice without copying; a job id split across runs falls back
 // to concatenating.
-func (d *Dataset) buildPerJob() {
+func (d *Dataset) buildPerJob() error {
 	// Tasks group into contiguous runs (a scheduler log records a job's
 	// tasks consecutively) whose job ids follow execution order — close to
 	// id order but with local inversions. Each run resolves through the
@@ -214,9 +209,11 @@ func (d *Dataset) buildPerJob() {
 	cur := jobCursor{d: d}
 	for i := 0; i < len(tasks); {
 		id := tasks[i].JobID
-		j := i + 1
-		for j < len(tasks) && tasks[j].JobID == id {
-			j++
+		j := i
+		for ; j < len(tasks) && tasks[j].JobID == id; j++ {
+			if t := &tasks[j]; !wholeSeconds(t.Start, t.End) {
+				return fmt.Errorf("core: task %d: start %s or end %s is finer than a second", t.ID, t.Start, t.End)
+			}
 		}
 		span := tasks[i:j:j]
 		if p, ok := cur.pos(id); ok {
@@ -244,10 +241,26 @@ func (d *Dataset) buildPerJob() {
 			d.ioOf[p] = int32(i)
 		}
 	}
+	return nil
+}
+
+// wholeSeconds reports whether every time is a whole Unix second.
+func wholeSeconds(ts ...time.Time) bool {
+	for _, t := range ts {
+		if t.Nanosecond() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NewDataset indexes the logs. Events are sorted by time if they are not
 // already; jobs and tasks are never reordered.
+//
+// A corpus has the logs' resolution: every job, task and event timestamp
+// is a whole Unix second, in memory as on disk, so the column views'
+// Unix seconds lose nothing. A finer timestamp is an error naming its
+// record.
 func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record) (*Dataset, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("core: dataset has no jobs")
@@ -261,11 +274,16 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 	if err := d.buildJobIndex(); err != nil {
 		return nil, err
 	}
-	d.buildPerJob()
+	if err := d.buildPerJob(); err != nil {
+		return nil, err
+	}
 	d.start = jobs[0].Submit
 	d.end = jobs[0].End
 	for i := range jobs {
 		j := &jobs[i]
+		if !wholeSeconds(j.Submit, j.Start, j.End) {
+			return nil, fmt.Errorf("core: job %d: submit %s, start %s or end %s is finer than a second", j.ID, j.Submit, j.Start, j.End)
+		}
 		if j.Submit.Before(d.start) {
 			d.start = j.Submit
 		}
@@ -282,6 +300,9 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 	}
 	d.eventsOf = make([][]int, len(jobs))
 	for i := range d.Events {
+		if e := &d.Events[i]; !wholeSeconds(e.Time) {
+			return nil, fmt.Errorf("core: event %d: time %s is finer than a second", e.RecID, e.Time)
+		}
 		switch d.Events[i].Sev {
 		case raslog.Fatal:
 			d.fatalIdx = append(d.fatalIdx, i)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/joblog"
@@ -110,9 +109,10 @@ func thin(data []float64, k int) []float64 {
 // shared runtime order. The sorted order lets callers wrap the slices in
 // dist.NewSampleSorted / stats.NewECDFSorted without another copy or sort.
 func (o *JobOrders) ExecutionLengthCDFs() (succeeded, failed []float64) {
-	fam, t := o.d.JobView().Family, o.runtimes()
+	v := o.d.JobView()
+	fam, dur := v.Family, v.DurSec
 	nSucc, nFail := 0, 0
-	for i, d := range t.v {
+	for i, d := range dur {
 		switch {
 		case d <= 0:
 		case fam[i] == 0:
@@ -123,10 +123,10 @@ func (o *JobOrders) ExecutionLengthCDFs() (succeeded, failed []float64) {
 	}
 	succeeded, failed = make([]float64, 0, nSucc), make([]float64, 0, nFail)
 	for _, r := range o.runtimeCol().order {
-		sec := (time.Duration(t.v[r]) * t.unit).Seconds()
-		if sec <= 0 {
+		if dur[r] <= 0 {
 			continue
 		}
+		sec := float64(dur[r])
 		if fam[r] == 0 {
 			succeeded = append(succeeded, sec)
 		} else {

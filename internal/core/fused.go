@@ -182,9 +182,10 @@ type wholeScan struct {
 	joint  *jointKernel
 	jobs   []JobState   // indexed by the kFamilies… job slots
 	events []EventState // indexed by the kSeverities… event slots
-	// jobStart/jobEnd are the earliest Submit and latest End over all
-	// jobs, the seed of NewDataset's span walk before the events.
-	jobStart, jobEnd time.Time
+	// jobStart/jobEnd are the earliest submit and latest end over all
+	// jobs in Unix seconds, the seed of NewDataset's span walk before the
+	// events.
+	jobStart, jobEnd int64
 	// temporal holds all-jobs temporal states binned from the dataset's
 	// start and, when it differs, from jobStart: the start of every
 	// cohort that selects all jobs and no event before the first submit.
@@ -209,7 +210,7 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 		w.jobStart, w.jobEnd, _ = d.jobExtremes(nil)
 		tk := newTemporalJobKernel(d)
 		kernels := fusedJobKernels(jv, w.joint, tk)
-		if w.jobStart.Unix() != tk.startUnix {
+		if w.jobStart != tk.startUnix {
 			kernels = append(kernels, newTemporalJobKernelSpan(w.jobStart, w.jobEnd))
 		}
 		sts, err := scan.Run(jv, jv.N, kernels, workers)
@@ -237,39 +238,19 @@ func (w *wholeScan) temporalFrom(startUnix int64) *temporalJobState {
 	return nil
 }
 
-// jobExtremes returns the earliest Submit and latest End over the selected
-// jobs (nil = all), each from the first job that reaches it, as
-// NewDataset's span walk finds them; ok is false for an empty selection.
-// The column view narrows the search to the extreme seconds, so only the
-// jobs inside those seconds are compared at full precision.
-func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end time.Time, ok bool) {
+// jobExtremes returns the earliest submit and latest end, in Unix seconds,
+// over the selected jobs (nil = all); ok is false for an empty selection.
+func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end int64, ok bool) {
 	jv := d.JobView()
-	var minSub, maxEnd int64
 	forEachSelected(jobSel, jv.N, func(i int) {
 		if !ok {
-			minSub, maxEnd, ok = jv.SubmitUnix[i], jv.EndUnix[i], true
+			start, end, ok = jv.SubmitUnix[i], jv.EndUnix[i], true
 			return
 		}
-		minSub = min(minSub, jv.SubmitUnix[i])
-		maxEnd = max(maxEnd, jv.EndUnix[i])
+		start = min(start, jv.SubmitUnix[i])
+		end = max(end, jv.EndUnix[i])
 	})
-	if !ok {
-		return start, end, false
-	}
-	firstSub, firstEnd := true, true
-	forEachSelected(jobSel, jv.N, func(i int) {
-		if jv.SubmitUnix[i] == minSub {
-			if t := d.Jobs[i].Submit; firstSub || t.Before(start) {
-				start, firstSub = t, false
-			}
-		}
-		if jv.EndUnix[i] == maxEnd {
-			if t := d.Jobs[i].End; firstEnd || t.After(end) {
-				end, firstEnd = t, false
-			}
-		}
-	})
-	return start, end, true
+	return start, end, ok
 }
 
 // FusedScan runs every registered aggregation kernel over the job and event
@@ -346,7 +327,7 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 
 // finishProfile assembles a profile from merged kernel states. It only
 // reads the states, so memoized ones can be finished any number of times.
-func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, start, end time.Time) *FusedProfile {
+func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, start, end int64) *FusedProfile {
 	jv, ev := d.JobView(), d.EventView()
 	p := &FusedProfile{jv: jv, jobSel: jobSel}
 	fams := familyTotalsOf(jsts[kFamilies].(*tallyState[uint8]))
@@ -367,7 +348,7 @@ func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []E
 	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
 	fatal, warn := p.RAS.BySeverity[raslog.Fatal], p.RAS.BySeverity[raslog.Warn]
 	p.Summary = Summary{
-		Days:        end.Sub(start).Hours() / 24,
+		Days:        (time.Duration(end-start) * time.Second).Hours() / 24,
 		Jobs:        nJobs,
 		Tasks:       nTasks,
 		Users:       len(p.UserGroups),

@@ -250,9 +250,9 @@ func (t *familyTotals) waste() *WasteResult {
 type jointKernel struct {
 	d          *Dataset
 	locs       []machine.Location // block-attributable FATALs, time order
-	timesNs    []int64            // their times, Unix nanoseconds
+	times      []int64            // their times, Unix seconds
 	attributed map[int64]bool     // job ids named by any FATAL event
-	tolNs      int64
+	tolSec     int64              // the tolerance in whole seconds
 }
 
 func newJointKernel(d *Dataset, opt JointOptions) *jointKernel {
@@ -266,7 +266,10 @@ func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) 
 	if opt.Tolerance <= 0 {
 		opt = DefaultJointOptions()
 	}
-	k := &jointKernel{d: d, attributed: map[int64]bool{}, tolNs: int64(opt.Tolerance)}
+	// Times are whole seconds, so |t−end| ≤ tol holds exactly when
+	// |t−end| ≤ ⌊tol⌋.
+	k := &jointKernel{d: d, attributed: map[int64]bool{}, tolSec: int64(opt.Tolerance / time.Second)}
+	times := d.EventView().TimeUnix
 	for _, i := range d.fatalIdx {
 		if eventSel != nil && !eventSel.Contains(uint32(i)) {
 			continue
@@ -279,7 +282,7 @@ func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) 
 			continue
 		}
 		k.locs = append(k.locs, e.Loc)
-		k.timesNs = append(k.timesNs, e.Time.UnixNano())
+		k.times = append(k.times, times[i])
 	}
 	return k
 }
@@ -300,7 +303,7 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 		if fam[i] == 0 {
 			continue
 		}
-		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]*int64(time.Second)) {
+		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]) {
 			s.sys++
 		}
 	}
@@ -308,22 +311,22 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 
 // fatalNearEnd mirrors Dataset.fatalNearEnd over the precomputed columns:
 // does a FATAL within tol of the job's end hit a block the job ran on?
-func (k *jointKernel) fatalNearEnd(row int, endNs int64) bool {
+func (k *jointKernel) fatalNearEnd(row int, end int64) bool {
 	tasks := k.d.tasksOf[row]
 	if len(tasks) == 0 {
 		return false
 	}
-	times := k.timesNs
+	times := k.times
 	lo, hi := 0, len(times)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if times[mid] < endNs-k.tolNs {
+		if times[mid] < end-k.tolSec {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for i := lo; i < len(times) && times[i] <= endNs+k.tolNs; i++ {
+	for i := lo; i < len(times) && times[i] <= end+k.tolSec; i++ {
 		for t := range tasks {
 			if tasks[t].Block.ContainsLocation(k.locs[i]) {
 				return true
@@ -347,19 +350,17 @@ type temporalJobKernel struct {
 
 func newTemporalJobKernel(d *Dataset) *temporalJobKernel {
 	start, end := d.Span()
-	return newTemporalJobKernelSpan(start, end)
+	return newTemporalJobKernelSpan(start.Unix(), end.Unix())
 }
 
 // newTemporalJobKernelSpan builds the kernel for an explicit observation
-// window — a cohort scan passes the selection's span so its day bins line
-// up with a dataset materialized from the same selection.
-func newTemporalJobKernelSpan(start, end time.Time) *temporalJobKernel {
-	spanSec := end.Unix() - start.Unix()
-	if spanSec < 0 {
-		spanSec = 0
-	}
+// window in Unix seconds — a cohort scan passes the selection's span so
+// its day bins line up with a dataset materialized from the same
+// selection.
+func newTemporalJobKernelSpan(startUnix, endUnix int64) *temporalJobKernel {
+	spanSec := max(endUnix-startUnix, 0)
 	return &temporalJobKernel{
-		startUnix: start.Unix(),
+		startUnix: startUnix,
 		monthCap:  int(spanSec/(28*86400)) + 2,
 		dayCap:    int(spanSec/86400) + 2,
 	}

@@ -71,7 +71,8 @@ func randomCuts(rng *rand.Rand, n int) []int {
 func TestKernelMergeLaw(t *testing.T) {
 	d, _ := dataset(t)
 	jv, ev := d.JobView(), d.EventView()
-	start, end := d.Span()
+	t0, t1 := d.Span()
+	start, end := t0.Unix(), t1.Unix()
 	tk := newTemporalJobKernel(d)
 	jobKernels := fusedJobKernels(jv, newJointKernel(d, DefaultJointOptions()), tk)
 	eventKernels := fusedEventKernels(ev, tk.monthCap)

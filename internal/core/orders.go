@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/joblog"
 	"repro/internal/stats"
 )
 
@@ -20,10 +19,6 @@ import (
 type JobOrders struct {
 	d *Dataset
 
-	// Full-resolution durations: in-memory corpora carry sub-second
-	// times, which the SoA view's Unix seconds truncate.
-	runDur, waitDur durations
-
 	nodes, tasks, runtime, wait, coreHours column
 
 	failOnce  sync.Once
@@ -31,47 +26,6 @@ type JobOrders struct {
 
 	userOnce   sync.Once
 	userSubmit []int32
-	submitNs   []int32 // each job's submit nanosecond within its second
-}
-
-// durations is one per-job duration read from the records. Values count
-// units: seconds when every value is a whole second, as in a CSV or pack
-// corpus, so their orders sort fewer radix digits; else nanoseconds.
-type durations struct {
-	once sync.Once
-	unit time.Duration
-	v    []int64
-}
-
-// fill builds d from f on first use.
-func (d *durations) fill(jobs []joblog.Job, f func(*joblog.Job) time.Duration) *durations {
-	d.once.Do(func() {
-		d.v = make([]int64, len(jobs))
-		whole := true
-		for i := range jobs {
-			x := f(&jobs[i])
-			d.v[i] = int64(x)
-			whole = whole && x%time.Second == 0
-		}
-		d.unit = time.Nanosecond
-		if whole {
-			d.unit = time.Second
-			for i := range d.v {
-				d.v[i] /= int64(time.Second)
-			}
-		}
-	})
-	return d
-}
-
-// runtimes is End − Start per job.
-func (o *JobOrders) runtimes() *durations {
-	return o.runDur.fill(o.d.Jobs, (*joblog.Job).Runtime)
-}
-
-// waits is Start − Submit per job, clamped at 0.
-func (o *JobOrders) waits() *durations {
-	return o.waitDur.fill(o.d.Jobs, func(j *joblog.Job) time.Duration { return max(j.QueueWait(), 0) })
 }
 
 // column is one job attribute sorted once.
@@ -132,8 +86,7 @@ func (o *JobOrders) tasksCol() *column {
 func (o *JobOrders) runtimeCol() *column {
 	c := &o.runtime
 	c.once.Do(func() {
-		t := o.runtimes()
-		fillInts(c, t.v, func(d int64) float64 { return (time.Duration(d) * t.unit).Hours() })
+		fillInts(c, o.d.JobView().DurSec, func(d int64) float64 { return (time.Duration(d) * time.Second).Hours() })
 	})
 	return c
 }
@@ -142,8 +95,12 @@ func (o *JobOrders) runtimeCol() *column {
 func (o *JobOrders) waitCol() *column {
 	c := &o.wait
 	c.once.Do(func() {
-		t := o.waits()
-		fillInts(c, t.v, func(w int64) float64 { return (time.Duration(w) * t.unit).Seconds() })
+		v := o.d.JobView()
+		waits := make([]int64, v.N)
+		for i := range waits {
+			waits[i] = max(v.StartUnix[i]-v.SubmitUnix[i], 0)
+		}
+		fillInts(c, waits, func(w int64) float64 { return float64(w) })
 	})
 	return c
 }
@@ -153,10 +110,10 @@ func (o *JobOrders) waitCol() *column {
 func (o *JobOrders) coreHoursCol() *column {
 	c := &o.coreHours
 	c.once.Do(func() {
-		nodes, t := o.d.JobView().Nodes, o.runtimes()
-		vals := make([]float64, len(t.v))
-		for i, d := range t.v {
-			vals[i] = float64(nodes[i]) * 16 * (time.Duration(d) * t.unit).Hours()
+		v := o.d.JobView()
+		vals := make([]float64, v.N)
+		for i, d := range v.DurSec {
+			vals[i] = float64(v.Nodes[i]) * 16 * (time.Duration(d) * time.Second).Hours()
 		}
 		c.order, c.sorted = stats.SortOrder(vals)
 	})
@@ -180,20 +137,14 @@ func (o *JobOrders) failRank() []float64 {
 }
 
 // byUserSubmit lists the rows ordered by (user, submit time, job id): the
-// id order, stably re-sorted by the submit nanosecond, then the submit
-// second, then the user. It also returns each job's submit nanosecond.
-func (o *JobOrders) byUserSubmit() (order, submitNs []int32) {
+// id order, stably re-sorted by the submit second, then the user.
+func (o *JobOrders) byUserSubmit() []int32 {
 	o.userOnce.Do(func() {
 		v := o.d.JobView()
-		ns := make([]int32, len(o.d.Jobs))
-		for i := range o.d.Jobs {
-			ns[i] = int32(o.d.Jobs[i].Submit.Nanosecond())
-		}
 		perm := append([]int32(nil), o.d.byID...)
-		stats.SortByKey(perm, ns)
 		stats.SortByKey(perm, v.SubmitUnix)
 		stats.SortByKey(perm, v.UserID)
-		o.userSubmit, o.submitNs = perm, ns
+		o.userSubmit = perm
 	})
-	return o.userSubmit, o.submitNs
+	return o.userSubmit
 }

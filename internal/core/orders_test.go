@@ -79,9 +79,7 @@ func checkOrdersMatchWalks(t *testing.T, name string, d *Dataset) {
 }
 
 // TestJobOrdersMatchWalksOnCorpora compares on the package's 90-day
-// corpus and on 30- and 150-day corpora, each as generated in memory (with
-// sub-second submit times) and truncated to whole seconds, the resolution
-// the CSV and pack codecs store.
+// corpus and on 30- and 150-day corpora.
 func TestJobOrdersMatchWalksOnCorpora(t *testing.T) {
 	d90, _ := dataset(t)
 	checkOrdersMatchWalks(t, "90-day", d90)
@@ -99,30 +97,15 @@ func TestJobOrdersMatchWalksOnCorpora(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkOrdersMatchWalks(t, fmt.Sprintf("%d-day", days), d)
-		// Whole-second times, as a CSV or pack corpus carries them.
-		jobs := append([]joblog.Job(nil), c.Jobs...)
-		for i := range jobs {
-			j := &jobs[i]
-			j.Submit, j.Start, j.End = j.Submit.Truncate(time.Second), j.Start.Truncate(time.Second), j.End.Truncate(time.Second)
-		}
-		if d, err = NewDataset(jobs, nil, nil, c.IO); err != nil {
-			t.Fatal(err)
-		}
-		checkOrdersMatchWalks(t, fmt.Sprintf("%d-day whole seconds", days), d)
 	}
 }
 
 // advOptions shapes one adversarial job set.
 type advOptions struct {
-	users     int  // distinct users
-	sizes     int  // distinct block sizes (1 or 2)
-	outcomes  bool // both outcomes; false = every job succeeds
-	tiedIDs   bool // a user's jobs share one submit second, ids descending by row
-	subSecond bool // times carry nanoseconds
-	// Only some durations carry nanoseconds: subSecondStart moves start
-	// and end together (whole runtimes, fractional waits), subSecondEnd
-	// moves the end alone (whole waits, fractional runtimes).
-	subSecondStart, subSecondEnd bool
+	users    int  // distinct users
+	sizes    int  // distinct block sizes (1 or 2)
+	outcomes bool // both outcomes; false = every job succeeds
+	tiedIDs  bool // a user's jobs share one submit second, ids descending by row
 }
 
 // advDataset builds n jobs with heavy ties in every ranked column (submit
@@ -142,9 +125,6 @@ func advDataset(t *testing.T, seed int64, n int, opt advOptions) *Dataset {
 			submit = base.Add(time.Duration(u) * time.Hour)
 			id = int64(10*n - i)
 		}
-		if opt.subSecond {
-			submit = submit.Add(time.Duration(rng.Intn(3)) * 300 * time.Millisecond)
-		}
 		// Waits tie heavily; one job in seven starts before its submit,
 		// which Job.Validate rejects but a log may still hold.
 		start := submit.Add(time.Duration(rng.Intn(3)) * time.Minute)
@@ -152,17 +132,6 @@ func advDataset(t *testing.T, seed int64, n int, opt advOptions) *Dataset {
 			start = submit.Add(-30 * time.Second)
 		}
 		end := start.Add(time.Duration(rng.Intn(4)) * 90 * time.Second)
-		if opt.subSecond {
-			start = start.Add(time.Duration(rng.Intn(2)) * 250 * time.Millisecond)
-			end = end.Add(time.Duration(rng.Intn(2)) * 500 * time.Millisecond)
-		}
-		if opt.subSecondStart {
-			shift := time.Duration(rng.Intn(2)) * 250 * time.Millisecond
-			start, end = start.Add(shift), end.Add(shift)
-		}
-		if opt.subSecondEnd {
-			end = end.Add(time.Duration(rng.Intn(2)) * 500 * time.Millisecond)
-		}
 		exit := 0
 		if opt.outcomes && rng.Intn(3) == 0 {
 			exit = []int{1, 2, 134, 137}[rng.Intn(4)]
@@ -202,10 +171,6 @@ func TestJobOrdersMatchWalksAdversarial(t *testing.T) {
 		{"one-user", advOptions{users: 1, sizes: 2, outcomes: true}},
 		{"one-outcome", advOptions{users: 3, sizes: 2}},
 		{"single-size", advOptions{users: 3, sizes: 1, outcomes: true}},
-		{"sub-second", advOptions{users: 3, sizes: 2, outcomes: true, subSecond: true}},
-		{"sub-second-tied-ids", advOptions{users: 2, sizes: 1, outcomes: true, tiedIDs: true, subSecond: true}},
-		{"sub-second-waits", advOptions{users: 3, sizes: 2, outcomes: true, subSecondStart: true}},
-		{"sub-second-runtimes", advOptions{users: 3, sizes: 2, outcomes: true, subSecondEnd: true}},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, n := range []int{1, 2, 40, 3000} {
@@ -265,21 +230,26 @@ func TestFailureByStructureNonPositive(t *testing.T) {
 	}
 }
 
-// TestFailureByStructureNearlyEqual covers log buckets over values a few
-// ulps apart, where rounding makes several edges equal: the sorted walk
-// must bucket each value as the walk's binary search does.
+// TestFailureByStructureNearlyEqual covers log buckets over values an ulp
+// apart, where rounding makes several edges equal: the sorted walk must
+// bucket each value as the walk's binary search does.
 func TestFailureByStructureNearlyEqual(t *testing.T) {
 	jobs := chainJobs([]bool{true, false, false, true, false, true}, time.Hour)
 	for i := range jobs {
-		// 2⁶² ns is ≈1.28e6 h, where one ulp is ≈0.84 µs.
-		jobs[i].End = jobs[i].Start.Add(1<<62 + time.Duration(i%3)*time.Microsecond)
+		// 1 node × 3 s and 3 nodes × 1 s are core-hours one ulp apart.
+		nodes, secs := 1, 3
+		if i%2 == 1 {
+			nodes, secs = 3, 1
+		}
+		jobs[i].Nodes = nodes
+		jobs[i].End = jobs[i].Start.Add(time.Duration(secs) * time.Second)
 	}
 	d, err := NewDataset(jobs, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkOrdersMatchWalks(t, "ulps apart", d)
-	res, err := NewJobOrders(d).FailureByStructure(DimRuntime)
+	res, err := NewJobOrders(d).FailureByStructure(DimCoreHours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +262,7 @@ func TestFailureByStructureNearlyEqual(t *testing.T) {
 // one JobOrders: each entry is built once, and all callers see the walk's
 // bits.
 func TestJobOrdersConcurrent(t *testing.T) {
-	d := advDataset(t, 9, 2000, advOptions{users: 6, sizes: 2, outcomes: true, subSecond: true})
+	d := advDataset(t, 9, 2000, advOptions{users: 6, sizes: 2, outcomes: true})
 	o := NewJobOrders(d)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)

@@ -37,7 +37,7 @@ func (o *JobOrders) Resubmission() (*ResubmitResult, error) {
 	res := &ResubmitResult{}
 	var failAfterFail, failAfterSuccess int
 	fastResubs, totalFailed := 0, 0
-	order, submitNs := o.byUserSubmit()
+	order := o.byUserSubmit()
 	// Gaps after a failure fill gaps from the front, gaps after a success
 	// from the back.
 	gaps := make([]float64, len(order))
@@ -46,17 +46,16 @@ func (o *JobOrders) Resubmission() (*ResubmitResult, error) {
 	// to the next row as its predecessor's.
 	var prevUser int32
 	var prevSec int64
-	var prevNs int32
 	prevFails := false
 	for k, r := range order {
-		user, sec, ns, fails := v.UserID[r], v.SubmitUnix[r], submitNs[r], v.Family[r] != 0
+		user, sec, fails := v.UserID[r], v.SubmitUnix[r], v.Family[r] != 0
 		if fails {
 			totalFailed++
 		}
 		if k > 0 && user == prevUser {
 			// Inter-submission time: robust to pipelined jobs whose next
 			// submission precedes the previous job's end.
-			gap := time.Duration(sec-prevSec)*time.Second + time.Duration(ns-prevNs)
+			gap := time.Duration(sec-prevSec) * time.Second
 			if prevFails {
 				res.PairsAfterFail++
 				if fails {
@@ -75,7 +74,7 @@ func (o *JobOrders) Resubmission() (*ResubmitResult, error) {
 				gaps[back] = gap.Hours()
 			}
 		}
-		prevUser, prevSec, prevNs, prevFails = user, sec, ns, fails
+		prevUser, prevSec, prevFails = user, sec, fails
 	}
 	if res.PairsAfterFail == 0 || res.PairsAfterSuccess == 0 {
 		return nil, fmt.Errorf("core: not enough consecutive job pairs (fail=%d success=%d)",

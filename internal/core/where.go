@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
@@ -45,20 +43,22 @@ func (d *Dataset) cohortJobCounts(jobSel *bitmap.Bitmap) (jobs, tasks, io int) {
 	return jobs, tasks, io
 }
 
-// cohortSpan computes the observation window of the selected records as
-// exactly NewDataset's min/max walk would — first selected job seeds the
-// bounds, jobs widen by Submit/End, then events widen in an else-if
-// pattern — so a cohort profile's calendar math matches a materialized
-// dataset's bit for bit. An empty cohort yields the zero span.
+// cohortSpan computes the observation window of the selected records, in
+// Unix seconds, as exactly NewDataset's min/max walk would — first
+// selected job seeds the bounds, jobs widen by submit/end, then events
+// widen in an else-if pattern — so a cohort profile's calendar math
+// matches a materialized dataset's bit for bit. An empty cohort yields
+// the zero span.
 //
-// The walk is short-cut wherever its answer is known: the job extremes
-// come from the column view (memoized for all jobs), and over the
-// time-sorted event stream only the first and last selected events can
-// widen a consistent (start ≤ end) span. An unsorted event view or an
+// The walk reads only the column views and is short-cut wherever its
+// answer is known: the job extremes are memoized for all jobs, and over
+// the time-sorted event stream only the first and last selected events
+// can widen a consistent (start ≤ end) span. An unsorted event view or an
 // inverted job span falls back to walking every selected event.
-func (d *Dataset) cohortSpan(w *wholeScan, jobSel, eventSel *bitmap.Bitmap) (start, end time.Time) {
+func (d *Dataset) cohortSpan(w *wholeScan, jobSel, eventSel *bitmap.Bitmap) (start, end int64) {
 	if jobSel == nil && eventSel == nil {
-		return d.Span()
+		s, e := d.Span()
+		return s.Unix(), e.Unix()
 	}
 	var seeded bool
 	if jobSel == nil {
@@ -66,24 +66,25 @@ func (d *Dataset) cohortSpan(w *wholeScan, jobSel, eventSel *bitmap.Bitmap) (sta
 	} else {
 		start, end, seeded = d.jobExtremes(jobSel)
 	}
+	times := d.EventView().TimeUnix
 	widen := func(row int) {
-		t := d.Events[row].Time
+		t := times[row]
 		if !seeded {
 			start, end = t, t
 			seeded = true
 			return
 		}
-		if t.Before(start) {
+		if t < start {
 			start = t
-		} else if t.After(end) {
+		} else if t > end {
 			end = t
 		}
 	}
-	if !d.selIdx().eventTimesSorted() || (seeded && end.Before(start)) {
-		forEachSelected(eventSel, len(d.Events), widen)
+	if !d.selIdx().eventTimesSorted() || (seeded && end < start) {
+		forEachSelected(eventSel, len(times), widen)
 		return start, end
 	}
-	first, last := 0, len(d.Events)-1
+	first, last := 0, len(times)-1
 	if eventSel != nil {
 		lo, ok := eventSel.Minimum()
 		if !ok {

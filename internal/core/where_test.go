@@ -68,7 +68,7 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 	// the memo's job extremes and after the memo's start, so the temporal
 	// job bins must re-run over all jobs.
 	first := sort.Search(ev.N, func(i int) bool { return ev.TimeUnix[i] > ev.TimeUnix[0] })
-	if first == ev.N || !d.Events[first].Time.Before(w.jobStart) {
+	if first == ev.N || ev.TimeUnix[first] >= w.jobStart {
 		t.Fatal("corpus has no second-second event before the first job submit")
 	}
 	return []string{
@@ -84,11 +84,10 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 	}
 }
 
-// referenceScanSel is the unmemoized cohort scan: every kernel over both
-// selections with the span walked record by record — the oracle for
-// cohorts MaterializeWhere cannot build (an empty job side).
-func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfile, error) {
-	jv, ev := d.JobView(), d.EventView()
+// referenceSpan walks the selected records for their observation window
+// in Unix seconds, as NewDataset's span walk would over a dataset of just
+// those records; an empty selection has the zero span.
+func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endUnix int64) {
 	var start, end time.Time
 	seeded := false
 	forEachSelected(jobSel, len(d.Jobs), func(row int) {
@@ -116,6 +115,18 @@ func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfil
 			end = t
 		}
 	})
+	if !seeded {
+		return 0, 0
+	}
+	return start.Unix(), end.Unix()
+}
+
+// referenceScanSel is the unmemoized cohort scan: every kernel over both
+// selections with the span walked record by record — the oracle for
+// cohorts MaterializeWhere cannot build (an empty job side).
+func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfile, error) {
+	jv, ev := d.JobView(), d.EventView()
+	start, end := referenceSpan(d, jobSel, eventSel)
 	tk := newTemporalJobKernelSpan(start, end)
 	joint := newJointKernelWhere(d, DefaultJointOptions(), eventSel)
 	jsts, err := scan.RunWhere(jv, jv.N, jobSel, fusedJobKernels(jv, joint, tk), 1)
@@ -252,12 +263,9 @@ func TestCohortSpanMatchesWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		got0, got1 := d.cohortSpan(w, jobSel, eventSel)
-		ref, err := referenceScanSel(d, jobSel, eventSel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if days := got1.Sub(got0).Hours() / 24; days != ref.Summary.Days {
-			t.Errorf("%q: span %v..%v is %v days, walk gives %v", where, got0, got1, days, ref.Summary.Days)
+		want0, want1 := referenceSpan(d, jobSel, eventSel)
+		if got0 != want0 || got1 != want1 {
+			t.Errorf("%q: span %d..%d, walk gives %d..%d", where, got0, got1, want0, want1)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -251,23 +250,4 @@ func All() []Experiment {
 func ByID(id string) (Experiment, bool) {
 	e, ok := byID[strings.ToUpper(id)]
 	return e, ok
-}
-
-// sortedMetricKeys returns the metric names in stable order for rendering.
-func sortedMetricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// MetricsTable renders a result's metrics as a two-column table.
-func MetricsTable(r *Result) *report.Table {
-	t := &report.Table{Title: r.ID + " metrics", Columns: []string{"metric", "value"}}
-	for _, k := range sortedMetricKeys(r.Metrics) {
-		t.AddRow(k, r.Metrics[k])
-	}
-	return t
 }

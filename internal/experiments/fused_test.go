@@ -421,21 +421,13 @@ func TestFusedAccessorsNilCache(t *testing.T) {
 	}
 }
 
-// TestMetricsTableHelpers covers the shared metric helpers.
+// TestMetricsTableHelpers covers the shared metric helpers safeDiv and
+// boolMetric.
 func TestMetricsTableHelpers(t *testing.T) {
 	if safeDiv(6, 3) != 2 || safeDiv(1, 0) != 0 {
 		t.Error("safeDiv")
 	}
 	if boolMetric(true) != 1 || boolMetric(false) != 0 {
 		t.Error("boolMetric")
-	}
-	res := &Result{ID: "EX", Metrics: map[string]float64{"b": 2, "a": 1}}
-	var buf bytes.Buffer
-	tab := MetricsTable(res)
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Columns[0] != "metric" {
-		t.Error("metrics table shape")
 	}
 }

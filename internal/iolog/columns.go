@@ -7,9 +7,8 @@ import (
 
 // Columns is the column-major decomposition of an I/O log, the shape the
 // binary corpus snapshot (internal/pack) stores. IOTime is kept in
-// nanoseconds at the CSV codec's precision (io_time_s rounds to three
-// decimals on disk), so a snapshot always agrees exactly with the CSV
-// files it sits beside, whatever precision the in-memory record carried.
+// nanoseconds at the CSV codec's precision (CSVGranular), so a snapshot
+// agrees exactly with the CSV files it sits beside.
 type Columns struct {
 	JobID        []int64
 	BytesRead    []int64
@@ -43,19 +42,20 @@ func ToColumns(records []Record) *Columns {
 		c.FilesRead[i] = int64(r.FilesRead)
 		c.FilesWritten[i] = int64(r.FilesWritten)
 		c.MetaOps[i] = r.MetaOps
-		c.IOTimeNanos[i] = csvGranular(r.IOTime)
+		c.IOTimeNanos[i] = int64(CSVGranular(r.IOTime))
 	}
 	return c
 }
 
-// csvGranular returns the duration as the CSV codec round-trips it: written
-// as seconds with three decimals, parsed back as float seconds. Idempotent
-// for durations that already came from a CSV parse.
-func csvGranular(d time.Duration) int64 {
+// CSVGranular returns the duration as the CSV codec round-trips it: written
+// as seconds with three decimals, parsed back as float seconds. It is the
+// I/O log's time resolution, and idempotent for durations that already
+// came from a CSV parse.
+func CSVGranular(d time.Duration) time.Duration {
 	s := strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return int64(d) // unreachable: s was just formatted
+		return d // unreachable: s was just formatted
 	}
-	return int64(time.Duration(v * float64(time.Second)))
+	return time.Duration(v * float64(time.Second))
 }

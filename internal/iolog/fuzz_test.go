@@ -5,12 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // FuzzReadCSV feeds arbitrary bytes to the I/O decoder: ReadCSV must never
 // panic, and whatever it accepts must survive WriteCSV → ReadCSV unchanged
-// up to the codec's millisecond io_time_s precision (csvGranular).
+// up to the codec's millisecond io_time_s precision (CSVGranular).
 func FuzzReadCSV(f *testing.F) {
 	var golden bytes.Buffer
 	if err := WriteCSV(&golden, goldenRecords()); err != nil {
@@ -36,7 +35,7 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		want := append([]Record(nil), records...)
 		for i := range want {
-			want[i].IOTime = time.Duration(csvGranular(want[i].IOTime))
+			want[i].IOTime = CSVGranular(want[i].IOTime)
 		}
 		if !reflect.DeepEqual(want, back) {
 			t.Fatalf("round trip changed the records:\n got  %+v\n want %+v", back, want)

@@ -10,12 +10,13 @@ type JobView struct {
 
 	// ID is the job id (JobID in the log).
 	ID []int64
-	// SubmitUnix, StartUnix and EndUnix are Unix seconds; the corpus is
-	// second-resolution, so these carry the full timestamps.
+	// SubmitUnix, StartUnix and EndUnix are Unix seconds, the full
+	// timestamps: a corpus has whole-second times (core.NewDataset).
 	SubmitUnix []int64
 	StartUnix  []int64
 	EndUnix    []int64
-	// DurSec is EndUnix-StartUnix, the execution length in seconds.
+	// DurSec is EndUnix-StartUnix, the execution length in seconds
+	// (joblog.Job.Runtime).
 	DurSec []int64
 	// Nodes is the allocated node count.
 	Nodes []int32
@@ -41,7 +42,7 @@ type JobView struct {
 type EventView struct {
 	N int
 
-	// TimeUnix is the event time in Unix seconds.
+	// TimeUnix is the event time in Unix seconds, the full timestamp.
 	TimeUnix []int64
 	// Sev is the raw raslog.Severity value.
 	Sev []uint8

@@ -452,7 +452,25 @@ func GenerateParallel(cfg Config, workers int) (*Corpus, error) {
 	sort.Slice(c.Jobs, func(i, j int) bool { return c.Jobs[i].ID < c.Jobs[j].ID })
 	sort.Slice(c.Tasks, func(i, j int) bool { return c.Tasks[i].ID < c.Tasks[j].ID })
 	sort.Slice(c.IO, func(i, j int) bool { return c.IO[i].JobID < c.IO[j].JobID })
+	c.toLogResolution()
 	return c, nil
+}
+
+// toLogResolution floors every timestamp to the whole second the logs
+// record. The simulation runs in nanoseconds, so its event order and
+// record ids are settled before this pass; flooring keeps time order.
+func (c *Corpus) toLogResolution() {
+	for i := range c.Jobs {
+		j := &c.Jobs[i]
+		j.Submit, j.Start, j.End = j.Submit.Truncate(time.Second), j.Start.Truncate(time.Second), j.End.Truncate(time.Second)
+	}
+	for i := range c.Tasks {
+		t := &c.Tasks[i]
+		t.Start, t.End = t.Start.Truncate(time.Second), t.End.Truncate(time.Second)
+	}
+	for i := range c.Events {
+		c.Events[i].Time = c.Events[i].Time.Truncate(time.Second)
+	}
 }
 
 // buildArrivalsShard draws the submission stream of one day shard: a
@@ -625,7 +643,7 @@ func makeIO(rng *rand.Rand, j *joblog.Job, u *user) iolog.Record {
 		FilesRead:    1 + rng.Intn(64),
 		FilesWritten: 1 + rng.Intn(512),
 		MetaOps:      int64(1000 + rng.Intn(500000)),
-		IOTime:       ioTime,
+		IOTime:       iolog.CSVGranular(ioTime),
 	}
 }
 

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/iolog"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
 	"repro/internal/tasklog"
@@ -298,6 +301,56 @@ func TestDurationLawsComplete(t *testing.T) {
 	for _, want := range []string{"weibull", "pareto", "inverse-gaussian", "exponential", "erlang"} {
 		if !names[want] {
 			t.Errorf("law family %s not injected", want)
+		}
+	}
+}
+
+// TestCorpusEqualsCSVRoundTrip pins the corpus resolution: the simulator
+// emits records at the logs' resolution, so writing the four logs as CSV
+// and reading them back gives the corpus again, record for record.
+func TestCorpusEqualsCSVRoundTrip(t *testing.T) {
+	c := small(t)
+	var jb, tb, rb, ib bytes.Buffer
+	for _, err := range []error{
+		joblog.WriteCSV(&jb, c.Jobs), tasklog.WriteCSV(&tb, c.Tasks),
+		raslog.WriteCSV(&rb, c.Events), iolog.WriteCSV(&ib, c.IO),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs, err := joblog.ReadCSV(&jb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := tasklog.ReadCSV(&tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := raslog.ReadCSV(&rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io, err := iolog.ReadCSV(&ib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []struct {
+		name      string
+		got, want any
+	}{
+		{"jobs", jobs, c.Jobs}, {"tasks", tasks, c.Tasks}, {"events", events, c.Events}, {"io", io, c.IO},
+	} {
+		got, want := reflect.ValueOf(l.got), reflect.ValueOf(l.want)
+		if got.Len() != want.Len() {
+			t.Errorf("%s: %d records read back, want %d", l.name, got.Len(), want.Len())
+			continue
+		}
+		for i := 0; i < want.Len(); i++ {
+			if g, w := got.Index(i).Interface(), want.Index(i).Interface(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s record %d: read back %+v, want %+v", l.name, i, g, w)
+				break
+			}
 		}
 	}
 }

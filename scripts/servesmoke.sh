@@ -5,8 +5,14 @@
 # reflects the hit, reject a malformed predicate with 400, and shut the
 # daemon down gracefully with SIGTERM expecting a clean exit.
 #
+# It also checks that a corpus in memory and the same corpus on disk are
+# one dataset: miragen writes the 30-day corpus, a second mirad serves it
+# with -in, and /v1/profile, the cohort body and /v1/experiments/E11 must
+# be byte-identical to those of the generating daemon.
+#
 # Usage:
-#   scripts/servesmoke.sh [port]       # default port: 18080
+#   scripts/servesmoke.sh [port]       # default port: 18080; the -in
+#                                      # daemon listens on port+1
 #
 # CI runs this after the unit tests; it exercises the real binary, real
 # sockets and the real signal path, which httptest cannot.
@@ -15,36 +21,49 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 port="${1:-18080}"
 base="http://127.0.0.1:${port}"
+inport=$((port + 1))
+inbase="http://127.0.0.1:${inport}"
 
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+pids=()
+cleanup() {
+  for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
 
-echo "servesmoke: building mirad..."
+echo "servesmoke: building mirad and miragen..."
 go build -o "$tmp/mirad" ./cmd/mirad
+go build -o "$tmp/miragen" ./cmd/miragen
+
+# boot NAME PORT ARGS... starts mirad on PORT and polls /healthz until the
+# daemon is warm (generation or load + warmup take a few seconds; fail
+# after 60). The pid is appended to pids.
+boot() {
+  local name="$1" p="$2"
+  shift 2
+  "$tmp/mirad" -addr "127.0.0.1:${p}" "$@" >"$tmp/$name.log" 2>&1 &
+  local pid=$!
+  pids+=("$pid")
+  for i in $(seq 1 120); do
+    if curl -sf "http://127.0.0.1:${p}/healthz" >/dev/null 2>&1; then
+      return 0
+    fi
+    if ! kill -0 "$pid" 2>/dev/null; then
+      echo "servesmoke: $name died during startup:" >&2
+      cat "$tmp/$name.log" >&2
+      exit 1
+    fi
+    sleep 0.5
+  done
+  echo "servesmoke: $name /healthz never came up" >&2
+  cat "$tmp/$name.log" >&2
+  exit 1
+}
 
 echo "servesmoke: booting on :$port (30-day corpus)..."
-"$tmp/mirad" -addr "127.0.0.1:${port}" -small >"$tmp/mirad.log" 2>&1 &
-pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-
-# Poll /healthz until the daemon is warm (generation + warmup take a few
-# seconds; fail after 60).
-for i in $(seq 1 120); do
-  if curl -sf "$base/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$pid" 2>/dev/null; then
-    echo "servesmoke: mirad died during startup:" >&2
-    cat "$tmp/mirad.log" >&2
-    exit 1
-  fi
-  sleep 0.5
-  if [ "$i" -eq 120 ]; then
-    echo "servesmoke: /healthz never came up" >&2
-    cat "$tmp/mirad.log" >&2
-    exit 1
-  fi
-done
+boot mirad "$port" -small
+pid="${pids[0]}"
 echo "servesmoke: healthy"
 
 where='exit%20!%3D%20success'
@@ -66,16 +85,33 @@ grep -q '"hits":1' "$tmp/stats.json" || { echo "servesmoke: stats do not show th
 code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/cohort?where=user%20%3D%3D")"
 [ "$code" = "400" ] || { echo "servesmoke: malformed predicate returned $code, want 400" >&2; exit 1; }
 
-# /v1/profile and an experiment round out the surface.
-code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/profile")"
+# /v1/profile and two experiments round out the surface.
+code="$(curl -s -o "$tmp/profile.json" -w '%{http_code}' "$base/v1/profile")"
 [ "$code" = "200" ] || { echo "servesmoke: profile returned $code" >&2; exit 1; }
 code="$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/experiments/E1")"
 [ "$code" = "200" ] || { echo "servesmoke: E1 returned $code" >&2; exit 1; }
+code="$(curl -s -o "$tmp/E11.json" -w '%{http_code}' "$base/v1/experiments/E11")"
+[ "$code" = "200" ] || { echo "servesmoke: E11 returned $code" >&2; exit 1; }
+
+# Memory ≡ disk: the same corpus written by miragen and loaded with -in.
+echo "servesmoke: writing the 30-day corpus and booting -in on :$inport..."
+"$tmp/miragen" -small -out "$tmp/corpus" >/dev/null
+boot mirad-in "$inport" -in "$tmp/corpus"
+for f in "profile.json:/v1/profile" "cohort1.json:/v1/cohort?where=$where" "E11.json:/v1/experiments/E11"; do
+  file="${f%%:*}" path="${f#*:}"
+  code="$(curl -s -o "$tmp/in-$file" -w '%{http_code}' "$inbase$path")"
+  [ "$code" = "200" ] || { echo "servesmoke: -in daemon $path returned $code" >&2; exit 1; }
+  cmp -s "$tmp/$file" "$tmp/in-$file" || { echo "servesmoke: -in daemon $path differs from the -small daemon's" >&2; exit 1; }
+done
+echo "servesmoke: -in daemon matches the -small daemon"
 
 echo "servesmoke: queries OK; sending SIGTERM..."
-kill -TERM "$pid"
-wait "$pid"
-rc=$?
+for p in "${pids[@]}"; do kill -TERM "$p"; done
+rc=0
+wait "$pid" || rc=$?
 [ "$rc" -eq 0 ] || { echo "servesmoke: mirad exited $rc after SIGTERM:" >&2; cat "$tmp/mirad.log" >&2; exit 1; }
-trap 'rm -rf "$tmp"' EXIT
+rc=0
+wait "${pids[1]}" || rc=$?
+[ "$rc" -eq 0 ] || { echo "servesmoke: mirad -in exited $rc after SIGTERM:" >&2; cat "$tmp/mirad-in.log" >&2; exit 1; }
+pids=()
 echo "servesmoke: graceful shutdown OK"
