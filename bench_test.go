@@ -548,7 +548,7 @@ func BenchmarkFilterFatal(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				n = len(incidents)
+				n = incidents.Len()
 			}
 			b.ReportMetric(float64(n), "incidents")
 		})

@@ -25,6 +25,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -38,21 +39,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "mirafilter:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	in := flag.String("in", "", "RAS CSV log or corpus.mirapack snapshot (required)")
-	format := flag.String("format", "auto", "input format: auto (sniff), csv, pack")
-	window := flag.Duration("window", 20*time.Minute, "temporal coalescing window")
-	level := flag.String("level", "midplane", "spatial similarity level: system|rack|midplane|node-board|node")
-	byMsg := flag.Bool("by-message", true, "require identical message IDs (false: same category)")
-	sevName := flag.String("severity", "FATAL", "severity to filter: FATAL|WARN|INFO")
-	where := flag.String("where", "", "event-column predicate restricting the events entering the filter")
-	flag.Parse()
+// run parses args as the command line, writes the incident CSV to stdout
+// and the summary line to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mirafilter", flag.ExitOnError)
+	in := fs.String("in", "", "RAS CSV log or corpus.mirapack snapshot (required)")
+	format := fs.String("format", "auto", "input format: auto (sniff), csv, pack")
+	window := fs.Duration("window", 20*time.Minute, "temporal coalescing window")
+	level := fs.String("level", "midplane", "spatial similarity level: system|rack|midplane|node-board|node")
+	byMsg := fs.Bool("by-message", true, "require identical message IDs (false: same category)")
+	sevName := fs.String("severity", "FATAL", "severity to filter: FATAL|WARN|INFO")
+	where := fs.String("where", "", "event-column predicate restricting the events entering the filter")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -83,23 +89,25 @@ func run() error {
 		return err
 	}
 
-	w := csv.NewWriter(os.Stdout)
+	w := csv.NewWriter(stdout)
 	if err := w.Write([]string{"first_unix", "last_unix", "events", "location", "msg_id", "category", "job_ids"}); err != nil {
 		return err
 	}
-	for i := range incidents {
-		inc := &incidents[i]
-		ids := make([]string, len(inc.JobIDs))
-		for k, id := range inc.JobIDs {
+	for i := 0; i < incidents.Len(); i++ {
+		// The location, message id and category are the first event's.
+		first := &events[incidents.Row[i]]
+		jobIDs := incidents.JobIDs(i)
+		ids := make([]string, len(jobIDs))
+		for k, id := range jobIDs {
 			ids[k] = strconv.FormatInt(id, 10)
 		}
 		if err := w.Write([]string{
-			strconv.FormatInt(inc.First.Unix(), 10),
-			strconv.FormatInt(inc.Last.Unix(), 10),
-			strconv.Itoa(inc.Events),
-			inc.Loc.String(),
-			inc.MsgID,
-			string(inc.Cat),
+			strconv.FormatInt(incidents.First[i], 10),
+			strconv.FormatInt(incidents.Last[i], 10),
+			strconv.Itoa(int(incidents.Events[i])),
+			first.Loc.String(),
+			first.MsgID,
+			string(first.Cat),
 			strings.Join(ids, ";"),
 		}); err != nil {
 			return err
@@ -109,8 +117,8 @@ func run() error {
 	if err := w.Error(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "read %d events, %d %s; emitted %d incidents (%.1fx reduction)\n",
-		total, len(events), sev, len(incidents), reduction(len(events), len(incidents)))
+	fmt.Fprintf(stderr, "read %d events, %d %s; emitted %d incidents (%.1fx reduction)\n",
+		total, len(events), sev, incidents.Len(), reduction(len(events), incidents.Len()))
 	return nil
 }
 

@@ -53,7 +53,7 @@ func run() error {
 		opts[i] = core.DefaultLeadTimeOptions()
 		opts[i].Lookback = lookback
 	}
-	results, err := core.LeadTimeSweep(fatals, warns, opts)
+	results, err := d.LeadTimeSweep(fatals, warns, opts)
 	if err != nil {
 		return err
 	}

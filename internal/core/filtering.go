@@ -43,14 +43,34 @@ func (r FilterRule) Validate() error {
 	return nil
 }
 
-// Incident is one coalesced failure event.
-type Incident struct {
-	First, Last time.Time
-	Events      int
-	Loc         machine.Location // representative location (first event)
-	MsgID       string
-	Cat         raslog.Category
-	JobIDs      []int64 // distinct nonzero job ids attributed to the burst
+// Incidents is the filter's output as columns: entry i of every column
+// describes incident i, and incidents are in the order of their first
+// events. The columns hold no pointers, so a retained incident set costs
+// the garbage collector nothing to trace. An incident's location, message
+// id and category are those of its first event, read through Row.
+type Incidents struct {
+	// First and Last are the Unix seconds of the incident's first and last
+	// event.
+	First, Last []int64
+	// Events is the number of events the incident coalesced.
+	Events []int32
+	// Row is the index of the incident's first event in the events the
+	// filter ran on (the raw stream, or the Dataset's Events).
+	Row []int32
+	// jobStart and jobIDs hold the job ids as one CSR: incident i's ids
+	// are jobIDs[jobStart[i]:jobStart[i+1]].
+	jobStart []int32
+	jobIDs   []int64
+}
+
+// Len returns the number of incidents.
+func (in Incidents) Len() int { return len(in.First) }
+
+// JobIDs returns the distinct nonzero job ids attributed to incident i, in
+// the order their events first appear. The slice aliases the set's
+// storage; callers must not modify it.
+func (in Incidents) JobIDs(i int) []int64 {
+	return in.jobIDs[in.jobStart[i]:in.jobStart[i+1]]
 }
 
 // filterKey is the similarity identity of an event: events with equal keys
@@ -123,82 +143,125 @@ func internKeys(events []raslog.Event, idx []int, rule FilterRule) internedKeys 
 	return internedKeys{ids: ids, nKeys: len(seen)}
 }
 
-// coalesce folds the indexed events into incidents for one window. An
-// event extends the open incident of its key when it is at most window
-// after that incident's last event, and opens a new incident otherwise.
-// The open-incident table is a flat array indexed by key id, and job
-// attributions deduplicate by scanning the incident's (short) JobIDs list.
-// Incidents come out in the order of their first events, so a time-ordered
-// index yields incidents in non-decreasing First order.
+// countIncidents is the similarity fold: the n-th indexed event, at
+// Unix second ts[idx[n]], extends the open incident of its key when it is
+// at most window after that incident's last event, and opens a new
+// incident otherwise. It returns the number of incidents; when assign is
+// non-nil it also records assign[n], the incident of the n-th event, with
+// incidents numbered in the order they open. The gap test compares whole
+// seconds with the window floored to seconds, which is exact for
+// whole-second times and cannot overflow. A key has no open incident until
+// its first event (open is -1), so no time value serves as a sentinel.
 //
 //mira:hotpath
-func coalesce(events []raslog.Event, idx []int, ik internedKeys, window time.Duration) []Incident {
-	if len(idx) == 0 {
-		return nil // no events, no incidents: nil, as a fold that never appends
+func countIncidents(ts []int64, idx []int, ik internedKeys, window time.Duration, assign []int32) int {
+	win := int64(window / time.Second)
+	open := make([]int32, ik.nKeys)
+	last := make([]int64, ik.nKeys)
+	for k := range open {
+		open[k] = -1
 	}
-	// Counting pre-pass: replay just the open/extend decision (key id plus
-	// window check against the last event of the key) to size the incident
-	// slice, so the fill pass does not grow or copy it. The zero time.Time
-	// makes the first event of every key read as "gap larger than any
-	// window", i.e. a new incident; only events within a window of the zero
-	// time can undercount, which costs an append growth, never a result.
-	lastOf := make([]time.Time, ik.nKeys)
 	count := 0
 	for n, i := range idx {
-		e := &events[i]
-		if e.Time.Sub(lastOf[ik.ids[n]]) > window {
+		k, t := ik.ids[n], ts[i]
+		if open[k] < 0 || t-last[k] > win {
+			open[k] = int32(count)
 			count++
 		}
-		lastOf[ik.ids[n]] = e.Time
+		last[k] = t
+		if assign != nil {
+			assign[n] = open[k]
+		}
 	}
-	open := make([]int32, ik.nKeys)
-	for i := range open {
-		open[i] = -1
+	return count
+}
+
+// coalesce folds the indexed events into incident columns for one window.
+// ts holds the Unix seconds of events (aligned with it); the job ids are
+// read from the records. One countIncidents pass numbers the incidents and
+// sizes the columns; a fill pass then writes them and lays the job-
+// attributed events out as a CSR by incident (a counting sort), which a
+// final pass deduplicates in place, keeping each id's first appearance.
+// Over a time-ordered index, First is non-decreasing.
+//
+//mira:hotpath
+func coalesce(ts []int64, events []raslog.Event, idx []int, ik internedKeys, window time.Duration) Incidents {
+	if len(idx) == 0 {
+		return Incidents{} // no events, no incidents
 	}
-	incidents := make([]Incident, 0, count)
+	assign := make([]int32, len(idx))
+	count := countIncidents(ts, idx, ik, window, assign)
+	out := Incidents{
+		First:    make([]int64, count),
+		Last:     make([]int64, count),
+		Events:   make([]int32, count),
+		Row:      make([]int32, count),
+		jobStart: make([]int32, count+1),
+	}
 	for n, i := range idx {
-		e := &events[i]
-		if oi := open[ik.ids[n]]; oi >= 0 && e.Time.Sub(incidents[oi].Last) <= window {
-			in := &incidents[oi]
-			in.Last = e.Time
-			in.Events++
-			if e.JobID != 0 {
-				dup := false
-				for _, id := range in.JobIDs {
-					if id == e.JobID {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					in.JobIDs = append(in.JobIDs, e.JobID)
+		c, t := assign[n], ts[i]
+		if out.Events[c] == 0 {
+			out.First[c], out.Row[c] = t, int32(i)
+		}
+		out.Last[c] = t
+		out.Events[c]++
+		if events[i].JobID != 0 {
+			out.jobStart[c+1]++
+		}
+	}
+	for c := 0; c < count; c++ {
+		out.jobStart[c+1] += out.jobStart[c]
+	}
+	// Counting sort of the attributed events by incident, stable in event
+	// order: next[c] is incident c's next free slot.
+	next := make([]int32, count)
+	copy(next, out.jobStart[:count])
+	ids := make([]int64, out.jobStart[count])
+	for n, i := range idx {
+		if id := events[i].JobID; id != 0 {
+			c := assign[n]
+			ids[next[c]] = id
+			next[c]++
+		}
+	}
+	// Deduplicate each incident's ids in place; the kept prefix never
+	// overtakes the slot being read.
+	w, lo := int32(0), int32(0)
+	for c := 0; c < count; c++ {
+		hi, start := out.jobStart[c+1], w
+	ids:
+		for r := lo; r < hi; r++ {
+			for _, seen := range ids[start:w] {
+				if seen == ids[r] {
+					continue ids
 				}
 			}
-			continue
+			ids[w] = ids[r]
+			w++
 		}
-		incidents = append(incidents, Incident{
-			First: e.Time, Last: e.Time, Events: 1,
-			Loc: e.Loc, MsgID: e.MsgID, Cat: e.Cat,
-		})
-		if e.JobID != 0 {
-			incidents[len(incidents)-1].JobIDs = []int64{e.JobID}
-		}
-		open[ik.ids[n]] = int32(len(incidents) - 1)
+		out.jobStart[c], lo = start, hi
 	}
-	return incidents
+	out.jobStart[count] = w
+	out.jobIDs = ids[:w:w]
+	return out
 }
 
 // FilterBySeverity coalesces the events of one severity into incidents
 // under the rule — FATAL bursts become interruption incidents, WARN bursts
 // become the precursor signals the lead-time analysis mines. Events must be
-// sorted by time. It is the raw-stream entry point; analyses over a Dataset
-// use FilterFatal/FilterWarn, which reuse its severity views and keys.
-func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
+// sorted by time and have whole-second times; Row indexes events. It is the
+// raw-stream entry point; analyses over a Dataset use FilterFatal/
+// FilterWarn, which reuse its severity views, time column and keys.
+func FilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) (Incidents, error) {
 	if err := rule.Validate(); err != nil {
-		return nil, err
+		return Incidents{}, err
 	}
 	idx := severityIndex(events, sev)
-	return coalesce(events, idx, internKeys(events, idx, rule), rule.Window), nil
+	ts := make([]int64, len(events))
+	for _, i := range idx {
+		ts[i] = events[i].Time.Unix()
+	}
+	return coalesce(ts, events, idx, internKeys(events, idx, rule), rule.Window), nil
 }
 
 // keyConfig identifies one memoized key interning: the severity view and
@@ -235,24 +298,26 @@ func (d *Dataset) filterKeys(sev raslog.Severity, idx []int, rule FilterRule) in
 	return m.ik
 }
 
-// filterView coalesces one of the dataset's severity views under the rule.
-func (d *Dataset) filterView(sev raslog.Severity, idx []int, rule FilterRule) ([]Incident, error) {
+// filterView coalesces one of the dataset's severity views under the rule,
+// reading event times from the event view's TimeUnix column.
+func (d *Dataset) filterView(sev raslog.Severity, idx []int, rule FilterRule) (Incidents, error) {
 	if err := rule.Validate(); err != nil {
-		return nil, err
+		return Incidents{}, err
 	}
-	return coalesce(d.Events, idx, d.filterKeys(sev, idx, rule), rule.Window), nil
+	return coalesce(d.EventView().TimeUnix, d.Events, idx, d.filterKeys(sev, idx, rule), rule.Window), nil
 }
 
-// FilterFatal coalesces the dataset's FATAL view into incidents. It skips
-// the severity scan via the view built at NewDataset time and the key
-// interning via the dataset's key memo, so repeated calls — and calls with
-// other windows — pay only the array-indexed coalesce.
-func (d *Dataset) FilterFatal(rule FilterRule) ([]Incident, error) {
+// FilterFatal coalesces the dataset's FATAL view into incidents; Row
+// indexes d.Events. It skips the severity scan via the view built at
+// NewDataset time and the key interning via the dataset's key memo, so
+// repeated calls — and calls with other windows — pay only the
+// array-indexed coalesce.
+func (d *Dataset) FilterFatal(rule FilterRule) (Incidents, error) {
 	return d.filterView(raslog.Fatal, d.fatalIdx, rule)
 }
 
 // FilterWarn coalesces the dataset's WARN view into incidents.
-func (d *Dataset) FilterWarn(rule FilterRule) ([]Incident, error) {
+func (d *Dataset) FilterWarn(rule FilterRule) (Incidents, error) {
 	return d.filterView(raslog.Warn, d.warnIdx, rule)
 }
 
@@ -263,15 +328,16 @@ type SweepPoint struct {
 	Reduction float64 // 1 − incidents/raw-fatal-count
 }
 
-// FilterSweep runs FilterFatal across the given windows (holding the rest
-// of the rule fixed) and reports the incident counts — the knee of this
-// curve is how the paper picks its filtering window. The window grid is
-// evaluated on at most workers goroutines (≤ 0 means GOMAXPROCS). Each
-// window's coalesce is independent and writes its SweepPoint to the slot
-// of its window index, so the sweep is identical for any worker count.
+// FilterSweep counts the incidents FilterFatal emits at each of the given
+// windows (holding the rest of the rule fixed) — the knee of this curve is
+// how the paper picks its filtering window. The window grid is evaluated
+// on at most workers goroutines (≤ 0 means GOMAXPROCS). Each window's fold
+// is independent and writes its SweepPoint to the slot of its window
+// index, so the sweep is identical for any worker count.
 //
 // Similarity keys do not depend on the window, so every window shares the
-// FATAL view's memoized keys and pays only the array-indexed coalesce.
+// FATAL view's memoized keys. A point needs only the incident count, so
+// each window runs the count fold alone and builds no incidents.
 func (d *Dataset) FilterSweep(base FilterRule, windows []time.Duration, workers int) ([]SweepPoint, error) {
 	for _, w := range windows {
 		rule := base
@@ -282,12 +348,13 @@ func (d *Dataset) FilterSweep(base FilterRule, windows []time.Duration, workers 
 	}
 	raw := len(d.fatalIdx)
 	ik := d.filterKeys(raslog.Fatal, d.fatalIdx, base)
+	ts := d.EventView().TimeUnix
 	out := make([]SweepPoint, len(windows))
 	err := par.ForEach(context.Background(), len(windows), workers, func(i int) error {
-		incidents := coalesce(d.Events, d.fatalIdx, ik, windows[i])
-		p := SweepPoint{Window: windows[i], Incidents: len(incidents)}
+		n := countIncidents(ts, d.fatalIdx, ik, windows[i], nil)
+		p := SweepPoint{Window: windows[i], Incidents: n}
 		if raw > 0 {
-			p.Reduction = 1 - float64(len(incidents))/float64(raw)
+			p.Reduction = 1 - float64(n)/float64(raw)
 		}
 		out[i] = p
 		return nil

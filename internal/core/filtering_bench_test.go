@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -120,4 +122,99 @@ func BenchmarkFilterFatalIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The paired BenchmarkIncidentConsumers/{rows,columns} times E16 and E21
+// end to end on the 90-day corpus: the default-rule FATAL and WARN folds,
+// the four-lookback lead-time sweep and the torus correlation at E21's
+// three windows. rows runs the row oracles (referenceFilterBySeverity,
+// referenceLeadTimeSweep, referenceSpatialCorrelation); columns runs the
+// Dataset path the experiments run, with the key memo warm, as in a
+// long-lived process. columns reports "speedup": the median of three rows
+// runs divided by its per-iteration time.
+
+var (
+	incidentBenchLookbacks = []time.Duration{time.Hour, 6 * time.Hour, 12 * time.Hour, 24 * time.Hour}
+	incidentBenchWindows   = []time.Duration{time.Hour, 6 * time.Hour, 24 * time.Hour}
+)
+
+func incidentBenchOptions() []LeadTimeOptions {
+	opts := make([]LeadTimeOptions, len(incidentBenchLookbacks))
+	for i, lb := range incidentBenchLookbacks {
+		opts[i] = DefaultLeadTimeOptions()
+		opts[i].Lookback = lb
+	}
+	return opts
+}
+
+func runIncidentRows(b *testing.B, d *Dataset) {
+	rule := DefaultFilterRule()
+	fatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warns, err := referenceFilterBySeverity(d.Events, raslog.Warn, rule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := referenceLeadTimeSweep(fatals, warns, incidentBenchOptions()); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range incidentBenchWindows {
+		if _, err := referenceSpatialCorrelation(fatals, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func runIncidentColumns(b *testing.B, d *Dataset) {
+	rule := DefaultFilterRule()
+	fatals, err := d.FilterFatal(rule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warns, err := d.FilterWarn(rule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := d.LeadTimeSweep(fatals, warns, incidentBenchOptions()); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range incidentBenchWindows {
+		if _, err := d.SpatialCorrelationIncidents(fatals, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkIncidentConsumers(b *testing.B) {
+	d := benchDataset(b)
+	runIncidentColumns(b, d) // warm the key memo and the event view
+	b.Run("rows", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runIncidentRows(b, d)
+		}
+	})
+	b.Run("columns", func(b *testing.B) {
+		var samples []time.Duration
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			t0 := time.Now()
+			runIncidentRows(b, d)
+			samples = append(samples, time.Since(t0))
+		}
+		slices.Sort(samples)
+		rows := samples[1]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runIncidentColumns(b, d)
+		}
+		b.StopTimer()
+		if b.N > 0 && b.Elapsed() > 0 {
+			perIter := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(float64(rows.Nanoseconds())/perIter, "speedup")
+		}
+	})
 }

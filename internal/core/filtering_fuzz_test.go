@@ -23,8 +23,9 @@ var fuzzMsgs = []struct {
 }
 
 // fuzzEvents decodes bytes into a time-sorted RAS stream. The first byte
-// picks the stream's start: the zero time.Time (the coalesce capacity
-// pre-pass's sentinel), a few seconds after it, or a realistic date. Each
+// picks the stream's start: the zero time.Time (where a zero-time "no open
+// incident" sentinel, or a gap converted to nanoseconds, would go wrong),
+// a few seconds after it, or a realistic date. Each
 // event then takes five bytes:
 //
 //	time step (0 ties the previous event; the top two bits pick the unit),
@@ -80,16 +81,25 @@ func fuzzEvents(t *testing.T, data []byte) []raslog.Event {
 	return events
 }
 
-// FuzzFilter is the differential fuzzer of the incident filter: on any
-// decoded stream and under every equivRules configuration, the raw-stream
-// entry point, the memoized Dataset entry points (each called twice, so the
-// second call reads the key memo) and the Dataset sweep must reproduce the
-// reference fold exactly.
+// FuzzFilter is the differential fuzzer of the incident filter and its
+// consumers: on any decoded stream and under every equivRules
+// configuration, the raw-stream entry point, the memoized Dataset entry
+// points (each called twice, so the second call reads the key memo), the
+// Dataset sweep and MTTI must reproduce the reference fold row for row,
+// and LeadTimeSweep and SpatialCorrelationIncidents over the columns must
+// equal their row oracles over the reference rows.
 func FuzzFilter(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 0, 5, 0, 0, 4, 0, 5, 1, 0, 4, 0, 4})
 	f.Add([]byte{2, 1, 0, 4, 9, 4, 0, 1, 12, 1, 8, 64, 0, 20, 2, 1, 0, 1, 4, 9, 6})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 0, 3, 3, 3, 0, 0, 3, 3, 3, 63, 1, 2, 3, 4})
+	f.Add([]byte{2, 1, 1, 4, 9, 4, 0, 0, 4, 9, 4, 1, 0, 4, 9, 5, 67, 1, 4, 9, 4, 1, 0, 4, 9, 6, 66, 0, 3, 9, 4, 0, 1, 12, 1, 8})
+	// A WARN burst 2 s before a FATAL on one midplane: a lead the 1500 ms
+	// lookback must floor away.
+	f.Add([]byte{2, 0, 1, 2, 0, 0, 2, 0, 2, 0, 0})
+	// FATALs on three racks' midplanes at 0 s, 3600 s and 3601 s: a pair
+	// gap the 1 h 500 ms E21 window must floor away.
+	f.Add([]byte{2, 0, 0, 2, 0, 0, 0xc1, 0, 12, 0, 1, 1, 0, 17, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := fuzzEvents(t, data)
 		var start time.Time
@@ -106,52 +116,59 @@ func FuzzFilter(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, rule := range equivRules() {
-			for _, sev := range []struct {
+			var got [2]Incidents
+			var want [2][]Incident
+			for s, sev := range []struct {
 				sev    raslog.Severity
-				filter func(FilterRule) ([]Incident, error)
+				filter func(FilterRule) (Incidents, error)
 			}{
 				{raslog.Fatal, d.FilterFatal},
 				{raslog.Warn, d.FilterWarn},
 			} {
-				want, err := referenceFilterBySeverity(events, sev.sev, rule)
+				ref, err := referenceFilterBySeverity(events, sev.sev, rule)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := FilterBySeverity(events, sev.sev, rule)
+				raw, err := FilterBySeverity(events, sev.sev, rule)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("FilterBySeverity %v rule %+v:\n got %+v\nwant %+v", sev.sev, rule, got, want)
+				if diff := incidentsDiff(events, raw, ref); diff != "" {
+					t.Fatalf("FilterBySeverity %v rule %+v: %s", sev.sev, rule, diff)
 				}
-				if want, err = referenceFilterBySeverity(d.Events, sev.sev, rule); err != nil {
+				if want[s], err = referenceFilterBySeverity(d.Events, sev.sev, rule); err != nil {
 					t.Fatal(err)
 				}
 				for call := 0; call < 2; call++ {
-					got, err := sev.filter(rule)
-					if err != nil {
+					if got[s], err = sev.filter(rule); err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Dataset filter %v rule %+v call %d:\n got %+v\nwant %+v", sev.sev, rule, call, got, want)
+					if diff := incidentsDiff(d.Events, got[s], want[s]); diff != "" {
+						t.Fatalf("Dataset filter %v rule %+v call %d: %s", sev.sev, rule, call, diff)
 					}
 				}
 			}
-			fatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := []SweepPoint{{Window: rule.Window, Incidents: len(fatals)}}
+			wantSweep := []SweepPoint{{Window: rule.Window, Incidents: len(want[0])}}
 			if raw := len(d.FatalEvents()); raw > 0 {
-				want[0].Reduction = 1 - float64(len(fatals))/float64(raw)
+				wantSweep[0].Reduction = 1 - float64(len(want[0]))/float64(raw)
 			}
-			got, err := d.FilterSweep(rule, []time.Duration{rule.Window}, 1)
+			sweep, err := d.FilterSweep(rule, []time.Duration{rule.Window}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("FilterSweep rule %+v: %+v, reference %+v", rule, got, want)
+			if !reflect.DeepEqual(sweep, wantSweep) {
+				t.Fatalf("FilterSweep rule %+v: %+v, reference %+v", rule, sweep, wantSweep)
 			}
+			wantMTTI, err := referenceFilterBySeverity(jobFatalEvents(d), raslog.Fatal, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.MTTI(rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMTTI(t, d, rule, res, wantMTTI)
+			checkIncidentConsumers(t, d, got[0], got[1], want[0], want[1])
 		}
 	})
 }

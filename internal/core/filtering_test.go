@@ -35,18 +35,17 @@ func TestFilterCoalescesBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 1 {
-		t.Fatalf("burst coalesced to %d incidents, want 1", len(incidents))
+	if incidents.Len() != 1 {
+		t.Fatalf("burst coalesced to %d incidents, want 1", incidents.Len())
 	}
-	in := incidents[0]
-	if in.Events != 50 {
-		t.Errorf("incident events = %d", in.Events)
+	if incidents.Events[0] != 50 {
+		t.Errorf("incident events = %d", incidents.Events[0])
 	}
-	if len(in.JobIDs) != 1 || in.JobIDs[0] != 7 {
-		t.Errorf("job ids = %v", in.JobIDs)
+	if ids := incidents.JobIDs(0); len(ids) != 1 || ids[0] != 7 {
+		t.Errorf("job ids = %v", ids)
 	}
-	if d := in.Last.Sub(in.First); d != 49*10*time.Second {
-		t.Errorf("duration = %v", d)
+	if d := incidents.Last[0] - incidents.First[0]; d != 49*10 {
+		t.Errorf("duration = %d s", d)
 	}
 }
 
@@ -58,8 +57,8 @@ func TestFilterSeparatesDistantBursts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 2 {
-		t.Fatalf("distant bursts gave %d incidents, want 2", len(incidents))
+	if incidents.Len() != 2 {
+		t.Fatalf("distant bursts gave %d incidents, want 2", incidents.Len())
 	}
 }
 
@@ -71,8 +70,8 @@ func TestFilterSeparatesByLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 2 {
-		t.Fatalf("spatially distinct bursts gave %d incidents, want 2", len(incidents))
+	if incidents.Len() != 2 {
+		t.Fatalf("spatially distinct bursts gave %d incidents, want 2", incidents.Len())
 	}
 	// With the spatial condition disabled they merge.
 	rule := DefaultFilterRule()
@@ -81,8 +80,8 @@ func TestFilterSeparatesByLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 1 {
-		t.Fatalf("spatial-off filtering gave %d incidents, want 1", len(incidents))
+	if incidents.Len() != 1 {
+		t.Fatalf("spatial-off filtering gave %d incidents, want 1", incidents.Len())
 	}
 }
 
@@ -97,16 +96,16 @@ func TestFilterSeparatesByMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 2 {
-		t.Fatalf("distinct messages gave %d incidents, want 2", len(incidents))
+	if incidents.Len() != 2 {
+		t.Fatalf("distinct messages gave %d incidents, want 2", incidents.Len())
 	}
 	rule.SameMessage = false // category similarity only → one incident
 	incidents, err = FilterBySeverity(events, raslog.Fatal, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 1 {
-		t.Fatalf("category filtering gave %d incidents, want 1", len(incidents))
+	if incidents.Len() != 1 {
+		t.Fatalf("category filtering gave %d incidents, want 1", incidents.Len())
 	}
 }
 
@@ -118,7 +117,7 @@ func TestFilterIgnoresNonFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(incidents) != 1 || incidents[0].Events != 3 {
+	if incidents.Len() != 1 || incidents.Events[0] != 3 {
 		t.Fatalf("non-fatal events not ignored: %+v", incidents)
 	}
 }

@@ -147,7 +147,7 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 	for _, rule := range equivRules() {
 		for _, sev := range []struct {
 			sev    raslog.Severity
-			filter func(FilterRule) ([]Incident, error)
+			filter func(FilterRule) (Incidents, error)
 		}{
 			{raslog.Fatal, d.FilterFatal},
 			{raslog.Warn, d.FilterWarn},
@@ -161,8 +161,8 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v rule %+v call %d: memoized filter differs from the reference", sev.sev, rule, call)
+				if diff := incidentsDiff(d.Events, got, want); diff != "" {
+					t.Fatalf("%v rule %+v call %d: memoized filter differs from the reference: %s", sev.sev, rule, call, diff)
 				}
 			}
 		}
@@ -170,6 +170,32 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 	if _, err := d.FilterFatal(FilterRule{Window: -1}); err == nil {
 		t.Error("invalid rule accepted")
 	}
+}
+
+// TestIncidentConsumersMatchReference pins E16's LeadTimeSweep and E21's
+// SpatialCorrelationIncidents over the corpus's default-rule incident
+// columns to their row oracles, at every lead-time level and at two
+// windows and three lookbacks each.
+func TestIncidentConsumersMatchReference(t *testing.T) {
+	d, _ := dataset(t)
+	rule := DefaultFilterRule()
+	fatals, err := d.FilterFatal(rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warns, err := d.FilterWarn(rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refWarns, err := referenceFilterBySeverity(d.Events, raslog.Warn, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIncidentConsumers(t, d, fatals, warns, refFatals, refWarns)
 }
 
 // TestLeadTimeSweepMatchesLeadTime pins the E16 sweep: evaluating several
@@ -191,12 +217,12 @@ func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 		opts[i] = DefaultLeadTimeOptions()
 		opts[i].Lookback = lb
 	}
-	swept, err := LeadTimeSweep(fatals, warns, opts)
+	swept, err := d.LeadTimeSweep(fatals, warns, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, opt := range opts {
-		want, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
+		want, err := d.LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,14 +230,14 @@ func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 			t.Errorf("lookback %v: sweep %+v, single %+v", lookbacks[i], swept[i], want[0])
 		}
 	}
-	if _, err := LeadTimeSweep(fatals, warns, nil); err == nil {
+	if _, err := d.LeadTimeSweep(fatals, warns, nil); err == nil {
 		t.Error("empty option list accepted")
 	}
 	mixed := []LeadTimeOptions{
 		{Lookback: time.Hour, Level: machine.LevelRack},
 		{Lookback: time.Hour, Level: machine.LevelNode},
 	}
-	if _, err := LeadTimeSweep(fatals, warns, mixed); err == nil {
+	if _, err := d.LeadTimeSweep(fatals, warns, mixed); err == nil {
 		t.Error("mixed spatial levels accepted")
 	}
 }

@@ -9,75 +9,14 @@ import (
 	"repro/internal/raslog"
 )
 
-// referenceFilterBySeverity is a verbatim copy of the pre-index
-// implementation: one pass that re-tests severity and recomputes the
-// similarity key for every event, with a map-keyed open-incident table.
-// It is the oracle for every production filter entry point: the
-// equivalence tests and FuzzFilter pin the interned-key coalesce to its
-// exact output.
-func referenceFilterBySeverity(events []raslog.Event, sev raslog.Severity, rule FilterRule) ([]Incident, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	open := map[filterKey]int{}
-	type incidentJob struct {
-		incident int
-		job      int64
-	}
-	jobSeen := map[incidentJob]struct{}{}
-	var incidents []Incident
-	for i := range events {
-		e := &events[i]
-		if e.Sev != sev {
-			continue
-		}
-		k := filterKey{}
-		if rule.SameMessage {
-			k.msg = e.MsgID
-		} else {
-			k.cat = e.Cat
-		}
-		if rule.Spatial > machine.LevelSystem {
-			if e.Loc.Level() >= rule.Spatial {
-				anc, err := e.Loc.Ancestor(rule.Spatial)
-				if err == nil {
-					k.loc = anc
-				} else {
-					k.loc = e.Loc
-				}
-			} else {
-				k.loc = e.Loc
-			}
-		}
-		if idx, ok := open[k]; ok && e.Time.Sub(incidents[idx].Last) <= rule.Window {
-			in := &incidents[idx]
-			in.Last = e.Time
-			in.Events++
-			if e.JobID != 0 {
-				if _, dup := jobSeen[incidentJob{idx, e.JobID}]; !dup {
-					jobSeen[incidentJob{idx, e.JobID}] = struct{}{}
-					in.JobIDs = append(in.JobIDs, e.JobID)
-				}
-			}
-			continue
-		}
-		incidents = append(incidents, Incident{
-			First: e.Time, Last: e.Time, Events: 1,
-			Loc: e.Loc, MsgID: e.MsgID, Cat: e.Cat,
-		})
-		if e.JobID != 0 {
-			incidents[len(incidents)-1].JobIDs = []int64{e.JobID}
-			jobSeen[incidentJob{len(incidents) - 1, e.JobID}] = struct{}{}
-		}
-		open[k] = len(incidents) - 1
-	}
-	return incidents, nil
-}
-
-// equivRules spans the similarity settings the analyses use.
+// equivRules spans the similarity settings the analyses use, plus two
+// windows that are not whole seconds: the fold compares whole-second gaps
+// with the window floored to seconds, and 999 ms and 1500 ms pin that
+// floor (a gap of 0 s and of 1 s is the largest they admit).
 func equivRules() []FilterRule {
 	var rules []FilterRule
-	for _, w := range []time.Duration{time.Minute, 20 * time.Minute, 2 * time.Hour} {
+	windows := []time.Duration{999 * time.Millisecond, 1500 * time.Millisecond, time.Minute, 20 * time.Minute, 2 * time.Hour}
+	for _, w := range windows {
 		for _, sp := range []machine.Level{machine.LevelSystem, machine.LevelRack, machine.LevelMidplane, machine.LevelNode} {
 			for _, sm := range []bool{true, false} {
 				rules = append(rules, FilterRule{Window: w, Spatial: sp, SameMessage: sm})
@@ -99,9 +38,8 @@ func TestFilterBySeverityMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("rule %+v sev %v: %d incidents vs %d (or contents differ)",
-					rule, sev, len(got), len(want))
+			if diff := incidentsDiff(d.Events, got, want); diff != "" {
+				t.Fatalf("rule %+v sev %v: %s", rule, sev, diff)
 			}
 		}
 	}
@@ -185,7 +123,9 @@ func jobFatalEvents(d *Dataset) []raslog.Event {
 
 // TestMTTIIncidentsMatchReference pins the MTTI incidents — the FATAL
 // view's memoized keys restricted to job-attributed events — to the
-// reference fold over exactly those events.
+// reference fold over exactly those events, and pins what E12 and E18
+// read from them (the interval series, the interrupted jobs and the
+// per-phase interruption counts) to their row derivations.
 func TestMTTIIncidentsMatchReference(t *testing.T) {
 	d, _ := dataset(t)
 	jobFatal := jobFatalEvents(d)
@@ -198,9 +138,38 @@ func TestMTTIIncidentsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Incidents, want) {
-			t.Fatalf("rule %+v: MTTI has %d incidents, reference %d (or contents differ)",
-				rule, len(res.Incidents), len(want))
+		checkMTTI(t, d, rule, res, want)
+	}
+}
+
+// checkMTTI compares an MTTI result with the reference rows of its
+// incidents: the incidents themselves, the interval series, the
+// interrupted jobs and the E18 interruption counts at three phase counts.
+func checkMTTI(t *testing.T, d *Dataset, rule FilterRule, res *MTTIResult, want []Incident) {
+	t.Helper()
+	if diff := incidentsDiff(d.Events, res.Incidents, want); diff != "" {
+		t.Fatalf("rule %+v: MTTI incidents: %s", rule, diff)
+	}
+	if res.Interruptions != len(want) {
+		t.Fatalf("rule %+v: %d interruptions, reference %d", rule, res.Interruptions, len(want))
+	}
+	if got, ref := res.Intervals, referenceMTTIIntervals(want); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("rule %+v: intervals %v, reference %v", rule, got, ref)
+	}
+	if got, ref := res.InterruptedJobs(), referenceInterruptedJobs(want); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("rule %+v: interrupted jobs %v, reference %v", rule, got, ref)
+	}
+	for _, n := range []int{2, 4, 7} {
+		phases, err := d.LifePhasesFromMTTI(n, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referencePhaseInterruptions(d, n, want)
+		for i := range phases {
+			if phases[i].Interruptions != ref[i] {
+				t.Fatalf("rule %+v: %d phases: interruptions %d in phase %d, reference %d",
+					rule, n, phases[i].Interruptions, i, ref[i])
+			}
 		}
 	}
 }
@@ -210,10 +179,10 @@ func TestMTTIIncidentsMatchReference(t *testing.T) {
 // non-decreasing First order over a time-sorted stream.
 func TestIncidentsInFirstOrder(t *testing.T) {
 	d, _ := dataset(t)
-	inOrder := func(name string, rule FilterRule, incidents []Incident) {
+	inOrder := func(name string, rule FilterRule, incidents Incidents) {
 		t.Helper()
-		for i := 1; i < len(incidents); i++ {
-			if incidents[i].First.Before(incidents[i-1].First) {
+		for i := 1; i < incidents.Len(); i++ {
+			if incidents.First[i] < incidents.First[i-1] {
 				t.Fatalf("%s rule %+v: incident %d starts before incident %d", name, rule, i, i-1)
 			}
 		}

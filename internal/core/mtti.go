@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/raslog"
@@ -12,11 +13,11 @@ import (
 // the paper's "MTTI ≈ 3.5 days" headline.
 type MTTIResult struct {
 	SpanDays      float64
-	RawFatal      int        // unfiltered FATAL event count
-	Incidents     []Incident // filtered job-interrupting incidents
-	Interruptions int        // len(Incidents)
-	MTTIDays      float64    // span / interruptions
-	MTBFRawDays   float64    // baseline: span / raw FATAL count
+	RawFatal      int       // unfiltered FATAL event count
+	Incidents     Incidents // filtered job-interrupting incidents
+	Interruptions int       // Incidents.Len()
+	MTTIDays      float64   // span / interruptions
+	MTBFRawDays   float64   // baseline: span / raw FATAL count
 	// Intervals are the gaps between consecutive interruptions, in hours,
 	// in time order.
 	Intervals []float64
@@ -51,25 +52,24 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 			jobKeys.ids = append(jobKeys.ids, ik.ids[n])
 		}
 	}
-	incidents := coalesce(d.Events, jobIdx, jobKeys, rule.Window)
+	incidents := coalesce(d.EventView().TimeUnix, d.Events, jobIdx, jobKeys, rule.Window)
 	res := &MTTIResult{
 		SpanDays:  d.Days(),
 		RawFatal:  raw,
 		Incidents: incidents,
 	}
-	res.Interruptions = len(incidents)
+	res.Interruptions = incidents.Len()
 	if res.Interruptions > 0 {
 		res.MTTIDays = res.SpanDays / float64(res.Interruptions)
 	}
 	if raw > 0 {
 		res.MTBFRawDays = res.SpanDays / float64(raw)
 	}
-	if len(incidents) >= 3 {
-		res.Intervals = make([]float64, 0, len(incidents)-1)
-		for i := 1; i < len(incidents); i++ {
-			gap := incidents[i].First.Sub(incidents[i-1].First).Hours()
-			if gap > 0 {
-				res.Intervals = append(res.Intervals, gap)
+	if first := incidents.First; len(first) >= 3 {
+		res.Intervals = make([]float64, 0, len(first)-1)
+		for i := 1; i < len(first); i++ {
+			if gap := first[i] - first[i-1]; gap > 0 {
+				res.Intervals = append(res.Intervals, (time.Duration(gap) * time.Second).Hours())
 			}
 		}
 		if len(res.Intervals) > 0 {
@@ -87,20 +87,14 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 }
 
 // InterruptedJobs returns the distinct job ids attributed to filtered
-// interruption incidents.
+// interruption incidents, in increasing order (nil when there are none).
 func (r *MTTIResult) InterruptedJobs() []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for i := range r.Incidents {
-		for _, id := range r.Incidents[i].JobIDs {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
+	if len(r.Incidents.jobIDs) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(r.Incidents.jobIDs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // LostCoreHours estimates the core-hours consumed by jobs that were

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/machine"
@@ -42,14 +41,20 @@ type LeadTimeResult struct {
 	Precision  float64
 }
 
-// LeadTimeSweep evaluates the precursor analysis over pre-filtered FATAL
-// incidents and WARN bursts for several lookback windows at once. The
+// LeadTimeSweep evaluates the precursor analysis over the dataset's
+// pre-filtered FATAL incidents and WARN bursts (both from its filters, in
+// First order) for several lookback windows at once. The
 // nearest-preceding-burst search and the per-burst next-incident gap are
 // lookback-independent, so they are computed once and each result is just a
-// different thresholding — results are identical to one call per option
-// but the location indexing happens once. All options must share a
-// spatial level.
-func LeadTimeSweep(fatals, warns []Incident, opts []LeadTimeOptions) ([]*LeadTimeResult, error) {
+// different thresholding — results are identical to one call per option.
+// All options must share a spatial level.
+//
+// Incidents are grouped into per-location runs by the dense id of their
+// first event's ancestor at the level (the event view's rack and midplane
+// columns, machine.Location.DenseIndex below a midplane), with a counting
+// sort that keeps each run in First order. Coverage and precision are then
+// merges of the FATAL and WARN runs of each location.
+func (d *Dataset) LeadTimeSweep(fatals, warns Incidents, opts []LeadTimeOptions) ([]*LeadTimeResult, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("core: lead time sweep needs ≥1 option")
 	}
@@ -63,58 +68,42 @@ func LeadTimeSweep(fatals, warns []Incident, opts []LeadTimeOptions) ([]*LeadTim
 			return nil, fmt.Errorf("core: lead time sweep options mix levels %v and %v", norm[0].Level, opt.Level)
 		}
 	}
-	level := norm[0].Level
-	locKey := func(loc machine.Location) (machine.Location, bool) {
-		if loc.Level() < level {
-			return machine.Location{}, false
-		}
-		anc, err := loc.Ancestor(level)
-		if err != nil {
-			return machine.Location{}, false
-		}
-		return anc, true
+	// Lookbacks floored to seconds: exact for the whole-second gaps below.
+	lookback := make([]int64, len(norm))
+	for i, opt := range norm {
+		lookback[i] = int64(opt.Lookback / time.Second)
 	}
-	// Index WARN bursts by location, sorted by time.
-	warnsAt := map[machine.Location][]Incident{}
-	localWarns := 0
-	for _, w := range warns {
-		key, ok := locKey(w.Loc)
-		if !ok {
-			continue
-		}
-		warnsAt[key] = append(warnsAt[key], w)
-		localWarns++
-	}
+	fatalRuns, warnRuns, nRuns := d.locationRuns(fatals, warns, norm[0].Level)
 	rs := make([]*LeadTimeResult, len(norm))
 	for i := range rs {
-		rs[i] = &LeadTimeResult{WarnBursts: localWarns}
+		rs[i] = &LeadTimeResult{WarnBursts: len(warnRuns.first)}
 	}
 
-	// Coverage: nearest WARN burst starting before the incident does. The
-	// burst index is lookback-independent; each option only thresholds the
-	// lead differently.
-	fatalsAt := map[machine.Location][]Incident{}
-	for _, f := range fatals {
-		key, ok := locKey(f.Loc)
-		if !ok {
+	// Coverage: the nearest WARN burst starting before the incident does.
+	// Incidents are visited in First order, so each location's burst cursor
+	// only advances.
+	cursor := make([]int32, nRuns)
+	copy(cursor, warnRuns.start[:nRuns])
+	for i, f := range fatals.First {
+		loc := fatalRuns.loc[i]
+		if loc < 0 {
 			continue
 		}
-		fatalsAt[key] = append(fatalsAt[key], f)
-		bursts := warnsAt[key]
-		// Bursts are time-sorted (events were); find the latest with
-		// First < f.First.
-		idx := sort.Search(len(bursts), func(i int) bool {
-			return !bursts[i].First.Before(f.First)
-		})
-		var lead time.Duration
-		if idx > 0 {
-			lead = f.First.Sub(bursts[idx-1].First)
+		c, end := cursor[loc], warnRuns.start[loc+1]
+		for c < end && warnRuns.first[c] < f {
+			c++
 		}
-		for oi, opt := range norm {
-			rs[oi].Incidents++
-			if idx > 0 && lead > 0 && lead <= opt.Lookback {
-				rs[oi].WithPrecursor++
-				rs[oi].LeadHours = append(rs[oi].LeadHours, lead.Hours())
+		cursor[loc] = c
+		var lead int64
+		preceded := c > warnRuns.start[loc]
+		if preceded {
+			lead = f - warnRuns.first[c-1]
+		}
+		for oi, r := range rs {
+			r.Incidents++
+			if preceded && lead > 0 && lead <= lookback[oi] {
+				r.WithPrecursor++
+				r.LeadHours = append(r.LeadHours, (time.Duration(lead) * time.Second).Hours())
 			}
 		}
 	}
@@ -133,19 +122,19 @@ func LeadTimeSweep(fatals, warns []Incident, opts []LeadTimeOptions) ([]*LeadTim
 
 	// Precision: does a WARN burst actually precede a FATAL here? The gap to
 	// the next incident is lookback-independent too.
-	for key, bursts := range warnsAt {
-		incidents := fatalsAt[key]
-		for _, b := range bursts {
-			idx := sort.Search(len(incidents), func(i int) bool {
-				return incidents[i].First.After(b.First)
-			})
-			if idx >= len(incidents) {
-				continue
+	for loc := 0; loc < nRuns; loc++ {
+		c, end := fatalRuns.start[loc], fatalRuns.start[loc+1]
+		for _, b := range warnRuns.first[warnRuns.start[loc]:warnRuns.start[loc+1]] {
+			for c < end && fatalRuns.first[c] <= b {
+				c++
 			}
-			gap := incidents[idx].First.Sub(b.First)
-			for oi, opt := range norm {
-				if gap <= opt.Lookback {
-					rs[oi].TrueAlarms++
+			if c == end {
+				break
+			}
+			gap := fatalRuns.first[c] - b
+			for oi, r := range rs {
+				if gap <= lookback[oi] {
+					r.TrueAlarms++
 				}
 			}
 		}
@@ -156,4 +145,76 @@ func LeadTimeSweep(fatals, warns []Incident, opts []LeadTimeOptions) ([]*LeadTim
 		}
 	}
 	return rs, nil
+}
+
+// locRuns is an incident set grouped by location: loc[i] is the run of
+// incident i's location (-1 when the location is coarser than the level),
+// and the First times of run r's incidents are first[start[r]:start[r+1]],
+// in incident order.
+type locRuns struct {
+	loc   []int32
+	start []int32
+	first []int64
+}
+
+// locationRuns groups two incident sets by the dense id, at the level, of
+// their first event's location. Both sets number their runs through one
+// table from dense id to run, so run r is the same location in each; runs
+// exist only for locations that occur, so the cost beyond clearing the
+// table follows the incident counts, not machine.DenseCount.
+func (d *Dataset) locationRuns(fatals, warns Incidents, level machine.Level) (f, w locRuns, runs int) {
+	v := d.EventView()
+	runOf := make([]int32, machine.DenseCount(level)) // run+1; 0 = none yet
+	locate := func(in Incidents) []int32 {
+		loc := make([]int32, in.Len())
+		for i, row := range in.Row {
+			id := int32(-1)
+			switch level {
+			case machine.LevelRack:
+				id = v.RackID[row]
+			case machine.LevelMidplane:
+				id = v.MidplaneID[row]
+			default:
+				if dense, ok := d.Events[row].Loc.DenseIndex(level); ok {
+					id = int32(dense)
+				}
+			}
+			if id < 0 {
+				loc[i] = -1
+				continue
+			}
+			if runOf[id] == 0 {
+				runs++
+				runOf[id] = int32(runs)
+			}
+			loc[i] = runOf[id] - 1
+		}
+		return loc
+	}
+	fl, wl := locate(fatals), locate(warns)
+	return groupRuns(fatals.First, fl, runs), groupRuns(warns.First, wl, runs), runs
+}
+
+// groupRuns lays out the First times of the incidents by run with a
+// stable counting sort.
+func groupRuns(first []int64, loc []int32, runs int) locRuns {
+	r := locRuns{loc: loc, start: make([]int32, runs+1)}
+	for _, l := range loc {
+		if l >= 0 {
+			r.start[l+1]++
+		}
+	}
+	for l := 0; l < runs; l++ {
+		r.start[l+1] += r.start[l]
+	}
+	next := make([]int32, runs)
+	copy(next, r.start[:runs])
+	r.first = make([]int64, r.start[runs])
+	for i, l := range loc {
+		if l >= 0 {
+			r.first[next[l]] = first[i]
+			next[l]++
+		}
+	}
+	return r
 }

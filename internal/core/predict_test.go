@@ -153,7 +153,7 @@ func leadTime(t *testing.T, d *Dataset, rule FilterRule, opt LeadTimeOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	rs, err := LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
+	rs, err := d.LeadTimeSweep(fatals, warns, []LeadTimeOptions{opt})
 	if err != nil {
 		return nil, err
 	}

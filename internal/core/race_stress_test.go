@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,8 +308,8 @@ func TestRaceFilterKeyMemo(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(fatals, want[i][0]) || !reflect.DeepEqual(warns, want[i][1]) {
-					t.Errorf("worker %d rule %+v: filter differs from the reference", w, rules[i])
+				if diff := incidentsDiff(d.Events, fatals, want[i][0]) + incidentsDiff(d.Events, warns, want[i][1]); diff != "" {
+					t.Errorf("worker %d rule %+v: filter differs from the reference: %s", w, rules[i], diff)
 					return
 				}
 				if w%3 == 0 {

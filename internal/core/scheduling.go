@@ -172,8 +172,8 @@ func (d *Dataset) LifePhasesFromMTTI(n int, mtti *MTTIResult) ([]LifePhase, erro
 	}
 	start, end := d.Span()
 	span := end.Sub(start)
-	phaseOf := func(t time.Time) int {
-		idx := int(float64(n) * float64(t.Sub(start)) / float64(span))
+	phaseOf := func(offset time.Duration) int {
+		idx := int(float64(n) * float64(offset) / float64(span))
 		if idx < 0 {
 			idx = 0
 		}
@@ -190,14 +190,16 @@ func (d *Dataset) LifePhasesFromMTTI(n int, mtti *MTTIResult) ([]LifePhase, erro
 	}
 	for i := range d.Jobs {
 		j := &d.Jobs[i]
-		p := &phases[phaseOf(j.Start)]
+		p := &phases[phaseOf(j.Start.Sub(start))]
 		p.Jobs++
 		if j.Outcome() == joblog.OutcomeFailure {
 			p.Failed++
 		}
 	}
-	for i := range mtti.Incidents {
-		phases[phaseOf(mtti.Incidents[i].First)].Interruptions++
+	// Incident times are Unix seconds; the dataset's times, start
+	// included, are whole seconds, so this offset is exact.
+	for _, sec := range mtti.Incidents.First {
+		phases[phaseOf(time.Duration(sec-start.Unix())*time.Second)].Interruptions++
 	}
 	for i := range phases {
 		p := &phases[i]

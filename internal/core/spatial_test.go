@@ -59,7 +59,7 @@ func spatialCorrelation(d *Dataset, rule FilterRule, window time.Duration) (*Spa
 	if err != nil {
 		return nil, err
 	}
-	return SpatialCorrelationIncidents(incidents, window)
+	return d.SpatialCorrelationIncidents(incidents, window)
 }
 
 func TestSpatialCorrelationScenario(t *testing.T) {
@@ -113,5 +113,44 @@ func TestSpatialCorrelationErrors(t *testing.T) {
 	}
 	if _, err := spatialCorrelation(short, DefaultFilterRule(), time.Hour); err == nil {
 		t.Error("2-incident stream accepted")
+	}
+}
+
+// TestTorusMidplaneColumnMatchesLocation pins E21's column torus position
+// — torusMidplane over the event view's midplane and rack ids — to
+// machine.TorusMidplaneID for every location at system, rack, midplane,
+// node-board and node level.
+func TestTorusMidplaneColumnMatchesLocation(t *testing.T) {
+	locs := []machine.Location{machine.System()}
+	for r := 0; r < machine.NumRacks; r++ {
+		rack, err := machine.Rack(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, rack)
+		for m := 0; m < machine.MidplanesPerRack; m++ {
+			locs = append(locs, machine.MustMidplane(r, m))
+			for n := 0; n < machine.NodeBoardsPerMid; n++ {
+				board, err := machine.NodeBoard(r, m, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				locs = append(locs, board)
+				for j := 0; j < machine.NodesPerBoard; j++ {
+					node, err := machine.Node(r, m, n, j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					locs = append(locs, node)
+				}
+			}
+		}
+	}
+	for _, loc := range locs {
+		want, wantOK := machine.TorusMidplaneID(loc)
+		got, gotOK := torusMidplane(LocIDs(loc))
+		if got != want || gotOK != wantOK {
+			t.Fatalf("%v (%v): column torus midplane %d/%v, TorusMidplaneID %d/%v", loc, loc.Level(), got, gotOK, want, wantOK)
+		}
 	}
 }

@@ -79,10 +79,10 @@ type envCache struct {
 	concProjErr  error
 
 	fatalIncOnce sync.Once
-	fatalInc     []core.Incident
+	fatalInc     core.Incidents
 	fatalIncErr  error
 	warnIncOnce  sync.Once
-	warnInc      []core.Incident
+	warnInc      core.Incidents
 	warnIncErr   error
 }
 

@@ -85,8 +85,16 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: FatalIncidents: %v, %v", name, err1, err2)
 		}
-		if len(fi1) == 0 || &fi1[0] != &fi2[0] {
+		if fi1.Len() == 0 || &fi1.First[0] != &fi2.First[0] {
 			t.Errorf("%s: FatalIncidents recomputed instead of memoized", name)
+		}
+		wi1, err1 := e.WarnIncidents()
+		wi2, err2 := e.WarnIncidents()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: WarnIncidents: %v, %v", name, err1, err2)
+		}
+		if wi1.Len() == 0 || &wi1.First[0] != &wi2.First[0] {
+			t.Errorf("%s: WarnIncidents recomputed instead of memoized", name)
 		}
 	}
 }

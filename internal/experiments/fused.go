@@ -126,15 +126,15 @@ func (e *Env) Locality(level machine.Level) (*core.LocalityResult, error) {
 
 // FatalIncidents returns the default-rule filtered FATAL incident stream,
 // computed once per environment (E16/E21 share it).
-func (e *Env) FatalIncidents() ([]core.Incident, error) {
+func (e *Env) FatalIncidents() (core.Incidents, error) {
 	c := &e.cache
 	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatal(core.DefaultFilterRule()) })
 	return c.fatalInc, c.fatalIncErr
 }
 
 // WarnIncidents returns the default-rule filtered WARN burst stream,
-// computed once per environment.
-func (e *Env) WarnIncidents() ([]core.Incident, error) {
+// computed once per environment (E16).
+func (e *Env) WarnIncidents() (core.Incidents, error) {
 	c := &e.cache
 	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarn(core.DefaultFilterRule()) })
 	return c.warnInc, c.warnIncErr
@@ -142,7 +142,7 @@ func (e *Env) WarnIncidents() ([]core.Incident, error) {
 
 // LeadTimes evaluates the WARN→FATAL precursor analysis for several
 // lookbacks (E16). The filtering and location indexing happen once, via
-// the memoized incident streams and core.LeadTimeSweep.
+// the memoized incident streams and Dataset.LeadTimeSweep.
 func (e *Env) LeadTimes(lookbacks []time.Duration) ([]*core.LeadTimeResult, error) {
 	opts := make([]core.LeadTimeOptions, len(lookbacks))
 	for i, lb := range lookbacks {
@@ -158,7 +158,7 @@ func (e *Env) LeadTimes(lookbacks []time.Duration) ([]*core.LeadTimeResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return core.LeadTimeSweep(fatals, warns, opts)
+	return e.D.LeadTimeSweep(fatals, warns, opts)
 }
 
 // LifePhases returns the n-phase reliability trajectory (E18), reusing the
@@ -178,5 +178,5 @@ func (e *Env) SpatialCorr(window time.Duration) (*core.SpatialCorrResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return core.SpatialCorrelationIncidents(incidents, window)
+	return e.D.SpatialCorrelationIncidents(incidents, window)
 }

@@ -125,7 +125,7 @@ var accessorOracles = []struct {
 			for i, lb := range e16Lookbacks {
 				opt := core.DefaultLeadTimeOptions()
 				opt.Lookback = lb
-				r, err := core.LeadTimeSweep(fatals, warns, []core.LeadTimeOptions{opt})
+				r, err := e.D.LeadTimeSweep(fatals, warns, []core.LeadTimeOptions{opt})
 				if err != nil {
 					return nil, err
 				}
@@ -193,7 +193,7 @@ func spatialCorrWalk(d *core.Dataset, window time.Duration) (*core.SpatialCorrRe
 	if err != nil {
 		return nil, err
 	}
-	return core.SpatialCorrelationIncidents(fatals, window)
+	return d.SpatialCorrelationIncidents(fatals, window)
 }
 
 // The E16 lookbacks and E18 phase count the oracle table evaluates.
@@ -413,10 +413,10 @@ func TestFusedAccessorsNilCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bareFatals) != len(cachedFatals) {
-		t.Errorf("fatal incidents: bare %d, cached %d", len(bareFatals), len(cachedFatals))
+	if bareFatals.Len() != cachedFatals.Len() {
+		t.Errorf("fatal incidents: bare %d, cached %d", bareFatals.Len(), cachedFatals.Len())
 	}
-	if again, _ := cached.FatalIncidents(); &again[0] != &cachedFatals[0] {
+	if again, _ := cached.FatalIncidents(); &again.First[0] != &cachedFatals.First[0] {
 		t.Error("cached fatal incidents not memoized")
 	}
 }

@@ -285,3 +285,45 @@ func MidplaneByID(id int) (Location, error) {
 	}
 	return Midplane(id/MidplanesPerRack, id%MidplanesPerRack)
 }
+
+// DenseCount returns the number of distinct locations at the level: 1 for
+// the system, 48 racks, 96 midplanes, 1,536 node boards or 49,152 nodes.
+func DenseCount(level Level) int {
+	switch level {
+	case LevelRack:
+		return NumRacks
+	case LevelMidplane:
+		return TotalMidplanes
+	case LevelNodeBoard:
+		return TotalMidplanes * NodeBoardsPerMid
+	case LevelNode:
+		return TotalNodes
+	default:
+		return 1
+	}
+}
+
+// DenseIndex returns the index in [0, DenseCount(level)) of the location's
+// ancestor at the level, so per-location tables can be flat arrays instead
+// of maps keyed by Location. Indexes are row-major over (rack, midplane,
+// board, node): at rack level it is RackIndex, at midplane level
+// MidplaneID. It reports false when the location is coarser than the level.
+func (l Location) DenseIndex(level Level) (int, bool) {
+	if level > l.Level() {
+		return 0, false
+	}
+	id := 0
+	if level >= LevelRack {
+		id = l.rack
+	}
+	if level >= LevelMidplane {
+		id = id*MidplanesPerRack + l.mid
+	}
+	if level >= LevelNodeBoard {
+		id = id*NodeBoardsPerMid + l.board
+	}
+	if level >= LevelNode {
+		id = id*NodesPerBoard + l.node
+	}
+	return id, true
+}

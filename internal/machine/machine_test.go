@@ -150,3 +150,63 @@ func TestLevelString(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseIndexRoundTrip checks that, at every level, DenseIndex is a
+// bijection between the level's locations and [0, DenseCount): every node
+// maps to the index of its Ancestor at the level, distinct ancestors get
+// distinct indexes, and every index is used.
+func TestDenseIndexRoundTrip(t *testing.T) {
+	levels := []Level{LevelSystem, LevelRack, LevelMidplane, LevelNodeBoard, LevelNode}
+	for _, level := range levels {
+		owner := make([]Location, DenseCount(level))
+		seen := make([]bool, DenseCount(level))
+		for r := 0; r < NumRacks; r++ {
+			for m := 0; m < MidplanesPerRack; m++ {
+				for n := 0; n < NodeBoardsPerMid; n++ {
+					for j := 0; j < NodesPerBoard; j++ {
+						loc, err := Node(r, m, n, j)
+						if err != nil {
+							t.Fatal(err)
+						}
+						anc, err := loc.Ancestor(level)
+						if err != nil {
+							t.Fatal(err)
+						}
+						id, ok := loc.DenseIndex(level)
+						aid, aok := anc.DenseIndex(level)
+						if !ok || !aok || id != aid {
+							t.Fatalf("%v at %v: index %d/%v, ancestor %v index %d/%v", loc, level, id, ok, anc, aid, aok)
+						}
+						if id < 0 || id >= len(owner) {
+							t.Fatalf("%v at %v: index %d outside [0,%d)", loc, level, id, len(owner))
+						}
+						if seen[id] && owner[id] != anc {
+							t.Fatalf("%v: index %d shared by %v and %v", level, id, owner[id], anc)
+						}
+						owner[id], seen[id] = anc, true
+					}
+				}
+			}
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("%v: index %d unused", level, id)
+			}
+		}
+	}
+	rack, err := MustMidplane(7, 1).Ancestor(LevelRack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := rack.DenseIndex(LevelRack); !ok || id != 7 {
+		t.Errorf("rack index %d/%v, want 7", id, ok)
+	}
+	if id, ok := MustMidplane(7, 1).DenseIndex(LevelMidplane); !ok || id != 15 {
+		t.Errorf("midplane index %d/%v, want MidplaneID 15", id, ok)
+	}
+	for _, coarse := range []Location{System(), rack, MustMidplane(7, 1)} {
+		if _, ok := coarse.DenseIndex(coarse.Level() + 1); ok {
+			t.Errorf("%v has an index at the finer level %v", coarse, coarse.Level()+1)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Mira's compute fabric is a 5D torus of 8×12×16×16×2 nodes (dimensions
 // A–E). A midplane spans 4×4×4×4×2 nodes, so at midplane granularity the
@@ -112,4 +115,31 @@ func TorusMidplaneID(loc Location) (int, bool) {
 		}
 		return id, true
 	}
+}
+
+// torusDistances is the TorusDistance of every midplane pair, filled once
+// by torusDistancesOnce. It is a package array, not a heap object.
+var (
+	torusDistances     [TotalMidplanes][TotalMidplanes]uint8
+	torusDistancesOnce sync.Once
+)
+
+// TorusDistanceTable returns the torus distance between every pair of
+// linear midplane ids: entry [a][b] equals TorusDistance(a, b). The table
+// is built on first use and shared; callers must not modify it. Pairwise
+// analyses index it instead of recomputing both torus coordinates per
+// pair.
+func TorusDistanceTable() *[TotalMidplanes][TotalMidplanes]uint8 {
+	torusDistancesOnce.Do(func() {
+		for a := range torusDistances {
+			for b := range torusDistances[a] {
+				d, err := TorusDistance(a, b)
+				if err != nil {
+					panic(err) // unreachable: a and b are in range
+				}
+				torusDistances[a][b] = uint8(d)
+			}
+		}
+	})
+	return &torusDistances
 }

@@ -122,3 +122,21 @@ func TestTorusMidplaneID(t *testing.T) {
 		t.Error("system location has a torus position")
 	}
 }
+
+func TestTorusDistanceTableMatchesTorusDistance(t *testing.T) {
+	table := TorusDistanceTable()
+	for a := 0; a < TotalMidplanes; a++ {
+		for b := 0; b < TotalMidplanes; b++ {
+			want, err := TorusDistance(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(table[a][b]); got != want {
+				t.Fatalf("table[%d][%d] = %d, TorusDistance %d", a, b, got, want)
+			}
+		}
+	}
+	if TorusDistanceTable() != table {
+		t.Error("the table is rebuilt on every call")
+	}
+}

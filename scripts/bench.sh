@@ -18,6 +18,9 @@
 # The default set is the cheap paired benchmarks: the codec allocation
 # comparisons in internal/raslog (alloc_reduction metric), the
 # filter-sweep speedup comparison in internal/core (speedup metric), the
+# incident-consumer comparison BenchmarkIncidentConsumers/{rows,columns}
+# in internal/core (E16 and E21 with their FATAL/WARN folds: the row
+# oracles against the column path, speedup metric — DESIGN.md §9), the
 # whole-table kernel pass Benchmark_WholeTableScan/{jobs,events} in
 # internal/core (the fused kernel set through scan.Run at one worker,
 # bypassing the per-Dataset memo that FusedScan hits), the
