@@ -73,37 +73,31 @@ func (in Incidents) JobIDs(i int) []int64 {
 	return in.jobIDs[in.jobStart[i]:in.jobStart[i+1]]
 }
 
-// filterKey is the similarity identity of an event: events with equal keys
-// coalesce when they are close enough in time.
-type filterKey struct {
-	msg string
-	cat raslog.Category
-	loc machine.Location
-}
+// locBase[l] is the first key-location code of level l. Code 0 is the
+// zero Location (the key of a rule without a spatial condition); the
+// system, the racks, midplanes, node boards and nodes follow, each level's
+// locations at their dense index (machine.Location.DenseIndex).
+var locBase = func() (b [machine.LevelNode + 1]uint32) {
+	next := uint32(1)
+	for l := machine.LevelSystem; l <= machine.LevelNode; l++ {
+		b[l] = next
+		next += uint32(machine.DenseCount(l))
+	}
+	return b
+}()
 
-// keyOf computes the similarity key of one event. It depends on the rule's
-// Spatial and SameMessage settings but NOT on the Window, which is what
-// makes keys shareable across the windows of a sweep.
-func keyOf(e *raslog.Event, rule FilterRule) filterKey {
-	k := filterKey{}
-	if rule.SameMessage {
-		k.msg = e.MsgID
-	} else {
-		k.cat = e.Cat
+// keyLocCode returns the code of an event location's part of the
+// similarity key under a rule's Spatial level: the location's ancestor at
+// that level, or the location itself when it is coarser, and code 0 when
+// the rule has no spatial condition. Two locations get one code exactly
+// when that part of their keys is equal.
+func keyLocCode(loc machine.Location, spatial machine.Level) uint32 {
+	if spatial <= machine.LevelSystem || loc == (machine.Location{}) {
+		return 0
 	}
-	if rule.Spatial > machine.LevelSystem {
-		if e.Loc.Level() >= rule.Spatial {
-			anc, err := e.Loc.Ancestor(rule.Spatial)
-			if err == nil {
-				k.loc = anc
-			} else {
-				k.loc = e.Loc
-			}
-		} else {
-			k.loc = e.Loc
-		}
-	}
-	return k
+	level := min(loc.Level(), spatial)
+	id, _ := loc.DenseIndex(level)
+	return locBase[level] + uint32(id)
 }
 
 // severityIndex lists the indices of the events with the given severity.
@@ -127,12 +121,34 @@ type internedKeys struct {
 	nKeys int
 }
 
-// internKeys interns the similarity key of every indexed event.
+// internKeys interns the similarity key of every indexed event. A key
+// packs into one uint64: the high half is the dictionary code of the
+// event's message id (of its category when the rule compares categories),
+// the low half its keyLocCode. Consecutive events mostly repeat a message,
+// so the dictionary is consulted only when the string changes.
 func internKeys(events []raslog.Event, idx []int, rule FilterRule) internedKeys {
-	seen := make(map[filterKey]int32, 64)
+	msgCodes := make(map[string]uint32, 64)
+	seen := make(map[uint64]int32, 64)
 	ids := make([]int32, len(idx))
+	var lastMsg string
+	msgCode := uint32(0)
 	for n, i := range idx {
-		k := keyOf(&events[i], rule)
+		e := &events[i]
+		var msg string
+		if rule.SameMessage {
+			msg = e.MsgID
+		} else {
+			msg = string(e.Cat)
+		}
+		if n == 0 || msg != lastMsg {
+			c, ok := msgCodes[msg]
+			if !ok {
+				c = uint32(len(msgCodes))
+				msgCodes[msg] = c
+			}
+			lastMsg, msgCode = msg, c
+		}
+		k := uint64(msgCode)<<32 | uint64(keyLocCode(e.Loc, rule.Spatial))
 		id, ok := seen[k]
 		if !ok {
 			id = int32(len(seen))

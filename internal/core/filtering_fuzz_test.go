@@ -86,6 +86,7 @@ func fuzzEvents(t *testing.T, data []byte) []raslog.Event {
 // configuration, the raw-stream entry point, the memoized Dataset entry
 // points (each called twice, so the second call reads the key memo), the
 // Dataset sweep and MTTI must reproduce the reference fold row for row,
+// the packed key interning must assign the struct-keyed interning's ids,
 // and LeadTimeSweep and SpatialCorrelationIncidents over the columns must
 // equal their row oracles over the reference rows.
 func FuzzFilter(f *testing.F) {
@@ -135,6 +136,10 @@ func FuzzFilter(f *testing.F) {
 				}
 				if diff := incidentsDiff(events, raw, ref); diff != "" {
 					t.Fatalf("FilterBySeverity %v rule %+v: %s", sev.sev, rule, diff)
+				}
+				idx := severityIndex(events, sev.sev)
+				if got, want := internKeys(events, idx, rule), referenceInternKeys(events, idx, rule); !reflect.DeepEqual(got, want) {
+					t.Fatalf("internKeys %v rule %+v: %+v, reference %+v", sev.sev, rule, got, want)
 				}
 				if want[s], err = referenceFilterBySeverity(d.Events, sev.sev, rule); err != nil {
 					t.Fatal(err)

@@ -45,35 +45,31 @@ type FitOptions struct {
 // execution lengths (seconds) of failed jobs, one fit per exit family,
 // reproducing the paper's "best-fit depends on the exit code" analysis.
 // Families are returned in joblog.FailureFamilies order; families with too
-// few samples are skipped.
+// few samples are skipped. It reads a fresh order layer's FailureRuntimes;
+// JobOrders.FitExecutionLengths shares a pass's.
 func (d *Dataset) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
+	return NewJobOrders(d).FitExecutionLengths(opt)
+}
+
+// FitExecutionLengths is Dataset.FitExecutionLengths over the layer's
+// FailureRuntimes.
+func (o *JobOrders) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 	if opt.MinSamples <= 0 {
 		opt.MinSamples = 50
 	}
-	samples := map[joblog.ExitFamily][]float64{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		if j.Outcome() != joblog.OutcomeFailure {
-			continue
-		}
-		sec := j.Runtime().Seconds()
-		if sec <= 0 {
-			continue
-		}
-		fam := joblog.Family(j.ExitStatus)
-		samples[fam] = append(samples[fam], sec)
-	}
+	runtimes := o.FailureRuntimes()
 	var out []FamilyFit
 	for _, fam := range joblog.FailureFamilies() {
-		data := samples[fam]
+		data := runtimes[joblog.FamilyCode(fam)]
 		if len(data) < opt.MinSamples {
 			continue
 		}
-		if opt.MaxSamples > 0 && len(data) > opt.MaxSamples {
-			data = thin(data, opt.MaxSamples)
+		if opt.MaxSamples > 0 {
+			data = Thin(data, opt.MaxSamples)
 		}
-		// One Sample per family: sorted once, sufficient statistics shared
-		// by every candidate fit and goodness-of-fit statistic.
+		// One Sample per family: sorted once (a copy, so the shared series
+		// keeps its job order), sufficient statistics shared by every
+		// candidate fit and goodness-of-fit statistic.
 		sample := dist.NewSample(data)
 		results := dist.FitAll(sample, nil, opt.Parallelism)
 		if len(results) == 0 {
@@ -91,10 +87,34 @@ func (d *Dataset) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 	return out, nil
 }
 
-// thin deterministically subsamples data down to k points (every n/k-th
-// point of the original order), preserving the distribution.
-func thin(data []float64, k int) []float64 {
+// FailureRuntimes returns the execution lengths (seconds) of the failed
+// jobs with a positive runtime, indexed by dense exit-family code
+// (joblog.FamilyCode; the success slot is empty), each in job order. One
+// walk over the job view's Family and DurSec columns builds every family's
+// series, shared by every holder of the layer: E6's fits and its polish
+// ablation thin the same series. A corpus has whole-second times, so
+// float64(DurSec) is the job's Runtime().Seconds(). Callers must not
+// modify the slices.
+func (o *JobOrders) FailureRuntimes() *[joblog.NumFamilies][]float64 {
+	o.failRtOnce.Do(func() {
+		v := o.d.JobView()
+		for i, f := range v.Family {
+			if d := v.DurSec[i]; f != 0 && d > 0 {
+				o.failRt[f] = append(o.failRt[f], float64(d))
+			}
+		}
+	})
+	return &o.failRt
+}
+
+// Thin deterministically subsamples data down to k points (every n/k-th
+// point of the original order), preserving the distribution. Data with at
+// most k points is returned as is.
+func Thin(data []float64, k int) []float64 {
 	n := len(data)
+	if n <= k {
+		return data
+	}
 	out := make([]float64, 0, k)
 	step := float64(n) / float64(k)
 	for i := 0; i < k; i++ {

@@ -91,7 +91,7 @@ func TestThin(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i)
 	}
-	out := thin(data, 100)
+	out := Thin(data, 100)
 	if len(out) != 100 {
 		t.Fatalf("thin returned %d", len(out))
 	}

@@ -30,6 +30,57 @@ type Incident struct {
 	JobIDs      []int64 // distinct nonzero job ids attributed to the burst
 }
 
+// filterKey is the similarity identity of an event in the reference fold:
+// events with equal keys coalesce when they are close enough in time. The
+// production filter packs the same identity into one uint64 (internKeys).
+type filterKey struct {
+	msg string
+	cat raslog.Category
+	loc machine.Location
+}
+
+// keyOf computes the similarity key of one event, as the struct-keyed
+// interning did.
+func keyOf(e *raslog.Event, rule FilterRule) filterKey {
+	k := filterKey{}
+	if rule.SameMessage {
+		k.msg = e.MsgID
+	} else {
+		k.cat = e.Cat
+	}
+	if rule.Spatial > machine.LevelSystem {
+		if e.Loc.Level() >= rule.Spatial {
+			anc, err := e.Loc.Ancestor(rule.Spatial)
+			if err == nil {
+				k.loc = anc
+			} else {
+				k.loc = e.Loc
+			}
+		} else {
+			k.loc = e.Loc
+		}
+	}
+	return k
+}
+
+// referenceInternKeys is the struct-keyed interning internKeys replaced,
+// kept as the oracle: a map keyed by the whole filterKey, ids in
+// first-appearance order. internKeys must assign the same ids.
+func referenceInternKeys(events []raslog.Event, idx []int, rule FilterRule) internedKeys {
+	seen := make(map[filterKey]int32, 64)
+	ids := make([]int32, len(idx))
+	for n, i := range idx {
+		k := keyOf(&events[i], rule)
+		id, ok := seen[k]
+		if !ok {
+			id = int32(len(seen))
+			seen[k] = id
+		}
+		ids[n] = id
+	}
+	return internedKeys{ids: ids, nKeys: len(seen)}
+}
+
 // referenceFilterBySeverity is a verbatim copy of the pre-index
 // implementation: one pass that re-tests severity and recomputes the
 // similarity key for every event, with a map-keyed open-incident table.

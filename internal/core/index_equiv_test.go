@@ -302,3 +302,51 @@ func TestEventsOfMatchesScan(t *testing.T) {
 		t.Fatalf("EventsOf(unknown) = %v, want nil", got)
 	}
 }
+
+// TestInternKeysMatchReference requires the packed uint64 keys to assign
+// the struct-keyed interning's ids, in first-appearance order, at every
+// spatial level: on the corpus's FATAL and WARN views, and on events that
+// mix the zero Location with the system, a rack, its midplanes, boards and
+// nodes, across two messages that share a category.
+func TestInternKeysMatchReference(t *testing.T) {
+	d, _ := dataset(t)
+	locs := []machine.Location{{}, machine.System()}
+	for _, mk := range []func() (machine.Location, error){
+		func() (machine.Location, error) { return machine.Rack(3) },
+		func() (machine.Location, error) { return machine.Midplane(3, 0) },
+		func() (machine.Location, error) { return machine.Midplane(3, 1) },
+		func() (machine.Location, error) { return machine.NodeBoard(3, 1, 15) },
+		func() (machine.Location, error) { return machine.Node(3, 1, 15, 31) },
+		func() (machine.Location, error) { return machine.Node(47, 1, 0, 0) },
+	} {
+		loc, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, loc)
+	}
+	var mixed []raslog.Event
+	for i := 0; i < 3*len(locs); i++ {
+		msg := []string{"00010001", "00010002"}[i%2]
+		mixed = append(mixed, raslog.Event{MsgID: msg, Cat: raslog.CatMemory, Sev: raslog.Warn, Loc: locs[(i*5)%len(locs)]})
+	}
+	mixedIdx := severityIndex(mixed, raslog.Warn)
+	for _, sp := range []machine.Level{machine.LevelSystem, machine.LevelRack, machine.LevelMidplane, machine.LevelNodeBoard, machine.LevelNode} {
+		for _, sm := range []bool{true, false} {
+			rule := FilterRule{Window: time.Minute, Spatial: sp, SameMessage: sm}
+			for name, in := range map[string]struct {
+				events []raslog.Event
+				idx    []int
+			}{
+				"fatal": {d.Events, d.fatalIdx},
+				"warn":  {d.Events, severityIndex(d.Events, raslog.Warn)},
+				"mixed": {mixed, mixedIdx},
+			} {
+				got, want := internKeys(in.events, in.idx, rule), referenceInternKeys(in.events, in.idx, rule)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s rule %+v: %d keys, reference %d", name, rule, got.nKeys, want.nKeys)
+				}
+			}
+		}
+	}
+}

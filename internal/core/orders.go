@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/joblog"
 	"repro/internal/stats"
 )
 
@@ -23,6 +24,9 @@ type JobOrders struct {
 
 	failOnce  sync.Once
 	failRanks []float64
+
+	failRtOnce sync.Once
+	failRt     [joblog.NumFamilies][]float64
 
 	userOnce   sync.Once
 	userSubmit []int32
@@ -121,19 +125,35 @@ func (o *JobOrders) coreHoursCol() *column {
 }
 
 // failRank is the ranks of the per-job failure indicator (1 failed, 0
-// succeeded), which every structure trend correlates against.
+// succeeded), which every structure trend correlates against. The
+// indicator has two tie groups, so the ranks come from counting: the z
+// succeeded jobs share the average of ranks 1..z and the failed jobs that
+// of z+1..n, each formed by stats.RanksSorted's expression, so the bits
+// are those of stats.Ranks.
 func (o *JobOrders) failRank() []float64 {
-	o.failOnce.Do(func() {
-		fam := o.d.JobView().Family
-		fail := make([]float64, len(fam))
-		for i, f := range fam {
-			if f != 0 {
-				fail[i] = 1
-			}
-		}
-		o.failRanks = stats.Ranks(fail)
-	})
+	o.failOnce.Do(func() { o.failRanks = indicatorRanks(o.d.JobView().Family) })
 	return o.failRanks
+}
+
+// indicatorRanks returns the fractional ranks of the indicator fam[i] != 0.
+func indicatorRanks(fam []uint8) []float64 {
+	n, z := len(fam), 0
+	for _, f := range fam {
+		if f == 0 {
+			z++
+		}
+	}
+	r0 := (float64(1) + float64(z)) / 2   // ranks 1..z
+	r1 := (float64(z+1) + float64(n)) / 2 // ranks z+1..n
+	r := make([]float64, n)
+	for i, f := range fam {
+		if f == 0 {
+			r[i] = r0
+		} else {
+			r[i] = r1
+		}
+	}
+	return r
 }
 
 // byUserSubmit lists the rows ordered by (user, submit time, job id): the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/iolog"
 	"repro/internal/joblog"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // orderAnalyses pairs every analysis on the JobOrders layer with the walk
@@ -352,4 +353,40 @@ func bitDiff(a, b reflect.Value, path string) string {
 		panic("bitDiff: unhandled kind " + a.Kind().String())
 	}
 	return ""
+}
+
+// TestIndicatorRanksMatchRanks pins failRank's counting ranks to
+// stats.Ranks of the 0/1 failure indicator bit for bit, including the
+// single-group inputs (no failure, all failures) and the empty one.
+func TestIndicatorRanksMatchRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mixed := make([]uint8, 1001)
+	for i := range mixed {
+		if rng.Intn(3) == 0 {
+			mixed[i] = uint8(1 + rng.Intn(joblog.NumFamilies-1))
+		}
+	}
+	for name, fam := range map[string][]uint8{
+		"empty":    {},
+		"one":      {3},
+		"all zero": make([]uint8, 17),
+		"all one":  {1, 2, 8, 7, 1, 1, 4},
+		"mixed":    mixed,
+	} {
+		fail := make([]float64, len(fam))
+		for i, f := range fam {
+			if f != 0 {
+				fail[i] = 1
+			}
+		}
+		got, want := indicatorRanks(fam), stats.Ranks(fail)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d ranks, stats.Ranks %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: rank %d is %v, stats.Ranks %v", name, i, got[i], want[i])
+			}
+		}
+	}
 }

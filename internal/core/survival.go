@@ -37,19 +37,21 @@ type SurvivalResult struct {
 // survivalHorizons are the fixed evaluation points (seconds).
 var survivalHorizons = []int{60, 600, 3600, 6 * 3600, 24 * 3600}
 
-// Survival runs the Kaplan–Meier analysis of time to user failure.
+// Survival runs the Kaplan–Meier analysis of time to user failure. Its
+// observations come from the job view's DurSec and Family columns.
 func (d *Dataset) Survival() (*SurvivalResult, error) {
-	obs := make([]stats.Observation, 0, len(d.Jobs))
+	v := d.JobView()
+	system := joblog.FamilyCode(joblog.FamilySystem)
+	obs := make([]stats.Observation, 0, v.N)
 	res := &SurvivalResult{Horizons: map[int]float64{}}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		sec := j.Runtime().Seconds()
-		if sec <= 0 {
+	// A corpus has whole-second times, so float64(DurSec) is the job's
+	// Runtime().Seconds(); family 0 is success.
+	for i, dur := range v.DurSec {
+		if dur <= 0 {
 			continue
 		}
-		observed := j.Outcome() == joblog.OutcomeFailure &&
-			joblog.Family(j.ExitStatus) != joblog.FamilySystem
-		obs = append(obs, stats.Observation{Time: sec, Observed: observed})
+		observed := v.Family[i] != 0 && v.Family[i] != system
+		obs = append(obs, stats.Observation{Time: float64(dur), Observed: observed})
 		res.Jobs++
 		if observed {
 			res.Events++

@@ -67,8 +67,7 @@ func ExampleKSPolish() {
 	// Deliberately wrong starting point.
 	start, _ := dist.NewExponential(0.01)
 	sample := dist.NewSample(data)
-	startKS := sample.KSStatistic(start)
-	_, polishedKS, err := dist.KSPolish(start, sample, 0)
+	_, polishedKS, startKS, err := dist.KSPolish(start, sample, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

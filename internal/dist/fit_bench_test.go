@@ -229,7 +229,7 @@ func sampleSelectAndPolish(b testing.TB, data []float64) float64 {
 	if !ok {
 		return best.KS
 	}
-	_, ks, err := dist.KSPolish(p, s, 20)
+	_, ks, _, err := dist.KSPolish(p, s, 20)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -290,11 +290,11 @@ func mustAny[D Distribution](d D, err error) Distribution {
 
 func TestADStatistic(t *testing.T) {
 	e, _ := NewExponential(0.5)
-	if !math.IsNaN(NewSample(nil).ADStatistic(e)) {
+	if _, ad := gof(NewSample(nil), e); !math.IsNaN(ad) {
 		t.Error("empty AD should be NaN")
 	}
 	data := NewSample(sampleFrom(e, 5000, 51))
-	ad := data.ADStatistic(e)
+	_, ad := gof(data, e)
 	// Under the true model A² concentrates near its asymptotic mean 1; the
 	// 1% critical value is ≈3.9.
 	if ad < 0 || ad > 3.9 {
@@ -302,12 +302,12 @@ func TestADStatistic(t *testing.T) {
 	}
 	// A wrong model has a much larger A².
 	wrong, _ := NewExponential(2.5)
-	if adWrong := data.ADStatistic(wrong); adWrong < 10*ad {
+	if _, adWrong := gof(data, wrong); adWrong < 10*ad {
 		t.Errorf("AD should expose the wrong rate: %v vs %v", adWrong, ad)
 	}
 	// Support violation: point below Pareto xm → +Inf.
 	p, _ := NewPareto(10, 2)
-	if !math.IsInf(NewSample([]float64{5, 20}).ADStatistic(p), 1) {
+	if _, ad := gof(NewSample([]float64{5, 20}), p); !math.IsInf(ad, 1) {
 		t.Error("out-of-support AD should be +Inf")
 	}
 }

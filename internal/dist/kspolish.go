@@ -13,19 +13,23 @@ import (
 //
 // The descent evaluates every candidate through the sample's memoized
 // collapsed ECDF (one CDF evaluation per distinct value rather than per
-// point) with a branch-and-bound abort, reusing a single candidate buffer
+// point) with a branch-and-bound abort that first probes the distinct value
+// where the incumbent's deviation peaked, reusing a single candidate buffer
 // instead of allocating one per perturbation. iters bounds the outer sweeps
-// (0 means 40).
-func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error) {
+// (0 means 40). It returns the polished law, its KS statistic and startKS,
+// the KS statistic of d itself.
+func KSPolish(d Parametric, s *Sample, iters int) (polished Distribution, polishedKS, startKS float64, err error) {
 	if s.N() == 0 {
-		return nil, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
+		return nil, 0, 0, fmt.Errorf("dist: ks polish: %w", ErrTooFewPoints)
 	}
 	if iters <= 0 {
 		iters = 40
 	}
 
 	best := Distribution(d)
-	bestKS := s.KSStatistic(best)
+	xs, _ := s.ECDFPoints()
+	bestKS, peak := s.ksFromTable(s.fillCDF(best, make([]float64, len(xs))))
+	startKS = bestKS
 	params := d.Params()
 	cand := make([]float64, len(params))
 	step := 0.25 // 25% multiplicative perturbation, halved on stagnation
@@ -44,8 +48,8 @@ func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error)
 				if err != nil {
 					continue
 				}
-				if ks, ok := s.ksBelow(nd, bestKS); ok {
-					bestKS = ks
+				if ks, at, ok := s.ksBelow(nd, bestKS, peak); ok {
+					bestKS, peak = ks, at
 					best = nd
 					// Adopt the candidate by swapping buffers: cand is
 					// re-filled from params at the top of each probe, so
@@ -62,5 +66,5 @@ func KSPolish(d Parametric, s *Sample, iters int) (Distribution, float64, error)
 			}
 		}
 	}
-	return best, bestKS, nil
+	return best, bestKS, startKS, nil
 }

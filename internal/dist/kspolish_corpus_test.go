@@ -102,7 +102,7 @@ func TestKSPolishMatchesFullScanOnCorpus(t *testing.T) {
 				}
 				p := fitted.(dist.Parametric)
 				label := fmt.Sprintf("%dd %s %s", days, name, f.FamilyName())
-				gotD, gotKS, err := dist.KSPolish(p, s, 20)
+				gotD, gotKS, _, err := dist.KSPolish(p, s, 20)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -69,7 +69,7 @@ func TestKSPolishImprovesOrMatchesMLE(t *testing.T) {
 		t.Fatal(err)
 	}
 	mleKS := data.KSStatistic(mle)
-	polished, polishedKS, err := KSPolish(mle.(Parametric), data, 0)
+	polished, polishedKS, _, err := KSPolish(mle.(Parametric), data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestKSPolishFromBadStart(t *testing.T) {
 	data := NewSample(sampleFrom(truth, 3000, 32))
 	bad, _ := NewExponential(0.01) // 10x off
 	badKS := data.KSStatistic(bad)
-	_, polishedKS, err := KSPolish(bad, data, 0)
+	_, polishedKS, _, err := KSPolish(bad, data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestKSPolishFromBadStart(t *testing.T) {
 
 func TestKSPolishEmptyData(t *testing.T) {
 	e, _ := NewExponential(1)
-	if _, _, err := KSPolish(e, NewSample(nil), 0); err == nil {
+	if _, _, _, err := KSPolish(e, NewSample(nil), 0); err == nil {
 		t.Error("empty data accepted")
 	}
 }

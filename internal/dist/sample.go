@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // Sample is an immutable, sort-once view of a float64 series. It carries the
@@ -45,7 +47,7 @@ type Sample struct {
 // sufficient statistics. The input is never mutated.
 func NewSample(data []float64) *Sample {
 	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
+	stats.SortFloat64s(sorted)
 	return newSampleOwned(sorted)
 }
 
@@ -57,7 +59,7 @@ func NewSample(data []float64) *Sample {
 func NewSampleSorted(sorted []float64) *Sample {
 	if !sort.Float64sAreSorted(sorted) {
 		cp := append([]float64(nil), sorted...)
-		sort.Float64s(cp)
+		stats.SortFloat64s(cp)
 		sorted = cp
 	}
 	return newSampleOwned(sorted)
@@ -188,107 +190,140 @@ func (s *Sample) ECDFPoints() (xs, fs []float64) {
 	return s.ecdfX, s.ecdfF
 }
 
-// KSStatistic returns the one-sample Kolmogorov–Smirnov statistic of the
-// sample against d, evaluated over the memoized collapsed ECDF: within a run
-// of tied points the deviation |F_n − F| is extremal at the run boundaries,
-// so only distinct values need a CDF evaluation. The result is bit-identical
-// to a per-point scan of the full sorted data (the boundary fractions are
-// the same float64(i)/float64(n) quotients), just cheaper whenever the
-// series has ties — quantized job runtimes commonly do.
+// goodnessOfFit returns the one-sample Kolmogorov–Smirnov statistic and
+// the Anderson–Darling statistic A² of the sample against d from one table
+// of CDF values (fillCDF), so the CDF is evaluated once per distinct value
+// for both statistics. cdf is caller-owned scratch with room for every
+// distinct value; it is overwritten. Both statistics are NaN for an empty
+// sample. AD weights the tails more heavily than KS, so the two
+// disagreeing flags a tail mismatch.
 //
 //mira:hotpath
-func (s *Sample) KSStatistic(d Distribution) float64 {
+func (s *Sample) goodnessOfFit(d Distribution, cdf []float64) (ks, ad float64) {
 	if len(s.sorted) == 0 {
-		return math.NaN()
+		return math.NaN(), math.NaN()
 	}
-	xs, fs := s.ECDFPoints()
-	maxD := 0.0
+	cdf = s.fillCDF(d, cdf)
+	ks, _ = s.ksFromTable(cdf)
+	return ks, s.adFromTable(cdf)
+}
+
+// fillCDF sets cdf[k] to d.CDF at the k-th distinct value (ECDFPoints) and
+// returns the filled prefix.
+//
+//mira:hotpath
+func (s *Sample) fillCDF(d Distribution, cdf []float64) []float64 {
+	xs, _ := s.ECDFPoints()
+	cdf = cdf[:len(xs)]
+	for k, x := range xs {
+		cdf[k] = d.CDF(x)
+	}
+	return cdf
+}
+
+// ksFromTable returns the KS statistic from a filled CDF table and at, the
+// index of the distinct value where the deviation first reaches it (0 when
+// it stays 0). Within a run of tied points |F_n − F| is extremal at the run
+// boundaries, and the boundary fractions are the same float64(i)/float64(n)
+// quotients a per-point scan forms, so the statistic is that scan's bits.
+//
+//mira:hotpath
+func (s *Sample) ksFromTable(cdf []float64) (ks float64, at int) {
+	_, fs := s.ECDFPoints()
 	prev := 0.0 // F_n just below the first distinct value
-	for i, x := range xs {
-		f := d.CDF(x)
-		if lo := math.Abs(f - prev); lo > maxD {
-			maxD = lo
+	for k, f := range cdf {
+		if lo := math.Abs(f - prev); lo > ks {
+			ks, at = lo, k
 		}
-		if hi := math.Abs(fs[i] - f); hi > maxD {
-			maxD = hi
+		if hi := math.Abs(fs[k] - f); hi > ks {
+			ks, at = hi, k
 		}
-		prev = fs[i]
+		prev = fs[k]
 	}
-	return maxD
+	return ks, at
 }
 
-// ksBelow reports whether the KS statistic of d is strictly below bound,
-// returning the exact statistic when it is. The scan aborts as soon as the
-// running maximum reaches bound — the final statistic can only be ≥ that
-// prefix maximum, so the accept/reject decision (and the exact value on
-// accept) is identical to a full KSStatistic evaluation. This is the
-// branch-and-bound core of the KS-polish coordinate descent, where nearly
-// every candidate is a rejection.
+// adFromTable returns A² from the CDF table goodnessOfFit filled: +Inf when
+// a point falls outside d's support (F = 0 or 1). The forward cursor (point
+// i) and the backward cursor (point n−1−i) each index the table, stepping
+// to the next distinct value exactly where ECDFPoints starts a new one; the
+// forward cursor keeps ln F and the backward one ln(1−F) for its current
+// run of tied points. The sum still
+// adds (2i+1)·(ln F_i + ln(1−F_{n−1−i})) in index order, so the statistic
+// is bit-identical to two CDF evaluations per point. (Tied values are equal
+// under ==; the only equal values with different bits are ±0, where every
+// family's CDF is 0.)
 //
 //mira:hotpath
-func (s *Sample) ksBelow(d Distribution, bound float64) (float64, bool) {
-	xs, fs := s.ECDFPoints()
-	maxD := 0.0
-	prev := 0.0
-	for i, x := range xs {
-		f := d.CDF(x)
-		if lo := math.Abs(f - prev); lo > maxD {
-			maxD = lo
-		}
-		if hi := math.Abs(fs[i] - f); hi > maxD {
-			maxD = hi
-		}
-		if maxD >= bound {
-			return maxD, false
-		}
-		prev = fs[i]
-	}
-	return maxD, true
-}
-
-// ADStatistic returns the Anderson–Darling statistic A² of the sample
-// against d, with zero allocations. AD weights the tails more heavily than
-// KS, so the two statistics disagreeing flags a tail mismatch. Returns NaN
-// for an empty sample or +Inf when a point falls outside d's support (F = 0
-// or 1).
-//
-// Runtime samples are heavily tied, so the forward cursor (i) and the
-// backward cursor (n−1−i) each keep ln F and ln(1−F) for their current run
-// of equal values and call CDF once per run. Runs are keyed by the exact
-// bits of the value, CDF is a pure function, and the sum still adds
-// (2i+1)·(ln F_i + ln(1−F_{n−1−i})) in index order, so the statistic is
-// bit-identical to one CDF evaluation per point per side.
-//
-//mira:hotpath
-func (s *Sample) ADStatistic(d Distribution) float64 {
+func (s *Sample) adFromTable(cdf []float64) float64 {
 	sorted := s.sorted
 	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
+	lo, hi := 0, len(cdf)-1
+	if cdf[lo] <= 0 || cdf[hi] >= 1 {
+		return math.Inf(1)
 	}
-	// Start each run key one bit off its side's first value, so the first
-	// point of each side opens a run.
-	loBits, hiBits := math.Float64bits(sorted[0])^1, math.Float64bits(sorted[n-1])^1
-	var logLo, logHi float64
+	logLo, logHi := math.Log(cdf[lo]), math.Log1p(-cdf[hi])
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if b := math.Float64bits(sorted[i]); b != loBits {
-			fi := d.CDF(sorted[i])
-			if fi <= 0 {
-				return math.Inf(1)
+		if i > 0 {
+			if sorted[i] != sorted[i-1] {
+				lo++
+				if cdf[lo] <= 0 {
+					return math.Inf(1)
+				}
+				logLo = math.Log(cdf[lo])
 			}
-			loBits, logLo = b, math.Log(fi)
-		}
-		if b := math.Float64bits(sorted[n-1-i]); b != hiBits {
-			fj := d.CDF(sorted[n-1-i])
-			if fj >= 1 {
-				return math.Inf(1)
+			if j := n - 1 - i; sorted[j] != sorted[j+1] {
+				hi--
+				if cdf[hi] >= 1 {
+					return math.Inf(1)
+				}
+				logHi = math.Log1p(-cdf[hi])
 			}
-			hiBits, logHi = b, math.Log1p(-fj)
 		}
 		sum += float64(2*i+1) * (logLo + logHi)
 	}
 	return -float64(n) - sum/float64(n)
+}
+
+// ksBelow reports whether the KS statistic of d is strictly below bound,
+// returning the exact statistic and the index of its peak (as ksFromTable)
+// when it is. It first evaluates the distinct value probe, where the
+// incumbent's deviation peaked: a candidate that is no better usually
+// deviates at least as much there, and then the scan ends after one CDF
+// call. Otherwise the
+// full scan aborts as soon as the running maximum reaches bound. The
+// statistic is a maximum, so it can only be ≥ any one deviation or prefix
+// maximum, and the order of evaluation changes neither the accept/reject
+// decision nor the exact value on accept. This is the branch-and-bound core
+// of the KS-polish coordinate descent, where nearly every candidate is a
+// rejection.
+//
+//mira:hotpath
+func (s *Sample) ksBelow(d Distribution, bound float64, probe int) (ks float64, at int, ok bool) {
+	xs, fs := s.ECDFPoints()
+	f, prev := d.CDF(xs[probe]), 0.0
+	if probe > 0 {
+		prev = fs[probe-1]
+	}
+	if math.Abs(f-prev) >= bound || math.Abs(fs[probe]-f) >= bound {
+		return 0, probe, false
+	}
+	prev = 0
+	for k, x := range xs {
+		f := d.CDF(x)
+		if lo := math.Abs(f - prev); lo > ks {
+			ks, at = lo, k
+		}
+		if hi := math.Abs(fs[k] - f); hi > ks {
+			ks, at = hi, k
+		}
+		if ks >= bound {
+			return ks, at, false
+		}
+		prev = fs[k]
+	}
+	return ks, at, true
 }
 
 // LogLikelihood returns Σ ln f(x_i) over the sample. For the families whose

@@ -44,16 +44,27 @@ func DefaultFitters() []Fitter {
 // shared sorted view.
 //
 // The candidates fan out over at most workers goroutines (≤ 0 means
-// GOMAXPROCS). Each family's fit is independent and lands in its fitter's
-// slot before the stable sort, so the ranking is identical for any worker
-// count.
+// GOMAXPROCS). Each worker owns one CDF table with a slot per distinct
+// value, which its fits' KS and AD share. Each family's fit is independent
+// and lands in its fitter's slot before the stable sort, so the ranking is
+// identical for any worker count.
 func FitAll(s *Sample, fitters []Fitter, workers int) []FitResult {
 	if len(fitters) == 0 {
 		fitters = DefaultFitters()
 	}
 	results := make([]FitResult, len(fitters))
-	if err := par.ForEach(context.Background(), len(fitters), workers, func(i int) error {
-		results[i] = fitOne(fitters[i], s)
+	xs, _ := s.ECDFPoints()
+	w := min(par.Workers(workers), len(fitters))
+	// A pool of w tables: a fit takes one and puts it back, so at most w
+	// are out at once and no send blocks.
+	tables := make(chan []float64, w)
+	for k := 0; k < w; k++ {
+		tables <- make([]float64, len(xs))
+	}
+	if err := par.ForEach(context.Background(), len(fitters), w, func(i int) error {
+		cdf := <-tables
+		results[i] = fitOne(fitters[i], s, cdf)
+		tables <- cdf
 		return nil
 	}); err != nil {
 		// fitOne reports failures through FitResult.Err; the only error
@@ -80,9 +91,9 @@ func FitAll(s *Sample, fitters []Fitter, workers int) []FitResult {
 }
 
 // fitOne fits a single candidate family and computes its goodness-of-fit
-// statistics from the shared sorted sample. The log-likelihood is computed
-// once and reused for AIC and BIC.
-func fitOne(f Fitter, s *Sample) FitResult {
+// statistics from the shared sorted sample, with cdf as the scratch CDF
+// table. The log-likelihood is computed once and reused for AIC and BIC.
+func fitOne(f Fitter, s *Sample, cdf []float64) FitResult {
 	r := FitResult{Family: f.FamilyName()}
 	d, err := f.Fit(s)
 	if err != nil {
@@ -95,8 +106,7 @@ func fitOne(f Fitter, s *Sample) FitResult {
 		return r
 	}
 	r.Dist = d
-	r.KS = s.KSStatistic(d)
-	r.AD = s.ADStatistic(d)
+	r.KS, r.AD = s.goodnessOfFit(d, cdf)
 	r.PValue = KolmogorovPValue(r.KS, s.N())
 	r.LogL = s.LogLikelihood(d)
 	r.AIC = 2*float64(d.NumParams()) - 2*r.LogL

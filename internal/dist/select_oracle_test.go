@@ -9,9 +9,29 @@ import (
 	"testing"
 )
 
-// ksStatisticPerPoint is the KS loop Sample.KSStatistic replaced, kept
-// verbatim as the oracle: one CDF call per point, tied or not.
-// Sample.KSStatistic must reproduce its bits.
+// KSStatistic is the one-off KS statistic of d over the collapsed ECDF (NaN
+// for an empty sample), the form the tests and examples call. Shipped code
+// reads KS from goodnessOfFit (one CDF table shared with AD) or from
+// KSPolish.
+func (s *Sample) KSStatistic(d Distribution) float64 {
+	if s.N() == 0 {
+		return math.NaN()
+	}
+	xs, _ := s.ECDFPoints()
+	ks, _ := s.ksFromTable(s.fillCDF(d, make([]float64, len(xs))))
+	return ks
+}
+
+// gof is goodnessOfFit with a fresh CDF table sized to the sample's
+// distinct values.
+func gof(s *Sample, d Distribution) (ks, ad float64) {
+	xs, _ := s.ECDFPoints()
+	return s.goodnessOfFit(d, make([]float64, len(xs)))
+}
+
+// ksStatisticPerPoint is the KS loop the collapsed-ECDF scans replaced,
+// kept verbatim as the oracle: one CDF call per point, tied or not.
+// goodnessOfFit and KSStatistic must reproduce its bits.
 func ksStatisticPerPoint(d Distribution, sorted []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -30,9 +50,9 @@ func ksStatisticPerPoint(d Distribution, sorted []float64) float64 {
 	return maxD
 }
 
-// adStatisticPerPoint is the Anderson–Darling loop Sample.ADStatistic
+// adStatisticPerPoint is the Anderson–Darling loop the shared CDF table
 // replaced, kept verbatim as the oracle: two CDF calls per point, tied or
-// not. Sample.ADStatistic must reproduce its bits.
+// not. goodnessOfFit's A² must reproduce its bits.
 func adStatisticPerPoint(d Distribution, sorted []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -94,6 +114,9 @@ func ksPolishFullScan(d Parametric, data []float64, iters int) (Distribution, fl
 	return best, bestKS
 }
 
+// TestADStatisticSortedMatchesPerPoint pins goodnessOfFit — KS and AD from
+// one CDF table — to the per-point oracles bit for bit, and its table reuse
+// to zero allocations.
 func TestADStatisticSortedMatchesPerPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tied := make([]float64, 5000)
@@ -115,17 +138,25 @@ func TestADStatisticSortedMatchesPerPoint(t *testing.T) {
 	}
 	for _, d := range testDists(t) {
 		for name, s := range samples {
-			got, want := s.ADStatistic(d), adStatisticPerPoint(d, s.Sorted())
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%T on %s: AD %v, per-point oracle %v", d, name, got, want)
+			ks, ad := gof(s, d)
+			if want := adStatisticPerPoint(d, s.Sorted()); math.Float64bits(ad) != math.Float64bits(want) {
+				t.Errorf("%T on %s: AD %v, per-point oracle %v", d, name, ad, want)
+			}
+			if want := ksStatisticPerPoint(d, s.Sorted()); math.Float64bits(ks) != math.Float64bits(want) {
+				t.Errorf("%T on %s: KS %v, per-point oracle %v", d, name, ks, want)
 			}
 		}
 	}
 	var d Distribution = testDists(t)[1]
 	s := samples["tied"]
+	xs, _ := s.ECDFPoints()
+	cdf := make([]float64, len(xs))
 	var sink float64
-	if n := testing.AllocsPerRun(20, func() { sink += s.ADStatistic(d) }); n != 0 {
-		t.Errorf("ADStatistic allocates %v per run on tied data, want 0", n)
+	if n := testing.AllocsPerRun(20, func() {
+		ks, ad := s.goodnessOfFit(d, cdf)
+		sink += ks + ad
+	}); n != 0 {
+		t.Errorf("goodnessOfFit allocates %v per run on tied data, want 0", n)
 	}
 	_ = sink
 }
@@ -182,15 +213,25 @@ func fuzzSeries(data []byte) []float64 {
 }
 
 // FuzzSampleStatistics pins the Sample fast paths to their per-point
-// oracles on adversarial series. The candidates are fitted to the series'
-// strictly positive points (no family fits a non-positive sample); each
-// fitted law is then checked over both the positive points and the whole
-// series, so ties at ±0 and out-of-support points reach the statistics.
+// oracles on adversarial series: KS and AD from goodnessOfFit's one CDF
+// table, and KSPolish (probe-first branch and bound, and the start KS it
+// returns) against the full-scan descent. The candidates are fitted to the
+// series' strictly positive points (no family fits a non-positive sample);
+// each fitted law is then checked over both the positive points and the
+// whole series, so ties at ±0 and out-of-support points reach the
+// statistics.
 func FuzzSampleStatistics(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 0, 5, 9, 7, 10, 4, 5, 40})
 	f.Add([]byte{1, 2, 0, 5, 1, 5, 2, 0, 7, 3, 8, 7, 200, 12})
 	f.Add([]byte{3, 1, 3, 255, 0, 4, 2, 7, 1, 0, 7, 9, 9})
 	f.Add([]byte{6, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 6, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 5, 1})
+	// Integer-second runtimes in long runs of ties (24 points, 7 distinct):
+	// both AD cursors step through the shared table run by run.
+	f.Add([]byte{5, 0, 0, 0, 0, 5, 1, 0, 0, 5, 3, 0, 0, 0, 0, 5, 0, 5, 7, 0, 5, 2, 0, 0, 5, 30, 0, 5, 4, 0, 0, 0})
+	// Values across decades whose polish moves the incumbent's KS peak
+	// (distinct value 4 → 6 for the exponential), so later candidates are
+	// probed at a point the start did not peak at.
+	f.Add([]byte{7, 3, 2, 7, 9, 2, 7, 1, 3, 7, 5, 2, 7, 40, 1, 7, 8, 3, 0, 7, 2, 4, 7, 6, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		series := fuzzSeries(data)
 		var pos []float64
@@ -207,23 +248,27 @@ func FuzzSampleStatistics(f *testing.F) {
 			}
 			for _, s := range []*Sample{positive, whole} {
 				sorted := s.Sorted()
-				if got, want := s.KSStatistic(d), ksStatisticPerPoint(d, sorted); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%v on %v: KS %v, per-point oracle %v", d, sorted, got, want)
+				ks, ad := gof(s, d)
+				if want := ksStatisticPerPoint(d, sorted); math.Float64bits(ks) != math.Float64bits(want) {
+					t.Fatalf("%v on %v: KS %v, per-point oracle %v", d, sorted, ks, want)
 				}
-				if got, want := s.ADStatistic(d), adStatisticPerPoint(d, sorted); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%v on %v: AD %v, per-point oracle %v", d, sorted, got, want)
+				if want := adStatisticPerPoint(d, sorted); math.Float64bits(ad) != math.Float64bits(want) {
+					t.Fatalf("%v on %v: AD %v, per-point oracle %v", d, sorted, ad, want)
 				}
 				p, ok := d.(Parametric)
 				if !ok || s.N() == 0 {
 					continue
 				}
-				gotD, gotKS, err := KSPolish(p, s, 5)
+				gotD, gotKS, startKS, err := KSPolish(p, s, 5)
 				if err != nil {
 					t.Fatalf("%v on %v: KSPolish: %v", d, sorted, err)
 				}
 				wantD, wantKS := ksPolishFullScan(p, sorted, 5)
 				if math.Float64bits(gotKS) != math.Float64bits(wantKS) || !reflect.DeepEqual(gotD, wantD) {
 					t.Fatalf("%v on %v: KSPolish %v (KS %v), full scan %v (KS %v)", d, sorted, gotD, gotKS, wantD, wantKS)
+				}
+				if want := ksStatisticPerPoint(d, sorted); math.Float64bits(startKS) != math.Float64bits(want) {
+					t.Fatalf("%v on %v: KSPolish start KS %v, per-point oracle %v", d, sorted, startKS, want)
 				}
 			}
 		}

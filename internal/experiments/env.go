@@ -168,10 +168,12 @@ func (e *Env) Survival() (*core.SurvivalResult, error) {
 }
 
 // FamilyFits returns E6's per-exit-family execution-length fits, computed
-// once per environment; the takeaways quote the same fits.
+// once per environment from the Orders layer's FailureRuntimes (within a
+// pass, the series E6's polish ablation thins); the takeaways quote the
+// same fits.
 func (e *Env) FamilyFits() ([]core.FamilyFit, error) {
 	e.cache.fitsOnce.Do(func() {
-		e.cache.fits, e.cache.fitsErr = e.D.FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: e.Parallelism})
+		e.cache.fits, e.cache.fitsErr = e.Orders().FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: e.Parallelism})
 	})
 	return e.cache.fits, e.cache.fitsErr
 }

@@ -232,12 +232,12 @@ func TestLegacySampleEquivalenceOnExperimentSeries(t *testing.T) {
 		if s := shared[name]; s != nil {
 			samples["shared"] = s
 		}
-		wantD, wantKS, err := dist.KSPolish(p, dist.NewSample(data), 10)
+		wantD, wantKS, _, err := dist.KSPolish(p, dist.NewSample(data), 10)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for via, s := range samples {
-			gotD, gotKS, err := dist.KSPolish(p, s, 10)
+			gotD, gotKS, _, err := dist.KSPolish(p, s, 10)
 			if err != nil {
 				t.Fatalf("%s via %s: %v", name, via, err)
 			}

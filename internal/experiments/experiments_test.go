@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/joblog"
 	"repro/internal/sim"
 )
 
@@ -160,6 +164,82 @@ func TestE6FitQuality(t *testing.T) {
 	// Erlang or exponential must win some family (config/abort injection).
 	if !strings.Contains(tab, "erlang") && !strings.Contains(tab, "exponential") {
 		t.Errorf("E6 table missing erlang/exponential:\n%s", tab)
+	}
+}
+
+// samplesOf is the record walk E6's polish ablation replaced, kept as the
+// oracle: up to max execution lengths (seconds) of the family's failed
+// jobs, read from the job records and deterministically thinned.
+func samplesOf(env *Env, fam joblog.ExitFamily, max int) []float64 {
+	var out []float64
+	for i := range env.D.Jobs {
+		j := &env.D.Jobs[i]
+		if j.Outcome() != joblog.OutcomeFailure || joblog.Family(j.ExitStatus) != fam {
+			continue
+		}
+		if sec := j.Runtime().Seconds(); sec > 0 {
+			out = append(out, sec)
+		}
+	}
+	if len(out) <= max {
+		return out
+	}
+	step := float64(len(out)) / float64(max)
+	thinned := make([]float64, 0, max)
+	for i := 0; i < max; i++ {
+		thinned = append(thinned, out[int(float64(i)*step)])
+	}
+	return thinned
+}
+
+// TestFailureRuntimesMatchSamplesOf requires the column series E6 reads —
+// every failure family's runtimes from one walk over the job view, whole
+// and thinned as the fits (50,000) and the polish ablation (5,000) thin
+// them — to equal the record walk bit for bit, and the success slot to
+// stay empty: on the 30-day corpus, and on jobs of every family with zero
+// and positive runtimes.
+func TestFailureRuntimesMatchSamplesOf(t *testing.T) {
+	base := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+	var jobs []joblog.Job
+	for i, exit := range []int{1, 0, 1, 137, 320, 2, 1, 999, 139, 0, 143, 134} {
+		start := base.Add(time.Duration(i) * time.Hour)
+		for _, dur := range []time.Duration{0, time.Second, time.Duration(i+2) * time.Minute} {
+			jobs = append(jobs, joblog.Job{
+				ID: int64(len(jobs) + 1), User: "u", Project: "p", ExitStatus: exit,
+				Submit: start, Start: start, End: start.Add(dur), Nodes: 512, RanksPerNode: 16, NumTasks: 1,
+			})
+		}
+	}
+	mixed, err := core.NewDataset(jobs, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*core.Dataset{"30-day corpus": freshDataset(t, smallCorpus(t)), "mixed": mixed} {
+		e := NewEnvFromDataset(d)
+		runtimes := e.Orders().FailureRuntimes()
+		if n := len(runtimes[joblog.FamilyCode(joblog.FamilySuccess)]); n != 0 {
+			t.Errorf("%s: success slot holds %d runtimes", name, n)
+		}
+		total := 0
+		for _, fam := range joblog.FailureFamilies() {
+			got := runtimes[joblog.FamilyCode(fam)]
+			total += len(got)
+			for _, max := range []int{1 << 30, 50000, 5000, 100, 2} {
+				want := samplesOf(e, fam, max)
+				thinned := core.Thin(got, max)
+				if len(thinned) != len(want) {
+					t.Fatalf("%s: %s thinned to %d: %d runtimes, record walk %d", name, fam, max, len(thinned), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(thinned[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: %s thinned to %d: runtime %d is %v, record walk %v", name, fam, max, i, thinned[i], want[i])
+					}
+				}
+			}
+		}
+		if total == 0 {
+			t.Fatalf("%s: no failed job with a positive runtime", name)
+		}
 	}
 }
 

@@ -271,19 +271,18 @@ func E6(env *Env) (*Result, error) {
 		Title:   "E6 (ablation): MLE vs KS-polished parameters",
 		Columns: []string{"family", "MLE KS", "polished KS", "gain"},
 	}
+	runtimes := env.Orders().FailureRuntimes()
 	for _, f := range fits {
 		best := f.Best()
 		p, ok := best.Dist.(dist.Parametric)
 		if !ok || best.Err != nil {
 			continue
 		}
-		raw := samplesOf(env, f.Family, 5000)
+		raw := core.Thin(runtimes[joblog.FamilyCode(f.Family)], 5000)
 		if len(raw) == 0 {
 			continue
 		}
-		sample := dist.NewSample(raw)
-		mleKS := sample.KSStatistic(best.Dist)
-		_, polishedKS, err := dist.KSPolish(p, sample, 20)
+		_, polishedKS, mleKS, err := dist.KSPolish(p, dist.NewSample(raw), 20)
 		if err != nil {
 			return nil, err
 		}
@@ -295,28 +294,4 @@ func E6(env *Env) (*Result, error) {
 		Tables:  []*report.Table{t, tBase, tPolish},
 		Metrics: metrics,
 	}, nil
-}
-
-// samplesOf collects up to max execution lengths (seconds) of failed jobs
-// in the family, deterministically thinned.
-func samplesOf(env *Env, fam joblog.ExitFamily, max int) []float64 {
-	var out []float64
-	for i := range env.D.Jobs {
-		j := &env.D.Jobs[i]
-		if j.Outcome() != joblog.OutcomeFailure || joblog.Family(j.ExitStatus) != fam {
-			continue
-		}
-		if sec := j.Runtime().Seconds(); sec > 0 {
-			out = append(out, sec)
-		}
-	}
-	if len(out) <= max {
-		return out
-	}
-	step := float64(len(out)) / float64(max)
-	thinned := make([]float64, 0, max)
-	for i := 0; i < max; i++ {
-		thinned = append(thinned, out[int(float64(i)*step)])
-	}
-	return thinned
 }

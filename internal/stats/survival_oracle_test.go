@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"repro/internal/joblog"
-	"repro/internal/sim"
 )
 
 // kaplanMeierPerObservation is the estimator KaplanMeier replaced, kept
@@ -94,24 +91,6 @@ func checkMatchesPerObservation(t *testing.T, name string, obs []Observation) {
 	}
 }
 
-// survivalObservations builds the E23 observations of a corpus the way
-// core.Survival does: every job with a positive runtime, a user failure
-// observed and anything else censored.
-func survivalObservations(jobs []joblog.Job) []Observation {
-	var obs []Observation
-	for i := range jobs {
-		j := &jobs[i]
-		sec := j.Runtime().Seconds()
-		if sec <= 0 {
-			continue
-		}
-		observed := j.Outcome() == joblog.OutcomeFailure &&
-			joblog.Family(j.ExitStatus) != joblog.FamilySystem
-		obs = append(obs, Observation{Time: sec, Observed: observed})
-	}
-	return obs
-}
-
 func TestKaplanMeierMatchesPerObservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tied := make([]Observation, 50000)
@@ -128,16 +107,6 @@ func TestKaplanMeierMatchesPerObservation(t *testing.T) {
 	}
 	checkMatchesPerObservation(t, "tied seconds", tied)
 	checkMatchesPerObservation(t, "untied", untied)
-
-	c, err := sim.Generate(sim.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := survivalObservations(c.Jobs)
-	if len(corpus) < 1000 {
-		t.Fatalf("30-day corpus has only %d survival observations", len(corpus))
-	}
-	checkMatchesPerObservation(t, "30-day corpus", corpus)
 
 	negZero := math.Copysign(0, -1)
 	inf := math.Inf(1)

@@ -33,7 +33,9 @@
 # internal/dist (speedup metrics), the fusion comparison
 # BenchmarkAccessors/{walk,fused} in internal/experiments (every Env
 # accessor against the pre-fusion walk it replaced — DESIGN.md §13), the
-# cold-Env suite run Benchmark_RunAll_Fused at the repo root, the
+# cold-Env suite run Benchmark_RunAll_Fused and E6's layer time
+# Benchmark_E6_DistributionFits (fits, KS/AD and the polish ablation on a
+# fresh Env per iteration) at the repo root, the
 # cohort-query pushdown comparison
 # Benchmark_CohortSweep_{Materialize,Where} (speedup metric, measured
 # against a median materialize reference pass — DESIGN.md §14), and the
@@ -58,7 +60,7 @@ raw="$(go test -bench=. -benchmem -count=1 -run '^$' "${pkgs[@]}")"
 if [[ "${BENCH_FULL:-0}" != "1" ]]; then
   # The full run covers the repo root already; otherwise run just the
   # paired suite and cohort comparisons with a bounded iteration count.
-  raw+=$'\n'"$(go test -bench 'Benchmark_(RunAll_Fused|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
+  raw+=$'\n'"$(go test -bench 'Benchmark_(RunAll_Fused|E6_DistributionFits|CohortSweep_(Materialize|Where)|CohortServe_(Cold|Warm))$' -benchmem -benchtime=10x -count=1 -run '^$' .)"
 fi
 raw+=$'\n'"$(go test -bench '^BenchmarkAccessors$' -benchmem -count=1 -run '^$' ./internal/experiments/)"
 echo "$raw"
