@@ -74,7 +74,7 @@ func benchExperiment(b *testing.B, id string, metricKeys ...string) {
 	var last *experiments.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fresh := &experiments.Env{Cfg: env.Cfg, Corpus: env.Corpus, D: env.D, Parallelism: env.Parallelism}
+		fresh := &experiments.Env{D: env.D, Parallelism: env.Parallelism}
 		res, err := exp.Run(fresh)
 		if err != nil {
 			b.Fatal(err)
@@ -438,7 +438,7 @@ func BenchmarkCorpusGeneration30d(b *testing.B) {
 // BenchmarkJobCSVRoundTrip measures the scheduler-log codec throughput.
 func BenchmarkJobCSVRoundTrip(b *testing.B) {
 	env := sharedEnv(b)
-	jobs := env.Corpus.Jobs[:10000]
+	jobs := env.D.Jobs[:10000]
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -460,11 +460,11 @@ func BenchmarkJobCSVRoundTrip(b *testing.B) {
 // BenchmarkRASCSVRoundTrip measures the RAS-log codec throughput.
 func BenchmarkRASCSVRoundTrip(b *testing.B) {
 	env := sharedEnv(b)
-	n := len(env.Corpus.Events)
+	n := len(env.D.Events)
 	if n > 20000 {
 		n = 20000
 	}
-	events := env.Corpus.Events[:n]
+	events := env.D.Events[:n]
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -487,12 +487,12 @@ func BenchmarkRASCSVRoundTrip(b *testing.B) {
 // (the decode ablation in DESIGN.md §6).
 func BenchmarkRASDecode(b *testing.B) {
 	env := sharedEnv(b)
-	n := len(env.Corpus.Events)
+	n := len(env.D.Events)
 	if n > 20000 {
 		n = 20000
 	}
 	var buf bytes.Buffer
-	if err := raslog.WriteCSV(&buf, env.Corpus.Events[:n]); err != nil {
+	if err := raslog.WriteCSV(&buf, env.D.Events[:n]); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -696,25 +696,4 @@ func BenchmarkTakeaways(b *testing.B) {
 			b.Fatalf("got %d takeaways", len(ts))
 		}
 	}
-}
-
-// BenchmarkClassification measures both classification strategies.
-func BenchmarkClassification(b *testing.B) {
-	env := sharedEnv(b)
-	b.Run("by-exit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cls := env.D.ClassifyByExit()
-			if cls.Failed == 0 {
-				b.Fatal("no failures")
-			}
-		}
-	})
-	b.Run("joint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cls := env.D.ClassifyJoint(core.DefaultJointOptions())
-			if cls.Failed == 0 {
-				b.Fatal("no failures")
-			}
-		}
-	})
 }

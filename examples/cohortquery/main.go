@@ -67,22 +67,5 @@ func run() error {
 		fmt.Printf("  %d jobs (%d failed) · %.0f core-h · %d users · %d FATAL events over %.1f days\n",
 			s.Jobs, s.FailedJobs, s.CoreHours, s.Users, s.RASFatal, s.Days)
 	}
-
-	// The profile equals filter-then-scan bit for bit; prove it for the
-	// second query.
-	expr, _ := sel.Parse(queries[1])
-	md, err := d.MaterializeWhere(expr)
-	if err != nil {
-		return err
-	}
-	ref, err := md.FusedScan(0)
-	if err != nil {
-		return err
-	}
-	got, err := d.FusedScanWhere(expr, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\npushdown == materialize-then-scan: %v\n", got.Summary == ref.Summary)
 	return nil
 }

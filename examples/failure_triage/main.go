@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -16,13 +17,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "failure_triage:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cfg := sim.SmallConfig()
 	cfg.Days = 60
 	corpus, err := sim.Generate(cfg)
@@ -33,36 +34,39 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cls := d.ClassifyByExit()
+	p, err := d.FusedScan(0)
+	if err != nil {
+		return err
+	}
 
 	// Triage table: the ten most-failing users with their wasted core-hours
 	// and dominant exit family.
-	users := d.Aggregate(core.ByUser, cls)
+	users := p.Groups(core.ByUser)
 	t := &report.Table{
 		Title:   "failure triage: top-10 failing users (60 days)",
 		Columns: []string{"user", "jobs", "failed", "fail rate", "wasted core-h", "dominant failure"},
 	}
 	for _, g := range core.TopFailing(users, 10) {
-		wasted, dominant := userFailureProfile(d, cls, g.Key)
+		wasted, dominant := userFailureProfile(d, g.Key)
 		t.AddRow(g.Key, g.Jobs, g.Failed, g.FailRate, wasted, dominant)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
 	// Association strength: is failing behaviour a property of the user?
-	conc, err := d.Concentration(core.ByUser, cls)
+	conc, err := p.Concentration(core.ByUser)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nCramér's V(user, outcome) = %.3f — failure behaviour is user-specific\n", conc.CramersV)
-	fmt.Printf("top-10 users own %.1f%% of all failures\n", 100*conc.Top10FailShare)
+	fmt.Fprintf(w, "\nCramér's V(user, outcome) = %.3f — failure behaviour is user-specific\n", conc.CramersV)
+	fmt.Fprintf(w, "top-10 users own %.1f%% of all failures\n", 100*conc.Top10FailShare)
 	return nil
 }
 
 // userFailureProfile returns the core-hours consumed by the user's failed
 // jobs and the user's most common failure family.
-func userFailureProfile(d *core.Dataset, cls *core.Classification, user string) (float64, string) {
+func userFailureProfile(d *core.Dataset, user string) (float64, string) {
 	var wasted float64
 	fams := map[joblog.ExitFamily]int{}
 	for i := range d.Jobs {

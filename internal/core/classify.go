@@ -1,85 +1,6 @@
 package core
 
-import (
-	"sort"
-	"time"
-
-	"repro/internal/joblog"
-	"repro/internal/machine"
-	"repro/internal/raslog"
-)
-
-// Cause is the root-cause class of a job failure.
-type Cause int
-
-// Causes of job failure.
-const (
-	CauseNone   Cause = iota // job succeeded
-	CauseUser                // bug, misconfiguration, misoperation
-	CauseSystem              // hardware/system event interrupted the job
-)
-
-// String implements fmt.Stringer.
-func (c Cause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseUser:
-		return "user"
-	case CauseSystem:
-		return "system"
-	default:
-		return "unknown"
-	}
-}
-
-// Classification is the per-job outcome attribution plus corpus totals —
-// the paper's headline "99,245 failures, 99.4% user-caused" analysis.
-type Classification struct {
-	Causes      map[int64]Cause // job id → cause
-	Total       int
-	Failed      int
-	UserCaused  int
-	SystemCause int
-	// ByFamily counts failed jobs per exit family.
-	ByFamily map[joblog.ExitFamily]int
-}
-
-// UserShare returns the fraction of failures attributed to user behavior.
-func (c *Classification) UserShare() float64 {
-	if c.Failed == 0 {
-		return 0
-	}
-	return float64(c.UserCaused) / float64(c.Failed)
-}
-
-// ClassifyByExit attributes each failed job by its exit status alone:
-// scheduler-reserved statuses are system-caused, everything else
-// user-caused. This is the scheduler-log-only view.
-func (d *Dataset) ClassifyByExit() *Classification {
-	c := &Classification{
-		Causes:   make(map[int64]Cause, len(d.Jobs)),
-		ByFamily: make(map[joblog.ExitFamily]int),
-	}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		c.Total++
-		if j.Outcome() == joblog.OutcomeSuccess {
-			c.Causes[j.ID] = CauseNone
-			continue
-		}
-		c.Failed++
-		c.ByFamily[joblog.Family(j.ExitStatus)]++
-		if joblog.Family(j.ExitStatus) == joblog.FamilySystem {
-			c.Causes[j.ID] = CauseSystem
-			c.SystemCause++
-		} else {
-			c.Causes[j.ID] = CauseUser
-			c.UserCaused++
-		}
-	}
-	return c
-}
+import "time"
 
 // JointOptions tunes the joint (RAS-correlated) classification.
 type JointOptions struct {
@@ -93,77 +14,4 @@ type JointOptions struct {
 // failure as system-caused.
 func DefaultJointOptions() JointOptions {
 	return JointOptions{Tolerance: 5 * time.Minute}
-}
-
-// ClassifyJoint attributes failures by joining the scheduling log with the
-// RAS log: a failed job is system-caused if a FATAL event is directly
-// attributed to it (matching job id) or strikes a block the job's tasks
-// occupied within the tolerance of the job's end. This is the paper's
-// multi-source methodology; on a corpus whose scheduler also reserves an
-// exit status for block failures the two classifications should agree
-// almost everywhere.
-func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
-	if opt.Tolerance <= 0 {
-		opt = DefaultJointOptions()
-	}
-	c := &Classification{
-		Causes:   make(map[int64]Cause, len(d.Jobs)),
-		ByFamily: make(map[joblog.ExitFamily]int),
-	}
-	// FATAL events sorted by time (dataset guarantees order). Events
-	// without a hardware location below system level cannot be tied to a
-	// block and are excluded from proximity attribution — a service-node
-	// failover touches every block "spatially" but kills none of them.
-	var fatals []raslog.Event
-	attributed := map[int64]bool{}
-	for _, i := range d.fatalIdx {
-		if id := d.Events[i].JobID; id != 0 {
-			attributed[id] = true
-		}
-		if d.Events[i].Loc.Level() < machine.LevelRack {
-			continue
-		}
-		fatals = append(fatals, d.Events[i])
-	}
-	times := make([]time.Time, len(fatals))
-	for i := range fatals {
-		times[i] = fatals[i].Time
-	}
-
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		c.Total++
-		if j.Outcome() == joblog.OutcomeSuccess {
-			c.Causes[j.ID] = CauseNone
-			continue
-		}
-		c.Failed++
-		c.ByFamily[joblog.Family(j.ExitStatus)]++
-		if attributed[j.ID] || d.fatalNearEnd(fatals, times, j, opt.Tolerance) {
-			c.Causes[j.ID] = CauseSystem
-			c.SystemCause++
-		} else {
-			c.Causes[j.ID] = CauseUser
-			c.UserCaused++
-		}
-	}
-	return c
-}
-
-// fatalNearEnd reports whether a FATAL event within tol of the job's end
-// intersects a block the job ran on.
-func (d *Dataset) fatalNearEnd(fatals []raslog.Event, times []time.Time, j *joblog.Job, tol time.Duration) bool {
-	tasks := d.TasksOf(j.ID)
-	if len(tasks) == 0 {
-		return false
-	}
-	lo := sort.Search(len(times), func(i int) bool { return !times[i].Before(j.End.Add(-tol)) })
-	for i := lo; i < len(fatals) && !times[i].After(j.End.Add(tol)); i++ {
-		for k := range tasks {
-			if tasks[k].Block.ContainsLocation(fatals[i].Loc) {
-				return true
-			}
-		}
-	}
-	return false
 }

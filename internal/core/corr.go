@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/joblog"
 	"repro/internal/stats"
 )
 
@@ -35,56 +34,8 @@ func (g GroupBy) String() string {
 	return "project"
 }
 
-// Aggregate groups jobs by user or project, using the classification for
-// system-failure attribution. Results are sorted by descending job count.
-// Core-hours accumulate as integer core-seconds so the totals match the
-// fused scan engine's sharded sums bit-for-bit.
-func (d *Dataset) Aggregate(by GroupBy, cls *Classification) []GroupStats {
-	type accum struct {
-		jobs, failed, sysfails int
-		coreSec                int64
-	}
-	m := map[string]*accum{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		key := j.User
-		if by == ByProject {
-			key = j.Project
-		}
-		g, ok := m[key]
-		if !ok {
-			g = &accum{}
-			m[key] = g
-		}
-		g.jobs++
-		g.coreSec += j.CoreSeconds()
-		if j.Outcome() == joblog.OutcomeFailure {
-			g.failed++
-			if cls != nil && cls.Causes[j.ID] == CauseSystem {
-				g.sysfails++
-			}
-		}
-	}
-	out := make([]GroupStats, 0, len(m))
-	for key, g := range m {
-		gs := GroupStats{
-			Key:         key,
-			Jobs:        g.jobs,
-			Failed:      g.failed,
-			SystemFails: g.sysfails,
-			CoreHours:   float64(g.coreSec) / 3600,
-		}
-		if g.jobs > 0 {
-			gs.FailRate = float64(g.failed) / float64(g.jobs)
-		}
-		out = append(out, gs)
-	}
-	sortGroups(out)
-	return out
-}
-
 // sortGroups orders group aggregates by descending job count, key ascending
-// — the canonical Aggregate order.
+// — the canonical group order.
 func sortGroups(out []GroupStats) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Jobs != out[j].Jobs {
@@ -119,30 +70,6 @@ type ConcentrationResult struct {
 	// CramersV measures the association between group identity and job
 	// outcome (success/failure).
 	CramersV float64
-}
-
-// Concentration computes the concentration/correlation profile for the
-// grouping.
-func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*ConcentrationResult, error) {
-	res, err := concentrationFromGroups(by, d.Aggregate(by, cls))
-	if err != nil {
-		return nil, err
-	}
-	// Categorical per-job columns for Cramér's V.
-	keys := make([]string, len(d.Jobs))
-	outcomes := make([]string, len(d.Jobs))
-	for i := range d.Jobs {
-		if by == ByUser {
-			keys[i] = d.Jobs[i].User
-		} else {
-			keys[i] = d.Jobs[i].Project
-		}
-		outcomes[i] = d.Jobs[i].Outcome().String()
-	}
-	if res.CramersV, err = stats.CramersV(keys, outcomes); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // concentrationFromGroups computes the concentration/correlation profile

@@ -46,18 +46,15 @@ type Dataset struct {
 	posOf  []int32
 	idBase int64
 
-	// Per-job indexes aligned to Jobs: tasksOf[i] and eventsOf[i] belong to
-	// Jobs[i]; ioOf[i] is a position in IO, or -1 if the job has no I/O
-	// record.
-	tasksOf  [][]tasklog.Task
-	eventsOf [][]int
-	ioOf     []int32
+	// Per-job indexes aligned to Jobs: tasksOf[i] belongs to Jobs[i];
+	// ioOf[i] is a position in IO, or -1 if the job has no I/O record.
+	tasksOf [][]tasklog.Task
+	ioOf    []int32
 
-	// Records referencing a job id that matches no job land in the orphan
-	// maps, preserving lookup behavior for inconsistent logs. They stay nil
+	// Tasks referencing a job id that matches no job land in the orphan
+	// map, preserving lookup behavior for inconsistent logs. It stays nil
 	// for consistent corpora.
-	orphanTasks  map[int64][]tasklog.Task
-	orphanEvents map[int64][]int
+	orphanTasks map[int64][]tasklog.Task
 
 	// Severity-partitioned views into Events, built once: indices of FATAL
 	// and WARN events in time order. Most analyses touch only these slivers
@@ -298,7 +295,6 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 			d.end = t
 		}
 	}
-	d.eventsOf = make([][]int, len(jobs))
 	for i := range d.Events {
 		if e := &d.Events[i]; !wholeSeconds(e.Time) {
 			return nil, fmt.Errorf("core: event %d: time %s is finer than a second", e.RecID, e.Time)
@@ -311,47 +307,8 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 		default:
 			d.infoN++
 		}
-		if id := d.Events[i].JobID; id != 0 {
-			if p, ok := d.jobPos(id); ok {
-				d.eventsOf[p] = append(d.eventsOf[p], i)
-			} else {
-				if d.orphanEvents == nil {
-					d.orphanEvents = map[int64][]int{}
-				}
-				d.orphanEvents[id] = append(d.orphanEvents[id], i)
-			}
-		}
 	}
 	return d, nil
-}
-
-// FatalEvents returns the indices (into Events) of the FATAL events, in time
-// order. The slice is shared — callers must not modify it.
-func (d *Dataset) FatalEvents() []int { return d.fatalIdx }
-
-// WarnEvents returns the indices (into Events) of the WARN events, in time
-// order. The slice is shared — callers must not modify it.
-func (d *Dataset) WarnEvents() []int { return d.warnIdx }
-
-// EventsBetween returns the events with t0 ≤ Time < t1 as a subslice of
-// Events (no copy), found by binary search on the time-sorted stream.
-func (d *Dataset) EventsBetween(t0, t1 time.Time) []raslog.Event {
-	lo := sort.Search(len(d.Events), func(i int) bool { return !d.Events[i].Time.Before(t0) })
-	hi := sort.Search(len(d.Events), func(i int) bool { return !d.Events[i].Time.Before(t1) })
-	if lo >= hi {
-		return nil
-	}
-	return d.Events[lo:hi]
-}
-
-// EventsOf returns the indices (into Events) of the events attributed to the
-// job (nil if none), in time order. The slice is shared — callers must not
-// modify it.
-func (d *Dataset) EventsOf(id int64) []int {
-	if p, ok := d.jobPos(id); ok {
-		return d.eventsOf[p]
-	}
-	return d.orphanEvents[id]
 }
 
 // Span returns the observation window covered by the dataset.
@@ -366,14 +323,6 @@ func (d *Dataset) Job(id int64) (*joblog.Job, bool) {
 		return &d.Jobs[p], true
 	}
 	return nil, false
-}
-
-// TasksOf returns the tasks of a job (nil if none recorded).
-func (d *Dataset) TasksOf(id int64) []tasklog.Task {
-	if p, ok := d.jobPos(id); ok {
-		return d.tasksOf[p]
-	}
-	return d.orphanTasks[id]
 }
 
 // Summary holds the dataset-level statistics of Table I.
@@ -391,40 +340,4 @@ type Summary struct {
 	IORecords   int
 	FailedJobs  int
 	SuccessJobs int
-}
-
-// Summarize computes the Table-I style dataset summary.
-func (d *Dataset) Summarize() Summary {
-	s := Summary{
-		Days:      d.Days(),
-		Jobs:      len(d.Jobs),
-		Tasks:     len(d.Tasks),
-		IORecords: len(d.IO),
-	}
-	users := map[string]bool{}
-	projects := map[string]bool{}
-	// Core-hours accumulate as exact integer core-seconds (see
-	// joblog.Job.CoreSeconds) so the total matches the fused scan engine's
-	// sharded sum bit-for-bit regardless of summation order.
-	var coreSec int64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		users[j.User] = true
-		projects[j.Project] = true
-		coreSec += j.CoreSeconds()
-		if j.Outcome() == joblog.OutcomeSuccess {
-			s.SuccessJobs++
-		} else {
-			s.FailedJobs++
-		}
-	}
-	s.CoreHours = float64(coreSec) / 3600
-	s.Users = len(users)
-	s.Projects = len(projects)
-	// Severity tallies come straight from the partition indexes; no rescan.
-	s.RASTotal = len(d.Events)
-	s.RASFatal = len(d.fatalIdx)
-	s.RASWarn = len(d.warnIdx)
-	s.RASInfo = d.infoN
-	return s
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Example shows the end-to-end analysis workflow: generate a corpus, index
-// the four logs, classify failures and derive the MTTI — the two headline
-// numbers of the paper.
+// the four logs, classify failures (the fused profile's exit-status tally)
+// and derive the MTTI — the two headline numbers of the paper.
 func Example() {
 	cfg := sim.SmallConfig()
 	cfg.Days = 60
@@ -23,8 +23,12 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	cls := d.ClassifyByExit()
-	fmt.Printf("user-caused share above 98%%: %v\n", cls.UserShare() > 0.98)
+	p, err := d.FusedScan(0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("user-caused share above 98%%: %v\n", p.Exit.UserShare() > 0.98)
 
 	mtti, err := d.MTTI(core.DefaultFilterRule())
 	if err != nil {

@@ -154,7 +154,7 @@ func FuzzFilter(f *testing.F) {
 				}
 			}
 			wantSweep := []SweepPoint{{Window: rule.Window, Incidents: len(want[0])}}
-			if raw := len(d.FatalEvents()); raw > 0 {
+			if raw := len(d.fatalIdx); raw > 0 {
 				wantSweep[0].Reduction = 1 - float64(len(want[0]))/float64(raw)
 			}
 			sweep, err := d.FilterSweep(rule, []time.Duration{rule.Window}, 1)

@@ -13,10 +13,9 @@ import (
 )
 
 // FusedProfile is the result of one fused pass over the job and event
-// columns: every whole-corpus aggregate the hot experiments consume. One
-// FusedScan replaces the private full-corpus walks of Summarize,
-// ClassifyByExit/ClassifyJoint tallies, Aggregate (users and projects),
-// Profile, Temporal, Waste, Locality and InterruptsByUser.
+// columns: every whole-corpus aggregate the hot experiments consume, each
+// equal bit for bit to a one-analysis walk over the records (the reference
+// walks in walks_oracle_test.go).
 type FusedProfile struct {
 	jv *scan.JobView
 	// jobSel is the cohort's job selection when the profile came from
@@ -25,11 +24,11 @@ type FusedProfile struct {
 
 	Summary Summary
 	// Exit and Joint are the exit-status-only and RAS-correlated failure
-	// tallies (the totals of ClassifyByExit / ClassifyJoint).
+	// tallies.
 	Exit  FailTally
 	Joint FailTally
-	// UserGroups / ProjectGroups are the per-key aggregates in Aggregate's
-	// order (jobs descending, key ascending).
+	// UserGroups / ProjectGroups are the per-key aggregates, jobs
+	// descending, key ascending.
 	UserGroups    []GroupStats
 	ProjectGroups []GroupStats
 	Temporal      *TemporalProfile
@@ -213,7 +212,7 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 		if w.jobStart != tk.startUnix {
 			kernels = append(kernels, newTemporalJobKernelSpan(w.jobStart, w.jobEnd))
 		}
-		sts, err := scan.Run(jv, jv.N, kernels, workers)
+		sts, err := scan.Run(jv, jv.N, nil, kernels, workers)
 		if err != nil {
 			w.err = err
 			return
@@ -222,7 +221,7 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 		for _, st := range sts[kTemporalJobs:] {
 			w.temporal = append(w.temporal, st.(*temporalJobState))
 		}
-		w.events, w.err = scan.Run(ev, ev.N, fusedEventKernels(ev, tk.monthCap), workers)
+		w.events, w.err = scan.Run(ev, ev.N, nil, fusedEventKernels(ev, tk.monthCap), workers)
 	})
 	return d.whole, d.whole.err
 }
@@ -255,7 +254,7 @@ func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end int64, ok bool)
 
 // FusedScan runs every registered aggregation kernel over the job and event
 // column views in one pass each, fanned out over at most workers goroutines
-// (≤ 0 means GOMAXPROCS). Results are bit-identical to the legacy
+// (≤ 0 means GOMAXPROCS). Results are bit-identical to the reference
 // per-analysis walks at any worker count. The merged kernel states are
 // memoized per Dataset, so only the first call scans; later calls (and
 // the unconstrained side of every cohort scan) reuse them.
@@ -283,7 +282,7 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 	ests := w.events
 	joint := w.joint
 	if eventSel != nil {
-		if ests, err = scan.RunWhere(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
+		if ests, err = scan.Run(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
 			return nil, err
 		}
 		joint = newJointKernelWhere(d, DefaultJointOptions(), eventSel)
@@ -291,7 +290,7 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 	kernels := fusedJobKernels(jv, joint, tk)
 	var jsts []JobState
 	if jobSel != nil {
-		if jsts, err = scan.RunWhere(jv, jv.N, jobSel, kernels, workers); err != nil {
+		if jsts, err = scan.Run(jv, jv.N, jobSel, kernels, workers); err != nil {
 			return nil, err
 		}
 	} else {
@@ -313,7 +312,7 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 			for i, k := range redo {
 				sub[i] = kernels[k]
 			}
-			sts, err := scan.Run(jv, jv.N, sub, workers)
+			sts, err := scan.Run(jv, jv.N, nil, sub, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -365,8 +364,8 @@ func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []E
 	return p
 }
 
-// finishTemporal combines the job- and event-side temporal states into the
-// legacy profile. The legacy walk visits jobs first, then FATAL events, so
+// finishTemporal combines the job- and event-side temporal states into one
+// profile. The reference walk visits jobs first, then FATAL events, so
 // the month list is the job months in first-appearance order followed by
 // event-only months.
 func finishTemporal(js *temporalJobState, es *temporalEventState) *TemporalProfile {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,15 +14,16 @@ import (
 	"repro/internal/sel"
 )
 
-// TestFusedScanMatchesLegacy pins the tentpole equivalence: every aggregate
-// the fused single-pass engine produces deep-equals the dedicated
-// per-analysis walk, at any worker count. Each worker count scans a cold
-// Dataset, since FusedScan memoizes its kernel states per Dataset.
+// TestFusedScanMatchesLegacy pins the fused engine's equivalence: every
+// aggregate the single-pass engine produces deep-equals the dedicated
+// per-analysis walk (walks_oracle_test.go), at 1, 4 and GOMAXPROCS workers.
+// Each worker count scans a cold Dataset, since FusedScan memoizes its
+// kernel states per Dataset.
 func TestFusedScanMatchesLegacy(t *testing.T) {
 	d, _ := dataset(t)
 	cls := d.ClassifyByExit()
 	joint := d.ClassifyJoint(DefaultJointOptions())
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		p, err := freshDataset(t).FusedScan(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -386,4 +388,46 @@ func TestCramersVOutcomeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("cohort", cp, whole)
+}
+
+// TestCohortConcentrationMatchesWalk pins cohort Cramér's V, which comes
+// from the group tally with its rows in the selection's first-appearance
+// order, to the walk over the materialized cohort's string columns. The
+// first cohort's first job succeeds, the second's fails, so both outcome
+// orders are covered; each runs at 1, 4 and GOMAXPROCS workers.
+func TestCohortConcentrationMatchesWalk(t *testing.T) {
+	for _, c := range []struct {
+		where       string
+		by          GroupBy
+		failedFirst bool
+	}{
+		{"nodes >= 2048", ByUser, false},
+		{"exit != success or nodes >= 32768", ByProject, true},
+	} {
+		expr, err := sel.Parse(c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md, err := freshDataset(t).MaterializeWhere(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := md.Jobs[0].Outcome() == joblog.OutcomeFailure; got != c.failedFirst {
+			t.Fatalf("%s: first selected job failed = %v, want %v", c.where, got, c.failedFirst)
+		}
+		want, wantErr := md.Concentration(c.by, md.ClassifyByExit())
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			p, err := freshDataset(t).FusedScanWhere(expr, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := p.Concentration(c.by)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("workers=%d %s: error %v, walk %v", workers, c.where, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || math.Float64bits(got.CramersV) != math.Float64bits(want.CramersV) {
+				t.Errorf("workers=%d %s: concentration by %s: fused %+v, walk %+v", workers, c.where, c.by, got, want)
+			}
+		}
+	}
 }

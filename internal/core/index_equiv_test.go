@@ -79,7 +79,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 	windows := []time.Duration{
 		30 * time.Second, 5 * time.Minute, 20 * time.Minute, time.Hour, 6 * time.Hour,
 	}
-	raw := len(d.FatalEvents())
+	raw := len(d.fatalIdx)
 	want := make([]SweepPoint, len(windows))
 	for i, w := range windows {
 		rule := base
@@ -218,7 +218,7 @@ func TestIncidentsInFirstOrder(t *testing.T) {
 // order.
 func TestSeverityViewsPartition(t *testing.T) {
 	d, _ := dataset(t)
-	fatal, warn := d.FatalEvents(), d.WarnEvents()
+	fatal, warn := d.fatalIdx, d.warnIdx
 	seen := make(map[int]bool, len(fatal)+len(warn))
 	for _, idx := range [][]int{fatal, warn} {
 		for n, i := range idx {
@@ -257,35 +257,10 @@ func TestSeverityViewsPartition(t *testing.T) {
 	}
 }
 
-func TestEventsBetweenMatchesScan(t *testing.T) {
-	d, _ := dataset(t)
-	start, end := d.Span()
-	spans := []struct{ t0, t1 time.Time }{
-		{start, end.Add(time.Second)},                          // everything
-		{start.Add(24 * time.Hour), start.Add(48 * time.Hour)}, // one day
-		{end.Add(time.Hour), end.Add(2 * time.Hour)},           // past the end
-		{start, start}, // empty half-open
-	}
-	for _, sp := range spans {
-		var want []raslog.Event
-		for i := range d.Events {
-			if !d.Events[i].Time.Before(sp.t0) && d.Events[i].Time.Before(sp.t1) {
-				want = append(want, d.Events[i])
-			}
-		}
-		got := d.EventsBetween(sp.t0, sp.t1)
-		if len(got) != len(want) {
-			t.Fatalf("[%v,%v): %d events vs %d", sp.t0, sp.t1, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].RecID != want[i].RecID {
-				t.Fatalf("[%v,%v): event %d differs", sp.t0, sp.t1, i)
-			}
-		}
-	}
-}
-
-func TestEventsOfMatchesScan(t *testing.T) {
+// TestExportIndexesMatchesScan checks the per-job event lists ExportIndexes
+// gathers for the pack: every attributed event, under its job id, in time
+// order, ids ascending, orphan ids (no matching job) included.
+func TestExportIndexesMatchesScan(t *testing.T) {
 	d, _ := dataset(t)
 	want := map[int64][]int{}
 	for i := range d.Events {
@@ -293,13 +268,31 @@ func TestEventsOfMatchesScan(t *testing.T) {
 			want[id] = append(want[id], i)
 		}
 	}
-	for id, idx := range want {
-		if got := d.EventsOf(id); !reflect.DeepEqual(got, idx) {
-			t.Fatalf("EventsOf(%d) = %v, want %v", id, got, idx)
+	orphan := d.Jobs[len(d.Jobs)-1].ID + 1000
+	for i := 0; i < len(d.Events); i += len(d.Events)/3 + 1 {
+		if d.Events[i].JobID == 0 {
+			want[orphan] = append(want[orphan], i)
 		}
 	}
-	if got := d.EventsOf(-12345); got != nil {
-		t.Fatalf("EventsOf(unknown) = %v, want nil", got)
+	events := append([]raslog.Event(nil), d.Events...)
+	for _, i := range want[orphan] {
+		events[i].JobID = orphan
+	}
+	od, err := NewDataset(d.Jobs, d.Tasks, events, d.IO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := od.ExportIndexes().JobEvents
+	if len(got) != len(want) {
+		t.Fatalf("%d per-job lists, want %d", len(got), len(want))
+	}
+	for k, je := range got {
+		if k > 0 && je.JobID <= got[k-1].JobID {
+			t.Fatalf("job id %d follows %d", je.JobID, got[k-1].JobID)
+		}
+		if !reflect.DeepEqual(je.Idx, want[je.JobID]) {
+			t.Fatalf("job %d: events %v, want %v", je.JobID, je.Idx, want[je.JobID])
+		}
 	}
 }
 

@@ -119,50 +119,6 @@ type InterruptCorrelation struct {
 	Interrupted    int // users with ≥1 system interrupt
 }
 
-// InterruptsByUser computes E15 from a classification. Core-hours
-// accumulate as integer core-seconds so the per-user values match the fused
-// scan engine's sharded sums bit-for-bit.
-func (d *Dataset) InterruptsByUser(cls *Classification) (*InterruptCorrelation, error) {
-	type agg struct {
-		coreSec    int64
-		jobs       int
-		interrupts int
-	}
-	m := map[string]*agg{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		a, ok := m[j.User]
-		if !ok {
-			a = &agg{}
-			m[j.User] = a
-		}
-		a.jobs++
-		a.coreSec += j.CoreSeconds()
-		if cls.Causes[j.ID] == CauseSystem {
-			a.interrupts++
-		}
-	}
-	if len(m) < 3 {
-		return nil, fmt.Errorf("core: need ≥3 users, have %d", len(m))
-	}
-	users := make([]string, 0, len(m))
-	for u := range m {
-		users = append(users, u)
-	}
-	// Deterministic order.
-	sort.Strings(users)
-	ch := make([]float64, len(users))
-	jobs := make([]float64, len(users))
-	ints := make([]float64, len(users))
-	for i, u := range users {
-		a := m[u]
-		ch[i] = float64(a.coreSec) / 3600
-		jobs[i] = float64(a.jobs)
-		ints[i] = float64(a.interrupts)
-	}
-	return interruptCorrelationFrom(ch, jobs, ints)
-}
-
 // interruptCorrelationFrom computes the correlation profile from aligned
 // per-user series in deterministic (alphabetical) user order.
 func interruptCorrelationFrom(ch, jobs, ints []float64) (*InterruptCorrelation, error) {

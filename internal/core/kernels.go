@@ -29,8 +29,8 @@ var familySystemCode = joblog.FamilyCode(joblog.FamilySystem)
 
 // FailTally is the flat (map-free) failure-classification summary the fused
 // kernels produce: corpus totals plus per-family failure counts indexed by
-// dense family code. It carries the same numbers as Classification without
-// the per-job cause map.
+// dense family code: the corpus-level numbers of a user/system failure
+// classification, without a per-job cause map.
 type FailTally struct {
 	Total       int
 	Failed      int
@@ -52,20 +52,6 @@ func (t *FailTally) UserShare() float64 {
 // FamilyCount returns the failed-job count of one exit family.
 func (t *FailTally) FamilyCount(f joblog.ExitFamily) int {
 	return t.ByFamily[joblog.FamilyCode(f)]
-}
-
-// TallyOf flattens a Classification into a FailTally.
-func TallyOf(c *Classification) FailTally {
-	t := FailTally{
-		Total:       c.Total,
-		Failed:      c.Failed,
-		UserCaused:  c.UserCaused,
-		SystemCause: c.SystemCause,
-	}
-	for _, f := range joblog.FailureFamilies() {
-		t.ByFamily[joblog.FamilyCode(f)] = c.ByFamily[f]
-	}
-	return t
 }
 
 // denseKey is the element type of a dictionary-coded key column.
@@ -140,7 +126,7 @@ func (s *tallyState[K]) Merge(other JobState) {
 	}
 }
 
-// groups converts the tallies into Aggregate's sorted GroupStats list.
+// groups converts the tallies into the GroupStats list in sortGroups order.
 // Keys with no jobs are skipped: a whole-corpus scan never produces one
 // (the dictionary is built from the jobs), and in a cohort scan the skip
 // makes the list match a materialized dataset's smaller dictionary.
@@ -241,7 +227,7 @@ func (t *familyTotals) waste() *WasteResult {
 	return res
 }
 
-// jointKernel feeds ClassifyJoint consumers: the failed jobs RAS
+// jointKernel feeds the joint (RAS-correlated) tally: the failed jobs RAS
 // correlation attributes to the system. The rest of the joint tally
 // (totals and per-family counts) is the by-family tally's. The kernel
 // precomputes the block-attributable FATAL streams once (locations at rack
@@ -309,8 +295,8 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 	}
 }
 
-// fatalNearEnd mirrors Dataset.fatalNearEnd over the precomputed columns:
-// does a FATAL within tol of the job's end hit a block the job ran on?
+// fatalNearEnd reports whether a FATAL event within tol of the job's end
+// hits a block the job ran on.
 func (k *jointKernel) fatalNearEnd(row int, end int64) bool {
 	tasks := k.d.tasksOf[row]
 	if len(tasks) == 0 {

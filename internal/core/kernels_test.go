@@ -98,11 +98,11 @@ func TestKernelMergeLaw(t *testing.T) {
 		foldPieces(jv, jobKernels, []int{0, jv.N}, true),
 		foldPieces(ev, eventKernels, []int{0, ev.N}, true), start, end)
 	for _, workers := range []int{1, 4} {
-		jsts, err := scan.Run(jv, jv.N, jobKernels, workers)
+		jsts, err := scan.Run(jv, jv.N, nil, jobKernels, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ests, err := scan.Run(ev, ev.N, eventKernels, workers)
+		ests, err := scan.Run(ev, ev.N, nil, eventKernels, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

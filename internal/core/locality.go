@@ -29,41 +29,6 @@ type LocalityResult struct {
 	Localized bool
 }
 
-// Locality aggregates FATAL events at the given hardware level and measures
-// their spatial concentration. Events above the aggregation level (e.g.
-// whole-system infra messages) are skipped.
-func (d *Dataset) Locality(level machine.Level) (*LocalityResult, error) {
-	if level != machine.LevelRack && level != machine.LevelMidplane {
-		return nil, fmt.Errorf("core: locality level must be rack or midplane, got %v", level)
-	}
-	slots := machine.NumRacks
-	if level == machine.LevelMidplane {
-		slots = machine.TotalMidplanes
-	}
-	counts := make([]int, slots)
-	total := 0
-	for _, i := range d.fatalIdx {
-		e := &d.Events[i]
-		if e.Loc.Level() < level {
-			continue
-		}
-		id := e.Loc.RackIndex()
-		if level == machine.LevelMidplane {
-			var err error
-			if id, err = e.Loc.MidplaneID(); err != nil {
-				continue
-			}
-		}
-		counts[id]++
-		total++
-	}
-	list, err := locationCounts(level, counts)
-	if err != nil {
-		return nil, err
-	}
-	return localityFromCounts(level, list, total)
-}
-
 // locationCounts converts a dense per-location count array (indexed by
 // midplane ID or rack index, depending on level) into the sparse
 // LocationCount list, omitting zero-count locations.
@@ -135,25 +100,4 @@ type CategoryProfile struct {
 	// FatalByCategory restricts the category counts to FATAL events.
 	FatalByCategory map[raslog.Category]int
 	Total           int
-}
-
-// Profile computes the RAS composition table.
-func (d *Dataset) Profile() *CategoryProfile {
-	p := &CategoryProfile{
-		BySeverity:      map[raslog.Severity]int{},
-		ByCategory:      map[raslog.Category]int{},
-		ByComponent:     map[raslog.Component]int{},
-		FatalByCategory: map[raslog.Category]int{},
-	}
-	for i := range d.Events {
-		e := &d.Events[i]
-		p.Total++
-		p.BySeverity[e.Sev]++
-		p.ByCategory[e.Cat]++
-		p.ByComponent[e.Comp]++
-		if e.Sev == raslog.Fatal {
-			p.FatalByCategory[e.Cat]++
-		}
-	}
-	return p
 }

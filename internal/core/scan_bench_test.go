@@ -20,7 +20,7 @@ func Benchmark_WholeTableScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := scan.Run(jv, jv.N, kernels, 1); err != nil {
+			if _, err := scan.Run(jv, jv.N, nil, kernels, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -30,7 +30,7 @@ func Benchmark_WholeTableScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := scan.Run(ev, ev.N, kernels, 1); err != nil {
+			if _, err := scan.Run(ev, ev.N, nil, kernels, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -152,17 +152,6 @@ type LifePhase struct {
 	MTTIDays      float64
 }
 
-// LifePhases splits the observation window into n equal phases and reports
-// how the job failure rate and MTTI evolve over the system's life — the
-// burn-in / mid-life / wear-out trajectory.
-func (d *Dataset) LifePhases(n int, rule FilterRule) ([]LifePhase, error) {
-	mtti, err := d.MTTI(rule)
-	if err != nil {
-		return nil, err
-	}
-	return d.LifePhasesFromMTTI(n, mtti)
-}
-
 // LifePhasesFromMTTI computes the life-phase profile from an
 // already-computed MTTI analysis, letting callers reuse a memoized result
 // instead of re-filtering the FATAL stream.

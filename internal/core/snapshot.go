@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/iolog"
@@ -17,10 +18,10 @@ type JobEventIndex struct {
 }
 
 // IndexSnapshot is the serializable form of the derived indexes NewDataset
-// builds by scanning the event stream: the severity-partitioned views, the
-// per-job event index and the observation-window bounds. The binary corpus
-// snapshot (internal/pack) persists it so loading a pack file skips the
-// whole event scan.
+// builds by scanning the event stream: the severity-partitioned views and
+// the observation-window bounds, plus the per-job event lists the binary
+// corpus snapshot (internal/pack) format carries. The pack persists it so
+// loading a pack file skips the whole event scan.
 //
 // The slices are shared with the Dataset that exported them (or that a
 // load will adopt); treat a snapshot as read-only.
@@ -33,20 +34,25 @@ type IndexSnapshot struct {
 }
 
 // ExportIndexes returns the dataset's derived indexes for serialization.
+// No analysis reads the per-job event lists, so the Dataset keeps none:
+// they are gathered from Events here, in ascending job id, each list in
+// time order.
 func (d *Dataset) ExportIndexes() IndexSnapshot {
-	var jobEvents []JobEventIndex
-	for _, p := range d.byID { // ascending job id
-		if idx := d.eventsOf[p]; len(idx) > 0 {
-			jobEvents = append(jobEvents, JobEventIndex{JobID: d.Jobs[p].ID, Idx: idx})
+	var attributed []int
+	for i := range d.Events {
+		if d.Events[i].JobID != 0 {
+			attributed = append(attributed, i)
 		}
 	}
-	// Orphan attributions (ids with no matching job) are rare; merge them in
-	// and restore the ascending order.
-	if len(d.orphanEvents) > 0 {
-		for id, idx := range d.orphanEvents {
-			jobEvents = append(jobEvents, JobEventIndex{JobID: id, Idx: idx})
+	sort.SliceStable(attributed, func(a, b int) bool { return d.Events[attributed[a]].JobID < d.Events[attributed[b]].JobID })
+	var jobEvents []JobEventIndex
+	for k := 0; k < len(attributed); {
+		id, j := d.Events[attributed[k]].JobID, k+1
+		for j < len(attributed) && d.Events[attributed[j]].JobID == id {
+			j++
 		}
-		sortJobEvents(jobEvents)
+		jobEvents = append(jobEvents, JobEventIndex{JobID: id, Idx: attributed[k:j:j]})
+		k = j
 	}
 	return IndexSnapshot{
 		FatalIdx:  d.fatalIdx,
@@ -100,9 +106,9 @@ func NewDatasetFromSnapshot(jobs []joblog.Job, tasks []tasklog.Task, events []ra
 		return nil, err
 	}
 	d.buildPerJob()
-	d.eventsOf = make([][]int, len(jobs))
+	// The per-job event lists are not kept (ExportIndexes rebuilds them from
+	// Events), but a pack that carries malformed ones is still rejected.
 	attributed := 0
-	cur := jobCursor{d: d}
 	for _, je := range snap.JobEvents {
 		attributed += len(je.Idx)
 		if attributed > len(events) {
@@ -115,24 +121,6 @@ func NewDatasetFromSnapshot(jobs []joblog.Job, tasks []tasklog.Task, events []ra
 			}
 			last = v
 		}
-		if p, ok := cur.pos(je.JobID); ok {
-			d.eventsOf[p] = je.Idx
-		} else {
-			if d.orphanEvents == nil {
-				d.orphanEvents = map[int64][]int{}
-			}
-			d.orphanEvents[je.JobID] = je.Idx
-		}
 	}
 	return d, nil
-}
-
-func sortJobEvents(jes []JobEventIndex) {
-	// Insertion sort: called only on the export path, on a slice that is
-	// already sorted except for the appended orphan tail.
-	for i := 1; i < len(jes); i++ {
-		for j := i; j > 0 && jes[j].JobID < jes[j-1].JobID; j-- {
-			jes[j], jes[j-1] = jes[j-1], jes[j]
-		}
-	}
 }

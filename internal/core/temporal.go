@@ -1,11 +1,5 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/joblog"
-)
-
 // TemporalProfile holds the hour-of-day / day-of-week / monthly activity
 // patterns of jobs and FATAL events (experiment E14).
 type TemporalProfile struct {
@@ -24,60 +18,6 @@ type TemporalProfile struct {
 	FatalByMonth []int
 	// JobsByDay is the daily submission series (index 0 = first day).
 	JobsByDay []int
-}
-
-// Temporal computes the activity/failure time patterns.
-func (d *Dataset) Temporal() *TemporalProfile {
-	p := &TemporalProfile{}
-	monthIdx := map[string]int{}
-	monthKey := func(t time.Time) int {
-		k := t.Format("2006-01")
-		idx, ok := monthIdx[k]
-		if !ok {
-			idx = len(p.Months)
-			monthIdx[k] = idx
-			p.Months = append(p.Months, k)
-			p.JobsByMonth = append(p.JobsByMonth, 0)
-			p.FailsByMonth = append(p.FailsByMonth, 0)
-			p.FatalByMonth = append(p.FatalByMonth, 0)
-		}
-		return idx
-	}
-	start, _ := d.Span()
-	dayOf := func(t time.Time) int {
-		day := int(t.Sub(start).Hours() / 24)
-		if day < 0 {
-			day = 0
-		}
-		return day
-	}
-	// Jobs/events arrive in time order in both logs, so months appear in
-	// chronological order without an extra sort.
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		h := j.Submit.Hour()
-		w := j.Submit.Weekday()
-		m := monthKey(j.Submit)
-		day := dayOf(j.Submit)
-		for len(p.JobsByDay) <= day {
-			p.JobsByDay = append(p.JobsByDay, 0)
-		}
-		p.JobsByDay[day]++
-		p.JobsByHour[h]++
-		p.JobsByWeekday[w]++
-		p.JobsByMonth[m]++
-		if j.Outcome() == joblog.OutcomeFailure {
-			p.FailsByHour[h]++
-			p.FailsByWeekday[w]++
-			p.FailsByMonth[m]++
-		}
-	}
-	for _, i := range d.fatalIdx {
-		e := &d.Events[i]
-		p.FatalByHour[e.Time.Hour()]++
-		p.FatalByMonth[monthKey(e.Time)]++
-	}
-	return p
 }
 
 // FailRateByHour returns the per-hour job failure rate.

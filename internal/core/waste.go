@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/joblog"
-)
+import "repro/internal/joblog"
 
 // WasteRow is the compute lost to one exit family.
 type WasteRow struct {
@@ -25,65 +20,4 @@ type WasteResult struct {
 	UserCoreHours   float64 // wasted by user-caused failures
 	SystemCoreHours float64 // wasted by system-caused failures
 	ByFamily        []WasteRow
-}
-
-// Waste computes the failure-cost breakdown using a classification for the
-// user/system attribution.
-func (d *Dataset) Waste(cls *Classification) (*WasteResult, error) {
-	if cls == nil {
-		return nil, fmt.Errorf("core: waste needs a classification")
-	}
-	// All sums accumulate as integer core-seconds (order-insensitive) and
-	// convert to core-hours once, matching the fused scan engine's sharded
-	// sums bit-for-bit.
-	type famAccum struct {
-		jobs    int
-		coreSec int64
-	}
-	res := &WasteResult{}
-	byFam := map[joblog.ExitFamily]*famAccum{}
-	var totalCS, wastedCS, userCS, sysCS int64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		cs := j.CoreSeconds()
-		totalCS += cs
-		if j.Outcome() != joblog.OutcomeFailure {
-			continue
-		}
-		wastedCS += cs
-		if cls.Causes[j.ID] == CauseSystem {
-			sysCS += cs
-		} else {
-			userCS += cs
-		}
-		fam := joblog.Family(j.ExitStatus)
-		row, ok := byFam[fam]
-		if !ok {
-			row = &famAccum{}
-			byFam[fam] = row
-		}
-		row.jobs++
-		row.coreSec += cs
-	}
-	res.TotalCoreHours = float64(totalCS) / 3600
-	res.WastedCoreHours = float64(wastedCS) / 3600
-	res.UserCoreHours = float64(userCS) / 3600
-	res.SystemCoreHours = float64(sysCS) / 3600
-	if res.TotalCoreHours > 0 {
-		res.WastedShare = res.WastedCoreHours / res.TotalCoreHours
-	}
-	for fam, a := range byFam {
-		row := WasteRow{Family: fam, Jobs: a.jobs, CoreHours: float64(a.coreSec) / 3600}
-		if res.WastedCoreHours > 0 {
-			row.Share = row.CoreHours / res.WastedCoreHours
-		}
-		res.ByFamily = append(res.ByFamily, row)
-	}
-	sort.Slice(res.ByFamily, func(i, j int) bool {
-		if res.ByFamily[i].CoreHours != res.ByFamily[j].CoreHours {
-			return res.ByFamily[i].CoreHours > res.ByFamily[j].CoreHours
-		}
-		return res.ByFamily[i].Family < res.ByFamily[j].Family
-	})
-	return res, nil
 }

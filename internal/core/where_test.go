@@ -129,11 +129,11 @@ func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfil
 	start, end := referenceSpan(d, jobSel, eventSel)
 	tk := newTemporalJobKernelSpan(start, end)
 	joint := newJointKernelWhere(d, DefaultJointOptions(), eventSel)
-	jsts, err := scan.RunWhere(jv, jv.N, jobSel, fusedJobKernels(jv, joint, tk), 1)
+	jsts, err := scan.Run(jv, jv.N, jobSel, fusedJobKernels(jv, joint, tk), 1)
 	if err != nil {
 		return nil, err
 	}
-	ests, err := scan.RunWhere(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), 1)
+	ests, err := scan.Run(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), 1)
 	if err != nil {
 		return nil, err
 	}

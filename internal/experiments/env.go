@@ -15,14 +15,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Env is the shared evaluation environment: one generated corpus and its
-// indexed dataset, plus lazily memoized cross-experiment analyses. It is
-// the one place a whole-corpus number is derived: the experiments and the
-// takeaways read the same accessors.
+// Env is the shared evaluation environment: one indexed dataset plus
+// lazily memoized cross-experiment analyses. It is the one place a
+// whole-corpus number is derived: the experiments and the takeaways read
+// the same accessors.
 type Env struct {
-	Cfg    sim.Config
-	Corpus *sim.Corpus
-	D      *core.Dataset
+	D *core.Dataset
 	// Parallelism bounds the workers used by the parallel substrates the
 	// experiments call (distribution fitting, the filter-window sweep);
 	// ≤ 0 means GOMAXPROCS. Results are identical at any setting.
@@ -87,9 +85,9 @@ type envCache struct {
 }
 
 // NewEnv generates a corpus with at most workers goroutines (≤ 0 means
-// GOMAXPROCS) and indexes it. The corpus — and therefore every downstream
-// experiment — is identical for any worker count; the bound also becomes
-// the environment's Parallelism.
+// GOMAXPROCS) and indexes it; the Env keeps only the dataset. The corpus —
+// and therefore every downstream experiment — is identical for any worker
+// count; the bound also becomes the environment's Parallelism.
 func NewEnv(cfg sim.Config, workers int) (*Env, error) {
 	c, err := sim.GenerateParallel(cfg, workers)
 	if err != nil {
@@ -99,7 +97,7 @@ func NewEnv(cfg sim.Config, workers int) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return &Env{Cfg: cfg, Corpus: c, D: d, Parallelism: workers}, nil
+	return &Env{D: d, Parallelism: workers}, nil
 }
 
 // NewEnvFromDataset wraps an already-loaded dataset (e.g. a CSV corpus read

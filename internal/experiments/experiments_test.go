@@ -13,7 +13,12 @@ import (
 
 // The experiments tests run on a 150-day corpus: long enough for per-family
 // fitting and MTTI statistics, short enough to generate in a few seconds.
-var testEnv *Env
+// The corpus is kept beside the shared Env for the tests that index it
+// afresh.
+var (
+	testCorpus *sim.Corpus
+	testEnv    *Env
+)
 
 func env(tb testing.TB) *Env {
 	tb.Helper()
@@ -22,13 +27,20 @@ func env(tb testing.TB) *Env {
 		cfg.Days = 150
 		cfg.NumUsers = 300
 		cfg.NumProjects = 120
-		e, err := NewEnv(cfg, 0)
+		c, err := sim.GenerateParallel(cfg, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		testEnv = e
+		testCorpus, testEnv = c, NewEnvFromDataset(freshDataset(tb, c))
 	}
 	return testEnv
+}
+
+// envCorpus returns the corpus behind env.
+func envCorpus(tb testing.TB) *sim.Corpus {
+	tb.Helper()
+	env(tb)
+	return testCorpus
 }
 
 func run(t *testing.T, id string) *Result {

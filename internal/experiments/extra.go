@@ -134,10 +134,11 @@ func E18(env *Env) (*Result, error) {
 // E19 regenerates the failure-cost analysis: core-hours consumed by jobs
 // that produced no result, by exit family and by root cause.
 func E19(env *Env) (*Result, error) {
-	w, err := env.Waste()
+	p, err := env.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
+	w := p.Waste
 	t := &report.Table{
 		Title:   "E19: compute wasted by failures",
 		Columns: []string{"quantity", "value"},

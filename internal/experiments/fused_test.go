@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/sel"
 	"repro/internal/sim"
 )
 
@@ -61,55 +59,17 @@ func freshDataset(tb testing.TB, c *sim.Corpus) *core.Dataset {
 	return d
 }
 
-// accessorOracles pairs every Env accessor served by the fused profile or
-// the memoized incident and MTTI passes with the pre-fusion walk it
-// replaced. The walks are the reference implementations: each calls the
-// core analysis directly, one corpus pass per analysis, with the arguments
-// the experiments use.
+// accessorOracles pairs every Env accessor layered on the memoized incident
+// and MTTI passes, and the whole-corpus cohort profile, with a walk that
+// computes the same result afresh: each calls the core analysis directly,
+// with the arguments the experiments use. The fused profile's own fields
+// are compared with their reference walks in core (TestFusedScanMatchesLegacy
+// and TestCohortConcentrationMatchesWalk).
 var accessorOracles = []struct {
 	name  string
 	fused func(e *Env) (any, error)
 	walk  func(e *Env) (any, error)
 }{
-	{"Summary",
-		func(e *Env) (any, error) { return e.Summary() },
-		func(e *Env) (any, error) { return e.D.Summarize(), nil }},
-	{"ExitTally",
-		func(e *Env) (any, error) { return e.ExitTally() },
-		func(e *Env) (any, error) { return core.TallyOf(e.D.ClassifyByExit()), nil }},
-	{"JointTally",
-		func(e *Env) (any, error) { return e.JointTally() },
-		func(e *Env) (any, error) { return core.TallyOf(e.D.ClassifyJoint(core.DefaultJointOptions())), nil }},
-	{"Groups/user",
-		func(e *Env) (any, error) { return e.Groups(core.ByUser) },
-		func(e *Env) (any, error) { return e.D.Aggregate(core.ByUser, e.D.ClassifyByExit()), nil }},
-	{"Groups/project",
-		func(e *Env) (any, error) { return e.Groups(core.ByProject) },
-		func(e *Env) (any, error) { return e.D.Aggregate(core.ByProject, e.D.ClassifyByExit()), nil }},
-	{"Concentration/user",
-		func(e *Env) (any, error) { return e.Concentration(core.ByUser) },
-		func(e *Env) (any, error) { return e.D.Concentration(core.ByUser, e.D.ClassifyByExit()) }},
-	{"Concentration/project",
-		func(e *Env) (any, error) { return e.Concentration(core.ByProject) },
-		func(e *Env) (any, error) { return e.D.Concentration(core.ByProject, e.D.ClassifyByExit()) }},
-	{"Temporal",
-		func(e *Env) (any, error) { return e.Temporal() },
-		func(e *Env) (any, error) { return e.D.Temporal(), nil }},
-	{"RASProfile",
-		func(e *Env) (any, error) { return e.RASProfile() },
-		func(e *Env) (any, error) { return e.D.Profile(), nil }},
-	{"Waste",
-		func(e *Env) (any, error) { return e.Waste() },
-		func(e *Env) (any, error) { return e.D.Waste(e.D.ClassifyByExit()) }},
-	{"Interrupts",
-		func(e *Env) (any, error) { return e.Interrupts() },
-		func(e *Env) (any, error) { return e.D.InterruptsByUser(e.D.ClassifyByExit()) }},
-	{"Locality/midplane",
-		func(e *Env) (any, error) { return e.Locality(machine.LevelMidplane) },
-		func(e *Env) (any, error) { return e.D.Locality(machine.LevelMidplane) }},
-	{"Locality/rack",
-		func(e *Env) (any, error) { return e.Locality(machine.LevelRack) },
-		func(e *Env) (any, error) { return e.D.Locality(machine.LevelRack) }},
 	{"LeadTimes",
 		func(e *Env) (any, error) { return e.LeadTimes(e16Lookbacks) },
 		func(e *Env) (any, error) {
@@ -135,7 +95,13 @@ var accessorOracles = []struct {
 		}},
 	{"LifePhases",
 		func(e *Env) (any, error) { return e.LifePhases(e18Phases) },
-		func(e *Env) (any, error) { return e.D.LifePhases(e18Phases, core.DefaultFilterRule()) }},
+		func(e *Env) (any, error) {
+			mtti, err := e.D.MTTI(core.DefaultFilterRule())
+			if err != nil {
+				return nil, err
+			}
+			return e.D.LifePhasesFromMTTI(e18Phases, mtti)
+		}},
 	{"SpatialCorr/1h",
 		func(e *Env) (any, error) { return e.SpatialCorr(time.Hour) },
 		func(e *Env) (any, error) { return spatialCorrWalk(e.D, time.Hour) }},
@@ -145,45 +111,6 @@ var accessorOracles = []struct {
 	{"CohortProfileExpr/nil",
 		func(e *Env) (any, error) { return e.CohortProfileExpr(nil) },
 		func(e *Env) (any, error) { return e.D.FusedScan(e.Parallelism) }},
-	// Cohort Cramér's V comes from the group tally with its rows in the
-	// selection's first-appearance order; the walk materializes the cohort
-	// and runs the string-column path. The first cohort's first job
-	// succeeds, the second's fails, so both outcome orders are covered.
-	{"Concentration/user/cohort-success-first",
-		func(e *Env) (any, error) { return cohortConcentration(e, cohortSuccessFirst, core.ByUser, false) },
-		func(e *Env) (any, error) { return cohortConcentration(e, cohortSuccessFirst, core.ByUser, true) }},
-	{"Concentration/project/cohort-failure-first",
-		func(e *Env) (any, error) { return cohortConcentration(e, cohortFailureFirst, core.ByProject, false) },
-		func(e *Env) (any, error) { return cohortConcentration(e, cohortFailureFirst, core.ByProject, true) }},
-}
-
-// The cohorts of the Cramér's V rows: their first selected jobs succeed
-// and fail, respectively, on the 150-day corpus.
-const (
-	cohortSuccessFirst = "nodes >= 2048"
-	cohortFailureFirst = "exit != success or nodes >= 32768"
-)
-
-// cohortConcentration returns the concentration profile of the cohort
-// where selects, from its pushed-down fused profile or, with walk, from
-// the materialized cohort's string-column path.
-func cohortConcentration(e *Env, where string, by core.GroupBy, walk bool) (*core.ConcentrationResult, error) {
-	expr, err := sel.Parse(where)
-	if err != nil {
-		return nil, err
-	}
-	if walk {
-		md, err := e.D.MaterializeWhere(expr)
-		if err != nil {
-			return nil, err
-		}
-		return md.Concentration(by, md.ClassifyByExit())
-	}
-	p, err := e.CohortProfileExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	return p.Concentration(by)
 }
 
 // spatialCorrWalk is the E21 analysis over a fresh FATAL filter pass,
@@ -202,13 +129,12 @@ var (
 	e18Phases    = 8
 )
 
-// TestAccessorsMatchWalks is the fused engine's equivalence contract:
-// every accessor returns exactly what its pre-fusion walk computes, at
-// several worker counts. Floats must match bit for bit (NaN equals NaN —
-// "undefined" is a deterministic outcome too). It runs on the 150-day
-// corpus, where the exit-status and joint classifications disagree.
+// TestAccessorsMatchWalks is the memoized accessors' equivalence contract:
+// every accessor returns exactly what its walk computes, at several worker
+// counts. Floats must match bit for bit (NaN equals NaN — "undefined" is a
+// deterministic outcome too). It runs on the 150-day corpus.
 func TestAccessorsMatchWalks(t *testing.T) {
-	c := env(t).Corpus
+	c := envCorpus(t)
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		e := NewEnvFromDataset(freshDataset(t, c))
 		e.Parallelism = workers
@@ -302,14 +228,15 @@ func bitDiff(a, b reflect.Value, path string) string {
 	return ""
 }
 
-// BenchmarkAccessors measures what fusion buys: one iteration evaluates
-// every accessor of the oracle table on a cold Env over a freshly indexed
-// 150-day Dataset, either through the pre-fusion walks or through the fused
+// BenchmarkAccessors measures what the Env's memos buy: one iteration
+// evaluates every accessor of the oracle table on a cold Env over a freshly
+// indexed 150-day Dataset, either through the walks or through the
 // accessors (one shared scan plus the memoized incident and MTTI passes).
 // Indexing the Dataset is outside the timer; everything it builds lazily
-// (column views, scan state, filter keys) is inside it.
+// (column views, scan state, filter keys) is inside it. The walk-vs-fused
+// pair for the profile's own fields is core's BenchmarkProfile.
 func BenchmarkAccessors(b *testing.B) {
-	c := env(b).Corpus
+	c := envCorpus(b)
 	for _, mode := range []string{"walk", "fused"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
@@ -366,9 +293,9 @@ func TestRunAllRenderedAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedAccessorsNilCache pins the constructor-less Env: every fused
-// accessor must work on an Env literal (zero-value cache) and match a
-// constructed Env.
+// TestFusedAccessorsNilCache pins the constructor-less Env: the fused
+// profile and the memoized incidents must work on an Env literal
+// (zero-value cache) and match a constructed Env.
 func TestFusedAccessorsNilCache(t *testing.T) {
 	cfg := sim.SmallConfig()
 	c, err := sim.Generate(cfg)
@@ -383,27 +310,19 @@ func TestFusedAccessorsNilCache(t *testing.T) {
 	cached := NewEnvFromDataset(d)
 	cached.Parallelism = 1
 
-	bareSum, err := bare.Summary()
+	bareProfile, err := bare.fusedProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSum, err := cached.Summary()
+	cachedProfile, err := cached.fusedProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bareSum != cachedSum {
-		t.Errorf("summary: bare %+v, cached %+v", bareSum, cachedSum)
+	if bareProfile.Summary != cachedProfile.Summary {
+		t.Errorf("summary: bare %+v, cached %+v", bareProfile.Summary, cachedProfile.Summary)
 	}
-	bareTally, err := bare.ExitTally()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedTally, err := cached.ExitTally()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bareTally != cachedTally {
-		t.Errorf("exit tally: bare %+v, cached %+v", bareTally, cachedTally)
+	if bareProfile.Exit != cachedProfile.Exit {
+		t.Errorf("exit tally: bare %+v, cached %+v", bareProfile.Exit, cachedProfile.Exit)
 	}
 	bareFatals, err := bare.FatalIncidents()
 	if err != nil {

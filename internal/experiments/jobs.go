@@ -15,10 +15,11 @@ import (
 // E1 regenerates the dataset-summary table (Table I): span, job/task/event
 // counts, core-hours, RAS composition.
 func E1(env *Env) (*Result, error) {
-	s, err := env.Summary()
+	p, err := env.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
+	s := p.Summary
 	t := &report.Table{
 		Title:   "E1 (Table I): dataset summary",
 		Columns: []string{"quantity", "value"},
@@ -54,6 +55,10 @@ func E1(env *Env) (*Result, error) {
 // E2 regenerates the workload-concentration analysis: Lorenz/Gini of jobs
 // and core-hours over users and projects.
 func E2(env *Env) (*Result, error) {
+	p, err := env.fusedProfile()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "E2", Description: "workload concentration", Metrics: map[string]float64{}}
 	for _, by := range []core.GroupBy{core.ByUser, core.ByProject} {
 		conc, err := env.Concentration(by)
@@ -75,10 +80,7 @@ func E2(env *Env) (*Result, error) {
 		res.Metrics[fmt.Sprintf("top10_ch_share_%s", by)] = conc.Top10CHShare
 
 		// Lorenz curve figure over jobs.
-		groups, err := env.Groups(by)
-		if err != nil {
-			return nil, err
-		}
+		groups := p.Groups(by)
 		jobs := make([]float64, len(groups))
 		for i, g := range groups {
 			jobs[i] = float64(g.Jobs)
@@ -144,14 +146,11 @@ func E3(env *Env) (*Result, error) {
 // E4 regenerates the headline failure table: failures per exit family and
 // the user-vs-system split (paper: 99,245 failures, 99.4% user-caused).
 func E4(env *Env) (*Result, error) {
-	cls, err := env.ExitTally()
+	p, err := env.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
-	joint, err := env.JointTally()
-	if err != nil {
-		return nil, err
-	}
+	cls, joint := p.Exit, p.Joint
 	t := &report.Table{
 		Title:   "E4: job failures by exit family",
 		Columns: []string{"family", "jobs", "share of failures"},

@@ -14,6 +14,10 @@ import (
 // E7 regenerates the failure↔user/project correlation analysis: top
 // failing users, identity↔outcome association, jobs↔failures correlation.
 func E7(env *Env) (*Result, error) {
+	p, err := env.fusedProfile()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "E7", Description: "failure correlation with users/projects", Metrics: map[string]float64{}}
 	for _, by := range []core.GroupBy{core.ByUser, core.ByProject} {
 		conc, err := env.Concentration(by)
@@ -24,10 +28,7 @@ func E7(env *Env) (*Result, error) {
 		res.Metrics["pearson_jobs_failures_"+by.String()] = conc.PearsonJobsFailures
 		res.Metrics["top10_fail_share_"+by.String()] = conc.Top10FailShare
 
-		groups, err := env.Groups(by)
-		if err != nil {
-			return nil, err
-		}
+		groups := p.Groups(by)
 		t := &report.Table{
 			Title:   fmt.Sprintf("E7: top-10 failing %ss", by),
 			Columns: []string{by.String(), "jobs", "failed", "fail rate", "system fails"},
@@ -80,10 +81,11 @@ func E8(env *Env) (*Result, error) {
 // E9 regenerates the RAS composition tables: events by severity, category
 // and component.
 func E9(env *Env) (*Result, error) {
-	p, err := env.RASProfile()
+	fp, err := env.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
+	p := fp.RAS
 	sev := &report.Table{Title: "E9: RAS events by severity", Columns: []string{"severity", "events", "share"}}
 	for _, s := range []raslog.Severity{raslog.Fatal, raslog.Warn, raslog.Info} {
 		sev.AddRow(s.String(), p.BySeverity[s], float64(p.BySeverity[s])/float64(p.Total))
@@ -108,9 +110,13 @@ func E9(env *Env) (*Result, error) {
 
 // E10 regenerates the spatial-locality analysis of FATAL events.
 func E10(env *Env) (*Result, error) {
+	p, err := env.fusedProfile()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "E10", Description: "spatial locality", Metrics: map[string]float64{}}
 	for _, level := range []machine.Level{machine.LevelMidplane, machine.LevelRack} {
-		loc, err := env.Locality(level)
+		loc, err := p.Locality(level)
 		if err != nil {
 			return nil, err
 		}
@@ -266,10 +272,11 @@ func E13(env *Env) (*Result, error) {
 // E14 regenerates the temporal-pattern figures: jobs and failures by hour
 // of day and the monthly trend.
 func E14(env *Env) (*Result, error) {
-	p, err := env.Temporal()
+	fp, err := env.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
+	p := fp.Temporal
 	var hx, hj, hf, hr []float64
 	rates := p.FailRateByHour()
 	for h := 0; h < 24; h++ {
@@ -342,7 +349,11 @@ func E14(env *Env) (*Result, error) {
 // E15 regenerates the interruption↔consumption correlation: per-user
 // core-hours vs system interrupts.
 func E15(env *Env) (*Result, error) {
-	res, err := env.Interrupts()
+	p, err := env.fusedProfile()
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Interrupts, p.InterruptsErr
 	if err != nil {
 		return nil, err
 	}

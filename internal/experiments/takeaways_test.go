@@ -32,7 +32,7 @@ func TestTakeaways(t *testing.T) {
 // they follow RunAll inside one Pass, reusing the suite's memos and job
 // orders, as when they run alone on a fresh Env.
 func TestTakeawaysInsidePass(t *testing.T) {
-	c := env(t).Corpus
+	c := envCorpus(t)
 	e := NewEnvFromDataset(freshDataset(t, c))
 	release := e.Pass()
 	if _, err := RunAll(e, 0); err != nil {

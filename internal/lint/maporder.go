@@ -200,7 +200,7 @@ func sortedAfter(pass *Pass, pm parentMap, rs *ast.RangeStmt, obj types.Object) 
 
 // isSortingCall recognizes calls that order a slice: anything from the
 // sort or slices packages, or a function whose own name starts with
-// "sort" (package-local helpers like sortJobEvents).
+// "sort" (package-local helpers like sortGroups).
 func isSortingCall(pass *Pass, call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:

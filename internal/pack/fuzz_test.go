@@ -101,12 +101,13 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// The severity views index Events directly in every FATAL/WARN pass.
-		for _, idx := range d.FatalEvents() {
+		snap := d.ExportIndexes()
+		for _, idx := range snap.FatalIdx {
 			if d.Events[idx].Sev != raslog.Fatal {
 				t.Fatalf("FATAL view holds event %d of severity %v", idx, d.Events[idx].Sev)
 			}
 		}
-		for _, idx := range d.WarnEvents() {
+		for _, idx := range snap.WarnIdx {
 			if d.Events[idx].Sev != raslog.Warn {
 				t.Fatalf("WARN view holds event %d of severity %v", idx, d.Events[idx].Sev)
 			}

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bitmap"
 	"repro/internal/par"
 )
 
@@ -68,14 +69,34 @@ type Kernel[V any] interface {
 // with shards fanned out over at most workers goroutines (≤ 0 means
 // GOMAXPROCS). It returns one fully merged state per kernel, in kernel
 // order. Results are bit-identical for any worker count.
-func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error) {
+//
+// A non-nil sel restricts the sweep to the rows set in it: every kernel
+// sees exactly the selected rows, in ascending order, as ProcessBlock calls
+// over the maximal selected runs of each block. A nil sel selects every
+// row, one ProcessBlock(v, blockLo, blockHi) call per block.
+//
+// The shard plan stays a pure function of the total row count n — NOT of
+// the selection — so the partial-state layout and the merge tree are the
+// same for every selection, and results are bit-identical at any worker
+// count. Blocks with no selected rows are skipped without touching the
+// view's columns; a fully selected block issues the same single
+// ProcessBlock call a whole-table sweep does, so pushdown costs nothing
+// where the predicate is dense (DESIGN.md §14).
+func Run[V any](v V, n int, sel *bitmap.Bitmap, kernels []Kernel[V], workers int) ([]State[V], error) {
 	if n < 0 {
 		return nil, fmt.Errorf("scan: negative row count %d", n)
 	}
-	newStates := func() []State[V] {
+	shard := func(lo, hi int) []State[V] {
 		sts := make([]State[V], len(kernels))
 		for i, k := range kernels {
 			sts[i] = k.NewState()
+		}
+		if sel == nil {
+			processShard(v, lo, hi, sts)
+		} else {
+			// Worst case a 2048-row block decomposes into 1024 singleton
+			// runs. Each shard task has its own buffer.
+			processShardWhere(v, lo, hi, sel, make([]bitmap.Run, 0, BlockRows/2), sts)
 		}
 		return sts
 	}
@@ -83,17 +104,12 @@ func Run[V any](v V, n int, kernels []Kernel[V], workers int) ([]State[V], error
 	if shards <= 1 {
 		// Serial fast path (also the empty-view path): one state set, one
 		// block loop, no merge.
-		sts := newStates()
-		processShard(v, 0, n, sts)
-		return sts, nil
+		return shard(0, n), nil
 	}
 	states := make([][]State[V], shards)
 	err := par.ForEach(context.Background(), shards, workers, func(s int) error {
 		lo := s * ShardRows
-		hi := min(lo+ShardRows, n)
-		sts := newStates()
-		processShard(v, lo, hi, sts)
-		states[s] = sts
+		states[s] = shard(lo, min(lo+ShardRows, n))
 		return nil
 	})
 	if err != nil {
@@ -120,6 +136,26 @@ func processShard[V any](v V, lo, hi int, sts []State[V]) {
 		bhi := min(blo+BlockRows, hi)
 		for _, st := range sts {
 			st.ProcessBlock(v, blo, bhi)
+		}
+	}
+}
+
+// processShardWhere feeds each block's selected runs to every state. The
+// block-skip test and the run decomposition touch only the selection
+// bitmap, never the view's columns.
+//
+//mira:hotpath
+func processShardWhere[V any](v V, lo, hi int, sel *bitmap.Bitmap, runs []bitmap.Run, sts []State[V]) {
+	for blo := lo; blo < hi; blo += BlockRows {
+		bhi := min(blo+BlockRows, hi)
+		runs = sel.AppendBlockRuns(runs[:0], blo, bhi)
+		if len(runs) == 0 {
+			continue
+		}
+		for _, st := range sts {
+			for _, r := range runs {
+				st.ProcessBlock(v, int(r.Lo), int(r.Hi))
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (s *sumState) Merge(other State[rowsView]) { s.total += other.(*sumState).t
 
 func runTrace(t *testing.T, n, workers int) (*traceState, *sumState) {
 	t.Helper()
-	states, err := Run(rowsView{n}, n, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
+	states, err := Run(rowsView{n}, n, nil, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +132,17 @@ func TestRunMergeTree(t *testing.T) {
 }
 
 func TestRunEmptyAndErrors(t *testing.T) {
-	states, err := Run(rowsView{0}, 0, []Kernel[rowsView]{sumKernel{}}, 4)
+	states, err := Run(rowsView{0}, 0, nil, []Kernel[rowsView]{sumKernel{}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := states[0].(*sumState).total; got != 0 {
 		t.Fatalf("empty run summed %d", got)
 	}
-	if _, err := Run(rowsView{0}, -1, []Kernel[rowsView]{sumKernel{}}, 1); err == nil {
+	if _, err := Run(rowsView{0}, -1, nil, []Kernel[rowsView]{sumKernel{}}, 1); err == nil {
 		t.Fatal("negative row count accepted")
 	}
-	if states, err := Run(rowsView{5}, 5, nil, 1); err != nil || len(states) != 0 {
+	if states, err := Run(rowsView{5}, 5, nil, nil, 1); err != nil || len(states) != 0 {
 		t.Fatalf("kernel-less run: states=%v err=%v", states, err)
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"repro/internal/bitmap"
 )
 
-// runWhereTrace runs the trace+sum kernel pair through RunWhere.
+// runWhereTrace runs the trace+sum kernel pair over the rows set in sel.
 func runWhereTrace(t *testing.T, n int, sel *bitmap.Bitmap, workers int) (*traceState, *sumState) {
 	t.Helper()
-	states, err := RunWhere(rowsView{n}, n, sel, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
+	states, err := Run(rowsView{n}, n, sel, []Kernel[rowsView]{traceKernel{}, sumKernel{}}, workers)
 	if err != nil {
-		t.Fatalf("RunWhere(n=%d, workers=%d): %v", n, workers, err)
+		t.Fatalf("Run(n=%d, workers=%d) over a selection: %v", n, workers, err)
 	}
 	return states[0].(*traceState), states[1].(*sumState)
 }
@@ -94,7 +94,7 @@ func TestRunWhereFullSelectionMatchesRun(t *testing.T) {
 	for _, n := range []int{0, 1, BlockRows, ShardRows + 3, 2*ShardRows + BlockRows + 11} {
 		full := bitmap.New()
 		full.AddRange(0, uint32(n))
-		states, err := Run(rowsView{n}, n, []Kernel[rowsView]{traceKernel{}}, 4)
+		states, err := Run(rowsView{n}, n, nil, []Kernel[rowsView]{traceKernel{}}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,15 +106,23 @@ func TestRunWhereFullSelectionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunWhereNilSelection checks nil degrades to a plain Run.
+// TestRunWhereNilSelection checks a nil selection sweeps every row with
+// one ProcessBlock call per block: no run decomposition.
 func TestRunWhereNilSelection(t *testing.T) {
 	const n = ShardRows + 10
-	states, err := RunWhere(rowsView{n}, n, nil, []Kernel[rowsView]{sumKernel{}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, sum := runWhereTrace(t, n, nil, 2)
 	want := int64(n) * int64(n-1) / 2
-	if got := states[0].(*sumState).total; got != want {
+	if got := sum.total; got != want {
 		t.Errorf("nil selection sum = %d, want %d", got, want)
+	}
+	var blocks [][2]int
+	for lo := 0; lo < n; lo += ShardRows {
+		shardHi := min(lo+ShardRows, n)
+		for blo := lo; blo < shardHi; blo += BlockRows {
+			blocks = append(blocks, [2]int{blo, min(blo+BlockRows, shardHi)})
+		}
+	}
+	if !reflect.DeepEqual(tr.blocks, blocks) {
+		t.Errorf("nil selection blocks %v, want %v", tr.blocks, blocks)
 	}
 }

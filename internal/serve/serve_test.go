@@ -234,9 +234,15 @@ func TestProfileEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	want := testDataset(t).Summarize()
-	if resp.Summary != want {
-		t.Errorf("profile summary = %+v, want %+v", resp.Summary, want)
+	// The profile's fields equal the reference walks' (core's
+	// TestFusedScanMatchesLegacy); here the endpoint must serve them.
+	d := testDataset(t)
+	p, err := d.FusedScan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Summary; resp.Summary != want || want.Jobs != len(d.Jobs) || want.RASTotal != len(d.Events) {
+		t.Errorf("profile summary = %+v, want %+v (%d jobs, %d events)", resp.Summary, want, len(d.Jobs), len(d.Events))
 	}
 }
 

@@ -30,9 +30,13 @@
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric), the FitLegacy/FitSample model-selection comparison and the
 # CensoredWeibull_{PerJob,Distinct} E23 survival-fit comparison in
-# internal/dist (speedup metrics), the fusion comparison
-# BenchmarkAccessors/{walk,fused} in internal/experiments (every Env
-# accessor against the pre-fusion walk it replaced — DESIGN.md §13), the
+# internal/dist (speedup metrics), the profile fusion comparison
+# BenchmarkProfile/{walk,fused} in internal/core (every FusedProfile field
+# through its pre-fusion walk against one FusedScan — DESIGN.md §13) and
+# the two reference classifications BenchmarkClassification/{by-exit,joint}
+# beside it, the accessor comparison BenchmarkAccessors/{walk,fused} in
+# internal/experiments (the Env accessors layered on the incident and MTTI
+# passes against fresh walks), the
 # cold-Env suite run Benchmark_RunAll_Fused and E6's layer time
 # Benchmark_E6_DistributionFits (fits, KS/AD and the polish ablation on a
 # fresh Env per iteration) at the repo root, the
