@@ -86,8 +86,9 @@ type Dataset struct {
 	selOnce sync.Once
 	selx    *selIndexes
 
-	// Whole-table scan state of the fused kernels, built on the first
-	// FusedScan or cohort scan and reused by every later one (fused.go).
+	// Whole-table scan state of the fused kernels and the joint attribution
+	// index, built on the first FusedScan or cohort scan and reused by
+	// every later one (fused.go).
 	wholeOnce sync.Once
 	whole     *wholeScan
 

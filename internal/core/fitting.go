@@ -94,10 +94,19 @@ func (o *JobOrders) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 // series, shared by every holder of the layer: E6's fits and its polish
 // ablation thin the same series. A corpus has whole-second times, so
 // float64(DurSec) is the job's Runtime().Seconds(). Callers must not
-// modify the slices.
+// modify the slices. Each series is allocated once, at its exact length.
 func (o *JobOrders) FailureRuntimes() *[joblog.NumFamilies][]float64 {
 	o.failRtOnce.Do(func() {
 		v := o.d.JobView()
+		var n [joblog.NumFamilies]int
+		for i, f := range v.Family {
+			if f != 0 && v.DurSec[i] > 0 {
+				n[f]++
+			}
+		}
+		for f, c := range n {
+			o.failRt[f] = make([]float64, 0, c)
+		}
 		for i, f := range v.Family {
 			if d := v.DurSec[i]; f != 0 && d > 0 {
 				o.failRt[f] = append(o.failRt[f], float64(d))

@@ -139,7 +139,6 @@ const (
 	kFamilies = iota
 	kUsers
 	kProjects
-	kJointTally
 	kTemporalJobs // last: wholeTable appends a second temporal state
 )
 
@@ -152,12 +151,11 @@ const (
 	kTemporalFatals
 )
 
-func fusedJobKernels(jv *scan.JobView, joint *jointKernel, tk *temporalJobKernel) []JobKernel {
+func fusedJobKernels(jv *scan.JobView, tk *temporalJobKernel) []JobKernel {
 	return []JobKernel{
 		&tallyKernel[uint8]{"family", joblog.NumFamilies, func(v *scan.JobView) []uint8 { return v.Family }},
 		&tallyKernel[int32]{"user", len(jv.Users), func(v *scan.JobView) []int32 { return v.UserID }},
 		&tallyKernel[int32]{"project", len(jv.Projects), func(v *scan.JobView) []int32 { return v.ProjectID }},
-		joint,
 		tk,
 	}
 }
@@ -174,11 +172,11 @@ func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
 }
 
 // wholeScan is a Dataset's memoized whole-table scan state: the merged
-// state of every fused kernel over all rows, the all-FATAL joint kernel,
+// state of every fused kernel over all rows, the joint attribution index,
 // and the job-side span extremes. States are read-only once built; the
 // finishing step only reads them.
 type wholeScan struct {
-	joint  *jointKernel
+	joint  *jointIndex
 	jobs   []JobState   // indexed by the kFamilies… job slots
 	events []EventState // indexed by the kSeverities… event slots
 	// jobStart/jobEnd are the earliest submit and latest end over all
@@ -204,11 +202,11 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 			testHookWholeScan(d)
 		}
 		jv, ev := d.JobView(), d.EventView()
-		w := &wholeScan{joint: newJointKernel(d, DefaultJointOptions())}
+		w := &wholeScan{joint: newJointIndex(d)}
 		d.whole = w
 		w.jobStart, w.jobEnd, _ = d.jobExtremes(nil)
 		tk := newTemporalJobKernel(d)
-		kernels := fusedJobKernels(jv, w.joint, tk)
+		kernels := fusedJobKernels(jv, tk)
 		if w.jobStart != tk.startUnix {
 			kernels = append(kernels, newTemporalJobKernelSpan(w.jobStart, w.jobEnd))
 		}
@@ -264,8 +262,9 @@ func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
 
 // fusedScanSel runs the fused kernels restricted to the given row
 // selections (nil = all rows on that side). A nil side takes its states
-// from the whole-table memo; only the job kernels whose state depends on
-// the other side re-run over the whole job table (DESIGN.md §14).
+// from the whole-table memo; only the temporal job bins, whose state
+// depends on the span, may re-run over the whole job table, and the joint
+// tally is counted from the memo's attribution index (DESIGN.md §14).
 func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*FusedProfile, error) {
 	w, err := d.wholeTable(workers)
 	if err != nil {
@@ -280,60 +279,45 @@ func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*F
 	tk := newTemporalJobKernelSpan(start, end)
 
 	ests := w.events
-	joint := w.joint
 	if eventSel != nil {
 		if ests, err = scan.Run(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
 			return nil, err
 		}
-		joint = newJointKernelWhere(d, DefaultJointOptions(), eventSel)
 	}
-	kernels := fusedJobKernels(jv, joint, tk)
+	kernels := fusedJobKernels(jv, tk)
 	var jsts []JobState
 	if jobSel != nil {
 		if jsts, err = scan.Run(jv, jv.N, jobSel, kernels, workers); err != nil {
 			return nil, err
 		}
 	} else {
-		// Every job: only the joint tally (which reads the event
-		// selection) and the temporal bins (which read the span's start)
+		// Every job: only the temporal bins, which read the span's start,
 		// can differ from the memo.
 		jsts = append([]JobState(nil), w.jobs...)
-		var redo []int
-		if eventSel != nil {
-			redo = append(redo, kJointTally)
-		}
 		if ts := w.temporalFrom(tk.startUnix); ts != nil {
 			jsts[kTemporalJobs] = ts
 		} else {
-			redo = append(redo, kTemporalJobs)
-		}
-		if len(redo) > 0 {
-			sub := make([]JobKernel, len(redo))
-			for i, k := range redo {
-				sub[i] = kernels[k]
-			}
-			sts, err := scan.Run(jv, jv.N, nil, sub, workers)
+			sts, err := scan.Run(jv, jv.N, nil, kernels[kTemporalJobs:], workers)
 			if err != nil {
 				return nil, err
 			}
-			for i, k := range redo {
-				jsts[k] = sts[i]
-			}
+			jsts[kTemporalJobs] = sts[0]
 		}
 	}
-	return d.finishProfile(jobSel, jsts, ests, start, end), nil
+	return d.finishProfile(jobSel, jsts, ests, w.joint.count(jobSel, eventSel), start, end), nil
 }
 
-// finishProfile assembles a profile from merged kernel states. It only
-// reads the states, so memoized ones can be finished any number of times.
-func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, start, end int64) *FusedProfile {
+// finishProfile assembles a profile from merged kernel states and the
+// cohort's count of system-caused failures. It only reads the states, so
+// memoized ones can be finished any number of times.
+func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, sysFails int, start, end int64) *FusedProfile {
 	jv, ev := d.JobView(), d.EventView()
 	p := &FusedProfile{jv: jv, jobSel: jobSel}
 	fams := familyTotalsOf(jsts[kFamilies].(*tallyState[uint8]))
 	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
 	p.Exit = fams.exit()
 	p.Joint = p.Exit
-	p.Joint.SystemCause = jsts[kJointTally].(*jointState).sys
+	p.Joint.SystemCause = sysFails
 	p.Joint.UserCaused = p.Joint.Failed - p.Joint.SystemCause
 	p.userTally = jsts[kUsers].(*tallyState[int32])
 	p.projTally = jsts[kProjects].(*tallyState[int32])

@@ -304,7 +304,7 @@ func TestKernelProcessBlockAllocFree(t *testing.T) {
 	ev := d.EventView()
 	tk := newTemporalJobKernel(d)
 	blk := scan.BlockRows
-	for _, k := range fusedJobKernels(jv, newJointKernel(d, DefaultJointOptions()), tk) {
+	for _, k := range fusedJobKernels(jv, tk) {
 		st := k.NewState()
 		hi := min(blk, jv.N)
 		if avg := testing.AllocsPerRun(20, func() { st.ProcessBlock(jv, 0, hi) }); avg != 0 {

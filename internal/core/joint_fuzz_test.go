@@ -1,0 +1,122 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/bitmap"
+	"repro/internal/joblog"
+	"repro/internal/machine"
+	"repro/internal/sim"
+)
+
+var (
+	jointFuzzOnce sync.Once
+	jointFuzzD    *Dataset
+	jointFuzzErr  error
+)
+
+// jointFuzzDataset is the 30-day corpus the cohort fuzzer selects from,
+// built once per process: like a daemon's Dataset, its whole-table memo
+// and joint attribution index serve every cohort after the first.
+func jointFuzzDataset(t *testing.T) *Dataset {
+	t.Helper()
+	jointFuzzOnce.Do(func() {
+		c, err := sim.Generate(sim.SmallConfig())
+		if err != nil {
+			jointFuzzErr = err
+			return
+		}
+		jointFuzzD, jointFuzzErr = NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
+	})
+	if jointFuzzErr != nil {
+		t.Fatal(jointFuzzErr)
+	}
+	return jointFuzzD
+}
+
+// cohortFromBytes decodes a cohort predicate: the first three bytes pick a
+// job-side conjunct (none, one user, one exit family, a submit window, a
+// node bound, or failed jobs of one project) and the next three an
+// event-side one (none, FATAL, one rack, a time window, one midplane, or
+// one category). It returns "" when both sides are unconstrained.
+func cohortFromBytes(d *Dataset, b [6]byte) string {
+	jv, ev := d.JobView(), d.EventView()
+	var parts []string
+	switch b[0] % 6 {
+	case 1:
+		parts = append(parts, "user == "+jv.Users[int(b[1])%len(jv.Users)])
+	case 2:
+		fams := joblog.FailureFamilies()
+		parts = append(parts, fmt.Sprintf("exit == %s", fams[int(b[1])%len(fams)]))
+	case 3:
+		lo := jv.SubmitUnix[int(b[1])*jv.N/256]
+		parts = append(parts, fmt.Sprintf("submit >= %d and submit < %d", lo, lo+int64(b[2])*3600))
+	case 4:
+		parts = append(parts, fmt.Sprintf("nodes >= %d", 512<<(b[1]%5)))
+	case 5:
+		parts = append(parts, "exit != success and project == "+jv.Projects[int(b[1])%len(jv.Projects)])
+	}
+	switch b[3] % 6 {
+	case 1:
+		parts = append(parts, "sev == FATAL")
+	case 2:
+		rack, _ := machine.Rack(int(b[4]) % machine.NumRacks)
+		parts = append(parts, "rack == "+rack.String())
+	case 3:
+		lo := ev.TimeUnix[int(b[4])*ev.N/256]
+		parts = append(parts, fmt.Sprintf("time >= %d and time < %d", lo, lo+int64(b[5])*3600))
+	case 4:
+		mid, _ := machine.MidplaneByID(int(b[4]) % machine.TotalMidplanes)
+		parts = append(parts, "midplane == "+mid.String())
+	case 5:
+		parts = append(parts, "cat == "+ev.Cats[int(b[4])%len(ev.Cats)])
+	}
+	return strings.Join(parts, " and ")
+}
+
+// FuzzCohortJoint is the differential fuzzer of the joint attribution
+// index: for any cohort the bytes pick over the 30-day corpus, the joint
+// tally FusedScanWhere counts from the index equals the one the
+// unmemoized reference scan counts with the per-row oracle kernel. The
+// seventh byte picks the worker count.
+func FuzzCohortJoint(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 2, 7, 0, 0})
+	f.Add([]byte{5, 3, 0, 1, 0, 0, 2})
+	f.Add([]byte{2, 6, 0, 3, 128, 48, 3})
+	f.Add([]byte{3, 40, 200, 4, 17, 0, 1})
+	f.Add([]byte{4, 2, 0, 5, 1, 0, 0})
+	f.Add([]byte{1, 9, 0, 3, 30, 255, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b [7]byte
+		copy(b[:], data)
+		d := jointFuzzDataset(t)
+		where := cohortFromBytes(d, [6]byte(b[:6]))
+		workers := 1 + int(b[6])%4
+		var got *FusedProfile
+		var jobSel, eventSel *bitmap.Bitmap
+		var err error
+		if where == "" {
+			got, err = d.FusedScan(workers)
+		} else {
+			e := mustParse(t, where)
+			if got, err = d.FusedScanWhere(e, workers); err == nil {
+				jobSel, eventSel, err = d.CompileWhere(e)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", where, err)
+		}
+		want, err := referenceScanSel(d, jobSel, eventSel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Joint != want.Joint {
+			t.Fatalf("%q workers=%d: joint %+v, oracle %+v", where, workers, got.Joint, want.Joint)
+		}
+	})
+}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bitmap"
@@ -218,111 +219,102 @@ func (t *familyTotals) waste() *WasteResult {
 		}
 		res.ByFamily = append(res.ByFamily, row)
 	}
-	sort.Slice(res.ByFamily, func(i, j int) bool {
-		if res.ByFamily[i].CoreHours != res.ByFamily[j].CoreHours {
-			return res.ByFamily[i].CoreHours > res.ByFamily[j].CoreHours
-		}
-		return res.ByFamily[i].Family < res.ByFamily[j].Family
+	slices.SortFunc(res.ByFamily, func(a, b WasteRow) int {
+		return cmp.Or(cmp.Compare(b.CoreHours, a.CoreHours), cmp.Compare(a.Family, b.Family))
 	})
 	return res
 }
 
-// jointKernel feeds the joint (RAS-correlated) tally: the failed jobs RAS
-// correlation attributes to the system. The rest of the joint tally
-// (totals and per-family counts) is the by-family tally's. The kernel
-// precomputes the block-attributable FATAL streams once (locations at rack
-// level or finer, their times, and the directly attributed job ids) so
-// each shard only binary-searches the times array.
-type jointKernel struct {
-	d          *Dataset
-	locs       []machine.Location // block-attributable FATALs, time order
-	times      []int64            // their times, Unix seconds
-	attributed map[int64]bool     // job ids named by any FATAL event
-	tolSec     int64              // the tolerance in whole seconds
+// jointIndex lists the failed jobs RAS correlation attributes to the
+// system under DefaultJointOptions, each with the FATAL events that
+// attribute it: a FATAL naming the job's id, or a FATAL at rack level or
+// finer within the tolerance of the job's end on a block one of its tasks
+// ran on. It is stored flat: rows[i] is a job row, and its FATAL event rows
+// are fatals[off[i]:off[i+1]], ascending. A cohort's system-caused count is
+// then a walk over the few listed jobs, not a FATAL search per failed job.
+type jointIndex struct {
+	rows   []int32
+	off    []int32
+	fatals []int32
 }
 
-func newJointKernel(d *Dataset, opt JointOptions) *jointKernel {
-	return newJointKernelWhere(d, opt, nil)
-}
-
-// newJointKernelWhere restricts the kernel's FATAL streams to the selected
-// events (nil = all), so a cohort scan attributes failures exactly as a
-// dataset materialized from that selection would.
-func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) *jointKernel {
-	if opt.Tolerance <= 0 {
-		opt = DefaultJointOptions()
-	}
+// newJointIndex builds the index in two passes: one over the FATAL stream
+// for the FATALs naming a failed job, one over the failed jobs with tasks
+// for the block-attributable FATALs in each end window. Both emit (job
+// row, FATAL row) pairs, which one sort groups by job.
+func newJointIndex(d *Dataset) *jointIndex {
+	jv, times := d.JobView(), d.EventView().TimeUnix
 	// Times are whole seconds, so |t−end| ≤ tol holds exactly when
 	// |t−end| ≤ ⌊tol⌋.
-	k := &jointKernel{d: d, attributed: map[int64]bool{}, tolSec: int64(opt.Tolerance / time.Second)}
-	times := d.EventView().TimeUnix
+	tol := int64(DefaultJointOptions().Tolerance / time.Second)
+	var pairs []uint64 // job row << 32 | FATAL row
+	// The block-attributable FATALs in time order: rows, times, locations.
+	nf := len(d.fatalIdx)
+	near, nearT, nearLoc := make([]int32, 0, nf), make([]int64, 0, nf), make([]machine.Location, 0, nf)
 	for _, i := range d.fatalIdx {
-		if eventSel != nil && !eventSel.Contains(uint32(i)) {
-			continue
-		}
 		e := &d.Events[i]
 		if e.JobID != 0 {
-			k.attributed[e.JobID] = true
+			if p, ok := d.jobPos(e.JobID); ok && jv.Family[p] != 0 {
+				pairs = append(pairs, uint64(p)<<32|uint64(i))
+			}
 		}
-		if e.Loc.Level() < machine.LevelRack {
+		if e.Loc.Level() >= machine.LevelRack {
+			near, nearT, nearLoc = append(near, int32(i)), append(nearT, times[i]), append(nearLoc, e.Loc)
+		}
+	}
+	for row, fam := range jv.Family {
+		if fam == 0 || len(d.tasksOf[row]) == 0 {
 			continue
 		}
-		k.locs = append(k.locs, e.Loc)
-		k.times = append(k.times, times[i])
-	}
-	return k
-}
-
-func (k *jointKernel) Name() string       { return "joint-tally" }
-func (k *jointKernel) NewState() JobState { return &jointState{k: k} }
-
-type jointState struct {
-	k   *jointKernel
-	sys int // failed jobs attributed to the system
-}
-
-//mira:hotpath
-func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
-	k := s.k
-	fam, ids, ends := v.Family, v.ID, v.EndUnix
-	for i := lo; i < hi; i++ {
-		if fam[i] == 0 {
-			continue
-		}
-		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]) {
-			s.sys++
-		}
-	}
-}
-
-// fatalNearEnd reports whether a FATAL event within tol of the job's end
-// hits a block the job ran on.
-func (k *jointKernel) fatalNearEnd(row int, end int64) bool {
-	tasks := k.d.tasksOf[row]
-	if len(tasks) == 0 {
-		return false
-	}
-	times := k.times
-	lo, hi := 0, len(times)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if times[mid] < end-k.tolSec {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo; i < len(times) && times[i] <= end+k.tolSec; i++ {
-		for t := range tasks {
-			if tasks[t].Block.ContainsLocation(k.locs[i]) {
-				return true
+		tasks, end := d.tasksOf[row], jv.EndUnix[row]
+		k, _ := slices.BinarySearch(nearT, end-tol)
+		for ; k < len(near) && nearT[k] <= end+tol; k++ {
+			for t := range tasks {
+				if tasks[t].Block.ContainsLocation(nearLoc[k]) {
+					pairs = append(pairs, uint64(row)<<32|uint64(near[k]))
+					break
+				}
 			}
 		}
 	}
-	return false
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs) // a FATAL both naming and near the job
+	x := &jointIndex{fatals: make([]int32, len(pairs))}
+	for i, pr := range pairs {
+		if i == 0 || pr>>32 != pairs[i-1]>>32 {
+			x.rows = append(x.rows, int32(pr>>32))
+			x.off = append(x.off, int32(i))
+		}
+		x.fatals[i] = int32(uint32(pr))
+	}
+	x.off = append(x.off, int32(len(pairs)))
+	return x
 }
 
-func (s *jointState) Merge(other JobState) { s.sys += other.(*jointState).sys }
+// count returns the listed jobs the job selection holds that keep at
+// least one FATAL in the event selection (nil = all on that side): the
+// failed jobs RAS correlation attributes to the system in the cohort.
+//
+//mira:hotpath
+func (x *jointIndex) count(jobSel, eventSel *bitmap.Bitmap) int {
+	n := 0
+	for i, row := range x.rows {
+		if jobSel != nil && !jobSel.Contains(uint32(row)) {
+			continue
+		}
+		if eventSel == nil {
+			n++
+			continue
+		}
+		for _, e := range x.fatals[x.off[i]:x.off[i+1]] {
+			if eventSel.Contains(uint32(e)) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
 
 // temporalJobKernel feeds Temporal's job-side bins: hour-of-day, weekday,
 // month and day histograms of submissions and failures. All calendar math is

@@ -74,7 +74,7 @@ func TestKernelMergeLaw(t *testing.T) {
 	t0, t1 := d.Span()
 	start, end := t0.Unix(), t1.Unix()
 	tk := newTemporalJobKernel(d)
-	jobKernels := fusedJobKernels(jv, newJointKernel(d, DefaultJointOptions()), tk)
+	jobKernels := fusedJobKernels(jv, tk)
 	eventKernels := fusedEventKernels(ev, tk.monthCap)
 	bounds := func(cuts []int) []int { return []int{cuts[0], cuts[len(cuts)-1]} }
 
@@ -84,10 +84,10 @@ func TestKernelMergeLaw(t *testing.T) {
 		touch := rng.Intn(2) == 0
 		want := d.finishProfile(nil,
 			foldPieces(jv, jobKernels, bounds(jcuts), true),
-			foldPieces(ev, eventKernels, bounds(ecuts), true), start, end)
+			foldPieces(ev, eventKernels, bounds(ecuts), true), 0, start, end)
 		got := d.finishProfile(nil,
 			foldPieces(jv, jobKernels, jcuts, touch),
-			foldPieces(ev, eventKernels, ecuts, touch), start, end)
+			foldPieces(ev, eventKernels, ecuts, touch), 0, start, end)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: jobs cut at %v, events at %v: merged pieces differ from one state:\n got  %+v\nwant %+v",
 				trial, jcuts, ecuts, got, want)
@@ -96,7 +96,7 @@ func TestKernelMergeLaw(t *testing.T) {
 
 	want := d.finishProfile(nil,
 		foldPieces(jv, jobKernels, []int{0, jv.N}, true),
-		foldPieces(ev, eventKernels, []int{0, ev.N}, true), start, end)
+		foldPieces(ev, eventKernels, []int{0, ev.N}, true), 0, start, end)
 	for _, workers := range []int{1, 4} {
 		jsts, err := scan.Run(jv, jv.N, nil, jobKernels, workers)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestKernelMergeLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.finishProfile(nil, jsts, ests, start, end); !reflect.DeepEqual(got, want) {
+		if got := d.finishProfile(nil, jsts, ests, 0, start, end); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: scan.Run differs from the one-state fold", workers)
 		}
 	}

@@ -16,7 +16,7 @@ func Benchmark_WholeTableScan(b *testing.B) {
 	jv, ev := d.JobView(), d.EventView()
 	tk := newTemporalJobKernel(d)
 	b.Run("jobs", func(b *testing.B) {
-		kernels := fusedJobKernels(jv, newJointKernel(d, DefaultJointOptions()), tk)
+		kernels := fusedJobKernels(jv, tk)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

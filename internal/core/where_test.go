@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
+	"repro/internal/machine"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 	"repro/internal/sel"
 )
@@ -122,14 +126,15 @@ func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endU
 }
 
 // referenceScanSel is the unmemoized cohort scan: every kernel over both
-// selections with the span walked record by record — the oracle for
-// cohorts MaterializeWhere cannot build (an empty job side).
+// selections, the joint tally from the per-row oracle kernel, and the span
+// walked record by record — the oracle for cohorts MaterializeWhere cannot
+// build (an empty job side).
 func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfile, error) {
 	jv, ev := d.JobView(), d.EventView()
 	start, end := referenceSpan(d, jobSel, eventSel)
 	tk := newTemporalJobKernelSpan(start, end)
 	joint := newJointKernelWhere(d, DefaultJointOptions(), eventSel)
-	jsts, err := scan.Run(jv, jv.N, jobSel, fusedJobKernels(jv, joint, tk), 1)
+	jsts, err := scan.Run(jv, jv.N, jobSel, append(fusedJobKernels(jv, tk), joint), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +142,100 @@ func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfil
 	if err != nil {
 		return nil, err
 	}
-	return d.finishProfile(jobSel, jsts, ests, start, end), nil
+	return d.finishProfile(jobSel, jsts, ests, jsts[len(jsts)-1].(*jointState).sys, start, end), nil
 }
+
+// jointKernel is the oracle of the joint attribution index: a per-row
+// kernel counting the failed jobs RAS correlation attributes to the
+// system. It precomputes the block-attributable FATAL streams once
+// (locations at rack level or finer, their times, and the directly
+// attributed job ids) so each shard only binary-searches the times array.
+type jointKernel struct {
+	d          *Dataset
+	locs       []machine.Location // block-attributable FATALs, time order
+	times      []int64            // their times, Unix seconds
+	attributed map[int64]bool     // job ids named by any FATAL event
+	tolSec     int64              // the tolerance in whole seconds
+}
+
+// newJointKernelWhere restricts the kernel's FATAL streams to the selected
+// events (nil = all), so a cohort scan attributes failures exactly as a
+// dataset materialized from that selection would.
+func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) *jointKernel {
+	if opt.Tolerance <= 0 {
+		opt = DefaultJointOptions()
+	}
+	// Times are whole seconds, so |t−end| ≤ tol holds exactly when
+	// |t−end| ≤ ⌊tol⌋.
+	k := &jointKernel{d: d, attributed: map[int64]bool{}, tolSec: int64(opt.Tolerance / time.Second)}
+	times := d.EventView().TimeUnix
+	for _, i := range d.fatalIdx {
+		if eventSel != nil && !eventSel.Contains(uint32(i)) {
+			continue
+		}
+		e := &d.Events[i]
+		if e.JobID != 0 {
+			k.attributed[e.JobID] = true
+		}
+		if e.Loc.Level() < machine.LevelRack {
+			continue
+		}
+		k.locs = append(k.locs, e.Loc)
+		k.times = append(k.times, times[i])
+	}
+	return k
+}
+
+func (k *jointKernel) Name() string       { return "joint-tally" }
+func (k *jointKernel) NewState() JobState { return &jointState{k: k} }
+
+type jointState struct {
+	k   *jointKernel
+	sys int // failed jobs attributed to the system
+}
+
+//mira:hotpath
+func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
+	k := s.k
+	fam, ids, ends := v.Family, v.ID, v.EndUnix
+	for i := lo; i < hi; i++ {
+		if fam[i] == 0 {
+			continue
+		}
+		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]) {
+			s.sys++
+		}
+	}
+}
+
+// fatalNearEnd reports whether a FATAL event within tol of the job's end
+// hits a block the job ran on.
+func (k *jointKernel) fatalNearEnd(row int, end int64) bool {
+	tasks := k.d.tasksOf[row]
+	if len(tasks) == 0 {
+		return false
+	}
+	times := k.times
+	lo, hi := 0, len(times)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if times[mid] < end-k.tolSec {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < len(times) && times[i] <= end+k.tolSec; i++ {
+		for t := range tasks {
+			if tasks[t].Block.ContainsLocation(k.locs[i]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (s *jointState) Merge(other JobState) { s.sys += other.(*jointState).sys }
 
 // profileFields compares every exported aggregate of two fused profiles.
 func profileFields(t *testing.T, label string, got, want *FusedProfile) {
@@ -542,6 +639,213 @@ func TestIndexStats(t *testing.T) {
 	for _, s := range stats {
 		if s.Rows > 0 && s.Bytes == 0 {
 			t.Errorf("%s.%s: %d rows but zero compressed bytes", s.Domain, s.Column, s.Rows)
+		}
+	}
+}
+
+// jointEdgeCorpus is the 90-day corpus plus the records a joint
+// attribution must handle as the per-row kernel does: a failed job without
+// tasks named by a FATAL (attributed), a failed job without tasks with a
+// rack FATAL at its end (not attributed: no block), a FATAL naming an
+// absent job id, one naming a successful job, system-level FATALs at the
+// ends of failed jobs that ran tasks (attributed only where they name the
+// job), block FATALs exactly at and one second past the tolerance on
+// either side, and a block FATAL that also names its job. It returns the
+// records and the rows of the two taskless jobs.
+func jointEdgeCorpus(t *testing.T) (jobs []joblog.Job, events []raslog.Event, named, unnamed int) {
+	t.Helper()
+	d, c := dataset(t)
+	jobs = append([]joblog.Job(nil), c.Jobs...)
+	events = append([]raslog.Event(nil), c.Events...)
+	maxID, maxRec := int64(0), int64(0)
+	for i := range jobs {
+		maxID = max(maxID, jobs[i].ID)
+	}
+	for i := range events {
+		maxRec = max(maxRec, events[i].RecID)
+	}
+	tmpl := events[d.fatalIdx[0]]
+	fatal := func(at time.Time, loc machine.Location, jobID int64) {
+		maxRec++
+		e := tmpl
+		e.RecID, e.Time, e.Loc, e.JobID = maxRec, at, loc, jobID
+		events = append(events, e)
+	}
+	onBlock := func(row int) machine.Location {
+		loc, err := machine.MidplaneByID(d.tasksOf[row][0].Block.MidplaneIDs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loc
+	}
+	rack0, err := machine.Rack(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []int // failed jobs with tasks
+	succeeded := -1
+	for i := range jobs {
+		switch {
+		case joblog.Family(jobs[i].ExitStatus) == joblog.FamilySuccess:
+			if succeeded < 0 {
+				succeeded = i
+			}
+		case len(d.tasksOf[i]) > 0:
+			failed = append(failed, i)
+		}
+	}
+	if len(failed) < 40 || succeeded < 0 {
+		t.Fatal("corpus has too few failed jobs with tasks")
+	}
+	tol := DefaultJointOptions().Tolerance
+	for k := 0; k < 6; k++ {
+		j := &jobs[failed[k]]
+		if k == 0 {
+			fatal(j.End, machine.System(), j.ID) // names the job: attributed
+		} else {
+			fatal(j.End.Add(time.Duration(k)*time.Second), machine.System(), 0)
+		}
+	}
+	fatal(jobs[failed[10]].End.Add(tol), onBlock(failed[10]), 0)
+	fatal(jobs[failed[15]].End.Add(-tol), onBlock(failed[15]), 0)
+	fatal(jobs[failed[20]].End.Add(-tol-time.Second), onBlock(failed[20]), 0)
+	fatal(jobs[failed[25]].End.Add(tol+time.Second), onBlock(failed[25]), 0)
+	fatal(jobs[failed[30]].End, onBlock(failed[30]), jobs[failed[30]].ID)
+	fatal(jobs[succeeded].End, onBlock(succeeded), jobs[succeeded].ID)
+	for k := 1; k <= 2; k++ {
+		j := jobs[failed[len(failed)/2]]
+		j.ID, j.ExitStatus = maxID+int64(k), joblog.ExitGeneralError
+		jobs = append(jobs, j)
+		if k == 1 {
+			fatal(j.End.Add(-time.Hour), rack0, j.ID)
+		} else {
+			fatal(j.End, rack0, 0)
+		}
+	}
+	fatal(jobs[0].End, rack0, maxID+100) // names no job
+	return jobs, events, len(jobs) - 2, len(jobs) - 1
+}
+
+// TestJointIndexMatchesKernel checks the joint attribution index against
+// the per-row kernel it replaced, on the edge-case corpus: the cohort
+// joint tally equals the kernel's count under every pairing of the event
+// selections (nil, empty, all FATAL, a time window, one rack) and job
+// selections (nil, sparse, dense) at 1, 4 and GOMAXPROCS workers, each
+// worker count on a cold Dataset. Each listed job's FATAL list is checked
+// entry by entry: every entry alone attributes the job, and the FATALs
+// outside the list attribute nothing. The count allocates nothing.
+func TestJointIndexMatchesKernel(t *testing.T) {
+	jobs, events, named, unnamed := jointEdgeCorpus(t)
+	_, c := dataset(t)
+	fresh := func() *Dataset {
+		d, err := NewDataset(jobs, c.Tasks, events, c.IO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	probe := fresh()
+	jv := probe.JobView()
+	kernelCount := func(d *Dataset, jobSel, eventSel *bitmap.Bitmap, workers int) int {
+		t.Helper()
+		sts, err := scan.Run(jv, jv.N, jobSel, []JobKernel{newJointKernelWhere(d, DefaultJointOptions(), eventSel)}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sts[0].(*jointState).sys
+	}
+
+	w, err := probe.wholeTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := w.joint
+	if len(x.rows) == 0 || len(x.off) != len(x.rows)+1 || int(x.off[len(x.rows)]) != len(x.fatals) {
+		t.Fatalf("malformed index: %d rows, %d offsets, %d entries", len(x.rows), len(x.off), len(x.fatals))
+	}
+	if !slices.Contains(x.rows, int32(named)) || slices.Contains(x.rows, int32(unnamed)) {
+		t.Errorf("taskless jobs: named listed=%v (want true), unnamed listed=%v (want false)",
+			slices.Contains(x.rows, int32(named)), slices.Contains(x.rows, int32(unnamed)))
+	}
+	allFatal := bitmap.New()
+	for _, i := range probe.fatalIdx {
+		allFatal.Add(uint32(i))
+	}
+	for i, row := range x.rows {
+		only := bitmap.New()
+		only.Add(uint32(row))
+		list := x.fatals[x.off[i]:x.off[i+1]]
+		if len(list) == 0 {
+			t.Fatalf("row %d: empty FATAL list", row)
+		}
+		for k := 1; k < len(list); k++ {
+			if list[k] <= list[k-1] {
+				t.Fatalf("row %d: FATAL list %v is not strictly ascending", row, list)
+			}
+		}
+		for _, e := range list {
+			one := bitmap.New()
+			one.Add(uint32(e))
+			if kernelCount(probe, only, one, 1) != 1 {
+				t.Errorf("row %d: listed FATAL %d does not attribute it", row, e)
+			}
+		}
+		rest := bitmap.New()
+		for _, e := range probe.fatalIdx {
+			if _, found := slices.BinarySearch(list, int32(e)); !found {
+				rest.Add(uint32(e))
+			}
+		}
+		if kernelCount(probe, only, rest, 1) != 0 {
+			t.Errorf("row %d: a FATAL outside its list attributes it", row)
+		}
+	}
+
+	start, end := probe.Span()
+	mid := start.Add(end.Sub(start) / 2)
+	window, err := probe.SelectEvents(mustParse(t, fmt.Sprintf("time >= %d and time < %d", mid.Unix(), mid.Add(10*24*time.Hour).Unix())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack, err := probe.SelectEvents(mustParse(t, "rack == R00"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, dense := bitmap.New(), bitmap.New()
+	for i := 0; i < jv.N; i++ {
+		if i%11 == 0 || i >= named {
+			sparse.Add(uint32(i))
+		}
+		if i%4 != 0 {
+			dense.Add(uint32(i))
+		}
+	}
+	eventSels := []struct {
+		name string
+		b    *bitmap.Bitmap
+	}{{"nil", nil}, {"empty", bitmap.New()}, {"all FATAL", allFatal}, {"window", window}, {"rack", rack}}
+	jobSels := []struct {
+		name string
+		b    *bitmap.Bitmap
+	}{{"nil", nil}, {"sparse", sparse}, {"dense", dense}}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		d := fresh()
+		for _, js := range jobSels {
+			for _, es := range eventSels {
+				p, err := d.fusedScanSel(js.b, es.b, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := p.Exit
+				want.SystemCause = kernelCount(d, js.b, es.b, workers)
+				want.UserCaused = want.Failed - want.SystemCause
+				if p.Joint != want {
+					t.Errorf("workers=%d jobs=%s events=%s: joint %+v, kernel gives %+v", workers, js.name, es.name, p.Joint, want)
+				}
+				if avg := testing.AllocsPerRun(5, func() { d.whole.joint.count(js.b, es.b) }); avg != 0 {
+					t.Errorf("jobs=%s events=%s: the joint count allocates %.1f times", js.name, es.name, avg)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -277,11 +278,19 @@ func E6(env *Env) (*Result, error) {
 		if !ok || best.Err != nil {
 			continue
 		}
-		raw := core.Thin(runtimes[joblog.FamilyCode(f.Family)], 5000)
-		if len(raw) == 0 {
+		series := runtimes[joblog.FamilyCode(f.Family)]
+		if len(series) == 0 {
 			continue
 		}
-		_, polishedKS, mleKS, err := dist.KSPolish(p, dist.NewSample(raw), 20)
+		// One copy, sorted in place: Thin copies a longer series and
+		// returns a shorter one as is, and the shared series must keep
+		// its job order.
+		raw := core.Thin(series, 5000)
+		if len(raw) == len(series) {
+			raw = slices.Clone(series)
+		}
+		stats.SortFloat64s(raw)
+		_, polishedKS, mleKS, err := dist.KSPolish(p, dist.NewSampleSorted(raw), 20)
 		if err != nil {
 			return nil, err
 		}
