@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +229,32 @@ func TestLocalityOnCorpus(t *testing.T) {
 		for i := 1; i < len(res.Counts); i++ {
 			if res.Counts[i].Count > res.Counts[i-1].Count {
 				t.Fatalf("%v: counts not sorted", level)
+			}
+		}
+	}
+	// Tied counts order by location name: every rack and midplane, given
+	// in reverse, comes back in name order.
+	for _, level := range []machine.Level{machine.LevelRack, machine.LevelMidplane} {
+		n := machine.NumRacks
+		if level == machine.LevelMidplane {
+			n = machine.TotalMidplanes
+		}
+		dense := make([]int, n)
+		for i := range dense {
+			dense[i] = 1
+		}
+		counts, err := locationCounts(level, dense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(counts)
+		res, err := localityFromCounts(level, counts, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(res.Counts); i++ {
+			if a, b := res.Counts[i-1].Loc.String(), res.Counts[i].Loc.String(); a >= b {
+				t.Fatalf("%v: tied locations out of name order: %s before %s", level, a, b)
 			}
 		}
 	}
