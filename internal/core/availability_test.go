@@ -13,9 +13,9 @@ import (
 func serviceScenario(t *testing.T) []raslog.Event {
 	t.Helper()
 	base := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	locA := machine.MustMidplane(3, 0)
-	locB := machine.MustMidplane(40, 1)
-	locC := machine.MustMidplane(10, 0)
+	locA := mustMidplane(t, 3, 0)
+	locB := mustMidplane(t, 40, 1)
+	locC := mustMidplane(t, 10, 0)
 	mk := func(id int64, msg string, at time.Time, loc machine.Location) raslog.Event {
 		return raslog.Event{
 			RecID: id, MsgID: msg, Comp: raslog.CompMMCS, Cat: raslog.CatInfra,
@@ -97,4 +97,14 @@ func TestAvailabilityOnCorpus(t *testing.T) {
 	if res.MedianRepairH < 2.8 || res.MedianRepairH > 5.2 {
 		t.Errorf("median repair %vh, want ≈4", res.MedianRepairH)
 	}
+}
+
+// mustMidplane returns midplane Rr-Mm, failing the test on invalid input.
+func mustMidplane(t *testing.T, r, m int) machine.Location {
+	t.Helper()
+	loc, err := machine.Midplane(r, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loc
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/iolog"
 	"repro/internal/joblog"
+	"repro/internal/par"
 	"repro/internal/raslog"
 	"repro/internal/scan"
 	"repro/internal/tasklog"
@@ -66,31 +67,27 @@ type Dataset struct {
 
 	// SoA column views of the hot job/event columns for the fused scan
 	// engine, built lazily on first use — or adopted straight from mirapack
-	// column decode via AdoptViews, skipping the AoS re-walk. The Once pair
-	// guards each view so concurrent analyses build it exactly once.
-	jobViewOnce   sync.Once
-	jobView       *scan.JobView
-	eventViewOnce sync.Once
-	eventView     *scan.EventView
+	// column decode via AdoptViews, skipping the AoS re-walk. Each view's
+	// memo lets concurrent analyses build it exactly once.
+	jobView   par.Memo[*scan.JobView]
+	eventView par.Memo[*scan.EventView]
 
 	// Interned similarity keys of the FATAL/WARN views, one entry per key
 	// configuration (severity, Spatial, SameMessage), built lazily by the
 	// filter entry points (filtering.go). Keys are window-independent, so
 	// one interning serves every window an analysis sweeps.
 	keyMu   sync.Mutex
-	keyMemo map[keyConfig]*keyMemo
+	keyMemo map[keyConfig]*par.Memo[internedKeys]
 
 	// Selection machinery: per-dimension bitmap indexes over the column
 	// views plus the compiled-predicate cache, built lazily on the first
 	// SelectJobs/SelectEvents/FusedScanWhere call (selindex.go).
-	selOnce sync.Once
-	selx    *selIndexes
+	selx par.Memo[*selIndexes]
 
 	// Whole-table scan state of the fused kernels and the joint attribution
 	// index, built on the first FusedScan or cohort scan and reused by
 	// every later one (fused.go).
-	wholeOnce sync.Once
-	whole     *wholeScan
+	whole par.Memo[*wholeScan]
 
 	start, end time.Time
 }

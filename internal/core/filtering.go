@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -288,12 +287,6 @@ type keyConfig struct {
 	sameMessage bool
 }
 
-// keyMemo is one key configuration's interned keys, built once.
-type keyMemo struct {
-	once sync.Once
-	ik   internedKeys
-}
-
 // filterKeys returns the interned similarity keys of the dataset's sev view
 // (idx) under the rule's key configuration, interning them on first use.
 // Every window and every later call with the same configuration reuses
@@ -304,14 +297,14 @@ func (d *Dataset) filterKeys(sev raslog.Severity, idx []int, rule FilterRule) in
 	m := d.keyMemo[kc]
 	if m == nil {
 		if d.keyMemo == nil {
-			d.keyMemo = make(map[keyConfig]*keyMemo)
+			d.keyMemo = make(map[keyConfig]*par.Memo[internedKeys])
 		}
-		m = &keyMemo{}
+		m = &par.Memo[internedKeys]{}
 		d.keyMemo[kc] = m
 	}
 	d.keyMu.Unlock()
-	m.once.Do(func() { m.ik = internKeys(d.Events, idx, rule) })
-	return m.ik
+	ik, _ := m.Get(func() (internedKeys, error) { return internKeys(d.Events, idx, rule), nil })
+	return ik
 }
 
 // filterView coalesces one of the dataset's severity views under the rule,

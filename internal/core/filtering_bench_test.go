@@ -3,10 +3,10 @@ package core
 import (
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/raslog"
 	"repro/internal/sim"
 )
@@ -16,30 +16,25 @@ import (
 // reference (severity re-scan + key recomputation per window) on the same
 // corpus and reports the ratio as "speedup".
 
-var (
-	fbOnce sync.Once
-	fbD    *Dataset
-	fbErr  error
-)
+var fbData par.Memo[*Dataset]
 
 func benchDataset(b *testing.B) *Dataset {
 	b.Helper()
-	fbOnce.Do(func() {
+	d, err := fbData.Get(func() (*Dataset, error) {
 		cfg := sim.SmallConfig()
 		cfg.Days = 90
 		cfg.NumUsers = 200
 		cfg.NumProjects = 60
 		c, err := sim.Generate(cfg)
 		if err != nil {
-			fbErr = err
-			return
+			return nil, err
 		}
-		fbD, fbErr = NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
+		return NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
 	})
-	if fbErr != nil {
-		b.Fatal(fbErr)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return fbD
+	return d
 }
 
 func sweepWindows() []time.Duration {

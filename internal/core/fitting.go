@@ -96,7 +96,7 @@ func (o *JobOrders) FitExecutionLengths(opt FitOptions) ([]FamilyFit, error) {
 // float64(DurSec) is the job's Runtime().Seconds(). Callers must not
 // modify the slices. Each series is allocated once, at its exact length.
 func (o *JobOrders) FailureRuntimes() *[joblog.NumFamilies][]float64 {
-	o.failRtOnce.Do(func() {
+	rt, _ := o.failRt.Get(func() (*[joblog.NumFamilies][]float64, error) {
 		v := o.d.JobView()
 		var n [joblog.NumFamilies]int
 		for i, f := range v.Family {
@@ -104,16 +104,18 @@ func (o *JobOrders) FailureRuntimes() *[joblog.NumFamilies][]float64 {
 				n[f]++
 			}
 		}
+		rt := new([joblog.NumFamilies][]float64)
 		for f, c := range n {
-			o.failRt[f] = make([]float64, 0, c)
+			rt[f] = make([]float64, 0, c)
 		}
 		for i, f := range v.Family {
 			if d := v.DurSec[i]; f != 0 && d > 0 {
-				o.failRt[f] = append(o.failRt[f], float64(d))
+				rt[f] = append(rt[f], float64(d))
 			}
 		}
+		return rt, nil
 	})
-	return &o.failRt
+	return rt
 }
 
 // Thin deterministically subsamples data down to k points (every n/k-th

@@ -187,7 +187,6 @@ type wholeScan struct {
 	// start and, when it differs, from jobStart: the start of every
 	// cohort that selects all jobs and no event before the first submit.
 	temporal []*temporalJobState
-	err      error
 }
 
 // testHookWholeScan, when set, is called each time a Dataset builds its
@@ -197,13 +196,12 @@ var testHookWholeScan func(*Dataset)
 // wholeTable returns the dataset's whole-table scan state, running the
 // fused kernels over every row on first use (fanned out over workers).
 func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
-	d.wholeOnce.Do(func() {
+	return d.whole.Get(func() (*wholeScan, error) {
 		if testHookWholeScan != nil {
 			testHookWholeScan(d)
 		}
 		jv, ev := d.JobView(), d.EventView()
 		w := &wholeScan{joint: newJointIndex(d)}
-		d.whole = w
 		w.jobStart, w.jobEnd, _ = d.jobExtremes(nil)
 		tk := newTemporalJobKernel(d)
 		kernels := fusedJobKernels(jv, tk)
@@ -212,16 +210,15 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 		}
 		sts, err := scan.Run(jv, jv.N, nil, kernels, workers)
 		if err != nil {
-			w.err = err
-			return
+			return w, err
 		}
 		w.jobs = sts[:kTemporalJobs+1]
 		for _, st := range sts[kTemporalJobs:] {
 			w.temporal = append(w.temporal, st.(*temporalJobState))
 		}
-		w.events, w.err = scan.Run(ev, ev.N, nil, fusedEventKernels(ev, tk.monthCap), workers)
+		w.events, err = scan.Run(ev, ev.N, nil, fusedEventKernels(ev, tk.monthCap), workers)
+		return w, err
 	})
-	return d.whole, d.whole.err
 }
 
 // temporalFrom returns the memoized all-jobs temporal state whose day bins

@@ -3,38 +3,33 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
-var (
-	jointFuzzOnce sync.Once
-	jointFuzzD    *Dataset
-	jointFuzzErr  error
-)
+var jointFuzzData par.Memo[*Dataset]
 
 // jointFuzzDataset is the 30-day corpus the cohort fuzzer selects from,
 // built once per process: like a daemon's Dataset, its whole-table memo
 // and joint attribution index serve every cohort after the first.
 func jointFuzzDataset(t *testing.T) *Dataset {
 	t.Helper()
-	jointFuzzOnce.Do(func() {
+	d, err := jointFuzzData.Get(func() (*Dataset, error) {
 		c, err := sim.Generate(sim.SmallConfig())
 		if err != nil {
-			jointFuzzErr = err
-			return
+			return nil, err
 		}
-		jointFuzzD, jointFuzzErr = NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
+		return NewDataset(c.Jobs, c.Tasks, c.Events, c.IO)
 	})
-	if jointFuzzErr != nil {
-		t.Fatal(jointFuzzErr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return jointFuzzD
+	return d
 }
 
 // cohortFromBytes decodes a cohort predicate: the first three bytes pick a

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/joblog"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
 // JobOrders is the order-statistics layer over a dataset's jobs: each job
 // attribute the structure, runtime, queue and resubmission analyses rank or
 // take quantiles of is sorted once and shared. NewJobOrders is O(1); every
-// entry is built on first use under its own sync.Once, so a JobOrders is
+// entry is built on first use under its own par.Memo, so a JobOrders is
 // safe for concurrent use and pays only for the entries its callers read.
 //
 // Orders are taken on integer keys wherever the analysed float grows with
@@ -20,35 +20,39 @@ import (
 type JobOrders struct {
 	d *Dataset
 
-	nodes, tasks, runtime, wait, coreHours column
+	nodes, tasks, runtime, wait, coreHours par.Memo[*column]
 
-	failOnce  sync.Once
-	failRanks []float64
-
-	failRtOnce sync.Once
-	failRt     [joblog.NumFamilies][]float64
-
-	userOnce   sync.Once
-	userSubmit []int32
+	failRanks  par.Memo[[]float64]
+	failRt     par.Memo[*[joblog.NumFamilies][]float64]
+	userSubmit par.Memo[[]int32]
 }
 
 // column is one job attribute sorted once.
 type column struct {
-	once sync.Once
 	// order lists the rows by ascending value, ties by row; sorted is the
 	// attribute in that order.
 	order  []int32
 	sorted []float64
 
-	rankOnce sync.Once
-	ranks    []float64
+	ranks par.Memo[[]float64]
 }
 
 // rank returns the attribute's fractional ranks per job, aligned with
 // Jobs, computing them on first use.
 func (c *column) rank() []float64 {
-	c.rankOnce.Do(func() { c.ranks = stats.RanksSorted(c.order, c.sorted) })
-	return c.ranks
+	r, _ := c.ranks.Get(func() ([]float64, error) { return stats.RanksSorted(c.order, c.sorted), nil })
+	return r
+}
+
+// memoColumn returns the column memoized in m, building it with fill on
+// first use.
+func memoColumn(m *par.Memo[*column], fill func(c *column)) *column {
+	c, _ := m.Get(func() (*column, error) {
+		c := &column{}
+		fill(c)
+		return c, nil
+	})
+	return c
 }
 
 // NewJobOrders returns the (still empty) order layer over d's jobs.
@@ -68,37 +72,30 @@ func fillInts[K int32 | int64](c *column, key []K, val func(K) float64) {
 
 // nodesCol is the allocated block size per job.
 func (o *JobOrders) nodesCol() *column {
-	c := &o.nodes
-	c.once.Do(func() { fillInts(c, o.d.JobView().Nodes, func(n int32) float64 { return float64(n) }) })
-	return c
+	return memoColumn(&o.nodes, func(c *column) { fillInts(c, o.d.JobView().Nodes, func(n int32) float64 { return float64(n) }) })
 }
 
 // tasksCol is the physical task count per job.
 func (o *JobOrders) tasksCol() *column {
-	c := &o.tasks
-	c.once.Do(func() {
+	return memoColumn(&o.tasks, func(c *column) {
 		tasks := make([]int64, len(o.d.Jobs))
 		for i := range o.d.Jobs {
 			tasks[i] = int64(o.d.Jobs[i].NumTasks)
 		}
 		fillInts(c, tasks, func(n int64) float64 { return float64(n) })
 	})
-	return c
 }
 
 // runtimeCol is the execution length per job in hours.
 func (o *JobOrders) runtimeCol() *column {
-	c := &o.runtime
-	c.once.Do(func() {
+	return memoColumn(&o.runtime, func(c *column) {
 		fillInts(c, o.d.JobView().DurSec, func(d int64) float64 { return (time.Duration(d) * time.Second).Hours() })
 	})
-	return c
 }
 
 // waitCol is the queue wait per job in seconds, clamped at zero.
 func (o *JobOrders) waitCol() *column {
-	c := &o.wait
-	c.once.Do(func() {
+	return memoColumn(&o.wait, func(c *column) {
 		v := o.d.JobView()
 		waits := make([]int64, v.N)
 		for i := range waits {
@@ -106,14 +103,12 @@ func (o *JobOrders) waitCol() *column {
 		}
 		fillInts(c, waits, func(w int64) float64 { return float64(w) })
 	})
-	return c
 }
 
 // coreHoursCol is joblog.Job.CoreHours per job. Its float expression is
 // not monotone in any integer column, so it sorts by the float key.
 func (o *JobOrders) coreHoursCol() *column {
-	c := &o.coreHours
-	c.once.Do(func() {
+	return memoColumn(&o.coreHours, func(c *column) {
 		v := o.d.JobView()
 		vals := make([]float64, v.N)
 		for i, d := range v.DurSec {
@@ -121,7 +116,6 @@ func (o *JobOrders) coreHoursCol() *column {
 		}
 		c.order, c.sorted = stats.SortOrder(vals)
 	})
-	return c
 }
 
 // failRank is the ranks of the per-job failure indicator (1 failed, 0
@@ -131,8 +125,8 @@ func (o *JobOrders) coreHoursCol() *column {
 // of z+1..n, each formed by stats.RanksSorted's expression, so the bits
 // are those of stats.Ranks.
 func (o *JobOrders) failRank() []float64 {
-	o.failOnce.Do(func() { o.failRanks = indicatorRanks(o.d.JobView().Family) })
-	return o.failRanks
+	r, _ := o.failRanks.Get(func() ([]float64, error) { return indicatorRanks(o.d.JobView().Family), nil })
+	return r
 }
 
 // indicatorRanks returns the fractional ranks of the indicator fam[i] != 0.
@@ -159,12 +153,12 @@ func indicatorRanks(fam []uint8) []float64 {
 // byUserSubmit lists the rows ordered by (user, submit time, job id): the
 // id order, stably re-sorted by the submit second, then the user.
 func (o *JobOrders) byUserSubmit() []int32 {
-	o.userOnce.Do(func() {
+	perm, _ := o.userSubmit.Get(func() ([]int32, error) {
 		v := o.d.JobView()
 		perm := append([]int32(nil), o.d.byID...)
 		stats.SortByKey(perm, v.SubmitUnix)
 		stats.SortByKey(perm, v.UserID)
-		o.userSubmit = perm
+		return perm, nil
 	})
-	return o.userSubmit
+	return perm
 }

@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/iolog"
 	"repro/internal/joblog"
+	"repro/internal/par"
 )
 
 // The paired BenchmarkOrderStats_PerAnalysis/_Shared benchmarks run the six
@@ -23,13 +23,10 @@ import (
 // BenchmarkOrderStats_Shared reports "speedup": the median of three
 // per-analysis runs divided by its per-iteration time.
 
-var (
-	orderBenchOnce sync.Once
-	orderBenchData *Dataset
-)
+var orderBenchData par.Memo[*Dataset]
 
 func orderBenchDataset(b *testing.B) *Dataset {
-	orderBenchOnce.Do(func() {
+	d, _ := orderBenchData.Get(func() (*Dataset, error) {
 		const n, users = 344701, 900
 		rng := rand.New(rand.NewSource(18))
 		start := time.Date(2013, 4, 9, 0, 0, 0, 0, time.UTC)
@@ -65,9 +62,9 @@ func orderBenchDataset(b *testing.B) *Dataset {
 			panic(err)
 		}
 		d.JobView()
-		orderBenchData = d
+		return d, nil
 	})
-	return orderBenchData
+	return d
 }
 
 // orderBenchDims are the structure dimensions E8 renders.

@@ -193,7 +193,7 @@ func schedulingWalk(d *Dataset) (*SchedulingResult, error) {
 	ratiosByOutcome := map[string][]float64{}
 	for i := range d.Jobs {
 		j := &d.Jobs[i]
-		w := j.QueueWait()
+		w := j.Start.Sub(j.Submit)
 		if w < 0 {
 			w = 0
 		}

@@ -24,7 +24,7 @@ func mustParse(t *testing.T, where string) sel.Expr {
 // Dataset and everything it builds lazily — SoA views, per-dimension
 // bitmap indexes, compiled selections, the memoized whole-corpus profile,
 // the filter key memo — must be safe to hammer from many goroutines,
-// including the very first touch, where every sync.Once and the
+// including the very first touch, where every par.Memo and the
 // compiled-selection cache are under maximal contention. mirad relies on
 // exactly this: N concurrent requests over one warm (or still-cold)
 // Dataset.

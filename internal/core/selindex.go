@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/raslog"
 	"repro/internal/scan"
 	"repro/internal/sel"
@@ -58,30 +59,18 @@ func domainOf(col string) (selDomain, error) {
 }
 
 // selIndexes is the lazily built selection machinery over one pair of
-// column views. Dimension indexes build once under sync.Once; compiled
-// selections cache by canonical expression string. Either view may be nil
-// when the corresponding domain is never queried (mirafilter compiles
-// event predicates without a job view).
+// column views. Each dimension index (dimSpecs) and each table's universe
+// builds once in its par.Memo; compiled selections cache by canonical
+// expression string. Either view may be nil when the corresponding domain
+// is never queried (mirafilter compiles event predicates without a job
+// view).
 type selIndexes struct {
 	jv *scan.JobView
 	ev *scan.EventView
 
-	jobUniOnce, evtUniOnce sync.Once
-	jobUni, evtUni         bitmap.Bitmap
-
-	userOnce, projOnce, famOnce sync.Once
-	user, proj, fam             []bitmap.Bitmap
-	userID, projID              map[string]int32
-
-	submitOnce  sync.Once
-	submitDays  []bitmap.Bitmap
-	submitBase  int64 // day number (floorDay) of bucket 0
-	timesSorted bool  // event TimeUnix ascending (checked once)
-	timesOnce   sync.Once
-
-	sevOnce, catOnce, compOnce, midOnce, rackOnce sync.Once
-	sev, cat, comp, mid, rack                     []bitmap.Bitmap
-	catID, compID                                 map[string]int32
+	uni         [2]par.Memo[*bitmap.Bitmap] // indexed by selDomain
+	dims        [numDims]par.Memo[*dimIndex]
+	timesSorted par.Memo[bool] // event TimeUnix ascending
 
 	// cache maps canonical expression keys to compiled selections. It is
 	// bounded: order holds the resident keys as a ring, oldest at next,
@@ -105,133 +94,146 @@ func newSelIndexes(jv *scan.JobView, ev *scan.EventView) *selIndexes {
 // selIdx returns the dataset's selection machinery, creating it on first
 // use. Index dimensions inside build lazily on first touch.
 func (d *Dataset) selIdx() *selIndexes {
-	d.selOnce.Do(func() { d.selx = newSelIndexes(d.JobView(), d.EventView()) })
-	return d.selx
+	x, _ := d.selx.Get(func() (*selIndexes, error) { return newSelIndexes(d.JobView(), d.EventView()), nil })
+	return x
 }
 
-// denseIndex builds one bitmap per dictionary slot: bms[idOf(i)] collects
-// the rows of key id. Negative ids (events without a location at the
-// level) index nowhere.
-func denseIndex(n, slots int, idOf func(i int) int32) []bitmap.Bitmap {
-	bms := make([]bitmap.Bitmap, slots)
-	for i := 0; i < n; i++ {
-		if id := idOf(i); id >= 0 {
-			bms[id].Add(uint32(i))
-		}
-	}
-	for i := range bms {
-		bms[i].Optimize()
-	}
-	return bms
+// dimKey names one selection-index dimension: its position in dimSpecs
+// and in IndexStats.
+type dimKey int
+
+const (
+	dimUser dimKey = iota
+	dimProject
+	dimExit
+	dimSubmit
+	dimSev
+	dimCat
+	dimComp
+	dimMidplane
+	dimRack
+	numDims
+)
+
+// dimSpec describes one dimension's bitmap index: the table and column it
+// covers, its slots, each row's slot and, for a dictionary column, each
+// slot's value.
+type dimSpec struct {
+	dom selDomain
+	col string
+	// keys returns the slot count, the key of slot 0 (the first submit
+	// day; 0 elsewhere) and each row's slot; a negative slot (an event
+	// without a location at the level) indexes the row nowhere.
+	keys func(x *selIndexes) (slots int, base int64, slot func(i int) int32)
+	// dict returns a dictionary column's value per slot; nil for a
+	// column whose values parse to their slot.
+	dict func(x *selIndexes) []string
 }
 
-func dictIDs(dict []string) map[string]int32 {
-	m := make(map[string]int32, len(dict))
-	for i, s := range dict {
-		m[s] = int32(i)
-	}
-	return m
-}
-
-func (x *selIndexes) universe(dom selDomain) *bitmap.Bitmap {
-	if dom == domEvent {
-		x.evtUniOnce.Do(func() {
-			x.evtUni.AddRange(0, uint32(x.ev.N))
-			x.evtUni.Optimize()
-		})
-		return &x.evtUni
-	}
-	x.jobUniOnce.Do(func() {
-		x.jobUni.AddRange(0, uint32(x.jv.N))
-		x.jobUni.Optimize()
-	})
-	return &x.jobUni
-}
-
-func (x *selIndexes) userIdx() []bitmap.Bitmap {
-	x.userOnce.Do(func() {
-		x.userID = dictIDs(x.jv.Users)
-		x.user = denseIndex(x.jv.N, len(x.jv.Users), func(i int) int32 { return x.jv.UserID[i] })
-	})
-	return x.user
-}
-
-func (x *selIndexes) projIdx() []bitmap.Bitmap {
-	x.projOnce.Do(func() {
-		x.projID = dictIDs(x.jv.Projects)
-		x.proj = denseIndex(x.jv.N, len(x.jv.Projects), func(i int) int32 { return x.jv.ProjectID[i] })
-	})
-	return x.proj
-}
-
-func (x *selIndexes) famIdx() []bitmap.Bitmap {
-	x.famOnce.Do(func() {
-		x.fam = denseIndex(x.jv.N, joblog.NumFamilies, func(i int) int32 { return int32(x.jv.Family[i]) })
-	})
-	return x.fam
-}
-
-func (x *selIndexes) sevIdx() []bitmap.Bitmap {
-	x.sevOnce.Do(func() {
-		x.sev = denseIndex(x.ev.N, 4, func(i int) int32 { return int32(x.ev.Sev[i]) })
-	})
-	return x.sev
-}
-
-func (x *selIndexes) catIdx() []bitmap.Bitmap {
-	x.catOnce.Do(func() {
-		x.catID = dictIDs(x.ev.Cats)
-		x.cat = denseIndex(x.ev.N, len(x.ev.Cats), func(i int) int32 { return x.ev.CatID[i] })
-	})
-	return x.cat
-}
-
-func (x *selIndexes) compIdx() []bitmap.Bitmap {
-	x.compOnce.Do(func() {
-		x.compID = dictIDs(x.ev.Comps)
-		x.comp = denseIndex(x.ev.N, len(x.ev.Comps), func(i int) int32 { return x.ev.CompID[i] })
-	})
-	return x.comp
-}
-
-func (x *selIndexes) midIdx() []bitmap.Bitmap {
-	x.midOnce.Do(func() {
-		x.mid = denseIndex(x.ev.N, machine.TotalMidplanes, func(i int) int32 { return x.ev.MidplaneID[i] })
-	})
-	return x.mid
-}
-
-func (x *selIndexes) rackIdx() []bitmap.Bitmap {
-	x.rackOnce.Do(func() {
-		x.rack = denseIndex(x.ev.N, machine.NumRacks, func(i int) int32 { return x.ev.RackID[i] })
-	})
-	return x.rack
-}
-
-// submitIdx builds the coarse per-day submit buckets: bucket k holds the
-// jobs submitted on day submitBase+k (floorDay, UTC).
-func (x *selIndexes) submitIdx() []bitmap.Bitmap {
-	x.submitOnce.Do(func() {
+// dimSpecs lists the dimensions in IndexStats order.
+var dimSpecs = [numDims]dimSpec{
+	dimUser: {domJob, "user", func(x *selIndexes) (int, int64, func(int) int32) {
+		return len(x.jv.Users), 0, func(i int) int32 { return x.jv.UserID[i] }
+	}, func(x *selIndexes) []string { return x.jv.Users }},
+	dimProject: {domJob, "project", func(x *selIndexes) (int, int64, func(int) int32) {
+		return len(x.jv.Projects), 0, func(i int) int32 { return x.jv.ProjectID[i] }
+	}, func(x *selIndexes) []string { return x.jv.Projects }},
+	dimExit: {domJob, "exit", func(x *selIndexes) (int, int64, func(int) int32) {
+		return joblog.NumFamilies, 0, func(i int) int32 { return int32(x.jv.Family[i]) }
+	}, nil},
+	// submit buckets the jobs by submit day (floorDay, UTC): slot k holds
+	// day base+k.
+	dimSubmit: {domJob, "submit", func(x *selIndexes) (int, int64, func(int) int32) {
 		sub := x.jv.SubmitUnix
 		if len(sub) == 0 {
-			return
+			return 0, 0, nil
 		}
 		minDay, _ := floorDay(sub[0])
 		maxDay := minDay
 		for _, u := range sub {
 			d, _ := floorDay(u)
-			if d < minDay {
-				minDay = d
-			}
-			if d > maxDay {
-				maxDay = d
+			minDay, maxDay = min(minDay, d), max(maxDay, d)
+		}
+		return int(maxDay-minDay) + 1, minDay, func(i int) int32 { d, _ := floorDay(sub[i]); return int32(d - minDay) }
+	}, nil},
+	dimSev: {domEvent, "sev", func(x *selIndexes) (int, int64, func(int) int32) {
+		return 4, 0, func(i int) int32 { return int32(x.ev.Sev[i]) }
+	}, nil},
+	dimCat: {domEvent, "cat", func(x *selIndexes) (int, int64, func(int) int32) {
+		return len(x.ev.Cats), 0, func(i int) int32 { return x.ev.CatID[i] }
+	}, func(x *selIndexes) []string { return x.ev.Cats }},
+	dimComp: {domEvent, "comp", func(x *selIndexes) (int, int64, func(int) int32) {
+		return len(x.ev.Comps), 0, func(i int) int32 { return x.ev.CompID[i] }
+	}, func(x *selIndexes) []string { return x.ev.Comps }},
+	dimMidplane: {domEvent, "midplane", func(x *selIndexes) (int, int64, func(int) int32) {
+		return machine.TotalMidplanes, 0, func(i int) int32 { return x.ev.MidplaneID[i] }
+	}, nil},
+	dimRack: {domEvent, "rack", func(x *selIndexes) (int, int64, func(int) int32) {
+		return machine.NumRacks, 0, func(i int) int32 { return x.ev.RackID[i] }
+	}, nil},
+}
+
+// dimIndex is one built dimension: a bitmap per slot, the key of slot 0,
+// and a dictionary column's value → slot map.
+type dimIndex struct {
+	slots []bitmap.Bitmap
+	base  int64
+	ids   map[string]int32
+}
+
+// rows is the row count of the domain's table.
+func (x *selIndexes) rows(dom selDomain) int {
+	if dom == domEvent {
+		return x.ev.N
+	}
+	return x.jv.N
+}
+
+// dim returns dimension k's index, building it on first use: slots[s]
+// collects the rows of slot s.
+func (x *selIndexes) dim(k dimKey) *dimIndex {
+	d, _ := x.dims[k].Get(func() (*dimIndex, error) {
+		spec := &dimSpecs[k]
+		n, base, slot := spec.keys(x)
+		d := &dimIndex{slots: make([]bitmap.Bitmap, n), base: base}
+		for i, rows := 0, x.rows(spec.dom); i < rows; i++ {
+			if s := slot(i); s >= 0 {
+				d.slots[s].Add(uint32(i))
 			}
 		}
-		x.submitBase = minDay
-		x.submitDays = denseIndex(x.jv.N, int(maxDay-minDay)+1,
-			func(i int) int32 { d, _ := floorDay(sub[i]); return int32(d - minDay) })
+		for i := range d.slots {
+			d.slots[i].Optimize()
+		}
+		if spec.dict != nil {
+			dict := spec.dict(x)
+			d.ids = make(map[string]int32, len(dict))
+			for i, v := range dict {
+				d.ids[v] = int32(i)
+			}
+		}
+		return d, nil
 	})
-	return x.submitDays
+	return d
+}
+
+// dimOf returns the dimension indexing column col.
+func dimOf(col string) (dimKey, bool) {
+	for k := range dimSpecs {
+		if dimSpecs[k].col == col {
+			return dimKey(k), true
+		}
+	}
+	return 0, false
+}
+
+func (x *selIndexes) universe(dom selDomain) *bitmap.Bitmap {
+	u, _ := x.uni[dom].Get(func() (*bitmap.Bitmap, error) {
+		u := bitmap.New()
+		u.AddRange(0, uint32(x.rows(dom)))
+		u.Optimize()
+		return u, nil
+	})
+	return u
 }
 
 // timeValue parses a timestamp literal: a date, a date-time, an RFC 3339
@@ -493,25 +495,20 @@ func (x *selIndexes) binary(l, r sel.Expr, dom selDomain, op func(dst, a, b *bit
 // nothing; a malformed value (bad severity, bad location, bad number) is
 // an error.
 func (x *selIndexes) leafEq(dom selDomain, col, val string) (*bitmap.Bitmap, error) {
+	if k, ok := dimOf(col); ok && dimSpecs[k].dict != nil {
+		d := x.dim(k)
+		if id, ok := d.ids[val]; ok {
+			return &d.slots[id], nil
+		}
+		return bitmap.New(), nil
+	}
 	switch col {
-	case "user":
-		x.userIdx()
-		if id, ok := x.userID[val]; ok {
-			return &x.user[id], nil
-		}
-		return bitmap.New(), nil
-	case "project":
-		x.projIdx()
-		if id, ok := x.projID[val]; ok {
-			return &x.proj[id], nil
-		}
-		return bitmap.New(), nil
 	case "exit":
 		code := joblog.FamilyCode(joblog.ExitFamily(val))
 		if string(joblog.FamilyOfCode(code)) != val {
 			return nil, fmt.Errorf("core: unknown exit family %q", val)
 		}
-		return &x.famIdx()[code], nil
+		return &x.dim(dimExit).slots[code], nil
 	case "nodes":
 		n, err := strconv.ParseInt(val, 10, 64)
 		if err != nil {
@@ -535,19 +532,7 @@ func (x *selIndexes) leafEq(dom selDomain, col, val string) (*bitmap.Bitmap, err
 		if err != nil {
 			return nil, fmt.Errorf("core: %q is not a severity (INFO, WARN, FATAL)", val)
 		}
-		return &x.sevIdx()[s], nil
-	case "cat":
-		x.catIdx()
-		if id, ok := x.catID[val]; ok {
-			return &x.cat[id], nil
-		}
-		return bitmap.New(), nil
-	case "comp":
-		x.compIdx()
-		if id, ok := x.compID[val]; ok {
-			return &x.comp[id], nil
-		}
-		return bitmap.New(), nil
+		return &x.dim(dimSev).slots[s], nil
 	case "midplane":
 		loc, err := machine.ParseLocation(val)
 		if err != nil {
@@ -557,7 +542,7 @@ func (x *selIndexes) leafEq(dom selDomain, col, val string) (*bitmap.Bitmap, err
 		if err != nil {
 			return nil, fmt.Errorf("core: %q is not a midplane (Rxx-My)", val)
 		}
-		return &x.midIdx()[id], nil
+		return &x.dim(dimMidplane).slots[id], nil
 	case "rack":
 		loc, err := machine.ParseLocation(val)
 		if err != nil {
@@ -566,7 +551,7 @@ func (x *selIndexes) leafEq(dom selDomain, col, val string) (*bitmap.Bitmap, err
 		if loc.Level() != machine.LevelRack {
 			return nil, fmt.Errorf("core: %q is not a rack (Rxx)", val)
 		}
-		return &x.rackIdx()[loc.RackIndex()], nil
+		return &x.dim(dimRack).slots[loc.RackIndex()], nil
 	case "time":
 		u, err := timeValue(val)
 		if err != nil {
@@ -659,21 +644,22 @@ func (x *selIndexes) scanJobCol(col string, lo, hi int64) *bitmap.Bitmap {
 // refine against the column. One OrAll folds every day in, so a window's
 // cost is linear in its size.
 func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
-	buckets := x.submitIdx()
+	idx := x.dim(dimSubmit)
+	buckets, base := idx.slots, idx.base
 	if len(buckets) == 0 {
 		return bitmap.New()
 	}
 	sub := x.jv.SubmitUnix
 	loDay, _ := floorDay(lo)
 	hiDay, _ := floorDay(hi)
-	lastDay := x.submitBase + int64(len(buckets)-1)
-	if loDay > lastDay || hiDay < x.submitBase {
+	lastDay := base + int64(len(buckets)-1)
+	if loDay > lastDay || hiDay < base {
 		return bitmap.New()
 	}
-	loDay, hiDay = max(loDay, x.submitBase), min(hiDay, lastDay)
+	loDay, hiDay = max(loDay, base), min(hiDay, lastDay)
 	days := make([]*bitmap.Bitmap, 0, hiDay-loDay+1)
 	for day := loDay; day <= hiDay; day++ {
-		bucket := &buckets[day-x.submitBase]
+		bucket := &buckets[day-base]
 		dayLo, dayHi := day*86400, day*86400+86399
 		if dayLo >= lo && dayHi <= hi {
 			days = append(days, bucket)
@@ -719,11 +705,11 @@ func (x *selIndexes) timeRange(lo, hi int64) *bitmap.Bitmap {
 // eventTimesSorted reports whether the event view's TimeUnix column is
 // ascending, checked once.
 func (x *selIndexes) eventTimesSorted() bool {
-	x.timesOnce.Do(func() {
+	sorted, _ := x.timesSorted.Get(func() (bool, error) {
 		times := x.ev.TimeUnix
-		x.timesSorted = sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
+		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }), nil
 	})
-	return x.timesSorted
+	return sorted
 }
 
 // IndexStat describes one selection-index dimension: how many key bitmaps
@@ -741,30 +727,19 @@ type IndexStat struct {
 // cardinality and compressed size, in fixed dimension order.
 func (d *Dataset) IndexStats() []IndexStat {
 	x := d.selIdx()
-	stats := []IndexStat{
-		{Domain: "job", Column: "user"},
-		{Domain: "job", Column: "project"},
-		{Domain: "job", Column: "exit"},
-		{Domain: "job", Column: "submit"},
-		{Domain: "event", Column: "sev"},
-		{Domain: "event", Column: "cat"},
-		{Domain: "event", Column: "comp"},
-		{Domain: "event", Column: "midplane"},
-		{Domain: "event", Column: "rack"},
-	}
-	dims := [][]bitmap.Bitmap{
-		x.userIdx(), x.projIdx(), x.famIdx(), x.submitIdx(),
-		x.sevIdx(), x.catIdx(), x.compIdx(), x.midIdx(), x.rackIdx(),
-	}
-	for i := range stats {
-		for j := range dims[i] {
-			b := &dims[i][j]
+	stats := make([]IndexStat, numDims)
+	for k := range dimSpecs {
+		st := &stats[k]
+		st.Domain, st.Column = dimSpecs[k].dom.String(), dimSpecs[k].col
+		slots := x.dim(dimKey(k)).slots
+		for j := range slots {
+			b := &slots[j]
 			if b.IsEmpty() {
 				continue
 			}
-			stats[i].Keys++
-			stats[i].Rows += b.Cardinality()
-			stats[i].Bytes += b.SizeBytes()
+			st.Keys++
+			st.Rows += b.Cardinality()
+			st.Bytes += b.SizeBytes()
 		}
 	}
 	return stats

@@ -129,7 +129,7 @@ func TestTorusMidplaneColumnMatchesLocation(t *testing.T) {
 		}
 		locs = append(locs, rack)
 		for m := 0; m < machine.MidplanesPerRack; m++ {
-			locs = append(locs, machine.MustMidplane(r, m))
+			locs = append(locs, mustMidplane(t, r, m))
 			for n := 0; n < machine.NodeBoardsPerMid; n++ {
 				board, err := machine.NodeBoard(r, m, n)
 				if err != nil {

@@ -119,16 +119,16 @@ func LocIDs(loc machine.Location) (midplane, rack int32) {
 // use unless one was adopted from pack decode. The view is immutable and
 // safe for concurrent use.
 func (d *Dataset) JobView() *scan.JobView {
-	d.jobViewOnce.Do(func() { d.jobView = BuildJobView(d.Jobs) })
-	return d.jobView
+	jv, _ := d.jobView.Get(func() (*scan.JobView, error) { return BuildJobView(d.Jobs), nil })
+	return jv
 }
 
 // EventView returns the dataset's SoA event-column mirror, building it on
 // first use unless one was adopted from pack decode. The view is immutable
 // and safe for concurrent use.
 func (d *Dataset) EventView() *scan.EventView {
-	d.eventViewOnce.Do(func() { d.eventView = BuildEventView(d.Events) })
-	return d.eventView
+	ev, _ := d.eventView.Get(func() (*scan.EventView, error) { return BuildEventView(d.Events), nil })
+	return ev
 }
 
 // AdoptViews installs column views produced elsewhere (mirapack decode
@@ -141,13 +141,13 @@ func (d *Dataset) AdoptViews(jv *scan.JobView, ev *scan.EventView) error {
 		if jv.N != len(d.Jobs) {
 			return fmt.Errorf("core: adopt job view: %d rows for %d jobs", jv.N, len(d.Jobs))
 		}
-		d.jobViewOnce.Do(func() { d.jobView = jv })
+		d.jobView.Get(func() (*scan.JobView, error) { return jv, nil })
 	}
 	if ev != nil {
 		if ev.N != len(d.Events) {
 			return fmt.Errorf("core: adopt event view: %d rows for %d events", ev.N, len(d.Events))
 		}
-		d.eventViewOnce.Do(func() { d.eventView = ev })
+		d.eventView.Get(func() (*scan.EventView, error) { return ev, nil })
 	}
 	return nil
 }

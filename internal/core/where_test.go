@@ -353,7 +353,8 @@ func TestCohortSpanMatchesWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wheres := append(equivalencePredicates(t, d), "user == nosuchuser", "cat == nosuchcat", "user == nosuchuser and cat == nosuchcat")
+	wheres := append(equivalencePredicates(t, d), "user == nosuchuser", "cat == nosuchcat", "user == nosuchuser and cat == nosuchcat",
+		"project == nosuchproj", "comp == nosuchcomp")
 	for _, where := range wheres {
 		jobSel, eventSel, err := d.CompileWhere(mustParse(t, where))
 		if err != nil {
@@ -583,6 +584,7 @@ func TestCompileWhereErrors(t *testing.T) {
 		"rack == R00-M0",               // midplane given for rack column
 		"submit >= notadate",           // bad timestamp
 		"user < u100",                  // dictionary column has no order
+		"exit == bogus",                // unknown exit family
 	} {
 		e, err := sel.Parse(bad)
 		if err != nil {
@@ -625,20 +627,49 @@ func TestSelectEventsMatchesSweep(t *testing.T) {
 func TestIndexStats(t *testing.T) {
 	d, _ := dataset(t)
 	stats := d.IndexStats()
-	byCol := map[string]IndexStat{}
-	for _, s := range stats {
-		byCol[s.Domain+"."+s.Column] = s
-	}
 	jv, ev := d.JobView(), d.EventView()
-	if s := byCol["job.user"]; s.Keys != len(jv.Users) || s.Rows != jv.N {
-		t.Errorf("job.user stat = %+v, want %d keys covering %d rows", s, len(jv.Users), jv.N)
+	// walk counts the distinct keys of a column and the rows that have
+	// one (a negative key is an event without a location at the level).
+	walk := func(n int, key func(i int) int64) (keys, rows int) {
+		seen := map[int64]bool{}
+		for i := 0; i < n; i++ {
+			if k := key(i); k >= 0 {
+				seen[k] = true
+				rows++
+			}
+		}
+		return len(seen), rows
 	}
-	if s := byCol["event.sev"]; s.Rows != ev.N {
-		t.Errorf("event.sev stat = %+v, want %d rows", s, ev.N)
+	want := []struct {
+		dim string
+		n   int
+		key func(i int) int64
+	}{
+		{"job.user", jv.N, func(i int) int64 { return int64(jv.UserID[i]) }},
+		{"job.project", jv.N, func(i int) int64 { return int64(jv.ProjectID[i]) }},
+		{"job.exit", jv.N, func(i int) int64 { return int64(jv.Family[i]) }},
+		{"job.submit", jv.N, func(i int) int64 { d, _ := floorDay(jv.SubmitUnix[i]); return d }},
+		{"event.sev", ev.N, func(i int) int64 { return int64(ev.Sev[i]) }},
+		{"event.cat", ev.N, func(i int) int64 { return int64(ev.CatID[i]) }},
+		{"event.comp", ev.N, func(i int) int64 { return int64(ev.CompID[i]) }},
+		{"event.midplane", ev.N, func(i int) int64 { return int64(ev.MidplaneID[i]) }},
+		{"event.rack", ev.N, func(i int) int64 { return int64(ev.RackID[i]) }},
 	}
-	for _, s := range stats {
+	if len(stats) != len(want) {
+		t.Fatalf("%d index stats, want %d", len(stats), len(want))
+	}
+	for i, w := range want {
+		s := stats[i]
+		if got := s.Domain + "." + s.Column; got != w.dim {
+			t.Errorf("stat %d is %s, want %s", i, got, w.dim)
+			continue
+		}
+		keys, rows := walk(w.n, w.key)
+		if s.Keys != keys || s.Rows != rows {
+			t.Errorf("%s stat = %+v, the column walk gives %d keys covering %d rows", w.dim, s, keys, rows)
+		}
 		if s.Rows > 0 && s.Bytes == 0 {
-			t.Errorf("%s.%s: %d rows but zero compressed bytes", s.Domain, s.Column, s.Rows)
+			t.Errorf("%s: %d rows but zero compressed bytes", w.dim, s.Rows)
 		}
 	}
 }
@@ -842,7 +873,11 @@ func TestJointIndexMatchesKernel(t *testing.T) {
 				if p.Joint != want {
 					t.Errorf("workers=%d jobs=%s events=%s: joint %+v, kernel gives %+v", workers, js.name, es.name, p.Joint, want)
 				}
-				if avg := testing.AllocsPerRun(5, func() { d.whole.joint.count(js.b, es.b) }); avg != 0 {
+				w, err := d.wholeTable(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if avg := testing.AllocsPerRun(5, func() { w.joint.count(js.b, es.b) }); avg != 0 {
 					t.Errorf("jobs=%s events=%s: the joint count allocates %.1f times", js.name, es.name, avg)
 				}
 			}

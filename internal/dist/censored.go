@@ -187,21 +187,3 @@ func (tt *tiedTimes) pow(dst []float64, k float64) {
 		dst[d] = math.Pow(t, k)
 	}
 }
-
-// CensoredLogLikelihood evaluates the right-censored log-likelihood of d
-// on the observations.
-func CensoredLogLikelihood(d Distribution, obs []CensoredObservation) float64 {
-	ll := 0.0
-	for _, o := range obs {
-		if o.Observed {
-			ll += d.LogPDF(o.Time)
-		} else {
-			s := 1 - d.CDF(o.Time)
-			if s <= 0 {
-				return math.Inf(-1)
-			}
-			ll += math.Log(s)
-		}
-	}
-	return ll
-}

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -31,8 +32,8 @@ type Env struct {
 
 // envCache memoizes analyses shared across experiments. It is held by
 // value, so every Env — a constructor's or a bare &Env{D: d} literal —
-// memoizes; an Env must therefore not be copied once in use. sync.Once
-// makes each analysis safe to request from concurrently running
+// memoizes; an Env must therefore not be copied once in use. Each
+// par.Memo makes its analysis safe to request from concurrently running
 // experiments while computing it exactly once.
 //
 // Every memo has a shipped reader: the default-rule MTTI / availability /
@@ -46,42 +47,19 @@ type envCache struct {
 	ordersMu   sync.Mutex
 	ordersPins int
 	orders     *core.JobOrders
-	mttiOnce   sync.Once
-	mtti       *core.MTTIResult
-	mttiErr    error
-	availOnce  sync.Once
-	avail      *core.AvailabilityResult
-	availErr   error
-	survOnce   sync.Once
-	surv       *core.SurvivalResult
-	survErr    error
-	fitsOnce   sync.Once
-	fits       []core.FamilyFit
-	fitsErr    error
-	ioOnce     sync.Once
-	io         *core.IOCorrelation
-	ioErr      error
+	mtti       par.Memo[*core.MTTIResult]
+	avail      par.Memo[*core.AvailabilityResult]
+	surv       par.Memo[*core.SurvivalResult]
+	fits       par.Memo[[]core.FamilyFit]
+	io         par.Memo[*core.IOCorrelation]
 
 	// Fused-scan profile plus the memoizations layered on it (see
-	// fused.go). profileOnce guards the single shared scan RunAll triggers
-	// instead of ~20 private corpus walks.
-	profileOnce sync.Once
-	profile     *core.FusedProfile
-	profileErr  error
-
-	concUserOnce sync.Once
-	concUser     *core.ConcentrationResult
-	concUserErr  error
-	concProjOnce sync.Once
-	concProj     *core.ConcentrationResult
-	concProjErr  error
-
-	fatalIncOnce sync.Once
-	fatalInc     core.Incidents
-	fatalIncErr  error
-	warnIncOnce  sync.Once
-	warnInc      core.Incidents
-	warnIncErr   error
+	// fused.go). profile is the single shared scan RunAll triggers instead
+	// of ~20 private corpus walks; conc is indexed by by-core.ByUser.
+	profile  par.Memo[*core.FusedProfile]
+	conc     [2]par.Memo[*core.ConcentrationResult]
+	fatalInc par.Memo[core.Incidents]
+	warnInc  par.Memo[core.Incidents]
 }
 
 // NewEnv generates a corpus with at most workers goroutines (≤ 0 means
@@ -147,22 +125,19 @@ func (e *Env) Pass() (release func()) {
 // computed once per environment. Experiments needing a non-default filter
 // rule should call D.MTTI directly.
 func (e *Env) MTTI() (*core.MTTIResult, error) {
-	e.cache.mttiOnce.Do(func() { e.cache.mtti, e.cache.mttiErr = e.D.MTTI(core.DefaultFilterRule()) })
-	return e.cache.mtti, e.cache.mttiErr
+	return e.cache.mtti.Get(func() (*core.MTTIResult, error) { return e.D.MTTI(core.DefaultFilterRule()) })
 }
 
 // Availability returns the service-action availability analysis (with its
 // repair-time Sample), computed once per environment.
 func (e *Env) Availability() (*core.AvailabilityResult, error) {
-	e.cache.availOnce.Do(func() { e.cache.avail, e.cache.availErr = e.D.Availability() })
-	return e.cache.avail, e.cache.availErr
+	return e.cache.avail.Get(e.D.Availability)
 }
 
 // Survival returns the Kaplan–Meier time-to-user-failure analysis, computed
 // once per environment.
 func (e *Env) Survival() (*core.SurvivalResult, error) {
-	e.cache.survOnce.Do(func() { e.cache.surv, e.cache.survErr = e.D.Survival() })
-	return e.cache.surv, e.cache.survErr
+	return e.cache.surv.Get(e.D.Survival)
 }
 
 // FamilyFits returns E6's per-exit-family execution-length fits, computed
@@ -170,17 +145,15 @@ func (e *Env) Survival() (*core.SurvivalResult, error) {
 // pass, the series E6's polish ablation thins); the takeaways quote the
 // same fits.
 func (e *Env) FamilyFits() ([]core.FamilyFit, error) {
-	e.cache.fitsOnce.Do(func() {
-		e.cache.fits, e.cache.fitsErr = e.Orders().FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: e.Parallelism})
+	return e.cache.fits.Get(func() ([]core.FamilyFit, error) {
+		return e.Orders().FitExecutionLengths(core.FitOptions{MinSamples: 100, MaxSamples: 50000, Parallelism: e.Parallelism})
 	})
-	return e.cache.fits, e.cache.fitsErr
 }
 
 // IOBehavior returns E13's I/O-vs-outcome comparison, computed once per
 // environment; the takeaways quote the same comparison.
 func (e *Env) IOBehavior() (*core.IOCorrelation, error) {
-	e.cache.ioOnce.Do(func() { e.cache.io, e.cache.ioErr = e.D.IOBehavior() })
-	return e.cache.io, e.cache.ioErr
+	return e.cache.io.Get(e.D.IOBehavior)
 }
 
 // Result is one experiment's regenerated artifact.

@@ -100,8 +100,7 @@ func TestDerivedSeriesMemoized(t *testing.T) {
 }
 
 // TestDerivedSeriesCacheConcurrent hammers every cached accessor from many
-// goroutines at once, inside one shared order pass; the sync.Once guards
-// must hand all of them the same object with no data race (run with -race).
+// goroutines at once, inside one shared order pass; the memos must hand all of them the same object with no data race (run with -race).
 func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 	e := env(t)
 	const goroutines = 16
@@ -138,6 +137,77 @@ func TestDerivedSeriesCacheConcurrent(t *testing.T) {
 		if views[g].orders != views[0].orders || views[g].mtti != views[0].mtti || views[g].avail != views[0].avail ||
 			views[g].surv != views[0].surv || views[g].io != views[0].io {
 			t.Fatalf("goroutine %d saw a different memoized analysis", g)
+		}
+	}
+}
+
+// TestRaceEnvMemos starts every Env memo from cold at once: goroutines
+// call each accessor on a fresh &Env{D: d} over a fresh Dataset, so the
+// first build of every memo (and of the views and whole-table scan under
+// it) is contended. Every caller must get the identical object.
+func TestRaceEnvMemos(t *testing.T) {
+	e := &Env{D: freshDataset(t, envCorpus(t))}
+	const goroutines = 8
+	type view struct {
+		mtti           *core.MTTIResult
+		avail          *core.AvailabilityResult
+		surv           *core.SurvivalResult
+		fits           []core.FamilyFit
+		io             *core.IOCorrelation
+		profile        *core.FusedProfile
+		byUser, byProj *core.ConcentrationResult
+		fatal, warn    core.Incidents
+		errs           []error
+	}
+	views := make([]view, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(v *view) {
+			defer wg.Done()
+			<-start
+			var err [10]error
+			v.mtti, err[0] = e.MTTI()
+			v.avail, err[1] = e.Availability()
+			v.surv, err[2] = e.Survival()
+			v.fits, err[3] = e.FamilyFits()
+			v.io, err[4] = e.IOBehavior()
+			v.profile, err[5] = e.fusedProfile()
+			v.byUser, err[6] = e.Concentration(core.ByUser)
+			v.byProj, err[7] = e.Concentration(core.ByProject)
+			v.fatal, err[8] = e.FatalIncidents()
+			v.warn, err[9] = e.WarnIncidents()
+			v.errs = err[:]
+		}(&views[g])
+	}
+	close(start)
+	wg.Wait()
+	for g := range views {
+		for i, err := range views[g].errs {
+			if err != nil {
+				t.Fatalf("goroutine %d, accessor %d: %v", g, i, err)
+			}
+		}
+	}
+	sameIncidents := func(a, b core.Incidents) bool {
+		return a.Len() > 0 && a.Len() == b.Len() && &a.First[0] == &b.First[0]
+	}
+	v0 := views[0]
+	if v0.byUser.By != core.ByUser || v0.byProj.By != core.ByProject {
+		t.Fatalf("Concentration groupings %v, %v; want user, project", v0.byUser.By, v0.byProj.By)
+	}
+	for g := 1; g < goroutines; g++ {
+		v := views[g]
+		if v.mtti != v0.mtti || v.avail != v0.avail || v.surv != v0.surv || v.io != v0.io ||
+			v.profile != v0.profile || v.byUser != v0.byUser || v.byProj != v0.byProj {
+			t.Errorf("goroutine %d saw a different memoized analysis", g)
+		}
+		if len(v.fits) == 0 || &v.fits[0] != &v0.fits[0] {
+			t.Errorf("goroutine %d saw different FamilyFits", g)
+		}
+		if !sameIncidents(v.fatal, v0.fatal) || !sameIncidents(v.warn, v0.warn) {
+			t.Errorf("goroutine %d saw a different incident stream", g)
 		}
 	}
 }

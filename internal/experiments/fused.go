@@ -17,41 +17,30 @@ import (
 // fusedProfile returns the shared scan profile, running the scan once per
 // environment no matter how many experiments (or workers) request it.
 func (e *Env) fusedProfile() (*core.FusedProfile, error) {
-	c := &e.cache
-	c.profileOnce.Do(func() { c.profile, c.profileErr = e.D.FusedScan(e.Parallelism) })
-	return c.profile, c.profileErr
+	return e.cache.profile.Get(func() (*core.FusedProfile, error) { return e.D.FusedScan(e.Parallelism) })
 }
 
 // Concentration returns the concentration/correlation profile for the
-// grouping (E2/E7), computed once per environment and grouping.
+// grouping (E2/E7), computed once per environment and grouping; by is
+// core.ByUser or core.ByProject.
 func (e *Env) Concentration(by core.GroupBy) (*core.ConcentrationResult, error) {
 	p, err := e.fusedProfile()
 	if err != nil {
 		return nil, err
 	}
-	c := &e.cache
-	if by == core.ByProject {
-		c.concProjOnce.Do(func() { c.concProj, c.concProjErr = p.Concentration(by) })
-		return c.concProj, c.concProjErr
-	}
-	c.concUserOnce.Do(func() { c.concUser, c.concUserErr = p.Concentration(by) })
-	return c.concUser, c.concUserErr
+	return e.cache.conc[by-core.ByUser].Get(func() (*core.ConcentrationResult, error) { return p.Concentration(by) })
 }
 
 // FatalIncidents returns the default-rule filtered FATAL incident stream,
 // computed once per environment (E16/E21 share it).
 func (e *Env) FatalIncidents() (core.Incidents, error) {
-	c := &e.cache
-	c.fatalIncOnce.Do(func() { c.fatalInc, c.fatalIncErr = e.D.FilterFatal(core.DefaultFilterRule()) })
-	return c.fatalInc, c.fatalIncErr
+	return e.cache.fatalInc.Get(func() (core.Incidents, error) { return e.D.FilterFatal(core.DefaultFilterRule()) })
 }
 
 // WarnIncidents returns the default-rule filtered WARN burst stream,
 // computed once per environment (E16).
 func (e *Env) WarnIncidents() (core.Incidents, error) {
-	c := &e.cache
-	c.warnIncOnce.Do(func() { c.warnInc, c.warnIncErr = e.D.FilterWarn(core.DefaultFilterRule()) })
-	return c.warnInc, c.warnIncErr
+	return e.cache.warnInc.Get(func() (core.Incidents, error) { return e.D.FilterWarn(core.DefaultFilterRule()) })
 }
 
 // LeadTimes evaluates the WARN→FATAL precursor analysis for several

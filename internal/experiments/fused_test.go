@@ -6,11 +6,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -33,19 +33,15 @@ func renderAll(t *testing.T, res *Result) []byte {
 }
 
 // The small corpus is generated once, for the suite-level test.
-var (
-	smallOnce sync.Once
-	small     *sim.Corpus
-	smallErr  error
-)
+var small par.Memo[*sim.Corpus]
 
 func smallCorpus(tb testing.TB) *sim.Corpus {
 	tb.Helper()
-	smallOnce.Do(func() { small, smallErr = sim.Generate(sim.SmallConfig()) })
-	if smallErr != nil {
-		tb.Fatal(smallErr)
+	c, err := small.Get(func() (*sim.Corpus, error) { return sim.Generate(sim.SmallConfig()) })
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return small
+	return c
 }
 
 // freshDataset indexes c anew, so the Dataset's memoized scan state is

@@ -12,7 +12,7 @@ import (
 // fully serial). Results are returned in index order — E1 first — no matter
 // which worker finished first, and each Result is identical to a serial
 // run: the experiments only read the shared dataset, and the analyses
-// memoized on Env are sync.Once-guarded so concurrent experiments compute
+// memoized on Env are par.Memo values, so concurrent experiments compute
 // them exactly once. The experiments share one job-order layer (Env.Orders)
 // for the pass (Env.Pass), which is dropped when the pass ends unless an
 // enclosing pass still holds it.

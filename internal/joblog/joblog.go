@@ -65,9 +65,6 @@ type Job struct {
 // Runtime returns the wall-clock execution length of the job.
 func (j *Job) Runtime() time.Duration { return j.End.Sub(j.Start) }
 
-// QueueWait returns how long the job waited between submission and start.
-func (j *Job) QueueWait() time.Duration { return j.Start.Sub(j.Submit) }
-
 // CoreSeconds returns the consumed core-seconds (nodes × 16 cores ×
 // runtime) as an exact integer. Integer core-seconds are the canonical
 // accumulator for corpus-wide consumption sums: integer addition is

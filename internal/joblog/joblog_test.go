@@ -25,9 +25,6 @@ func TestJobDerived(t *testing.T) {
 	if got := j.Runtime(); got != 2*time.Hour {
 		t.Errorf("Runtime = %v", got)
 	}
-	if got := j.QueueWait(); got != 30*time.Minute {
-		t.Errorf("QueueWait = %v", got)
-	}
 	if got := j.CoreHours(); got != 2048*16*2 {
 		t.Errorf("CoreHours = %v", got)
 	}

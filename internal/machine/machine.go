@@ -137,16 +137,6 @@ func Node(r, m, n, j int) (Location, error) {
 	return loc, nil
 }
 
-// MustMidplane is like Midplane but panics on invalid input. It is intended
-// for constants and tests.
-func MustMidplane(r, m int) Location {
-	loc, err := Midplane(r, m)
-	if err != nil {
-		panic(err)
-	}
-	return loc
-}
-
 // Level reports the granularity of the location.
 func (l Location) Level() Level {
 	if l.level == 0 {

@@ -194,19 +194,29 @@ func TestDenseIndexRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	rack, err := MustMidplane(7, 1).Ancestor(LevelRack)
+	rack, err := mustMidplane(t, 7, 1).Ancestor(LevelRack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id, ok := rack.DenseIndex(LevelRack); !ok || id != 7 {
 		t.Errorf("rack index %d/%v, want 7", id, ok)
 	}
-	if id, ok := MustMidplane(7, 1).DenseIndex(LevelMidplane); !ok || id != 15 {
+	if id, ok := mustMidplane(t, 7, 1).DenseIndex(LevelMidplane); !ok || id != 15 {
 		t.Errorf("midplane index %d/%v, want MidplaneID 15", id, ok)
 	}
-	for _, coarse := range []Location{System(), rack, MustMidplane(7, 1)} {
+	for _, coarse := range []Location{System(), rack, mustMidplane(t, 7, 1)} {
 		if _, ok := coarse.DenseIndex(coarse.Level() + 1); ok {
 			t.Errorf("%v has an index at the finer level %v", coarse, coarse.Level()+1)
 		}
 	}
+}
+
+// mustMidplane returns midplane Rr-Mm, failing the test on invalid input.
+func mustMidplane(t *testing.T, r, m int) Location {
+	t.Helper()
+	loc, err := Midplane(r, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loc
 }

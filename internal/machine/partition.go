@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Blue Gene/Q jobs run on *blocks* (partitions): contiguous groups of
@@ -141,9 +140,6 @@ func NewAllocator() *Allocator { return &Allocator{} }
 // FreeMidplanes returns the number of midplanes currently unallocated.
 func (a *Allocator) FreeMidplanes() int { return TotalMidplanes - a.used }
 
-// UsedMidplanes returns the number of midplanes currently allocated.
-func (a *Allocator) UsedMidplanes() int { return a.used }
-
 // Alloc finds and reserves a free block of n nodes. It first scans
 // size-aligned candidate bases in ascending order (buddy-style first fit,
 // which keeps allocations packed toward low midplane IDs), then falls back
@@ -157,13 +153,6 @@ func (a *Allocator) Alloc(n int) (Block, bool) {
 	b := Block{BaseMidplane: base, Midplanes: mids}
 	a.reserve(b)
 	return b, true
-}
-
-// CanAlloc reports whether a block of n nodes could be allocated right now,
-// without reserving it.
-func (a *Allocator) CanAlloc(n int) bool {
-	_, _, ok := a.find(n)
-	return ok
 }
 
 // find locates the first-fit base for a block of n nodes.
@@ -249,33 +238,9 @@ func (a *Allocator) MarkUp(id int) error {
 	return nil
 }
 
-// DownMidplanes returns how many midplanes are currently out of service.
-func (a *Allocator) DownMidplanes() int {
-	n := 0
-	for _, d := range a.down {
-		if d > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (a *Allocator) reserve(b Block) {
 	for _, id := range b.MidplaneIDs() {
 		a.busy[id] = true
 	}
 	a.used += b.Midplanes
-}
-
-// Snapshot returns the sorted linear IDs of busy midplanes, for debugging
-// and invariant checks in tests.
-func (a *Allocator) Snapshot() []int {
-	var out []int
-	for id, v := range a.busy {
-		if v {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

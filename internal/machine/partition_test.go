@@ -100,8 +100,8 @@ func TestAllocatorBasic(t *testing.T) {
 	if overlaps(b1, b2) {
 		t.Error("allocated blocks overlap")
 	}
-	if a.UsedMidplanes() != 3 {
-		t.Errorf("used = %d, want 3", a.UsedMidplanes())
+	if a.used != 3 {
+		t.Errorf("used = %d, want 3", a.used)
 	}
 	if err := a.Free(b1); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestAllocatorBasic(t *testing.T) {
 	if err := a.Free(b2); err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedMidplanes() != 0 {
-		t.Errorf("used after frees = %d", a.UsedMidplanes())
+	if a.used != 0 {
+		t.Errorf("used after frees = %d", a.used)
 	}
 }
 
@@ -126,14 +126,14 @@ func TestAllocatorFullMachine(t *testing.T) {
 	if _, ok := a.Alloc(512); ok {
 		t.Error("alloc on busy machine should fail")
 	}
-	if !a.CanAlloc(49152) == true && a.CanAlloc(49152) {
-		t.Error("CanAlloc full on busy machine")
+	if _, ok := a.Alloc(49152); ok {
+		t.Error("full machine alloc on busy machine should fail")
 	}
 	if err := a.Free(full); err != nil {
 		t.Fatal(err)
 	}
-	if !a.CanAlloc(49152) {
-		t.Error("CanAlloc full on empty machine should be true")
+	if _, ok := a.Alloc(49152); !ok {
+		t.Error("full machine alloc on empty machine failed")
 	}
 }
 
@@ -198,7 +198,7 @@ func TestAllocatorNeverOverlapsProperty(t *testing.T) {
 			for _, b := range live {
 				want += b.Midplanes
 			}
-			if a.UsedMidplanes() != want {
+			if a.used != want {
 				return false
 			}
 		}
@@ -209,10 +209,32 @@ func TestAllocatorNeverOverlapsProperty(t *testing.T) {
 	}
 }
 
+// busyIDs returns the sorted ids of the allocator's busy midplanes.
+func busyIDs(a *Allocator) []int {
+	var out []int
+	for id, v := range a.busy {
+		if v {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// downMidplanes counts the midplanes out of service.
+func downMidplanes(a *Allocator) int {
+	n := 0
+	for _, d := range a.down {
+		if d > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSnapshotMatchesUsage(t *testing.T) {
 	a := NewAllocator()
 	b, _ := a.Alloc(2048)
-	snap := a.Snapshot()
+	snap := busyIDs(a)
 	if len(snap) != b.Midplanes {
 		t.Fatalf("snapshot size %d, want %d", len(snap), b.Midplanes)
 	}
@@ -228,8 +250,8 @@ func TestMarkDownUp(t *testing.T) {
 	if err := a.MarkDown(5); err != nil {
 		t.Fatal(err)
 	}
-	if a.DownMidplanes() != 1 {
-		t.Errorf("down = %d", a.DownMidplanes())
+	if downMidplanes(a) != 1 {
+		t.Errorf("down = %d", downMidplanes(a))
 	}
 	// Allocation must avoid the down midplane.
 	for i := 0; i < 96; i++ {
@@ -242,8 +264,8 @@ func TestMarkDownUp(t *testing.T) {
 		}
 	}
 	// 95 of 96 allocatable.
-	if a.UsedMidplanes() != 95 {
-		t.Errorf("used = %d, want 95", a.UsedMidplanes())
+	if a.used != 95 {
+		t.Errorf("used = %d, want 95", a.used)
 	}
 	if err := a.MarkUp(5); err != nil {
 		t.Fatal(err)
@@ -278,14 +300,14 @@ func TestMarkDownErrors(t *testing.T) {
 	if err := a.MarkUp(7); err != nil {
 		t.Fatal(err)
 	}
-	if a.DownMidplanes() != 1 {
-		t.Errorf("nested down released early: %d", a.DownMidplanes())
+	if downMidplanes(a) != 1 {
+		t.Errorf("nested down released early: %d", downMidplanes(a))
 	}
 	if err := a.MarkUp(7); err != nil {
 		t.Fatal(err)
 	}
-	if a.DownMidplanes() != 0 {
-		t.Errorf("down = %d after full release", a.DownMidplanes())
+	if downMidplanes(a) != 0 {
+		t.Errorf("down = %d after full release", downMidplanes(a))
 	}
 }
 
@@ -302,10 +324,10 @@ func TestDownBlocksUnalignedFallback(t *testing.T) {
 	}
 	// Largest contiguous free run is 3 midplanes: a 4-midplane (2048-node)
 	// block must not fit anywhere.
-	if a.CanAlloc(2048) {
+	if _, ok := a.Alloc(2048); ok {
 		t.Error("allocator found a 4-midplane run through down midplanes")
 	}
-	if !a.CanAlloc(1024) {
+	if _, ok := a.Alloc(1024); !ok {
 		t.Error("2-midplane block should still fit")
 	}
 }

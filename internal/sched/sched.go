@@ -205,12 +205,6 @@ func (s *Scheduler) Complete(id int64) error {
 // QueueLen returns the number of jobs waiting.
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
 
-// RunningCount returns the number of jobs holding blocks.
-func (s *Scheduler) RunningCount() int { return len(s.running) }
-
-// BusyMidplanes returns the number of allocated midplanes.
-func (s *Scheduler) BusyMidplanes() int { return s.alloc.UsedMidplanes() }
-
 // MarkDown takes the given midplanes out of service; busy midplanes are
 // skipped (their jobs must be drained first) and the successfully marked
 // ids are returned so the caller can MarkUp exactly those later.
@@ -232,13 +226,4 @@ func (s *Scheduler) MarkUp(ids []int) error {
 		}
 	}
 	return nil
-}
-
-// DownMidplanes returns the number of out-of-service midplanes.
-func (s *Scheduler) DownMidplanes() int { return s.alloc.DownMidplanes() }
-
-// RunningBlock returns the block of a running job.
-func (s *Scheduler) RunningBlock(id int64) (machine.Block, bool) {
-	r, ok := s.running[id]
-	return r.block, ok
 }

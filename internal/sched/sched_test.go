@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 	"time"
+
+	"repro/internal/machine"
 )
 
 var t0 = time.Date(2013, 4, 9, 0, 0, 0, 0, time.UTC)
@@ -113,15 +115,15 @@ func TestRunningBlock(t *testing.T) {
 	if len(started) != 1 {
 		t.Fatal("job did not start")
 	}
-	b, ok := s.RunningBlock(1)
-	if !ok || b != started[0].Block {
-		t.Errorf("RunningBlock = %v, %v", b, ok)
+	r, ok := s.running[1]
+	if !ok || r.block != started[0].Block {
+		t.Errorf("running block = %v, %v", r.block, ok)
 	}
-	if _, ok := s.RunningBlock(2); ok {
+	if _, ok := s.running[2]; ok {
 		t.Error("unknown job has a block")
 	}
-	if s.BusyMidplanes() != 2 {
-		t.Errorf("busy = %d", s.BusyMidplanes())
+	if r.block.Midplanes != 2 {
+		t.Errorf("busy = %d", r.block.Midplanes)
 	}
 }
 
@@ -168,9 +170,11 @@ func TestThroughputConservation(t *testing.T) {
 	if len(started) != n {
 		t.Errorf("started %d of %d jobs", len(started), n)
 	}
-	if s.BusyMidplanes() != 0 || s.RunningCount() != 0 || s.QueueLen() != 0 {
-		t.Errorf("scheduler not drained: busy=%d running=%d queued=%d",
-			s.BusyMidplanes(), s.RunningCount(), s.QueueLen())
+	if len(s.running) != 0 || s.QueueLen() != 0 {
+		t.Errorf("scheduler not drained: running=%d queued=%d", len(s.running), s.QueueLen())
+	}
+	if _, ok := s.alloc.Alloc(machine.TotalNodes); !ok {
+		t.Error("allocator not empty after every job completed")
 	}
 }
 
@@ -222,14 +226,8 @@ func TestMarkDownSkipsBusy(t *testing.T) {
 			t.Error("busy midplane marked down")
 		}
 	}
-	if s.DownMidplanes() != 2 {
-		t.Errorf("down = %d", s.DownMidplanes())
-	}
 	if err := s.MarkUp(marked); err != nil {
 		t.Fatal(err)
-	}
-	if s.DownMidplanes() != 0 {
-		t.Errorf("down after MarkUp = %d", s.DownMidplanes())
 	}
 	// MarkUp of a not-down midplane is an error.
 	if err := s.MarkUp([]int{busyMid + 1}); err == nil {
