@@ -275,10 +275,11 @@ func Benchmark_RunAll_Fused(b *testing.B) {
 // sweep of monthly cohort queries — each window constrains both job submit
 // times and event times — either by materializing the filtered dataset and
 // scanning it (the pre-index path) or by pushing the compiled bitmap
-// selections straight into the fused scan. Both report "speedup" against a
-// median materialize reference pass, so the Materialize variant sits near
-// 1.0 by construction and the Where variant shows the pushdown win. The
-// core equivalence suite proves the two paths produce identical profiles.
+// selections straight into the cohort scan. Both report "speedup" against
+// a median materialize reference pass, so the Materialize variant sits
+// near 1.0 by construction and the Where variant shows the pushdown win.
+// The core equivalence suite proves the two paths produce identical
+// cohorts.
 
 func Benchmark_CohortSweep_Materialize(b *testing.B) { benchCohortSweep(b, true) }
 func Benchmark_CohortSweep_Where(b *testing.B)       { benchCohortSweep(b, false) }
@@ -307,20 +308,23 @@ func benchCohortSweep(b *testing.B, materialize bool) {
 	exprs := cohortSweepExprs(b, d)
 	run := func(materialize bool) {
 		for _, e := range exprs {
-			var p *core.FusedProfile
+			var c *core.Cohort
 			var err error
 			if materialize {
 				var md *core.Dataset
+				var p *core.FusedProfile
 				if md, err = d.MaterializeWhere(e); err == nil {
-					p, err = md.FusedScan(1)
+					if p, err = md.FusedScan(1); err == nil {
+						c = &p.Cohort
+					}
 				}
 			} else {
-				p, err = d.FusedScanWhere(e, 1)
+				c, err = d.FusedScanWhere(e, 1)
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			if p.Summary.Jobs == 0 {
+			if c.Summary.Jobs == 0 {
 				b.Fatal("empty cohort window")
 			}
 		}

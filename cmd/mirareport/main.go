@@ -190,12 +190,11 @@ func buildEnv(in, format string, days int, seed int64, small bool, parallelism i
 	return env, nil
 }
 
-// printCohort renders the fused profile of the cohort a -where predicate
-// selects, through the rendering path shared with the mirad /v1/cohort
-// endpoint (experiments.RenderCohort). Both surfaces title the report
-// with the predicate's *canonical* form — the cache key every layer
-// shares — so the output is bit-identical for any spelling of one
-// selection.
+// printCohort renders the Cohort a -where predicate selects, through the
+// rendering path shared with the mirad /v1/cohort endpoint
+// (experiments.RenderCohort). Both surfaces title the report with the
+// predicate's *canonical* form — the cache key every layer shares — so
+// the output is bit-identical for any spelling of one selection.
 func printCohort(w io.Writer, env *experiments.Env, where string) error {
 	expr, err := sel.Parse(where)
 	if err != nil {

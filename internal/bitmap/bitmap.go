@@ -242,6 +242,55 @@ func (b *Bitmap) Iterate(f func(x uint32) bool) {
 	}
 }
 
+// Select returns the set value of rank i, the i-th smallest counting from
+// 0; ok is false when i is negative or not below Cardinality. Whole chunks
+// are skipped by their cardinalities, so the cost is one pass over the
+// chunk headers plus a search inside one container, not a walk over the
+// values before rank i.
+func (b *Bitmap) Select(i int) (x uint32, ok bool) {
+	if i < 0 {
+		return 0, false
+	}
+	for k := range b.ctrs {
+		c := &b.ctrs[k]
+		if n := int(c.n); i >= n {
+			i -= n
+			continue
+		}
+		return uint32(b.keys[k])<<16 | uint32(c.selectLow(i)), true
+	}
+	return 0, false
+}
+
+// selectLow returns the low bits of the container's value of rank i,
+// 0 ≤ i < c.n.
+func (c *container) selectLow(i int) uint16 {
+	switch c.typ {
+	case arrayT:
+		return c.arr[i]
+	case bitsetT:
+		for w, word := range c.bits {
+			if n := bits.OnesCount64(word); i >= n {
+				i -= n
+				continue
+			}
+			for ; i > 0; i-- {
+				word &= word - 1
+			}
+			return uint16(w<<6 + bits.TrailingZeros64(word))
+		}
+	default: // runT
+		for r := 0; r+1 < len(c.arr); r += 2 {
+			if n := int(c.arr[r+1]) - int(c.arr[r]) + 1; i >= n {
+				i -= n
+				continue
+			}
+			return c.arr[r] + uint16(i)
+		}
+	}
+	panic("bitmap: container cardinality disagrees with its payload")
+}
+
 // Minimum returns the smallest set value; ok is false when empty.
 func (b *Bitmap) Minimum() (uint32, bool) {
 	for i := range b.keys {

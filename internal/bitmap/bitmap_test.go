@@ -382,3 +382,85 @@ func TestSizeBytesAndOptimize(t *testing.T) {
 		t.Fatalf("optimized SizeBytes = %d, want 12", after)
 	}
 }
+
+// TestSelectProperty checks Select against the sorted-slice model: rank i
+// of the bitmap is want[i], and ranks outside [0, len) report !ok. The
+// sets cover array, bitset and run containers (each type must be seen),
+// an empty chunk, and values on both sides of the 65535/65536 chunk seam.
+func TestSelectProperty(t *testing.T) {
+	check := func(name string, b *Bitmap, r refSet) {
+		t.Helper()
+		want := r.sorted()
+		ranks := make([]int, 0, len(want))
+		if len(want) <= 3000 {
+			for i := range want {
+				ranks = append(ranks, i)
+			}
+		} else {
+			for i := 0; i < len(want); i += 37 {
+				ranks = append(ranks, i)
+			}
+			ranks = append(ranks, len(want)-1)
+		}
+		for _, i := range ranks {
+			if got, ok := b.Select(i); !ok || got != want[i] {
+				t.Fatalf("%s: Select(%d) = %d,%v, want %d", name, i, got, ok, want[i])
+			}
+		}
+		for _, i := range []int{-1, len(want), len(want) + 1} {
+			if got, ok := b.Select(i); ok {
+				t.Fatalf("%s: Select(%d) = %d on %d values, want !ok", name, i, got, len(want))
+			}
+		}
+	}
+	seen := map[uint8]bool{}
+	note := func(b *Bitmap) {
+		for i := range b.ctrs {
+			seen[b.ctrs[i].typ] = true
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 60; trial++ {
+		r := randomRef(rng)
+		b := fromRef(r)
+		if trial%2 == 1 {
+			b.Optimize()
+		}
+		note(b)
+		check("random", b, r)
+	}
+
+	// The chunk seam: the last value of chunk 0 and the first of chunk 1,
+	// as array, run (fresh AddRange) and bitset containers.
+	seam := refSet{65535: true, 65536: true}
+	check("seam array", fromRef(seam), seam)
+	runs := New()
+	runs.AddRange(60000, 65536)
+	runs.AddRange(65536, 70001)
+	rr := refSet{}
+	for v := uint32(60000); v <= 70000; v++ {
+		rr[v] = true
+	}
+	note(runs)
+	check("seam runs", runs, rr)
+	dense := New()
+	dr := refSet{}
+	for v := uint32(0); v < 1<<17; v += 3 {
+		dense.Add(v)
+		dr[v] = true
+	}
+	dense.Add(65535)
+	dr[65535] = true
+	note(dense)
+	check("seam bitset", dense, dr)
+
+	// An empty chunk (which Minimum also tolerates) is skipped.
+	holed := &Bitmap{keys: []uint16{0, 1}, ctrs: []container{{typ: arrayT}, {typ: arrayT, n: 1, arr: []uint16{70000 - 65536}}}}
+	check("empty chunk", holed, refSet{70000: true})
+
+	for _, typ := range []uint8{arrayT, bitsetT, runT} {
+		if !seen[typ] {
+			t.Errorf("no bitmap exercised container type %d", typ)
+		}
+	}
+}

@@ -27,7 +27,8 @@ func appendRun(dst []Run, lo, hi int32) []Run {
 // [lo, hi) means the block is fully selected.
 //
 // The scan engine's 2048-row blocks never straddle a 65536-value chunk
-// (2048 divides 65536 and blocks start at multiples of 2048), so the
+// (2048 divides 65536 and every block lies within one 2048-row cell of
+// the grid, though a shard's first block may start mid-cell), so the
 // chunk loop below runs at most once per block; the code still handles
 // arbitrary ranges for other callers.
 //

@@ -5,31 +5,41 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/bitmap"
 	"repro/internal/joblog"
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
+// Cohort is the narrow result of a cohort scan (FusedScanWhere): the
+// Table-I summary of the selected records, their exit-family failure
+// tally and their per-user groups, which is all the cohort surfaces print
+// (experiments.RenderCohort). Each field equals bit for bit the same field
+// of FusedScan over the materialized cohort. A Cohort is read-only: a
+// cohort with an unconstrained job side shares its user groups with the
+// dataset's whole-table memo.
+type Cohort struct {
+	Summary Summary
+	// Exit is the exit-status-only failure tally.
+	Exit FailTally
+	// UserGroups are the per-user aggregates, jobs descending, key
+	// ascending.
+	UserGroups []GroupStats
+}
+
 // FusedProfile is the result of one fused pass over the job and event
 // columns: every whole-corpus aggregate the hot experiments consume, each
 // equal bit for bit to a one-analysis walk over the records (the reference
-// walks in walks_oracle_test.go).
+// walks in walks_oracle_test.go). Its embedded Cohort is the whole
+// corpus's. Like a Cohort it is read-only: its user groups are the
+// whole-table memo's.
 type FusedProfile struct {
+	Cohort
 	jv *scan.JobView
-	// jobSel is the cohort's job selection when the profile came from
-	// FusedScanWhere; nil means the whole corpus.
-	jobSel *bitmap.Bitmap
 
-	Summary Summary
-	// Exit and Joint are the exit-status-only and RAS-correlated failure
-	// tallies.
-	Exit  FailTally
+	// Joint is the RAS-correlated failure tally.
 	Joint FailTally
-	// UserGroups / ProjectGroups are the per-key aggregates, jobs
-	// descending, key ascending.
-	UserGroups    []GroupStats
+	// ProjectGroups are the per-project aggregates, ordered as UserGroups.
 	ProjectGroups []GroupStats
 	Temporal      *TemporalProfile
 	RAS           *CategoryProfile
@@ -74,39 +84,24 @@ func (p *FusedProfile) Concentration(by GroupBy) (*ConcentrationResult, error) {
 	return res, nil
 }
 
-// cramersV is stats.CramersV of the selected jobs' key and outcome
-// columns, computed from the 2×G table the group tally already holds: each
-// key's successes and failures. χ² is summed in the string path's cell
-// order, so the result matches it bit for bit: keys in first-appearance
-// order among the selected jobs (for the whole table, dictionary order, as
-// the view interns keys in first-appearance order), outcomes in the order
-// the first selected job fixes. It is called only with ≥ 2 groups.
+// cramersV is stats.CramersV of the key and outcome columns, computed
+// from the 2×G table the group tally already holds: each key's successes
+// and failures. χ² is summed in the string path's cell order, so the
+// result matches it bit for bit: keys in dictionary order (the view
+// interns keys in first-appearance order), outcomes in the order the
+// first job fixes. It is called only with ≥ 2 groups.
 func (p *FusedProfile) cramersV(by GroupBy) float64 {
-	v, s, ids := p.jv, p.userTally, p.jv.UserID
+	s := p.userTally
 	if by == ByProject {
-		s, ids = p.projTally, v.ProjectID
+		s = p.projTally
 	}
 	var rows []int32
-	first := 0 // the first selected job
-	if p.jobSel == nil {
-		for id, n := range s.jobs {
-			if n > 0 {
-				rows = append(rows, int32(id))
-			}
+	for id, n := range s.jobs {
+		if n > 0 {
+			rows = append(rows, int32(id))
 		}
-	} else {
-		seen := make([]bool, len(s.jobs))
-		forEachSelected(p.jobSel, v.N, func(i int) {
-			if len(rows) == 0 {
-				first = i
-			}
-			if id := ids[i]; !seen[id] {
-				seen[id] = true
-				rows = append(rows, id)
-			}
-		})
 	}
-	failedFirst := v.Family[first] != 0
+	failedFirst := p.jv.Family[0] != 0
 	cells := func(id int32) [2]float64 {
 		if failedFirst {
 			return [2]float64{float64(s.failed[id]), float64(s.jobs[id] - s.failed[id])}
@@ -134,12 +129,13 @@ func (p *FusedProfile) cramersV(by GroupBy) float64 {
 }
 
 // Kernel slots: the fused job and event kernels in registration order,
-// which is also the order of the merged states scan.Run returns.
+// which is also the order of the merged states scan.Run returns. A cohort
+// scan registers only the leading cohort kernels.
 const (
 	kFamilies = iota
 	kUsers
 	kProjects
-	kTemporalJobs // last: wholeTable appends a second temporal state
+	kTemporalJobs
 )
 
 const (
@@ -151,42 +147,78 @@ const (
 	kTemporalFatals
 )
 
-func fusedJobKernels(jv *scan.JobView, tk *temporalJobKernel) []JobKernel {
+// cohortJobKernels are the job kernels a Cohort reads: the family and
+// user tallies.
+func cohortJobKernels(jv *scan.JobView) []JobKernel {
 	return []JobKernel{
 		&tallyKernel[uint8]{"family", joblog.NumFamilies, func(v *scan.JobView) []uint8 { return v.Family }},
 		&tallyKernel[int32]{"user", len(jv.Users), func(v *scan.JobView) []int32 { return v.UserID }},
-		&tallyKernel[int32]{"project", len(jv.Projects), func(v *scan.JobView) []int32 { return v.ProjectID }},
-		tk,
 	}
 }
 
-func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
+// cohortEventKernels are the event kernels a Cohort reads: the severity
+// count.
+func cohortEventKernels() []EventKernel {
 	return []EventKernel{
 		&countKernel[uint8]{"severity", int(raslog.Fatal) + 1, func(v *scan.EventView) []uint8 { return v.Sev }},
+	}
+}
+
+func fusedJobKernels(jv *scan.JobView, tk *temporalJobKernel) []JobKernel {
+	return append(cohortJobKernels(jv),
+		&tallyKernel[int32]{"project", len(jv.Projects), func(v *scan.JobView) []int32 { return v.ProjectID }},
+		tk,
+	)
+}
+
+func fusedEventKernels(ev *scan.EventView, monthCap int) []EventKernel {
+	return append(cohortEventKernels(),
 		&countKernel[int32]{"category", len(ev.Cats), func(v *scan.EventView) []int32 { return v.CatID }},
 		&countKernel[int32]{"component", len(ev.Comps), func(v *scan.EventView) []int32 { return v.CompID }},
 		&countKernel[int32]{"midplane", machine.TotalMidplanes, func(v *scan.EventView) []int32 { return v.MidplaneID }},
 		&countKernel[int32]{"rack", machine.NumRacks, func(v *scan.EventView) []int32 { return v.RackID }},
 		&temporalEventKernel{monthCap: monthCap},
-	}
+	)
 }
 
 // wholeScan is a Dataset's memoized whole-table scan state: the merged
 // state of every fused kernel over all rows, the joint attribution index,
-// and the job-side span extremes. States are read-only once built; the
-// finishing step only reads them.
+// and the job half every cohort with an unconstrained job side shares.
+// States are read-only once built; the finishing step only reads them.
 type wholeScan struct {
-	joint  *jointIndex
-	jobs   []JobState   // indexed by the kFamilies… job slots
-	events []EventState // indexed by the kSeverities… event slots
-	// jobStart/jobEnd are the earliest submit and latest end over all
-	// jobs in Unix seconds, the seed of NewDataset's span walk before the
-	// events.
-	jobStart, jobEnd int64
-	// temporal holds all-jobs temporal states binned from the dataset's
-	// start and, when it differs, from jobStart: the start of every
-	// cohort that selects all jobs and no event before the first submit.
-	temporal []*temporalJobState
+	joint   *jointIndex
+	jobs    []JobState   // indexed by the kFamilies… job slots
+	events  []EventState // indexed by the kSeverities… event slots
+	allJobs jobSide      // every job; its user groups sorted once
+}
+
+// jobSide is the job half of a cohort: its family totals, its user groups
+// and what the walk over its jobs counts.
+type jobSide struct {
+	fams  familyTotals
+	users []GroupStats
+	walk  jobWalk
+}
+
+// jobWalk is what one walk over a cohort's jobs yields besides the kernel
+// tallies: the Summary rows a materialized dataset would report, and the
+// job-side seed of NewDataset's span walk.
+type jobWalk struct {
+	jobs, tasks, io, projects int
+	// start and end are the earliest submit and latest end in Unix
+	// seconds; ok is false while no job has been seen.
+	start, end int64
+	ok         bool
+}
+
+// widen folds one job's submit and end into the extremes.
+func (w *jobWalk) widen(submit, end int64) {
+	if !w.ok {
+		w.start, w.end, w.ok = submit, end, true
+		return
+	}
+	w.start = min(w.start, submit)
+	w.end = max(w.end, end)
 }
 
 // testHookWholeScan, when set, is called each time a Dataset builds its
@@ -202,49 +234,37 @@ func (d *Dataset) wholeTable(workers int) (*wholeScan, error) {
 		}
 		jv, ev := d.JobView(), d.EventView()
 		w := &wholeScan{joint: newJointIndex(d)}
-		w.jobStart, w.jobEnd, _ = d.jobExtremes(nil)
 		tk := newTemporalJobKernel(d)
-		kernels := fusedJobKernels(jv, tk)
-		if w.jobStart != tk.startUnix {
-			kernels = append(kernels, newTemporalJobKernelSpan(w.jobStart, w.jobEnd))
-		}
-		sts, err := scan.Run(jv, jv.N, nil, kernels, workers)
-		if err != nil {
+		var err error
+		if w.jobs, err = scan.Run(jv, jv.N, nil, fusedJobKernels(jv, tk), workers); err != nil {
 			return w, err
 		}
-		w.jobs = sts[:kTemporalJobs+1]
-		for _, st := range sts[kTemporalJobs:] {
-			w.temporal = append(w.temporal, st.(*temporalJobState))
+		if w.events, err = scan.Run(ev, ev.N, nil, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
+			return w, err
 		}
-		w.events, err = scan.Run(ev, ev.N, nil, fusedEventKernels(ev, tk.monthCap), workers)
-		return w, err
+		w.allJobs = d.wholeJobSide(w.jobs)
+		return w, nil
 	})
 }
 
-// temporalFrom returns the memoized all-jobs temporal state whose day bins
-// start at startUnix, or nil.
-func (w *wholeScan) temporalFrom(startUnix int64) *temporalJobState {
-	for _, st := range w.temporal {
-		if st.k.startUnix == startUnix {
-			return st
+// wholeJobSide is the job half of a cohort holding every job, finished
+// from merged whole-table job states.
+func (d *Dataset) wholeJobSide(jsts []JobState) jobSide {
+	jv := d.JobView()
+	js := jobSide{
+		fams:  familyTotalsOf(jsts[kFamilies].(*tallyState[uint8])),
+		users: jsts[kUsers].(*tallyState[int32]).groups(jv.Users),
+		walk:  jobWalk{jobs: len(d.Jobs), tasks: len(d.Tasks), io: len(d.IO)},
+	}
+	for i := 0; i < jv.N; i++ {
+		js.walk.widen(jv.SubmitUnix[i], jv.EndUnix[i])
+	}
+	for _, n := range jsts[kProjects].(*tallyState[int32]).jobs {
+		if n > 0 {
+			js.walk.projects++
 		}
 	}
-	return nil
-}
-
-// jobExtremes returns the earliest submit and latest end, in Unix seconds,
-// over the selected jobs (nil = all); ok is false for an empty selection.
-func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end int64, ok bool) {
-	jv := d.JobView()
-	forEachSelected(jobSel, jv.N, func(i int) {
-		if !ok {
-			start, end, ok = jv.SubmitUnix[i], jv.EndUnix[i], true
-			return
-		}
-		start = min(start, jv.SubmitUnix[i])
-		end = max(end, jv.EndUnix[i])
-	})
-	return start, end, ok
+	return js
 }
 
 // FusedScan runs every registered aggregation kernel over the job and event
@@ -254,94 +274,61 @@ func (d *Dataset) jobExtremes(jobSel *bitmap.Bitmap) (start, end int64, ok bool)
 // memoized per Dataset, so only the first call scans; later calls (and
 // the unconstrained side of every cohort scan) reuse them.
 func (d *Dataset) FusedScan(workers int) (*FusedProfile, error) {
-	return d.fusedScanSel(nil, nil, workers)
-}
-
-// fusedScanSel runs the fused kernels restricted to the given row
-// selections (nil = all rows on that side). A nil side takes its states
-// from the whole-table memo; only the temporal job bins, whose state
-// depends on the span, may re-run over the whole job table, and the joint
-// tally is counted from the memo's attribution index (DESIGN.md §14).
-func (d *Dataset) fusedScanSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*FusedProfile, error) {
 	w, err := d.wholeTable(workers)
 	if err != nil {
 		return nil, err
 	}
-	jv, ev := d.JobView(), d.EventView()
-	// The temporal kernel and Summary.Days depend on the observation span,
-	// which for a cohort is the span NewDataset would derive from the
-	// selected records, so day bins line up exactly with a materialized
-	// dataset's.
-	start, end := d.cohortSpan(w, jobSel, eventSel)
-	tk := newTemporalJobKernelSpan(start, end)
-
-	ests := w.events
-	if eventSel != nil {
-		if ests, err = scan.Run(ev, ev.N, eventSel, fusedEventKernels(ev, tk.monthCap), workers); err != nil {
-			return nil, err
-		}
-	}
-	kernels := fusedJobKernels(jv, tk)
-	var jsts []JobState
-	if jobSel != nil {
-		if jsts, err = scan.Run(jv, jv.N, jobSel, kernels, workers); err != nil {
-			return nil, err
-		}
-	} else {
-		// Every job: only the temporal bins, which read the span's start,
-		// can differ from the memo.
-		jsts = append([]JobState(nil), w.jobs...)
-		if ts := w.temporalFrom(tk.startUnix); ts != nil {
-			jsts[kTemporalJobs] = ts
-		} else {
-			sts, err := scan.Run(jv, jv.N, nil, kernels[kTemporalJobs:], workers)
-			if err != nil {
-				return nil, err
-			}
-			jsts[kTemporalJobs] = sts[0]
-		}
-	}
-	return d.finishProfile(jobSel, jsts, ests, w.joint.count(jobSel, eventSel), start, end), nil
+	start, end := d.Span()
+	return d.finishProfile(w.allJobs, w.jobs, w.events, w.joint.count(nil, nil), start.Unix(), end.Unix()), nil
 }
 
-// finishProfile assembles a profile from merged kernel states and the
-// cohort's count of system-caused failures. It only reads the states, so
-// memoized ones can be finished any number of times.
-func (d *Dataset) finishProfile(jobSel *bitmap.Bitmap, jsts []JobState, ests []EventState, sysFails int, start, end int64) *FusedProfile {
+// newCohort assembles a Cohort from its job half, the severity counts of
+// its events and its observation span in Unix seconds.
+func newCohort(js jobSide, sev *countState[uint8], start, end int64) Cohort {
+	var bySev [raslog.Fatal + 1]int
+	total := 0
+	for s, c := range sev.keys() {
+		bySev[s] = int(c[0])
+		total += int(c[0])
+	}
+	c := Cohort{Exit: js.fams.exit(), UserGroups: js.users}
+	fatal, warn := bySev[raslog.Fatal], bySev[raslog.Warn]
+	c.Summary = Summary{
+		Days:        (time.Duration(end-start) * time.Second).Hours() / 24,
+		Jobs:        js.walk.jobs,
+		Tasks:       js.walk.tasks,
+		Users:       len(js.users),
+		Projects:    js.walk.projects,
+		CoreHours:   float64(js.fams.totalCoreSec()) / 3600,
+		RASTotal:    total,
+		RASFatal:    fatal,
+		RASWarn:     warn,
+		RASInfo:     total - fatal - warn,
+		IORecords:   js.walk.io,
+		FailedJobs:  c.Exit.Failed,
+		SuccessJobs: js.fams.jobs[0],
+	}
+	return c
+}
+
+// finishProfile assembles a profile from its job half, merged kernel
+// states and the count of system-caused failures. It only reads the
+// states, so memoized ones can be finished any number of times.
+func (d *Dataset) finishProfile(js jobSide, jsts []JobState, ests []EventState, sysFails int, start, end int64) *FusedProfile {
 	jv, ev := d.JobView(), d.EventView()
-	p := &FusedProfile{jv: jv, jobSel: jobSel}
-	fams := familyTotalsOf(jsts[kFamilies].(*tallyState[uint8]))
-	nJobs, nTasks, nIO := d.cohortJobCounts(jobSel)
-	p.Exit = fams.exit()
+	p := &FusedProfile{Cohort: newCohort(js, ests[kSeverities].(*countState[uint8]), start, end), jv: jv}
 	p.Joint = p.Exit
 	p.Joint.SystemCause = sysFails
 	p.Joint.UserCaused = p.Joint.Failed - p.Joint.SystemCause
 	p.userTally = jsts[kUsers].(*tallyState[int32])
 	p.projTally = jsts[kProjects].(*tallyState[int32])
-	p.UserGroups = p.userTally.groups(jv.Users)
 	p.ProjectGroups = p.projTally.groups(jv.Projects)
-	p.Waste = fams.waste()
+	p.Waste = js.fams.waste()
 	p.Temporal = finishTemporal(jsts[kTemporalJobs].(*temporalJobState), ests[kTemporalFatals].(*temporalEventState))
 	p.RAS = rasProfile(ests[kSeverities].(*countState[uint8]), ests[kCategories].(*countState[int32]), ests[kComponents].(*countState[int32]), ev)
 	p.localityMid, p.localityMidErr = ests[kMidplanes].(*countState[int32]).locality(machine.LevelMidplane)
 	p.localityRack, p.localityRackErr = ests[kRacks].(*countState[int32]).locality(machine.LevelRack)
 	p.Interrupts, p.InterruptsErr = interruptsFromGroups(p.UserGroups)
-	fatal, warn := p.RAS.BySeverity[raslog.Fatal], p.RAS.BySeverity[raslog.Warn]
-	p.Summary = Summary{
-		Days:        (time.Duration(end-start) * time.Second).Hours() / 24,
-		Jobs:        nJobs,
-		Tasks:       nTasks,
-		Users:       len(p.UserGroups),
-		Projects:    len(p.ProjectGroups),
-		CoreHours:   float64(fams.totalCoreSec()) / 3600,
-		RASTotal:    p.RAS.Total,
-		RASFatal:    fatal,
-		RASWarn:     warn,
-		RASInfo:     p.RAS.Total - fatal - warn,
-		IORecords:   nIO,
-		FailedJobs:  p.Exit.Failed,
-		SuccessJobs: fams.jobs[0],
-	}
 	return p
 }
 

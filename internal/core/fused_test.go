@@ -324,9 +324,9 @@ func TestKernelProcessBlockAllocFree(t *testing.T) {
 // Cramér's V. On this 2×4 table (successes, failures per user) χ² summed
 // with the failure column first differs in the last bit from the success
 // column first, so the fused value matches the string-column path only if
-// it takes the column order from the first selected job: a failure for the
-// whole table, and for the cohort that drops the leading successful job of
-// a fifth user.
+// it takes the column order from the first job: a failure for the whole
+// table, and for the materialized cohort that drops the leading successful
+// job of a fifth user.
 func TestCramersVOutcomeOrder(t *testing.T) {
 	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	var jobs []joblog.Job
@@ -383,18 +383,23 @@ func TestCramersVOutcomeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := build(true).FusedScanWhere(expr, 1)
+	md, err := build(true).MaterializeWhere(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := md.FusedScan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("cohort", cp, whole)
 }
 
-// TestCohortConcentrationMatchesWalk pins cohort Cramér's V, which comes
-// from the group tally with its rows in the selection's first-appearance
-// order, to the walk over the materialized cohort's string columns. The
-// first cohort's first job succeeds, the second's fails, so both outcome
-// orders are covered; each runs at 1, 4 and GOMAXPROCS workers.
+// TestCohortConcentrationMatchesWalk pins a cohort's Concentration — the
+// fused profile of its materialized dataset, as a Cohort carries no
+// Cramér's V — to the walk over that dataset's string columns, and the
+// pushdown Cohort's user groups to that profile's. The first cohort's
+// first job succeeds, the second's fails, so both outcome orders are
+// covered; the pushdown runs at 1, 4 and GOMAXPROCS workers.
 func TestCohortConcentrationMatchesWalk(t *testing.T) {
 	for _, c := range []struct {
 		where       string
@@ -416,17 +421,24 @@ func TestCohortConcentrationMatchesWalk(t *testing.T) {
 			t.Fatalf("%s: first selected job failed = %v, want %v", c.where, got, c.failedFirst)
 		}
 		want, wantErr := md.Concentration(c.by, md.ClassifyByExit())
+		mp, err := md.FusedScan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := mp.Concentration(c.by)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s: error %v, walk %v", c.where, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) || math.Float64bits(got.CramersV) != math.Float64bits(want.CramersV) {
+			t.Errorf("%s: concentration by %s: fused %+v, walk %+v", c.where, c.by, got, want)
+		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			p, err := freshDataset(t).FusedScanWhere(expr, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotErr := p.Concentration(c.by)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("workers=%d %s: error %v, walk %v", workers, c.where, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) || math.Float64bits(got.CramersV) != math.Float64bits(want.CramersV) {
-				t.Errorf("workers=%d %s: concentration by %s: fused %+v, walk %+v", workers, c.where, c.by, got, want)
+			if !reflect.DeepEqual(p.UserGroups, mp.UserGroups) {
+				t.Errorf("workers=%d %s: cohort user groups differ from the materialized profile's", workers, c.where)
 			}
 		}
 	}

@@ -74,9 +74,10 @@ func cohortFromBytes(d *Dataset, b [6]byte) string {
 
 // FuzzCohortJoint is the differential fuzzer of the joint attribution
 // index: for any cohort the bytes pick over the 30-day corpus, the joint
-// tally FusedScanWhere counts from the index equals the one the
-// unmemoized reference scan counts with the per-row oracle kernel. The
-// seventh byte picks the worker count.
+// tally the index counts over CompileWhere's selections equals the one
+// the unmemoized reference scan counts with the per-row oracle kernel; an
+// unconstrained cohort checks FusedScan's Joint. The seventh byte picks
+// the worker count.
 func FuzzCohortJoint(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 1})
@@ -92,26 +93,32 @@ func FuzzCohortJoint(f *testing.F) {
 		d := jointFuzzDataset(t)
 		where := cohortFromBytes(d, [6]byte(b[:6]))
 		workers := 1 + int(b[6])%4
-		var got *FusedProfile
 		var jobSel, eventSel *bitmap.Bitmap
 		var err error
-		if where == "" {
-			got, err = d.FusedScan(workers)
-		} else {
-			e := mustParse(t, where)
-			if got, err = d.FusedScanWhere(e, workers); err == nil {
-				jobSel, eventSel, err = d.CompileWhere(e)
+		if where != "" {
+			if jobSel, eventSel, err = d.CompileWhere(mustParse(t, where)); err != nil {
+				t.Fatalf("%q: %v", where, err)
 			}
-		}
-		if err != nil {
-			t.Fatalf("%q: %v", where, err)
 		}
 		want, err := referenceScanSel(d, jobSel, eventSel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Joint != want.Joint {
-			t.Fatalf("%q workers=%d: joint %+v, oracle %+v", where, workers, got.Joint, want.Joint)
+		w, err := d.wholeTable(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.joint.count(jobSel, eventSel); got != want.Joint.SystemCause {
+			t.Fatalf("%q workers=%d: joint count %d, oracle %d", where, workers, got, want.Joint.SystemCause)
+		}
+		if where == "" {
+			p, err := d.FusedScan(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Joint != want.Joint {
+				t.Fatalf("workers=%d: whole-table joint %+v, oracle %+v", workers, p.Joint, want.Joint)
+			}
 		}
 	})
 }

@@ -77,26 +77,29 @@ func TestKernelMergeLaw(t *testing.T) {
 	jobKernels := fusedJobKernels(jv, tk)
 	eventKernels := fusedEventKernels(ev, tk.monthCap)
 	bounds := func(cuts []int) []int { return []int{cuts[0], cuts[len(cuts)-1]} }
+	finish := func(jsts []JobState, ests []EventState) *FusedProfile {
+		return d.finishProfile(d.wholeJobSide(jsts), jsts, ests, 0, start, end)
+	}
 
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 60; trial++ {
 		jcuts, ecuts := randomCuts(rng, jv.N), randomCuts(rng, ev.N)
 		touch := rng.Intn(2) == 0
-		want := d.finishProfile(nil,
+		want := finish(
 			foldPieces(jv, jobKernels, bounds(jcuts), true),
-			foldPieces(ev, eventKernels, bounds(ecuts), true), 0, start, end)
-		got := d.finishProfile(nil,
+			foldPieces(ev, eventKernels, bounds(ecuts), true))
+		got := finish(
 			foldPieces(jv, jobKernels, jcuts, touch),
-			foldPieces(ev, eventKernels, ecuts, touch), 0, start, end)
+			foldPieces(ev, eventKernels, ecuts, touch))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: jobs cut at %v, events at %v: merged pieces differ from one state:\n got  %+v\nwant %+v",
 				trial, jcuts, ecuts, got, want)
 		}
 	}
 
-	want := d.finishProfile(nil,
+	want := finish(
 		foldPieces(jv, jobKernels, []int{0, jv.N}, true),
-		foldPieces(ev, eventKernels, []int{0, ev.N}, true), 0, start, end)
+		foldPieces(ev, eventKernels, []int{0, ev.N}, true))
 	for _, workers := range []int{1, 4} {
 		jsts, err := scan.Run(jv, jv.N, nil, jobKernels, workers)
 		if err != nil {
@@ -106,7 +109,7 @@ func TestKernelMergeLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.finishProfile(nil, jsts, ests, 0, start, end); !reflect.DeepEqual(got, want) {
+		if got := finish(jsts, ests); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: scan.Run differs from the one-state fold", workers)
 		}
 	}

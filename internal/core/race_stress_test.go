@@ -55,7 +55,7 @@ func TestRaceColdFirstTouch(t *testing.T) {
 	ref := freshDataset(t)
 
 	wheres := equivalencePredicates(t, ref)
-	want := make([]*FusedProfile, len(wheres))
+	want := make([]*Cohort, len(wheres))
 	for i, wh := range wheres {
 		p, err := ref.FusedScanWhere(mustParse(t, wh), 1)
 		if err != nil {
@@ -91,7 +91,7 @@ func TestRaceColdFirstTouch(t *testing.T) {
 						t.Errorf("worker %d %q: %v", w, wh, err)
 						return
 					}
-					profileFields(t, fmt.Sprintf("worker %d %q", w, wh), p, want[i])
+					cohortFields(t, fmt.Sprintf("worker %d %q", w, wh), p, want[i])
 				}
 			case 2: // raw bitmap selections (separate cache entries per expr)
 				for _, wh := range wheres {
@@ -138,15 +138,16 @@ func TestRaceWholeScanMemo(t *testing.T) {
 
 	wheres := append([]string{""}, memoBranchPredicates(t, ref)...)
 	wheres = append(wheres, "exit == system", "sev == FATAL", "user == nosuchuser")
-	want := make([]*FusedProfile, len(wheres))
+	wantFull, err := ref.FusedScan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Cohort, len(wheres))
 	for i, wh := range wheres {
-		var err error
 		if wh == "" {
-			want[i], err = ref.FusedScan(1)
-		} else {
-			want[i], err = ref.FusedScanWhere(mustParse(t, wh), 1)
+			continue
 		}
-		if err != nil {
+		if want[i], err = ref.FusedScanWhere(mustParse(t, wh), 1); err != nil {
 			t.Fatalf("reference %q: %v", wh, err)
 		}
 	}
@@ -158,18 +159,22 @@ func TestRaceWholeScanMemo(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			i := w % len(wheres)
-			var p *FusedProfile
-			var err error
+			label := fmt.Sprintf("worker %d %q", w, wheres[i])
 			if wheres[i] == "" {
-				p, err = d.FusedScan(1 + w%3)
-			} else {
-				p, err = d.FusedScanWhere(mustParse(t, wheres[i]), 1+w%3)
-			}
-			if err != nil {
-				t.Errorf("worker %d %q: %v", w, wheres[i], err)
+				p, err := d.FusedScan(1 + w%3)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				profileFields(t, label, p, wantFull)
 				return
 			}
-			profileFields(t, fmt.Sprintf("worker %d %q", w, wheres[i]), p, want[i])
+			p, err := d.FusedScanWhere(mustParse(t, wheres[i]), 1+w%3)
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				return
+			}
+			cohortFields(t, label, p, want[i])
 		}(w)
 	}
 	wg.Wait()
@@ -193,7 +198,7 @@ func TestRaceWarmQueryStorm(t *testing.T) {
 		"sev == FATAL",
 		"dur > 3600 and exit == system",
 	}
-	want := make(map[string]*FusedProfile, len(wheres))
+	want := make(map[string]*Cohort, len(wheres))
 	for _, wh := range wheres {
 		p, err := d.FusedScanWhere(mustParse(t, wh), 1)
 		if err != nil {
@@ -216,7 +221,7 @@ func TestRaceWarmQueryStorm(t *testing.T) {
 					t.Errorf("worker %d round %d %q: %v", w, r, wh, err)
 					return
 				}
-				profileFields(t, fmt.Sprintf("worker %d round %d %q", w, r, wh), p, want[wh])
+				cohortFields(t, fmt.Sprintf("worker %d round %d %q", w, r, wh), p, want[wh])
 				if r%2 == 0 {
 					if _, err := d.FusedScan(2); err != nil {
 						t.Errorf("worker %d round %d full scan: %v", w, r, err)

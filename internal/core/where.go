@@ -4,68 +4,108 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/joblog"
 	"repro/internal/raslog"
+	"repro/internal/scan"
 	"repro/internal/sel"
 )
 
-// FusedScanWhere runs the fused analysis suite over the cohort a predicate
-// selects, without materializing a filtered dataset: the compiled job and
-// event selections push down into the scan engine, which skips unselected
-// blocks and feeds the kernels only the selected row runs. The profile is
-// bit-identical to FusedScan over MaterializeWhere(e) — same numbers a
-// filter-then-scan would produce — at any worker count (DESIGN.md §14).
+// FusedScanWhere computes the Cohort a predicate selects without
+// materializing a filtered dataset: the compiled job and event selections
+// push down into the scan engine, which feeds the cohort kernels only the
+// selected row runs. The result is bit-identical to the Cohort of
+// FusedScan over MaterializeWhere(e) — same numbers a filter-then-scan
+// would produce — at any worker count (DESIGN.md §14).
 //
-// A nil predicate profiles the whole corpus.
-func (d *Dataset) FusedScanWhere(e sel.Expr, workers int) (*FusedProfile, error) {
-	if e == nil {
-		return d.FusedScan(workers)
+// A nil predicate is the whole corpus.
+func (d *Dataset) FusedScanWhere(e sel.Expr, workers int) (*Cohort, error) {
+	var jobSel, eventSel *bitmap.Bitmap
+	if e != nil {
+		var err error
+		if jobSel, eventSel, err = d.CompileWhere(e); err != nil {
+			return nil, err
+		}
 	}
-	jobSel, eventSel, err := d.CompileWhere(e)
+	return d.cohortSel(jobSel, eventSel, workers)
+}
+
+// cohortSel computes the Cohort of the row selections (nil = all rows on
+// that side). A selected job side runs the family and user tallies over
+// its jobs and walks them once; a selected event side runs the severity
+// count. An unconstrained side reads the whole-table memo.
+func (d *Dataset) cohortSel(jobSel, eventSel *bitmap.Bitmap, workers int) (*Cohort, error) {
+	w, err := d.wholeTable(workers)
 	if err != nil {
 		return nil, err
 	}
-	return d.fusedScanSel(jobSel, eventSel, workers)
+	js := w.allJobs
+	if jobSel != nil {
+		jv := d.JobView()
+		sts, err := scan.Run(jv, jv.N, jobSel, cohortJobKernels(jv), workers)
+		if err != nil {
+			return nil, err
+		}
+		js = jobSide{
+			fams:  familyTotalsOf(sts[kFamilies].(*tallyState[uint8])),
+			users: sts[kUsers].(*tallyState[int32]).groups(jv.Users),
+			walk:  d.walkJobs(jobSel),
+		}
+	}
+	sev := w.events[kSeverities].(*countState[uint8])
+	if eventSel != nil {
+		ev := d.EventView()
+		sts, err := scan.Run(ev, ev.N, eventSel, cohortEventKernels(), workers)
+		if err != nil {
+			return nil, err
+		}
+		sev = sts[kSeverities].(*countState[uint8])
+	}
+	// Summary.Days is the span NewDataset would derive from the selected
+	// records, as for a materialized dataset.
+	start, end := d.cohortSpan(js.walk, jobSel, eventSel)
+	c := newCohort(js, sev, start, end)
+	return &c, nil
 }
 
-// cohortJobCounts tallies the selected jobs and their task and I/O record
-// counts (the Summary rows a materialized dataset would report).
-func (d *Dataset) cohortJobCounts(jobSel *bitmap.Bitmap) (jobs, tasks, io int) {
-	if jobSel == nil {
-		return len(d.Jobs), len(d.Tasks), len(d.IO)
-	}
+// walkJobs is the one walk over the selected jobs: it counts them, their
+// task and I/O records and their distinct projects, and takes their
+// submit/end extremes.
+func (d *Dataset) walkJobs(jobSel *bitmap.Bitmap) jobWalk {
+	jv := d.JobView()
+	sub, end, proj := jv.SubmitUnix, jv.EndUnix, jv.ProjectID
+	seen := make([]uint64, (len(jv.Projects)+63)/64)
+	var w jobWalk
 	jobSel.Iterate(func(row uint32) bool {
-		jobs++
-		tasks += len(d.tasksOf[row])
+		w.jobs++
+		w.tasks += len(d.tasksOf[row])
 		if d.ioOf[row] >= 0 {
-			io++
+			w.io++
+		}
+		w.widen(sub[row], end[row])
+		if p, m := proj[row]>>6, uint64(1)<<(proj[row]&63); seen[p]&m == 0 {
+			seen[p] |= m
+			w.projects++
 		}
 		return true
 	})
-	return jobs, tasks, io
+	return w
 }
 
 // cohortSpan computes the observation window of the selected records, in
 // Unix seconds, as exactly NewDataset's min/max walk would — first
 // selected job seeds the bounds, jobs widen by submit/end, then events
-// widen in an else-if pattern — so a cohort profile's calendar math
-// matches a materialized dataset's bit for bit. An empty cohort yields
-// the zero span.
+// widen in an else-if pattern — so a cohort's calendar math matches a
+// materialized dataset's bit for bit. An empty cohort yields the zero
+// span.
 //
-// The walk reads only the column views and is short-cut wherever its
-// answer is known: the job extremes are memoized for all jobs, and over
+// The job half of the walk is jw, the walk over the cohort's jobs. Over
 // the time-sorted event stream only the first and last selected events
 // can widen a consistent (start ≤ end) span. An unsorted event view or an
 // inverted job span falls back to walking every selected event.
-func (d *Dataset) cohortSpan(w *wholeScan, jobSel, eventSel *bitmap.Bitmap) (start, end int64) {
+func (d *Dataset) cohortSpan(jw jobWalk, jobSel, eventSel *bitmap.Bitmap) (start, end int64) {
 	if jobSel == nil && eventSel == nil {
 		s, e := d.Span()
 		return s.Unix(), e.Unix()
 	}
-	var seeded bool
-	if jobSel == nil {
-		start, end, seeded = w.jobStart, w.jobEnd, true
-	} else {
-		start, end, seeded = d.jobExtremes(jobSel)
-	}
+	start, end, seeded := jw.start, jw.end, jw.ok
 	times := d.EventView().TimeUnix
 	widen := func(row int) {
 		t := times[row]

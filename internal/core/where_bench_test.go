@@ -10,12 +10,12 @@ import (
 )
 
 // Benchmark_FusedScanWhere times one cohort miss per iteration — compile
-// plus pushdown scan of a predicate never seen before — for the three
-// shapes of the mirabench cohort stream that leave one table
-// unconstrained: user (job side only), rack_fatal (event side only) and
-// failed_big (job side only, one-sided submit bound). The dataset is
-// warm, as in mirad after Warm: indexes built and the whole-table memo
-// filled.
+// plus pushdown scan of a predicate never seen before — for the five
+// shapes of the mirabench cohort stream: user (job side only), rack_fatal
+// (event side only), week (a submit and an event-time window), failed_big
+// (job side only, one-sided submit bound) and user_events (one user's
+// jobs and a week of events). The dataset is warm, as in mirad after
+// Warm: indexes built and the whole-table memo filled.
 func Benchmark_FusedScanWhere(b *testing.B) {
 	d := benchDataset(b)
 	d.IndexStats()
@@ -44,9 +44,20 @@ func Benchmark_FusedScanWhere(b *testing.B) {
 			rack, _ := machine.Rack(i % machine.NumRacks)
 			return fmt.Sprintf("rack == %s and sev == FATAL and time >= %s", rack, stamp(at(i, 7*24*time.Hour)))
 		}},
+		{"week", func(i int) string {
+			lo := at(i, 7*24*time.Hour)
+			hi := lo.Add(7 * 24 * time.Hour)
+			return fmt.Sprintf("submit >= %s and submit < %s and time >= %s and time < %s",
+				stamp(lo), stamp(hi), stamp(lo), stamp(hi))
+		}},
 		{"failed_big", func(i int) string {
 			nodes := []int{1024, 2048, 4096, 8192}[i%4]
 			return fmt.Sprintf("exit != success and nodes >= %d and submit >= %s", nodes, stamp(at(i, 7*24*time.Hour)))
+		}},
+		{"user_events", func(i int) string {
+			lo := at(i, 7*24*time.Hour)
+			return fmt.Sprintf("user == %q and time >= %s and time < %s",
+				jv.Users[i%len(jv.Users)], stamp(lo), stamp(lo.Add(7*24*time.Hour)))
 		}},
 	}
 	for _, s := range shapes {

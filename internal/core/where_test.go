@@ -56,10 +56,10 @@ func equivalencePredicates(t *testing.T, d *Dataset) []string {
 	return append(preds, memoBranchPredicates(t, d)...)
 }
 
-// memoBranchPredicates are the cohorts that take each reuse branch of the
-// whole-table memo (fusedScanSel, cohortSpan) and each coalesced range
-// pair of CompileWhere. The job-only cohorts above (user, exit, nodes,
-// submit) already leave the event side unconstrained.
+// memoBranchPredicates are the cohorts that read the whole-table memo's
+// job half (cohortSel, cohortSpan) under spans of each kind, and each
+// coalesced range pair of CompileWhere. The job-only cohorts above (user,
+// exit, nodes, submit) already leave the event side unconstrained.
 func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 	t.Helper()
 	jv, ev := d.JobView(), d.EventView()
@@ -69,16 +69,15 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 	}
 	// An event-only cohort starting at an event that precedes every job
 	// submit but is not the corpus's first event: its span starts before
-	// the memo's job extremes and after the memo's start, so the temporal
-	// job bins must re-run over all jobs.
+	// the memo's job extremes and after the corpus's start.
 	first := sort.Search(ev.N, func(i int) bool { return ev.TimeUnix[i] > ev.TimeUnix[0] })
-	if first == ev.N || ev.TimeUnix[first] >= w.jobStart {
+	if first == ev.N || ev.TimeUnix[first] >= w.allJobs.walk.start {
 		t.Fatal("corpus has no second-second event before the first job submit")
 	}
 	return []string{
 		fmt.Sprintf("time >= %d", ev.TimeUnix[first]),
 		// An event-only cohort holding the corpus's first event: its span
-		// equals the memo's, so every job state comes from the memo.
+		// equals the corpus's.
 		fmt.Sprintf("sev == %s", d.Events[0].Sev),
 		// Job-only cohort with a coalesced numeric pair.
 		"nodes > 512 and nodes <= 4096",
@@ -126,9 +125,10 @@ func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endU
 }
 
 // referenceScanSel is the unmemoized cohort scan: every kernel over both
-// selections, the joint tally from the per-row oracle kernel, and the span
-// walked record by record — the oracle for cohorts MaterializeWhere cannot
-// build (an empty job side).
+// selections, the joint tally from the per-row oracle kernel, the span
+// walked record by record, and the distinct projects counted from the
+// project tally — the oracle for cohorts MaterializeWhere cannot build
+// (an empty job side).
 func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfile, error) {
 	jv, ev := d.JobView(), d.EventView()
 	start, end := referenceSpan(d, jobSel, eventSel)
@@ -142,7 +142,30 @@ func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfil
 	if err != nil {
 		return nil, err
 	}
-	return d.finishProfile(jobSel, jsts, ests, jsts[len(jsts)-1].(*jointState).sys, start, end), nil
+	js := jobSide{
+		fams:  familyTotalsOf(jsts[kFamilies].(*tallyState[uint8])),
+		users: jsts[kUsers].(*tallyState[int32]).groups(jv.Users),
+		walk:  referenceJobCounts(d, jobSel),
+	}
+	js.walk.projects = len(jsts[kProjects].(*tallyState[int32]).groups(jv.Projects))
+	return d.finishProfile(js, jsts, ests, jsts[len(jsts)-1].(*jointState).sys, start, end), nil
+}
+
+// referenceJobCounts counts the selected jobs (nil = all) and their task
+// and I/O records, the Summary rows a materialized dataset would report.
+func referenceJobCounts(d *Dataset, jobSel *bitmap.Bitmap) jobWalk {
+	if jobSel == nil {
+		return jobWalk{jobs: len(d.Jobs), tasks: len(d.Tasks), io: len(d.IO)}
+	}
+	var w jobWalk
+	forEachSelected(jobSel, len(d.Jobs), func(row int) {
+		w.jobs++
+		w.tasks += len(d.tasksOf[row])
+		if d.ioOf[row] >= 0 {
+			w.io++
+		}
+	})
+	return w
 }
 
 // jointKernel is the oracle of the joint attribution index: a per-row
@@ -246,10 +269,8 @@ func profileFields(t *testing.T, label string, got, want *FusedProfile) {
 			t.Errorf("%s: %s differs:\n  got  %+v\n  want %+v", label, name, g, w)
 		}
 	}
-	cmp("Summary", got.Summary, want.Summary)
-	cmp("Exit", got.Exit, want.Exit)
+	cohortFields(t, label, &got.Cohort, &want.Cohort)
 	cmp("Joint", got.Joint, want.Joint)
-	cmp("UserGroups", got.UserGroups, want.UserGroups)
 	cmp("ProjectGroups", got.ProjectGroups, want.ProjectGroups)
 	cmp("Temporal", got.Temporal, want.Temporal)
 	cmp("RAS", got.RAS, want.RAS)
@@ -275,9 +296,27 @@ func profileFields(t *testing.T, label string, got, want *FusedProfile) {
 	}
 }
 
+// cohortFields compares the three fields of two cohorts.
+func cohortFields(t *testing.T, label string, got, want *Cohort) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		g, w interface{}
+	}{
+		{"Summary", got.Summary, want.Summary},
+		{"Exit", got.Exit, want.Exit},
+		{"UserGroups", got.UserGroups, want.UserGroups},
+	} {
+		if !reflect.DeepEqual(f.g, f.w) {
+			t.Errorf("%s: %s differs:\n  got  %+v\n  want %+v", label, f.name, f.g, f.w)
+		}
+	}
+}
+
 // TestFusedScanWhereEquivalence is the pushdown acceptance suite: for
-// every predicate, FusedScanWhere must reproduce filter-then-FusedScan
-// exactly, and must itself be identical across worker counts.
+// every predicate, FusedScanWhere must reproduce the Cohort of
+// filter-then-FusedScan exactly, and must itself be identical across
+// worker counts.
 //
 // Each worker count gets its own cold Dataset, so the whole-table memo the
 // unconstrained side reuses is itself built at that worker count.
@@ -300,17 +339,17 @@ func TestFusedScanWhereEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference scan %q: %v", where, err)
 		}
-		var first *FusedProfile
+		var first *Cohort
 		for _, workers := range []int{1, 4, 8} {
 			got, err := cold[workers].FusedScanWhere(e, workers)
 			if err != nil {
 				t.Fatalf("FusedScanWhere(%q, workers=%d): %v", where, workers, err)
 			}
-			profileFields(t, fmt.Sprintf("%q workers=%d vs materialized", where, workers), got, want)
+			cohortFields(t, fmt.Sprintf("%q workers=%d vs materialized", where, workers), got, &want.Cohort)
 			if first == nil {
 				first = got
 			} else {
-				profileFields(t, fmt.Sprintf("%q workers=%d vs workers=1", where, workers), got, first)
+				cohortFields(t, fmt.Sprintf("%q workers=%d vs workers=1", where, workers), got, first)
 			}
 		}
 	}
@@ -336,7 +375,7 @@ func TestFusedScanWhereEmptyJobCohort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			profileFields(t, fmt.Sprintf("%q workers=%d vs reference", where, workers), got, want)
+			cohortFields(t, fmt.Sprintf("%q workers=%d vs reference", where, workers), got, &want.Cohort)
 			if got.Summary.Jobs != 0 || got.Summary.Days <= 0 {
 				t.Errorf("%q: summary %+v, want no jobs over a positive event span", where, got.Summary)
 			}
@@ -360,7 +399,11 @@ func TestCohortSpanMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got0, got1 := d.cohortSpan(w, jobSel, eventSel)
+		jw := w.allJobs.walk
+		if jobSel != nil {
+			jw = d.walkJobs(jobSel)
+		}
+		got0, got1 := d.cohortSpan(jw, jobSel, eventSel)
 		want0, want1 := referenceSpan(d, jobSel, eventSel)
 		if got0 != want0 || got1 != want1 {
 			t.Errorf("%q: span %d..%d, walk gives %d..%d", where, got0, got1, want0, want1)
@@ -534,7 +577,7 @@ func TestSelectionCacheBounded(t *testing.T) {
 }
 
 // TestFusedScanWhereNilPredicate pins the degenerate path: no predicate
-// means the plain whole-corpus FusedScan.
+// means the Cohort of the plain whole-corpus FusedScan.
 func TestFusedScanWhereNilPredicate(t *testing.T) {
 	d, _ := dataset(t)
 	want, err := d.FusedScan(4)
@@ -545,7 +588,7 @@ func TestFusedScanWhereNilPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profileFields(t, "nil predicate", got, want)
+	cohortFields(t, "nil predicate", got, &want.Cohort)
 }
 
 // TestSelectionCacheReuse checks repeated queries hand back the same
@@ -861,21 +904,24 @@ func TestJointIndexMatchesKernel(t *testing.T) {
 	}{{"nil", nil}, {"sparse", sparse}, {"dense", dense}}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		d := fresh()
+		p, err := d.FusedScan(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.Exit
+		want.SystemCause = kernelCount(d, nil, nil, workers)
+		want.UserCaused = want.Failed - want.SystemCause
+		if p.Joint != want {
+			t.Errorf("workers=%d whole table: joint %+v, kernel gives %+v", workers, p.Joint, want)
+		}
+		w, err := d.wholeTable(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, js := range jobSels {
 			for _, es := range eventSels {
-				p, err := d.fusedScanSel(js.b, es.b, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := p.Exit
-				want.SystemCause = kernelCount(d, js.b, es.b, workers)
-				want.UserCaused = want.Failed - want.SystemCause
-				if p.Joint != want {
-					t.Errorf("workers=%d jobs=%s events=%s: joint %+v, kernel gives %+v", workers, js.name, es.name, p.Joint, want)
-				}
-				w, err := d.wholeTable(workers)
-				if err != nil {
-					t.Fatal(err)
+				if got, want := w.joint.count(js.b, es.b), kernelCount(d, js.b, es.b, workers); got != want {
+					t.Errorf("workers=%d jobs=%s events=%s: joint count %d, kernel gives %d", workers, js.name, es.name, got, want)
 				}
 				if avg := testing.AllocsPerRun(5, func() { w.joint.count(js.b, es.b) }); avg != 0 {
 					t.Errorf("jobs=%s events=%s: the joint count allocates %.1f times", js.name, es.name, avg)

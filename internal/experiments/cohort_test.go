@@ -18,7 +18,7 @@ func mustParse(t *testing.T, where string) sel.Expr {
 }
 
 // TestCohortProfileMatchesCore checks the accessor is a façade over
-// core.FusedScanWhere: same numbers for any spelling of one predicate.
+// core.FusedScanWhere: the same Cohort for any spelling of one predicate.
 func TestCohortProfileMatchesCore(t *testing.T) {
 	e := env(t)
 	user := e.D.JobView().Users[0]
@@ -36,14 +36,14 @@ func TestCohortProfileMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(p.Summary, want.Summary) {
-			t.Errorf("%q: Summary differs:\n  got  %+v\n  want %+v", spelling, p.Summary, want.Summary)
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("%q: Cohort differs:\n  got  %+v\n  want %+v", spelling, p, want)
 		}
 	}
 }
 
 // TestCohortProfileNilAndErrors pins the degenerate paths: nil predicate
-// serves the shared whole-corpus profile; a bad predicate reports the
+// serves the shared whole-corpus profile's Cohort; a bad predicate reports the
 // parse error (sel.Parse) or the compile error (CohortProfileExpr).
 func TestCohortProfileNilAndErrors(t *testing.T) {
 	e := env(t)
@@ -55,7 +55,7 @@ func TestCohortProfileNilAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != whole {
+	if p != &whole.Cohort {
 		t.Error("nil predicate did not serve the shared FusedScan profile")
 	}
 	if _, err := sel.Parse("user =="); err == nil {
@@ -92,6 +92,9 @@ func TestCohortProfileLegacyEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Exit, want.Exit) {
 			t.Errorf("%q: Exit tally differs", where)
+		}
+		if !reflect.DeepEqual(got.UserGroups, want.UserGroups) {
+			t.Errorf("%q: UserGroups differ", where)
 		}
 	}
 }

@@ -106,7 +106,13 @@ var accessorOracles = []struct {
 		func(e *Env) (any, error) { return spatialCorrWalk(e.D, 24*time.Hour) }},
 	{"CohortProfileExpr/nil",
 		func(e *Env) (any, error) { return e.CohortProfileExpr(nil) },
-		func(e *Env) (any, error) { return e.D.FusedScan(e.Parallelism) }},
+		func(e *Env) (any, error) {
+			p, err := e.D.FusedScan(e.Parallelism)
+			if err != nil {
+				return nil, err
+			}
+			return &p.Cohort, nil
+		}},
 }
 
 // spatialCorrWalk is the E21 analysis over a fresh FATAL filter pass,

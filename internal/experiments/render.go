@@ -9,13 +9,13 @@ import (
 	"repro/internal/report"
 )
 
-// RenderCohort writes the human-readable cohort report for a fused
-// profile: the Table-I summary restricted to the cohort, its exit-family
-// breakdown, and the heaviest users inside it. It is the single
-// rendering path shared by `mirareport -where` and the mirad /v1/cohort
-// endpoint, so the two surfaces are bit-identical by construction for
-// the same predicate string.
-func RenderCohort(w io.Writer, p *core.FusedProfile, where string) error {
+// RenderCohort writes the human-readable cohort report: the Table-I
+// summary restricted to the cohort, its exit-family breakdown, and the
+// heaviest users inside it. It is the single rendering path shared by
+// `mirareport -where` and the mirad /v1/cohort endpoint, so the two
+// surfaces are bit-identical by construction for the same predicate
+// string.
+func RenderCohort(w io.Writer, p *core.Cohort, where string) error {
 	s := p.Summary
 	st := &report.Table{Title: "cohort summary: " + where, Columns: []string{"metric", "value"}}
 	st.AddRow("days", fmt.Sprintf("%.1f", s.Days))

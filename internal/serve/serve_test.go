@@ -116,7 +116,7 @@ func TestCohortGolden(t *testing.T) {
 			t.Fatalf("reference cohort %q: %v", canon, err)
 		}
 		var want bytes.Buffer
-		if err := experiments.RenderCohort(&want, p, canon); err != nil {
+		if err := experiments.RenderCohort(&want, &p.Cohort, canon); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Report != want.String() {

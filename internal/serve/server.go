@@ -213,10 +213,10 @@ type cohortResponse struct {
 	Report       string            `json:"report"`
 }
 
-// renderCohortBody computes a cohort profile and renders the response
-// JSON once; the bytes are what the LRU holds.
+// renderCohortBody computes a cohort and renders the response JSON once;
+// the bytes are what the LRU holds.
 func (s *Server) renderCohortBody(expr sel.Expr, where string) ([]byte, error) {
-	var p *core.FusedProfile
+	var p *core.Cohort
 	var err error
 	if expr == nil {
 		// Whole corpus: share the Env's memoized fused profile.
