@@ -122,6 +122,50 @@ func (b *Bitmap) Add(x uint32) {
 	}
 }
 
+// FromSorted returns the bitmap of vals, which must be strictly
+// ascending. Each chunk's container is allocated once at its final size —
+// an array when the chunk holds at most arrayCutoff values, a bitset above
+// that — and then optimized as Optimize would, so the result holds the
+// same encodings as an Add-built bitmap after Optimize without the
+// append growth or the payload a promotion leaves behind.
+func FromSorted(vals []uint32) *Bitmap {
+	chunks := 0
+	for i, v := range vals {
+		if i == 0 || v>>16 != vals[i-1]>>16 {
+			chunks++
+		}
+	}
+	b := &Bitmap{keys: make([]uint16, 0, chunks), ctrs: make([]container, 0, chunks)}
+	for len(vals) > 0 {
+		key := vals[0] >> 16
+		n := 1
+		for n < len(vals) && vals[n]>>16 == key {
+			n++
+		}
+		c := container{typ: arrayT, n: int32(n)}
+		if n <= arrayCutoff {
+			c.arr = make([]uint16, n)
+			for i, v := range vals[:n] {
+				c.arr[i] = uint16(v)
+			}
+		} else {
+			c.typ = bitsetT
+			c.bits = make([]uint64, bitsetWords)
+			for _, v := range vals[:n] {
+				c.bits[uint16(v)>>6] |= uint64(1) << (v & 63)
+			}
+		}
+		c.optimize()
+		if c.typ == runT {
+			c.bits = nil // the bitset a run list replaced
+		}
+		b.keys = append(b.keys, uint16(key))
+		b.ctrs = append(b.ctrs, c)
+		vals = vals[n:]
+	}
+	return b
+}
+
 // AddRange inserts every value in [lo, hi).
 func (b *Bitmap) AddRange(lo, hi uint32) {
 	for lo < hi {

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -461,6 +462,56 @@ func TestSelectProperty(t *testing.T) {
 	for _, typ := range []uint8{arrayT, bitsetT, runT} {
 		if !seen[typ] {
 			t.Errorf("no bitmap exercised container type %d", typ)
+		}
+	}
+}
+
+// TestFromSortedProperty checks FromSorted against the sorted-slice model
+// and against an Add-built bitmap after Optimize: the same values through
+// every read API, and chunk for chunk the same encoding and payload size.
+// The sets cover chunks of exactly arrayCutoff and arrayCutoff+1 values,
+// dense runs, and values on both sides of the 65535/65536 chunk seam.
+func TestFromSortedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sets := []refSet{{}}
+	for _, n := range []int{arrayCutoff - 1, arrayCutoff, arrayCutoff + 1} {
+		for _, base := range []uint32{0, 65536 - uint32(n)/2} { // one chunk, then straddling the seam
+			r := refSet{}
+			for i := 0; i < n; i++ {
+				r[base+uint32(i)*7%65536] = true
+			}
+			sets = append(sets, r)
+		}
+	}
+	seam := refSet{}
+	for v := uint32(65536 - 2*arrayCutoff); v < 65536+2*arrayCutoff; v++ {
+		if v%3 != 0 {
+			seam[v] = true
+		}
+	}
+	sets = append(sets, seam)
+	for trial := 0; trial < 60; trial++ {
+		sets = append(sets, randomRef(rng))
+	}
+	for i, r := range sets {
+		want := r.sorted()
+		b := FromSorted(want)
+		name := fmt.Sprintf("set %d (%d values)", i, len(want))
+		checkEqual(t, name, b, r)
+		checkContains(t, name, b, r, probesFor(r, rng))
+		ref := fromRef(r)
+		ref.Optimize()
+		if got, wantSize := b.SizeBytes(), ref.SizeBytes(); got != wantSize {
+			t.Fatalf("%s: SizeBytes = %d, Add-built %d", name, got, wantSize)
+		}
+		if len(b.keys) != len(ref.keys) {
+			t.Fatalf("%s: %d chunks, Add-built %d", name, len(b.keys), len(ref.keys))
+		}
+		for k := range b.ctrs {
+			if b.keys[k] != ref.keys[k] || b.ctrs[k].typ != ref.ctrs[k].typ {
+				t.Fatalf("%s: chunk %d is key %d type %d, Add-built key %d type %d",
+					name, k, b.keys[k], b.ctrs[k].typ, ref.keys[k], ref.ctrs[k].typ)
+			}
 		}
 	}
 }

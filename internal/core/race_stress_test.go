@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,9 @@ func freshDataset(t *testing.T) *Dataset {
 // TestRaceColdFirstTouch aims every goroutine at the lazy-construction
 // paths of a completely cold Dataset at once: views, dimension indexes,
 // full profile, pushdown profiles and index stats all race their first
-// build.
+// build. Several goroutines call IndexStats from cold, so its concurrent
+// build of every dimension races the others and the single-dimension
+// builds of the selections.
 func TestRaceColdFirstTouch(t *testing.T) {
 	d := freshDataset(t)
 	ref := freshDataset(t)
@@ -67,6 +70,7 @@ func TestRaceColdFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantStats := ref.IndexStats()
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -76,7 +80,7 @@ func TestRaceColdFirstTouch(t *testing.T) {
 			defer wg.Done()
 			// Interleave the access patterns so each lazy structure sees
 			// concurrent first touches from several directions.
-			switch w % 4 {
+			switch w % 5 {
 			case 0: // full fused scan
 				p, err := d.FusedScan(2)
 				if err != nil {
@@ -114,6 +118,10 @@ func TestRaceColdFirstTouch(t *testing.T) {
 				if st := d.IndexStats(); len(st) == 0 {
 					t.Errorf("worker %d: no index stats", w)
 					return
+				}
+			case 4: // index stats alone, from cold
+				if st := d.IndexStats(); !reflect.DeepEqual(st, wantStats) {
+					t.Errorf("worker %d: IndexStats = %+v, want %+v", w, st, wantStats)
 				}
 			}
 		}(w)

@@ -37,15 +37,18 @@
 package pack
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/iolog"
 	"repro/internal/joblog"
+	"repro/internal/par"
 	"repro/internal/raslog"
 	"repro/internal/scan"
 	"repro/internal/tasklog"
@@ -170,7 +173,10 @@ type section struct {
 }
 
 // parseHeader validates magic, version and the section table, and verifies
-// every section checksum. It returns sections in table order.
+// every section checksum. It returns sections in table order. Entries are
+// checked in decodeOrder, unknown sections last, so of several corrupt
+// sections the one named is the one whose decode error Unmarshal would
+// report first.
 func parseHeader(data []byte) ([]section, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("pack: file of %d bytes is shorter than the %d-byte header", len(data), headerSize)
@@ -187,13 +193,21 @@ func parseHeader(data []byte) ([]section, error) {
 	if count > 64 || tableEnd > len(data) {
 		return nil, fmt.Errorf("pack: truncated snapshot: section table of %d entries does not fit in %d bytes", count, len(data))
 	}
-	sections := make([]section, 0, count)
-	for i := 0; i < int(count); i++ {
-		entry := data[headerSize+i*sectionEntrySize:]
-		id := binary.LittleEndian.Uint32(entry)
-		sum := binary.LittleEndian.Uint32(entry[4:])
-		off := binary.LittleEndian.Uint64(entry[8:])
-		length := binary.LittleEndian.Uint64(entry[16:])
+	entry := func(i int) []byte { return data[headerSize+i*sectionEntrySize:] }
+	order := make([]int, count)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return decodeRank(binary.LittleEndian.Uint32(entry(order[a]))) < decodeRank(binary.LittleEndian.Uint32(entry(order[b])))
+	})
+	sections := make([]section, count)
+	for _, i := range order {
+		e := entry(i)
+		id := binary.LittleEndian.Uint32(e)
+		sum := binary.LittleEndian.Uint32(e[4:])
+		off := binary.LittleEndian.Uint64(e[8:])
+		length := binary.LittleEndian.Uint64(e[16:])
 		name := sectionName(id)
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
 			return nil, fmt.Errorf("pack: truncated snapshot: section %s [%d, +%d) exceeds file size %d", name, off, length, len(data))
@@ -202,9 +216,25 @@ func parseHeader(data []byte) ([]section, error) {
 		if got := crc32.ChecksumIEEE(payload); got != sum {
 			return nil, fmt.Errorf("pack: section %s checksum mismatch (stored %08x, computed %08x): snapshot is corrupt", name, sum, got)
 		}
-		sections = append(sections, section{id: id, payload: payload})
+		sections[i] = section{id: id, payload: payload}
 	}
 	return sections, nil
+}
+
+// decodeOrder is the order Unmarshal reports section errors in: events,
+// the largest section, first, then the table order of the rest. Unmarshal
+// decodes the first on one goroutine and the rest, in order, on another.
+var decodeOrder = [...]uint32{secEvents, secJobs, secTasks, secIO, secIndexes}
+
+// decodeRank is a section's position in decodeOrder; unknown sections
+// rank last.
+func decodeRank(id uint32) int {
+	for i, d := range decodeOrder {
+		if d == id {
+			return i
+		}
+	}
+	return len(decodeOrder)
 }
 
 func sectionName(id uint32) string {
@@ -225,6 +255,12 @@ func findSection(sections []section, id uint32) ([]byte, error) {
 }
 
 // Unmarshal decodes a snapshot byte image into a fully indexed dataset.
+//
+// The events section, about two thirds of the decode, runs on one
+// goroutine while the jobs, tasks, I/O and indexes sections run in that
+// order on another, each goroutine with its own scratch arena. The error
+// returned is that of the first failing section in decodeOrder, whichever
+// goroutine finished first.
 func Unmarshal(data []byte) (*core.Dataset, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
@@ -237,24 +273,24 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 	var snap core.IndexSnapshot
 	var jv *scan.JobView
 	var ev *scan.EventView
-	// Events first: it needs the widest scratch, so every later section
-	// decodes inside the arena the events pass already paid for.
-	var a arena
-	for _, dec := range []struct {
-		id  uint32
-		run func(payload []byte) error
-	}{
-		{secEvents, func(p []byte) (err error) { events, ev, err = decodeEvents(p, &a, true); return }},
-		{secJobs, func(p []byte) (err error) { jobs, jv, err = decodeJobs(p, &a); return }},
-		{secTasks, func(p []byte) (err error) { tasks, err = decodeTasks(p, &a); return }},
-		{secIO, func(p []byte) (err error) { ioRecs, err = decodeIO(p, &a); return }},
-		{secIndexes, func(p []byte) (err error) { snap, err = decodeIndexes(p); return }},
-	} {
-		payload, err := findSection(sections, dec.id)
+	evArena, jobArena := &arena{}, &arena{}
+	decoders := map[uint32]func(payload []byte) error{
+		secEvents:  func(p []byte) (err error) { events, ev, err = decodeEvents(p, evArena, true); return },
+		secJobs:    func(p []byte) (err error) { jobs, jv, err = decodeJobs(p, jobArena); return },
+		secTasks:   func(p []byte) (err error) { tasks, err = decodeTasks(p, jobArena); return },
+		secIO:      func(p []byte) (err error) { ioRecs, err = decodeIO(p, jobArena); return },
+		secIndexes: func(p []byte) (err error) { snap, err = decodeIndexes(p); return },
+	}
+	parts := [2][]uint32{decodeOrder[:1], decodeOrder[1:]}
+	var errs [2]error
+	if err := par.ForEach(context.Background(), len(parts), len(parts), func(i int) error {
+		errs[i] = decodeSections(sections, parts[i], decoders)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
 		if err != nil {
-			return nil, err
-		}
-		if err := dec.run(payload); err != nil {
 			return nil, err
 		}
 	}
@@ -266,6 +302,21 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
 	return d, nil
+}
+
+// decodeSections runs the decoders of the given sections in order and
+// stops at the first missing or failing section.
+func decodeSections(sections []section, ids []uint32, decoders map[uint32]func(payload []byte) error) error {
+	for _, id := range ids {
+		payload, err := findSection(sections, id)
+		if err != nil {
+			return err
+		}
+		if err := decoders[id](payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadFile loads a snapshot file into a fully indexed dataset: one read,

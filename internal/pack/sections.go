@@ -16,17 +16,23 @@ import (
 // the columns in the fixed order below; the column order is part of the
 // format (DESIGN.md §10) and may only change with a version bump.
 //
-// The decoders write straight into the final row structs, one column pass
-// at a time: no intermediate column slices, no string hashing (dictionary
-// rows share the table's backing), and the one-byte varint fast path
-// inlined — this loop is the whole point of the format, so it is kept
-// allocation-free beyond the output itself.
+// The decoders run each column as one tight loop: no string hashing
+// (dictionary rows share the table's backing), and the short varint fast
+// paths inlined — this loop is the whole point of the format, so it is
+// kept allocation-free beyond the output and one scratch arena. A column
+// the scan views keep as stored decodes straight into its view column.
+// The events and jobs decoders decode their other columns into scratch
+// and then write each record in one row pass; the tasks and I/O decoders
+// take one column of scratch and copy each column into the records as it
+// is decoded, so the decoder running beside the events one needs little
+// scratch of its own (Unmarshal).
 
-// arena hands out scratch column space shared across section decodes: the
-// transient decode buffers are allocated (and zeroed) once per load rather
-// than once per section. Scratch never outlives its decoder — every value
-// is copied into the output structs before the next take. Columns with
-// bounded values use the int32 pool, halving their scratch footprint.
+// arena hands out scratch column space shared across the section decodes
+// of one goroutine: the transient decode buffers are allocated (and
+// zeroed) once per load rather than once per section. Scratch never
+// outlives its decoder — every value is copied into the output before
+// the next take. Columns with bounded values use the int32 pool, halving
+// their scratch footprint.
 type arena struct {
 	buf   []int64
 	buf32 []int32
@@ -78,88 +84,78 @@ func encodeJobs(jobs []joblog.Job) []byte {
 // column pass, the scan.JobView column mirror: the stored dictionaries
 // assign ids in first-appearance order — exactly the order the lazy
 // core.BuildJobView interning would — so the dict indexes and tables are
-// reused as the view's id columns verbatim. The view copies every column it
-// keeps (scratch is arena-shared across sections).
+// reused as the view's id columns verbatim. The columns the view keeps
+// as stored (ids, the three timestamps, node counts, user and project
+// indexes) decode straight into the view, so the arena holds only the
+// other five.
 //
 //mira:hotpath
 func decodeJobs(payload []byte, a *arena) ([]joblog.Job, *scan.JobView, error) {
 	r := &sectionReader{name: "jobs", b: payload}
 	n := r.count("row")
-	scratch := a.take(5 * n)
-	column := func(k int) []int64 { return scratch[k*n : (k+1)*n : (k+1)*n] }
-	id, submit, start, end, exit := column(0), column(1), column(2), column(3), column(4)
-	scratch32 := a.take32(7 * n)
+	v := &scan.JobView{
+		N:          n,
+		ID:         make([]int64, n),
+		SubmitUnix: make([]int64, n),
+		StartUnix:  make([]int64, n),
+		EndUnix:    make([]int64, n),
+		DurSec:     make([]int64, n),
+		Nodes:      make([]int32, n),
+		CoreSec:    make([]int64, n),
+		Exit:       make([]int32, n),
+		Family:     make([]uint8, n),
+		UserID:     make([]int32, n),
+		ProjectID:  make([]int32, n),
+	}
+	exit := a.take(n)
+	scratch32 := a.take32(4 * n)
 	column32 := func(k int) []int32 { return scratch32[k*n : (k+1)*n : (k+1)*n] }
-	user, project, queue := column32(0), column32(1), column32(2)
-	wall, nodes, ranks, numTasks := column32(3), column32(4), column32(5), column32(6)
+	queue, wall, ranks, numTasks := column32(0), column32(1), column32(2), column32(3)
 
-	r.deltasInto(id)
+	r.deltasInto(v.ID)
 	users := r.dictTable()
-	r.dictIndexes32Into(user, len(users))
+	r.dictIndexes32Into(v.UserID, len(users))
 	projects := r.dictTable()
-	r.dictIndexes32Into(project, len(projects))
+	r.dictIndexes32Into(v.ProjectID, len(projects))
 	queues := r.dictTable()
 	r.dictIndexes32Into(queue, len(queues))
-	r.deltasInto(submit)
-	r.deltasInto(start)
-	r.deltasInto(end)
+	r.deltasInto(v.SubmitUnix)
+	r.deltasInto(v.StartUnix)
+	r.deltasInto(v.EndUnix)
 	r.varints32Into(wall, 1<<31, "walltime")
-	r.varints32Into(nodes, 1<<31, "node count")
+	r.varints32Into(v.Nodes, 1<<31, "node count")
 	r.varints32Into(ranks, 1<<31, "ranks-per-node")
 	r.varints32Into(numTasks, 1<<31, "task count")
 	r.varintsInto(exit)
 	if err := r.done(); err != nil {
 		return nil, nil, err
 	}
+	v.Users, v.Projects = users, projects
 
-	var v *scan.JobView
-	if n > 0 {
-		v = &scan.JobView{
-			N:          n,
-			ID:         make([]int64, n),
-			SubmitUnix: make([]int64, n),
-			StartUnix:  make([]int64, n),
-			EndUnix:    make([]int64, n),
-			DurSec:     make([]int64, n),
-			Nodes:      make([]int32, n),
-			CoreSec:    make([]int64, n),
-			Exit:       make([]int32, n),
-			Family:     make([]uint8, n),
-			UserID:     make([]int32, n),
-			ProjectID:  make([]int32, n),
-			Users:      users,
-			Projects:   projects,
-		}
-	}
 	jobs := make([]joblog.Job, n)
 	for i := range jobs {
+		start, end, nodes := v.StartUnix[i], v.EndUnix[i], v.Nodes[i]
 		j := &jobs[i]
-		j.ID = id[i]
-		j.User = users[user[i]]
-		j.Project = projects[project[i]]
+		j.ID = v.ID[i]
+		j.User = users[v.UserID[i]]
+		j.Project = projects[v.ProjectID[i]]
 		j.Queue = queues[queue[i]]
-		j.Submit = unixTime(submit[i])
-		j.Start = unixTime(start[i])
-		j.End = unixTime(end[i])
+		j.Submit = unixTime(v.SubmitUnix[i])
+		j.Start = unixTime(start)
+		j.End = unixTime(end)
 		j.WalltimeReq = time.Duration(wall[i]) * time.Second
-		j.Nodes = int(nodes[i])
+		j.Nodes = int(nodes)
 		j.RanksPerNode = int(ranks[i])
 		j.NumTasks = int(numTasks[i])
 		j.ExitStatus = int(exit[i])
-		if v != nil {
-			dur := end[i] - start[i]
-			v.ID[i] = id[i]
-			v.SubmitUnix[i] = submit[i]
-			v.StartUnix[i] = start[i]
-			v.EndUnix[i] = end[i]
-			v.DurSec[i] = dur
-			v.Nodes[i] = nodes[i]
-			v.CoreSec[i] = int64(nodes[i]) * 16 * dur
-			v.Exit[i] = int32(exit[i])
-			v.Family[i] = joblog.FamilyCodeOf(int(exit[i]))
-			v.UserID[i] = user[i]
-			v.ProjectID[i] = project[i]
-		}
+		dur := end - start
+		v.DurSec[i] = dur
+		v.CoreSec[i] = int64(nodes) * 16 * dur
+		v.Exit[i] = int32(exit[i])
+		v.Family[i] = joblog.FamilyCodeOf(int(exit[i]))
+	}
+	if n == 0 {
+		v = nil
 	}
 	return jobs, v, nil
 }
@@ -179,25 +175,48 @@ func encodeTasks(tasks []tasklog.Task) []byte {
 	return w.buf
 }
 
+// decodeTasks decodes the tasks section one column at a time, each
+// column through one column of scratch straight into the task records.
+// Only the block codes wait in scratch for the end of the column pass:
+// their geometry is validated after the reader has checked every column,
+// so a malformed column reports its own error first.
+//
 //mira:hotpath
 func decodeTasks(payload []byte, a *arena) ([]tasklog.Task, error) {
 	r := &sectionReader{name: "tasks", b: payload}
 	n := r.count("row")
-	scratch := a.take(5 * n)
-	column := func(k int) []int64 { return scratch[k*n : (k+1)*n : (k+1)*n] }
-	id, jobID, start, end, exit := column(0), column(1), column(2), column(3), column(4)
+	tasks := make([]tasklog.Task, n)
+	col := a.take(n)
 	scratch32 := a.take32(2 * n)
-	block, nodes := scratch32[0*n:1*n:1*n], scratch32[1*n:2*n:2*n]
+	block, col32 := scratch32[0*n:1*n:1*n], scratch32[1*n:2*n:2*n]
 
-	r.deltasInto(id)
-	r.deltasInto(jobID)
+	r.deltasInto(col)
+	for i := range tasks {
+		tasks[i].ID = col[i]
+	}
+	r.deltasInto(col)
+	for i := range tasks {
+		tasks[i].JobID = col[i]
+	}
 	// Block codes pack two bytes (base midplane, extent), so 1<<16 bounds
 	// every valid code; BlockFromCode still validates the geometry.
 	r.varints32Into(block, 1<<16, "block code")
-	r.deltasInto(start)
-	r.deltasInto(end)
-	r.varints32Into(nodes, 1<<31, "node count")
-	r.varintsInto(exit)
+	r.deltasInto(col)
+	for i := range tasks {
+		tasks[i].Start = unixTime(col[i])
+	}
+	r.deltasInto(col)
+	for i := range tasks {
+		tasks[i].End = unixTime(col[i])
+	}
+	r.varints32Into(col32, 1<<31, "node count")
+	for i := range tasks {
+		tasks[i].Nodes = int(col32[i])
+	}
+	r.varintsInto(col)
+	for i := range tasks {
+		tasks[i].ExitStatus = int(col[i])
+	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -206,7 +225,6 @@ func decodeTasks(payload []byte, a *arena) ([]tasklog.Task, error) {
 	// each distinct code once.
 	lastCode := int32(-1)
 	var lastBlock machine.Block
-	tasks := make([]tasklog.Task, n)
 	for i := range tasks {
 		if code := block[i]; code != lastCode {
 			b, err := machine.BlockFromCode(uint32(code))
@@ -216,14 +234,7 @@ func decodeTasks(payload []byte, a *arena) ([]tasklog.Task, error) {
 			lastBlock = b
 			lastCode = code
 		}
-		t := &tasks[i]
-		t.ID = id[i]
-		t.JobID = jobID[i]
-		t.Block = lastBlock
-		t.Start = unixTime(start[i])
-		t.End = unixTime(end[i])
-		t.Nodes = int(nodes[i])
-		t.ExitStatus = int(exit[i])
+		tasks[i].Block = lastBlock
 	}
 	return tasks, nil
 }
@@ -250,6 +261,8 @@ func encodeEvents(events []raslog.Event) []byte {
 // scan.EventView column mirror in the same materialization pass, reusing
 // the first-appearance dict indexes as category/component ids and the
 // cached per-code location decode for the dense midplane/rack id columns.
+// The columns the view keeps as stored (times, category and component
+// indexes) decode straight into it, so the arena holds only the others.
 //
 //mira:hotpath
 func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *scan.EventView, error) {
@@ -260,13 +273,33 @@ func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *sca
 	// with a single row-major pass: the struct stream is written exactly
 	// once instead of once per column, which matters because the events
 	// slice is by far the largest thing a load touches.
-	scratch := a.take(3 * n)
+	var v *scan.EventView
+	k64, k32 := 3, 7
+	if wantView {
+		v = &scan.EventView{
+			N:          n,
+			TimeUnix:   make([]int64, n),
+			Sev:        make([]uint8, n),
+			CatID:      make([]int32, n),
+			CompID:     make([]int32, n),
+			MidplaneID: make([]int32, n),
+			RackID:     make([]int32, n),
+		}
+		k64, k32 = 2, 5
+	}
+	scratch := a.take(k64 * n)
 	column := func(k int) []int64 { return scratch[k*n : (k+1)*n : (k+1)*n] }
-	recID, when, jobID := column(0), column(1), column(2)
-	scratch32 := a.take32(7 * n)
+	recID, jobID := column(0), column(1)
+	scratch32 := a.take32(k32 * n)
 	column32 := func(k int) []int32 { return scratch32[k*n : (k+1)*n : (k+1)*n] }
-	msgID, comp, cat, sev := column32(0), column32(1), column32(2), column32(3)
-	loc, count, msg := column32(4), column32(5), column32(6)
+	msgID, sev, loc, count, msg := column32(0), column32(1), column32(2), column32(3), column32(4)
+	var when []int64
+	var comp, cat []int32
+	if v != nil {
+		when, comp, cat = v.TimeUnix, v.CompID, v.CatID
+	} else {
+		when, comp, cat = column(2), column32(5), column32(6)
+	}
 
 	r.deltasInto(recID)
 	msgIDs := r.dictTable()
@@ -295,19 +328,8 @@ func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *sca
 		return nil, nil, err
 	}
 
-	var v *scan.EventView
-	if wantView && n > 0 {
-		v = &scan.EventView{
-			N:          n,
-			TimeUnix:   make([]int64, n),
-			Sev:        make([]uint8, n),
-			CatID:      make([]int32, n),
-			CompID:     make([]int32, n),
-			MidplaneID: make([]int32, n),
-			RackID:     make([]int32, n),
-			Cats:       cats,
-			Comps:      comps,
-		}
+	if v != nil {
+		v.Cats, v.Comps = cats, comps
 	}
 	// Location codes are high-cardinality (events land on any of 49k
 	// nodes), so a decoded-code cache would miss more than it hits; the
@@ -340,13 +362,13 @@ func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *sca
 		e.Count = int(count[i])
 		e.Message = msgs[msg[i]]
 		if v != nil {
-			v.TimeUnix[i] = when[i]
 			v.Sev[i] = uint8(sev[i])
-			v.CatID[i] = cat[i]
-			v.CompID[i] = comp[i]
 			v.MidplaneID[i] = lastMid
 			v.RackID[i] = lastRack
 		}
+	}
+	if n == 0 {
+		v = nil
 	}
 	return events, v, nil
 }
@@ -366,36 +388,46 @@ func encodeIO(records []iolog.Record) []byte {
 	return w.buf
 }
 
+// decodeIO decodes the I/O section one column at a time, each column
+// through one column of scratch straight into the records.
+//
 //mira:hotpath
 func decodeIO(payload []byte, a *arena) ([]iolog.Record, error) {
 	r := &sectionReader{name: "io", b: payload}
 	n := r.count("row")
-	scratch := a.take(7 * n)
-	column := func(k int) []int64 { return scratch[k*n : (k+1)*n : (k+1)*n] }
-	jobID, bytesR, bytesW := column(0), column(1), column(2)
-	filesR, filesW, meta, ioTime := column(3), column(4), column(5), column(6)
+	recs := make([]iolog.Record, n)
+	col := a.take(n)
 
-	r.deltasInto(jobID)
-	r.raw64sInto(bytesR)
-	r.raw64sInto(bytesW)
-	r.varintsInto(filesR)
-	r.varintsInto(filesW)
-	r.varintsInto(meta)
-	r.raw64sInto(ioTime)
+	r.deltasInto(col)
+	for i := range recs {
+		recs[i].JobID = col[i]
+	}
+	r.raw64sInto(col)
+	for i := range recs {
+		recs[i].BytesRead = col[i]
+	}
+	r.raw64sInto(col)
+	for i := range recs {
+		recs[i].BytesWritten = col[i]
+	}
+	r.varintsInto(col)
+	for i := range recs {
+		recs[i].FilesRead = int(col[i])
+	}
+	r.varintsInto(col)
+	for i := range recs {
+		recs[i].FilesWritten = int(col[i])
+	}
+	r.varintsInto(col)
+	for i := range recs {
+		recs[i].MetaOps = col[i]
+	}
+	r.raw64sInto(col)
+	for i := range recs {
+		recs[i].IOTime = time.Duration(col[i])
+	}
 	if err := r.done(); err != nil {
 		return nil, err
-	}
-
-	recs := make([]iolog.Record, n)
-	for i := range recs {
-		rec := &recs[i]
-		rec.JobID = jobID[i]
-		rec.BytesRead = bytesR[i]
-		rec.BytesWritten = bytesW[i]
-		rec.FilesRead = int(filesR[i])
-		rec.FilesWritten = int(filesW[i])
-		rec.MetaOps = meta[i]
-		rec.IOTime = time.Duration(ioTime[i])
 	}
 	return recs, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/joblog"
+	"repro/internal/par"
 	"repro/internal/sel"
 )
 
@@ -124,13 +126,24 @@ type WarmStats struct {
 }
 
 // Warm pre-builds everything the first queries would otherwise pay for
-// under traffic: the SoA column views, every per-dimension bitmap index,
-// and the whole-corpus fused profile (which also becomes the /v1/profile
-// cache entry).
+// under traffic: the SoA column views and every per-dimension bitmap
+// index, the indexes at GOMAXPROCS workers (IndexStats), and alongside
+// them the whole-corpus fused profile (which also becomes the /v1/profile
+// cache entry). The worker bounds of
+// Options.Parallelism and of the Env apply to fused scans only, not to
+// the index builds.
 func (s *Server) Warm() (WarmStats, error) {
 	t0 := time.Now()
-	stats := s.env.D.IndexStats() // builds views + every index dimension
-	if _, _, err := s.profileBody(); err != nil {
+	var stats []core.IndexStat
+	err := par.ForEach(context.Background(), 2, 2, func(i int) error {
+		if i == 1 {
+			stats = s.env.D.IndexStats()
+			return nil
+		}
+		_, _, err := s.profileBody()
+		return err
+	})
+	if err != nil {
 		return WarmStats{}, err
 	}
 	ws := WarmStats{Duration: time.Since(t0), IndexDims: len(stats)}

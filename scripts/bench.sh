@@ -34,7 +34,9 @@
 # BenchmarkProfile/{walk,fused} in internal/core (every FusedProfile field
 # through its pre-fusion walk against one FusedScan — DESIGN.md §13) and
 # the two reference classifications BenchmarkClassification/{by-exit,joint}
-# beside it, the accessor comparison BenchmarkAccessors/{walk,fused} in
+# beside it, the cold index build BenchmarkIndexStats in internal/core (all
+# nine selection-index dimensions of a cold 90-day Dataset, built
+# concurrently — DESIGN.md §14), the accessor comparison BenchmarkAccessors/{walk,fused} in
 # internal/experiments (the Env accessors layered on the incident and MTTI
 # passes against fresh walks), the
 # cold-Env suite run Benchmark_RunAll_Fused and E6's layer time
