@@ -36,9 +36,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/pack"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -62,7 +60,7 @@ func run() error {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
 	flag.Parse()
 
-	env, err := buildEnv(*in, *format, *days, *seed, *small, *parallelism)
+	env, err := experiments.OpenEnv(*in, *format, *days, *seed, *small, *parallelism, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -113,34 +111,4 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "mirad: bye")
 	return nil
-}
-
-// buildEnv mirrors mirareport's corpus bootstrap: load a snapshot or CSV
-// directory, or generate a corpus in memory.
-func buildEnv(in, format string, days int, seed int64, small bool, parallelism int) (*experiments.Env, error) {
-	if in == "" {
-		cfg := sim.DefaultConfig()
-		if small {
-			cfg = sim.SmallConfig()
-		}
-		if days > 0 {
-			cfg.Days = days
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		fmt.Fprintf(os.Stderr, "mirad: generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
-		return experiments.NewEnv(cfg, parallelism)
-	}
-	ft, err := pack.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	d, err := pack.LoadDir(in, ft)
-	if err != nil {
-		return nil, err
-	}
-	env := experiments.NewEnvFromDataset(d)
-	env.Parallelism = parallelism
-	return env, nil
 }

@@ -10,7 +10,8 @@
 //
 // The input may be a RAS CSV log (streamed row by row) or a corpus.mirapack
 // binary snapshot (events section decoded in one step, no parse); -format
-// auto sniffs the file's magic bytes.
+// auto sniffs the file's magic bytes. Events are filtered in time order,
+// whatever order the log lists them in.
 //
 // -where further restricts the events entering the filter with an
 // event-column predicate (sev, cat, comp, midplane, rack, time — the same
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -79,6 +81,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The -where time index and the filter read the events in time order;
+	// a log that lists them otherwise is put in order here, keeping events
+	// of one second in the order the log lists them.
+	slices.SortStableFunc(events, func(a, b raslog.Event) int { return a.Time.Compare(b.Time) })
 	if *where != "" {
 		if events, err = applyWhere(events, *where); err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,6 +60,60 @@ func TestGolden(t *testing.T) {
 				t.Errorf("summary %q, want %q", got, c.summary)
 			}
 		})
+	}
+}
+
+// TestShuffledLogMatchesSorted feeds mirafilter the -small corpus's RAS log
+// with its rows shuffled and checks that it prints the bytes the
+// time-ordered log gives. Rows of one second move as a block: the filter
+// orders events by time and keeps the log's order within a second.
+func TestShuffledLogMatchesSorted(t *testing.T) {
+	c, err := sim.Generate(sim.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seconds [][]raslog.Event
+	for i := 0; i < len(c.Events); {
+		j := i + 1
+		for j < len(c.Events) && c.Events[j].Time.Equal(c.Events[i].Time) {
+			j++
+		}
+		seconds = append(seconds, c.Events[i:j])
+		i = j
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(seconds), func(a, b int) { seconds[a], seconds[b] = seconds[b], seconds[a] })
+	shuffled := make([]raslog.Event, 0, len(c.Events))
+	for _, s := range seconds {
+		shuffled = append(shuffled, s...)
+	}
+	dir := t.TempDir()
+	logs := map[string][]raslog.Event{"sorted.csv": c.Events, "shuffled.csv": shuffled}
+	for name, events := range logs {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := raslog.WriteCSV(f, events); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, args := range [][]string{
+		nil,
+		{"-severity", "WARN", "-where", "rack == R01 or cat == Memory"},
+		{"-level", "node", "-by-message=false"},
+	} {
+		var out [2]bytes.Buffer
+		for k, name := range []string{"sorted.csv", "shuffled.csv"} {
+			if err := run(append([]string{"-in", filepath.Join(dir, name)}, args...), &out[k], &out[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+			t.Errorf("mirafilter %s: shuffled log differs from the sorted one: %s", strings.Join(args, " "), firstDiff(out[1].String(), out[0].String()))
+		}
 	}
 }
 

@@ -7,20 +7,26 @@
 //	mirapack -in corpus/ -out snap.mirapack
 //	mirapack -info -in corpus/            print header, sections, checksums
 //	                                      and selection-index statistics
-//	mirapack -verify -in snap.mirapack    fully decode and report row counts
+//	mirapack -verify -in snap.mirapack    fully decode, re-encode and
+//	                                      report row counts
 //
 // -in accepts either a corpus directory (the snapshot is resolved to
 // corpus.mirapack inside it) or, for -info/-verify, a snapshot file
 // directly. Convert loads the CSVs through the same path mirareport uses,
-// so a snapshot always carries the prebuilt indexes of a fully validated
-// dataset.
+// so a snapshot always holds a fully validated dataset. A load checks
+// every section's checksum but derives the indexes from the columns
+// instead of decoding the indexes section, so -verify also re-encodes the
+// loaded dataset and requires the file's exact bytes back: a stale or
+// foreign indexes section fails there.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/pack"
 )
 
@@ -111,13 +117,30 @@ func printInfo(path string) error {
 }
 
 func verifySnapshot(path string) error {
-	d, err := pack.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
+	}
+	d, err := verifyImage(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	start, end := d.Span()
 	fmt.Printf("%s: ok — %d jobs, %d tasks, %d RAS events, %d I/O records, %s to %s\n",
 		path, len(d.Jobs), len(d.Tasks), len(d.Events), len(d.IO),
 		start.Format("2006-01-02"), end.Format("2006-01-02"))
 	return nil
+}
+
+// verifyImage decodes a snapshot image and checks that the loaded dataset
+// re-encodes to the same bytes.
+func verifyImage(data []byte) (*core.Dataset, error) {
+	d, err := pack.Unmarshal(data)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(pack.Marshal(d), data) {
+		return nil, fmt.Errorf("snapshot decodes but does not re-encode to its own bytes: it is stale or was not written by this encoder")
+	}
+	return d, nil
 }

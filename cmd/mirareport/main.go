@@ -33,9 +33,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/pack"
 	"repro/internal/sel"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -98,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	env, err := buildEnv(*in, *format, *days, *seed, *small, *parallelism)
+	env, err := experiments.OpenEnv(*in, *format, *days, *seed, *small, *parallelism, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -158,36 +156,6 @@ func run(args []string, stdout io.Writer) error {
 		return printTakeaways(stdout, env)
 	}
 	return nil
-}
-
-// buildEnv creates the evaluation environment from a corpus directory
-// (snapshot or CSV) or by generating a fresh corpus.
-func buildEnv(in, format string, days int, seed int64, small bool, parallelism int) (*experiments.Env, error) {
-	if in == "" {
-		cfg := sim.DefaultConfig()
-		if small {
-			cfg = sim.SmallConfig()
-		}
-		if days > 0 {
-			cfg.Days = days
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		fmt.Fprintf(os.Stderr, "generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
-		return experiments.NewEnv(cfg, parallelism)
-	}
-	ft, err := pack.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	d, err := pack.LoadDir(in, ft)
-	if err != nil {
-		return nil, err
-	}
-	env := experiments.NewEnvFromDataset(d)
-	env.Parallelism = parallelism
-	return env, nil
 }
 
 // printCohort renders the Cohort a -where predicate selects, through the

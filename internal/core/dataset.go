@@ -57,8 +57,9 @@ type Dataset struct {
 	// for consistent corpora.
 	orphanTasks map[int64][]tasklog.Task
 
-	// Severity-partitioned views into Events, built once: indices of FATAL
-	// and WARN events in time order. Most analyses touch only these slivers
+	// Severity-partitioned views into Events, derived from the event
+	// view's severity column at construction: indices of FATAL and WARN
+	// events in time order. Most analyses touch only these slivers
 	// of the stream (FATALs are a tiny fraction of a RAS log), so they scan
 	// the index instead of re-walking and re-testing every event.
 	fatalIdx []int
@@ -66,11 +67,11 @@ type Dataset struct {
 	infoN    int // events that are neither FATAL nor WARN
 
 	// SoA column views of the hot job/event columns for the fused scan
-	// engine, built lazily on first use — or adopted straight from mirapack
-	// column decode via AdoptViews, skipping the AoS re-walk. Each view's
-	// memo lets concurrent analyses build it exactly once.
-	jobView   par.Memo[*scan.JobView]
-	eventView par.Memo[*scan.EventView]
+	// engine and the selection indexes, set at construction: built from
+	// the records by NewDataset, or decoded from the stored columns by
+	// mirapack.
+	jobView   *scan.JobView
+	eventView *scan.EventView
 
 	// Interned similarity keys of the FATAL/WARN views, one entry per key
 	// configuration (severity, Spatial, SameMessage), built lazily by the
@@ -250,54 +251,70 @@ func wholeSeconds(ts ...time.Time) bool {
 }
 
 // NewDataset indexes the logs. Events are sorted by time if they are not
-// already; jobs and tasks are never reordered.
+// already, stably, so events of one second keep their order; jobs and
+// tasks are never reordered. The column views are built from the records.
 //
 // A corpus has the logs' resolution: every job, task and event timestamp
 // is a whole Unix second, in memory as on disk, so the column views'
 // Unix seconds lose nothing. A finer timestamp is an error naming its
 // record.
 func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record) (*Dataset, error) {
+	for i := range jobs {
+		if j := &jobs[i]; !wholeSeconds(j.Submit, j.Start, j.End) {
+			return nil, fmt.Errorf("core: job %d: submit %s, start %s or end %s is finer than a second", j.ID, j.Submit, j.Start, j.End)
+		}
+	}
+	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) }) {
+		events = append([]raslog.Event(nil), events...)
+		sort.SliceStable(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
+	}
+	for i := range events {
+		if e := &events[i]; !wholeSeconds(e.Time) {
+			return nil, fmt.Errorf("core: event %d: time %s is finer than a second", e.RecID, e.Time)
+		}
+	}
+	return NewDatasetFromViews(jobs, tasks, events, ioRecs, BuildJobView(jobs), BuildEventView(events))
+}
+
+// NewDatasetFromViews indexes the logs over column views of them built
+// elsewhere: the mirapack decoder fills both views from the stored
+// columns. It is the constructor NewDataset ends in. The views must hold
+// one row per job and per event, the event view's times must not
+// decrease (Events is in time order), and job ids must be unique. The
+// severity views and the observation window are derived from the view
+// columns in one pass.
+func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record, jv *scan.JobView, ev *scan.EventView) (*Dataset, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("core: dataset has no jobs")
 	}
-	d := &Dataset{Jobs: jobs, Tasks: tasks, Events: events, IO: ioRecs}
-	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) }) {
-		sorted := append([]raslog.Event(nil), events...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
-		d.Events = sorted
+	if jv == nil || ev == nil || jv.N != len(jobs) || ev.N != len(events) {
+		return nil, fmt.Errorf("core: column views do not have one row per job (%d) and per event (%d)", len(jobs), len(events))
 	}
+	d := &Dataset{Jobs: jobs, Tasks: tasks, Events: events, IO: ioRecs, jobView: jv, eventView: ev}
 	if err := d.buildJobIndex(); err != nil {
 		return nil, err
 	}
 	if err := d.buildPerJob(); err != nil {
 		return nil, err
 	}
-	d.start = jobs[0].Submit
-	d.end = jobs[0].End
-	for i := range jobs {
-		j := &jobs[i]
-		if !wholeSeconds(j.Submit, j.Start, j.End) {
-			return nil, fmt.Errorf("core: job %d: submit %s, start %s or end %s is finer than a second", j.ID, j.Submit, j.Start, j.End)
-		}
-		if j.Submit.Before(d.start) {
-			d.start = j.Submit
-		}
-		if j.End.After(d.end) {
-			d.end = j.End
-		}
+	// The first job seeds the window and every job widens it by its submit
+	// and end; events then widen it in an else-if walk, which cohortSpan
+	// reproduces for a selection.
+	start, end := jv.SubmitUnix[0], jv.EndUnix[0]
+	for i := range jv.SubmitUnix {
+		start, end = min(start, jv.SubmitUnix[i]), max(end, jv.EndUnix[i])
 	}
-	for i := range events {
-		if t := events[i].Time; t.Before(d.start) {
-			d.start = t
-		} else if t.After(d.end) {
-			d.end = t
+	times, sevs := ev.TimeUnix, ev.Sev[:len(ev.TimeUnix)]
+	for i, t := range times {
+		if i > 0 && t < times[i-1] {
+			return nil, fmt.Errorf("core: event %d at unix %d precedes the event before it (unix %d): events are not in time order", events[i].RecID, t, times[i-1])
 		}
-	}
-	for i := range d.Events {
-		if e := &d.Events[i]; !wholeSeconds(e.Time) {
-			return nil, fmt.Errorf("core: event %d: time %s is finer than a second", e.RecID, e.Time)
+		if t < start {
+			start = t
+		} else if t > end {
+			end = t
 		}
-		switch d.Events[i].Sev {
+		switch raslog.Severity(sevs[i]) {
 		case raslog.Fatal:
 			d.fatalIdx = append(d.fatalIdx, i)
 		case raslog.Warn:
@@ -306,6 +323,7 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 			d.infoN++
 		}
 	}
+	d.start, d.end = time.Unix(start, 0).UTC(), time.Unix(end, 0).UTC()
 	return d, nil
 }
 

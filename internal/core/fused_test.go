@@ -282,17 +282,6 @@ func TestViewBuildersMatchDataset(t *testing.T) {
 				i, ev.MidplaneID[i], ev.RackID[i], wantMid, wantRack)
 		}
 	}
-	// AdoptViews rejects mismatched row counts and is a no-op after the
-	// lazy build.
-	if err := d.AdoptViews(&scan.JobView{N: jv.N + 1}, nil); err == nil {
-		t.Error("adopt accepted wrong job row count")
-	}
-	if err := d.AdoptViews(&scan.JobView{N: jv.N}, nil); err != nil {
-		t.Errorf("late adopt errored: %v", err)
-	}
-	if d.JobView() != jv {
-		t.Error("late adopt replaced the built view")
-	}
 }
 
 // TestKernelProcessBlockAllocFree pins the steady-state scan loops as

@@ -61,7 +61,6 @@ func orderBenchDataset(b *testing.B) *Dataset {
 		if err != nil {
 			panic(err)
 		}
-		d.JobView()
 		return d, nil
 	})
 	return d

@@ -22,8 +22,7 @@ func mustParse(t *testing.T, where string) sel.Expr {
 }
 
 // This file is the concurrency contract for serving (DESIGN.md §15): a
-// Dataset and everything it builds lazily — SoA views, per-dimension
-// bitmap indexes, compiled selections, the memoized whole-corpus profile,
+// Dataset and everything it builds lazily — per-dimension bitmap indexes, compiled selections, the memoized whole-corpus profile,
 // the filter key memo — must be safe to hammer from many goroutines,
 // including the very first touch, where every par.Memo and the
 // compiled-selection cache are under maximal contention. mirad relies on

@@ -69,10 +69,9 @@ type selIndexes struct {
 	jv *scan.JobView
 	ev *scan.EventView
 
-	uni         [2]par.Memo[*bitmap.Bitmap] // indexed by selDomain
-	dims        [numDims]par.Memo[*dimIndex]
-	allDims     par.Memo[struct{}] // every dims entry built (allDimensions)
-	timesSorted par.Memo[bool]     // event TimeUnix ascending
+	uni     [2]par.Memo[*bitmap.Bitmap] // indexed by selDomain
+	dims    [numDims]par.Memo[*dimIndex]
+	allDims par.Memo[struct{}] // every dims entry built (allDimensions)
 
 	// cache maps canonical expression keys to compiled selections. It is
 	// bounded: order holds the resident keys as a ring, oldest at next,
@@ -285,8 +284,10 @@ func (d *Dataset) SelectEvents(e sel.Expr) (*bitmap.Bitmap, error) {
 }
 
 // SelectEventsView compiles an event-domain predicate against a standalone
-// event view, without a Dataset — the mirafilter -where path. Indexes are
-// transient; repeated queries over one view should reuse a Dataset.
+// event view, without a Dataset — the mirafilter -where path. The view
+// must be in time order, as a Dataset's is: a time predicate selects a
+// contiguous run of it. Indexes are transient; repeated queries over one
+// view should reuse a Dataset.
 func SelectEventsView(ev *scan.EventView, e sel.Expr) (*bitmap.Bitmap, error) {
 	return newSelIndexes(nil, ev).selectDomain(e, domEvent)
 }
@@ -700,37 +701,18 @@ func (x *selIndexes) submitRange(lo, hi int64) *bitmap.Bitmap {
 	return res
 }
 
-// timeRange selects events with lo ≤ TimeUnix ≤ hi. The event stream is
-// time-sorted, so the selection is one contiguous run found by binary
-// search; an unsorted adopted view falls back to a sweep.
+// timeRange selects events with lo ≤ TimeUnix ≤ hi. The event view is in
+// time order, so the selection is one contiguous run found by binary
+// search.
 func (x *selIndexes) timeRange(lo, hi int64) *bitmap.Bitmap {
 	times := x.ev.TimeUnix
 	b := bitmap.New()
-	if !x.eventTimesSorted() {
-		for i, u := range times {
-			if u >= lo && u <= hi {
-				b.Add(uint32(i))
-			}
-		}
-		b.Optimize()
-		return b
-	}
 	first := sort.Search(len(times), func(i int) bool { return times[i] >= lo })
 	last := sort.Search(len(times), func(i int) bool { return times[i] > hi })
 	if first < last {
 		b.AddRange(uint32(first), uint32(last))
 	}
 	return b
-}
-
-// eventTimesSorted reports whether the event view's TimeUnix column is
-// ascending, checked once.
-func (x *selIndexes) eventTimesSorted() bool {
-	sorted, _ := x.timesSorted.Get(func() (bool, error) {
-		times := x.ev.TimeUnix
-		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }), nil
-	})
-	return sorted
 }
 
 // IndexStat describes one selection-index dimension: how many key bitmaps

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/joblog"
 	"repro/internal/machine"
 	"repro/internal/raslog"
@@ -11,8 +9,8 @@ import (
 
 // BuildJobView constructs the SoA column mirror of the hot job columns from
 // AoS records. Dictionaries are interned in first-appearance order, which is
-// also the order the mirapack encoder assigns, so lazily built and
-// pack-decoded views are identical.
+// also the order the mirapack encoder assigns, so built and pack-decoded
+// views are identical.
 func BuildJobView(jobs []joblog.Job) *scan.JobView {
 	n := len(jobs)
 	v := &scan.JobView{
@@ -115,39 +113,10 @@ func LocIDs(loc machine.Location) (midplane, rack int32) {
 	return midplane, rack
 }
 
-// JobView returns the dataset's SoA job-column mirror, building it on first
-// use unless one was adopted from pack decode. The view is immutable and
-// safe for concurrent use.
-func (d *Dataset) JobView() *scan.JobView {
-	jv, _ := d.jobView.Get(func() (*scan.JobView, error) { return BuildJobView(d.Jobs), nil })
-	return jv
-}
+// JobView returns the dataset's SoA job-column mirror. The view is
+// immutable and safe for concurrent use.
+func (d *Dataset) JobView() *scan.JobView { return d.jobView }
 
-// EventView returns the dataset's SoA event-column mirror, building it on
-// first use unless one was adopted from pack decode. The view is immutable
-// and safe for concurrent use.
-func (d *Dataset) EventView() *scan.EventView {
-	ev, _ := d.eventView.Get(func() (*scan.EventView, error) { return BuildEventView(d.Events), nil })
-	return ev
-}
-
-// AdoptViews installs column views produced elsewhere (mirapack decode
-// builds them straight from the stored columns, skipping the AoS re-walk).
-// Either argument may be nil to leave that view lazily built. Adoption must
-// happen before the first JobView/EventView call; a view that arrives after
-// the lazy build is ignored.
-func (d *Dataset) AdoptViews(jv *scan.JobView, ev *scan.EventView) error {
-	if jv != nil {
-		if jv.N != len(d.Jobs) {
-			return fmt.Errorf("core: adopt job view: %d rows for %d jobs", jv.N, len(d.Jobs))
-		}
-		d.jobView.Get(func() (*scan.JobView, error) { return jv, nil })
-	}
-	if ev != nil {
-		if ev.N != len(d.Events) {
-			return fmt.Errorf("core: adopt event view: %d rows for %d events", ev.N, len(d.Events))
-		}
-		d.eventView.Get(func() (*scan.EventView, error) { return ev, nil })
-	}
-	return nil
-}
+// EventView returns the dataset's SoA event-column mirror, in time order.
+// The view is immutable and safe for concurrent use.
+func (d *Dataset) EventView() *scan.EventView { return d.eventView }

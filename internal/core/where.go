@@ -98,8 +98,8 @@ func (d *Dataset) walkJobs(jobSel *bitmap.Bitmap) jobWalk {
 //
 // The job half of the walk is jw, the walk over the cohort's jobs. Over
 // the time-sorted event stream only the first and last selected events
-// can widen a consistent (start ≤ end) span. An unsorted event view or an
-// inverted job span falls back to walking every selected event.
+// can widen a consistent (start ≤ end) span; an inverted job span falls
+// back to walking every selected event.
 func (d *Dataset) cohortSpan(jw jobWalk, jobSel, eventSel *bitmap.Bitmap) (start, end int64) {
 	if jobSel == nil && eventSel == nil {
 		s, e := d.Span()
@@ -120,7 +120,7 @@ func (d *Dataset) cohortSpan(jw jobWalk, jobSel, eventSel *bitmap.Bitmap) (start
 			end = t
 		}
 	}
-	if !d.selIdx().eventTimesSorted() || (seeded && end < start) {
+	if seeded && end < start {
 		forEachSelected(eventSel, len(times), widen)
 		return start, end
 	}

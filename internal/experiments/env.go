@@ -7,10 +7,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/pack"
 	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -82,6 +84,41 @@ func NewEnv(cfg sim.Config, workers int) (*Env, error) {
 // back by mirareport) as an evaluation environment.
 func NewEnvFromDataset(d *core.Dataset) *Env {
 	return &Env{D: d}
+}
+
+// OpenEnv is the corpus bootstrap of the commands that analyse one corpus
+// (mirareport, mirad). With in empty it generates a corpus: the
+// paper-scale config, or the 30-day one if small, with days and seed
+// overriding the config's when nonzero, announced on log first.
+// Otherwise it loads the corpus directory in, in the given format
+// ("auto", "csv" or "pack"). parallelism becomes the Env's Parallelism
+// and bounds the generation.
+func OpenEnv(in, format string, days int, seed int64, small bool, parallelism int, log io.Writer) (*Env, error) {
+	if in == "" {
+		cfg := sim.DefaultConfig()
+		if small {
+			cfg = sim.SmallConfig()
+		}
+		if days > 0 {
+			cfg.Days = days
+		}
+		if seed != 0 {
+			cfg.Seed = seed
+		}
+		fmt.Fprintf(log, "generating %d-day corpus (seed %d)...\n", cfg.Days, cfg.Seed)
+		return NewEnv(cfg, parallelism)
+	}
+	ft, err := pack.ParseFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	d, err := pack.LoadDir(in, ft)
+	if err != nil {
+		return nil, err
+	}
+	env := NewEnvFromDataset(d)
+	env.Parallelism = parallelism
+	return env, nil
 }
 
 // Orders returns a job-order layer over D: each job attribute E3, E5, E8,

@@ -18,7 +18,6 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]int64, n)
 	sorted := make([]int64, n)
-	ints := make([]int, n)
 	bounded := make([]int64, n)
 	indexes := make([]uint64, n)
 	prev := int64(0)
@@ -26,7 +25,6 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 		vals[i] = rng.Int63n(1<<40) - (1 << 39)
 		prev += rng.Int63n(4096)
 		sorted[i] = prev
-		ints[i] = i * 3
 		bounded[i] = rng.Int63n(bound)
 		indexes[i] = uint64(rng.Intn(tableN))
 	}
@@ -34,31 +32,24 @@ func TestDecodeCoresAllocFree(t *testing.T) {
 	w.varints(vals)
 	w.deltaInt64s(sorted)
 	w.rawInt64s(vals)
-	w.deltaInts(ints)
 	w.varints(bounded)
 	for _, id := range indexes {
 		w.uvarint(id) // dictIndexes32Into stream
 	}
 	w.uvarint(42)
-	w.varint(-17)
 	payload := w.buf
 
 	dst64 := make([]int64, n)
 	dst32 := make([]int32, n)
-	dstInt := make([]int, n)
 	decodeAll := func() {
 		r := sectionReader{name: "alloc-test", b: payload}
 		r.varintsInto(dst64)
 		r.deltasInto(dst64)
 		r.raw64sInto(dst64)
-		r.deltaInts(dstInt)
 		r.varints32Into(dst32, bound, "bounded value")
 		r.dictIndexes32Into(dst32, tableN)
 		if got := r.uv(); got != 42 {
 			t.Fatalf("uv decoded %d, want 42", got)
-		}
-		if got := r.v(); got != -17 {
-			t.Fatalf("v decoded %d, want -17", got)
 		}
 		if err := r.done(); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pack"
+	"repro/internal/raslog"
 )
 
 // corruptSnapshot returns a fresh valid snapshot image for mutation.
@@ -165,4 +166,22 @@ func sectionIndex(t *testing.T, data []byte, name string) int {
 	}
 	t.Fatalf("no %s section", name)
 	return 0
+}
+
+// TestEventsOutOfTimeOrder re-signs an events payload whose second and
+// third events have their times swapped. Every column decodes within its
+// bounds, so the load fails only on the dataset's time-order check, with a
+// pack error.
+func TestEventsOutOfTimeOrder(t *testing.T) {
+	base := corruptSnapshot(t)
+	d := trickyDataset(t)
+	events := append([]raslog.Event(nil), d.Events...)
+	events[1].Time, events[2].Time = events[2].Time, events[1].Time
+	d.Events = events
+	eventsAt := sectionIndex(t, base, "events")
+	swapped := splitSections(t, pack.Marshal(d))[eventsAt]
+	_, err := pack.Unmarshal(resign(base, splitSections(t, base), eventsAt, swapped))
+	if err == nil || !strings.HasPrefix(err.Error(), "pack: ") || !strings.Contains(err.Error(), "not in time order") {
+		t.Fatalf("swapped event times: error %v, want a pack error naming the time order", err)
+	}
 }

@@ -66,14 +66,6 @@ func (r *sectionReader) uvSlow() uint64 {
 	return v
 }
 
-// v decodes one zigzag varint.
-//
-//mira:hotpath
-func (r *sectionReader) v() int64 {
-	ux := r.uv()
-	return int64(ux>>1) ^ -int64(ux&1)
-}
-
 // count reads a row/element count and sanity-checks it against the bytes
 // left (every encoded element occupies at least one byte).
 func (r *sectionReader) count(what string) int {
@@ -167,17 +159,6 @@ func (r *sectionReader) raw64sInto(dst []int64) {
 		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	r.off += 8 * len(dst)
-}
-
-// deltaInts decodes len(dst) delta-encoded values into dst.
-//
-//mira:hotpath
-func (r *sectionReader) deltaInts(dst []int) {
-	prev := 0
-	for i := range dst {
-		prev += int(r.v())
-		dst[i] = prev
-	}
 }
 
 // dictTable decodes a dictionary's entry table. Decoded rows share the

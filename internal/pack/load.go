@@ -121,15 +121,5 @@ func LoadCSVDir(dir string) (*core.Dataset, error) {
 			return nil, err
 		}
 	}
-	d, err := core.NewDataset(jobs, tasks, events, ioRecs)
-	if err != nil {
-		return nil, err
-	}
-	// Build the scan column views eagerly so CSV- and snapshot-loaded
-	// datasets are interchangeable (the snapshot decoder fills them from the
-	// stored columns); the builders intern in the same first-appearance
-	// order, so both paths produce identical views.
-	d.JobView()
-	d.EventView()
-	return d, nil
+	return core.NewDataset(jobs, tasks, events, ioRecs)
 }

@@ -1,11 +1,12 @@
 // Package pack implements the mirapack binary columnar corpus snapshot: a
 // single versioned file holding the four Mira logs (job, task, RAS, I/O)
-// column-major, plus the derived indexes core.NewDataset would otherwise
-// rebuild by scanning the event stream. Loading a snapshot is one file
-// read and a varint sweep — no CSV parsing, no string interning hash
-// lookups, no index construction — which is what makes repeated
-// mirareport/mirafilter/calibrate invocations over a 2001-day corpus
-// cheap.
+// column-major, plus a section of derived event indexes. Loading a
+// snapshot is one file read and a varint sweep into the records and the
+// column views — no CSV parsing, no string interning hash lookups, no
+// view build — which is what makes repeated mirareport/mirafilter/
+// calibrate invocations over a 2001-day corpus cheap. The dataset is
+// built by core.NewDatasetFromViews, which derives the severity views and
+// the observation window from the decoded columns.
 //
 // # Layout (version 1)
 //
@@ -26,11 +27,14 @@
 // varint. The indexes payload serializes core.IndexSnapshot: the fatal and
 // warn views (count + delta varints each), the info count, then the
 // per-job event index — job count, total attributed-event count, and per
-// job a delta-encoded job id (strictly ascending; decoding fails
-// otherwise), its event count and delta-encoded event indexes — and
-// finally the observation-window bounds as unix-second varints. Every
-// section checksum is verified before decoding, and each decoded value is
-// checked against its column's bound, so a truncated or corrupted snapshot
+// job a delta-encoded job id, its event count and delta-encoded event
+// indexes — and finally the observation-window bounds as unix-second
+// varints. Marshal writes it and a load requires it and verifies its
+// checksum, but does not decode it: the constructor derives the same
+// indexes from the columns, and `mirapack -verify` catches a stale
+// section by re-encoding. Every section checksum is verified before
+// decoding, each decoded value is checked against its column's bound, and
+// the events must be in time order, so a truncated or corrupted snapshot
 // fails loudly rather than yielding a partial dataset.
 //
 // DESIGN.md §10 specifies the format and its stability rules.
@@ -257,10 +261,12 @@ func findSection(sections []section, id uint32) ([]byte, error) {
 // Unmarshal decodes a snapshot byte image into a fully indexed dataset.
 //
 // The events section, about two thirds of the decode, runs on one
-// goroutine while the jobs, tasks, I/O and indexes sections run in that
-// order on another, each goroutine with its own scratch arena. The error
-// returned is that of the first failing section in decodeOrder, whichever
-// goroutine finished first.
+// goroutine while the jobs, tasks and I/O sections run in that order on
+// another, each goroutine with its own scratch arena; the indexes section
+// is checked for presence there but not decoded. The error returned is
+// that of the first failing section in decodeOrder, whichever goroutine
+// finished first. core.NewDatasetFromViews then builds the dataset over
+// the decoded records and column views.
 func Unmarshal(data []byte) (*core.Dataset, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
@@ -270,16 +276,18 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 	var tasks []tasklog.Task
 	var events []raslog.Event
 	var ioRecs []iolog.Record
-	var snap core.IndexSnapshot
 	var jv *scan.JobView
 	var ev *scan.EventView
 	evArena, jobArena := &arena{}, &arena{}
 	decoders := map[uint32]func(payload []byte) error{
-		secEvents:  func(p []byte) (err error) { events, ev, err = decodeEvents(p, evArena, true); return },
-		secJobs:    func(p []byte) (err error) { jobs, jv, err = decodeJobs(p, jobArena); return },
-		secTasks:   func(p []byte) (err error) { tasks, err = decodeTasks(p, jobArena); return },
-		secIO:      func(p []byte) (err error) { ioRecs, err = decodeIO(p, jobArena); return },
-		secIndexes: func(p []byte) (err error) { snap, err = decodeIndexes(p); return },
+		secEvents: func(p []byte) (err error) { events, ev, err = decodeEvents(p, evArena, true); return },
+		secJobs:   func(p []byte) (err error) { jobs, jv, err = decodeJobs(p, jobArena); return },
+		secTasks:  func(p []byte) (err error) { tasks, err = decodeTasks(p, jobArena); return },
+		secIO:     func(p []byte) (err error) { ioRecs, err = decodeIO(p, jobArena); return },
+		// The indexes section must be present and its checksum is verified
+		// with the others, but the constructor derives its contents from
+		// the decoded columns.
+		secIndexes: func([]byte) error { return nil },
 	}
 	parts := [2][]uint32{decodeOrder[:1], decodeOrder[1:]}
 	var errs [2]error
@@ -294,11 +302,8 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 			return nil, err
 		}
 	}
-	d, err := core.NewDatasetFromSnapshot(jobs, tasks, events, ioRecs, snap)
+	d, err := core.NewDatasetFromViews(jobs, tasks, events, ioRecs, jv, ev)
 	if err != nil {
-		return nil, fmt.Errorf("pack: %w", err)
-	}
-	if err := d.AdoptViews(jv, ev); err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
 	return d, nil
@@ -320,7 +325,7 @@ func decodeSections(sections []section, ids []uint32, decoders map[uint32]func(p
 }
 
 // ReadFile loads a snapshot file into a fully indexed dataset: one read,
-// one decode sweep, no index construction.
+// one decode sweep, no CSV parse and no column-view build.
 func ReadFile(path string) (*core.Dataset, error) {
 	data, release, err := readSnapshot(path)
 	if err != nil {

@@ -164,14 +164,9 @@ func TestRoundTripDatasetEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Force the scan column views on both sides: the source builds
-			// them lazily from the AoS logs, the decoded side adopted them
-			// from the stored columns — the deep-equal then also pins the
-			// two construction paths to identical views.
-			tc.d.JobView()
-			tc.d.EventView()
-			back.JobView()
-			back.EventView()
+			// The source built its column views from the AoS logs, the
+			// decoded side from the stored columns, so the deep-equal also
+			// pins the two construction paths to identical views.
 			if !reflect.DeepEqual(tc.d, back) {
 				t.Fatal("dataset differs after pack round trip")
 			}

@@ -464,45 +464,3 @@ func encodeIndexes(snap core.IndexSnapshot) []byte {
 	w.varint(snap.End.Unix())
 	return w.buf
 }
-
-func decodeIndexes(payload []byte) (core.IndexSnapshot, error) {
-	r := &sectionReader{name: "indexes", b: payload}
-	var snap core.IndexSnapshot
-	snap.FatalIdx = make([]int, r.count("fatal index"))
-	r.deltaInts(snap.FatalIdx)
-	snap.WarnIdx = make([]int, r.count("warn index"))
-	r.deltaInts(snap.WarnIdx)
-	snap.InfoN = int(r.uv())
-	jobs := r.count("job-index")
-	total := r.count("attributed-event")
-	snap.JobEvents = make([]core.JobEventIndex, 0, jobs)
-	backing := make([]int, total)
-	off := 0
-	prev := int64(0)
-	for i := 0; i < jobs && r.err == nil; i++ {
-		delta := r.v()
-		if i > 0 && delta <= 0 {
-			r.fail("job ids not strictly ascending")
-			break
-		}
-		prev += delta
-		count := r.count("per-job event")
-		if count > total-off {
-			r.fail("per-job event count %d exceeds attributed total %d", count, total)
-			break
-		}
-		idx := backing[off : off+count : off+count]
-		off += count
-		r.deltaInts(idx)
-		snap.JobEvents = append(snap.JobEvents, core.JobEventIndex{JobID: prev, Idx: idx})
-	}
-	if r.err == nil && off != total {
-		r.fail("per-job event lists hold %d indexes, header promised %d", off, total)
-	}
-	snap.Start = time.Unix(r.v(), 0).UTC()
-	snap.End = time.Unix(r.v(), 0).UTC()
-	if err := r.done(); err != nil {
-		return core.IndexSnapshot{}, err
-	}
-	return snap, nil
-}

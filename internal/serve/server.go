@@ -24,13 +24,9 @@ import (
 type Options struct {
 	// CacheEntries bounds the rendered-response LRU (default 1024).
 	CacheEntries int
-	// CacheShards spreads LRU lock contention (default 16).
-	CacheShards int
 	// MaxInflight bounds concurrently executing /v1 requests; excess
 	// requests get 429 instead of queueing without bound (default 256).
 	MaxInflight int
-	// MaxWhereLen bounds the accepted predicate length (default 4096).
-	MaxWhereLen int
 	// Parallelism is the worker bound each fused scan runs with
 	// (≤ 0 = GOMAXPROCS); results are identical at any setting.
 	Parallelism int
@@ -42,16 +38,17 @@ func (o *Options) defaults() {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 1024
 	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
-	if o.MaxWhereLen <= 0 {
-		o.MaxWhereLen = 4096
-	}
 }
+
+// cacheShards spreads the response LRU's lock contention; maxWhereLen
+// bounds the accepted predicate length in bytes.
+const (
+	cacheShards = 16
+	maxWhereLen = 4096
+)
 
 // endpointStats counts one route's traffic. All fields are atomics; the
 // hot path never takes a lock for accounting.
@@ -69,7 +66,7 @@ type EndpointStats struct {
 }
 
 // Server answers profile/cohort/experiment queries over one warm
-// Dataset. The Dataset and its lazily built views and indexes are
+// Dataset. The Dataset, its column views and its lazily built indexes are
 // immutable after construction and safe to share across requests (the
 // read-only contract race-tested in core); all per-request mutable state
 // lives in the cache and the atomic counters.
@@ -88,13 +85,13 @@ type Server struct {
 
 // New builds a Server over an evaluation environment (one loaded or
 // generated corpus). Call Warm before serving traffic to pay the lazy
-// view/index construction once, off the request path.
+// index construction once, off the request path.
 func New(env *experiments.Env, opts Options) *Server {
 	opts.defaults()
 	s := &Server{
 		env:     env,
 		opts:    opts,
-		cache:   NewCache(opts.CacheEntries, opts.CacheShards),
+		cache:   NewCache(opts.CacheEntries, cacheShards),
 		limiter: make(chan struct{}, opts.MaxInflight),
 		start:   time.Now(),
 	}
@@ -126,8 +123,8 @@ type WarmStats struct {
 }
 
 // Warm pre-builds everything the first queries would otherwise pay for
-// under traffic: the SoA column views and every per-dimension bitmap
-// index, the indexes at GOMAXPROCS workers (IndexStats), and alongside
+// under traffic: every per-dimension bitmap index, built at GOMAXPROCS
+// workers (IndexStats), and alongside
 // them the whole-corpus fused profile (which also becomes the /v1/profile
 // cache entry). The worker bounds of
 // Options.Parallelism and of the Env apply to fused scans only, not to
@@ -291,9 +288,9 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing 'where' query parameter")
 		return
 	}
-	if len(where) > s.opts.MaxWhereLen {
+	if len(where) > maxWhereLen {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("'where' longer than %d bytes", s.opts.MaxWhereLen))
+			fmt.Sprintf("'where' longer than %d bytes", maxWhereLen))
 		return
 	}
 	expr, err := sel.Parse(where)

@@ -8,11 +8,14 @@
 # It also checks that a corpus in memory and the same corpus on disk are
 # one dataset: miragen writes the 30-day corpus, a second mirad serves it
 # with -in, and /v1/profile, the cohort body and /v1/experiments/E11 must
-# be byte-identical to those of the generating daemon.
+# be byte-identical to those of the generating daemon. A third mirad
+# pointed at a truncated copy of that pack must exit non-zero with a
+# pack: error before the boot timeout instead of hanging or serving.
 #
 # Usage:
 #   scripts/servesmoke.sh [port]       # default port: 18080; the -in
-#                                      # daemon listens on port+1
+#                                      # daemon listens on port+1, the
+#                                      # truncated-pack one on port+2
 #
 # CI runs this after the unit tests; it exercises the real binary, real
 # sockets and the real signal path, which httptest cannot.
@@ -104,6 +107,18 @@ for f in "profile.json:/v1/profile" "cohort1.json:/v1/cohort?where=$where" "E11.
   cmp -s "$tmp/$file" "$tmp/in-$file" || { echo "servesmoke: -in daemon $path differs from the -small daemon's" >&2; exit 1; }
 done
 echo "servesmoke: -in daemon matches the -small daemon"
+
+# A truncated pack: mirad must fail fast with a pack error, not hang.
+echo "servesmoke: booting -in on a truncated pack..."
+mkdir "$tmp/truncated"
+packsize="$(wc -c <"$tmp/corpus/corpus.mirapack")"
+head -c "$((packsize / 2))" "$tmp/corpus/corpus.mirapack" >"$tmp/truncated/corpus.mirapack"
+rc=0
+timeout 60 "$tmp/mirad" -addr "127.0.0.1:$((port + 2))" -in "$tmp/truncated" >"$tmp/truncated.log" 2>&1 || rc=$?
+[ "$rc" -ne 124 ] || { echo "servesmoke: mirad on a truncated pack still running after 60 s" >&2; exit 1; }
+[ "$rc" -ne 0 ] || { echo "servesmoke: mirad on a truncated pack exited 0" >&2; exit 1; }
+grep -q 'pack: ' "$tmp/truncated.log" || { echo "servesmoke: mirad on a truncated pack gave no pack error:" >&2; cat "$tmp/truncated.log" >&2; exit 1; }
+echo "servesmoke: truncated pack rejected: $(tail -n 1 "$tmp/truncated.log")"
 
 echo "servesmoke: queries OK; sending SIGTERM..."
 for p in "${pids[@]}"; do kill -TERM "$p"; done
