@@ -464,11 +464,8 @@ func BenchmarkJobCSVRoundTrip(b *testing.B) {
 // BenchmarkRASCSVRoundTrip measures the RAS-log codec throughput.
 func BenchmarkRASCSVRoundTrip(b *testing.B) {
 	env := sharedEnv(b)
-	n := len(env.D.Events)
-	if n > 20000 {
-		n = 20000
-	}
-	events := env.D.Events[:n]
+	events := env.D.EventRecords()
+	events = events[:min(len(events), 20000)]
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -491,12 +488,9 @@ func BenchmarkRASCSVRoundTrip(b *testing.B) {
 // (the decode ablation in DESIGN.md §6).
 func BenchmarkRASDecode(b *testing.B) {
 	env := sharedEnv(b)
-	n := len(env.D.Events)
-	if n > 20000 {
-		n = 20000
-	}
+	n := min(env.D.EventView().N, 20000)
 	var buf bytes.Buffer
-	if err := raslog.WriteCSV(&buf, env.D.Events[:n]); err != nil {
+	if err := raslog.WriteCSV(&buf, env.D.EventRecords()[:n]); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -540,6 +534,7 @@ func BenchmarkRASDecode(b *testing.B) {
 // interning and coalesce on every call), per rule (the E11 ablation).
 func BenchmarkFilterFatal(b *testing.B) {
 	env := sharedEnv(b)
+	events := env.D.EventRecords()
 	rules := []struct {
 		name string
 		rule core.FilterRule
@@ -552,7 +547,7 @@ func BenchmarkFilterFatal(b *testing.B) {
 		b.Run(r.name, func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				incidents, err := core.FilterBySeverity(env.D.Events, raslog.Fatal, r.rule)
+				incidents, err := core.FilterBySeverity(events, raslog.Fatal, r.rule)
 				if err != nil {
 					b.Fatal(err)
 				}

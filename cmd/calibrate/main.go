@@ -86,7 +86,7 @@ func fromCorpus(in, format string) error {
 		return err
 	}
 	printAnchors(d.Days(), d.Jobs, mtti.MTTIDays)
-	fmt.Printf("\njobs=%d tasks=%d events=%d io=%d\n", len(d.Jobs), len(d.Tasks), len(d.Events), len(d.IO))
+	fmt.Printf("\njobs=%d tasks=%d events=%d io=%d\n", len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO))
 	return nil
 }
 

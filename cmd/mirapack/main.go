@@ -5,8 +5,9 @@
 //
 //	mirapack -in corpus/                  convert CSVs -> corpus/corpus.mirapack
 //	mirapack -in corpus/ -out snap.mirapack
-//	mirapack -info -in corpus/            print header, sections, checksums
-//	                                      and selection-index statistics
+//	mirapack -info -in corpus/            print header, sections, checksums,
+//	                                      selection-index statistics and the
+//	                                      event columns' resident bytes
 //	mirapack -verify -in snap.mirapack    fully decode, re-encode and
 //	                                      report row counts
 //
@@ -82,7 +83,7 @@ func convert(dir, out string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d bytes): %d jobs, %d tasks, %d RAS events, %d I/O records\n",
-		out, st.Size(), len(d.Jobs), len(d.Tasks), len(d.Events), len(d.IO))
+		out, st.Size(), len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO))
 	return nil
 }
 
@@ -113,6 +114,10 @@ func printInfo(path string) error {
 	for _, s := range d.IndexStats() {
 		fmt.Printf("%-6s %-10s %8d %12d %12d\n", s.Domain, s.Column, s.Keys, s.Rows, s.Bytes)
 	}
+	// The loaded event log is its column view alone; report what it costs.
+	ev := d.EventView()
+	fmt.Printf("\nevent columns: %d events, %d resident bytes, %.1f bytes per event\n",
+		ev.N, ev.Bytes(), float64(ev.Bytes())/float64(max(ev.N, 1)))
 	return nil
 }
 
@@ -127,7 +132,7 @@ func verifySnapshot(path string) error {
 	}
 	start, end := d.Span()
 	fmt.Printf("%s: ok — %d jobs, %d tasks, %d RAS events, %d I/O records, %s to %s\n",
-		path, len(d.Jobs), len(d.Tasks), len(d.Events), len(d.IO),
+		path, len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO),
 		start.Format("2006-01-02"), end.Format("2006-01-02"))
 	return nil
 }

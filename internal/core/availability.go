@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/machine"
@@ -33,29 +34,41 @@ type AvailabilityResult struct {
 }
 
 // Availability pairs service-action begin/end events per hardware location
-// and derives downtime, availability and the repair-time distribution.
+// and derives downtime, availability and the repair-time distribution. It
+// reads the event view: message ids by dictionary code, locations by
+// their view code.
 func (d *Dataset) Availability() (*AvailabilityResult, error) {
-	open := map[machine.Location][]int{} // location → indices of open begins
-	var begins []raslog.Event
+	v := d.EventView()
+	open := map[int32][]int{} // location code → view rows of open begins
 	res := &AvailabilityResult{}
 	_, end := d.Span()
 	start, _ := d.Span()
 	res.SpanHours = end.Sub(start).Hours()
 
-	for i := range d.Events {
-		e := &d.Events[i]
-		switch e.MsgID {
+	// kind[c] classifies message-id code c: 1 a begin, 2 an end.
+	kind := make([]uint8, len(v.MsgIDs))
+	for c, id := range v.MsgIDs {
+		switch id {
 		case raslog.MsgServiceBegin:
-			begins = append(begins, *e)
-			open[e.Loc] = append(open[e.Loc], len(begins)-1)
+			kind[c] = 1
 		case raslog.MsgServiceEnd:
-			q := open[e.Loc]
+			kind[c] = 2
+		}
+	}
+	for i, c := range v.MsgID {
+		switch kind[c] {
+		case 1:
+			loc := v.LocCode[i]
+			open[loc] = append(open[loc], i)
+		case 2:
+			loc := v.LocCode[i]
+			q := open[loc]
 			if len(q) == 0 {
 				continue // unmatched end (window-truncated log)
 			}
-			b := begins[q[0]]
-			open[e.Loc] = q[1:]
-			dur := e.Time.Sub(b.Time).Hours()
+			b := q[0]
+			open[loc] = q[1:]
+			dur := (time.Duration(v.TimeUnix[i]-v.TimeUnix[b]) * time.Second).Hours()
 			if dur < 0 {
 				continue
 			}

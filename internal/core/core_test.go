@@ -90,7 +90,7 @@ func TestDatasetSortsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Events[0].RecID != 2 {
+	if d.EventRecords()[0].RecID != 2 {
 		t.Error("events not re-sorted by time")
 	}
 	// Span covers both jobs and events.

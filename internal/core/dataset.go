@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -23,12 +24,12 @@ import (
 
 // Dataset bundles the four logs with the indices the analyses share.
 // Build one with NewDataset; the struct is read-only afterwards and safe
-// for concurrent use.
+// for concurrent use. The RAS log is held only as its column view
+// (EventView), in time order; EventRecords rebuilds its records.
 type Dataset struct {
-	Jobs   []joblog.Job
-	Tasks  []tasklog.Task
-	Events []raslog.Event // sorted by time
-	IO     []iolog.Record
+	Jobs  []joblog.Job
+	Tasks []tasklog.Task
+	IO    []iolog.Record
 
 	// ids holds the job ids in ascending order and byID maps each ids
 	// position back to the Jobs position; Job() binary-searches ids.
@@ -57,8 +58,8 @@ type Dataset struct {
 	// for consistent corpora.
 	orphanTasks map[int64][]tasklog.Task
 
-	// Severity-partitioned views into Events, derived from the event
-	// view's severity column at construction: indices of FATAL and WARN
+	// Severity-partitioned views into the events, derived from the event
+	// view's severity column at construction: rows of FATAL and WARN
 	// events in time order. Most analyses touch only these slivers
 	// of the stream (FATALs are a tiny fraction of a RAS log), so they scan
 	// the index instead of re-walking and re-testing every event.
@@ -66,10 +67,10 @@ type Dataset struct {
 	warnIdx  []int
 	infoN    int // events that are neither FATAL nor WARN
 
-	// SoA column views of the hot job/event columns for the fused scan
-	// engine and the selection indexes, set at construction: built from
-	// the records by NewDataset, or decoded from the stored columns by
-	// mirapack.
+	// Column views for the fused scan engine and the selection indexes,
+	// set at construction: built from the records by NewDataset, or
+	// decoded from the stored columns by mirapack. jobView mirrors the hot
+	// job columns of Jobs; eventView is the whole event log.
 	jobView   *scan.JobView
 	eventView *scan.EventView
 
@@ -252,12 +253,14 @@ func wholeSeconds(ts ...time.Time) bool {
 
 // NewDataset indexes the logs. Events are sorted by time if they are not
 // already, stably, so events of one second keep their order; jobs and
-// tasks are never reordered. The column views are built from the records.
+// tasks are never reordered. The column views are built from the records,
+// and the Dataset keeps the event view, not the events.
 //
 // A corpus has the logs' resolution: every job, task and event timestamp
 // is a whole Unix second, in memory as on disk, so the column views'
 // Unix seconds lose nothing. A finer timestamp is an error naming its
-// record.
+// record, and so is an event whose severity or count does not fit its
+// view column (a byte, an int32).
 func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record) (*Dataset, error) {
 	for i := range jobs {
 		if j := &jobs[i]; !wholeSeconds(j.Submit, j.Start, j.End) {
@@ -269,28 +272,35 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 		sort.SliceStable(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
 	}
 	for i := range events {
-		if e := &events[i]; !wholeSeconds(e.Time) {
+		e := &events[i]
+		if !wholeSeconds(e.Time) {
 			return nil, fmt.Errorf("core: event %d: time %s is finer than a second", e.RecID, e.Time)
 		}
+		if e.Sev < 0 || e.Sev > math.MaxUint8 {
+			return nil, fmt.Errorf("core: event %d: severity %d does not fit a byte", e.RecID, int(e.Sev))
+		}
+		if e.Count < math.MinInt32 || e.Count > math.MaxInt32 {
+			return nil, fmt.Errorf("core: event %d: count %d does not fit an int32", e.RecID, e.Count)
+		}
 	}
-	return NewDatasetFromViews(jobs, tasks, events, ioRecs, BuildJobView(jobs), BuildEventView(events))
+	return NewDatasetFromViews(jobs, tasks, ioRecs, BuildJobView(jobs), BuildEventView(events))
 }
 
-// NewDatasetFromViews indexes the logs over column views of them built
+// NewDatasetFromViews indexes the logs over column views built
 // elsewhere: the mirapack decoder fills both views from the stored
-// columns. It is the constructor NewDataset ends in. The views must hold
-// one row per job and per event, the event view's times must not
-// decrease (Events is in time order), and job ids must be unique. The
+// columns. It is the constructor NewDataset ends in. The job view must
+// hold one row per job, the event view's times must not decrease (it is
+// the event log, in time order), and job ids must be unique. The
 // severity views and the observation window are derived from the view
 // columns in one pass.
-func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record, jv *scan.JobView, ev *scan.EventView) (*Dataset, error) {
+func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, ioRecs []iolog.Record, jv *scan.JobView, ev *scan.EventView) (*Dataset, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("core: dataset has no jobs")
 	}
-	if jv == nil || ev == nil || jv.N != len(jobs) || ev.N != len(events) {
-		return nil, fmt.Errorf("core: column views do not have one row per job (%d) and per event (%d)", len(jobs), len(events))
+	if jv == nil || ev == nil || jv.N != len(jobs) || !eventColumnsAligned(ev) {
+		return nil, fmt.Errorf("core: column views missing, without one row per job (%d) or with event columns of other than N rows", len(jobs))
 	}
-	d := &Dataset{Jobs: jobs, Tasks: tasks, Events: events, IO: ioRecs, jobView: jv, eventView: ev}
+	d := &Dataset{Jobs: jobs, Tasks: tasks, IO: ioRecs, jobView: jv, eventView: ev}
 	if err := d.buildJobIndex(); err != nil {
 		return nil, err
 	}
@@ -307,7 +317,7 @@ func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, events []raslo
 	times, sevs := ev.TimeUnix, ev.Sev[:len(ev.TimeUnix)]
 	for i, t := range times {
 		if i > 0 && t < times[i-1] {
-			return nil, fmt.Errorf("core: event %d at unix %d precedes the event before it (unix %d): events are not in time order", events[i].RecID, t, times[i-1])
+			return nil, fmt.Errorf("core: event %d at unix %d precedes the event before it (unix %d): events are not in time order", ev.RecID[i], t, times[i-1])
 		}
 		if t < start {
 			start = t
@@ -325,6 +335,20 @@ func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, events []raslo
 	}
 	d.start, d.end = time.Unix(start, 0).UTC(), time.Unix(end, 0).UTC()
 	return d, nil
+}
+
+// eventColumnsAligned reports whether every column of the event view has
+// N rows.
+func eventColumnsAligned(v *scan.EventView) bool {
+	for _, n := range [...]int{
+		len(v.TimeUnix), len(v.Sev), len(v.CatID), len(v.CompID), len(v.MidplaneID), len(v.RackID),
+		len(v.RecID), len(v.JobID), len(v.MsgID), len(v.Msg), len(v.LocCode), len(v.Count),
+	} {
+		if n != v.N {
+			return false
+		}
+	}
+	return true
 }
 
 // Span returns the observation window covered by the dataset.

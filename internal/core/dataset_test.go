@@ -22,7 +22,7 @@ func TestNewDatasetFromViewsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := NewDatasetFromViews(d.Jobs, d.Tasks, d.Events, d.IO, BuildJobView(d.Jobs), BuildEventView(d.Events))
+	back, err := NewDatasetFromViews(d.Jobs, d.Tasks, d.IO, BuildJobView(d.Jobs), BuildEventView(d.EventRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestNewDatasetFromViewsEquivalence(t *testing.T) {
 			end = j.End
 		}
 	}
-	for _, e := range d.Events {
+	for _, e := range d.EventRecords() {
 		if e.Time.Before(start) {
 			start = e.Time
 		} else if e.Time.After(end) {
@@ -51,42 +51,43 @@ func TestNewDatasetFromViewsEquivalence(t *testing.T) {
 }
 
 // TestNewDatasetFromViewsRejectsMismatch feeds the constructor views that
-// do not describe the records, no jobs, duplicate job ids and events out of
-// time order.
+// do not describe the records or whose columns disagree on the row count,
+// no jobs, duplicate job ids and events out of time order.
 func TestNewDatasetFromViewsRejectsMismatch(t *testing.T) {
 	d, _ := dataset(t)
 	jv, ev := d.JobView(), d.EventView()
+	short := *ev
+	short.Count = short.Count[:ev.N-1]
 	for _, tc := range []struct {
-		name   string
-		jobs   []joblog.Job
-		events []raslog.Event
-		jv     *scan.JobView
-		ev     *scan.EventView
+		name string
+		jobs []joblog.Job
+		jv   *scan.JobView
+		ev   *scan.EventView
 	}{
-		{"no jobs", nil, d.Events, BuildJobView(nil), ev},
-		{"job view one row long", d.Jobs, d.Events, &scan.JobView{N: jv.N + 1}, ev},
-		{"event view over other events", d.Jobs, d.Events[:len(d.Events)/2], jv, ev},
-		{"no job view", d.Jobs, d.Events, nil, ev},
-		{"no event view", d.Jobs, d.Events, jv, nil},
+		{"no jobs", nil, BuildJobView(nil), ev},
+		{"job view one row long", d.Jobs, &scan.JobView{N: jv.N + 1}, ev},
+		{"event column one row short", d.Jobs, jv, &short},
+		{"no job view", d.Jobs, nil, ev},
+		{"no event view", d.Jobs, jv, nil},
 	} {
-		if _, err := NewDatasetFromViews(tc.jobs, d.Tasks, tc.events, d.IO, tc.jv, tc.ev); err == nil {
+		if _, err := NewDatasetFromViews(tc.jobs, d.Tasks, d.IO, tc.jv, tc.ev); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 
 	jobs := append(append([]joblog.Job(nil), d.Jobs...), d.Jobs[0])
-	if _, err := NewDatasetFromViews(jobs, d.Tasks, d.Events, d.IO, BuildJobView(jobs), ev); err == nil {
+	if _, err := NewDatasetFromViews(jobs, d.Tasks, d.IO, BuildJobView(jobs), ev); err == nil {
 		t.Error("duplicate job id accepted")
 	}
 
 	// Two events of different times swapped: the stream steps back once.
-	events := append([]raslog.Event(nil), d.Events...)
+	events := d.EventRecords()
 	k := len(events) / 2
 	for !events[k+1].Time.After(events[k].Time) {
 		k++
 	}
 	events[k], events[k+1] = events[k+1], events[k]
-	if _, err := NewDatasetFromViews(d.Jobs, d.Tasks, events, d.IO, jv, BuildEventView(events)); err == nil {
+	if _, err := NewDatasetFromViews(d.Jobs, d.Tasks, d.IO, jv, BuildEventView(events)); err == nil {
 		t.Error("events out of time order accepted")
 	}
 	// NewDataset puts the same events in order instead.

@@ -76,11 +76,12 @@ func referenceFilterSweep(b *testing.B, events []raslog.Event, base FilterRule, 
 // old-time/new-time as "speedup".
 func BenchmarkFilterSweepVsReference(b *testing.B) {
 	d := benchDataset(b)
+	recs := d.EventRecords()
 	base := DefaultFilterRule()
 	windows := sweepWindows()
 
 	t0 := time.Now()
-	ref := referenceFilterSweep(b, d.Events, base, windows)
+	ref := referenceFilterSweep(b, recs, base, windows)
 	refTime := time.Since(t0)
 
 	var got []SweepPoint
@@ -143,12 +144,13 @@ func incidentBenchOptions() []LeadTimeOptions {
 }
 
 func runIncidentRows(b *testing.B, d *Dataset) {
+	recs := d.EventRecords()
 	rule := DefaultFilterRule()
-	fatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+	fatals, err := referenceFilterBySeverity(recs, raslog.Fatal, rule)
 	if err != nil {
 		b.Fatal(err)
 	}
-	warns, err := referenceFilterBySeverity(d.Events, raslog.Warn, rule)
+	warns, err := referenceFilterBySeverity(recs, raslog.Warn, rule)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -116,6 +116,7 @@ func FuzzFilter(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		records := d.EventRecords()
 		for _, rule := range equivRules() {
 			var got [2]Incidents
 			var want [2][]Incident
@@ -138,17 +139,17 @@ func FuzzFilter(f *testing.F) {
 					t.Fatalf("FilterBySeverity %v rule %+v: %s", sev.sev, rule, diff)
 				}
 				idx := severityIndex(events, sev.sev)
-				if got, want := internKeys(events, idx, rule), referenceInternKeys(events, idx, rule); !reflect.DeepEqual(got, want) {
+				if got, want := internKeys(BuildEventView(events), idx, rule), referenceInternKeys(events, idx, rule); !reflect.DeepEqual(got, want) {
 					t.Fatalf("internKeys %v rule %+v: %+v, reference %+v", sev.sev, rule, got, want)
 				}
-				if want[s], err = referenceFilterBySeverity(d.Events, sev.sev, rule); err != nil {
+				if want[s], err = referenceFilterBySeverity(records, sev.sev, rule); err != nil {
 					t.Fatal(err)
 				}
 				for call := 0; call < 2; call++ {
 					if got[s], err = sev.filter(rule); err != nil {
 						t.Fatal(err)
 					}
-					if diff := incidentsDiff(d.Events, got[s], want[s]); diff != "" {
+					if diff := incidentsDiff(records, got[s], want[s]); diff != "" {
 						t.Fatalf("Dataset filter %v rule %+v call %d: %s", sev.sev, rule, call, diff)
 					}
 				}

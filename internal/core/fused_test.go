@@ -146,6 +146,7 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := d.EventRecords()
 	for _, rule := range equivRules() {
 		for _, sev := range []struct {
 			sev    raslog.Severity
@@ -154,7 +155,7 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 			{raslog.Fatal, d.FilterFatal},
 			{raslog.Warn, d.FilterWarn},
 		} {
-			want, err := referenceFilterBySeverity(d.Events, sev.sev, rule)
+			want, err := referenceFilterBySeverity(events, sev.sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +164,7 @@ func TestFilterCachedMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if diff := incidentsDiff(d.Events, got, want); diff != "" {
+				if diff := incidentsDiff(events, got, want); diff != "" {
 					t.Fatalf("%v rule %+v call %d: memoized filter differs from the reference: %s", sev.sev, rule, call, diff)
 				}
 			}
@@ -189,11 +190,12 @@ func TestIncidentConsumersMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refFatals, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+	events := d.EventRecords()
+	refFatals, err := referenceFilterBySeverity(events, raslog.Fatal, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refWarns, err := referenceFilterBySeverity(d.Events, raslog.Warn, rule)
+	refWarns, err := referenceFilterBySeverity(events, raslog.Warn, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +246,11 @@ func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 	}
 }
 
-// TestViewBuildersMatchDataset pins the SoA mirrors to the AoS records they
-// shadow, column by column, on a few spot rows plus the dictionaries.
+// TestViewBuildersMatchDataset pins the column views to the AoS records
+// they were built from (the generated events are in time order), column
+// by column, on a few spot rows plus the dictionaries.
 func TestViewBuildersMatchDataset(t *testing.T) {
-	d, _ := dataset(t)
+	d, c := dataset(t)
 	jv := d.JobView()
 	if jv.N != len(d.Jobs) {
 		t.Fatalf("job view has %d rows for %d jobs", jv.N, len(d.Jobs))
@@ -265,16 +268,22 @@ func TestViewBuildersMatchDataset(t *testing.T) {
 		}
 	}
 	ev := d.EventView()
-	if ev.N != len(d.Events) {
-		t.Fatalf("event view has %d rows for %d events", ev.N, len(d.Events))
+	if ev.N != len(c.Events) {
+		t.Fatalf("event view has %d rows for %d events", ev.N, len(c.Events))
 	}
 	for _, i := range []int{0, 1, ev.N / 2, ev.N - 1} {
-		e := &d.Events[i]
+		e := &c.Events[i]
 		if ev.TimeUnix[i] != e.Time.Unix() || ev.Sev[i] != uint8(e.Sev) {
 			t.Fatalf("event row %d: time/sev mismatch", i)
 		}
 		if string(ev.Cats[ev.CatID[i]]) != string(e.Cat) || string(ev.Comps[ev.CompID[i]]) != string(e.Comp) {
 			t.Fatalf("event row %d: dictionary mismatch", i)
+		}
+		if ev.RecID[i] != e.RecID || ev.JobID[i] != e.JobID || ev.LocCode[i] != int32(e.Loc.Code()) || int(ev.Count[i]) != e.Count {
+			t.Fatalf("event row %d: record id/job id/location/count mismatch", i)
+		}
+		if ev.MsgIDs[ev.MsgID[i]] != e.MsgID || ev.Messages[ev.Msg[i]] != e.Message {
+			t.Fatalf("event row %d: message dictionary mismatch", i)
 		}
 		wantMid, wantRack := LocIDs(e.Loc)
 		if ev.MidplaneID[i] != wantMid || ev.RackID[i] != wantRack {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/raslog"
+	"repro/internal/scan"
 )
 
 // equivRules spans the similarity settings the analyses use, plus two
@@ -28,17 +29,18 @@ func equivRules() []FilterRule {
 
 func TestFilterBySeverityMatchesReference(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	for _, rule := range equivRules() {
 		for _, sev := range []raslog.Severity{raslog.Fatal, raslog.Warn} {
-			want, err := referenceFilterBySeverity(d.Events, sev, rule)
+			want, err := referenceFilterBySeverity(recs, sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := FilterBySeverity(d.Events, sev, rule)
+			got, err := FilterBySeverity(recs, sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diff := incidentsDiff(d.Events, got, want); diff != "" {
+			if diff := incidentsDiff(recs, got, want); diff != "" {
 				t.Fatalf("rule %+v sev %v: %s", rule, sev, diff)
 			}
 		}
@@ -47,8 +49,9 @@ func TestFilterBySeverityMatchesReference(t *testing.T) {
 
 func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	for _, rule := range equivRules() {
-		wantF, err := FilterBySeverity(d.Events, raslog.Fatal, rule)
+		wantF, err := FilterBySeverity(recs, raslog.Fatal, rule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +62,7 @@ func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 		if !reflect.DeepEqual(gotF, wantF) {
 			t.Fatalf("rule %+v: Dataset.FilterFatal diverges from FilterBySeverity", rule)
 		}
-		wantW, err := FilterBySeverity(d.Events, raslog.Warn, rule)
+		wantW, err := FilterBySeverity(recs, raslog.Warn, rule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +78,7 @@ func TestDatasetFilterMatchesSliceFilter(t *testing.T) {
 
 func TestFilterSweepMatchesReference(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	base := DefaultFilterRule()
 	windows := []time.Duration{
 		30 * time.Second, 5 * time.Minute, 20 * time.Minute, time.Hour, 6 * time.Hour,
@@ -84,7 +88,7 @@ func TestFilterSweepMatchesReference(t *testing.T) {
 	for i, w := range windows {
 		rule := base
 		rule.Window = w
-		incidents, err := referenceFilterBySeverity(d.Events, raslog.Fatal, rule)
+		incidents, err := referenceFilterBySeverity(recs, raslog.Fatal, rule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,9 +116,10 @@ func TestFilterSweepRejectsBadWindow(t *testing.T) {
 // jobFatalEvents lists the FATAL events with a job attribution, in time
 // order — the stream the MTTI analysis coalesces.
 func jobFatalEvents(d *Dataset) []raslog.Event {
+	recs := d.EventRecords()
 	var out []raslog.Event
-	for i := range d.Events {
-		if e := d.Events[i]; e.Sev == raslog.Fatal && e.JobID != 0 {
+	for i := range recs {
+		if e := recs[i]; e.Sev == raslog.Fatal && e.JobID != 0 {
 			out = append(out, e)
 		}
 	}
@@ -146,8 +151,9 @@ func TestMTTIIncidentsMatchReference(t *testing.T) {
 // incidents: the incidents themselves, the interval series, the
 // interrupted jobs and the E18 interruption counts at three phase counts.
 func checkMTTI(t *testing.T, d *Dataset, rule FilterRule, res *MTTIResult, want []Incident) {
+	recs := d.EventRecords()
 	t.Helper()
-	if diff := incidentsDiff(d.Events, res.Incidents, want); diff != "" {
+	if diff := incidentsDiff(recs, res.Incidents, want); diff != "" {
 		t.Fatalf("rule %+v: MTTI incidents: %s", rule, diff)
 	}
 	if res.Interruptions != len(want) {
@@ -179,6 +185,7 @@ func checkMTTI(t *testing.T, d *Dataset, rule FilterRule, res *MTTIResult, want 
 // non-decreasing First order over a time-sorted stream.
 func TestIncidentsInFirstOrder(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	inOrder := func(name string, rule FilterRule, incidents Incidents) {
 		t.Helper()
 		for i := 1; i < incidents.Len(); i++ {
@@ -189,7 +196,7 @@ func TestIncidentsInFirstOrder(t *testing.T) {
 	}
 	for _, rule := range equivRules() {
 		for _, sev := range []raslog.Severity{raslog.Fatal, raslog.Warn} {
-			incidents, err := FilterBySeverity(d.Events, sev, rule)
+			incidents, err := FilterBySeverity(recs, sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,6 +225,7 @@ func TestIncidentsInFirstOrder(t *testing.T) {
 // order.
 func TestSeverityViewsPartition(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	fatal, warn := d.fatalIdx, d.warnIdx
 	seen := make(map[int]bool, len(fatal)+len(warn))
 	for _, idx := range [][]int{fatal, warn} {
@@ -226,34 +234,34 @@ func TestSeverityViewsPartition(t *testing.T) {
 				t.Fatalf("event %d appears in two views", i)
 			}
 			seen[i] = true
-			if n > 0 && d.Events[idx[n-1]].Time.After(d.Events[i].Time) {
+			if n > 0 && recs[idx[n-1]].Time.After(recs[i].Time) {
 				t.Fatalf("view out of time order at position %d", n)
 			}
 		}
 	}
 	for _, i := range fatal {
-		if d.Events[i].Sev != raslog.Fatal {
-			t.Fatalf("event %d in FATAL view has severity %v", i, d.Events[i].Sev)
+		if recs[i].Sev != raslog.Fatal {
+			t.Fatalf("event %d in FATAL view has severity %v", i, recs[i].Sev)
 		}
 	}
 	for _, i := range warn {
-		if d.Events[i].Sev != raslog.Warn {
-			t.Fatalf("event %d in WARN view has severity %v", i, d.Events[i].Sev)
+		if recs[i].Sev != raslog.Warn {
+			t.Fatalf("event %d in WARN view has severity %v", i, recs[i].Sev)
 		}
 	}
 	info := 0
-	for i := range d.Events {
+	for i := range recs {
 		if !seen[i] {
-			if s := d.Events[i].Sev; s == raslog.Fatal || s == raslog.Warn {
+			if s := recs[i].Sev; s == raslog.Fatal || s == raslog.Warn {
 				t.Fatalf("event %d (sev %v) missing from its view", i, s)
 			}
 			info++
 		}
 	}
 	s := d.Summarize()
-	if s.RASFatal != len(fatal) || s.RASWarn != len(warn) || s.RASInfo != info || s.RASTotal != len(d.Events) {
+	if s.RASFatal != len(fatal) || s.RASWarn != len(warn) || s.RASInfo != info || s.RASTotal != len(recs) {
 		t.Fatalf("Summarize severity tallies (%d/%d/%d/%d) disagree with views (%d/%d/%d/%d)",
-			s.RASFatal, s.RASWarn, s.RASInfo, s.RASTotal, len(fatal), len(warn), info, len(d.Events))
+			s.RASFatal, s.RASWarn, s.RASInfo, s.RASTotal, len(fatal), len(warn), info, len(recs))
 	}
 }
 
@@ -262,19 +270,20 @@ func TestSeverityViewsPartition(t *testing.T) {
 // order, ids ascending, orphan ids (no matching job) included.
 func TestExportIndexesMatchesScan(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	want := map[int64][]int{}
-	for i := range d.Events {
-		if id := d.Events[i].JobID; id != 0 {
+	for i := range recs {
+		if id := recs[i].JobID; id != 0 {
 			want[id] = append(want[id], i)
 		}
 	}
 	orphan := d.Jobs[len(d.Jobs)-1].ID + 1000
-	for i := 0; i < len(d.Events); i += len(d.Events)/3 + 1 {
-		if d.Events[i].JobID == 0 {
+	for i := 0; i < len(recs); i += len(recs)/3 + 1 {
+		if recs[i].JobID == 0 {
 			want[orphan] = append(want[orphan], i)
 		}
 	}
-	events := append([]raslog.Event(nil), d.Events...)
+	events := append([]raslog.Event(nil), recs...)
 	for _, i := range want[orphan] {
 		events[i].JobID = orphan
 	}
@@ -300,9 +309,13 @@ func TestExportIndexesMatchesScan(t *testing.T) {
 // the struct-keyed interning's ids, in first-appearance order, at every
 // spatial level: on the corpus's FATAL and WARN views, and on events that
 // mix the zero Location with the system, a rack, its midplanes, boards and
-// nodes, across two messages that share a category.
+// nodes, across two messages that share a category. The same mixed events
+// are also read through a view whose message-id and category dictionaries
+// list their first string twice (a pack image may), with every other row
+// on the duplicate code.
 func TestInternKeysMatchReference(t *testing.T) {
 	d, _ := dataset(t)
+	recs := d.EventRecords()
 	locs := []machine.Location{{}, machine.System()}
 	for _, mk := range []func() (machine.Location, error){
 		func() (machine.Location, error) { return machine.Rack(3) },
@@ -324,18 +337,31 @@ func TestInternKeysMatchReference(t *testing.T) {
 		mixed = append(mixed, raslog.Event{MsgID: msg, Cat: raslog.CatMemory, Sev: raslog.Warn, Loc: locs[(i*5)%len(locs)]})
 	}
 	mixedIdx := severityIndex(mixed, raslog.Warn)
+	dup := BuildEventView(mixed)
+	dup.MsgIDs = append(dup.MsgIDs, dup.MsgIDs[0])
+	dup.Cats = append(dup.Cats, dup.Cats[0])
+	for i := 0; i < dup.N; i += 2 {
+		if dup.MsgID[i] == 0 {
+			dup.MsgID[i] = int32(len(dup.MsgIDs) - 1)
+		}
+		if dup.CatID[i] == 0 {
+			dup.CatID[i] = int32(len(dup.Cats) - 1)
+		}
+	}
 	for _, sp := range []machine.Level{machine.LevelSystem, machine.LevelRack, machine.LevelMidplane, machine.LevelNodeBoard, machine.LevelNode} {
 		for _, sm := range []bool{true, false} {
 			rule := FilterRule{Window: time.Minute, Spatial: sp, SameMessage: sm}
 			for name, in := range map[string]struct {
+				view   *scan.EventView
 				events []raslog.Event
 				idx    []int
 			}{
-				"fatal": {d.Events, d.fatalIdx},
-				"warn":  {d.Events, severityIndex(d.Events, raslog.Warn)},
-				"mixed": {mixed, mixedIdx},
+				"fatal":            {d.EventView(), recs, d.fatalIdx},
+				"warn":             {d.EventView(), recs, severityIndex(recs, raslog.Warn)},
+				"mixed":            {BuildEventView(mixed), mixed, mixedIdx},
+				"duplicated codes": {dup, mixed, mixedIdx},
 			} {
-				got, want := internKeys(in.events, in.idx, rule), referenceInternKeys(in.events, in.idx, rule)
+				got, want := internKeys(in.view, in.idx, rule), referenceInternKeys(in.events, in.idx, rule)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s rule %+v: %d keys, reference %d", name, rule, got.nKeys, want.nKeys)
 				}

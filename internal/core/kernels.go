@@ -243,7 +243,8 @@ type jointIndex struct {
 // for the block-attributable FATALs in each end window. Both emit (job
 // row, FATAL row) pairs, which one sort groups by job.
 func newJointIndex(d *Dataset) *jointIndex {
-	jv, times := d.JobView(), d.EventView().TimeUnix
+	jv, ev := d.JobView(), d.EventView()
+	times := ev.TimeUnix
 	// Times are whole seconds, so |t−end| ≤ tol holds exactly when
 	// |t−end| ≤ ⌊tol⌋.
 	tol := int64(DefaultJointOptions().Tolerance / time.Second)
@@ -252,14 +253,13 @@ func newJointIndex(d *Dataset) *jointIndex {
 	nf := len(d.fatalIdx)
 	near, nearT, nearLoc := make([]int32, 0, nf), make([]int64, 0, nf), make([]machine.Location, 0, nf)
 	for _, i := range d.fatalIdx {
-		e := &d.Events[i]
-		if e.JobID != 0 {
-			if p, ok := d.jobPos(e.JobID); ok && jv.Family[p] != 0 {
+		if id := ev.JobID[i]; id != 0 {
+			if p, ok := d.jobPos(id); ok && jv.Family[p] != 0 {
 				pairs = append(pairs, uint64(p)<<32|uint64(i))
 			}
 		}
-		if e.Loc.Level() >= machine.LevelRack {
-			near, nearT, nearLoc = append(near, int32(i)), append(nearT, times[i]), append(nearLoc, e.Loc)
+		if loc := locOfCode(ev.LocCode[i]); loc.Level() >= machine.LevelRack {
+			near, nearT, nearLoc = append(near, int32(i)), append(nearT, times[i]), append(nearLoc, loc)
 		}
 	}
 	for row, fam := range jv.Family {

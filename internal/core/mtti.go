@@ -44,15 +44,16 @@ func (d *Dataset) MTTI(rule FilterRule) (*MTTIResult, error) {
 	// restricted to the events with a job attribution, in time order.
 	raw := len(d.fatalIdx)
 	ik := d.filterKeys(raslog.Fatal, d.fatalIdx, rule)
+	v := d.EventView()
 	var jobIdx []int
 	jobKeys := internedKeys{nKeys: ik.nKeys}
 	for n, i := range d.fatalIdx {
-		if d.Events[i].JobID != 0 {
+		if v.JobID[i] != 0 {
 			jobIdx = append(jobIdx, i)
 			jobKeys.ids = append(jobKeys.ids, ik.ids[n])
 		}
 	}
-	incidents := coalesce(d.EventView().TimeUnix, d.Events, jobIdx, jobKeys, rule.Window)
+	incidents := coalesce(v.TimeUnix, v.JobID, jobIdx, jobKeys, rule.Window)
 	res := &MTTIResult{
 		SpanDays:  d.Days(),
 		RawFatal:  raw,

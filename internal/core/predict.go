@@ -175,7 +175,7 @@ func (d *Dataset) locationRuns(fatals, warns Incidents, level machine.Level) (f,
 			case machine.LevelMidplane:
 				id = v.MidplaneID[row]
 			default:
-				if dense, ok := d.Events[row].Loc.DenseIndex(level); ok {
+				if dense, ok := locOfCode(v.LocCode[row]).DenseIndex(level); ok {
 					id = int32(dense)
 				}
 			}

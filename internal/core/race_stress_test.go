@@ -282,6 +282,7 @@ func TestRaceSelectionCacheStampede(t *testing.T) {
 // keys once and every result must equal the reference fold.
 func TestRaceFilterKeyMemo(t *testing.T) {
 	d := freshDataset(t)
+	recs := d.EventRecords()
 	// One rule per key configuration: the memo's entries are what race.
 	var rules []FilterRule
 	for _, rule := range equivRules() {
@@ -292,7 +293,7 @@ func TestRaceFilterKeyMemo(t *testing.T) {
 	want := make([][2][]Incident, len(rules))
 	for i, rule := range rules {
 		for s, sev := range []raslog.Severity{raslog.Fatal, raslog.Warn} {
-			incidents, err := referenceFilterBySeverity(d.Events, sev, rule)
+			incidents, err := referenceFilterBySeverity(recs, sev, rule)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +321,7 @@ func TestRaceFilterKeyMemo(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if diff := incidentsDiff(d.Events, fatals, want[i][0]) + incidentsDiff(d.Events, warns, want[i][1]); diff != "" {
+				if diff := incidentsDiff(recs, fatals, want[i][0]) + incidentsDiff(recs, warns, want[i][1]); diff != "" {
 					t.Errorf("worker %d rule %+v: filter differs from the reference: %s", w, rules[i], diff)
 					return
 				}

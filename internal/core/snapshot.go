@@ -8,7 +8,7 @@ import (
 // JobEventIndex lists the events attributed to one job.
 type JobEventIndex struct {
 	JobID int64
-	Idx   []int // indices into Events, in time order
+	Idx   []int // event rows, in time order
 }
 
 // IndexSnapshot is the serializable form of the indexes a Dataset derives
@@ -32,20 +32,21 @@ type IndexSnapshot struct {
 // ExportIndexes returns the dataset's derived indexes for the pack's
 // indexes section.
 // No analysis reads the per-job event lists, so the Dataset keeps none:
-// they are gathered from Events here, in ascending job id, each list in
-// time order.
+// they are gathered from the event view's JobID column here, in
+// ascending job id, each list in time order.
 func (d *Dataset) ExportIndexes() IndexSnapshot {
+	jobIDs := d.EventView().JobID
 	var attributed []int
-	for i := range d.Events {
-		if d.Events[i].JobID != 0 {
+	for i, id := range jobIDs {
+		if id != 0 {
 			attributed = append(attributed, i)
 		}
 	}
-	sort.SliceStable(attributed, func(a, b int) bool { return d.Events[attributed[a]].JobID < d.Events[attributed[b]].JobID })
+	sort.SliceStable(attributed, func(a, b int) bool { return jobIDs[attributed[a]] < jobIDs[attributed[b]] })
 	var jobEvents []JobEventIndex
 	for k := 0; k < len(attributed); {
-		id, j := d.Events[attributed[k]].JobID, k+1
-		for j < len(attributed) && d.Events[attributed[j]].JobID == id {
+		id, j := jobIDs[attributed[k]], k+1
+		for j < len(attributed) && jobIDs[attributed[j]] == id {
 			j++
 		}
 		jobEvents = append(jobEvents, JobEventIndex{JobID: id, Idx: attributed[k:j:j]})

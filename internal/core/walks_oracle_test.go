@@ -97,6 +97,7 @@ func (d *Dataset) ClassifyByExit() *Classification {
 // exit status for block failures the two classifications should agree
 // almost everywhere.
 func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
+	recs := d.EventRecords()
 	if opt.Tolerance <= 0 {
 		opt = DefaultJointOptions()
 	}
@@ -111,13 +112,13 @@ func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
 	var fatals []raslog.Event
 	attributed := map[int64]bool{}
 	for _, i := range d.fatalIdx {
-		if id := d.Events[i].JobID; id != 0 {
+		if id := recs[i].JobID; id != 0 {
 			attributed[id] = true
 		}
-		if d.Events[i].Loc.Level() < machine.LevelRack {
+		if recs[i].Loc.Level() < machine.LevelRack {
 			continue
 		}
-		fatals = append(fatals, d.Events[i])
+		fatals = append(fatals, recs[i])
 	}
 	times := make([]time.Time, len(fatals))
 	for i := range fatals {
@@ -186,6 +187,7 @@ func TallyOf(c *Classification) FailTally {
 
 // Summarize computes the Table-I style dataset summary.
 func (d *Dataset) Summarize() Summary {
+	recs := d.EventRecords()
 	s := Summary{
 		Days:      d.Days(),
 		Jobs:      len(d.Jobs),
@@ -213,7 +215,7 @@ func (d *Dataset) Summarize() Summary {
 	s.Users = len(users)
 	s.Projects = len(projects)
 	// Severity tallies come straight from the partition indexes; no rescan.
-	s.RASTotal = len(d.Events)
+	s.RASTotal = len(recs)
 	s.RASFatal = len(d.fatalIdx)
 	s.RASWarn = len(d.warnIdx)
 	s.RASInfo = d.infoN
@@ -294,6 +296,7 @@ func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*Concentration
 
 // Temporal computes the activity/failure time patterns.
 func (d *Dataset) Temporal() *TemporalProfile {
+	recs := d.EventRecords()
 	p := &TemporalProfile{}
 	monthIdx := map[string]int{}
 	monthKey := func(t time.Time) int {
@@ -339,7 +342,7 @@ func (d *Dataset) Temporal() *TemporalProfile {
 		}
 	}
 	for _, i := range d.fatalIdx {
-		e := &d.Events[i]
+		e := &recs[i]
 		p.FatalByHour[e.Time.Hour()]++
 		p.FatalByMonth[monthKey(e.Time)]++
 	}
@@ -348,14 +351,15 @@ func (d *Dataset) Temporal() *TemporalProfile {
 
 // Profile computes the RAS composition table.
 func (d *Dataset) Profile() *CategoryProfile {
+	recs := d.EventRecords()
 	p := &CategoryProfile{
 		BySeverity:      map[raslog.Severity]int{},
 		ByCategory:      map[raslog.Category]int{},
 		ByComponent:     map[raslog.Component]int{},
 		FatalByCategory: map[raslog.Category]int{},
 	}
-	for i := range d.Events {
-		e := &d.Events[i]
+	for i := range recs {
+		e := &recs[i]
 		p.Total++
 		p.BySeverity[e.Sev]++
 		p.ByCategory[e.Cat]++
@@ -476,6 +480,7 @@ func (d *Dataset) InterruptsByUser(cls *Classification) (*InterruptCorrelation, 
 // their spatial concentration. Events above the aggregation level (e.g.
 // whole-system infra messages) are skipped.
 func (d *Dataset) Locality(level machine.Level) (*LocalityResult, error) {
+	recs := d.EventRecords()
 	if level != machine.LevelRack && level != machine.LevelMidplane {
 		return nil, fmt.Errorf("core: locality level must be rack or midplane, got %v", level)
 	}
@@ -486,7 +491,7 @@ func (d *Dataset) Locality(level machine.Level) (*LocalityResult, error) {
 	counts := make([]int, slots)
 	total := 0
 	for _, i := range d.fatalIdx {
-		e := &d.Events[i]
+		e := &recs[i]
 		if e.Loc.Level() < level {
 			continue
 		}

@@ -186,13 +186,14 @@ func (d *Dataset) materializeSel(jobSel, eventSel *bitmap.Bitmap) (*Dataset, err
 			return true
 		})
 	}
-	events := d.Events
+	events := d.EventRecords()
 	if eventSel != nil {
-		events = make([]raslog.Event, 0, eventSel.Cardinality())
+		kept := make([]raslog.Event, 0, eventSel.Cardinality())
 		eventSel.Iterate(func(row uint32) bool {
-			events = append(events, d.Events[row])
+			kept = append(kept, events[row])
 			return true
 		})
+		events = kept
 	}
 	return NewDataset(jobs, tasks, events, io)
 }

@@ -95,7 +95,7 @@ func BenchmarkIndexStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d, err := NewDatasetFromViews(src.Jobs, src.Tasks, src.Events, src.IO, jv, ev)
+		d, err := NewDatasetFromViews(src.Jobs, src.Tasks, src.IO, jv, ev)
 		if err != nil {
 			b.Fatal(err)
 		}

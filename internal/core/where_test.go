@@ -61,6 +61,7 @@ func equivalencePredicates(t *testing.T, d *Dataset) []string {
 // coalesced range pair of CompileWhere. The job-only cohorts above (user,
 // exit, nodes, submit) already leave the event side unconstrained.
 func memoBranchPredicates(t *testing.T, d *Dataset) []string {
+	recs := d.EventRecords()
 	t.Helper()
 	jv, ev := d.JobView(), d.EventView()
 	w, err := d.wholeTable(1)
@@ -78,7 +79,7 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 		fmt.Sprintf("time >= %d", ev.TimeUnix[first]),
 		// An event-only cohort holding the corpus's first event: its span
 		// equals the corpus's.
-		fmt.Sprintf("sev == %s", d.Events[0].Sev),
+		fmt.Sprintf("sev == %s", recs[0].Sev),
 		// Job-only cohort with a coalesced numeric pair.
 		"nodes > 512 and nodes <= 4096",
 		// Coalesced submit pair next to an event constraint.
@@ -91,6 +92,7 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 // in Unix seconds, as NewDataset's span walk would over a dataset of just
 // those records; an empty selection has the zero span.
 func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endUnix int64) {
+	recs := d.EventRecords()
 	var start, end time.Time
 	seeded := false
 	forEachSelected(jobSel, len(d.Jobs), func(row int) {
@@ -106,8 +108,8 @@ func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endU
 			end = j.End
 		}
 	})
-	forEachSelected(eventSel, len(d.Events), func(row int) {
-		t := d.Events[row].Time
+	forEachSelected(eventSel, len(recs), func(row int) {
+		t := recs[row].Time
 		if !seeded {
 			start, end, seeded = t, t, true
 			return
@@ -185,6 +187,7 @@ type jointKernel struct {
 // events (nil = all), so a cohort scan attributes failures exactly as a
 // dataset materialized from that selection would.
 func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) *jointKernel {
+	recs := d.EventRecords()
 	if opt.Tolerance <= 0 {
 		opt = DefaultJointOptions()
 	}
@@ -196,7 +199,7 @@ func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) 
 		if eventSel != nil && !eventSel.Contains(uint32(i)) {
 			continue
 		}
-		e := &d.Events[i]
+		e := &recs[i]
 		if e.JobID != 0 {
 			k.attributed[e.JobID] = true
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -62,7 +63,9 @@ func resign(data []byte, payloads [][]byte, k int, payload []byte) []byte {
 // image can justify: every decoder sizes its allocations from counts that
 // sectionReader.count bounds by the bytes remaining, so the total stays
 // within a constant factor of the image size. A dataset it returns must
-// have severity views that index events of their severity.
+// have severity views that index events of their severity, and its
+// rebuilt event records must survive the events-section encoder and
+// decoder unchanged.
 func FuzzDecode(f *testing.F) {
 	base := pack.Marshal(trickyDataset(f))
 	payloads := splitSections(f, base)
@@ -100,17 +103,27 @@ func FuzzDecode(f *testing.F) {
 		if d == nil {
 			return
 		}
-		// The severity views index Events directly in every FATAL/WARN pass.
+		// The severity views index the event rows directly in every
+		// FATAL/WARN pass.
 		snap := d.ExportIndexes()
+		sev := d.EventView().Sev
 		for _, idx := range snap.FatalIdx {
-			if d.Events[idx].Sev != raslog.Fatal {
-				t.Fatalf("FATAL view holds event %d of severity %v", idx, d.Events[idx].Sev)
+			if raslog.Severity(sev[idx]) != raslog.Fatal {
+				t.Fatalf("FATAL view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
 			}
 		}
 		for _, idx := range snap.WarnIdx {
-			if d.Events[idx].Sev != raslog.Warn {
-				t.Fatalf("WARN view holds event %d of severity %v", idx, d.Events[idx].Sev)
+			if raslog.Severity(sev[idx]) != raslog.Warn {
+				t.Fatalf("WARN view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
 			}
+		}
+		records := d.EventRecords()
+		back, err := pack.DecodeEventRecords(pack.EncodeEvents(records))
+		if err != nil {
+			t.Fatalf("re-encoded event records do not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, records) {
+			t.Fatal("event records differ after an encode/decode round trip")
 		}
 	})
 }

@@ -21,11 +21,12 @@ import (
 // paths inlined — this loop is the whole point of the format, so it is
 // kept allocation-free beyond the output and one scratch arena. A column
 // the scan views keep as stored decodes straight into its view column.
-// The events and jobs decoders decode their other columns into scratch
-// and then write each record in one row pass; the tasks and I/O decoders
-// take one column of scratch and copy each column into the records as it
-// is decoded, so the decoder running beside the events one needs little
-// scratch of its own (Unmarshal).
+// The events decoder builds no records: every column but the severities
+// is a view column. The jobs decoder decodes its other columns into
+// scratch and then writes each record in one row pass; the tasks and I/O
+// decoders take one column of scratch and copy each column into the
+// records as it is decoded, so the decoder running beside the events one
+// needs little scratch of its own (Unmarshal).
 
 // arena hands out scratch column space shared across the section decodes
 // of one goroutine: the transient decode buffers are allocated (and
@@ -51,14 +52,6 @@ func (a *arena) take32(n int) []int32 {
 	}
 	return a.buf32[:n]
 }
-
-// epoch-relative construction: time.Unix(sec, 0).UTC() stores a location
-// pointer twice per call (write-barriered during GC); Add on a UTC base
-// produces the identical Time value with plain integer arithmetic. The
-// decoders build a few hundred thousand timestamps per load.
-var epoch = time.Unix(0, 0).UTC()
-
-func unixTime(sec int64) time.Time { return epoch.Add(time.Duration(sec) * time.Second) }
 
 //mira:frozen
 func encodeJobs(jobs []joblog.Job) []byte {
@@ -140,9 +133,9 @@ func decodeJobs(payload []byte, a *arena) ([]joblog.Job, *scan.JobView, error) {
 		j.User = users[v.UserID[i]]
 		j.Project = projects[v.ProjectID[i]]
 		j.Queue = queues[queue[i]]
-		j.Submit = unixTime(v.SubmitUnix[i])
-		j.Start = unixTime(start)
-		j.End = unixTime(end)
+		j.Submit = core.UnixTime(v.SubmitUnix[i])
+		j.Start = core.UnixTime(start)
+		j.End = core.UnixTime(end)
 		j.WalltimeReq = time.Duration(wall[i]) * time.Second
 		j.Nodes = int(nodes)
 		j.RanksPerNode = int(ranks[i])
@@ -203,11 +196,11 @@ func decodeTasks(payload []byte, a *arena) ([]tasklog.Task, error) {
 	r.varints32Into(block, 1<<16, "block code")
 	r.deltasInto(col)
 	for i := range tasks {
-		tasks[i].Start = unixTime(col[i])
+		tasks[i].Start = core.UnixTime(col[i])
 	}
 	r.deltasInto(col)
 	for i := range tasks {
-		tasks[i].End = unixTime(col[i])
+		tasks[i].End = core.UnixTime(col[i])
 	}
 	r.varints32Into(col32, 1<<31, "node count")
 	for i := range tasks {
@@ -257,57 +250,42 @@ func encodeEvents(events []raslog.Event) []byte {
 	return w.buf
 }
 
-// decodeEvents decodes the events section; with wantView it also fills the
-// scan.EventView column mirror in the same materialization pass, reusing
-// the first-appearance dict indexes as category/component ids and the
-// cached per-code location decode for the dense midplane/rack id columns.
-// The columns the view keeps as stored (times, category and component
-// indexes) decode straight into it, so the arena holds only the others.
+// decodeEvents decodes the events section into the scan.EventView, the
+// only form a dataset keeps its events in; it builds no records. Every
+// stored column but the severities decodes straight into its view column,
+// the dictionary tables becoming the view's dictionaries: the stored
+// indexes are the first-appearance codes core.BuildEventView assigns. A
+// closing row pass narrows the severities and validates each location
+// code, filling the dense midplane and rack ids from the decoded location.
 //
 //mira:hotpath
-func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *scan.EventView, error) {
+func decodeEvents(payload []byte, a *arena) (*scan.EventView, error) {
 	r := &sectionReader{name: "events", b: payload}
 	n := r.count("row")
-
-	// Decode every column into scratch first, then materialize each event
-	// with a single row-major pass: the struct stream is written exactly
-	// once instead of once per column, which matters because the events
-	// slice is by far the largest thing a load touches.
-	var v *scan.EventView
-	k64, k32 := 3, 7
-	if wantView {
-		v = &scan.EventView{
-			N:          n,
-			TimeUnix:   make([]int64, n),
-			Sev:        make([]uint8, n),
-			CatID:      make([]int32, n),
-			CompID:     make([]int32, n),
-			MidplaneID: make([]int32, n),
-			RackID:     make([]int32, n),
-		}
-		k64, k32 = 2, 5
+	v := &scan.EventView{
+		N:          n,
+		TimeUnix:   make([]int64, n),
+		Sev:        make([]uint8, n),
+		CatID:      make([]int32, n),
+		CompID:     make([]int32, n),
+		MidplaneID: make([]int32, n),
+		RackID:     make([]int32, n),
+		RecID:      make([]int64, n),
+		JobID:      make([]int64, n),
+		MsgID:      make([]int32, n),
+		Msg:        make([]int32, n),
+		LocCode:    make([]int32, n),
+		Count:      make([]int32, n),
 	}
-	scratch := a.take(k64 * n)
-	column := func(k int) []int64 { return scratch[k*n : (k+1)*n : (k+1)*n] }
-	recID, jobID := column(0), column(1)
-	scratch32 := a.take32(k32 * n)
-	column32 := func(k int) []int32 { return scratch32[k*n : (k+1)*n : (k+1)*n] }
-	msgID, sev, loc, count, msg := column32(0), column32(1), column32(2), column32(3), column32(4)
-	var when []int64
-	var comp, cat []int32
-	if v != nil {
-		when, comp, cat = v.TimeUnix, v.CompID, v.CatID
-	} else {
-		when, comp, cat = column(2), column32(5), column32(6)
-	}
+	sev := a.take32(n)
 
-	r.deltasInto(recID)
-	msgIDs := r.dictTable()
-	r.dictIndexes32Into(msgID, len(msgIDs))
-	comps := r.dictTable()
-	r.dictIndexes32Into(comp, len(comps))
-	cats := r.dictTable()
-	r.dictIndexes32Into(cat, len(cats))
+	r.deltasInto(v.RecID)
+	v.MsgIDs = r.dictTable()
+	r.dictIndexes32Into(v.MsgID, len(v.MsgIDs))
+	v.Comps = r.dictTable()
+	r.dictIndexes32Into(v.CompID, len(v.Comps))
+	v.Cats = r.dictTable()
+	r.dictIndexes32Into(v.CatID, len(v.Cats))
 	r.varints32Into(sev, int64(raslog.Fatal)+1, "severity")
 	for _, v := range sev {
 		if v < int32(raslog.Info) {
@@ -316,61 +294,37 @@ func decodeEvents(payload []byte, a *arena, wantView bool) ([]raslog.Event, *sca
 			break
 		}
 	}
-	r.deltasInto(when)
+	r.deltasInto(v.TimeUnix)
 	// Location codes use 19 significant bits (see machine.Location.Code);
 	// LocationFromCode still rejects non-canonical codes inside the bound.
-	r.varints32Into(loc, 1<<19, "location code")
-	r.varintsInto(jobID)
-	r.varints32Into(count, 1<<31, "event count")
-	msgs := r.dictTable()
-	r.dictIndexes32Into(msg, len(msgs))
+	r.varints32Into(v.LocCode, 1<<19, "location code")
+	r.varintsInto(v.JobID)
+	r.varints32Into(v.Count, 1<<31, "event count")
+	v.Messages = r.dictTable()
+	r.dictIndexes32Into(v.Msg, len(v.Messages))
 	if err := r.done(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	if v != nil {
-		v.Cats, v.Comps = cats, comps
-	}
 	// Location codes are high-cardinality (events land on any of 49k
 	// nodes), so a decoded-code cache would miss more than it hits; the
 	// bit-field decode is cheap enough to run per changed code.
 	lastCode := int32(-1)
-	var lastLoc machine.Location
 	lastMid, lastRack := int32(-1), int32(-1)
-	events := make([]raslog.Event, n)
-	for i := range events {
-		if code := loc[i]; code != lastCode {
+	for i := range sev {
+		if code := v.LocCode[i]; code != lastCode {
 			l, err := machine.LocationFromCode(uint32(code))
 			if err != nil {
-				return nil, nil, r.errf("%v", err)
+				return nil, r.errf("%v", err)
 			}
-			lastLoc = l
 			lastCode = code
-			if v != nil {
-				lastMid, lastRack = core.LocIDs(l)
-			}
+			lastMid, lastRack = core.LocIDs(l)
 		}
-		e := &events[i]
-		e.RecID = recID[i]
-		e.MsgID = msgIDs[msgID[i]]
-		e.Comp = raslog.Component(comps[comp[i]])
-		e.Cat = raslog.Category(cats[cat[i]])
-		e.Sev = raslog.Severity(sev[i])
-		e.Time = unixTime(when[i])
-		e.Loc = lastLoc
-		e.JobID = jobID[i]
-		e.Count = int(count[i])
-		e.Message = msgs[msg[i]]
-		if v != nil {
-			v.Sev[i] = uint8(sev[i])
-			v.MidplaneID[i] = lastMid
-			v.RackID[i] = lastRack
-		}
+		v.Sev[i] = uint8(sev[i])
+		v.MidplaneID[i] = lastMid
+		v.RackID[i] = lastRack
 	}
-	if n == 0 {
-		v = nil
-	}
-	return events, v, nil
+	return v, nil
 }
 
 //mira:frozen

@@ -110,7 +110,7 @@ func TestFusedScanWhereCSVvsPack(t *testing.T) {
 		// first event (span equals the corpus's), a coalesced job-only
 		// pair, and a coalesced pair next to an event constraint.
 		fmt.Sprintf("time >= %d", ev.TimeUnix[ev.N/3]),
-		fmt.Sprintf("sev == %s", fromPack.Events[0].Sev),
+		fmt.Sprintf("sev == %s", fromPack.EventRecords()[0].Sev),
 		"nodes > 512 and nodes <= 4096",
 		fmt.Sprintf("submit >= %d and submit < %d and sev == FATAL", jv.SubmitUnix[jv.N/4], jv.SubmitUnix[jv.N/2]),
 		// No job matches: MaterializeWhere cannot build this cohort, so

@@ -37,8 +37,11 @@ type JobView struct {
 	Projects  []string
 }
 
-// EventView is the struct-of-arrays mirror of the hot RAS event columns,
-// aligned with the owning dataset's Events slice.
+// EventView is the struct-of-arrays form of the RAS event log, in time
+// order, and the only form a Dataset keeps resident: every field of a
+// raslog.Event has a column here, and core.(*Dataset).EventRecords
+// rebuilds the records from them for the tools that print or re-encode
+// records.
 type EventView struct {
 	N int
 
@@ -58,4 +61,37 @@ type EventView struct {
 	// system-level locations.
 	MidplaneID []int32
 	RackID     []int32
+
+	// RecID is the record id and JobID the attributed job (0 if none).
+	RecID []int64
+	JobID []int64
+	// MsgID and Msg index the MsgIDs (message id) and Messages (message
+	// text) dictionaries, in first-appearance order like Cats and Comps.
+	MsgID    []int32
+	MsgIDs   []string
+	Msg      []int32
+	Messages []string
+	// LocCode is the event location's machine.Location.Code, except that
+	// the zero Location (which Code folds into the system's code) is 0,
+	// a value no Code takes.
+	LocCode []int32
+	// Count is the hardware-coalesced repetition count.
+	Count []int32
+}
+
+// Bytes returns the bytes the view holds: its columns plus the
+// dictionaries' string headers and text.
+func (v *EventView) Bytes() int {
+	if v == nil {
+		return 0
+	}
+	b := 8*(len(v.TimeUnix)+len(v.RecID)+len(v.JobID)) + len(v.Sev) +
+		4*(len(v.CatID)+len(v.CompID)+len(v.MidplaneID)+len(v.RackID)+
+			len(v.MsgID)+len(v.Msg)+len(v.LocCode)+len(v.Count))
+	for _, dict := range [...][]string{v.Cats, v.Comps, v.MsgIDs, v.Messages} {
+		for _, s := range dict {
+			b += 16 + len(s)
+		}
+	}
+	return b
 }

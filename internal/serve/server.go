@@ -408,7 +408,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Corpus: corpusStats{
 			Jobs:   len(s.env.D.Jobs),
-			Events: len(s.env.D.Events),
+			Events: s.env.D.EventView().N,
 			Days:   s.env.D.Days(),
 		},
 		Index:   s.env.D.IndexStats(),
