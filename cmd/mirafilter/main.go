@@ -156,17 +156,18 @@ func readSeverity(in, format string, sev raslog.Severity) ([]raslog.Event, int, 
 		return nil, 0, err
 	}
 	if ft == pack.FormatPack || (ft == pack.FormatAuto && pack.IsSnapshotFile(in)) {
-		all, err := pack.ReadEventsFile(in)
+		// Rebuild records for the matching-severity rows only.
+		v, err := pack.ReadEventsFile(in)
 		if err != nil {
 			return nil, 0, err
 		}
-		var events []raslog.Event
-		for _, e := range all {
-			if e.Sev == sev {
-				events = append(events, e)
+		var rows []int
+		for i, s := range v.Sev {
+			if raslog.Severity(s) == sev {
+				rows = append(rows, i)
 			}
 		}
-		return events, len(all), nil
+		return core.EventRecordsAt(v, rows), v.N, nil
 	}
 	f, err := os.Open(in)
 	if err != nil {

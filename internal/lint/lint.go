@@ -2,7 +2,7 @@
 // reproducibility invariants: deterministic iteration and accumulation
 // order (serial≡parallel and byte-identity guarantees), no ambient
 // nondeterminism in analysis packages, allocation-free annotated hot
-// paths, and the frozen mirapack v1 layout.
+// paths, and the frozen mirapack layouts.
 //
 // The package provides a small go/analysis-style framework — Analyzer,
 // Pass, Diagnostic — built entirely on the standard library (go/ast,
