@@ -442,7 +442,7 @@ func BenchmarkCorpusGeneration30d(b *testing.B) {
 // BenchmarkJobCSVRoundTrip measures the scheduler-log codec throughput.
 func BenchmarkJobCSVRoundTrip(b *testing.B) {
 	env := sharedEnv(b)
-	jobs := env.D.Jobs[:10000]
+	jobs := env.D.JobRecords()[:10000]
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/joblog"
 	"repro/internal/pack"
+	"repro/internal/scan"
 	"repro/internal/sim"
 )
 
@@ -62,7 +63,7 @@ func fromGenerator(days int, seed int64) error {
 	}
 	fmt.Printf("generation time: %v\n", time.Since(start))
 	mtti := float64(cfg.Days) / float64(c.Truth.KillingIncidents)
-	printAnchors(float64(cfg.Days), c.Jobs, mtti)
+	printAnchors(float64(cfg.Days), core.BuildJobView(c.Jobs), mtti)
 	fmt.Printf("\njobs=%d tasks=%d events=%d io=%d\n", len(c.Jobs), len(c.Tasks), len(c.Events), len(c.IO))
 	fmt.Printf("truth: %+v\n", c.Truth)
 	return nil
@@ -85,22 +86,22 @@ func fromCorpus(in, format string) error {
 	if err != nil {
 		return err
 	}
-	printAnchors(d.Days(), d.Jobs, mtti.MTTIDays)
-	fmt.Printf("\njobs=%d tasks=%d events=%d io=%d\n", len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO))
+	printAnchors(d.Days(), d.JobView(), mtti.MTTIDays)
+	fmt.Printf("\njobs=%d tasks=%d events=%d io=%d\n", d.JobView().N, d.TaskView().N, d.EventView().N, len(d.IO))
 	return nil
 }
 
 // printAnchors renders the measured anchors next to the paper's values,
 // scaled to the corpus span.
-func printAnchors(days float64, jobs []joblog.Job, mtti float64) {
+func printAnchors(days float64, jobs *scan.JobView, mtti float64) {
 	scale := days / 2001.0
 	var coreHours float64
 	fams := map[joblog.ExitFamily]int{}
-	for i := range jobs {
-		coreHours += jobs[i].CoreHours()
-		fams[joblog.Family(jobs[i].ExitStatus)]++
+	for i := 0; i < jobs.N; i++ {
+		coreHours += jobs.CoreHours(i)
+		fams[joblog.FamilyOfCode(jobs.Family[i])]++
 	}
-	fails := len(jobs) - fams[joblog.FamilySuccess]
+	fails := jobs.N - fams[joblog.FamilySuccess]
 	userShare := float64(fails-fams[joblog.FamilySystem]) / float64(fails)
 
 	fmt.Printf("%-22s %14s %14s\n", "anchor", "measured", "paper (scaled)")

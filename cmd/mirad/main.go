@@ -65,7 +65,7 @@ func run() error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "mirad: corpus ready: %d jobs, %d events, %.1f days\n",
-		len(env.D.Jobs), env.D.EventView().N, env.D.Days())
+		env.D.JobView().N, env.D.EventView().N, env.D.Days())
 
 	srv := serve.New(env, serve.Options{
 		CacheEntries: *cacheEntries,

@@ -83,7 +83,7 @@ func convert(dir, out string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d bytes): %d jobs, %d tasks, %d RAS events, %d I/O records\n",
-		out, st.Size(), len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO))
+		out, st.Size(), d.JobView().N, d.TaskView().N, d.EventView().N, len(d.IO))
 	return nil
 }
 
@@ -114,10 +114,20 @@ func printInfo(path string) error {
 	for _, s := range d.IndexStats() {
 		fmt.Printf("%-6s %-10s %8d %12d %12d\n", s.Domain, s.Column, s.Keys, s.Rows, s.Bytes)
 	}
-	// The loaded event log is its column view alone; report what it costs.
-	ev := d.EventView()
-	fmt.Printf("\nevent columns: %d events, %d resident bytes, %.1f bytes per event\n",
-		ev.N, ev.Bytes(), float64(ev.Bytes())/float64(max(ev.N, 1)))
+	// The loaded job, task and event logs are their column views alone;
+	// report what each costs.
+	fmt.Println()
+	for _, c := range []struct {
+		name     string
+		n, bytes int
+	}{
+		{"job", d.JobView().N, d.JobView().Bytes()},
+		{"task", d.TaskView().N, d.TaskView().Bytes()},
+		{"event", d.EventView().N, d.EventView().Bytes()},
+	} {
+		fmt.Printf("%s columns: %d %ss, %d resident bytes, %.1f bytes per %s\n",
+			c.name, c.n, c.name, c.bytes, float64(c.bytes)/float64(max(c.n, 1)), c.name)
+	}
 	return nil
 }
 
@@ -132,7 +142,7 @@ func verifySnapshot(path string) error {
 	}
 	start, end := d.Span()
 	fmt.Printf("%s: ok — %d jobs, %d tasks, %d RAS events, %d I/O records, %s to %s\n",
-		path, len(d.Jobs), len(d.Tasks), d.EventView().N, len(d.IO),
+		path, d.JobView().N, d.TaskView().N, d.EventView().N, len(d.IO),
 		start.Format("2006-01-02"), end.Format("2006-01-02"))
 	return nil
 }

@@ -69,13 +69,13 @@ func run(w io.Writer) error {
 func userFailureProfile(d *core.Dataset, user string) (float64, string) {
 	var wasted float64
 	fams := map[joblog.ExitFamily]int{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		if j.User != user || j.Outcome() != joblog.OutcomeFailure {
+	jv := d.JobView()
+	for i := 0; i < jv.N; i++ {
+		if jv.Users[jv.UserID[i]] != user || jv.Exit[i] == joblog.ExitSuccess {
 			continue
 		}
-		wasted += j.CoreHours()
-		fams[joblog.Family(j.ExitStatus)]++
+		wasted += jv.CoreHours(i)
+		fams[joblog.FamilyOfCode(jv.Family[i])]++
 	}
 	best, bestN := "", 0
 	for f, n := range fams {

@@ -24,20 +24,19 @@ import (
 
 // Dataset bundles the four logs with the indices the analyses share.
 // Build one with NewDataset; the struct is read-only afterwards and safe
-// for concurrent use. The RAS log is held only as its column view
-// (EventView), in time order; EventRecords rebuilds its records.
+// for concurrent use. The job, task and RAS logs are held only as their
+// column views (JobView, TaskView, EventView), the events in time order;
+// JobRecords, TaskRecords and EventRecords rebuild their records.
 type Dataset struct {
-	Jobs  []joblog.Job
-	Tasks []tasklog.Task
-	IO    []iolog.Record
+	IO []iolog.Record
 
 	// ids holds the job ids in ascending order and byID maps each ids
-	// position back to the Jobs position; Job() binary-searches ids.
+	// position back to the job row; jobPos binary-searches ids.
 	// Compared to a hash map the pair is built with one (usually no-op)
 	// sort, costs twelve bytes per job, and needs no rehash or per-entry
 	// allocation on the corpus-load hot path. Searching a contiguous int64
 	// array keeps the hot upper tree levels in cache, unlike chasing job
-	// structs through the permutation.
+	// rows through the permutation.
 	ids  []int64
 	byID []int32
 
@@ -48,15 +47,15 @@ type Dataset struct {
 	posOf  []int32
 	idBase int64
 
-	// Per-job indexes aligned to Jobs: tasksOf[i] belongs to Jobs[i];
-	// ioOf[i] is a position in IO, or -1 if the job has no I/O record.
-	tasksOf [][]tasklog.Task
-	ioOf    []int32
-
-	// Tasks referencing a job id that matches no job land in the orphan
-	// map, preserving lookup behavior for inconsistent logs. It stays nil
-	// for consistent corpora.
-	orphanTasks map[int64][]tasklog.Task
+	// Per-job indexes aligned to the job rows. The tasks of job row i are
+	// the task view rows taskRows[taskOff[i]:taskOff[i+1]], in log order:
+	// a compressed sparse row index, one offset per job and one entry per
+	// task whose job id matches a job. Tasks that match no job (orphans)
+	// stay in the task view but in no job's list. ioOf[i] is a position
+	// in IO, or -1 if the job has no I/O record.
+	taskOff  []int32
+	taskRows []int32
+	ioOf     []int32
 
 	// Severity-partitioned views into the events, derived from the event
 	// view's severity column at construction: rows of FATAL and WARN
@@ -67,11 +66,12 @@ type Dataset struct {
 	warnIdx  []int
 	infoN    int // events that are neither FATAL nor WARN
 
-	// Column views for the fused scan engine and the selection indexes,
-	// set at construction: built from the records by NewDataset, or
-	// decoded from the stored columns by mirapack. jobView mirrors the hot
-	// job columns of Jobs; eventView is the whole event log.
+	// Column views, set at construction: built from the records by
+	// NewDataset, or decoded from the stored columns by mirapack. They are
+	// the job, task and event logs; the fused scan engine and the
+	// selection indexes read the job and event views.
 	jobView   *scan.JobView
+	taskView  *scan.TaskView
 	eventView *scan.EventView
 
 	// Interned similarity keys of the FATAL/WARN views, one entry per key
@@ -94,7 +94,7 @@ type Dataset struct {
 	start, end time.Time
 }
 
-// jobPos returns the position in Jobs of the job with the given id.
+// jobPos returns the job row of the job with the given id.
 func (d *Dataset) jobPos(id int64) (int, bool) {
 	if d.posOf != nil {
 		off := id - d.idBase
@@ -124,22 +124,22 @@ func (d *Dataset) jobPos(id int64) (int, bool) {
 
 // buildJobIndex builds ids/byID and rejects duplicate ids.
 func (d *Dataset) buildJobIndex() error {
-	jobs := d.Jobs
-	d.ids = make([]int64, len(jobs))
-	d.byID = make([]int32, len(jobs))
+	jobIDs := d.jobView.ID
+	d.ids = make([]int64, len(jobIDs))
+	d.byID = make([]int32, len(jobIDs))
 	sorted := true
-	for i := range jobs {
-		d.ids[i] = jobs[i].ID
+	for i, id := range jobIDs {
+		d.ids[i] = id
 		d.byID[i] = int32(i)
-		if i > 0 && jobs[i].ID < jobs[i-1].ID {
+		if i > 0 && id < jobIDs[i-1] {
 			sorted = false
 		}
 	}
 	if !sorted {
 		byID, ids := d.byID, d.ids
-		sort.Slice(byID, func(a, b int) bool { return jobs[byID[a]].ID < jobs[byID[b]].ID })
+		sort.Slice(byID, func(a, b int) bool { return jobIDs[byID[a]] < jobIDs[byID[b]] })
 		for i, p := range byID {
-			ids[i] = jobs[p].ID
+			ids[i] = jobIDs[p]
 		}
 	}
 	for i := 1; i < len(d.ids); i++ {
@@ -163,7 +163,7 @@ func (d *Dataset) buildJobIndex() error {
 	return nil
 }
 
-// jobCursor resolves an ascending stream of job ids to Jobs positions in
+// jobCursor resolves an ascending stream of job ids to job rows in
 // O(1) amortized, advancing a cursor over the sorted index. An id that
 // steps backwards falls back to a binary search without disturbing the
 // cursor, so a mostly-sorted stream stays cheap.
@@ -190,56 +190,61 @@ func (c *jobCursor) pos(id int64) (int, bool) {
 	return c.d.jobPos(id)
 }
 
-// buildPerJob fills the tasksOf and ioOf indexes. A scheduler log records a
-// job's tasks consecutively, so tasks group into runs, each adopted as a
-// (capped) subslice without copying; a job id split across runs falls back
-// to concatenating.
-func (d *Dataset) buildPerJob() error {
-	// Tasks group into contiguous runs (a scheduler log records a job's
-	// tasks consecutively) whose job ids follow execution order — close to
-	// id order but with local inversions. Each run resolves through the
-	// cursor (sequential advance when ascending, binary search over the
-	// compact sorted-ids array otherwise) and is adopted as a (capped)
-	// subslice without copying; a job id split across runs concatenates.
-	d.tasksOf = make([][]tasklog.Task, len(d.Jobs))
-	tasks := d.Tasks
-	cur := jobCursor{d: d}
-	for i := 0; i < len(tasks); {
-		id := tasks[i].JobID
-		j := i
-		for ; j < len(tasks) && tasks[j].JobID == id; j++ {
-			if t := &tasks[j]; !wholeSeconds(t.Start, t.End) {
-				return fmt.Errorf("core: task %d: start %s or end %s is finer than a second", t.ID, t.Start, t.End)
+// buildPerJob fills the task index (taskOff, taskRows) and ioOf. A
+// scheduler log records a job's tasks consecutively, so tasks group into
+// runs whose job ids follow execution order — close to id order but with
+// local inversions. Each run resolves through the cursor (sequential
+// advance when ascending, binary search over the compact sorted-ids array
+// otherwise). One pass counts each job's tasks, a prefix sum turns the
+// counts into offsets, and a second pass places the task rows, so a job
+// whose tasks come in several runs lists them in log order; a run that
+// matches no job is left out.
+func (d *Dataset) buildPerJob() {
+	jobIDs := d.taskView.JobID
+	runs := func(f func(p int32, lo, hi int)) {
+		cur := jobCursor{d: d}
+		for i := 0; i < len(jobIDs); {
+			id := jobIDs[i]
+			j := i + 1
+			for j < len(jobIDs) && jobIDs[j] == id {
+				j++
 			}
+			if p, ok := cur.pos(id); ok {
+				f(int32(p), i, j)
+			}
+			i = j
 		}
-		span := tasks[i:j:j]
-		if p, ok := cur.pos(id); ok {
-			if prev := d.tasksOf[p]; prev == nil {
-				d.tasksOf[p] = span
-			} else {
-				d.tasksOf[p] = append(prev[:len(prev):len(prev)], span...)
-			}
-		} else {
-			if d.orphanTasks == nil {
-				d.orphanTasks = map[int64][]tasklog.Task{}
-			}
-			d.orphanTasks[id] = append(d.orphanTasks[id], span...)
-		}
-		i = j
 	}
-	d.ioOf = make([]int32, len(d.Jobs))
+	off := make([]int32, d.jobView.N+1)
+	runs(func(p int32, lo, hi int) { off[p+1] += int32(hi - lo) })
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	rows := make([]int32, off[len(off)-1])
+	next := append([]int32(nil), off[:len(off)-1]...)
+	runs(func(p int32, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			rows[next[p]] = int32(t)
+			next[p]++
+		}
+	})
+	d.taskOff, d.taskRows = off, rows
+
+	d.ioOf = make([]int32, d.jobView.N)
 	for i := range d.ioOf {
 		d.ioOf[i] = -1
 	}
-	cur = jobCursor{d: d}
+	cur := jobCursor{d: d}
 	for i := range d.IO {
 		id := d.IO[i].JobID
 		if p, ok := cur.pos(id); ok {
 			d.ioOf[p] = int32(i)
 		}
 	}
-	return nil
 }
+
+// tasksOf returns the task view rows of job row i, in log order.
+func (d *Dataset) tasksOf(i int) []int32 { return d.taskRows[d.taskOff[i]:d.taskOff[i+1]] }
 
 // wholeSeconds reports whether every time is a whole Unix second.
 func wholeSeconds(ts ...time.Time) bool {
@@ -254,17 +259,39 @@ func wholeSeconds(ts ...time.Time) bool {
 // NewDataset indexes the logs. Events are sorted by time if they are not
 // already, stably, so events of one second keep their order; jobs and
 // tasks are never reordered. The column views are built from the records,
-// and the Dataset keeps the event view, not the events.
+// and the Dataset keeps the views, not the records.
 //
 // A corpus has the logs' resolution: every job, task and event timestamp
-// is a whole Unix second, in memory as on disk, so the column views'
-// Unix seconds lose nothing. A finer timestamp is an error naming its
-// record, and so is an event whose severity or count does not fit its
-// view column (a byte, an int32).
+// and every requested walltime is a whole Unix second, in memory as on
+// disk, so the column views' seconds lose nothing. A finer value is an
+// error naming its record, and so is a field that does not fit its view
+// column: a job's node, ranks-per-node or task count or exit status, a
+// task's node count or exit status, or an event's count (an int32); an
+// event's severity (a byte); a task's block (a 16-bit machine.Block.Code).
 func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record) (*Dataset, error) {
 	for i := range jobs {
-		if j := &jobs[i]; !wholeSeconds(j.Submit, j.Start, j.End) {
+		j := &jobs[i]
+		if !wholeSeconds(j.Submit, j.Start, j.End) {
 			return nil, fmt.Errorf("core: job %d: submit %s, start %s or end %s is finer than a second", j.ID, j.Submit, j.Start, j.End)
+		}
+		if j.WalltimeReq%time.Second != 0 {
+			return nil, fmt.Errorf("core: job %d: requested walltime %s is finer than a second", j.ID, j.WalltimeReq)
+		}
+		if err := int32Fields("job", j.ID, field{"node count", j.Nodes}, field{"ranks per node", j.RanksPerNode},
+			field{"task count", j.NumTasks}, field{"exit status", j.ExitStatus}); err != nil {
+			return nil, err
+		}
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		if !wholeSeconds(t.Start, t.End) {
+			return nil, fmt.Errorf("core: task %d: start %s or end %s is finer than a second", t.ID, t.Start, t.End)
+		}
+		if err := int32Fields("task", t.ID, field{"node count", t.Nodes}, field{"exit status", t.ExitStatus}); err != nil {
+			return nil, err
+		}
+		if c := t.Block.Code(); c > math.MaxUint16 || blockOfCode(uint16(c)) != t.Block {
+			return nil, fmt.Errorf("core: task %d: block %+v does not fit a 16-bit block code", t.ID, t.Block)
 		}
 	}
 	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) }) {
@@ -279,34 +306,52 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 		if e.Sev < 0 || e.Sev > math.MaxUint8 {
 			return nil, fmt.Errorf("core: event %d: severity %d does not fit a byte", e.RecID, int(e.Sev))
 		}
-		if e.Count < math.MinInt32 || e.Count > math.MaxInt32 {
+		if !fitsInt32(e.Count) {
 			return nil, fmt.Errorf("core: event %d: count %d does not fit an int32", e.RecID, e.Count)
 		}
 	}
-	return NewDatasetFromViews(jobs, tasks, ioRecs, BuildJobView(jobs), BuildEventView(events))
+	return NewDatasetFromViews(ioRecs, BuildJobView(jobs), BuildTaskView(tasks), BuildEventView(events))
+}
+
+// fitsInt32 reports whether v fits an int32 column.
+func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
+
+// field is a named integer field of a record.
+type field struct {
+	name string
+	v    int
+}
+
+// int32Fields checks a record's fields against their int32 columns and
+// names the first that does not fit.
+func int32Fields(kind string, id int64, fields ...field) error {
+	for _, f := range fields {
+		if !fitsInt32(f.v) {
+			return fmt.Errorf("core: %s %d: %s %d does not fit an int32", kind, id, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // NewDatasetFromViews indexes the logs over column views built
-// elsewhere: the mirapack decoder fills both views from the stored
+// elsewhere: the mirapack decoder fills all three views from the stored
 // columns. It is the constructor NewDataset ends in. The job view must
-// hold one row per job, the event view's times must not decrease (it is
-// the event log, in time order), and job ids must be unique. The
-// severity views and the observation window are derived from the view
-// columns in one pass.
-func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, ioRecs []iolog.Record, jv *scan.JobView, ev *scan.EventView) (*Dataset, error) {
-	if len(jobs) == 0 {
+// hold at least one row, every column of a view must have its N rows,
+// the event view's times must not decrease (it is the event log, in time
+// order), and job ids must be unique. The severity views and the
+// observation window are derived from the view columns in one pass.
+func NewDatasetFromViews(ioRecs []iolog.Record, jv *scan.JobView, tv *scan.TaskView, ev *scan.EventView) (*Dataset, error) {
+	if jv == nil || jv.N == 0 {
 		return nil, fmt.Errorf("core: dataset has no jobs")
 	}
-	if jv == nil || ev == nil || jv.N != len(jobs) || !eventColumnsAligned(ev) {
-		return nil, fmt.Errorf("core: column views missing, without one row per job (%d) or with event columns of other than N rows", len(jobs))
+	if tv == nil || ev == nil || !jobColumnsAligned(jv) || !taskColumnsAligned(tv) || !eventColumnsAligned(ev) {
+		return nil, fmt.Errorf("core: column views missing, or with columns of other than N rows")
 	}
-	d := &Dataset{Jobs: jobs, Tasks: tasks, IO: ioRecs, jobView: jv, eventView: ev}
+	d := &Dataset{IO: ioRecs, jobView: jv, taskView: tv, eventView: ev}
 	if err := d.buildJobIndex(); err != nil {
 		return nil, err
 	}
-	if err := d.buildPerJob(); err != nil {
-		return nil, err
-	}
+	d.buildPerJob()
 	// The first job seeds the window and every job widens it by its submit
 	// and end; events then widen it in an else-if walk, which cohortSpan
 	// reproduces for a selection.
@@ -337,14 +382,31 @@ func NewDatasetFromViews(jobs []joblog.Job, tasks []tasklog.Task, ioRecs []iolog
 	return d, nil
 }
 
+// jobColumnsAligned reports whether every column of the job view has N
+// rows.
+func jobColumnsAligned(v *scan.JobView) bool {
+	return columnsAligned(v.N, len(v.ID), len(v.SubmitUnix), len(v.StartUnix), len(v.EndUnix), len(v.DurSec),
+		len(v.Nodes), len(v.CoreSec), len(v.Exit), len(v.Family), len(v.UserID), len(v.ProjectID), len(v.QueueID),
+		len(v.WalltimeSec), len(v.RanksPerNode), len(v.NumTasks))
+}
+
+// taskColumnsAligned reports whether every column of the task view has N
+// rows.
+func taskColumnsAligned(v *scan.TaskView) bool {
+	return columnsAligned(v.N, len(v.ID), len(v.JobID), len(v.Block), len(v.StartUnix), len(v.EndUnix), len(v.Nodes), len(v.Exit))
+}
+
 // eventColumnsAligned reports whether every column of the event view has
 // N rows.
 func eventColumnsAligned(v *scan.EventView) bool {
-	for _, n := range [...]int{
-		len(v.TimeUnix), len(v.Sev), len(v.CatID), len(v.CompID), len(v.MidplaneID), len(v.RackID),
-		len(v.RecID), len(v.JobID), len(v.MsgID), len(v.Msg), len(v.LocCode), len(v.Count),
-	} {
-		if n != v.N {
+	return columnsAligned(v.N, len(v.TimeUnix), len(v.Sev), len(v.CatID), len(v.CompID), len(v.MidplaneID), len(v.RackID),
+		len(v.RecID), len(v.JobID), len(v.MsgID), len(v.Msg), len(v.LocCode), len(v.Count))
+}
+
+// columnsAligned reports whether every column length is n.
+func columnsAligned(n int, lens ...int) bool {
+	for _, l := range lens {
+		if l != n {
 			return false
 		}
 	}
@@ -356,14 +418,6 @@ func (d *Dataset) Span() (start, end time.Time) { return d.start, d.end }
 
 // Days returns the observation span in (fractional) days.
 func (d *Dataset) Days() float64 { return d.end.Sub(d.start).Hours() / 24 }
-
-// Job returns the job with the given ID.
-func (d *Dataset) Job(id int64) (*joblog.Job, bool) {
-	if p, ok := d.jobPos(id); ok {
-		return &d.Jobs[p], true
-	}
-	return nil, false
-}
 
 // Summary holds the dataset-level statistics of Table I.
 type Summary struct {

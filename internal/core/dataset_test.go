@@ -22,15 +22,16 @@ func TestNewDatasetFromViewsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := NewDatasetFromViews(d.Jobs, d.Tasks, d.IO, BuildJobView(d.Jobs), BuildEventView(d.EventRecords()))
+	jobs := d.JobRecords()
+	back, err := NewDatasetFromViews(d.IO, BuildJobView(jobs), BuildTaskView(d.TaskRecords()), BuildEventView(d.EventRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d, back) {
 		t.Fatal("dataset built over separate views differs from NewDataset's")
 	}
-	start, end := d.Jobs[0].Submit, d.Jobs[0].End
-	for _, j := range d.Jobs {
+	start, end := jobs[0].Submit, jobs[0].End
+	for _, j := range jobs {
 		if j.Submit.Before(start) {
 			start = j.Submit
 		}
@@ -50,33 +51,41 @@ func TestNewDatasetFromViewsEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewDatasetFromViewsRejectsMismatch feeds the constructor views that
-// do not describe the records or whose columns disagree on the row count,
-// no jobs, duplicate job ids and events out of time order.
+// TestNewDatasetFromViewsRejectsMismatch feeds the constructor views whose
+// columns disagree on the row count, missing views, no jobs, duplicate job
+// ids and events out of time order.
 func TestNewDatasetFromViewsRejectsMismatch(t *testing.T) {
 	d, _ := dataset(t)
-	jv, ev := d.JobView(), d.EventView()
+	jv, tv, ev := d.JobView(), d.TaskView(), d.EventView()
 	short := *ev
 	short.Count = short.Count[:ev.N-1]
+	shortJobs := *jv
+	shortJobs.NumTasks = shortJobs.NumTasks[:jv.N-1]
+	shortTasks := *tv
+	shortTasks.Block = shortTasks.Block[:tv.N-1]
 	for _, tc := range []struct {
 		name string
-		jobs []joblog.Job
 		jv   *scan.JobView
+		tv   *scan.TaskView
 		ev   *scan.EventView
 	}{
-		{"no jobs", nil, BuildJobView(nil), ev},
-		{"job view one row long", d.Jobs, &scan.JobView{N: jv.N + 1}, ev},
-		{"event column one row short", d.Jobs, jv, &short},
-		{"no job view", d.Jobs, nil, ev},
-		{"no event view", d.Jobs, jv, nil},
+		{"no jobs", BuildJobView(nil), tv, ev},
+		{"job view one row long", &scan.JobView{N: jv.N + 1}, tv, ev},
+		{"job column one row short", &shortJobs, tv, ev},
+		{"task column one row short", jv, &shortTasks, ev},
+		{"event column one row short", jv, tv, &short},
+		{"no job view", nil, tv, ev},
+		{"no task view", jv, nil, ev},
+		{"no event view", jv, tv, nil},
 	} {
-		if _, err := NewDatasetFromViews(tc.jobs, d.Tasks, d.IO, tc.jv, tc.ev); err == nil {
+		if _, err := NewDatasetFromViews(d.IO, tc.jv, tc.tv, tc.ev); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 
-	jobs := append(append([]joblog.Job(nil), d.Jobs...), d.Jobs[0])
-	if _, err := NewDatasetFromViews(jobs, d.Tasks, d.IO, BuildJobView(jobs), ev); err == nil {
+	jobs := d.JobRecords()
+	jobs = append(jobs, jobs[0])
+	if _, err := NewDatasetFromViews(d.IO, BuildJobView(jobs), tv, ev); err == nil {
 		t.Error("duplicate job id accepted")
 	}
 
@@ -87,11 +96,11 @@ func TestNewDatasetFromViewsRejectsMismatch(t *testing.T) {
 		k++
 	}
 	events[k], events[k+1] = events[k+1], events[k]
-	if _, err := NewDatasetFromViews(d.Jobs, d.Tasks, d.IO, jv, BuildEventView(events)); err == nil {
+	if _, err := NewDatasetFromViews(d.IO, jv, tv, BuildEventView(events)); err == nil {
 		t.Error("events out of time order accepted")
 	}
 	// NewDataset puts the same events in order instead.
-	if _, err := NewDataset(d.Jobs, d.Tasks, events, d.IO); err != nil {
+	if _, err := NewDataset(d.JobRecords(), d.TaskRecords(), events, d.IO); err != nil {
 		t.Errorf("NewDataset over out-of-order events: %v", err)
 	}
 }

@@ -199,7 +199,7 @@ func TestMTTIOnCorpus(t *testing.T) {
 		t.Fatal("no interrupted jobs")
 	}
 	for _, id := range ids {
-		j, ok := d.Job(id)
+		j, ok := jobByID(d, id)
 		if !ok {
 			t.Fatalf("unknown job %d", id)
 		}

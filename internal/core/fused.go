@@ -254,7 +254,7 @@ func (d *Dataset) wholeJobSide(jsts []JobState) jobSide {
 	js := jobSide{
 		fams:  familyTotalsOf(jsts[kFamilies].(*tallyState[uint8])),
 		users: jsts[kUsers].(*tallyState[int32]).groups(jv.Users),
-		walk:  jobWalk{jobs: len(d.Jobs), tasks: len(d.Tasks), io: len(d.IO)},
+		walk:  jobWalk{jobs: jv.N, tasks: d.taskView.N, io: len(d.IO)},
 	}
 	for i := 0; i < jv.N; i++ {
 		js.walk.widen(jv.SubmitUnix[i], jv.EndUnix[i])

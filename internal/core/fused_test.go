@@ -252,19 +252,38 @@ func TestLeadTimeSweepMatchesLeadTime(t *testing.T) {
 func TestViewBuildersMatchDataset(t *testing.T) {
 	d, c := dataset(t)
 	jv := d.JobView()
-	if jv.N != len(d.Jobs) {
-		t.Fatalf("job view has %d rows for %d jobs", jv.N, len(d.Jobs))
+	if jv.N != len(c.Jobs) {
+		t.Fatalf("job view has %d rows for %d jobs", jv.N, len(c.Jobs))
 	}
 	for _, i := range []int{0, 1, jv.N / 2, jv.N - 1} {
-		j := &d.Jobs[i]
-		if jv.ID[i] != j.ID || jv.StartUnix[i] != j.Start.Unix() || jv.EndUnix[i] != j.End.Unix() {
+		j := &c.Jobs[i]
+		if jv.ID[i] != j.ID || jv.SubmitUnix[i] != j.Submit.Unix() || jv.StartUnix[i] != j.Start.Unix() || jv.EndUnix[i] != j.End.Unix() {
 			t.Fatalf("row %d: id/time columns mismatch", i)
 		}
 		if jv.CoreSec[i] != j.CoreSeconds() {
 			t.Fatalf("row %d: core-seconds %d, job says %d", i, jv.CoreSec[i], j.CoreSeconds())
 		}
-		if jv.Users[jv.UserID[i]] != j.User || jv.Projects[jv.ProjectID[i]] != j.Project {
+		if jv.CoreHours(i) != j.CoreHours() {
+			t.Fatalf("row %d: core-hours %v, job says %v", i, jv.CoreHours(i), j.CoreHours())
+		}
+		if jv.Users[jv.UserID[i]] != j.User || jv.Projects[jv.ProjectID[i]] != j.Project || jv.Queues[jv.QueueID[i]] != j.Queue {
 			t.Fatalf("row %d: dictionary mismatch", i)
+		}
+		if time.Duration(jv.WalltimeSec[i])*time.Second != j.WalltimeReq || int(jv.Nodes[i]) != j.Nodes ||
+			int(jv.RanksPerNode[i]) != j.RanksPerNode || int(jv.NumTasks[i]) != j.NumTasks || int(jv.Exit[i]) != j.ExitStatus {
+			t.Fatalf("row %d: walltime/nodes/ranks/tasks/exit mismatch", i)
+		}
+	}
+	tv := d.TaskView()
+	if tv.N != len(c.Tasks) {
+		t.Fatalf("task view has %d rows for %d tasks", tv.N, len(c.Tasks))
+	}
+	for _, i := range []int{0, 1, tv.N / 2, tv.N - 1} {
+		k := &c.Tasks[i]
+		if tv.ID[i] != k.ID || tv.JobID[i] != k.JobID || uint32(tv.Block[i]) != k.Block.Code() ||
+			tv.StartUnix[i] != k.Start.Unix() || tv.EndUnix[i] != k.End.Unix() ||
+			int(tv.Nodes[i]) != k.Nodes || int(tv.Exit[i]) != k.ExitStatus {
+			t.Fatalf("task row %d: column mismatch", i)
 		}
 	}
 	ev := d.EventView()
@@ -415,7 +434,7 @@ func TestCohortConcentrationMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := md.Jobs[0].Outcome() == joblog.OutcomeFailure; got != c.failedFirst {
+		if got := md.JobView().Exit[0] != joblog.ExitSuccess; got != c.failedFirst {
 			t.Fatalf("%s: first selected job failed = %v, want %v", c.where, got, c.failedFirst)
 		}
 		want, wantErr := md.Concentration(c.by, md.ClassifyByExit())

@@ -277,7 +277,8 @@ func TestExportIndexesMatchesScan(t *testing.T) {
 			want[id] = append(want[id], i)
 		}
 	}
-	orphan := d.Jobs[len(d.Jobs)-1].ID + 1000
+	jv := d.JobView()
+	orphan := jv.ID[jv.N-1] + 1000
 	for i := 0; i < len(recs); i += len(recs)/3 + 1 {
 		if recs[i].JobID == 0 {
 			want[orphan] = append(want[orphan], i)
@@ -287,7 +288,7 @@ func TestExportIndexesMatchesScan(t *testing.T) {
 	for _, i := range want[orphan] {
 		events[i].JobID = orphan
 	}
-	od, err := NewDataset(d.Jobs, d.Tasks, events, d.IO)
+	od, err := NewDataset(d.JobRecords(), d.TaskRecords(), events, d.IO)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,11 @@ type IOCorrelation struct {
 func (d *Dataset) IOBehavior() (*IOCorrelation, error) {
 	rows := make([]int32, 0, len(d.IO))
 	bytesKey, secsKey := make([]int64, 0, len(d.IO)), make([]int64, 0, len(d.IO))
-	for i := range d.Jobs {
-		if d.ioOf[i] < 0 {
+	for i, p := range d.ioOf {
+		if p < 0 {
 			continue
 		}
-		rec := &d.IO[d.ioOf[i]]
+		rec := &d.IO[p]
 		rows = append(rows, int32(i))
 		bytesKey = append(bytesKey, rec.TotalBytes())
 		secsKey = append(secsKey, int64(rec.IOTime))
@@ -47,8 +47,9 @@ func (d *Dataset) IOBehavior() (*IOCorrelation, error) {
 	m := len(rows)
 	success := make([]float64, m)
 	okN := 0
+	exit := d.JobView().Exit
 	for k, r := range rows {
-		if d.Jobs[r].Outcome() == joblog.OutcomeSuccess {
+		if exit[r] == joblog.ExitSuccess {
 			success[k] = 1
 			okN++
 		}

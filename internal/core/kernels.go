@@ -251,7 +251,7 @@ func newJointIndex(d *Dataset) *jointIndex {
 	var pairs []uint64 // job row << 32 | FATAL row
 	// The block-attributable FATALs in time order: rows, times, locations.
 	nf := len(d.fatalIdx)
-	near, nearT, nearLoc := make([]int32, 0, nf), make([]int64, 0, nf), make([]machine.Location, 0, nf)
+	near, nearT, nearSpan := make([]int32, 0, nf), make([]int64, 0, nf), make([]midplaneSpan, 0, nf)
 	for _, i := range d.fatalIdx {
 		if id := ev.JobID[i]; id != 0 {
 			if p, ok := d.jobPos(id); ok && jv.Family[p] != 0 {
@@ -259,18 +259,20 @@ func newJointIndex(d *Dataset) *jointIndex {
 			}
 		}
 		if loc := locOfCode(ev.LocCode[i]); loc.Level() >= machine.LevelRack {
-			near, nearT, nearLoc = append(near, int32(i)), append(nearT, times[i]), append(nearLoc, loc)
+			near, nearT, nearSpan = append(near, int32(i)), append(nearT, times[i]), append(nearSpan, midplaneSpanOf(loc))
 		}
 	}
+	blocks := d.TaskView().Block
 	for row, fam := range jv.Family {
-		if fam == 0 || len(d.tasksOf[row]) == 0 {
+		tasks := d.tasksOf(row)
+		if fam == 0 || len(tasks) == 0 {
 			continue
 		}
-		tasks, end := d.tasksOf[row], jv.EndUnix[row]
+		end := jv.EndUnix[row]
 		k, _ := slices.BinarySearch(nearT, end-tol)
 		for ; k < len(near) && nearT[k] <= end+tol; k++ {
-			for t := range tasks {
-				if tasks[t].Block.ContainsLocation(nearLoc[k]) {
+			for _, t := range tasks {
+				if nearSpan[k].hits(blocks[t]) {
 					pairs = append(pairs, uint64(row)<<32|uint64(near[k]))
 					break
 				}
@@ -289,6 +291,37 @@ func newJointIndex(d *Dataset) *jointIndex {
 	}
 	x.off = append(x.off, int32(len(pairs)))
 	return x
+}
+
+// midplaneSpan is the linear midplanes [lo, hi) a block-attributable
+// FATAL's location covers, the form machine.Block.ContainsLocation tests:
+// a rack covers its two midplanes, a midplane or finer location one, or
+// none when its midplane id is invalid. A system-level location (lo < 0)
+// intersects every block.
+type midplaneSpan struct{ lo, hi int32 }
+
+func midplaneSpanOf(loc machine.Location) midplaneSpan {
+	switch loc.Level() {
+	case machine.LevelSystem:
+		return midplaneSpan{-1, -1}
+	case machine.LevelRack:
+		m := int32(loc.RackIndex() * machine.MidplanesPerRack)
+		return midplaneSpan{m, m + machine.MidplanesPerRack}
+	default:
+		id, err := loc.MidplaneID()
+		if err != nil {
+			return midplaneSpan{}
+		}
+		return midplaneSpan{int32(id), int32(id) + 1}
+	}
+}
+
+// hits reports whether the block of the given machine.Block.Code
+// intersects the span: machine.Block.ContainsLocation on the code,
+// without decoding a Block.
+func (s midplaneSpan) hits(block uint16) bool {
+	base := int32(block >> 8)
+	return s.lo < 0 || max(s.lo, base) < min(s.hi, base+int32(block&0xff))
 }
 
 // count returns the listed jobs the job selection holds that keep at

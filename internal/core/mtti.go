@@ -103,8 +103,8 @@ func (r *MTTIResult) InterruptedJobs() []int64 {
 func (d *Dataset) LostCoreHours(r *MTTIResult) float64 {
 	total := 0.0
 	for _, id := range r.InterruptedJobs() {
-		if j, ok := d.Job(id); ok {
-			total += j.CoreHours()
+		if p, ok := d.jobPos(id); ok {
+			total += d.jobView.CoreHours(p)
 		}
 	}
 	return total

@@ -64,7 +64,8 @@ func (s StructureDim) walkValue(j *joblog.Job) float64 {
 // per-bucket failure rate. For DimNodes the buckets are the schedulable
 // block sizes; other dimensions use logarithmic buckets.
 func failureByStructureWalk(d *Dataset, dim StructureDim) (*StructureResult, error) {
-	if len(d.Jobs) == 0 {
+	recs := d.JobRecords()
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
 	res := &StructureResult{Dim: dim}
@@ -77,8 +78,8 @@ func failureByStructureWalk(d *Dataset, dim StructureDim) (*StructureResult, err
 		edges = append(edges, float64(49152+1))
 	} else {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range d.Jobs {
-			v := dim.walkValue(&d.Jobs[i])
+		for i := range recs {
+			v := dim.walkValue(&recs[i])
 			if v > 0 && v < lo {
 				lo = v
 			}
@@ -106,10 +107,10 @@ func failureByStructureWalk(d *Dataset, dim StructureDim) (*StructureResult, err
 		res.Buckets[i].Lo = edges[i]
 		res.Buckets[i].Hi = edges[i+1]
 	}
-	values := make([]float64, len(d.Jobs))
-	failed := make([]float64, len(d.Jobs))
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	values := make([]float64, len(recs))
+	failed := make([]float64, len(recs))
+	for i := range recs {
+		j := &recs[i]
 		v := dim.walkValue(j)
 		values[i] = v
 		if j.Outcome() == joblog.OutcomeFailure {
@@ -148,14 +149,15 @@ func failureByStructureWalk(d *Dataset, dim StructureDim) (*StructureResult, err
 
 // structureSummaryWalk computes E3's distributions.
 func structureSummaryWalk(d *Dataset) (*JobStructureSummary, error) {
-	n := len(d.Jobs)
+	jobs := d.JobRecords()
+	n := len(jobs)
 	nodes := make([]float64, n)
 	tasks := make([]float64, n)
 	runtime := make([]float64, n)
 	ch := make([]float64, n)
 	hist := map[int]int{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range jobs {
+		j := &jobs[i]
 		nodes[i] = float64(j.Nodes)
 		tasks[i] = float64(j.NumTasks)
 		runtime[i] = j.Runtime().Hours()
@@ -181,18 +183,19 @@ func structureSummaryWalk(d *Dataset) (*JobStructureSummary, error) {
 
 // schedulingWalk computes the queue-wait and walltime-accuracy profile.
 func schedulingWalk(d *Dataset) (*SchedulingResult, error) {
-	if len(d.Jobs) == 0 {
+	recs := d.JobRecords()
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
 	waits := map[int][]float64{}
 	// The paired-sample slices reach one entry per job; sizing them up front
 	// avoids repeated growth copies on the hot suite path.
-	sizes := make([]float64, 0, len(d.Jobs))
-	waitVals := make([]float64, 0, len(d.Jobs))
+	sizes := make([]float64, 0, len(recs))
+	waitVals := make([]float64, 0, len(recs))
 	var okReq, okUsed []float64
 	ratiosByOutcome := map[string][]float64{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		w := j.Start.Sub(j.Submit)
 		if w < 0 {
 			w = 0
@@ -269,9 +272,10 @@ func schedulingWalk(d *Dataset) (*SchedulingResult, error) {
 // resubmissionWalk analyzes consecutive same-user jobs (ordered by submission)
 // for outcome repetition and resubmission latency.
 func resubmissionWalk(d *Dataset) (*ResubmitResult, error) {
+	recs := d.JobRecords()
 	byUser := map[string][]*joblog.Job{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		byUser[j.User] = append(byUser[j.User], j)
 	}
 	users := make([]string, 0, len(byUser))
@@ -349,10 +353,11 @@ func resubmissionWalk(d *Dataset) (*ResubmitResult, error) {
 
 // ioBehaviorWalk computes E13's I/O-vs-outcome comparison.
 func ioBehaviorWalk(d *Dataset) (*IOCorrelation, error) {
+	recs := d.JobRecords()
 	var okBytes, failBytes, okSecs, failSecs []float64
 	var bytesAll, successAll []float64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		if d.ioOf[i] < 0 {
 			continue
 		}
@@ -405,8 +410,9 @@ func ioBehaviorWalk(d *Dataset) (*IOCorrelation, error) {
 // the slices in dist.NewSampleSorted / stats.NewECDFSorted without another
 // copy or sort.
 func executionLengthCDFsWalk(d *Dataset) (succeeded, failed []float64) {
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	jobs := d.JobRecords()
+	for i := range jobs {
+		j := &jobs[i]
 		sec := j.Runtime().Seconds()
 		if sec <= 0 {
 			continue

@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/iolog"
 	"repro/internal/joblog"
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/sim"
+	"repro/internal/tasklog"
 )
 
 // byTime returns a copy of events stably sorted by time, the order a
@@ -132,12 +134,25 @@ func TestNewDatasetRejectsNarrowColumns(t *testing.T) {
 // if any of them reaches raslog.Event: the RAS log is resident only as
 // its column view.
 func TestDatasetHoldsNoEventRecords(t *testing.T) {
-	event := reflect.TypeOf(raslog.Event{})
+	datasetAvoids(t, reflect.TypeOf(raslog.Event{}))
+}
+
+// TestDatasetHoldsNoJobOrTaskRecords is the same walk for joblog.Job and
+// tasklog.Task: the job and task logs are resident only as their column
+// views and the per-job task index.
+func TestDatasetHoldsNoJobOrTaskRecords(t *testing.T) {
+	datasetAvoids(t, reflect.TypeOf(joblog.Job{}))
+	datasetAvoids(t, reflect.TypeOf(tasklog.Task{}))
+}
+
+// datasetAvoids fails if Dataset's type graph reaches the record type.
+func datasetAvoids(t *testing.T, record reflect.Type) {
+	t.Helper()
 	seen := map[reflect.Type]bool{}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {
-		if ty == event {
-			t.Errorf("Dataset reaches raslog.Event through %s", path)
+		if ty == record {
+			t.Errorf("Dataset reaches %v through %s", record, path)
 			return
 		}
 		if seen[ty] {
@@ -158,4 +173,138 @@ func TestDatasetHoldsNoEventRecords(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Dataset{}), "Dataset")
+}
+
+// splitRunCorpus is a corpus whose task log, in log order, holds a task
+// of job 20, one of job 10, an orphan task (job 99 matches no job), a
+// second run of two job 20 tasks and a second job 10 task: jobs 20 and 10
+// each have tasks in two separate runs, and the tasks are not in job-id
+// order. Job 30 has no tasks and job 10 no I/O record.
+func splitRunCorpus() ([]joblog.Job, []tasklog.Task, []iolog.Record) {
+	t0 := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	job := func(id int64, user, queue string, exit int) joblog.Job {
+		return joblog.Job{ID: id, User: user, Project: "p-" + user, Queue: queue,
+			Submit: t0, Start: t0.Add(time.Duration(id) * time.Minute), End: t0.Add(time.Duration(id) * time.Hour),
+			WalltimeReq: 2 * time.Duration(id) * time.Hour, Nodes: 512 * int(id/10), RanksPerNode: 16, NumTasks: 2, ExitStatus: exit}
+	}
+	jobs := []joblog.Job{job(10, "ann", "prod", 0), job(20, "bo", "debug", joblog.ExitSigSegv), job(30, "ann", "prod", joblog.ExitSystemReserved)}
+	task := func(id, jobID int64, base int) tasklog.Task {
+		return tasklog.Task{ID: id, JobID: jobID, Block: machine.Block{BaseMidplane: base, Midplanes: 2},
+			Start: t0.Add(time.Duration(id) * time.Minute), End: t0.Add(time.Duration(id) * time.Hour), Nodes: 1024, ExitStatus: int(id % 3)}
+	}
+	tasks := []tasklog.Task{task(1, 20, 0), task(2, 10, 2), task(3, 99, 4), task(4, 20, 6), task(5, 20, 8), task(6, 10, 10)}
+	io := []iolog.Record{{JobID: 20, BytesRead: 1 << 30}, {JobID: 30, BytesWritten: 7}}
+	return jobs, tasks, io
+}
+
+// edgeJobs are hand-made job rows at the edges of the job columns: node,
+// ranks-per-node and task counts and exit statuses at the int32 limits, a
+// zero and a 200-year walltime, empty strings in every dictionary.
+func edgeJobs() []joblog.Job {
+	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+	return []joblog.Job{
+		{ID: 1, User: "", Project: "", Queue: "", Submit: t0, Start: t0, End: t0,
+			WalltimeReq: 0, Nodes: math.MaxInt32, RanksPerNode: math.MinInt32, NumTasks: math.MaxInt32, ExitStatus: math.MinInt32},
+		{ID: 2, User: "u", Project: "p", Queue: "q", Submit: t0.Add(-time.Hour), Start: t0, End: t0.Add(time.Hour),
+			WalltimeReq: 200 * 365 * 24 * time.Hour, Nodes: math.MinInt32, RanksPerNode: math.MaxInt32, NumTasks: 0, ExitStatus: math.MaxInt32},
+	}
+}
+
+// TestJobTaskRecordsRoundTrip is the record-rebuild oracle of the job and
+// task logs: JobRecords and TaskRecords must deep-equal the records the
+// Dataset was built from — for the generated corpus, the same corpus read
+// back from CSV, the split-run corpus and the edge job rows — and each
+// job's task list must be its tasks in log order, the runs of a job split
+// across the log concatenated and the orphan task in none.
+func TestJobTaskRecordsRoundTrip(t *testing.T) {
+	c, err := sim.Generate(sim.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobCSV, taskCSV bytes.Buffer
+	if err := joblog.WriteCSV(&jobCSV, c.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tasklog.WriteCSV(&taskCSV, c.Tasks); err != nil {
+		t.Fatal(err)
+	}
+	csvJobs, err := joblog.ReadCSV(&jobCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvTasks, err := tasklog.ReadCSV(&taskCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitJobs, splitTasks, splitIO := splitRunCorpus()
+	for _, tc := range []struct {
+		name  string
+		jobs  []joblog.Job
+		tasks []tasklog.Task
+		io    []iolog.Record
+	}{
+		{"generated", c.Jobs, c.Tasks, c.IO},
+		{"csv", csvJobs, csvTasks, c.IO},
+		{"split runs", splitJobs, splitTasks, splitIO},
+		{"edge jobs", edgeJobs(), nil, nil},
+	} {
+		d, err := NewDataset(tc.jobs, tc.tasks, nil, tc.io)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := d.JobRecords(); !reflect.DeepEqual(got, tc.jobs) {
+			t.Fatalf("%s: job records differ after the rebuild", tc.name)
+		}
+		got := d.TaskRecords()
+		if !reflect.DeepEqual(got, tc.tasks) {
+			t.Fatalf("%s: task records differ after the rebuild", tc.name)
+		}
+		want := tasksByJobID(tc.tasks)
+		listed := 0
+		for row, j := range tc.jobs {
+			var list []tasklog.Task
+			for _, r := range d.tasksOf(row) {
+				list = append(list, got[r])
+			}
+			listed += len(list)
+			if !reflect.DeepEqual(list, want[j.ID]) {
+				t.Fatalf("%s: job %d lists tasks %+v, want %+v", tc.name, j.ID, list, want[j.ID])
+			}
+		}
+		if orphans := len(tc.tasks) - listed; tc.name == "split runs" && orphans != 1 {
+			t.Fatalf("%s: %d tasks in no job's list, want the one orphan", tc.name, orphans)
+		}
+	}
+}
+
+// TestNewDatasetRejectsNarrowJobColumns pins the rejections the job and
+// task views' column widths and resolution add, each an error naming its
+// record and field: a requested walltime finer than a second, a node,
+// ranks-per-node or task count or exit status beyond an int32, and a
+// task whose node count or exit status is beyond an int32 or whose block
+// has no 16-bit code.
+func TestNewDatasetRejectsNarrowJobColumns(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*joblog.Job, *tasklog.Task)
+	}{
+		{"walltime", "job 20: requested walltime 1h0m0.5s is finer than a second", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = time.Hour + 500*time.Millisecond }},
+		{"nodes", "job 20: node count 2147483648 does not fit an int32", func(j *joblog.Job, _ *tasklog.Task) { j.Nodes = math.MaxInt32 + 1 }},
+		{"ranks", "job 20: ranks per node -2147483649 does not fit an int32", func(j *joblog.Job, _ *tasklog.Task) { j.RanksPerNode = math.MinInt32 - 1 }},
+		{"tasks", "job 20: task count 4294967296 does not fit an int32", func(j *joblog.Job, _ *tasklog.Task) { j.NumTasks = 1 << 32 }},
+		{"exit", "job 20: exit status 2147483648 does not fit an int32", func(j *joblog.Job, _ *tasklog.Task) { j.ExitStatus = math.MaxInt32 + 1 }},
+		{"task nodes", "task 1: node count 2147483648 does not fit an int32", func(_ *joblog.Job, k *tasklog.Task) { k.Nodes = math.MaxInt32 + 1 }},
+		{"task exit", "task 1: exit status -2147483649 does not fit an int32", func(_ *joblog.Job, k *tasklog.Task) { k.ExitStatus = math.MinInt32 - 1 }},
+		{"task block", "task 1: block {BaseMidplane:256 Midplanes:2} does not fit a 16-bit block code", func(_ *joblog.Job, k *tasklog.Task) { k.Block.BaseMidplane = 256 }},
+		{"task block extent", "task 1: block {BaseMidplane:0 Midplanes:256} does not fit a 16-bit block code", func(_ *joblog.Job, k *tasklog.Task) { k.Block.Midplanes = 256 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, tasks, io := splitRunCorpus()
+			tc.edit(&jobs[1], &tasks[0])
+			_, err := NewDataset(jobs, tasks, nil, io)
+			if err == nil || err.Error() != "core: "+tc.want {
+				t.Fatalf("error %v, want %q", err, "core: "+tc.want)
+			}
+		})
+	}
 }

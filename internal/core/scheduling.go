@@ -46,14 +46,14 @@ type SchedulingResult struct {
 // per-size buckets, so each bucket comes out ascending; the size-wait trend
 // correlates the shared nodes and wait ranks.
 func (o *JobOrders) Scheduling() (*SchedulingResult, error) {
-	d := o.d
-	if len(d.Jobs) == 0 {
+	v := o.d.JobView()
+	if v.N == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
 	nodes, wait := o.nodesCol(), o.waitCol()
 	// One bucket per block size, in ascending size order: the runs of the
 	// nodes order. start[b] is where bucket b begins in byBucket.
-	bucketOf := make([]int32, len(d.Jobs))
+	bucketOf := make([]int32, v.N)
 	var sizes, start []int
 	for k, r := range nodes.order {
 		if k == 0 || nodes.sorted[k] != nodes.sorted[k-1] {
@@ -62,9 +62,9 @@ func (o *JobOrders) Scheduling() (*SchedulingResult, error) {
 		}
 		bucketOf[r] = int32(len(sizes) - 1)
 	}
-	start = append(start, len(d.Jobs))
+	start = append(start, v.N)
 	next := append([]int(nil), start...)
-	byBucket := make([]float64, len(d.Jobs))
+	byBucket := make([]float64, v.N)
 	for k, r := range wait.order {
 		b := bucketOf[r]
 		byBucket[next[b]] = wait.sorted[k]
@@ -88,22 +88,25 @@ func (o *JobOrders) Scheduling() (*SchedulingResult, error) {
 
 	// Runtime / requested walltime per outcome: successes fill ratios from
 	// the front, failures from the back (each is sorted below). The
-	// requested vs used pairs of succeeded jobs stay in job order.
-	n := len(d.Jobs)
+	// requested vs used pairs of succeeded jobs stay in job order. Both
+	// durations are built from their seconds as joblog.Job's are, so the
+	// ratios and pairs have the records' bits.
+	n := v.N
 	all := make([]float64, n)
 	okReq, okUsed := make([]float64, 0, n), make([]float64, 0, n)
 	front, back := 0, n
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		if j.WalltimeReq <= 0 {
+	for i := 0; i < n; i++ {
+		req := time.Duration(v.WalltimeSec[i]) * time.Second
+		if req <= 0 {
 			continue
 		}
-		ratio := float64(j.Runtime()) / float64(j.WalltimeReq)
-		if j.Outcome() == joblog.OutcomeSuccess {
+		runtime := time.Duration(v.DurSec[i]) * time.Second
+		ratio := float64(runtime) / float64(req)
+		if v.Exit[i] == joblog.ExitSuccess {
 			all[front] = ratio
 			front++
-			okReq = append(okReq, j.WalltimeReq.Seconds())
-			okUsed = append(okUsed, j.Runtime().Seconds())
+			okReq = append(okReq, req.Seconds())
+			okUsed = append(okUsed, runtime.Seconds())
 		} else {
 			back--
 			all[back] = ratio
@@ -177,11 +180,13 @@ func (d *Dataset) LifePhasesFromMTTI(n int, mtti *MTTIResult) ([]LifePhase, erro
 		phases[i].StartDay = float64(i) * span.Hours() / 24 / float64(n)
 		phases[i].EndDay = float64(i+1) * span.Hours() / 24 / float64(n)
 	}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		p := &phases[phaseOf(j.Start.Sub(start))]
+	// Job starts, like the span's start, are whole seconds, so the offset
+	// is the one time.Time.Sub returns.
+	v := d.JobView()
+	for i, sec := range v.StartUnix {
+		p := &phases[phaseOf(time.Duration(sec-start.Unix())*time.Second)]
 		p.Jobs++
-		if j.Outcome() == joblog.OutcomeFailure {
+		if v.Exit[i] != joblog.ExitSuccess {
 			p.Failed++
 		}
 	}

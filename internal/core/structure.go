@@ -76,7 +76,7 @@ type StructureResult struct {
 // of the failure indicator.
 func (o *JobOrders) FailureByStructure(dim StructureDim) (*StructureResult, error) {
 	d := o.d
-	if len(d.Jobs) == 0 {
+	if d.JobView().N == 0 {
 		return nil, fmt.Errorf("core: no jobs")
 	}
 	res := &StructureResult{Dim: dim}

@@ -8,29 +8,36 @@ import (
 	"repro/internal/machine"
 	"repro/internal/raslog"
 	"repro/internal/scan"
+	"repro/internal/tasklog"
 )
 
-// BuildJobView constructs the SoA column mirror of the hot job columns from
-// AoS records. Dictionaries are interned in first-appearance order, which is
-// also the order the mirapack encoder assigns, so built and pack-decoded
-// views are identical.
+// BuildJobView constructs the job column view from AoS records, every
+// field of each record in its column. Dictionaries are interned in
+// first-appearance order, which is also the order the mirapack encoder
+// assigns, so built and pack-decoded views are identical. Counts and exit
+// statuses are narrowed to the column widths and the requested walltime
+// to whole seconds; NewDataset rejects records that do not fit.
 func BuildJobView(jobs []joblog.Job) *scan.JobView {
 	n := len(jobs)
 	v := &scan.JobView{
-		N:          n,
-		ID:         make([]int64, n),
-		SubmitUnix: make([]int64, n),
-		StartUnix:  make([]int64, n),
-		EndUnix:    make([]int64, n),
-		DurSec:     make([]int64, n),
-		Nodes:      make([]int32, n),
-		CoreSec:    make([]int64, n),
-		Exit:       make([]int32, n),
-		Family:     make([]uint8, n),
-		UserID:     make([]int32, n),
-		ProjectID:  make([]int32, n),
+		N:            n,
+		ID:           make([]int64, n),
+		SubmitUnix:   make([]int64, n),
+		StartUnix:    make([]int64, n),
+		EndUnix:      make([]int64, n),
+		DurSec:       make([]int64, n),
+		Nodes:        make([]int32, n),
+		CoreSec:      make([]int64, n),
+		Exit:         make([]int32, n),
+		Family:       make([]uint8, n),
+		UserID:       make([]int32, n),
+		ProjectID:    make([]int32, n),
+		QueueID:      make([]int32, n),
+		WalltimeSec:  make([]int64, n),
+		RanksPerNode: make([]int32, n),
+		NumTasks:     make([]int32, n),
 	}
-	users, projects := dict{}, dict{}
+	users, projects, queues := dict{}, dict{}, dict{}
 	for i := range jobs {
 		j := &jobs[i]
 		v.ID[i] = j.ID
@@ -44,6 +51,39 @@ func BuildJobView(jobs []joblog.Job) *scan.JobView {
 		v.Family[i] = joblog.FamilyCodeOf(j.ExitStatus)
 		v.UserID[i] = users.intern(&v.Users, j.User)
 		v.ProjectID[i] = projects.intern(&v.Projects, j.Project)
+		v.QueueID[i] = queues.intern(&v.Queues, j.Queue)
+		v.WalltimeSec[i] = int64(j.WalltimeReq / time.Second)
+		v.RanksPerNode[i] = int32(j.RanksPerNode)
+		v.NumTasks[i] = int32(j.NumTasks)
+	}
+	return v
+}
+
+// BuildTaskView constructs the task column view from AoS records, in
+// their order. Blocks become their machine.Block.Code and node counts and
+// exit statuses are narrowed to int32; NewDataset rejects records that do
+// not fit.
+func BuildTaskView(tasks []tasklog.Task) *scan.TaskView {
+	n := len(tasks)
+	v := &scan.TaskView{
+		N:         n,
+		ID:        make([]int64, n),
+		JobID:     make([]int64, n),
+		Block:     make([]uint16, n),
+		StartUnix: make([]int64, n),
+		EndUnix:   make([]int64, n),
+		Nodes:     make([]int32, n),
+		Exit:      make([]int32, n),
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		v.ID[i] = t.ID
+		v.JobID[i] = t.JobID
+		v.Block[i] = uint16(t.Block.Code())
+		v.StartUnix[i] = t.Start.Unix()
+		v.EndUnix[i] = t.End.Unix()
+		v.Nodes[i] = int32(t.Nodes)
+		v.Exit[i] = int32(t.ExitStatus)
 	}
 	return v
 }
@@ -204,6 +244,67 @@ func (r *recordBuilder) fill(e *raslog.Event, v *scan.EventView, i int) {
 // records; this is for the callers that print or re-encode them.
 func (d *Dataset) EventRecords() []raslog.Event { return EventRecordsOf(d.eventView) }
 
+// jobRecord sets j to the record of job view row i. Times are UTC.
+func jobRecord(j *joblog.Job, v *scan.JobView, i int) {
+	j.ID = v.ID[i]
+	j.User = v.Users[v.UserID[i]]
+	j.Project = v.Projects[v.ProjectID[i]]
+	j.Queue = v.Queues[v.QueueID[i]]
+	j.Submit = UnixTime(v.SubmitUnix[i])
+	j.Start = UnixTime(v.StartUnix[i])
+	j.End = UnixTime(v.EndUnix[i])
+	j.WalltimeReq = time.Duration(v.WalltimeSec[i]) * time.Second
+	j.Nodes = int(v.Nodes[i])
+	j.RanksPerNode = int(v.RanksPerNode[i])
+	j.NumTasks = int(v.NumTasks[i])
+	j.ExitStatus = int(v.Exit[i])
+}
+
+// blockOfCode reverses machine.Block.Code for a task view's block code,
+// without machine.BlockFromCode's geometry check: the view holds whatever
+// block a task record held.
+func blockOfCode(c uint16) machine.Block {
+	return machine.Block{BaseMidplane: int(c >> 8), Midplanes: int(c & 0xff)}
+}
+
+// taskRecord sets t to the record of task view row i. Times are UTC.
+func taskRecord(t *tasklog.Task, v *scan.TaskView, i int) {
+	t.ID = v.ID[i]
+	t.JobID = v.JobID[i]
+	t.Block = blockOfCode(v.Block[i])
+	t.Start = UnixTime(v.StartUnix[i])
+	t.End = UnixTime(v.EndUnix[i])
+	t.Nodes = int(v.Nodes[i])
+	t.ExitStatus = int(v.Exit[i])
+}
+
+// JobRecords rebuilds the dataset's job records, in log order, from its
+// job view: a fresh slice the caller owns. The Dataset keeps no records;
+// this is for the callers that print or re-encode them.
+func (d *Dataset) JobRecords() []joblog.Job {
+	v := d.jobView
+	jobs := make([]joblog.Job, v.N)
+	for i := range jobs {
+		jobRecord(&jobs[i], v, i)
+	}
+	return jobs
+}
+
+// TaskRecords rebuilds the dataset's task records, in log order and
+// orphan tasks (whose job id matches no job) included, from its task
+// view: a fresh slice the caller owns, nil when there are none.
+func (d *Dataset) TaskRecords() []tasklog.Task {
+	v := d.taskView
+	if v.N == 0 {
+		return nil
+	}
+	tasks := make([]tasklog.Task, v.N)
+	for i := range tasks {
+		taskRecord(&tasks[i], v, i)
+	}
+	return tasks
+}
+
 // LocIDs maps a location to its dense midplane and rack ids, -1 where the
 // location is coarser than the level. The mirapack decoder uses it to fill
 // event-view columns straight from the stored location codes.
@@ -221,9 +322,15 @@ func LocIDs(loc machine.Location) (midplane, rack int32) {
 	return midplane, rack
 }
 
-// JobView returns the dataset's SoA job-column mirror. The view is
-// immutable and safe for concurrent use.
+// JobView returns the dataset's job log as columns, in log order: the
+// only form the Dataset holds it in. The view is immutable and safe for
+// concurrent use.
 func (d *Dataset) JobView() *scan.JobView { return d.jobView }
+
+// TaskView returns the dataset's task log as columns, in log order: the
+// only form the Dataset holds it in. The view is immutable and safe for
+// concurrent use.
+func (d *Dataset) TaskView() *scan.TaskView { return d.taskView }
 
 // EventView returns the dataset's event log as columns, in time order:
 // the only form the Dataset holds it in. The view is immutable and safe

@@ -33,9 +33,9 @@ var profileWalks = []func(d *Dataset) (any, error){
 // side builds lazily are inside it.
 func BenchmarkProfile(b *testing.B) {
 	shared := benchDataset(b)
-	events := shared.EventRecords()
+	jobs, tasks, events := shared.JobRecords(), shared.TaskRecords(), shared.EventRecords()
 	fresh := func() *Dataset {
-		d, err := NewDataset(shared.Jobs, shared.Tasks, events, shared.IO)
+		d, err := NewDataset(jobs, tasks, events, shared.IO)
 		if err != nil {
 			b.Fatal(err)
 		}

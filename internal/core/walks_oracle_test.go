@@ -65,12 +65,13 @@ func (c *Classification) UserShare() float64 {
 // scheduler-reserved statuses are system-caused, everything else
 // user-caused. This is the scheduler-log-only view.
 func (d *Dataset) ClassifyByExit() *Classification {
+	jobs := d.JobRecords()
 	c := &Classification{
-		Causes:   make(map[int64]Cause, len(d.Jobs)),
+		Causes:   make(map[int64]Cause, len(jobs)),
 		ByFamily: make(map[joblog.ExitFamily]int),
 	}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range jobs {
+		j := &jobs[i]
 		c.Total++
 		if j.Outcome() == joblog.OutcomeSuccess {
 			c.Causes[j.ID] = CauseNone
@@ -97,12 +98,14 @@ func (d *Dataset) ClassifyByExit() *Classification {
 // exit status for block failures the two classifications should agree
 // almost everywhere.
 func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
+	jobs := d.JobRecords()
+	tasksOf := tasksByJobID(d.TaskRecords())
 	recs := d.EventRecords()
 	if opt.Tolerance <= 0 {
 		opt = DefaultJointOptions()
 	}
 	c := &Classification{
-		Causes:   make(map[int64]Cause, len(d.Jobs)),
+		Causes:   make(map[int64]Cause, len(jobs)),
 		ByFamily: make(map[joblog.ExitFamily]int),
 	}
 	// FATAL events sorted by time (dataset guarantees order). Events
@@ -125,8 +128,8 @@ func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
 		times[i] = fatals[i].Time
 	}
 
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range jobs {
+		j := &jobs[i]
 		c.Total++
 		if j.Outcome() == joblog.OutcomeSuccess {
 			c.Causes[j.ID] = CauseNone
@@ -134,7 +137,7 @@ func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
 		}
 		c.Failed++
 		c.ByFamily[joblog.Family(j.ExitStatus)]++
-		if attributed[j.ID] || d.fatalNearEnd(fatals, times, j, opt.Tolerance) {
+		if attributed[j.ID] || fatalNearEnd(fatals, times, j, tasksOf[j.ID], opt.Tolerance) {
 			c.Causes[j.ID] = CauseSystem
 			c.SystemCause++
 		} else {
@@ -146,9 +149,8 @@ func (d *Dataset) ClassifyJoint(opt JointOptions) *Classification {
 }
 
 // fatalNearEnd reports whether a FATAL event within tol of the job's end
-// intersects a block the job ran on.
-func (d *Dataset) fatalNearEnd(fatals []raslog.Event, times []time.Time, j *joblog.Job, tol time.Duration) bool {
-	tasks := d.TasksOf(j.ID)
+// intersects a block one of the job's tasks ran on.
+func fatalNearEnd(fatals []raslog.Event, times []time.Time, j *joblog.Job, tasks []tasklog.Task, tol time.Duration) bool {
 	if len(tasks) == 0 {
 		return false
 	}
@@ -163,12 +165,26 @@ func (d *Dataset) fatalNearEnd(fatals []raslog.Event, times []time.Time, j *jobl
 	return false
 }
 
-// TasksOf returns the tasks of a job (nil if none recorded).
-func (d *Dataset) TasksOf(id int64) []tasklog.Task {
-	if p, ok := d.jobPos(id); ok {
-		return d.tasksOf[p]
+// tasksByJobID groups task records by job id, each job's tasks in log
+// order: a job whose tasks come in several runs gets them concatenated,
+// and a task whose job id matches no job lists under that id.
+func tasksByJobID(tasks []tasklog.Task) map[int64][]tasklog.Task {
+	m := map[int64][]tasklog.Task{}
+	for _, t := range tasks {
+		m[t.JobID] = append(m[t.JobID], t)
 	}
-	return d.orphanTasks[id]
+	return m
+}
+
+// jobByID returns the job record with the given id, rebuilt from the job
+// view.
+func jobByID(d *Dataset, id int64) (joblog.Job, bool) {
+	for _, j := range d.JobRecords() {
+		if j.ID == id {
+			return j, true
+		}
+	}
+	return joblog.Job{}, false
 }
 
 // TallyOf flattens a Classification into a FailTally.
@@ -187,11 +203,12 @@ func TallyOf(c *Classification) FailTally {
 
 // Summarize computes the Table-I style dataset summary.
 func (d *Dataset) Summarize() Summary {
+	jobRecs := d.JobRecords()
 	recs := d.EventRecords()
 	s := Summary{
 		Days:      d.Days(),
-		Jobs:      len(d.Jobs),
-		Tasks:     len(d.Tasks),
+		Jobs:      len(jobRecs),
+		Tasks:     len(d.TaskRecords()),
 		IORecords: len(d.IO),
 	}
 	users := map[string]bool{}
@@ -200,8 +217,8 @@ func (d *Dataset) Summarize() Summary {
 	// joblog.Job.CoreSeconds) so the total matches the fused scan engine's
 	// sharded sum bit-for-bit regardless of summation order.
 	var coreSec int64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range jobRecs {
+		j := &jobRecs[i]
 		users[j.User] = true
 		projects[j.Project] = true
 		coreSec += j.CoreSeconds()
@@ -227,13 +244,14 @@ func (d *Dataset) Summarize() Summary {
 // Core-hours accumulate as integer core-seconds so the totals match the
 // fused scan engine's sharded sums bit-for-bit.
 func (d *Dataset) Aggregate(by GroupBy, cls *Classification) []GroupStats {
+	recs := d.JobRecords()
 	type accum struct {
 		jobs, failed, sysfails int
 		coreSec                int64
 	}
 	m := map[string]*accum{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		key := j.User
 		if by == ByProject {
 			key = j.Project
@@ -273,20 +291,21 @@ func (d *Dataset) Aggregate(by GroupBy, cls *Classification) []GroupStats {
 // Concentration computes the concentration/correlation profile for the
 // grouping.
 func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*ConcentrationResult, error) {
+	jobs := d.JobRecords()
 	res, err := concentrationFromGroups(by, d.Aggregate(by, cls))
 	if err != nil {
 		return nil, err
 	}
 	// Categorical per-job columns for Cramér's V.
-	keys := make([]string, len(d.Jobs))
-	outcomes := make([]string, len(d.Jobs))
-	for i := range d.Jobs {
+	keys := make([]string, len(jobs))
+	outcomes := make([]string, len(jobs))
+	for i := range jobs {
 		if by == ByUser {
-			keys[i] = d.Jobs[i].User
+			keys[i] = jobs[i].User
 		} else {
-			keys[i] = d.Jobs[i].Project
+			keys[i] = jobs[i].Project
 		}
-		outcomes[i] = d.Jobs[i].Outcome().String()
+		outcomes[i] = jobs[i].Outcome().String()
 	}
 	if res.CramersV, err = stats.CramersV(keys, outcomes); err != nil {
 		return nil, err
@@ -296,6 +315,7 @@ func (d *Dataset) Concentration(by GroupBy, cls *Classification) (*Concentration
 
 // Temporal computes the activity/failure time patterns.
 func (d *Dataset) Temporal() *TemporalProfile {
+	jobs := d.JobRecords()
 	recs := d.EventRecords()
 	p := &TemporalProfile{}
 	monthIdx := map[string]int{}
@@ -322,8 +342,8 @@ func (d *Dataset) Temporal() *TemporalProfile {
 	}
 	// Jobs/events arrive in time order in both logs, so months appear in
 	// chronological order without an extra sort.
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range jobs {
+		j := &jobs[i]
 		h := j.Submit.Hour()
 		w := j.Submit.Weekday()
 		m := monthKey(j.Submit)
@@ -374,6 +394,7 @@ func (d *Dataset) Profile() *CategoryProfile {
 // Waste computes the failure-cost breakdown using a classification for the
 // user/system attribution.
 func (d *Dataset) Waste(cls *Classification) (*WasteResult, error) {
+	recs := d.JobRecords()
 	if cls == nil {
 		return nil, fmt.Errorf("core: waste needs a classification")
 	}
@@ -387,8 +408,8 @@ func (d *Dataset) Waste(cls *Classification) (*WasteResult, error) {
 	res := &WasteResult{}
 	byFam := map[joblog.ExitFamily]*famAccum{}
 	var totalCS, wastedCS, userCS, sysCS int64
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		cs := j.CoreSeconds()
 		totalCS += cs
 		if j.Outcome() != joblog.OutcomeFailure {
@@ -436,14 +457,15 @@ func (d *Dataset) Waste(cls *Classification) (*WasteResult, error) {
 // accumulate as integer core-seconds so the per-user values match the fused
 // scan engine's sharded sums bit-for-bit.
 func (d *Dataset) InterruptsByUser(cls *Classification) (*InterruptCorrelation, error) {
+	recs := d.JobRecords()
 	type agg struct {
 		coreSec    int64
 		jobs       int
 		interrupts int
 	}
 	m := map[string]*agg{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	for i := range recs {
+		j := &recs[i]
 		a, ok := m[j.User]
 		if !ok {
 			a = &agg{}

@@ -90,12 +90,12 @@ func Benchmark_FusedScanWhere(b *testing.B) {
 // builds are timed.
 func BenchmarkIndexStats(b *testing.B) {
 	src := benchDataset(b)
-	jv, ev := src.JobView(), src.EventView()
+	jv, tv, ev := src.JobView(), src.TaskView(), src.EventView()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d, err := NewDatasetFromViews(src.Jobs, src.Tasks, src.IO, jv, ev)
+		d, err := NewDatasetFromViews(src.IO, jv, tv, ev)
 		if err != nil {
 			b.Fatal(err)
 		}

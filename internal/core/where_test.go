@@ -16,6 +16,7 @@ import (
 	"repro/internal/raslog"
 	"repro/internal/scan"
 	"repro/internal/sel"
+	"repro/internal/tasklog"
 )
 
 // equivalencePredicates builds the suite of -where expressions the
@@ -93,10 +94,11 @@ func memoBranchPredicates(t *testing.T, d *Dataset) []string {
 // those records; an empty selection has the zero span.
 func referenceSpan(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (startUnix, endUnix int64) {
 	recs := d.EventRecords()
+	jobs := d.JobRecords()
 	var start, end time.Time
 	seeded := false
-	forEachSelected(jobSel, len(d.Jobs), func(row int) {
-		j := &d.Jobs[row]
+	forEachSelected(jobSel, len(jobs), func(row int) {
+		j := &jobs[row]
 		if !seeded {
 			start, end, seeded = j.Submit, j.End, true
 			return
@@ -156,13 +158,15 @@ func referenceScanSel(d *Dataset, jobSel, eventSel *bitmap.Bitmap) (*FusedProfil
 // referenceJobCounts counts the selected jobs (nil = all) and their task
 // and I/O records, the Summary rows a materialized dataset would report.
 func referenceJobCounts(d *Dataset, jobSel *bitmap.Bitmap) jobWalk {
+	jobs, tasks := d.JobRecords(), d.TaskRecords()
 	if jobSel == nil {
-		return jobWalk{jobs: len(d.Jobs), tasks: len(d.Tasks), io: len(d.IO)}
+		return jobWalk{jobs: len(jobs), tasks: len(tasks), io: len(d.IO)}
 	}
+	tasksOf := tasksByJobID(tasks)
 	var w jobWalk
-	forEachSelected(jobSel, len(d.Jobs), func(row int) {
+	forEachSelected(jobSel, len(jobs), func(row int) {
 		w.jobs++
-		w.tasks += len(d.tasksOf[row])
+		w.tasks += len(tasksOf[jobs[row].ID])
 		if d.ioOf[row] >= 0 {
 			w.io++
 		}
@@ -176,11 +180,11 @@ func referenceJobCounts(d *Dataset, jobSel *bitmap.Bitmap) jobWalk {
 // (locations at rack level or finer, their times, and the directly
 // attributed job ids) so each shard only binary-searches the times array.
 type jointKernel struct {
-	d          *Dataset
-	locs       []machine.Location // block-attributable FATALs, time order
-	times      []int64            // their times, Unix seconds
-	attributed map[int64]bool     // job ids named by any FATAL event
-	tolSec     int64              // the tolerance in whole seconds
+	tasks      map[int64][]tasklog.Task // each job id's task records
+	locs       []machine.Location       // block-attributable FATALs, time order
+	times      []int64                  // their times, Unix seconds
+	attributed map[int64]bool           // job ids named by any FATAL event
+	tolSec     int64                    // the tolerance in whole seconds
 }
 
 // newJointKernelWhere restricts the kernel's FATAL streams to the selected
@@ -193,7 +197,7 @@ func newJointKernelWhere(d *Dataset, opt JointOptions, eventSel *bitmap.Bitmap) 
 	}
 	// Times are whole seconds, so |t−end| ≤ tol holds exactly when
 	// |t−end| ≤ ⌊tol⌋.
-	k := &jointKernel{d: d, attributed: map[int64]bool{}, tolSec: int64(opt.Tolerance / time.Second)}
+	k := &jointKernel{tasks: tasksByJobID(d.TaskRecords()), attributed: map[int64]bool{}, tolSec: int64(opt.Tolerance / time.Second)}
 	times := d.EventView().TimeUnix
 	for _, i := range d.fatalIdx {
 		if eventSel != nil && !eventSel.Contains(uint32(i)) {
@@ -228,7 +232,7 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 		if fam[i] == 0 {
 			continue
 		}
-		if k.attributed[ids[i]] || k.fatalNearEnd(i, ends[i]) {
+		if k.attributed[ids[i]] || k.fatalNearEnd(ids[i], ends[i]) {
 			s.sys++
 		}
 	}
@@ -236,8 +240,8 @@ func (s *jointState) ProcessBlock(v *scan.JobView, lo, hi int) {
 
 // fatalNearEnd reports whether a FATAL event within tol of the job's end
 // hits a block the job ran on.
-func (k *jointKernel) fatalNearEnd(row int, end int64) bool {
-	tasks := k.d.tasksOf[row]
+func (k *jointKernel) fatalNearEnd(id, end int64) bool {
+	tasks := k.tasks[id]
 	if len(tasks) == 0 {
 		return false
 	}
@@ -748,8 +752,9 @@ func jointEdgeCorpus(t *testing.T) (jobs []joblog.Job, events []raslog.Event, na
 		e.RecID, e.Time, e.Loc, e.JobID = maxRec, at, loc, jobID
 		events = append(events, e)
 	}
+	tasksOf := tasksByJobID(c.Tasks)
 	onBlock := func(row int) machine.Location {
-		loc, err := machine.MidplaneByID(d.tasksOf[row][0].Block.MidplaneIDs()[0])
+		loc, err := machine.MidplaneByID(tasksOf[jobs[row].ID][0].Block.MidplaneIDs()[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -767,7 +772,7 @@ func jointEdgeCorpus(t *testing.T) (jobs []joblog.Job, events []raslog.Event, na
 			if succeeded < 0 {
 				succeeded = i
 			}
-		case len(d.tasksOf[i]) > 0:
+		case len(tasksOf[jobs[i].ID]) > 0:
 			failed = append(failed, i)
 		}
 	}

@@ -49,8 +49,9 @@ func experimentSamples(tb testing.TB, c *sim.Corpus) map[string]*dist.Sample {
 	}
 	out := map[string]*dist.Sample{}
 	byFamily := map[joblog.ExitFamily][]float64{}
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
+	jobs := d.JobRecords()
+	for i := range jobs {
+		j := &jobs[i]
 		if j.Outcome() != joblog.OutcomeFailure {
 			continue
 		}

@@ -184,8 +184,9 @@ func TestE6FitQuality(t *testing.T) {
 // jobs, read from the job records and deterministically thinned.
 func samplesOf(env *Env, fam joblog.ExitFamily, max int) []float64 {
 	var out []float64
-	for i := range env.D.Jobs {
-		j := &env.D.Jobs[i]
+	jobs := env.D.JobRecords()
+	for i := range jobs {
+		j := &jobs[i]
 		if j.Outcome() != joblog.OutcomeFailure || joblog.Family(j.ExitStatus) != fam {
 			continue
 		}

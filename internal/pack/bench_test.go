@@ -61,8 +61,8 @@ func benchCorpusDir(b *testing.B) string {
 			file  string
 			write func(*os.File) error
 		}{
-			{"jobs.csv", func(f *os.File) error { return joblog.WriteCSV(f, d.Jobs) }},
-			{"tasks.csv", func(f *os.File) error { return tasklog.WriteCSV(f, d.Tasks) }},
+			{"jobs.csv", func(f *os.File) error { return joblog.WriteCSV(f, d.JobRecords()) }},
+			{"tasks.csv", func(f *os.File) error { return tasklog.WriteCSV(f, d.TaskRecords()) }},
 			{"ras.csv", func(f *os.File) error { return raslog.WriteCSV(f, d.EventRecords()) }},
 			{"io.csv", func(f *os.File) error { return iolog.WriteCSV(f, d.IO) }},
 		} {
@@ -109,7 +109,7 @@ func BenchmarkLoadCSV(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(d.Jobs) == 0 {
+		if d.JobView().N == 0 {
 			b.Fatal("empty dataset")
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkLoadPack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(d.Jobs) == 0 {
+		if d.JobView().N == 0 {
 			b.Fatal("empty dataset")
 		}
 	}
@@ -153,9 +153,9 @@ func BenchmarkLoadPack(b *testing.B) {
 		perIter := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		b.ReportMetric(float64(csvLoad.Nanoseconds())/perIter, "speedup")
 	}
-	// live_B/event is the heap the last loaded dataset keeps live, all four
-	// logs and the column views, per RAS event: collected with the dataset
-	// held and again after dropping it.
+	// live_MB is the heap the last loaded dataset keeps live, all four
+	// logs and their indexes, collected with the dataset held and again
+	// after dropping it; live_B/event is the same bytes per RAS event.
 	var held, dropped runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&held)
@@ -163,8 +163,12 @@ func BenchmarkLoadPack(b *testing.B) {
 	d = nil
 	runtime.GC()
 	runtime.ReadMemStats(&dropped)
-	if events > 0 && held.HeapAlloc > dropped.HeapAlloc {
-		b.ReportMetric(float64(held.HeapAlloc-dropped.HeapAlloc)/float64(events), "live_B/event")
+	if held.HeapAlloc > dropped.HeapAlloc {
+		live := float64(held.HeapAlloc - dropped.HeapAlloc)
+		b.ReportMetric(live/(1<<20), "live_MB")
+		if events > 0 {
+			b.ReportMetric(live/float64(events), "live_B/event")
+		}
 	}
 }
 

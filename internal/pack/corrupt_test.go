@@ -92,10 +92,10 @@ func TestWrongMagic(t *testing.T) {
 	expectError(t, data, "not a mirapack snapshot")
 }
 
-// TestWrongVersion rejects a newer version and version 1, whose bytes a
-// version 2 file repeats apart from the version field.
+// TestWrongVersion rejects a newer version and versions 2 and 1, whose
+// bytes a version 3 file repeats apart from the version field.
 func TestWrongVersion(t *testing.T) {
-	for _, v := range []uint32{pack.Version + 1, 1} {
+	for _, v := range []uint32{pack.Version + 1, 2, 1} {
 		data := corruptSnapshot(t)
 		binary.LittleEndian.PutUint32(data[8:], v)
 		expectError(t, data, "supports only version")
@@ -184,5 +184,30 @@ func TestEventsOutOfTimeOrder(t *testing.T) {
 	_, err := pack.Unmarshal(resign(base, splitSections(t, base), eventsAt, swapped))
 	if err == nil || !strings.HasPrefix(err.Error(), "pack: ") || !strings.Contains(err.Error(), "not in time order") {
 		t.Fatalf("swapped event times: error %v, want a pack error naming the time order", err)
+	}
+}
+
+// TestExitStatusBeyondInt32 re-signs a jobs and a tasks section whose
+// first row has an exit status no int32 holds. The stored column is a
+// zigzag varint of any width, but the job and task views hold int32, so
+// the load fails with an error naming the section and the value.
+func TestExitStatusBeyondInt32(t *testing.T) {
+	base := corruptSnapshot(t)
+	d := trickyDataset(t)
+	jobs, tasks := d.JobRecords(), d.TaskRecords()
+	jobs[0].ExitStatus = 1 << 40
+	tasks[0].ExitStatus = -1 << 40
+	for _, tc := range []struct {
+		section, want string
+		payload       []byte
+	}{
+		{"jobs", "section jobs at byte", pack.EncodeJobs(jobs)},
+		{"tasks", "section tasks at byte", pack.EncodeTasks(tasks)},
+	} {
+		at := sectionIndex(t, base, tc.section)
+		_, err := pack.Unmarshal(resign(base, splitSections(t, base), at, tc.payload))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "does not fit an int32") {
+			t.Errorf("%s: error %v, want a %s error naming the int32 bound", tc.section, err, tc.section)
+		}
 	}
 }

@@ -5,8 +5,13 @@ import (
 	"repro/internal/raslog"
 )
 
-// EncodeEvents exposes the events-section encoder to the external tests.
-var EncodeEvents = encodeEvents
+// EncodeJobs, EncodeTasks and EncodeEvents expose the section encoders to
+// the external tests.
+var (
+	EncodeJobs   = encodeJobs
+	EncodeTasks  = encodeTasks
+	EncodeEvents = encodeEvents
+)
 
 // DecodeEventRecords decodes an events-section payload and rebuilds its
 // records from the decoded view.

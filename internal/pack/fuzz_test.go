@@ -63,15 +63,22 @@ func resign(data []byte, payloads [][]byte, k int, payload []byte) []byte {
 // image can justify: every decoder sizes its allocations from counts that
 // sectionReader.count bounds by the bytes remaining, so the total stays
 // within a constant factor of the image size. A dataset it returns must
-// have severity views that index events of their severity, and its
-// rebuilt event records must survive the events-section encoder and
-// decoder unchanged.
+// have severity views that index events of their severity, its rebuilt
+// event records must survive the events-section encoder and decoder
+// unchanged, and its rebuilt job, task and event records must survive a
+// whole Marshal and Unmarshal unchanged. The seeds include the sections
+// of the split-run corpus: its tasks section over the base's jobs has an
+// orphan task and jobs with tasks in two runs, which reach the
+// constructor's per-job task index.
 func FuzzDecode(f *testing.F) {
 	base := pack.Marshal(trickyDataset(f))
 	payloads := splitSections(f, base)
 	for k, p := range payloads {
 		f.Add(uint8(k), append([]byte(nil), p...))
 		f.Add(uint8(k), append([]byte(nil), p[:len(p)/2]...))
+	}
+	for k, p := range splitSections(f, pack.Marshal(splitRunDataset(f))) {
+		f.Add(uint8(k), append([]byte(nil), p...))
 	}
 	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	// A jobs section whose ids span more than int64 holds.
@@ -124,6 +131,14 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, records) {
 			t.Fatal("event records differ after an encode/decode round trip")
+		}
+		again, err := pack.Unmarshal(pack.Marshal(d))
+		if err != nil {
+			t.Fatalf("re-encoded dataset does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again.JobRecords(), d.JobRecords()) || !reflect.DeepEqual(again.TaskRecords(), d.TaskRecords()) ||
+			!reflect.DeepEqual(again.EventRecords(), records) {
+			t.Fatal("records differ after a Marshal/Unmarshal round trip")
 		}
 	})
 }

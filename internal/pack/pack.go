@@ -1,18 +1,19 @@
 // Package pack implements the mirapack binary columnar corpus snapshot: a
 // single versioned file holding the four Mira logs (job, task, RAS, I/O)
 // column-major, plus a section of derived event indexes. Loading a
-// snapshot is one file read and a varint sweep into the job, task and I/O
-// records and the column views (the events decode into their view only)
-// — no CSV parsing, no string interning hash lookups, no view build —
-// which is what makes repeated mirareport/mirafilter/calibrate
-// invocations over a 2001-day corpus cheap. The dataset is
-// built by core.NewDatasetFromViews, which derives the severity views and
-// the observation window from the decoded columns.
+// snapshot is one file read and a varint sweep into the I/O records and
+// the job, task and event column views (those three logs decode into
+// their views only) — no CSV parsing, no string interning hash lookups,
+// no view build — which is what makes repeated
+// mirareport/mirafilter/calibrate invocations over a 2001-day corpus
+// cheap. The dataset is built by core.NewDatasetFromViews, which derives
+// the task index, the severity views and the observation window from the
+// decoded columns.
 //
-// # Layout (version 2)
+// # Layout (version 3)
 //
 //	[8]byte  magic "MIRAPACK"
-//	uint32le version (2)
+//	uint32le version (3)
 //	uint32le section count
 //	per section (24 bytes each):
 //	    uint32le id, uint32le crc32(IEEE) of the payload,
@@ -52,10 +53,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/iolog"
-	"repro/internal/joblog"
 	"repro/internal/par"
 	"repro/internal/scan"
-	"repro/internal/tasklog"
 )
 
 // Format identity.
@@ -66,10 +65,11 @@ const (
 	// Version is the current format version. Readers reject any other
 	// version: the format promises compatibility only between identical
 	// versions, and a version bump is the only sanctioned way to change
-	// the layout (see DESIGN.md §10). Version 2 writes version 1's bytes
-	// apart from this field; it marks the frozen Marshal's move to event
-	// records rebuilt from the column view.
-	Version = 2
+	// the layout (see DESIGN.md §10). Versions 2 and 3 write version 1's
+	// bytes apart from this field; 2 marks the frozen Marshal's move to
+	// event records rebuilt from the column view, 3 its move to job and
+	// task records rebuilt from theirs.
+	Version = 3
 )
 
 // LayoutHash records the sha256 over the printed form of every
@@ -77,9 +77,9 @@ const (
 // the section order, and the column encodings. The packfreeze analyzer
 // (internal/lint) recomputes the hash on every lint run: editing any
 // frozen declaration without bumping Version and re-recording the hash
-// fails `miralint`, and versions 1 and 2 are additionally pinned inside
+// fails `miralint`, and versions 1 to 3 are additionally pinned inside
 // the analyzer itself, so their layouts can never change at all.
-const LayoutHash = "sha256:44174ced630cb2e20f83c288fc386c34669e0879c8a4d1ff2a2bbc2f4de82fd7"
+const LayoutHash = "sha256:86ca266f2de5439ec147faeded20f0eb1e838623ef9566a9307bdba172e18933"
 
 // SnapshotName is the conventional snapshot filename inside a corpus
 // directory, next to the four CSVs.
@@ -120,8 +120,8 @@ func Marshal(d *core.Dataset) []byte {
 		id      uint32
 		payload []byte
 	}{
-		{secJobs, encodeJobs(d.Jobs)},
-		{secTasks, encodeTasks(d.Tasks)},
+		{secJobs, encodeJobs(d.JobRecords())},
+		{secTasks, encodeTasks(d.TaskRecords())},
 		{secEvents, encodeEvents(d.EventRecords())},
 		{secIO, encodeIO(d.IO)},
 		{secIndexes, encodeIndexes(d.ExportIndexes())},
@@ -268,22 +268,21 @@ func findSection(sections []section, id uint32) ([]byte, error) {
 // is checked for presence there but not decoded. The error returned is
 // that of the first failing section in decodeOrder, whichever goroutine
 // finished first. core.NewDatasetFromViews then builds the dataset over
-// the decoded job, task and I/O records and the column views.
+// the decoded I/O records and the job, task and event column views.
 func Unmarshal(data []byte) (*core.Dataset, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []joblog.Job
-	var tasks []tasklog.Task
 	var ioRecs []iolog.Record
 	var jv *scan.JobView
+	var tv *scan.TaskView
 	var ev *scan.EventView
 	evArena, jobArena := &arena{}, &arena{}
 	decoders := map[uint32]func(payload []byte) error{
 		secEvents: func(p []byte) (err error) { ev, err = decodeEvents(p, evArena); return },
-		secJobs:   func(p []byte) (err error) { jobs, jv, err = decodeJobs(p, jobArena); return },
-		secTasks:  func(p []byte) (err error) { tasks, err = decodeTasks(p, jobArena); return },
+		secJobs:   func(p []byte) (err error) { jv, err = decodeJobs(p, jobArena); return },
+		secTasks:  func(p []byte) (err error) { tv, err = decodeTasks(p, jobArena); return },
 		secIO:     func(p []byte) (err error) { ioRecs, err = decodeIO(p, jobArena); return },
 		// The indexes section must be present and its checksum is verified
 		// with the others, but the constructor derives its contents from
@@ -303,7 +302,7 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 			return nil, err
 		}
 	}
-	d, err := core.NewDatasetFromViews(jobs, tasks, ioRecs, jv, ev)
+	d, err := core.NewDatasetFromViews(ioRecs, jv, tv, ev)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}

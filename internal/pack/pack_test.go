@@ -82,6 +82,38 @@ func trickyDataset(t testing.TB) *core.Dataset {
 	return d
 }
 
+// splitRunDataset is a corpus whose task log, in log order, holds a task
+// of job 7, one of job 3, an orphan task (job 99 matches no job), a
+// second run of two job 7 tasks and a second job 3 task: jobs 7 and 3
+// each have tasks in two separate runs, and the tasks are not in job-id
+// order. Job 12 has no tasks. The job ids are trickyDataset's, so either
+// corpus's tasks section reads against the other's jobs.
+func splitRunDataset(t testing.TB) *core.Dataset {
+	t.Helper()
+	t0 := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	job := func(id int64, user, queue string, exit int) joblog.Job {
+		return joblog.Job{ID: id, User: user, Project: "p-" + user, Queue: queue,
+			Submit: t0, Start: t0.Add(time.Duration(id) * time.Minute), End: t0.Add(time.Duration(id) * time.Hour),
+			WalltimeReq: 2 * time.Duration(id) * time.Hour, Nodes: 512 * int(id), RanksPerNode: 16, NumTasks: 2, ExitStatus: exit}
+	}
+	jobs := []joblog.Job{job(3, "ann", "prod", 0), job(7, "bo", "debug", joblog.ExitSigSegv), job(12, "ann", "prod", joblog.ExitSystemReserved)}
+	task := func(id, jobID int64, base int) tasklog.Task {
+		return tasklog.Task{ID: id, JobID: jobID, Block: machine.Block{BaseMidplane: base, Midplanes: 2},
+			Start: t0.Add(time.Duration(id) * time.Minute), End: t0.Add(time.Duration(id) * time.Hour), Nodes: 1024, ExitStatus: int(id % 3)}
+	}
+	tasks := []tasklog.Task{task(1, 7, 0), task(2, 3, 2), task(3, 99, 4), task(4, 7, 6), task(5, 7, 8), task(6, 3, 10)}
+	events := []raslog.Event{{RecID: 1, MsgID: "00040003", Comp: raslog.CompDDR, Cat: raslog.CatMemory, Sev: raslog.Fatal,
+		Time: jobs[1].End, Loc: machine.System(), JobID: 7, Count: 1, Message: "m"}}
+	d, err := core.NewDataset(jobs, tasks, events, []iolog.Record{{JobID: 7, BytesRead: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.TaskRecords(), tasks) {
+		t.Fatal("split-run dataset does not hold its task records")
+	}
+	return d
+}
+
 // generatedDataset builds a small but realistic corpus via the simulator.
 func generatedDataset(t testing.TB) *core.Dataset {
 	t.Helper()
@@ -101,10 +133,10 @@ func generatedDataset(t testing.TB) *core.Dataset {
 func writeCSVs(t *testing.T, d *core.Dataset) (jobs, tasks, ras, io []byte) {
 	t.Helper()
 	var jb, tb, rb, ib bytes.Buffer
-	if err := joblog.WriteCSV(&jb, d.Jobs); err != nil {
+	if err := joblog.WriteCSV(&jb, d.JobRecords()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tasklog.WriteCSV(&tb, d.Tasks); err != nil {
+	if err := tasklog.WriteCSV(&tb, d.TaskRecords()); err != nil {
 		t.Fatal(err)
 	}
 	if err := raslog.WriteCSV(&rb, d.EventRecords()); err != nil {
@@ -157,6 +189,7 @@ func TestRoundTripDatasetEqual(t *testing.T) {
 		d    *core.Dataset
 	}{
 		{"tricky", trickyDataset(t)},
+		{"split runs", splitRunDataset(t)},
 		{"generated", generatedDataset(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -21,12 +22,13 @@ import (
 // paths inlined — this loop is the whole point of the format, so it is
 // kept allocation-free beyond the output and one scratch arena. A column
 // the scan views keep as stored decodes straight into its view column.
-// The events decoder builds no records: every column but the severities
-// is a view column. The jobs decoder decodes its other columns into
-// scratch and then writes each record in one row pass; the tasks and I/O
-// decoders take one column of scratch and copy each column into the
-// records as it is decoded, so the decoder running beside the events one
-// needs little scratch of its own (Unmarshal).
+// The jobs, tasks and events decoders build no records: every stored
+// column but a few whose width differs from their view column's (job
+// walltimes and exit statuses, task blocks and exit statuses, event
+// severities) is a view column. The I/O decoder takes one column of
+// scratch and copies each column into the records as it is decoded, so
+// the decoder running beside the events one needs little scratch of its
+// own (Unmarshal).
 
 // arena hands out scratch column space shared across the section decodes
 // of one goroutine: the transient decode buffers are allocated (and
@@ -73,84 +75,82 @@ func encodeJobs(jobs []joblog.Job) []byte {
 	return w.buf
 }
 
-// decodeJobs decodes the jobs section and, as a by-product of the same
-// column pass, the scan.JobView column mirror: the stored dictionaries
-// assign ids in first-appearance order — exactly the order the lazy
-// core.BuildJobView interning would — so the dict indexes and tables are
-// reused as the view's id columns verbatim. The columns the view keeps
-// as stored (ids, the three timestamps, node counts, user and project
-// indexes) decode straight into the view, so the arena holds only the
-// other five.
+// decodeJobs decodes the jobs section into the scan.JobView, the only
+// form a dataset keeps its jobs in; it builds no records. The stored
+// dictionaries assign ids in first-appearance order — exactly the order
+// core.BuildJobView's interning does — so the dict indexes and tables are
+// the view's id columns and dictionaries verbatim. Every stored column
+// but the walltimes and exit statuses decodes straight into its view
+// column; those two, stored wider or narrower than their columns, pass
+// through the arena, and a closing row pass widens the walltimes, checks
+// and narrows the exit statuses, and derives the duration, core-second
+// and family columns.
 //
 //mira:hotpath
-func decodeJobs(payload []byte, a *arena) ([]joblog.Job, *scan.JobView, error) {
+func decodeJobs(payload []byte, a *arena) (*scan.JobView, error) {
 	r := &sectionReader{name: "jobs", b: payload}
 	n := r.count("row")
 	v := &scan.JobView{
-		N:          n,
-		ID:         make([]int64, n),
-		SubmitUnix: make([]int64, n),
-		StartUnix:  make([]int64, n),
-		EndUnix:    make([]int64, n),
-		DurSec:     make([]int64, n),
-		Nodes:      make([]int32, n),
-		CoreSec:    make([]int64, n),
-		Exit:       make([]int32, n),
-		Family:     make([]uint8, n),
-		UserID:     make([]int32, n),
-		ProjectID:  make([]int32, n),
+		N:            n,
+		ID:           make([]int64, n),
+		SubmitUnix:   make([]int64, n),
+		StartUnix:    make([]int64, n),
+		EndUnix:      make([]int64, n),
+		DurSec:       make([]int64, n),
+		Nodes:        make([]int32, n),
+		CoreSec:      make([]int64, n),
+		Exit:         make([]int32, n),
+		Family:       make([]uint8, n),
+		UserID:       make([]int32, n),
+		ProjectID:    make([]int32, n),
+		QueueID:      make([]int32, n),
+		WalltimeSec:  make([]int64, n),
+		RanksPerNode: make([]int32, n),
+		NumTasks:     make([]int32, n),
 	}
 	exit := a.take(n)
-	scratch32 := a.take32(4 * n)
-	column32 := func(k int) []int32 { return scratch32[k*n : (k+1)*n : (k+1)*n] }
-	queue, wall, ranks, numTasks := column32(0), column32(1), column32(2), column32(3)
+	wall := a.take32(n)
 
 	r.deltasInto(v.ID)
-	users := r.dictTable()
-	r.dictIndexes32Into(v.UserID, len(users))
-	projects := r.dictTable()
-	r.dictIndexes32Into(v.ProjectID, len(projects))
-	queues := r.dictTable()
-	r.dictIndexes32Into(queue, len(queues))
+	v.Users = r.dictTable()
+	r.dictIndexes32Into(v.UserID, len(v.Users))
+	v.Projects = r.dictTable()
+	r.dictIndexes32Into(v.ProjectID, len(v.Projects))
+	v.Queues = r.dictTable()
+	r.dictIndexes32Into(v.QueueID, len(v.Queues))
 	r.deltasInto(v.SubmitUnix)
 	r.deltasInto(v.StartUnix)
 	r.deltasInto(v.EndUnix)
 	r.varints32Into(wall, 1<<31, "walltime")
 	r.varints32Into(v.Nodes, 1<<31, "node count")
-	r.varints32Into(ranks, 1<<31, "ranks-per-node")
-	r.varints32Into(numTasks, 1<<31, "task count")
+	r.varints32Into(v.RanksPerNode, 1<<31, "ranks-per-node")
+	r.varints32Into(v.NumTasks, 1<<31, "task count")
 	r.varintsInto(exit)
 	if err := r.done(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	v.Users, v.Projects = users, projects
-
-	jobs := make([]joblog.Job, n)
-	for i := range jobs {
-		start, end, nodes := v.StartUnix[i], v.EndUnix[i], v.Nodes[i]
-		j := &jobs[i]
-		j.ID = v.ID[i]
-		j.User = users[v.UserID[i]]
-		j.Project = projects[v.ProjectID[i]]
-		j.Queue = queues[queue[i]]
-		j.Submit = core.UnixTime(v.SubmitUnix[i])
-		j.Start = core.UnixTime(start)
-		j.End = core.UnixTime(end)
-		j.WalltimeReq = time.Duration(wall[i]) * time.Second
-		j.Nodes = int(nodes)
-		j.RanksPerNode = int(ranks[i])
-		j.NumTasks = int(numTasks[i])
-		j.ExitStatus = int(exit[i])
-		dur := end - start
+	if err := checkInt32s(r, exit, "exit status"); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		dur := v.EndUnix[i] - v.StartUnix[i]
+		v.WalltimeSec[i] = int64(wall[i])
 		v.DurSec[i] = dur
-		v.CoreSec[i] = int64(nodes) * 16 * dur
+		v.CoreSec[i] = int64(v.Nodes[i]) * 16 * dur
 		v.Exit[i] = int32(exit[i])
 		v.Family[i] = joblog.FamilyCodeOf(int(exit[i]))
 	}
-	if n == 0 {
-		v = nil
+	return v, nil
+}
+
+// checkInt32s fails unless every value fits an int32 column.
+func checkInt32s(r *sectionReader, vals []int64, what string) error {
+	for _, x := range vals {
+		if x < math.MinInt32 || x > math.MaxInt32 {
+			return r.errf("%s %d does not fit an int32", what, x)
+		}
 	}
-	return jobs, v, nil
+	return nil
 }
 
 //mira:frozen
@@ -168,68 +168,61 @@ func encodeTasks(tasks []tasklog.Task) []byte {
 	return w.buf
 }
 
-// decodeTasks decodes the tasks section one column at a time, each
-// column through one column of scratch straight into the task records.
-// Only the block codes wait in scratch for the end of the column pass:
-// their geometry is validated after the reader has checked every column,
-// so a malformed column reports its own error first.
+// decodeTasks decodes the tasks section into the scan.TaskView, the
+// only form a dataset keeps its tasks in; it builds no records. Ids, job
+// ids, times and node counts decode straight into their view columns.
+// The block codes and exit statuses pass through the arena: after the
+// reader has checked every column, so a malformed column reports its own
+// error first, the exit statuses are checked against the column width and
+// each block code's geometry is validated as it is narrowed.
 //
 //mira:hotpath
-func decodeTasks(payload []byte, a *arena) ([]tasklog.Task, error) {
+func decodeTasks(payload []byte, a *arena) (*scan.TaskView, error) {
 	r := &sectionReader{name: "tasks", b: payload}
 	n := r.count("row")
-	tasks := make([]tasklog.Task, n)
-	col := a.take(n)
-	scratch32 := a.take32(2 * n)
-	block, col32 := scratch32[0*n:1*n:1*n], scratch32[1*n:2*n:2*n]
+	v := &scan.TaskView{
+		N:         n,
+		ID:        make([]int64, n),
+		JobID:     make([]int64, n),
+		Block:     make([]uint16, n),
+		StartUnix: make([]int64, n),
+		EndUnix:   make([]int64, n),
+		Nodes:     make([]int32, n),
+		Exit:      make([]int32, n),
+	}
+	exit := a.take(n)
+	block := a.take32(n)
 
-	r.deltasInto(col)
-	for i := range tasks {
-		tasks[i].ID = col[i]
-	}
-	r.deltasInto(col)
-	for i := range tasks {
-		tasks[i].JobID = col[i]
-	}
+	r.deltasInto(v.ID)
+	r.deltasInto(v.JobID)
 	// Block codes pack two bytes (base midplane, extent), so 1<<16 bounds
 	// every valid code; BlockFromCode still validates the geometry.
 	r.varints32Into(block, 1<<16, "block code")
-	r.deltasInto(col)
-	for i := range tasks {
-		tasks[i].Start = core.UnixTime(col[i])
-	}
-	r.deltasInto(col)
-	for i := range tasks {
-		tasks[i].End = core.UnixTime(col[i])
-	}
-	r.varints32Into(col32, 1<<31, "node count")
-	for i := range tasks {
-		tasks[i].Nodes = int(col32[i])
-	}
-	r.varintsInto(col)
-	for i := range tasks {
-		tasks[i].ExitStatus = int(col[i])
-	}
+	r.deltasInto(v.StartUnix)
+	r.deltasInto(v.EndUnix)
+	r.varints32Into(v.Nodes, 1<<31, "node count")
+	r.varintsInto(exit)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
+	if err := checkInt32s(r, exit, "exit status"); err != nil {
+		return nil, err
+	}
 
-	// Block codes repeat heavily (few hundred distinct blocks), so decode
+	// Block codes repeat heavily (few hundred distinct blocks), so validate
 	// each distinct code once.
 	lastCode := int32(-1)
-	var lastBlock machine.Block
-	for i := range tasks {
+	for i := 0; i < n; i++ {
 		if code := block[i]; code != lastCode {
-			b, err := machine.BlockFromCode(uint32(code))
-			if err != nil {
+			if _, err := machine.BlockFromCode(uint32(code)); err != nil {
 				return nil, r.errf("%v", err)
 			}
-			lastBlock = b
 			lastCode = code
 		}
-		tasks[i].Block = lastBlock
+		v.Block[i] = uint16(block[i])
+		v.Exit[i] = int32(exit[i])
 	}
-	return tasks, nil
+	return v, nil
 }
 
 //mira:frozen

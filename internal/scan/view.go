@@ -1,10 +1,14 @@
 package scan
 
-// JobView is the struct-of-arrays mirror of the hot job columns. All column
-// slices have length N and are aligned with the owning dataset's Jobs slice
-// (row i describes Jobs[i]). Views are built once — lazily from the AoS
-// records, or straight from mirapack column decode — and treated as
-// immutable thereafter.
+import "time"
+
+// JobView is the struct-of-arrays form of the job log, in log order, and
+// the only form a Dataset keeps resident: every field of a joblog.Job has
+// a column here, and core.(*Dataset).JobRecords rebuilds the records from
+// them for the tools that print or re-encode records. All column slices
+// have length N. Views are built once — from the AoS records by
+// core.NewDataset, or straight from mirapack column decode — and treated
+// as immutable thereafter.
 type JobView struct {
 	N int
 
@@ -28,13 +32,84 @@ type JobView struct {
 	// Family is the dense joblog family code (joblog.FamilyCode); 0 is
 	// success, 1.. follow joblog.FailureFamilies order.
 	Family []uint8
-	// UserID and ProjectID index the Users and Projects dictionaries.
-	// Dictionaries are in first-appearance order over the job slice, which
-	// matches the mirapack dictionary order by construction.
+	// UserID, ProjectID and QueueID index the Users, Projects and Queues
+	// dictionaries. Dictionaries are in first-appearance order over the
+	// job slice, which matches the mirapack dictionary order by
+	// construction.
 	UserID    []int32
 	ProjectID []int32
+	QueueID   []int32
 	Users     []string
 	Projects  []string
+	Queues    []string
+	// WalltimeSec is the requested walltime in whole seconds
+	// (joblog.Job.WalltimeReq).
+	WalltimeSec []int64
+	// RanksPerNode is the BG/Q mode and NumTasks the number of physical
+	// execution tasks the scheduler log records for the job.
+	RanksPerNode []int32
+	NumTasks     []int32
+}
+
+// CoreHours returns row i's consumed core-hours, the float expression of
+// joblog.Job.CoreHours (nodes × 16 cores × runtime in hours) over the
+// columns, so it has the same bits.
+func (v *JobView) CoreHours(i int) float64 {
+	return float64(v.Nodes[i]) * 16 * (time.Duration(v.DurSec[i]) * time.Second).Hours()
+}
+
+// Bytes returns the bytes the view holds: its columns plus the
+// dictionaries' string headers and text.
+func (v *JobView) Bytes() int {
+	if v == nil {
+		return 0
+	}
+	b := 8*(len(v.ID)+len(v.SubmitUnix)+len(v.StartUnix)+len(v.EndUnix)+len(v.DurSec)+len(v.CoreSec)+len(v.WalltimeSec)) +
+		len(v.Family) +
+		4*(len(v.Nodes)+len(v.Exit)+len(v.UserID)+len(v.ProjectID)+len(v.QueueID)+len(v.RanksPerNode)+len(v.NumTasks))
+	return b + dictBytes(v.Users, v.Projects, v.Queues)
+}
+
+// TaskView is the struct-of-arrays form of the task log, in log order,
+// and the only form a Dataset keeps resident: every field of a
+// tasklog.Task has a column here, and core.(*Dataset).TaskRecords
+// rebuilds the records from them. All column slices have length N.
+type TaskView struct {
+	N int
+
+	// ID is the task id and JobID the job the task belongs to; a task
+	// whose JobID matches no job stays in the view.
+	ID    []int64
+	JobID []int64
+	// Block is the task's block as machine.Block.Code (base midplane <<
+	// 8 | midplanes).
+	Block []uint16
+	// StartUnix and EndUnix are Unix seconds, the full timestamps.
+	StartUnix []int64
+	EndUnix   []int64
+	// Nodes is the task's node count and Exit its exit status.
+	Nodes []int32
+	Exit  []int32
+}
+
+// Bytes returns the bytes the view's columns hold.
+func (v *TaskView) Bytes() int {
+	if v == nil {
+		return 0
+	}
+	return 8*(len(v.ID)+len(v.JobID)+len(v.StartUnix)+len(v.EndUnix)) +
+		2*len(v.Block) + 4*(len(v.Nodes)+len(v.Exit))
+}
+
+// dictBytes returns the string headers and text of the dictionaries.
+func dictBytes(dicts ...[]string) int {
+	b := 0
+	for _, dict := range dicts {
+		for _, s := range dict {
+			b += 16 + len(s)
+		}
+	}
+	return b
 }
 
 // EventView is the struct-of-arrays form of the RAS event log, in time
@@ -88,10 +163,5 @@ func (v *EventView) Bytes() int {
 	b := 8*(len(v.TimeUnix)+len(v.RecID)+len(v.JobID)) + len(v.Sev) +
 		4*(len(v.CatID)+len(v.CompID)+len(v.MidplaneID)+len(v.RackID)+
 			len(v.MsgID)+len(v.Msg)+len(v.LocCode)+len(v.Count))
-	for _, dict := range [...][]string{v.Cats, v.Comps, v.MsgIDs, v.Messages} {
-		for _, s := range dict {
-			b += 16 + len(s)
-		}
-	}
-	return b
+	return b + dictBytes(v.Cats, v.Comps, v.MsgIDs, v.Messages)
 }

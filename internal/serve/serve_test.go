@@ -241,8 +241,8 @@ func TestProfileEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := p.Summary; resp.Summary != want || want.Jobs != len(d.Jobs) || want.RASTotal != d.EventView().N {
-		t.Errorf("profile summary = %+v, want %+v (%d jobs, %d events)", resp.Summary, want, len(d.Jobs), d.EventView().N)
+	if want := p.Summary; resp.Summary != want || want.Jobs != d.JobView().N || want.RASTotal != d.EventView().N {
+		t.Errorf("profile summary = %+v, want %+v (%d jobs, %d events)", resp.Summary, want, d.JobView().N, d.EventView().N)
 	}
 }
 

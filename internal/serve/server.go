@@ -407,7 +407,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"/v1/stats":       epView(&s.epStats),
 		},
 		Corpus: corpusStats{
-			Jobs:   len(s.env.D.Jobs),
+			Jobs:   s.env.D.JobView().N,
 			Events: s.env.D.EventView().N,
 			Days:   s.env.D.Days(),
 		},

@@ -28,8 +28,8 @@
 # internal/core (E3/E5/E8/E13/E17/E20 on a paper-sized job log: the walks
 # they replaced against one cold core.JobOrders, speedup metric), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
-# metric; LoadPack also reports live_B/event, the heap a loaded dataset
-# keeps live per RAS event), the FitLegacy/FitSample model-selection comparison and the
+# metric; LoadPack also reports live_MB, the heap a loaded dataset keeps
+# live, and live_B/event, the same per RAS event), the FitLegacy/FitSample model-selection comparison and the
 # CensoredWeibull_{PerJob,Distinct} E23 survival-fit comparison in
 # internal/dist (speedup metrics), the profile fusion comparison
 # BenchmarkProfile/{walk,fused} in internal/core (every FusedProfile field
