@@ -7,7 +7,8 @@
 //	mirapack -in corpus/ -out snap.mirapack
 //	mirapack -info -in corpus/            print header, sections, checksums,
 //	                                      selection-index statistics and the
-//	                                      event columns' resident bytes
+//	                                      job, task and event columns' mapped
+//	                                      bytes
 //	mirapack -verify -in snap.mirapack    fully decode, re-encode and
 //	                                      report row counts
 //
@@ -15,10 +16,10 @@
 // corpus.mirapack inside it) or, for -info/-verify, a snapshot file
 // directly. Convert loads the CSVs through the same path mirareport uses,
 // so a snapshot always holds a fully validated dataset. A load checks
-// every section's checksum but derives the indexes from the columns
-// instead of decoding the indexes section, so -verify also re-encodes the
-// loaded dataset and requires the file's exact bytes back: a stale or
-// foreign indexes section fails there.
+// every section's checksum and every stored value, but reads nothing from
+// a section the format does not define, so -verify also re-encodes the
+// loaded dataset and requires the file's exact bytes back: a foreign
+// section, or sections out of the writer's order, fail there.
 package main
 
 import (
@@ -114,8 +115,9 @@ func printInfo(path string) error {
 	for _, s := range d.IndexStats() {
 		fmt.Printf("%-6s %-10s %8d %12d %12d\n", s.Domain, s.Column, s.Keys, s.Rows, s.Bytes)
 	}
-	// The loaded job, task and event logs are their column views alone;
-	// report what each costs.
+	// The loaded job, task and event logs are their column views alone,
+	// adopted from the mapped file (their dictionaries are on the heap);
+	// report what each maps.
 	fmt.Println()
 	for _, c := range []struct {
 		name     string
@@ -125,7 +127,7 @@ func printInfo(path string) error {
 		{"task", d.TaskView().N, d.TaskView().Bytes()},
 		{"event", d.EventView().N, d.EventView().Bytes()},
 	} {
-		fmt.Printf("%s columns: %d %ss, %d resident bytes, %.1f bytes per %s\n",
+		fmt.Printf("%s columns: %d %ss, %d mapped bytes, %.1f bytes per %s\n",
 			c.name, c.n, c.name, c.bytes, float64(c.bytes)/float64(max(c.n, 1)), c.name)
 	}
 	return nil

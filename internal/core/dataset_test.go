@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -119,5 +121,44 @@ func TestSpanWithInvertedJob(t *testing.T) {
 	}
 	if s, e := d.Span(); !s.Equal(t0.Add(7*time.Second)) || !e.Equal(t0.Add(5*time.Second)) {
 		t.Fatalf("span %v–%v, want 7 s–5 s past %v", s, e, t0)
+	}
+}
+
+// TestSpanMatchesEventWalk pins WithEvents' window, which widens the jobs'
+// window by the first and the last event only, to the else-if walk over
+// every event it stands for: on random job windows, inverted ones (a job
+// that ends before it is submitted) included, and random event times in
+// order, zero to four events.
+func TestSpanMatchesEventWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(sec int64) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	for trial := 0; trial < 2000; trial++ {
+		submit, end := rng.Int63n(100), rng.Int63n(100)
+		jobs := []joblog.Job{{ID: 1, Submit: at(submit), Start: at(submit), End: at(end)}}
+		times := make([]int64, rng.Intn(5))
+		for i := range times {
+			times[i] = rng.Int63n(120) - 10
+		}
+		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		var events []raslog.Event
+		for i, sec := range times {
+			events = append(events, raslog.Event{RecID: int64(i), Time: at(sec), Sev: raslog.Info})
+		}
+		d, err := NewDataset(jobs, nil, events, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, stop := submit, end
+		for _, sec := range times {
+			if sec < start {
+				start = sec
+			} else if sec > stop {
+				stop = sec
+			}
+		}
+		if gotStart, gotEnd := d.Span(); !gotStart.Equal(at(start)) || !gotEnd.Equal(at(stop)) {
+			t.Fatalf("job [%d, %d], events %v: span [%v, %v], walk gives [%v, %v]", submit, end, times, gotStart, gotEnd, at(start), at(stop))
+		}
 	}
 }

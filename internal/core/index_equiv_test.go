@@ -265,47 +265,6 @@ func TestSeverityViewsPartition(t *testing.T) {
 	}
 }
 
-// TestExportIndexesMatchesScan checks the per-job event lists ExportIndexes
-// gathers for the pack: every attributed event, under its job id, in time
-// order, ids ascending, orphan ids (no matching job) included.
-func TestExportIndexesMatchesScan(t *testing.T) {
-	d, _ := dataset(t)
-	recs := d.EventRecords()
-	want := map[int64][]int{}
-	for i := range recs {
-		if id := recs[i].JobID; id != 0 {
-			want[id] = append(want[id], i)
-		}
-	}
-	jv := d.JobView()
-	orphan := jv.ID[jv.N-1] + 1000
-	for i := 0; i < len(recs); i += len(recs)/3 + 1 {
-		if recs[i].JobID == 0 {
-			want[orphan] = append(want[orphan], i)
-		}
-	}
-	events := append([]raslog.Event(nil), recs...)
-	for _, i := range want[orphan] {
-		events[i].JobID = orphan
-	}
-	od, err := NewDataset(d.JobRecords(), d.TaskRecords(), events, d.IO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := od.ExportIndexes().JobEvents
-	if len(got) != len(want) {
-		t.Fatalf("%d per-job lists, want %d", len(got), len(want))
-	}
-	for k, je := range got {
-		if k > 0 && je.JobID <= got[k-1].JobID {
-			t.Fatalf("job id %d follows %d", je.JobID, got[k-1].JobID)
-		}
-		if !reflect.DeepEqual(je.Idx, want[je.JobID]) {
-			t.Fatalf("job %d: events %v, want %v", je.JobID, je.Idx, want[je.JobID])
-		}
-	}
-}
-
 // TestInternKeysMatchReference requires the packed uint64 keys to assign
 // the struct-keyed interning's ids, in first-appearance order, at every
 // spatial level: on the corpus's FATAL and WARN views, and on events that

@@ -198,15 +198,16 @@ func splitRunCorpus() ([]joblog.Job, []tasklog.Task, []iolog.Record) {
 }
 
 // edgeJobs are hand-made job rows at the edges of the job columns: node,
-// ranks-per-node and task counts and exit statuses at the int32 limits, a
-// zero and a 200-year walltime, empty strings in every dictionary.
+// ranks-per-node and task counts at both ends of [0, 2^31), exit statuses
+// at the int32 limits, a zero and a 2^31-1 s walltime, empty strings in
+// every dictionary.
 func edgeJobs() []joblog.Job {
 	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
 	return []joblog.Job{
 		{ID: 1, User: "", Project: "", Queue: "", Submit: t0, Start: t0, End: t0,
-			WalltimeReq: 0, Nodes: math.MaxInt32, RanksPerNode: math.MinInt32, NumTasks: math.MaxInt32, ExitStatus: math.MinInt32},
+			WalltimeReq: 0, Nodes: math.MaxInt32, RanksPerNode: 0, NumTasks: math.MaxInt32, ExitStatus: math.MinInt32},
 		{ID: 2, User: "u", Project: "p", Queue: "q", Submit: t0.Add(-time.Hour), Start: t0, End: t0.Add(time.Hour),
-			WalltimeReq: 200 * 365 * 24 * time.Hour, Nodes: math.MinInt32, RanksPerNode: math.MaxInt32, NumTasks: 0, ExitStatus: math.MaxInt32},
+			WalltimeReq: math.MaxInt32 * time.Second, Nodes: 0, RanksPerNode: math.MaxInt32, NumTasks: 0, ExitStatus: math.MaxInt32},
 	}
 }
 
@@ -274,6 +275,34 @@ func TestJobTaskRecordsRoundTrip(t *testing.T) {
 		if orphans := len(tc.tasks) - listed; tc.name == "split runs" && orphans != 1 {
 			t.Fatalf("%s: %d tasks in no job's list, want the one orphan", tc.name, orphans)
 		}
+	}
+}
+
+// TestNewDatasetRejectsOutOfRangeCounts pins the count bound NewDataset
+// shares with the mirapack loader (CountInRange): a negative or a 2^31 s
+// walltime, and negative node, ranks-per-node, task and task node counts
+// fit their columns but not the bound, and each is an error naming its
+// record, so every dataset NewDataset accepts reads back from a pack.
+func TestNewDatasetRejectsOutOfRangeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*joblog.Job, *tasklog.Task)
+	}{
+		{"negative walltime", "job 20: requested walltime -1h0m0s is outside [0, 2^31) seconds", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = -time.Hour }},
+		{"walltime 2^31 s", "job 20: requested walltime 596523h14m8s is outside [0, 2^31) seconds", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = 1 << 31 * time.Second }},
+		{"negative nodes", "job 20: node count -512 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.Nodes = -512 }},
+		{"negative ranks", "job 20: ranks per node -1 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.RanksPerNode = -1 }},
+		{"negative tasks", "job 20: task count -2 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.NumTasks = -2 }},
+		{"negative task nodes", "task 1: node count -1024 is outside [0, 2^31)", func(_ *joblog.Job, k *tasklog.Task) { k.Nodes = -1024 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs, tasks, io := splitRunCorpus()
+			tc.edit(&jobs[1], &tasks[0])
+			_, err := NewDataset(jobs, tasks, nil, io)
+			if err == nil || err.Error() != "core: "+tc.want {
+				t.Fatalf("error %v, want %q", err, "core: "+tc.want)
+			}
+		})
 	}
 }
 

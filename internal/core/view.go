@@ -13,8 +13,8 @@ import (
 
 // BuildJobView constructs the job column view from AoS records, every
 // field of each record in its column. Dictionaries are interned in
-// first-appearance order, which is also the order the mirapack encoder
-// assigns, so built and pack-decoded views are identical. Counts and exit
+// first-appearance order, the order a mirapack file stores them in, so
+// built and pack-loaded views are identical. Counts and exit
 // statuses are narrowed to the column widths and the requested walltime
 // to whole seconds; NewDataset rejects records that do not fit.
 func BuildJobView(jobs []joblog.Job) *scan.JobView {
@@ -46,7 +46,7 @@ func BuildJobView(jobs []joblog.Job) *scan.JobView {
 		v.EndUnix[i] = j.End.Unix()
 		v.DurSec[i] = v.EndUnix[i] - v.StartUnix[i]
 		v.Nodes[i] = int32(j.Nodes)
-		v.CoreSec[i] = j.CoreSeconds()
+		v.CoreSec[i] = int64(v.Nodes[i]) * 16 * v.DurSec[i]
 		v.Exit[i] = int32(j.ExitStatus)
 		v.Family[i] = joblog.FamilyCodeOf(j.ExitStatus)
 		v.UserID[i] = users.intern(&v.Users, j.User)
@@ -90,8 +90,8 @@ func BuildTaskView(tasks []tasklog.Task) *scan.TaskView {
 
 // BuildEventView constructs the event column view from AoS records,
 // every field of each record in its column. Dictionaries are interned in
-// first-appearance order, the order the mirapack encoder assigns, so a
-// built view and a pack-decoded one are identical. Severities and counts
+// first-appearance order, the order a mirapack file stores them in, so a
+// built view and a pack-loaded one are identical. Severities and counts
 // are narrowed to the column widths; NewDataset rejects records that do
 // not fit.
 func BuildEventView(events []raslog.Event) *scan.EventView {
@@ -155,7 +155,7 @@ func locCode(loc machine.Location) int32 {
 }
 
 // locOfCode reverses locCode. View codes are locCode values or codes the
-// mirapack decoder validated, so the decode cannot fail.
+// mirapack loader validated, so the decode cannot fail.
 func locOfCode(c int32) machine.Location {
 	if c == 0 {
 		return machine.Location{}
@@ -167,7 +167,7 @@ func locOfCode(c int32) machine.Location {
 // epoch-relative construction: time.Unix(sec, 0).UTC() stores a location
 // pointer twice per call (write-barriered during GC); Add on a UTC base
 // produces the identical Time value with plain integer arithmetic. Record
-// rebuilds and the mirapack decoders build hundreds of thousands of
+// rebuilds build hundreds of thousands of
 // timestamps at a time.
 var epoch = time.Unix(0, 0).UTC()
 
@@ -306,8 +306,8 @@ func (d *Dataset) TaskRecords() []tasklog.Task {
 }
 
 // LocIDs maps a location to its dense midplane and rack ids, -1 where the
-// location is coarser than the level. The mirapack decoder uses it to fill
-// event-view columns straight from the stored location codes.
+// location is coarser than the level. The mirapack loader checks the
+// stored midplane and rack columns against it.
 func LocIDs(loc machine.Location) (midplane, rack int32) {
 	midplane, rack = -1, -1
 	lvl := loc.Level()

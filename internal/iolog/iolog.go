@@ -6,6 +6,7 @@ package iolog
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/fastcsv"
@@ -145,4 +146,17 @@ func parseRow(rec [][]byte) (Record, error) {
 	}
 	r.IOTime = time.Duration(secs * float64(time.Second))
 	return r, nil
+}
+
+// CSVGranular returns the duration as the CSV codec round-trips it: written
+// as seconds with three decimals, parsed back as float seconds. It is the
+// I/O log's time resolution, and idempotent for durations that already
+// came from a CSV parse.
+func CSVGranular(d time.Duration) time.Duration {
+	s := strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return d // unreachable: s was just formatted
+	}
+	return time.Duration(v * float64(time.Second))
 }

@@ -9,8 +9,7 @@ import (
 
 // HotAlloc enforces the zero-allocation discipline of functions
 // annotated with a `//mira:hotpath` doc-comment directive: the fastcsv
-// record loops, the mirapack column decoders, and the dist sorted-core
-// statistics, whose ≈99%-allocation-reduction pins are the product of
+// record loops and the dist sorted-core statistics, whose ≈99%-allocation-reduction pins are the product of
 // keeping these exact bodies garbage-free. Inside an annotated
 // function it flags the constructs that put allocations back:
 //

@@ -17,7 +17,7 @@ import (
 // declarations that define a serialized layout are annotated
 // `//mira:frozen`, and the analyzer hashes their printed form. The
 // hash must match the package's declared layout-hash constant, and —
-// for layouts this analyzer pins, like mirapack versions 1 to 3 — the
+// for layouts this analyzer pins, like mirapack versions 1 to 4 — the
 // recorded hash for the declared version. Changing any frozen
 // declaration therefore fails the build until the version constant is
 // bumped and the new hash recorded, making silent format drift
@@ -38,7 +38,7 @@ import (
 var PackFreeze = &Analyzer{
 	Name: "packfreeze",
 	Doc: "verifies //mira:frozen layout declarations hash to the declared layout-hash " +
-		"constant and that pinned frozen versions (mirapack v1, v2, v3) are never edited without a version bump",
+		"constant and that pinned frozen versions (mirapack v1 to v4) are never edited without a version bump",
 	Run: runPackFreeze,
 }
 
@@ -53,6 +53,7 @@ var frozenPins = map[string]map[int64]string{
 		1: "aaf2950ff3e793569a519303e354cd93f506af29985381b624f8450147884191",
 		2: "44174ced630cb2e20f83c288fc386c34669e0879c8a4d1ff2a2bbc2f4de82fd7",
 		3: "86ca266f2de5439ec147faeded20f0eb1e838623ef9566a9307bdba172e18933",
+		4: "eb9b01354aff091880a96e38ea4ec14e2a134473c2980ec3a7a3279d581ff302",
 	},
 }
 

@@ -67,7 +67,7 @@ func TestFlippedByte(t *testing.T) {
 	base := corruptSnapshot(t)
 	// Flip one byte in every section payload region (past the header and
 	// table): each must be caught by that section's checksum.
-	headerEnd := 16 + 5*24
+	headerEnd := 16 + 4*24
 	stride := (len(base) - headerEnd) / 16
 	if stride == 0 {
 		stride = 1
@@ -92,14 +92,20 @@ func TestWrongMagic(t *testing.T) {
 	expectError(t, data, "not a mirapack snapshot")
 }
 
-// TestWrongVersion rejects a newer version and versions 2 and 1, whose
-// bytes a version 3 file repeats apart from the version field.
+// TestWrongVersion rejects a newer version and versions 3, 2 and 1, the
+// varint layout, with the error that asks for a regenerated snapshot:
+// both on a version 4 image relabelled and on a real version 3 image.
 func TestWrongVersion(t *testing.T) {
-	for _, v := range []uint32{pack.Version + 1, 2, 1} {
+	for _, v := range []uint32{pack.Version + 1, 3, 2, 1} {
 		data := corruptSnapshot(t)
 		binary.LittleEndian.PutUint32(data[8:], v)
 		expectError(t, data, "supports only version")
 	}
+	v3 := pack.MarshalV3(trickyDataset(t))
+	if _, err := pack.UnmarshalV3(v3); err != nil {
+		t.Fatalf("version 3 oracle rejects its own image: %v", err)
+	}
+	expectError(t, v3, "regenerate the snapshot")
 }
 
 func TestMissingSection(t *testing.T) {
@@ -187,12 +193,14 @@ func TestEventsOutOfTimeOrder(t *testing.T) {
 	}
 }
 
-// TestExitStatusBeyondInt32 re-signs a jobs and a tasks section whose
-// first row has an exit status no int32 holds. The stored column is a
-// zigzag varint of any width, but the job and task views hold int32, so
-// the load fails with an error naming the section and the value.
+// TestExitStatusBeyondInt32 re-signs a version 3 jobs and tasks section
+// whose first row has an exit status no int32 holds. The version 3
+// column is a zigzag varint of any width, but the job and task views hold
+// int32, so the oracle's load fails with an error naming the section and
+// the value. Version 4 stores the int32 view column itself, which holds
+// no such value.
 func TestExitStatusBeyondInt32(t *testing.T) {
-	base := corruptSnapshot(t)
+	base := pack.MarshalV3(trickyDataset(t))
 	d := trickyDataset(t)
 	jobs, tasks := d.JobRecords(), d.TaskRecords()
 	jobs[0].ExitStatus = 1 << 40
@@ -200,12 +208,12 @@ func TestExitStatusBeyondInt32(t *testing.T) {
 	for _, tc := range []struct {
 		section, want string
 		payload       []byte
+		at            int
 	}{
-		{"jobs", "section jobs at byte", pack.EncodeJobs(jobs)},
-		{"tasks", "section tasks at byte", pack.EncodeTasks(tasks)},
+		{"jobs", "section jobs at byte", pack.EncodeJobsV3(jobs), 0},
+		{"tasks", "section tasks at byte", pack.EncodeTasksV3(tasks), 1},
 	} {
-		at := sectionIndex(t, base, tc.section)
-		_, err := pack.Unmarshal(resign(base, splitSections(t, base), at, tc.payload))
+		_, err := pack.UnmarshalV3(resign(base, splitSections(t, base), tc.at, tc.payload))
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "does not fit an int32") {
 			t.Errorf("%s: error %v, want a %s error naming the int32 bound", tc.section, err, tc.section)
 		}

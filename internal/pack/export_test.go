@@ -5,20 +5,31 @@ import (
 	"repro/internal/raslog"
 )
 
-// EncodeJobs, EncodeTasks and EncodeEvents expose the section encoders to
-// the external tests.
-var (
-	EncodeJobs   = encodeJobs
-	EncodeTasks  = encodeTasks
-	EncodeEvents = encodeEvents
-)
+// EncodeEvents writes an events section from records, through the event
+// view a dataset builds from them, for the external tests.
+func EncodeEvents(events []raslog.Event) []byte {
+	v := core.BuildEventView(events)
+	v.LocCode = storedLocCodes(v.LocCode)
+	w := &writer{}
+	writeColumns(w, v.N, v, eventColumns[:])
+	return w.buf
+}
 
-// DecodeEventRecords decodes an events-section payload and rebuilds its
-// records from the decoded view.
+// DecodeEventRecords loads an events-section payload and rebuilds its
+// records from the loaded view.
 func DecodeEventRecords(payload []byte) ([]raslog.Event, error) {
-	v, err := decodeEvents(payload, &arena{})
+	v, _, err := loadEvents(payload)
 	if err != nil {
 		return nil, err
 	}
 	return core.EventRecordsOf(v), nil
 }
+
+// The version 3 oracle (v3_oracle_test.go), for the external tests.
+var (
+	MarshalV3       = marshalV3
+	UnmarshalV3     = unmarshalV3
+	ExportIndexesV3 = exportIndexesV3
+	EncodeJobsV3    = encodeJobs
+	EncodeTasksV3   = encodeTasks
+)

@@ -58,11 +58,13 @@ func resign(data []byte, payloads [][]byte, k int, payload []byte) []byte {
 }
 
 // FuzzDecode replaces one fuzz-chosen section of a small valid snapshot
-// with the fuzz bytes and re-signs it. Unmarshal must return exactly one
-// of an error or a dataset, never panic, and never allocate more than the
-// image can justify: every decoder sizes its allocations from counts that
-// sectionReader.count bounds by the bytes remaining, so the total stays
-// within a constant factor of the image size. A dataset it returns must
+// with the fuzz bytes and re-signs it; with the high bit of the section
+// choice set, it loads the image from an odd address, so no column can be
+// adopted in place. Unmarshal must return exactly one of an error or a
+// dataset, never panic, and never allocate more than the image can
+// justify: every loader sizes its allocations from counts it first
+// bounds by the bytes remaining, so the total stays within a constant
+// factor of the image size. A dataset it returns must
 // have severity views that index events of their severity, its rebuilt
 // event records must survive the events-section encoder and decoder
 // unchanged, and its rebuilt job, task and event records must survive a
@@ -76,7 +78,12 @@ func FuzzDecode(f *testing.F) {
 	for k, p := range payloads {
 		f.Add(uint8(k), append([]byte(nil), p...))
 		f.Add(uint8(k), append([]byte(nil), p[:len(p)/2]...))
+		f.Add(uint8(0x80|k), append([]byte(nil), p...))
 	}
+	// A jobs section whose row count overruns its columns.
+	overrun := append([]byte(nil), payloads[0]...)
+	binary.LittleEndian.PutUint64(overrun, binary.LittleEndian.Uint64(overrun)+1000)
+	f.Add(uint8(0), overrun)
 	for k, p := range splitSections(f, pack.Marshal(splitRunDataset(f))) {
 		f.Add(uint8(k), append([]byte(nil), p...))
 	}
@@ -95,8 +102,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(uint8(0), splitSections(f, pack.Marshal(extreme))[0])
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
-		k := int(which) % len(payloads)
+		k := int(which&0x7f) % len(payloads)
 		image := resign(base, payloads, k, payload)
+		if which&0x80 != 0 {
+			odd := make([]byte, len(image)+1)
+			copy(odd[1:], image)
+			image = odd[1:]
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		d, err := pack.Unmarshal(image)
@@ -112,14 +124,14 @@ func FuzzDecode(f *testing.F) {
 		}
 		// The severity views index the event rows directly in every
 		// FATAL/WARN pass.
-		snap := d.ExportIndexes()
+		x := d.EventIndex()
 		sev := d.EventView().Sev
-		for _, idx := range snap.FatalIdx {
+		for _, idx := range x.Fatal {
 			if raslog.Severity(sev[idx]) != raslog.Fatal {
 				t.Fatalf("FATAL view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
 			}
 		}
-		for _, idx := range snap.WarnIdx {
+		for _, idx := range x.Warn {
 			if raslog.Severity(sev[idx]) != raslog.Warn {
 				t.Fatalf("WARN view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
 			}

@@ -1,43 +1,47 @@
-// Package pack implements the mirapack binary columnar corpus snapshot: a
-// single versioned file holding the four Mira logs (job, task, RAS, I/O)
-// column-major, plus a section of derived event indexes. Loading a
-// snapshot is one file read and a varint sweep into the I/O records and
-// the job, task and event column views (those three logs decode into
-// their views only) — no CSV parsing, no string interning hash lookups,
-// no view build — which is what makes repeated
-// mirareport/mirafilter/calibrate invocations over a 2001-day corpus
-// cheap. The dataset is built by core.NewDatasetFromViews, which derives
-// the task index, the severity views and the observation window from the
-// decoded columns.
+// Package pack implements the mirapack binary corpus snapshot: a single
+// versioned file holding the four Mira logs (job, task, RAS, I/O). The
+// file is the column store: the job, task and event sections hold the
+// columns of scan.JobView, scan.TaskView and scan.EventView in their
+// in-memory layout, so a load maps the file read-only and adopts each
+// column as a slice over the mapping. Nothing is decoded or zeroed; one
+// validation pass per section checks every stored value, which is what
+// makes repeated mirareport/mirad/calibrate invocations over a 2001-day
+// corpus cheap.
 //
-// # Layout (version 3)
+// # Layout (version 4)
 //
 //	[8]byte  magic "MIRAPACK"
-//	uint32le version (3)
+//	uint32le version (4)
 //	uint32le section count
 //	per section (24 bytes each):
 //	    uint32le id, uint32le crc32(IEEE) of the payload,
 //	    uint64le absolute offset, uint64le length
-//	section payloads, in table order
+//	section payloads, in table order, each at an 8-aligned offset
 //
-// Sections: jobs (1), tasks (2), events (3), io (4), indexes (5). Each
-// log payload starts with a uvarint row count followed by its columns in a
-// fixed order. Low-cardinality string columns (user, project, queue,
-// message id, component, category, message text) are dictionary-encoded;
-// record ids and timestamps are delta+varint; wide numerics (I/O byte
-// counters, durations) are raw little-endian; everything else is a zigzag
-// varint. The indexes payload serializes core.IndexSnapshot: the fatal and
-// warn views (count + delta varints each), the info count, then the
-// per-job event index — job count, total attributed-event count, and per
-// job a delta-encoded job id, its event count and delta-encoded event
-// indexes — and finally the observation-window bounds as unix-second
-// varints. Marshal writes it and a load requires it and verifies its
-// checksum, but does not decode it: the constructor derives the same
-// indexes from the columns, and `mirapack -verify` catches a stale
-// section by re-encoding. Every section checksum is verified before
-// decoding, each decoded value is checked against its column's bound, and
-// the events must be in time order, so a truncated or corrupted snapshot
-// fails loudly rather than yielding a partial dataset.
+// Sections: jobs (1), tasks (2), events (3), io (4). Each payload is a
+// uint64le row count followed by the columns of its log's column table
+// (columns.go) in table order. A column is its rows little-endian at the
+// view column's width (int64, int32, uint16 or uint8); a dictionary is a
+// uint64le entry count and per entry a uint64le length and the bytes.
+// Every column and dictionary is padded with zero bytes to a multiple of
+// 8, so every column starts 8-aligned and the writer's output is a
+// function of the dataset alone. The derived columns (job duration,
+// core-seconds and exit family, event midplane and rack) are stored too,
+// so a load allocates no column, and checked against their derivation.
+// I/O is seven int64 columns, rebuilt into records at load.
+//
+// # Validation
+//
+// A load keeps every bound the version 3 decoder enforced and fails with
+// a "pack: section …" error, never a panic or a partial dataset: every
+// section checksum; exactly N rows per column and no trailing bytes;
+// dictionary codes below their table's length; severities in Info..Fatal;
+// location codes below 2^19 that machine.LocationFromCode accepts, with
+// the midplane and rack ids core.LocIDs gives them; task block codes that
+// machine.BlockFromCode accepts; walltimes, node, ranks-per-node, task and
+// event counts in core.CountInRange; the derived job columns equal to
+// their formulas; and events in time order. core.NewDataset applies the
+// same count bound to jobs and tasks, so their rows always read back.
 //
 // DESIGN.md §10 specifies the format and its stability rules.
 package pack
@@ -49,7 +53,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/iolog"
@@ -65,21 +70,19 @@ const (
 	// Version is the current format version. Readers reject any other
 	// version: the format promises compatibility only between identical
 	// versions, and a version bump is the only sanctioned way to change
-	// the layout (see DESIGN.md §10). Versions 2 and 3 write version 1's
-	// bytes apart from this field; 2 marks the frozen Marshal's move to
-	// event records rebuilt from the column view, 3 its move to job and
-	// task records rebuilt from theirs.
-	Version = 3
+	// the layout (see DESIGN.md §10). Versions 1 to 3 were the varint
+	// layout; 4 stores the view columns raw.
+	Version = 4
 )
 
 // LayoutHash records the sha256 over the printed form of every
 // //mira:frozen declaration in this package — the section table shape,
-// the section order, and the column encodings. The packfreeze analyzer
-// (internal/lint) recomputes the hash on every lint run: editing any
-// frozen declaration without bumping Version and re-recording the hash
-// fails `miralint`, and versions 1 to 3 are additionally pinned inside
-// the analyzer itself, so their layouts can never change at all.
-const LayoutHash = "sha256:86ca266f2de5439ec147faeded20f0eb1e838623ef9566a9307bdba172e18933"
+// the section order, and the column tables and encodings. The packfreeze
+// analyzer (internal/lint) recomputes the hash on every lint run: editing
+// any frozen declaration without bumping Version and re-recording the
+// hash fails `miralint`, and versions 1 to 4 are additionally pinned
+// inside the analyzer itself, so their layouts can never change at all.
+const LayoutHash = "sha256:eb9b01354aff091880a96e38ea4ec14e2a134473c2980ec3a7a3279d581ff302"
 
 // SnapshotName is the conventional snapshot filename inside a corpus
 // directory, next to the four CSVs.
@@ -93,15 +96,13 @@ const (
 	secTasks
 	secEvents
 	secIO
-	secIndexes
 )
 
 var sectionNames = map[uint32]string{
-	secJobs:    "jobs",
-	secTasks:   "tasks",
-	secEvents:  "events",
-	secIO:      "io",
-	secIndexes: "indexes",
+	secJobs:   "jobs",
+	secTasks:  "tasks",
+	secEvents: "events",
+	secIO:     "io",
 }
 
 //mira:frozen
@@ -110,42 +111,41 @@ const (
 	sectionEntrySize = 4 + 4 + 8 + 8
 )
 
-// Marshal serializes the dataset — logs and derived indexes — into a
-// snapshot byte image. The section table it writes (ids, checksums,
-// offsets) and the section order are part of the frozen layout.
+// Marshal serializes the dataset into a snapshot byte image, straight
+// from its column views and I/O records. The section table it writes
+// (ids, checksums, offsets) and the section order are part of the frozen
+// layout.
 //
 //mira:frozen
 func Marshal(d *core.Dataset) []byte {
-	sections := []struct {
-		id      uint32
-		payload []byte
+	jv, tv := d.JobView(), d.TaskView()
+	ev := *d.EventView()
+	ev.LocCode = storedLocCodes(ev.LocCode)
+	iv := ioViewOf(d.IO)
+	sections := [...]struct {
+		id    uint32
+		write func(w *writer)
 	}{
-		{secJobs, encodeJobs(d.JobRecords())},
-		{secTasks, encodeTasks(d.TaskRecords())},
-		{secEvents, encodeEvents(d.EventRecords())},
-		{secIO, encodeIO(d.IO)},
-		{secIndexes, encodeIndexes(d.ExportIndexes())},
+		{secJobs, func(w *writer) { writeColumns(w, jv.N, jv, jobColumns[:]) }},
+		{secTasks, func(w *writer) { writeColumns(w, tv.N, tv, taskColumns[:]) }},
+		{secEvents, func(w *writer) { writeColumns(w, ev.N, &ev, eventColumns[:]) }},
+		{secIO, func(w *writer) { writeColumns(w, len(d.IO), iv, ioColumns[:]) }},
 	}
-	total := headerSize + len(sections)*sectionEntrySize
-	offset := uint64(total)
-	for _, s := range sections {
-		total += len(s.payload)
+	w := &writer{buf: make([]byte, headerSize+len(sections)*sectionEntrySize)}
+	copy(w.buf, magic)
+	binary.LittleEndian.PutUint32(w.buf[8:], Version)
+	binary.LittleEndian.PutUint32(w.buf[12:], uint32(len(sections)))
+	for i, s := range sections {
+		off := len(w.buf)
+		s.write(w)
+		payload := w.buf[off:]
+		e := w.buf[headerSize+i*sectionEntrySize:]
+		binary.LittleEndian.PutUint32(e, s.id)
+		binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(payload))
+		binary.LittleEndian.PutUint64(e[8:], uint64(off))
+		binary.LittleEndian.PutUint64(e[16:], uint64(len(payload)))
 	}
-	out := make([]byte, 0, total)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(sections)))
-	for _, s := range sections {
-		out = binary.LittleEndian.AppendUint32(out, s.id)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(s.payload))
-		out = binary.LittleEndian.AppendUint64(out, offset)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
-		offset += uint64(len(s.payload))
-	}
-	for _, s := range sections {
-		out = append(out, s.payload...)
-	}
-	return out
+	return w.buf
 }
 
 // Write serializes the dataset to w.
@@ -156,33 +156,45 @@ func Write(w io.Writer, d *core.Dataset) error {
 	return nil
 }
 
-// WriteFile writes the dataset snapshot to path.
+// WriteFile writes the dataset snapshot to path. It writes a temporary
+// file in the same directory and renames it over path, never truncating
+// the file in place: a process that has the old snapshot mapped keeps
+// reading the old file's bytes, where a truncation would fault it.
 func WriteFile(path string, d *core.Dataset) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("pack: %w", err)
 	}
-	if err := Write(f, d); err != nil {
-		f.Close()
-		return err
+	tmp := f.Name()
+	err = Write(f, d)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("pack: close %s: %w", tmp, cerr)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("pack: close %s: %w", path, err)
+	if err == nil {
+		if err = os.Chmod(tmp, 0o644); err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			err = fmt.Errorf("pack: %w", err)
+		}
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
-// section is one verified, named payload.
+// section is one table entry's id, stored checksum and payload.
 type section struct {
 	id      uint32
+	crc     uint32
 	payload []byte
 }
 
-// parseHeader validates magic, version and the section table, and verifies
-// every section checksum. It returns sections in table order. Entries are
-// checked in decodeOrder, unknown sections last, so of several corrupt
-// sections the one named is the one whose decode error Unmarshal would
-// report first.
+// parseHeader validates magic, version and the section table, and
+// returns the sections in table order with their payloads bounds-checked
+// but not yet checksummed: each loader goroutine verifies the checksums
+// of the sections it loads (findSection).
 func parseHeader(data []byte) ([]section, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("pack: file of %d bytes is shorter than the %d-byte header", len(data), headerSize)
@@ -199,48 +211,49 @@ func parseHeader(data []byte) ([]section, error) {
 	if count > 64 || tableEnd > len(data) {
 		return nil, fmt.Errorf("pack: truncated snapshot: section table of %d entries does not fit in %d bytes", count, len(data))
 	}
-	entry := func(i int) []byte { return data[headerSize+i*sectionEntrySize:] }
-	order := make([]int, count)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return decodeRank(binary.LittleEndian.Uint32(entry(order[a]))) < decodeRank(binary.LittleEndian.Uint32(entry(order[b])))
-	})
 	sections := make([]section, count)
-	for _, i := range order {
-		e := entry(i)
+	for i := range sections {
+		e := data[headerSize+i*sectionEntrySize:]
 		id := binary.LittleEndian.Uint32(e)
-		sum := binary.LittleEndian.Uint32(e[4:])
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
-		name := sectionName(id)
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, fmt.Errorf("pack: truncated snapshot: section %s [%d, +%d) exceeds file size %d", name, off, length, len(data))
+			return nil, fmt.Errorf("pack: truncated snapshot: section %s [%d, +%d) exceeds file size %d", sectionName(id), off, length, len(data))
 		}
-		payload := data[off : off+length]
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return nil, fmt.Errorf("pack: section %s checksum mismatch (stored %08x, computed %08x): snapshot is corrupt", name, sum, got)
-		}
-		sections[i] = section{id: id, payload: payload}
+		sections[i] = section{id: id, crc: binary.LittleEndian.Uint32(e[4:]), payload: data[off : off+length]}
 	}
 	return sections, nil
 }
 
-// decodeOrder is the order Unmarshal reports section errors in: events,
-// the largest section, first, then the table order of the rest. Unmarshal
-// decodes the first on one goroutine and the rest, in order, on another.
-var decodeOrder = [...]uint32{secEvents, secJobs, secTasks, secIO, secIndexes}
+// verify checks the section's payload against its stored checksum.
+func (s section) verify() error {
+	if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
+		return fmt.Errorf("pack: section %s checksum mismatch (stored %08x, computed %08x): snapshot is corrupt", sectionName(s.id), s.crc, got)
+	}
+	return nil
+}
 
-// decodeRank is a section's position in decodeOrder; unknown sections
-// rank last.
-func decodeRank(id uint32) int {
-	for i, d := range decodeOrder {
-		if d == id {
-			return i
+// sectionOf returns the first section with the given id.
+func sectionOf(sections []section, id uint32) (section, error) {
+	for _, s := range sections {
+		if s.id == id {
+			return s, nil
 		}
 	}
-	return len(decodeOrder)
+	return section{}, fmt.Errorf("pack: snapshot has no %s section", sectionName(id))
+}
+
+// findSection returns the checksum-verified payload of the first section
+// with the given id.
+func findSection(sections []section, id uint32) ([]byte, error) {
+	s, err := sectionOf(sections, id)
+	if err == nil {
+		err = s.verify()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.payload, nil
 }
 
 func sectionName(id uint32) string {
@@ -250,49 +263,34 @@ func sectionName(id uint32) string {
 	return fmt.Sprintf("#%d", id)
 }
 
-// findSection returns the payload of the section with the given id.
-func findSection(sections []section, id uint32) ([]byte, error) {
-	for _, s := range sections {
-		if s.id == id {
-			return s.payload, nil
-		}
-	}
-	return nil, fmt.Errorf("pack: snapshot has no %s section", sectionName(id))
-}
-
-// Unmarshal decodes a snapshot byte image into a fully indexed dataset.
+// Unmarshal loads a snapshot byte image into a fully indexed dataset
+// whose job, task and event columns are slices over data: data must not
+// change while the dataset is in use. An image that is not 8-aligned (or
+// a big-endian host) gets its sections copied into aligned buffers
+// instead, with the same result.
 //
-// The events section, about two thirds of the decode, runs on one
-// goroutine while the jobs, tasks and I/O sections run in that order on
-// another, each goroutine with its own scratch arena; the indexes section
-// is checked for presence there but not decoded. The error returned is
-// that of the first failing section in decodeOrder, whichever goroutine
-// finished first. core.NewDatasetFromViews then builds the dataset over
-// the decoded I/O records and the job, task and event column views.
+// Two goroutines share the load with no serial tail. One verifies the
+// events section's checksum and validates the events in one pass that
+// also checks their time order and splits them by severity. The other
+// does the same for the jobs, tasks and I/O, then builds the job index,
+// the per-job task index and the I/O rows (core.IndexJobs). The error
+// returned is the first in the order events, jobs, tasks, I/O, whichever
+// goroutine finished first.
 func Unmarshal(data []byte) (*core.Dataset, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	var ioRecs []iolog.Record
-	var jv *scan.JobView
-	var tv *scan.TaskView
 	var ev *scan.EventView
-	evArena, jobArena := &arena{}, &arena{}
-	decoders := map[uint32]func(payload []byte) error{
-		secEvents: func(p []byte) (err error) { ev, err = decodeEvents(p, evArena); return },
-		secJobs:   func(p []byte) (err error) { jv, err = decodeJobs(p, jobArena); return },
-		secTasks:  func(p []byte) (err error) { tv, err = decodeTasks(p, jobArena); return },
-		secIO:     func(p []byte) (err error) { ioRecs, err = decodeIO(p, jobArena); return },
-		// The indexes section must be present and its checksum is verified
-		// with the others, but the constructor derives its contents from
-		// the decoded columns.
-		secIndexes: func([]byte) error { return nil },
-	}
-	parts := [2][]uint32{decodeOrder[:1], decodeOrder[1:]}
+	var ei core.EventIndex
+	var ji core.JobIndex
 	var errs [2]error
-	if err := par.ForEach(context.Background(), len(parts), len(parts), func(i int) error {
-		errs[i] = decodeSections(sections, parts[i], decoders)
+	if err := par.ForEach(context.Background(), 2, 2, func(i int) error {
+		if i == 0 {
+			ev, ei, errs[0] = loadEventSection(sections)
+		} else {
+			ji, errs[1] = loadJobSections(sections)
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -302,70 +300,114 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 			return nil, err
 		}
 	}
-	d, err := core.NewDatasetFromViews(ioRecs, jv, tv, ev)
+	d, err := ji.WithEvents(ev, ei)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
 	return d, nil
 }
 
-// decodeSections runs the decoders of the given sections in order and
-// stops at the first missing or failing section.
-func decodeSections(sections []section, ids []uint32, decoders map[uint32]func(payload []byte) error) error {
-	for _, id := range ids {
-		payload, err := findSection(sections, id)
-		if err != nil {
-			return err
-		}
-		if err := decoders[id](payload); err != nil {
-			return err
-		}
+// loadEventSection loads and validates the events section.
+func loadEventSection(sections []section) (*scan.EventView, core.EventIndex, error) {
+	payload, err := findSection(sections, secEvents)
+	if err != nil {
+		return nil, core.EventIndex{}, err
 	}
-	return nil
+	return loadEvents(payload)
 }
 
-// ReadFile loads a snapshot file into a fully indexed dataset: one read,
-// one decode sweep, no CSV parse and no column-view build.
+// loadJobSections loads and validates the jobs, tasks and I/O sections,
+// verifies the checksums of any other sections, and indexes the jobs.
+func loadJobSections(sections []section) (core.JobIndex, error) {
+	var jv *scan.JobView
+	var tv *scan.TaskView
+	var ioRecs []iolog.Record
+	for _, s := range []struct {
+		id   uint32
+		load func(payload []byte) error
+	}{
+		{secJobs, func(p []byte) (err error) { jv, err = loadJobs(p); return }},
+		{secTasks, func(p []byte) (err error) { tv, err = loadTasks(p); return }},
+		{secIO, func(p []byte) (err error) { ioRecs, err = loadIO(p); return }},
+	} {
+		payload, err := findSection(sections, s.id)
+		if err != nil {
+			return core.JobIndex{}, err
+		}
+		if err := s.load(payload); err != nil {
+			return core.JobIndex{}, err
+		}
+	}
+	for _, s := range sections {
+		if _, known := sectionNames[s.id]; !known {
+			if err := s.verify(); err != nil {
+				return core.JobIndex{}, err
+			}
+		}
+	}
+	ji, err := core.IndexJobs(ioRecs, jv, tv)
+	if err != nil {
+		return core.JobIndex{}, fmt.Errorf("pack: section jobs: %w", err)
+	}
+	return ji, nil
+}
+
+// mappedBytes is the size of the snapshot mappings not yet retired.
+var mappedBytes atomic.Int64
+
+// MappedBytes returns the bytes of snapshot files the process has mapped
+// and not yet retired: the columns of the pack-loaded datasets and event
+// views still in use, which the Go heap does not count. It is 0 when no
+// snapshot was loaded.
+func MappedBytes() int64 { return mappedBytes.Load() }
+
+// ReadFile loads a snapshot file into a fully indexed dataset. The file
+// is mapped read-only and the job, task and event columns are slices
+// over the mapping; the dataset's event view owns the mapping, which is
+// retired (its pages released, the address range kept) once that view is
+// garbage. Replace a snapshot in use with WriteFile's rename, never by
+// truncating it.
 func ReadFile(path string) (*core.Dataset, error) {
-	data, release, err := readSnapshot(path)
+	m, err := mapSnapshot(path)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
-	defer release()
-	d, err := Unmarshal(data)
+	d, err := Unmarshal(m.data)
 	if err != nil {
+		m.release()
 		return nil, fmt.Errorf("pack: %s: %w", path, err)
 	}
+	m.ownBy(d.EventView())
 	return d, nil
 }
 
-// UnmarshalEvents decodes only the RAS events section of a snapshot, into
-// its column view — the streaming tools (mirafilter) need nothing else.
-// core.EventRecordsOf and core.EventRecordsAt rebuild records from it.
+// UnmarshalEvents loads only the RAS events section of a snapshot, as
+// its column view over data — the streaming tools (mirafilter) need
+// nothing else. core.EventRecordsOf and core.EventRecordsAt rebuild
+// records from it.
 func UnmarshalEvents(data []byte) (*scan.EventView, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := findSection(sections, secEvents)
-	if err != nil {
-		return nil, err
-	}
-	return decodeEvents(payload, &arena{})
+	v, _, err := loadEventSection(sections)
+	return v, err
 }
 
 // ReadEventsFile loads only the RAS events from a snapshot file, as their
-// column view.
+// column view over a read-only mapping the view owns, as ReadFile's
+// dataset does.
 func ReadEventsFile(path string) (*scan.EventView, error) {
-	data, release, err := readSnapshot(path)
+	m, err := mapSnapshot(path)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
-	defer release()
-	v, err := UnmarshalEvents(data)
+	v, err := UnmarshalEvents(m.data)
 	if err != nil {
+		m.release()
 		return nil, fmt.Errorf("pack: %s: %w", path, err)
 	}
+	m.ownBy(v)
 	return v, nil
 }
 
@@ -383,25 +425,24 @@ type Info struct {
 }
 
 // Inspect validates a snapshot's header, every section checksum and the
-// presence of all five sections, and returns the layout summary, without
-// decoding the columns.
+// presence of all four sections, and returns the layout summary, without
+// validating the columns.
 func Inspect(data []byte) (*Info, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range []uint32{secJobs, secTasks, secEvents, secIO, secIndexes} {
-		if _, err := findSection(sections, id); err != nil {
-			return nil, err
-		}
-	}
 	info := &Info{Version: Version}
 	for _, s := range sections {
-		info.Sections = append(info.Sections, SectionInfo{
-			Name:  sectionName(s.id),
-			Bytes: len(s.payload),
-			CRC:   crc32.ChecksumIEEE(s.payload),
-		})
+		if err := s.verify(); err != nil {
+			return nil, err
+		}
+		info.Sections = append(info.Sections, SectionInfo{Name: sectionName(s.id), Bytes: len(s.payload), CRC: s.crc})
+	}
+	for _, id := range [...]uint32{secEvents, secJobs, secTasks, secIO} {
+		if _, err := sectionOf(sections, id); err != nil {
+			return nil, err
+		}
 	}
 	return info, nil
 }

@@ -287,7 +287,7 @@ func TestInspect(t *testing.T) {
 	if info.Version != pack.Version {
 		t.Fatalf("version %d, want %d", info.Version, pack.Version)
 	}
-	want := []string{"jobs", "tasks", "events", "io", "indexes"}
+	want := []string{"jobs", "tasks", "events", "io"}
 	if len(info.Sections) != len(want) {
 		t.Fatalf("got %d sections, want %d", len(info.Sections), len(want))
 	}

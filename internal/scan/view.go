@@ -7,7 +7,8 @@ import "time"
 // a column here, and core.(*Dataset).JobRecords rebuilds the records from
 // them for the tools that print or re-encode records. All column slices
 // have length N. Views are built once — from the AoS records by
-// core.NewDataset, or straight from mirapack column decode — and treated
+// core.NewDataset, or adopted from a mirapack file, their columns slices
+// over the mapping (pack.ReadFile) — and treated
 // as immutable thereafter.
 type JobView struct {
 	N int

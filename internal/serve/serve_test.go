@@ -187,6 +187,10 @@ func TestCacheCountersViaStats(t *testing.T) {
 	if len(st.Index) == 0 {
 		t.Error("stats carry no index dimensions")
 	}
+	// A generated corpus maps no snapshot file.
+	if !strings.Contains(rec.Body.String(), `"mapped_bytes":0`) {
+		t.Errorf("stats runtime of a generated corpus: %+v, want mapped_bytes 0", st.Runtime)
+	}
 }
 
 // TestCanonicalizationSharedLRU is the canonicalization contract of the

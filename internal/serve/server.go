@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/joblog"
+	"repro/internal/pack"
 	"repro/internal/par"
 	"repro/internal/sel"
 )
@@ -377,10 +378,14 @@ type corpusStats struct {
 	Days   float64 `json:"days"`
 }
 
+// runtimeStats are process numbers. MappedBytes counts the mapped
+// snapshot files whose columns the loaded dataset adopts (pack.ReadFile),
+// which HeapBytes leaves out; it is 0 for a CSV or generated corpus.
 type runtimeStats struct {
-	Goroutines int    `json:"goroutines"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	HeapBytes  uint64 `json:"heap_bytes"`
+	Goroutines  int    `json:"goroutines"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	HeapBytes   uint64 `json:"heap_bytes"`
+	MappedBytes int64  `json:"mapped_bytes"`
 }
 
 func epView(ep *endpointStats) EndpointStats {
@@ -411,8 +416,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Events: s.env.D.EventView().N,
 			Days:   s.env.D.Days(),
 		},
-		Index:   s.env.D.IndexStats(),
-		Runtime: runtimeStats{Goroutines: runtime.NumGoroutine(), GOMAXPROCS: runtime.GOMAXPROCS(0), HeapBytes: mem.HeapAlloc},
+		Index: s.env.D.IndexStats(),
+		Runtime: runtimeStats{Goroutines: runtime.NumGoroutine(), GOMAXPROCS: runtime.GOMAXPROCS(0), HeapBytes: mem.HeapAlloc,
+			MappedBytes: pack.MappedBytes()},
 	}
 	body, err := json.Marshal(&resp)
 	if err != nil {

@@ -29,7 +29,9 @@
 # they replaced against one cold core.JobOrders, speedup metric), the
 # LoadCSV/LoadPack corpus-load comparison in internal/pack (speedup
 # metric; LoadPack also reports live_MB, the heap a loaded dataset keeps
-# live, and live_B/event, the same per RAS event), the FitLegacy/FitSample model-selection comparison and the
+# live, live_B/event, the same per RAS event, and mapped_MB, the snapshot
+# mapping its columns are adopted from, which the heap does not count),
+# the FitLegacy/FitSample model-selection comparison and the
 # CensoredWeibull_{PerJob,Distinct} E23 survival-fit comparison in
 # internal/dist (speedup metrics), the profile fusion comparison
 # BenchmarkProfile/{walk,fused} in internal/core (every FusedProfile field

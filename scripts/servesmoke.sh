@@ -8,7 +8,9 @@
 # It also checks that a corpus in memory and the same corpus on disk are
 # one dataset: miragen writes the 30-day corpus, a second mirad serves it
 # with -in, and /v1/profile, the cohort body and /v1/experiments/E11 must
-# be byte-identical to those of the generating daemon. A third mirad
+# be byte-identical to those of the generating daemon; they must stay so
+# after miragen regenerates that pack, with another seed, under the
+# running daemon, which must stay up. A third mirad
 # pointed at a truncated copy of that pack must exit non-zero with a
 # pack: error before the boot timeout instead of hanging or serving.
 #
@@ -107,6 +109,24 @@ for f in "profile.json:/v1/profile" "cohort1.json:/v1/cohort?where=$where" "E11.
   cmp -s "$tmp/$file" "$tmp/in-$file" || { echo "servesmoke: -in daemon $path differs from the -small daemon's" >&2; exit 1; }
 done
 echo "servesmoke: -in daemon matches the -small daemon"
+
+# Regenerating the pack under the running -in daemon, which has the old
+# file mapped: pack.WriteFile renames a new file over it, so the daemon
+# keeps serving the old corpus. /v1/profile must come back byte-identical,
+# a cohort it has not cached yet (so it scans the mapped columns after the
+# replacement) must match the -small daemon's, and the daemon must stay up.
+echo "servesmoke: regenerating the pack under the -in daemon..."
+"$tmp/miragen" -small -seed 99 -out "$tmp/corpus" >/dev/null
+fresh='user%20!%3D%20nobody-here%20and%20exit%20%3D%3D%20system'
+curl -sf -o "$tmp/fresh.json" "$base/v1/cohort?where=$fresh" || { echo "servesmoke: fresh cohort failed on the -small daemon" >&2; exit 1; }
+for f in "profile.json:/v1/profile" "fresh.json:/v1/cohort?where=$fresh"; do
+  file="${f%%:*}" path="${f#*:}"
+  code="$(curl -s -o "$tmp/regen-$file" -w '%{http_code}' "$inbase$path")"
+  [ "$code" = "200" ] || { echo "servesmoke: -in daemon $path returned $code after the pack was regenerated" >&2; cat "$tmp/mirad-in.log" >&2; exit 1; }
+  cmp -s "$tmp/$file" "$tmp/regen-$file" || { echo "servesmoke: -in daemon $path changed when its pack was regenerated" >&2; exit 1; }
+done
+kill -0 "${pids[1]}" 2>/dev/null || { echo "servesmoke: -in daemon died when its pack was regenerated:" >&2; cat "$tmp/mirad-in.log" >&2; exit 1; }
+echo "servesmoke: -in daemon unaffected by the regenerated pack"
 
 # A truncated pack: mirad must fail fast with a pack error, not hang.
 echo "servesmoke: booting -in on a truncated pack..."
