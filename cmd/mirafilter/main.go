@@ -9,7 +9,7 @@
 //	           [-where 'cat == Memory and rack == R01']
 //
 // The input may be a RAS CSV log (streamed row by row) or a corpus.mirapack
-// binary snapshot (events section decoded in one step, no parse); -format
+// binary snapshot (loaded through pack.ReadFile, no parse); -format
 // auto sniffs the file's magic bytes. Events are filtered in time order,
 // whatever order the log lists them in.
 //
@@ -157,10 +157,11 @@ func readSeverity(in, format string, sev raslog.Severity) ([]raslog.Event, int, 
 	}
 	if ft == pack.FormatPack || (ft == pack.FormatAuto && pack.IsSnapshotFile(in)) {
 		// Rebuild records for the matching-severity rows only.
-		v, err := pack.ReadEventsFile(in)
+		d, err := pack.ReadFile(in)
 		if err != nil {
 			return nil, 0, err
 		}
+		v := d.EventView()
 		var rows []int
 		for i, s := range v.Sev {
 			if raslog.Severity(s) == sev {

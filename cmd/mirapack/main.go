@@ -33,18 +33,21 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mirapack:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	in := flag.String("in", "", "corpus directory, or snapshot file for -info/-verify (required)")
-	out := flag.String("out", "", "snapshot output path (default: corpus.mirapack inside -in)")
-	info := flag.Bool("info", false, "print the snapshot's header summary instead of converting")
-	verify := flag.Bool("verify", false, "fully decode the snapshot instead of converting")
-	flag.Parse()
+// run parses args as the command line and converts, inspects or
+// verifies.
+func run(args []string) error {
+	fs := flag.NewFlagSet("mirapack", flag.ExitOnError)
+	in := fs.String("in", "", "corpus directory, or snapshot file for -info/-verify (required)")
+	out := fs.String("out", "", "snapshot output path (default: corpus.mirapack inside -in)")
+	info := fs.Bool("info", false, "print the snapshot's header summary instead of converting")
+	verify := fs.Bool("verify", false, "fully decode the snapshot instead of converting")
+	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}

@@ -2,13 +2,20 @@ package main
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iolog"
+	"repro/internal/joblog"
 	"repro/internal/pack"
+	"repro/internal/raslog"
 	"repro/internal/sim"
+	"repro/internal/tasklog"
 )
 
 // TestVerifyCatchesForeignSection appends a section of an id the format
@@ -53,5 +60,49 @@ func TestVerifyCatchesForeignSection(t *testing.T) {
 	}
 	if _, err := verifyImage(out); err == nil || !strings.Contains(err.Error(), "does not re-encode") {
 		t.Fatalf("foreign section: error %v, want a re-encode mismatch", err)
+	}
+}
+
+// TestConvertRejectsNegativeCount converts a corpus directory whose
+// ras.csv holds an event count of -1, which no pack reader accepts: the
+// conversion must fail with an error naming the event and leave no
+// corpus.mirapack (nor a temporary file) behind.
+func TestConvertRejectsNegativeCount(t *testing.T) {
+	cfg := sim.SmallConfig()
+	cfg.Days = 5
+	c, err := sim.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Events[3].Count = -1
+	dir := t.TempDir()
+	for name, write := range map[string]func(*os.File) error{
+		"jobs.csv":  func(f *os.File) error { return joblog.WriteCSV(f, c.Jobs) },
+		"tasks.csv": func(f *os.File) error { return tasklog.WriteCSV(f, c.Tasks) },
+		"ras.csv":   func(f *os.File) error { return raslog.WriteCSV(f, c.Events) },
+		"io.csv":    func(f *os.File) error { return iolog.WriteCSV(f, c.IO) },
+	} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = run([]string{"-in", dir})
+	if want := fmt.Sprintf("core: event %d (events row ", c.Events[3].RecID); err == nil ||
+		!strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), "): event count -1 out of range [0, 2^31)") {
+		t.Fatalf("error %v, want one naming event %d and its count", err, c.Events[3].RecID)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 {
+		t.Fatalf("%d files in the corpus directory after a failed conversion, want the 4 CSVs", len(entries))
 	}
 }

@@ -65,7 +65,7 @@ func TestNewDatasetRejectsSubSecond(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			jobs := []joblog.Job{{ID: 7, User: "u", Project: "p", Submit: base, Start: base, End: base.Add(time.Hour), Nodes: 512, RanksPerNode: 16, NumTasks: 1}}
-			tasks := []tasklog.Task{{ID: 3, JobID: 7, Start: base, End: base.Add(time.Hour), Nodes: 512}}
+			tasks := []tasklog.Task{{ID: 3, JobID: 7, Block: machine.Block{Midplanes: 1}, Start: base, End: base.Add(time.Hour), Nodes: 512}}
 			events := []raslog.Event{{RecID: 5, Time: base.Add(time.Minute), Sev: raslog.Fatal, JobID: 7}}
 			if _, err := NewDataset(jobs, tasks, events, nil); err != nil {
 				t.Fatalf("whole-second corpus rejected: %v", err)

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -144,7 +145,7 @@ func (d *Dataset) buildJobIndex() error {
 	}
 	for i := 1; i < len(d.ids); i++ {
 		if d.ids[i] == d.ids[i-1] {
-			return fmt.Errorf("core: duplicate job id %d", d.ids[i])
+			return viewErr("jobs", fmt.Sprintf("duplicate job id %d", d.ids[i]))
 		}
 	}
 	if n := len(d.ids); n > 0 {
@@ -268,8 +269,7 @@ func wholeSeconds(ts ...time.Time) bool {
 // column: a job's node, ranks-per-node or task count or exit status, a
 // task's node count or exit status, or an event's count (an int32); an
 // event's severity (a byte); a task's block (a 16-bit machine.Block.Code).
-// So is a count-like field outside CountInRange, the bound a mirapack
-// load enforces.
+// Every other rule is NewDatasetFromViews' check of the views.
 func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, ioRecs []iolog.Record) (*Dataset, error) {
 	for i := range jobs {
 		j := &jobs[i]
@@ -283,13 +283,6 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 			field{"task count", j.NumTasks}, field{"exit status", j.ExitStatus}); err != nil {
 			return nil, err
 		}
-		if w := j.WalltimeReq / time.Second; !CountInRange(int64(w)) {
-			return nil, fmt.Errorf("core: job %d: requested walltime %s is outside [0, 2^31) seconds", j.ID, j.WalltimeReq)
-		}
-		if err := countFields("job", j.ID, field{"node count", j.Nodes}, field{"ranks per node", j.RanksPerNode},
-			field{"task count", j.NumTasks}); err != nil {
-			return nil, err
-		}
 	}
 	for i := range tasks {
 		t := &tasks[i]
@@ -297,9 +290,6 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 			return nil, fmt.Errorf("core: task %d: start %s or end %s is finer than a second", t.ID, t.Start, t.End)
 		}
 		if err := int32Fields("task", t.ID, field{"node count", t.Nodes}, field{"exit status", t.ExitStatus}); err != nil {
-			return nil, err
-		}
-		if err := countFields("task", t.ID, field{"node count", t.Nodes}); err != nil {
 			return nil, err
 		}
 		if c := t.Block.Code(); c > math.MaxUint16 || blockOfCode(uint16(c)) != t.Block {
@@ -325,24 +315,6 @@ func NewDataset(jobs []joblog.Job, tasks []tasklog.Task, events []raslog.Event, 
 	return NewDatasetFromViews(ioRecs, BuildJobView(jobs), BuildTaskView(tasks), BuildEventView(events))
 }
 
-// CountInRange reports whether v lies in [0, 2^31), the range of the
-// count-like columns: a job's requested walltime in seconds, node,
-// ranks-per-node and task counts, and a task's node count, which
-// NewDataset and the mirapack loader both check with it, and an event's
-// count, which only the loader does.
-func CountInRange(v int64) bool { return uint64(v) < 1<<31 }
-
-// countFields checks a record's count fields against CountInRange and
-// names the first outside it.
-func countFields(kind string, id int64, fields ...field) error {
-	for _, f := range fields {
-		if !CountInRange(int64(f.v)) {
-			return fmt.Errorf("core: %s %d: %s %d is outside [0, 2^31)", kind, id, f.name, f.v)
-		}
-	}
-	return nil
-}
-
 // fitsInt32 reports whether v fits an int32 column.
 func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
@@ -363,108 +335,40 @@ func int32Fields(kind string, id int64, fields ...field) error {
 	return nil
 }
 
-// NewDatasetFromViews indexes the logs over column views built
-// elsewhere. It is the constructor NewDataset ends in: IndexJobs,
-// IndexEvents and WithEvents in turn. The job view must hold at least one
-// row, every column of a view must have its N rows, the event view's
-// times must not decrease (it is the event log, in time order), and job
-// ids must be unique.
+// NewDatasetFromViews indexes the logs over their column views. It is the
+// constructor every Dataset goes through, NewDataset's and a mirapack
+// load's, and the one gate on what the logs may hold: every column of a
+// view must have its N rows, and every row must pass the checks of
+// check.go (checkJobs, checkTasks, checkEvents), which include events in
+// time order. The job view must hold at least one row and unique ids. A
+// failed row check is a *ViewError.
+//
+// Two goroutines share the work with no serial tail: one checks the
+// events and splits them by severity, the other checks the jobs and tasks
+// and builds the job index, the per-job task index and the I/O rows. The
+// error returned is the first in the order events, jobs, tasks, whichever
+// goroutine finished first.
 func NewDatasetFromViews(ioRecs []iolog.Record, jv *scan.JobView, tv *scan.TaskView, ev *scan.EventView) (*Dataset, error) {
-	ji, err := IndexJobs(ioRecs, jv, tv)
-	if err != nil {
-		return nil, err
-	}
-	ei, err := IndexEvents(ev)
-	if err != nil {
-		return nil, err
-	}
-	return ji.WithEvents(ev, ei)
-}
-
-var errViews = fmt.Errorf("core: column views missing, or with columns of other than N rows")
-
-// JobIndex is the part of a Dataset derived from its job, task and I/O
-// logs alone: the job-id index, the per-job task index, the I/O rows and
-// the jobs' share of the observation window. IndexJobs builds it and
-// WithEvents completes it into a Dataset, so a loader can build it while
-// another goroutine checks the events (mirapack).
-type JobIndex struct {
-	d *Dataset
-}
-
-// IndexJobs indexes the job, task and I/O logs. The job view must hold
-// at least one row and unique ids, and every column of the job and task
-// views must have its N rows.
-func IndexJobs(ioRecs []iolog.Record, jv *scan.JobView, tv *scan.TaskView) (JobIndex, error) {
-	if jv == nil || jv.N == 0 {
-		return JobIndex{}, fmt.Errorf("core: dataset has no jobs")
-	}
-	if tv == nil || !jobColumnsAligned(jv) || !taskColumnsAligned(tv) {
-		return JobIndex{}, errViews
-	}
-	d := &Dataset{IO: ioRecs, jobView: jv, taskView: tv}
-	if err := d.buildJobIndex(); err != nil {
-		return JobIndex{}, err
-	}
-	d.buildPerJob()
-	// The first job seeds the window and every job widens it by its
-	// submit and end.
-	start, end := jv.SubmitUnix[0], jv.EndUnix[0]
-	for i := range jv.SubmitUnix {
-		start, end = min(start, jv.SubmitUnix[i]), max(end, jv.EndUnix[i])
-	}
-	d.start, d.end = time.Unix(start, 0), time.Unix(end, 0)
-	return JobIndex{d: d}, nil
-}
-
-// EventIndex is the part of a Dataset derived from its event view alone:
-// the rows of the FATAL and WARN events, in time order, and the number of
-// the rest. Most analyses touch only the FATAL and WARN slivers of the
-// stream, so they scan these rows instead of re-testing every event.
-type EventIndex struct {
-	Fatal, Warn []int
-	InfoN       int
-}
-
-// IndexEvents splits the event view by severity, rejecting a view
-// without its N rows in every column and events that are not in time
-// order.
-func IndexEvents(ev *scan.EventView) (EventIndex, error) {
-	var x EventIndex
-	if ev == nil || !eventColumnsAligned(ev) {
-		return x, errViews
-	}
-	times, sevs := ev.TimeUnix, ev.Sev[:len(ev.TimeUnix)]
-	for i, t := range times {
-		if i > 0 && t < times[i-1] {
-			return EventIndex{}, fmt.Errorf("core: event %d at unix %d precedes the event before it (unix %d): events are not in time order", ev.RecID[i], t, times[i-1])
-		}
-		switch raslog.Severity(sevs[i]) {
-		case raslog.Fatal:
-			x.Fatal = append(x.Fatal, i)
-		case raslog.Warn:
-			x.Warn = append(x.Warn, i)
-		default:
-			x.InfoN++
-		}
-	}
-	return x, nil
-}
-
-// WithEvents completes the job index into a Dataset over the event view
-// and its index, which the caller derived from that view (IndexEvents, or
-// a loader's own pass that makes the same checks). The event view must
-// have its N rows in every column and its times must not decrease. A
-// JobIndex completes once.
-func (ji JobIndex) WithEvents(ev *scan.EventView, ei EventIndex) (*Dataset, error) {
-	if ji.d == nil || ji.d.eventView != nil {
-		return nil, fmt.Errorf("core: job index missing or already completed")
-	}
-	if ev == nil || !eventColumnsAligned(ev) {
+	if jv == nil || tv == nil || ev == nil || !jobColumnsAligned(jv) || !taskColumnsAligned(tv) || !eventColumnsAligned(ev) {
 		return nil, errViews
 	}
-	d := ji.d
-	d.eventView, d.fatalIdx, d.warnIdx, d.infoN = ev, ei.Fatal, ei.Warn, ei.InfoN
+	d := &Dataset{IO: ioRecs, jobView: jv, taskView: tv, eventView: ev}
+	var errs [2]error
+	if err := par.ForEach(context.Background(), 2, 2, func(i int) error {
+		if i == 0 {
+			errs[0] = d.checkEvents()
+		} else {
+			errs[1] = d.indexJobs()
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	// Events widen the jobs' window in an else-if walk, which cohortSpan
 	// reproduces for a selection. Over times in order the walk changes
 	// nothing after its first event but through the last one, so it runs
@@ -487,10 +391,34 @@ func (ji JobIndex) WithEvents(ev *scan.EventView, ei EventIndex) (*Dataset, erro
 	return d, nil
 }
 
-// EventIndex returns the dataset's severity split of its event view. The
-// slices are the Dataset's own; treat them as read-only.
-func (d *Dataset) EventIndex() EventIndex {
-	return EventIndex{Fatal: d.fatalIdx, Warn: d.warnIdx, InfoN: d.infoN}
+var errViews = fmt.Errorf("core: column views missing, or with columns of other than N rows")
+
+// indexJobs checks the job and task views and indexes the job, task and
+// I/O logs: the job-id index, the per-job task index, the I/O rows and
+// the jobs' share of the observation window.
+func (d *Dataset) indexJobs() error {
+	jv := d.jobView
+	if jv.N == 0 {
+		return viewErr("jobs", "dataset has no jobs")
+	}
+	if err := checkJobs(jv); err != nil {
+		return err
+	}
+	if err := checkTasks(d.taskView); err != nil {
+		return err
+	}
+	if err := d.buildJobIndex(); err != nil {
+		return err
+	}
+	d.buildPerJob()
+	// The first job seeds the window and every job widens it by its
+	// submit and end.
+	start, end := jv.SubmitUnix[0], jv.EndUnix[0]
+	for i := range jv.SubmitUnix {
+		start, end = min(start, jv.SubmitUnix[i]), max(end, jv.EndUnix[i])
+	}
+	d.start, d.end = time.Unix(start, 0), time.Unix(end, 0)
+	return nil
 }
 
 // jobColumnsAligned reports whether every column of the job view has N

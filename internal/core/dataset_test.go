@@ -124,11 +124,11 @@ func TestSpanWithInvertedJob(t *testing.T) {
 	}
 }
 
-// TestSpanMatchesEventWalk pins WithEvents' window, which widens the jobs'
-// window by the first and the last event only, to the else-if walk over
-// every event it stands for: on random job windows, inverted ones (a job
-// that ends before it is submitted) included, and random event times in
-// order, zero to four events.
+// TestSpanMatchesEventWalk pins NewDatasetFromViews' window, which
+// widens the jobs' window by the first and the last event only, to the
+// else-if walk over every event it stands for: on random job windows,
+// inverted ones (a job that ends before it is submitted) included, and
+// random event times in order, zero to four events.
 func TestSpanMatchesEventWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)

@@ -74,9 +74,9 @@ func (in Incidents) JobIDs(i int) []int64 {
 }
 
 // locBase[l] is the first key-location code of level l. Code 0 is the
-// zero Location (the key of a rule without a spatial condition); the
-// system, the racks, midplanes, node boards and nodes follow, each level's
-// locations at their dense index (machine.Location.DenseIndex).
+// key of a rule without a spatial condition; the system, the racks,
+// midplanes, node boards and nodes follow, each level's locations at
+// their dense index (machine.Location.DenseIndex).
 var locBase = func() (b [machine.LevelNode + 1]uint32) {
 	next := uint32(1)
 	for l := machine.LevelSystem; l <= machine.LevelNode; l++ {
@@ -93,7 +93,7 @@ var locBase = func() (b [machine.LevelNode + 1]uint32) {
 // condition. Two locations get one code exactly when that part of their
 // keys is equal.
 func keyLocCode(code int32, spatial machine.Level) uint32 {
-	if spatial <= machine.LevelSystem || code == 0 {
+	if spatial <= machine.LevelSystem {
 		return 0
 	}
 	loc := locOfCode(code)

@@ -268,8 +268,9 @@ func TestSeverityViewsPartition(t *testing.T) {
 // TestInternKeysMatchReference requires the packed uint64 keys to assign
 // the struct-keyed interning's ids, in first-appearance order, at every
 // spatial level: on the corpus's FATAL and WARN views, and on events that
-// mix the zero Location with the system, a rack, its midplanes, boards and
-// nodes, across two messages that share a category. The same mixed events
+// mix the zero Location with the system (one location: the view holds
+// both as the system), a rack, its midplanes, boards and nodes, across
+// two messages that share a category. The same mixed events
 // are also read through a view whose message-id and category dictionaries
 // list their first string twice (a pack image may), with every other row
 // on the duplicate code.
@@ -297,6 +298,14 @@ func TestInternKeysMatchReference(t *testing.T) {
 		mixed = append(mixed, raslog.Event{MsgID: msg, Cat: raslog.CatMemory, Sev: raslog.Warn, Loc: locs[(i*5)%len(locs)]})
 	}
 	mixedIdx := severityIndex(mixed, raslog.Warn)
+	// The view holds the zero Location as the system, which it is, so the
+	// reference reads it as the system too.
+	mixedRef := append([]raslog.Event(nil), mixed...)
+	for i := range mixedRef {
+		if mixedRef[i].Loc == (machine.Location{}) {
+			mixedRef[i].Loc = machine.System()
+		}
+	}
 	dup := BuildEventView(mixed)
 	dup.MsgIDs = append(dup.MsgIDs, dup.MsgIDs[0])
 	dup.Cats = append(dup.Cats, dup.Cats[0])
@@ -318,8 +327,8 @@ func TestInternKeysMatchReference(t *testing.T) {
 			}{
 				"fatal":            {d.EventView(), recs, d.fatalIdx},
 				"warn":             {d.EventView(), recs, severityIndex(recs, raslog.Warn)},
-				"mixed":            {BuildEventView(mixed), mixed, mixedIdx},
-				"duplicated codes": {dup, mixed, mixedIdx},
+				"mixed":            {BuildEventView(mixed), mixedRef, mixedIdx},
+				"duplicated codes": {dup, mixedRef, mixedIdx},
 			} {
 				got, want := internKeys(in.view, in.idx, rule), referenceInternKeys(in.events, in.idx, rule)
 				if !reflect.DeepEqual(got, want) {

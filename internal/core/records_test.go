@@ -28,9 +28,9 @@ func byTime(events []raslog.Event) []raslog.Event {
 
 // edgeEvents are hand-made rows at the edges of every event column: the
 // zero Location next to the system's, record and job ids at the int64
-// limits, job id 0, counts at the int32 limits (MaxInt32 is the largest
-// the pack allows), the severities and times beyond the years a
-// time.Duration spans. They are listed out of time order.
+// limits, job id 0, counts at both ends of [0, 2^31), every severity and
+// times beyond the years a time.Duration spans. They are listed out of
+// time order.
 func edgeEvents(t testing.TB) []raslog.Event {
 	t.Helper()
 	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -41,11 +41,11 @@ func edgeEvents(t testing.TB) []raslog.Event {
 	return []raslog.Event{
 		{RecID: math.MaxInt64, MsgID: "00040003", Comp: raslog.CompDDR, Cat: raslog.CatMemory, Sev: raslog.Fatal,
 			Time: t0.Add(time.Hour), Loc: node, JobID: math.MaxInt64, Count: math.MaxInt32, Message: "last"},
-		{RecID: math.MinInt64, MsgID: "", Comp: "", Cat: "", Sev: 0,
-			Time: t0, Loc: machine.Location{}, JobID: math.MinInt64, Count: math.MinInt32, Message: ""},
+		{RecID: math.MinInt64, MsgID: "", Comp: "", Cat: "", Sev: raslog.Info,
+			Time: t0, Loc: machine.Location{}, JobID: math.MinInt64, Count: 0, Message: ""},
 		{RecID: 0, MsgID: "00240001", Comp: raslog.CompMMCS, Cat: raslog.CatInfra, Sev: raslog.Info,
 			Time: t0, Loc: machine.System(), JobID: 0, Count: 0, Message: "same second, listed after"},
-		{RecID: 5, MsgID: "00040003", Comp: raslog.CompDDR, Cat: raslog.CatMemory, Sev: math.MaxUint8,
+		{RecID: 5, MsgID: "00040003", Comp: raslog.CompDDR, Cat: raslog.CatMemory, Sev: raslog.Warn,
 			Time: time.Date(2500, 6, 1, 12, 0, 0, 0, time.UTC), Loc: machine.Location{}, JobID: -1, Count: 1, Message: "last"},
 		{RecID: 6, MsgID: "00080003", Comp: raslog.CompND, Cat: raslog.CatNetwork, Sev: raslog.Warn,
 			Time: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), Loc: node, JobID: 1, Count: 2, Message: "first"},
@@ -55,7 +55,8 @@ func edgeEvents(t testing.TB) []raslog.Event {
 // TestEventRecordsRoundTrip is the record-rebuild oracle: EventRecords
 // must deep-equal the time-sorted records the Dataset was built from, for
 // the generated corpus, the same corpus read back from CSV, and the
-// hand-made edge rows.
+// hand-made edge rows. The view holds the zero Location as the system, so
+// that row comes back as machine.System().
 func TestEventRecordsRoundTrip(t *testing.T) {
 	c, err := sim.Generate(sim.SmallConfig())
 	if err != nil {
@@ -83,6 +84,11 @@ func TestEventRecordsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got, want := d.EventRecords(), byTime(tc.events)
+		for i := range want {
+			if want[i].Loc == (machine.Location{}) {
+				want[i].Loc = machine.System()
+			}
+		}
 		if !reflect.DeepEqual(got, want) {
 			for i := range want {
 				if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
@@ -125,6 +131,29 @@ func TestNewDatasetRejectsNarrowColumns(t *testing.T) {
 		_, err := NewDataset(jobs, nil, []raslog.Event{e}, nil)
 		if err == nil || !strings.Contains(err.Error(), "event "+strconv.FormatInt(e.RecID, 10)+":") {
 			t.Errorf("event %+v: error %v, want one naming the event", e, err)
+		}
+	}
+}
+
+// TestNewDatasetRejectsOutOfRangeEvents pins the view check's rejection
+// of event values that fit their columns but not the log: severities
+// outside Info..Fatal and a negative count, each an error naming the
+// record, its view row, the field and the value.
+func TestNewDatasetRejectsOutOfRangeEvents(t *testing.T) {
+	jobs := []joblog.Job{{ID: 1}}
+	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		e    raslog.Event
+		want string
+	}{
+		{raslog.Event{RecID: math.MinInt64, Time: t0, Sev: 0}, "core: event -9223372036854775808 (events row 0): severity 0 out of range"},
+		{raslog.Event{RecID: 5, Time: t0, Sev: math.MaxUint8, Count: 1}, "core: event 5 (events row 0): severity 255 out of range"},
+		{raslog.Event{RecID: 7, Time: t0, Sev: raslog.Fatal, Count: math.MinInt32}, "core: event 7 (events row 0): event count -2147483648 out of range [0, 2^31)"},
+		{raslog.Event{RecID: 8, Time: t0, Sev: raslog.Info, Count: -1}, "core: event 8 (events row 0): event count -1 out of range [0, 2^31)"},
+	} {
+		_, err := NewDataset(jobs, nil, []raslog.Event{tc.e}, nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("event %+v: error %v, want %q", tc.e, err, tc.want)
 		}
 	}
 }
@@ -278,22 +307,24 @@ func TestJobTaskRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewDatasetRejectsOutOfRangeCounts pins the count bound NewDataset
-// shares with the mirapack loader (CountInRange): a negative or a 2^31 s
-// walltime, and negative node, ranks-per-node, task and task node counts
-// fit their columns but not the bound, and each is an error naming its
-// record, so every dataset NewDataset accepts reads back from a pack.
+// TestNewDatasetRejectsOutOfRangeCounts pins the count bound of the
+// view check (CountInRange), which a mirapack load applies through the
+// same check: a negative or a 2^31 s walltime, and negative node,
+// ranks-per-node, task and task node counts fit their columns but not the
+// bound, and each is an error naming its record, its view row, the field
+// and the value, so every dataset NewDataset accepts reads back from a
+// pack.
 func TestNewDatasetRejectsOutOfRangeCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		edit       func(*joblog.Job, *tasklog.Task)
 	}{
-		{"negative walltime", "job 20: requested walltime -1h0m0s is outside [0, 2^31) seconds", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = -time.Hour }},
-		{"walltime 2^31 s", "job 20: requested walltime 596523h14m8s is outside [0, 2^31) seconds", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = 1 << 31 * time.Second }},
-		{"negative nodes", "job 20: node count -512 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.Nodes = -512 }},
-		{"negative ranks", "job 20: ranks per node -1 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.RanksPerNode = -1 }},
-		{"negative tasks", "job 20: task count -2 is outside [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.NumTasks = -2 }},
-		{"negative task nodes", "task 1: node count -1024 is outside [0, 2^31)", func(_ *joblog.Job, k *tasklog.Task) { k.Nodes = -1024 }},
+		{"negative walltime", "job 20 (jobs row 1): walltime -3600 out of range [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = -time.Hour }},
+		{"walltime 2^31 s", "job 20 (jobs row 1): walltime 2147483648 out of range [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.WalltimeReq = 1 << 31 * time.Second }},
+		{"negative nodes", "job 20 (jobs row 1): node count -512 out of range [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.Nodes = -512 }},
+		{"negative ranks", "job 20 (jobs row 1): ranks-per-node -1 out of range [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.RanksPerNode = -1 }},
+		{"negative tasks", "job 20 (jobs row 1): task count -2 out of range [0, 2^31)", func(j *joblog.Job, _ *tasklog.Task) { j.NumTasks = -2 }},
+		{"negative task nodes", "task 1 (tasks row 0): node count -1024 out of range [0, 2^31)", func(_ *joblog.Job, k *tasklog.Task) { k.Nodes = -1024 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			jobs, tasks, io := splitRunCorpus()

@@ -145,21 +145,14 @@ func (m dict) intern(table *[]string, s string) int32 {
 }
 
 // locCode returns the event view's code of a location (scan.EventView
-// LocCode): its machine.Location.Code, or 0 for the zero Location, which
-// Code does not tell apart from the system.
-func locCode(loc machine.Location) int32 {
-	if loc == (machine.Location{}) {
-		return 0
-	}
-	return int32(loc.Code())
-}
+// LocCode): its machine.Location.Code. The zero Location, which Code
+// folds into the system's, gets the system's code and reads back as
+// machine.System(), as from a mirapack file.
+func locCode(loc machine.Location) int32 { return int32(loc.Code()) }
 
-// locOfCode reverses locCode. View codes are locCode values or codes the
-// mirapack loader validated, so the decode cannot fail.
+// locOfCode reverses locCode. A view's codes passed NewDatasetFromViews'
+// checks, so the decode cannot fail.
 func locOfCode(c int32) machine.Location {
-	if c == 0 {
-		return machine.Location{}
-	}
 	loc, _ := machine.LocationFromCode(uint32(c))
 	return loc
 }
@@ -216,7 +209,7 @@ func EventRecordsAt(v *scan.EventView, rows []int) []raslog.Event {
 
 // recordBuilder rebuilds records row by row, decoding a location code
 // only when it differs from the previous row's. Its zero value holds code
-// 0 and the zero Location, which locOfCode maps it to.
+// 0, which no checked view holds, so the first row decodes its code.
 type recordBuilder struct {
 	code int32
 	loc  machine.Location
@@ -306,18 +299,15 @@ func (d *Dataset) TaskRecords() []tasklog.Task {
 }
 
 // LocIDs maps a location to its dense midplane and rack ids, -1 where the
-// location is coarser than the level. The mirapack loader checks the
-// stored midplane and rack columns against it.
+// location is coarser than the level. NewDatasetFromViews checks the
+// event view's midplane and rack columns against it.
 func LocIDs(loc machine.Location) (midplane, rack int32) {
 	midplane, rack = -1, -1
-	lvl := loc.Level()
-	if lvl >= machine.LevelRack {
+	if lvl := loc.Level(); lvl >= machine.LevelMidplane {
 		rack = int32(loc.RackIndex())
-	}
-	if lvl >= machine.LevelMidplane {
-		if id, err := loc.MidplaneID(); err == nil {
-			midplane = int32(id)
-		}
+		midplane = rack*machine.MidplanesPerRack + int32(loc.MidplaneOrdinal())
+	} else if lvl == machine.LevelRack {
+		rack = int32(loc.RackIndex())
 	}
 	return midplane, rack
 }

@@ -131,6 +131,9 @@ func TestLoadRejectsCorruptColumns(t *testing.T) {
 		{"severity 4", "section events row 2: severity 4 out of range", edit(secEvents, &ev, func([]byte) { ev.Sev[2] = 4 })},
 		{"location code 2^19", "location code 524288 out of range", edit(secEvents, &ev, func([]byte) { ev.LocCode[3] = 1 << 19 })},
 		{"location code 0", "section events row 3: machine: location code", edit(secEvents, &ev, func([]byte) { ev.LocCode[3] = 0 })},
+		{"location code -1 first", "section events row 0: location code -1 out of range", edit(secEvents, &ev, func([]byte) {
+			ev.LocCode[0], ev.MidplaneID[0], ev.RackID[0] = -1, -1, -1
+		})},
 		{"midplane", "do not match location code", edit(secEvents, &ev, func([]byte) { ev.MidplaneID[3] += 2 })},
 		{"rack", "do not match location code", edit(secEvents, &ev, func([]byte) { ev.RackID[3] = -9 })},
 		{"event count", "event count -1 out of range", edit(secEvents, &ev, func([]byte) { ev.Count[4] = -1 })},

@@ -14,7 +14,6 @@ import (
 	"repro/internal/joblog"
 	"repro/internal/pack"
 	"repro/internal/raslog"
-	"repro/internal/scan"
 	"repro/internal/sim"
 	"repro/internal/tasklog"
 )
@@ -180,29 +179,5 @@ func BenchmarkLoadPack(b *testing.B) {
 	}
 	if mapped := heldMapped - pack.MappedBytes(); mapped > 0 {
 		b.ReportMetric(float64(mapped)/(1<<20), "mapped_MB")
-	}
-}
-
-// BenchmarkLoadPackEventsOnly measures the mirafilter fast path: adopting
-// just the RAS events section of the snapshot as its column view.
-func BenchmarkLoadPackEventsOnly(b *testing.B) {
-	dir := benchCorpusDir(b)
-	path := pack.SnapshotPath(dir)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var v *scan.EventView
-	var err error
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		v = nil
-		runtime.GC()
-		b.StartTimer()
-		v, err = pack.ReadEventsFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v.N == 0 {
-			b.Fatal("no events")
-		}
 	}
 }

@@ -6,11 +6,8 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/iolog"
-	"repro/internal/joblog"
 	"repro/internal/machine"
-	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
@@ -347,150 +344,21 @@ func adoptColumns[V any](r *reader, v *V, cols []column[V]) (int, error) {
 	return n, nil
 }
 
-// rowErr reports a stored value that fails its column's check.
-func rowErr(section string, row int, format string, args ...any) error {
-	return fmt.Errorf("pack: section %s row %d: %s", section, row, fmt.Sprintf(format, args...))
-}
-
-// codeErr reports a dictionary code outside its table.
-func codeErr(section, column string, row int, code int32, n int) error {
-	return rowErr(section, row, "%s code %d out of range [0,%d)", column, code, n)
-}
-
-// loadJobs adopts the jobs section into a job view and validates it in
-// one pass: dictionary codes, the count-like columns, and the duration,
-// core-second and family columns against their derivation.
-func loadJobs(payload []byte) (*scan.JobView, error) {
-	v := &scan.JobView{}
-	n, err := adoptColumns(&reader{name: "jobs", b: aligned(payload)}, v, jobColumns[:])
+// adoptSection verifies the checksum of the first section with the
+// given id and adopts its columns into v, returning the row count.
+func adoptSection[V any](sections []section, id uint32, v *V, cols []column[V]) (int, error) {
+	payload, err := findSection(sections, id)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	v.N = n
-	users, projects, queues := uint32(len(v.Users)), uint32(len(v.Projects)), uint32(len(v.Queues))
-	lastExit, lastFamily := int32(0), joblog.FamilyCodeOf(0)
-	for i := 0; i < n; i++ {
-		switch {
-		case uint32(v.UserID[i]) >= users:
-			return nil, codeErr("jobs", "user", i, v.UserID[i], len(v.Users))
-		case uint32(v.ProjectID[i]) >= projects:
-			return nil, codeErr("jobs", "project", i, v.ProjectID[i], len(v.Projects))
-		case uint32(v.QueueID[i]) >= queues:
-			return nil, codeErr("jobs", "queue", i, v.QueueID[i], len(v.Queues))
-		case !core.CountInRange(v.WalltimeSec[i]):
-			return nil, rowErr("jobs", i, "walltime %d out of range [0, 2^31)", v.WalltimeSec[i])
-		case !core.CountInRange(int64(v.Nodes[i])):
-			return nil, rowErr("jobs", i, "node count %d out of range [0, 2^31)", v.Nodes[i])
-		case !core.CountInRange(int64(v.RanksPerNode[i])):
-			return nil, rowErr("jobs", i, "ranks-per-node %d out of range [0, 2^31)", v.RanksPerNode[i])
-		case !core.CountInRange(int64(v.NumTasks[i])):
-			return nil, rowErr("jobs", i, "task count %d out of range [0, 2^31)", v.NumTasks[i])
-		}
-		dur := v.EndUnix[i] - v.StartUnix[i]
-		if v.DurSec[i] != dur || v.CoreSec[i] != int64(v.Nodes[i])*16*dur {
-			return nil, rowErr("jobs", i, "duration %d and core seconds %d do not match the times and node count", v.DurSec[i], v.CoreSec[i])
-		}
-		if e := v.Exit[i]; e != lastExit {
-			lastExit, lastFamily = e, joblog.FamilyCodeOf(int(e))
-		}
-		if v.Family[i] != lastFamily {
-			return nil, rowErr("jobs", i, "family %d does not match exit status %d", v.Family[i], v.Exit[i])
-		}
-	}
-	return v, nil
-}
-
-// loadTasks adopts the tasks section into a task view and validates its
-// block codes and node counts.
-func loadTasks(payload []byte) (*scan.TaskView, error) {
-	v := &scan.TaskView{}
-	n, err := adoptColumns(&reader{name: "tasks", b: aligned(payload)}, v, taskColumns[:])
-	if err != nil {
-		return nil, err
-	}
-	v.N = n
-	// Block codes repeat heavily (a few hundred distinct blocks), so each
-	// run of one code is validated once.
-	lastBlock := -1
-	for i := 0; i < n; i++ {
-		if code := int(v.Block[i]); code != lastBlock {
-			if _, err := machine.BlockFromCode(uint32(code)); err != nil {
-				return nil, rowErr("tasks", i, "%v", err)
-			}
-			lastBlock = code
-		}
-		if !core.CountInRange(int64(v.Nodes[i])) {
-			return nil, rowErr("tasks", i, "node count %d out of range [0, 2^31)", v.Nodes[i])
-		}
-	}
-	return v, nil
-}
-
-// loadEvents adopts the events section into an event view and validates
-// it in one pass that also checks the time order and splits the events
-// by severity, the index core.IndexEvents would derive.
-func loadEvents(payload []byte) (*scan.EventView, core.EventIndex, error) {
-	v := &scan.EventView{}
-	var x core.EventIndex
-	n, err := adoptColumns(&reader{name: "events", b: aligned(payload)}, v, eventColumns[:])
-	if err != nil {
-		return nil, x, err
-	}
-	v.N = n
-	msgIDs, comps, cats, msgs := uint32(len(v.MsgIDs)), uint32(len(v.Comps)), uint32(len(v.Cats)), uint32(len(v.Messages))
-	// Location codes are high-cardinality (events land on any of 49k
-	// nodes), but neighbouring events often share one, so a code is
-	// decoded only when it differs from the previous row's.
-	lastCode := int32(-1)
-	lastMid, lastRack := int32(-1), int32(-1)
-	for i := 0; i < n; i++ {
-		switch {
-		case uint32(v.MsgID[i]) >= msgIDs:
-			return nil, x, codeErr("events", "message id", i, v.MsgID[i], len(v.MsgIDs))
-		case uint32(v.CompID[i]) >= comps:
-			return nil, x, codeErr("events", "component", i, v.CompID[i], len(v.Comps))
-		case uint32(v.CatID[i]) >= cats:
-			return nil, x, codeErr("events", "category", i, v.CatID[i], len(v.Cats))
-		case uint32(v.Msg[i]) >= msgs:
-			return nil, x, codeErr("events", "message", i, v.Msg[i], len(v.Messages))
-		case !core.CountInRange(int64(v.Count[i])):
-			return nil, x, rowErr("events", i, "event count %d out of range [0, 2^31)", v.Count[i])
-		case i > 0 && v.TimeUnix[i] < v.TimeUnix[i-1]:
-			return nil, x, rowErr("events", i, "event %d at unix %d precedes the event before it (unix %d): events are not in time order", v.RecID[i], v.TimeUnix[i], v.TimeUnix[i-1])
-		}
-		if code := v.LocCode[i]; code != lastCode {
-			if uint32(code) >= 1<<19 {
-				return nil, x, rowErr("events", i, "location code %d out of range [0,%d)", code, 1<<19)
-			}
-			l, err := machine.LocationFromCode(uint32(code))
-			if err != nil {
-				return nil, x, rowErr("events", i, "%v", err)
-			}
-			lastCode = code
-			lastMid, lastRack = core.LocIDs(l)
-		}
-		if v.MidplaneID[i] != lastMid || v.RackID[i] != lastRack {
-			return nil, x, rowErr("events", i, "midplane %d and rack %d do not match location code %d", v.MidplaneID[i], v.RackID[i], lastCode)
-		}
-		switch raslog.Severity(v.Sev[i]) {
-		case raslog.Fatal:
-			x.Fatal = append(x.Fatal, i)
-		case raslog.Warn:
-			x.Warn = append(x.Warn, i)
-		case raslog.Info:
-			x.InfoN++
-		default:
-			return nil, core.EventIndex{}, rowErr("events", i, "severity %d out of range", v.Sev[i])
-		}
-	}
-	return v, x, nil
+	return adoptColumns(&reader{name: sectionName(id), b: aligned(payload)}, v, cols)
 }
 
 // loadIO adopts the io section's columns and rebuilds the records from
 // them: the dataset keeps its I/O as records.
-func loadIO(payload []byte) ([]iolog.Record, error) {
+func loadIO(sections []section) ([]iolog.Record, error) {
 	var c ioView
-	n, err := adoptColumns(&reader{name: "io", b: aligned(payload)}, &c, ioColumns[:])
+	n, err := adoptSection(sections, secIO, &c, ioColumns[:])
 	if err != nil {
 		return nil, err
 	}

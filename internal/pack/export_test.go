@@ -3,6 +3,7 @@ package pack
 import (
 	"repro/internal/core"
 	"repro/internal/raslog"
+	"repro/internal/scan"
 )
 
 // EncodeEvents writes an events section from records, through the event
@@ -15,14 +16,17 @@ func EncodeEvents(events []raslog.Event) []byte {
 	return w.buf
 }
 
-// DecodeEventRecords loads an events-section payload and rebuilds its
-// records from the loaded view.
+// DecodeEventRecords adopts an events-section payload and rebuilds its
+// records from the adopted view, which it does not check: the payload
+// must hold the columns of a checked view, as EncodeEvents writes them.
 func DecodeEventRecords(payload []byte) ([]raslog.Event, error) {
-	v, _, err := loadEvents(payload)
+	var v scan.EventView
+	n, err := adoptColumns(&reader{name: "events", b: aligned(payload)}, &v, eventColumns[:])
 	if err != nil {
 		return nil, err
 	}
-	return core.EventRecordsOf(v), nil
+	v.N = n
+	return core.EventRecordsOf(&v), nil
 }
 
 // The version 3 oracle (v3_oracle_test.go), for the external tests.

@@ -11,8 +11,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/joblog"
+	"repro/internal/machine"
 	"repro/internal/pack"
 	"repro/internal/raslog"
+	"repro/internal/tasklog"
 )
 
 // Snapshot envelope geometry (see the layout comment in pack.go).
@@ -123,17 +125,29 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// The severity views index the event rows directly in every
-		// FATAL/WARN pass.
-		x := d.EventIndex()
+		// FATAL/WARN pass: the incidents of each hold all its events, and
+		// each incident starts at an event of its severity.
 		sev := d.EventView().Sev
-		for _, idx := range x.Fatal {
-			if raslog.Severity(sev[idx]) != raslog.Fatal {
-				t.Fatalf("FATAL view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
+		for s, filter := range map[raslog.Severity]func(core.FilterRule) (core.Incidents, error){
+			raslog.Fatal: d.FilterFatal, raslog.Warn: d.FilterWarn} {
+			in, err := filter(core.DefaultFilterRule())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, idx := range x.Warn {
-			if raslog.Severity(sev[idx]) != raslog.Warn {
-				t.Fatalf("WARN view holds event %d of severity %v", idx, raslog.Severity(sev[idx]))
+			want, got := 0, 0
+			for _, x := range sev {
+				if raslog.Severity(x) == s {
+					want++
+				}
+			}
+			for i := 0; i < in.Len(); i++ {
+				got += int(in.Events[i])
+				if raslog.Severity(sev[in.Row[i]]) != s {
+					t.Fatalf("%v view holds event %d of severity %v", s, in.Row[i], raslog.Severity(sev[in.Row[i]]))
+				}
+			}
+			if got != want {
+				t.Fatalf("%v view holds %d events, the severity column %d", s, got, want)
 			}
 		}
 		records := d.EventRecords()
@@ -150,6 +164,58 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again.JobRecords(), d.JobRecords()) || !reflect.DeepEqual(again.TaskRecords(), d.TaskRecords()) ||
 			!reflect.DeepEqual(again.EventRecords(), records) {
+			t.Fatal("records differ after a Marshal/Unmarshal round trip")
+		}
+	})
+}
+
+// FuzzDatasetRoundTrip builds a job, its task and up to four events from
+// fuzz values: the task's block code and node count, and per event (ten
+// bytes each) its severity, a time offset in seconds, its count and its
+// location code (a code machine.LocationFromCode rejects gives the zero
+// Location). Whatever NewDataset accepts must read back from its own
+// pack: Unmarshal(Marshal(d)) succeeds, and its job, task and event
+// records deep-equal d's.
+func FuzzDatasetRoundTrip(f *testing.F) {
+	event := func(sev uint8, dt uint8, count int32, loc uint32) []byte {
+		b := []byte{sev, dt}
+		b = binary.LittleEndian.AppendUint32(b, uint32(count))
+		return binary.LittleEndian.AppendUint32(b, loc)
+	}
+	node, err := machine.Node(47, 1, 15, 31)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint16(0x0002), int32(1024), append(event(uint8(raslog.Fatal), 9, 1, node.Code()), event(uint8(raslog.Info), 0, 0, machine.System().Code())...))
+	f.Add(uint16(0x0002), int32(1024), event(uint8(raslog.Warn), 3, -1, node.Code()))
+	f.Add(uint16(0x0000), int32(512), event(0, 0, math.MaxInt32, 0))
+	f.Add(uint16(0x0060), int32(-1), event(4, 0, math.MinInt32, 1<<19))
+	f.Fuzz(func(t *testing.T, block uint16, nodes int32, raw []byte) {
+		t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+		jobs := []joblog.Job{{ID: 1, User: "u", Project: "p", Queue: "q", Submit: t0, Start: t0, End: t0.Add(time.Hour),
+			WalltimeReq: time.Hour, Nodes: int(nodes), RanksPerNode: 16, NumTasks: 1}}
+		tasks := []tasklog.Task{{ID: 1, JobID: 1, Block: machine.Block{BaseMidplane: int(block >> 8), Midplanes: int(block & 0xff)},
+			Start: t0, End: t0.Add(time.Hour), Nodes: int(nodes)}}
+		var events []raslog.Event
+		for i := 0; i+10 <= len(raw) && len(events) < 4; i += 10 {
+			loc, err := machine.LocationFromCode(binary.LittleEndian.Uint32(raw[i+6:]))
+			if err != nil {
+				loc = machine.Location{}
+			}
+			events = append(events, raslog.Event{RecID: int64(i), MsgID: "00040003", Sev: raslog.Severity(raw[i]),
+				Time: t0.Add(time.Duration(raw[i+1]) * time.Second), Loc: loc, JobID: 1,
+				Count: int(int32(binary.LittleEndian.Uint32(raw[i+2:])))})
+		}
+		d, err := core.NewDataset(jobs, tasks, events, nil)
+		if err != nil {
+			return
+		}
+		back, err := pack.Unmarshal(pack.Marshal(d))
+		if err != nil {
+			t.Fatalf("NewDataset accepts the records, but their pack does not load: %v", err)
+		}
+		if !reflect.DeepEqual(back.JobRecords(), d.JobRecords()) || !reflect.DeepEqual(back.TaskRecords(), d.TaskRecords()) ||
+			!reflect.DeepEqual(back.EventRecords(), d.EventRecords()) {
 			t.Fatal("records differ after a Marshal/Unmarshal round trip")
 		}
 	})

@@ -4,9 +4,9 @@
 // columns of scan.JobView, scan.TaskView and scan.EventView in their
 // in-memory layout, so a load maps the file read-only and adopts each
 // column as a slice over the mapping. Nothing is decoded or zeroed; one
-// validation pass per section checks every stored value, which is what
-// makes repeated mirareport/mirad/calibrate invocations over a 2001-day
-// corpus cheap.
+// check pass per view checks every stored value, which is what makes
+// repeated mirareport/mirad/calibrate invocations over a 2001-day corpus
+// cheap.
 //
 // # Layout (version 4)
 //
@@ -27,21 +27,21 @@
 // 8, so every column starts 8-aligned and the writer's output is a
 // function of the dataset alone. The derived columns (job duration,
 // core-seconds and exit family, event midplane and rack) are stored too,
-// so a load allocates no column, and checked against their derivation.
-// I/O is seven int64 columns, rebuilt into records at load.
+// so a load allocates no column, and core checks them against their
+// derivation. I/O is seven int64 columns, rebuilt into records at load.
 //
 // # Validation
 //
-// A load keeps every bound the version 3 decoder enforced and fails with
-// a "pack: section …" error, never a panic or a partial dataset: every
-// section checksum; exactly N rows per column and no trailing bytes;
-// dictionary codes below their table's length; severities in Info..Fatal;
-// location codes below 2^19 that machine.LocationFromCode accepts, with
-// the midplane and rack ids core.LocIDs gives them; task block codes that
-// machine.BlockFromCode accepts; walltimes, node, ranks-per-node, task and
-// event counts in core.CountInRange; the derived job columns equal to
-// their formulas; and events in time order. core.NewDataset applies the
-// same count bound to jobs and tasks, so their rows always read back.
+// What a job, task and event log may hold is core's to decide: a load
+// hands the adopted views to core.NewDatasetFromViews, whose row checks
+// are the ones every Dataset passes, however it was built. The pack adds
+// only the format's checks: the header, every section checksum, exactly
+// N rows per column, zero padding and no trailing bytes. A load fails
+// with a "pack: …" error, never a panic or a partial dataset. A format
+// error comes before any value error; each kind is reported for
+// the first failing section in the order events, jobs, tasks, I/O, and a
+// value error names its section and row, as in "pack: section events
+// row 4: event count -1 out of range [0, 2^31)".
 //
 // DESIGN.md §10 specifies the format and its stability rules.
 package pack
@@ -49,11 +49,13 @@ package pack
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -269,27 +271,40 @@ func sectionName(id uint32) string {
 // a big-endian host) gets its sections copied into aligned buffers
 // instead, with the same result.
 //
-// Two goroutines share the load with no serial tail. One verifies the
-// events section's checksum and validates the events in one pass that
-// also checks their time order and splits them by severity. The other
-// does the same for the jobs, tasks and I/O, then builds the job index,
-// the per-job task index and the I/O rows (core.IndexJobs). The error
-// returned is the first in the order events, jobs, tasks, I/O, whichever
-// goroutine finished first.
+// The load does the format work and leaves every value to
+// core.NewDatasetFromViews. Two goroutines of about equal work verify the
+// checksums and adopt the columns: one of the events and tasks sections,
+// the other of the jobs and I/O sections and any section the format does
+// not define (its checksum only). The views they adopt go to
+// core.NewDatasetFromViews, which checks and indexes them on two
+// goroutines again. A format error comes before any value error, and
+// each kind is reported for the first failing section in the order
+// events, jobs, tasks, I/O, whichever goroutine finished first.
 func Unmarshal(data []byte) (*core.Dataset, error) {
 	sections, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	var ev *scan.EventView
-	var ei core.EventIndex
-	var ji core.JobIndex
-	var errs [2]error
+	var jv scan.JobView
+	var tv scan.TaskView
+	var ev scan.EventView
+	var ioRecs []iolog.Record
+	// errs holds each section's error in the order events, jobs, tasks,
+	// I/O, undefined sections. Each goroutine takes its sections in that
+	// order and stops at its first error, so the first error in errs is
+	// the first failing section whichever goroutine finished first.
+	var errs [5]error
 	if err := par.ForEach(context.Background(), 2, 2, func(i int) error {
 		if i == 0 {
-			ev, ei, errs[0] = loadEventSection(sections)
-		} else {
-			ji, errs[1] = loadJobSections(sections)
+			if ev.N, errs[0] = adoptSection(sections, secEvents, &ev, eventColumns[:]); errs[0] == nil {
+				tv.N, errs[2] = adoptSection(sections, secTasks, &tv, taskColumns[:])
+			}
+			return nil
+		}
+		if jv.N, errs[1] = adoptSection(sections, secJobs, &jv, jobColumns[:]); errs[1] == nil {
+			if ioRecs, errs[3] = loadIO(sections); errs[3] == nil {
+				errs[4] = verifyUndefined(sections)
+			}
 		}
 		return nil
 	}); err != nil {
@@ -300,56 +315,32 @@ func Unmarshal(data []byte) (*core.Dataset, error) {
 			return nil, err
 		}
 	}
-	d, err := ji.WithEvents(ev, ei)
+	d, err := core.NewDatasetFromViews(ioRecs, &jv, &tv, &ev)
 	if err != nil {
-		return nil, fmt.Errorf("pack: %w", err)
+		var ve *core.ViewError
+		switch {
+		case !errors.As(err, &ve):
+			return nil, fmt.Errorf("pack: %w", err)
+		case ve.Row < 0:
+			return nil, fmt.Errorf("pack: section %s: %w", ve.Log, err)
+		default:
+			return nil, fmt.Errorf("pack: section %s row %d: %w", ve.Log, ve.Row, ve.Err)
+		}
 	}
 	return d, nil
 }
 
-// loadEventSection loads and validates the events section.
-func loadEventSection(sections []section) (*scan.EventView, core.EventIndex, error) {
-	payload, err := findSection(sections, secEvents)
-	if err != nil {
-		return nil, core.EventIndex{}, err
-	}
-	return loadEvents(payload)
-}
-
-// loadJobSections loads and validates the jobs, tasks and I/O sections,
-// verifies the checksums of any other sections, and indexes the jobs.
-func loadJobSections(sections []section) (core.JobIndex, error) {
-	var jv *scan.JobView
-	var tv *scan.TaskView
-	var ioRecs []iolog.Record
-	for _, s := range []struct {
-		id   uint32
-		load func(payload []byte) error
-	}{
-		{secJobs, func(p []byte) (err error) { jv, err = loadJobs(p); return }},
-		{secTasks, func(p []byte) (err error) { tv, err = loadTasks(p); return }},
-		{secIO, func(p []byte) (err error) { ioRecs, err = loadIO(p); return }},
-	} {
-		payload, err := findSection(sections, s.id)
-		if err != nil {
-			return core.JobIndex{}, err
-		}
-		if err := s.load(payload); err != nil {
-			return core.JobIndex{}, err
-		}
-	}
+// verifyUndefined verifies the checksums of the sections of ids the
+// format does not define, whose payloads a load otherwise ignores.
+func verifyUndefined(sections []section) error {
 	for _, s := range sections {
 		if _, known := sectionNames[s.id]; !known {
 			if err := s.verify(); err != nil {
-				return core.JobIndex{}, err
+				return err
 			}
 		}
 	}
-	ji, err := core.IndexJobs(ioRecs, jv, tv)
-	if err != nil {
-		return core.JobIndex{}, fmt.Errorf("pack: section jobs: %w", err)
-	}
-	return ji, nil
+	return nil
 }
 
 // mappedBytes is the size of the snapshot mappings not yet retired.
@@ -366,7 +357,8 @@ func MappedBytes() int64 { return mappedBytes.Load() }
 // over the mapping; the dataset's event view owns the mapping, which is
 // retired (its pages released, the address range kept) once that view is
 // garbage. Replace a snapshot in use with WriteFile's rename, never by
-// truncating it.
+// truncating it. An error names the path once behind its "pack: "
+// prefix.
 func ReadFile(path string) (*core.Dataset, error) {
 	m, err := mapSnapshot(path)
 	if err != nil {
@@ -375,40 +367,10 @@ func ReadFile(path string) (*core.Dataset, error) {
 	d, err := Unmarshal(m.data)
 	if err != nil {
 		m.release()
-		return nil, fmt.Errorf("pack: %s: %w", path, err)
+		return nil, fmt.Errorf("pack: %s: %s", path, strings.TrimPrefix(err.Error(), "pack: "))
 	}
 	m.ownBy(d.EventView())
 	return d, nil
-}
-
-// UnmarshalEvents loads only the RAS events section of a snapshot, as
-// its column view over data — the streaming tools (mirafilter) need
-// nothing else. core.EventRecordsOf and core.EventRecordsAt rebuild
-// records from it.
-func UnmarshalEvents(data []byte) (*scan.EventView, error) {
-	sections, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := loadEventSection(sections)
-	return v, err
-}
-
-// ReadEventsFile loads only the RAS events from a snapshot file, as their
-// column view over a read-only mapping the view owns, as ReadFile's
-// dataset does.
-func ReadEventsFile(path string) (*scan.EventView, error) {
-	m, err := mapSnapshot(path)
-	if err != nil {
-		return nil, fmt.Errorf("pack: %w", err)
-	}
-	v, err := UnmarshalEvents(m.data)
-	if err != nil {
-		m.release()
-		return nil, fmt.Errorf("pack: %s: %w", path, err)
-	}
-	m.ownBy(v)
-	return v, nil
 }
 
 // SectionInfo describes one section of an inspected snapshot.

@@ -2,9 +2,11 @@ package pack_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,22 +260,43 @@ func TestPackLoadEqualsCSVLoad(t *testing.T) {
 	}
 }
 
-// TestReadEventsFile checks the events-only fast path mirafilter uses.
-func TestReadEventsFile(t *testing.T) {
+// TestLoadCSVDirRejectsNegativeCount loads a corpus directory whose
+// ras.csv holds an event count of -1: CSV parsing accepts it, but the
+// dataset's check must reject it with an error naming the event, as a
+// load of its pack would, so no pack is ever written from it.
+func TestLoadCSVDirRejectsNegativeCount(t *testing.T) {
 	d := trickyDataset(t)
-	path := filepath.Join(t.TempDir(), pack.SnapshotName)
-	if err := pack.WriteFile(path, d); err != nil {
+	jb, tb, _, ib := writeCSVs(t, d)
+	events := d.EventRecords()
+	events[1].Count = -1
+	var rb bytes.Buffer
+	if err := raslog.WriteCSV(&rb, events); err != nil {
 		t.Fatal(err)
 	}
-	v, err := pack.ReadEventsFile(path)
-	if err != nil {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"jobs.csv": jb, "tasks.csv": tb, "ras.csv": rb.Bytes(), "io.csv": ib} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := pack.LoadCSVDir(dir)
+	want := fmt.Sprintf("core: event %d (events row 1): event count -1 out of range [0, 2^31)", events[1].RecID)
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// TestReadFileErrorNamesPath reads a truncated snapshot file: the error
+// carries the "pack: " prefix once, then the path, then the load's error.
+func TestReadFileErrorNamesPath(t *testing.T) {
+	data := pack.Marshal(trickyDataset(t))
+	path := filepath.Join(t.TempDir(), "truncated.snapshot")
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v, d.EventView()) {
-		t.Fatal("events-only view differs from the dataset's event view")
-	}
-	if events := core.EventRecordsOf(v); !reflect.DeepEqual(events, d.EventRecords()) {
-		t.Fatal("events-only read differs from dataset events")
+	_, err := pack.ReadFile(path)
+	if err == nil || !strings.HasPrefix(err.Error(), "pack: "+path+": truncated snapshot: ") || strings.Count(err.Error(), "pack: ") != 1 {
+		t.Fatalf("error %v, want one \"pack: \" prefix, the path and the truncation", err)
 	}
 }
 

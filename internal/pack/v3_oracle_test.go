@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/iolog"
+	"repro/internal/raslog"
 	"repro/internal/scan"
 )
 
@@ -40,7 +41,8 @@ type indexSnapshotV3 struct {
 	Start, End time.Time
 }
 
-// exportIndexesV3 gathers the dataset's indexes section: the per-job
+// exportIndexesV3 gathers the dataset's indexes section: the severity
+// views come from the event view's severity column, and the per-job
 // event lists come from the event view's JobID column, in ascending job
 // id, each list in time order, orphan job ids included.
 func exportIndexesV3(d *core.Dataset) indexSnapshotV3 {
@@ -61,9 +63,19 @@ func exportIndexesV3(d *core.Dataset) indexSnapshotV3 {
 		jobEvents = append(jobEvents, jobEventsV3{JobID: id, Idx: attributed[k:j:j]})
 		k = j
 	}
-	x := d.EventIndex()
-	start, end := d.Span()
-	return indexSnapshotV3{FatalIdx: x.Fatal, WarnIdx: x.Warn, InfoN: x.InfoN, JobEvents: jobEvents, Start: start, End: end}
+	x := indexSnapshotV3{JobEvents: jobEvents}
+	for i, sev := range d.EventView().Sev {
+		switch raslog.Severity(sev) {
+		case raslog.Fatal:
+			x.FatalIdx = append(x.FatalIdx, i)
+		case raslog.Warn:
+			x.WarnIdx = append(x.WarnIdx, i)
+		default:
+			x.InfoN++
+		}
+	}
+	x.Start, x.End = d.Span()
+	return x
 }
 
 // marshalV3 writes the dataset as a version 3 image, from records
