@@ -1,7 +1,8 @@
 // Command mirad is the long-running serving daemon over one corpus
-// snapshot: it loads (or generates) a corpus once, pre-warms the scan
-// views and per-dimension bitmap selection indexes, and serves
-// concurrent JSON queries until shut down (DESIGN.md §15).
+// snapshot: it loads (or generates) a corpus once, pre-warms the
+// whole-corpus profile (each bitmap selection index builds on the first
+// query that reads it), and serves concurrent JSON queries until shut
+// down (DESIGN.md §15).
 //
 // Usage:
 //
@@ -77,8 +78,8 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("warm: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "mirad: warm in %v (%d index dims, %d index bytes)\n",
-		ws.Duration.Round(time.Millisecond), ws.IndexDims, ws.IndexBytes)
+	fmt.Fprintf(os.Stderr, "mirad: warm in %v (profile; each selection index builds on its first query)\n",
+		ws.Duration.Round(time.Millisecond))
 
 	hs := &http.Server{
 		Addr:              *addr,

@@ -113,6 +113,7 @@ func printInfo(path string) error {
 	if err != nil {
 		return err
 	}
+	d.BuildIndexes()
 	fmt.Printf("\nselection indexes (see mirareport -where)\n")
 	fmt.Printf("%-6s %-10s %8s %12s %12s\n", "table", "column", "keys", "rows", "bytes")
 	for _, s := range d.IndexStats() {

@@ -14,7 +14,11 @@
 // a scratch bitmap allocates nothing.
 package bitmap
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Container encodings. A chunk's container is chosen by size: an array
 // costs 2 bytes per value, a bitset a flat 8 KiB, a run list 4 bytes per
@@ -122,48 +126,48 @@ func (b *Bitmap) Add(x uint32) {
 	}
 }
 
-// FromSorted returns the bitmap of vals, which must be strictly
-// ascending. Each chunk's container is allocated once at its final size —
-// an array when the chunk holds at most arrayCutoff values, a bitset above
-// that — and then optimized as Optimize would, so the result holds the
-// same encodings as an Add-built bitmap after Optimize without the
-// append growth or the payload a promotion leaves behind.
-func FromSorted(vals []uint32) *Bitmap {
-	chunks := 0
-	for i, v := range vals {
-		if i == 0 || v>>16 != vals[i-1]>>16 {
-			chunks++
+// AppendChunk appends the chunk key holding the values key<<16 | low for
+// each low in lows, which must be strictly ascending; key must be above
+// every chunk key already present. The container is allocated once, at
+// its final size, in the encoding Optimize would choose for those values,
+// so a bitmap built chunk by chunk holds the same encodings and payloads
+// as an Add-built one after Optimize, without the append growth or the
+// payload a promotion leaves behind. Empty lows append nothing.
+func (b *Bitmap) AppendChunk(key uint16, lows []uint16) {
+	if n := len(b.keys); n > 0 && b.keys[n-1] >= key {
+		panic("bitmap: AppendChunk key not above the last chunk key")
+	}
+	n := len(lows)
+	if n == 0 {
+		return
+	}
+	runs := 1
+	for i := 1; i < n; i++ {
+		if lows[i] != lows[i-1]+1 {
+			runs++
 		}
 	}
-	b := &Bitmap{keys: make([]uint16, 0, chunks), ctrs: make([]container, 0, chunks)}
-	for len(vals) > 0 {
-		key := vals[0] >> 16
-		n := 1
-		for n < len(vals) && vals[n]>>16 == key {
-			n++
-		}
-		c := container{typ: arrayT, n: int32(n)}
-		if n <= arrayCutoff {
-			c.arr = make([]uint16, n)
-			for i, v := range vals[:n] {
-				c.arr[i] = uint16(v)
-			}
-		} else {
-			c.typ = bitsetT
-			c.bits = make([]uint64, bitsetWords)
-			for _, v := range vals[:n] {
-				c.bits[uint16(v)>>6] |= uint64(1) << (v & 63)
+	c := container{typ: encodingFor(n, runs), n: int32(n)}
+	switch c.typ {
+	case runT:
+		c.arr = make([]uint16, 0, 2*runs)
+		for i, v := range lows {
+			if i == 0 || v != lows[i-1]+1 {
+				c.arr = append(c.arr, v, v)
+			} else {
+				c.arr[len(c.arr)-1] = v
 			}
 		}
-		c.optimize()
-		if c.typ == runT {
-			c.bits = nil // the bitset a run list replaced
+	case arrayT:
+		c.arr = append([]uint16(nil), lows...)
+	default:
+		c.bits = make([]uint64, bitsetWords)
+		for _, v := range lows {
+			c.bits[v>>6] |= uint64(1) << (v & 63)
 		}
-		b.keys = append(b.keys, uint16(key))
-		b.ctrs = append(b.ctrs, c)
-		vals = vals[n:]
 	}
-	return b
+	b.keys = append(b.keys, key)
+	b.ctrs = append(b.ctrs, c)
 }
 
 // AddRange inserts every value in [lo, hi).
@@ -400,6 +404,29 @@ func (b *Bitmap) SizeBytes() int {
 	return n
 }
 
+// SameEncoding reports the first chunk in which a and b differ: in key,
+// container encoding, cardinality or payload (the array or run list, or the
+// bitset words), or nil when they hold the same containers. Storage
+// capacity and a payload an encoding change left behind are not compared.
+// Tests of the index builders use it to check a builder against Add and
+// Optimize.
+func SameEncoding(a, b *Bitmap) error {
+	if len(a.keys) != len(b.keys) {
+		return fmt.Errorf("bitmap: %d chunks against %d", len(a.keys), len(b.keys))
+	}
+	for i := range a.keys {
+		ca, cb := &a.ctrs[i], &b.ctrs[i]
+		if a.keys[i] != b.keys[i] || ca.typ != cb.typ || ca.n != cb.n {
+			return fmt.Errorf("bitmap: chunk %d is key %d type %d with %d values against key %d type %d with %d values",
+				i, a.keys[i], ca.typ, ca.n, b.keys[i], cb.typ, cb.n)
+		}
+		if ca.typ == bitsetT && !slices.Equal(ca.bits, cb.bits) || ca.typ != bitsetT && !slices.Equal(ca.arr, cb.arr) {
+			return fmt.Errorf("bitmap: chunk %d (key %d, type %d) payloads differ", i, a.keys[i], ca.typ)
+		}
+	}
+	return nil
+}
+
 // Optimize rewrites every container into its smallest encoding: run when
 // the run list is smaller than both alternatives, else array below the
 // cutoff, else bitset. Index builders call it once after the build; the
@@ -415,13 +442,10 @@ func (c *container) optimize() {
 		return
 	}
 	runs := c.countRuns()
-	runBytes := 4 * runs
-	arrBytes := 2 * int(c.n)
-	const bitsetBytes = 8 * bitsetWords
-	switch {
-	case runBytes < arrBytes && runBytes < bitsetBytes:
+	switch encodingFor(int(c.n), runs) {
+	case runT:
 		c.toRuns(runs)
-	case c.n <= arrayCutoff:
+	case arrayT:
 		if c.typ == bitsetT {
 			c.bitsetToArray()
 		} else if c.typ == runT {
@@ -434,6 +458,20 @@ func (c *container) optimize() {
 			c.runToBitset()
 		}
 	}
+}
+
+// encodingFor returns the smallest encoding of a chunk of n values in the
+// given number of runs: a run list when it is smaller than both
+// alternatives, else an array up to the cutoff, else a bitset.
+func encodingFor(n, runs int) uint8 {
+	const bitsetBytes = 8 * bitsetWords
+	switch runBytes := 4 * runs; {
+	case runBytes < 2*n && runBytes < bitsetBytes:
+		return runT
+	case n <= arrayCutoff:
+		return arrayT
+	}
+	return bitsetT
 }
 
 // countRuns returns the number of maximal runs of consecutive values.

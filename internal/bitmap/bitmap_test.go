@@ -466,12 +466,13 @@ func TestSelectProperty(t *testing.T) {
 	}
 }
 
-// TestFromSortedProperty checks FromSorted against the sorted-slice model
-// and against an Add-built bitmap after Optimize: the same values through
-// every read API, and chunk for chunk the same encoding and payload size.
-// The sets cover chunks of exactly arrayCutoff and arrayCutoff+1 values,
-// dense runs, and values on both sides of the 65535/65536 chunk seam.
-func TestFromSortedProperty(t *testing.T) {
+// TestAppendChunkProperty checks a bitmap built chunk by chunk with
+// AppendChunk against the sorted-slice model and against an Add-built
+// bitmap after Optimize: the same values through every read API, and chunk
+// for chunk the same key, encoding and payload. The sets cover chunks of
+// exactly arrayCutoff and arrayCutoff+1 values, dense runs, and values on
+// both sides of the 65535/65536 chunk seam.
+func TestAppendChunkProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sets := []refSet{{}}
 	for _, n := range []int{arrayCutoff - 1, arrayCutoff, arrayCutoff + 1} {
@@ -494,24 +495,59 @@ func TestFromSortedProperty(t *testing.T) {
 		sets = append(sets, randomRef(rng))
 	}
 	for i, r := range sets {
-		want := r.sorted()
-		b := FromSorted(want)
-		name := fmt.Sprintf("set %d (%d values)", i, len(want))
+		b := appendChunks(r.sorted())
+		name := fmt.Sprintf("set %d (%d values)", i, len(r))
 		checkEqual(t, name, b, r)
 		checkContains(t, name, b, r, probesFor(r, rng))
 		ref := fromRef(r)
 		ref.Optimize()
-		if got, wantSize := b.SizeBytes(), ref.SizeBytes(); got != wantSize {
-			t.Fatalf("%s: SizeBytes = %d, Add-built %d", name, got, wantSize)
+		if err := SameEncoding(b, ref); err != nil {
+			t.Fatalf("%s: against the Add-built bitmap: %v", name, err)
 		}
-		if len(b.keys) != len(ref.keys) {
-			t.Fatalf("%s: %d chunks, Add-built %d", name, len(b.keys), len(ref.keys))
+	}
+	// The cutoff itself: a chunk of arrayCutoff scattered values is an
+	// array, one more value makes it a bitset.
+	for n, want := range map[int]uint8{arrayCutoff: arrayT, arrayCutoff + 1: bitsetT} {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(i) * 7
 		}
-		for k := range b.ctrs {
-			if b.keys[k] != ref.keys[k] || b.ctrs[k].typ != ref.ctrs[k].typ {
-				t.Fatalf("%s: chunk %d is key %d type %d, Add-built key %d type %d",
-					name, k, b.keys[k], b.ctrs[k].typ, ref.keys[k], ref.ctrs[k].typ)
-			}
+		if b := appendChunks(vals); len(b.ctrs) != 1 || b.ctrs[0].typ != want {
+			t.Errorf("%d scattered values: containers %+v, want one of type %d", n, b.ctrs, want)
 		}
+	}
+}
+
+// appendChunks builds the bitmap of the strictly ascending vals with one
+// AppendChunk per chunk key.
+func appendChunks(vals []uint32) *Bitmap {
+	b := New()
+	lows := make([]uint16, 0, len(vals))
+	for len(vals) > 0 {
+		key := vals[0] >> 16
+		lows = lows[:0]
+		for len(vals) > 0 && vals[0]>>16 == key {
+			lows = append(lows, uint16(vals[0]))
+			vals = vals[1:]
+		}
+		b.AppendChunk(uint16(key), lows)
+	}
+	return b
+}
+
+// TestAppendChunkRejectsKeyOrder checks that a chunk key at or below the
+// last one panics instead of leaving the keys unsorted.
+func TestAppendChunkRejectsKeyOrder(t *testing.T) {
+	for _, key := range []uint16{3, 2} {
+		b := New()
+		b.AppendChunk(3, []uint16{1})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendChunk(%d) after key 3 did not panic", key)
+				}
+			}()
+			b.AppendChunk(key, []uint16{2})
+		}()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitmap"
 	"repro/internal/raslog"
 	"repro/internal/sel"
 )
@@ -49,9 +50,10 @@ func freshDataset(t *testing.T) *Dataset {
 // TestRaceColdFirstTouch aims every goroutine at the lazy-construction
 // paths of a completely cold Dataset at once: views, dimension indexes,
 // full profile, pushdown profiles and index stats all race their first
-// build. Several goroutines call IndexStats from cold, so its concurrent
+// build. Several goroutines call BuildIndexes from cold, so its concurrent
 // build of every dimension races the others and the single-dimension
-// builds of the selections.
+// builds of the selections, while others read IndexStats, which builds
+// nothing.
 func TestRaceColdFirstTouch(t *testing.T) {
 	d := freshDataset(t)
 	ref := freshDataset(t)
@@ -69,6 +71,7 @@ func TestRaceColdFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.BuildIndexes()
 	wantStats := ref.IndexStats()
 
 	const workers = 16
@@ -108,17 +111,15 @@ func TestRaceColdFirstTouch(t *testing.T) {
 						d.SelectEvents(e)
 					}
 				}
-			case 3: // views + full index inventory
+			case 3: // views + the index inventory as built so far
 				jv, ev := d.JobView(), d.EventView()
 				if len(jv.Users) == 0 || len(ev.Sev) == 0 {
 					t.Errorf("worker %d: empty view", w)
 					return
 				}
-				if st := d.IndexStats(); len(st) == 0 {
-					t.Errorf("worker %d: no index stats", w)
-					return
-				}
-			case 4: // index stats alone, from cold
+				checkIndexStats(t, fmt.Sprintf("worker %d", w), d.IndexStats(), wantStats)
+			case 4: // every dimension, from cold
+				d.BuildIndexes()
 				if st := d.IndexStats(); !reflect.DeepEqual(st, wantStats) {
 					t.Errorf("worker %d: IndexStats = %+v, want %+v", w, st, wantStats)
 				}
@@ -126,6 +127,108 @@ func TestRaceColdFirstTouch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// checkIndexStats checks stats read while dimensions may still be
+// building: each dimension reads either as built, equal to its entry of
+// the fully built want, or as not built, with no keys, rows or bytes.
+func checkIndexStats(t *testing.T, label string, stats, want []IndexStat) {
+	t.Helper()
+	if len(stats) != len(want) {
+		t.Errorf("%s: %d index stats, want %d", label, len(stats), len(want))
+		return
+	}
+	for k, st := range stats {
+		unbuilt := IndexStat{Domain: want[k].Domain, Column: want[k].Column}
+		if st != want[k] && st != unbuilt {
+			t.Errorf("%s: IndexStats[%d] = %+v, want %+v or %+v", label, k, st, want[k], unbuilt)
+		}
+	}
+}
+
+// TestRaceDimFirstRead makes the first reads of one cold dimension from
+// many goroutines at once: some compile predicates on it, each a different
+// combination of its slots, while others read IndexStats, which must not
+// build. The dimension must build exactly once, no other dimension may
+// build, and every selection must equal the sequential reference, chunk
+// for chunk.
+func TestRaceDimFirstRead(t *testing.T) {
+	ref := freshDataset(t)
+	d := freshDataset(t)
+	cats := d.EventView().Cats
+	var wheres []string
+	for i, c := range cats {
+		wheres = append(wheres, fmt.Sprintf("cat == %q", c), fmt.Sprintf("cat != %q", c))
+		if i > 0 {
+			wheres = append(wheres, fmt.Sprintf("cat in (%q, %q)", cats[i-1], c))
+		}
+	}
+	exprs := make([]sel.Expr, len(wheres))
+	want := make([]*bitmap.Bitmap, len(wheres))
+	for i, wh := range wheres {
+		exprs[i] = mustParse(t, wh)
+		b, err := ref.SelectEvents(exprs[i])
+		if err != nil {
+			t.Fatalf("reference %q: %v", wh, err)
+		}
+		want[i] = b
+	}
+	ref.BuildIndexes()
+	wantStats := ref.IndexStats()
+
+	x := d.selIdx()
+	var builds [numDims]atomic.Int32
+	testHookDimBuild = func(got *selIndexes, k dimKey) {
+		if got == x {
+			builds[k].Add(1)
+		}
+	}
+	defer func() { testHookDimBuild = nil }()
+
+	const workers = 12
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			if w%3 == 0 {
+				for r := 0; r < 20; r++ {
+					checkIndexStats(t, fmt.Sprintf("worker %d read %d", w, r), d.IndexStats(), wantStats)
+				}
+				return
+			}
+			for j := range wheres {
+				i := (j + w) % len(wheres)
+				b, err := d.SelectEvents(exprs[i])
+				if err != nil {
+					t.Errorf("worker %d %q: %v", w, wheres[i], err)
+					return
+				}
+				if err := bitmap.SameEncoding(b, want[i]); err != nil {
+					t.Errorf("worker %d %q: against the reference: %v", w, wheres[i], err)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for k := range builds {
+		want := int32(0)
+		if dimKey(k) == dimCat {
+			want = 1
+		}
+		if n := builds[k].Load(); n != want {
+			t.Errorf("dimension %s built %d times, want %d", dimSpecs[k].col, n, want)
+		}
+	}
+	for k, st := range d.IndexStats() {
+		if st.Built != (dimKey(k) == dimCat) {
+			t.Errorf("after the reads, IndexStats[%d] = %+v", k, st)
+		}
+	}
 }
 
 // TestRaceWholeScanMemo makes the first FusedScan and FusedScanWhere
@@ -196,7 +299,7 @@ func TestRaceWholeScanMemo(t *testing.T) {
 // Results must stay bit-stable across goroutines and rounds.
 func TestRaceWarmQueryStorm(t *testing.T) {
 	d := freshDataset(t)
-	d.IndexStats() // warm: builds views and every dimension index
+	d.BuildIndexes() // warm: builds views and every dimension index
 
 	wheres := []string{
 		"exit == system",

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitmap"
@@ -71,7 +72,8 @@ type selIndexes struct {
 
 	uni     [2]par.Memo[*bitmap.Bitmap] // indexed by selDomain
 	dims    [numDims]par.Memo[*dimIndex]
-	allDims par.Memo[struct{}] // every dims entry built (allDimensions)
+	built   [numDims]atomic.Pointer[dimIndex] // each dims entry once built
+	allDims par.Memo[struct{}]                // every dims entry built (BuildIndexes)
 
 	// cache maps canonical expression keys to compiled selections. It is
 	// bounded: order holds the resident keys as a ring, oldest at next,
@@ -117,15 +119,14 @@ const (
 )
 
 // dimSpec describes one dimension's bitmap index: the table and column it
-// covers, its slots, each row's slot and, for a dictionary column, each
+// covers, how its slot bitmaps build and, for a dictionary column, each
 // slot's value.
 type dimSpec struct {
 	dom selDomain
 	col string
-	// keys returns the slot count, the key of slot 0 (the first submit
-	// day; 0 elsewhere) and each row's slot; a negative slot (an event
-	// without a location at the level) indexes the row nowhere.
-	keys func(x *selIndexes) (slots int, base int64, slot func(i int) int32)
+	// build returns the slot bitmaps, slot s holding the rows of slot s,
+	// and the key of slot 0 (the first submit day; 0 elsewhere).
+	build func(x *selIndexes) (slots []bitmap.Bitmap, base int64)
 	// dict returns a dictionary column's value per slot; nil for a
 	// column whose values parse to their slot.
 	dict func(x *selIndexes) []string
@@ -133,44 +134,30 @@ type dimSpec struct {
 
 // dimSpecs lists the dimensions in IndexStats order.
 var dimSpecs = [numDims]dimSpec{
-	dimUser: {domJob, "user", func(x *selIndexes) (int, int64, func(int) int32) {
-		return len(x.jv.Users), 0, func(i int) int32 { return x.jv.UserID[i] }
+	dimUser: {domJob, "user", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(len(x.jv.Users), x.jv.UserID), 0
 	}, func(x *selIndexes) []string { return x.jv.Users }},
-	dimProject: {domJob, "project", func(x *selIndexes) (int, int64, func(int) int32) {
-		return len(x.jv.Projects), 0, func(i int) int32 { return x.jv.ProjectID[i] }
+	dimProject: {domJob, "project", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(len(x.jv.Projects), x.jv.ProjectID), 0
 	}, func(x *selIndexes) []string { return x.jv.Projects }},
-	dimExit: {domJob, "exit", func(x *selIndexes) (int, int64, func(int) int32) {
-		return joblog.NumFamilies, 0, func(i int) int32 { return int32(x.jv.Family[i]) }
+	dimExit: {domJob, "exit", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(joblog.NumFamilies, x.jv.Family), 0
 	}, nil},
-	// submit buckets the jobs by submit day (floorDay, UTC): slot k holds
-	// day base+k.
-	dimSubmit: {domJob, "submit", func(x *selIndexes) (int, int64, func(int) int32) {
-		sub := x.jv.SubmitUnix
-		if len(sub) == 0 {
-			return 0, 0, nil
-		}
-		minDay, _ := floorDay(sub[0])
-		maxDay := minDay
-		for _, u := range sub {
-			d, _ := floorDay(u)
-			minDay, maxDay = min(minDay, d), max(maxDay, d)
-		}
-		return int(maxDay-minDay) + 1, minDay, func(i int) int32 { d, _ := floorDay(sub[i]); return int32(d - minDay) }
+	dimSubmit: {domJob, "submit", func(x *selIndexes) ([]bitmap.Bitmap, int64) { return submitSlots(x.jv.SubmitUnix) }, nil},
+	dimSev: {domEvent, "sev", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(4, x.ev.Sev), 0
 	}, nil},
-	dimSev: {domEvent, "sev", func(x *selIndexes) (int, int64, func(int) int32) {
-		return 4, 0, func(i int) int32 { return int32(x.ev.Sev[i]) }
-	}, nil},
-	dimCat: {domEvent, "cat", func(x *selIndexes) (int, int64, func(int) int32) {
-		return len(x.ev.Cats), 0, func(i int) int32 { return x.ev.CatID[i] }
+	dimCat: {domEvent, "cat", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(len(x.ev.Cats), x.ev.CatID), 0
 	}, func(x *selIndexes) []string { return x.ev.Cats }},
-	dimComp: {domEvent, "comp", func(x *selIndexes) (int, int64, func(int) int32) {
-		return len(x.ev.Comps), 0, func(i int) int32 { return x.ev.CompID[i] }
+	dimComp: {domEvent, "comp", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(len(x.ev.Comps), x.ev.CompID), 0
 	}, func(x *selIndexes) []string { return x.ev.Comps }},
-	dimMidplane: {domEvent, "midplane", func(x *selIndexes) (int, int64, func(int) int32) {
-		return machine.TotalMidplanes, 0, func(i int) int32 { return x.ev.MidplaneID[i] }
+	dimMidplane: {domEvent, "midplane", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(machine.TotalMidplanes, x.ev.MidplaneID), 0
 	}, nil},
-	dimRack: {domEvent, "rack", func(x *selIndexes) (int, int64, func(int) int32) {
-		return machine.NumRacks, 0, func(i int) int32 { return x.ev.RackID[i] }
+	dimRack: {domEvent, "rack", func(x *selIndexes) ([]bitmap.Bitmap, int64) {
+		return columnSlots(machine.NumRacks, x.ev.RackID), 0
 	}, nil},
 }
 
@@ -190,40 +177,19 @@ func (x *selIndexes) rows(dom selDomain) int {
 	return x.jv.N
 }
 
-// dim returns dimension k's index, building it on first use: slots[s]
-// holds the rows of slot s. One pass counts the rows per slot, a second
-// places each row at its slot's offset (a counting sort, so each slot's
-// rows stay ascending), and each slot's bitmap is then built at its final
-// size from its run of rows. The rows indexed nowhere (slot -1) count and
-// sort as one more group, ahead of slot 0, so neither pass branches on
-// the slot.
+// testHookDimBuild, when set, is called each time a dimension index builds.
+var testHookDimBuild func(x *selIndexes, k dimKey)
+
+// dim returns dimension k's index, building it on first use; concurrent
+// first callers share the one build.
 func (x *selIndexes) dim(k dimKey) *dimIndex {
 	d, _ := x.dims[k].Get(func() (*dimIndex, error) {
+		if testHookDimBuild != nil {
+			testHookDimBuild(x, k)
+		}
 		spec := &dimSpecs[k]
-		n, base, slot := spec.keys(x)
-		rows := x.rows(spec.dom)
-		// next[s+1] is where slot s's next row goes; the group of slot -1
-		// starts at 0. Once every row is placed, next[s+1] is where slot
-		// s ends and next[s] where it starts.
-		next := make([]int, n+1)
-		for i := 0; i < rows; i++ {
-			next[slot(i)+1]++
-		}
-		start := 0
-		for g, c := range next {
-			next[g] = start
-			start += c
-		}
-		sorted := make([]uint32, rows)
-		for i := 0; i < rows; i++ {
-			g := slot(i) + 1
-			sorted[next[g]] = uint32(i)
-			next[g]++
-		}
-		d := &dimIndex{slots: make([]bitmap.Bitmap, n), base: base}
-		for s := range d.slots {
-			d.slots[s] = *bitmap.FromSorted(sorted[next[s]:next[s+1]])
-		}
+		d := &dimIndex{}
+		d.slots, d.base = spec.build(x)
 		if spec.dict != nil {
 			dict := spec.dict(x)
 			d.ids = make(map[string]int32, len(dict))
@@ -231,9 +197,87 @@ func (x *selIndexes) dim(k dimKey) *dimIndex {
 				d.ids[v] = int32(i)
 			}
 		}
+		x.built[k].Store(d)
 		return d, nil
 	})
 	return d
+}
+
+// chunkRows is the number of rows one bitmap chunk covers.
+const chunkRows = 1 << 16
+
+// columnSlots returns the slot bitmaps of a column holding each row's slot
+// in [0, n), or a negative slot for a row indexed nowhere.
+func columnSlots[S int32 | uint8](n int, col []S) []bitmap.Bitmap {
+	return slotBitmaps(n, len(col), func(lo, hi int) []S { return col[lo:hi] })
+}
+
+// submitSlots buckets the jobs by submit day (floorDay, UTC): slot k holds
+// day base+k. floorDay is monotone, so the extreme days are the days of
+// the extreme submit times, and each row's day is computed once, in the
+// chunk being indexed.
+func submitSlots(sub []int64) ([]bitmap.Bitmap, int64) {
+	if len(sub) == 0 {
+		return nil, 0
+	}
+	first, last := sub[0], sub[0]
+	for _, u := range sub {
+		first, last = min(first, u), max(last, u)
+	}
+	minDay, _ := floorDay(first)
+	maxDay, _ := floorDay(last)
+	days := make([]int32, min(len(sub), chunkRows))
+	return slotBitmaps(int(maxDay-minDay)+1, len(sub), func(lo, hi int) []int32 {
+		d := days[:hi-lo]
+		for i, u := range sub[lo:hi] {
+			day, _ := floorDay(u)
+			d[i] = int32(day - minDay)
+		}
+		return d
+	}), minDay
+}
+
+// slotBitmaps is the index build kernel: it returns n bitmaps, bitmap s
+// holding the rows whose slot is s, given the slots of rows [lo, hi) from
+// chunk. It takes the rows one 65,536-row chunk at a time, the rows of one
+// bitmap chunk key, so its working set stays cache-sized: the chunk's
+// slots, a count per slot and the chunk's rows grouped by slot. A counting
+// sort groups the rows' low 16 bits by slot, each group ascending, and
+// each non-empty group becomes that slot's container for the chunk. The
+// rows indexed nowhere (slot -1) count and sort as one more group, ahead
+// of slot 0, so neither pass branches on the slot.
+func slotBitmaps[S int32 | uint8](n, rows int, chunk func(lo, hi int) []S) []bitmap.Bitmap {
+	slots := make([]bitmap.Bitmap, n)
+	// next[s+1] counts slot s's rows, then is where its next row goes; the
+	// group of slot -1 starts at 0. Once the chunk's rows are placed,
+	// next[s+1] is where slot s ends and next[s] where it starts.
+	next := make([]int32, n+1)
+	lows := make([]uint16, min(rows, chunkRows))
+	for lo := 0; lo < rows; lo += chunkRows {
+		hi := min(rows, lo+chunkRows)
+		sl := chunk(lo, hi)
+		clear(next)
+		for _, s := range sl {
+			next[int(s)+1]++
+		}
+		var start int32
+		for g, c := range next {
+			next[g] = start
+			start += c
+		}
+		for i, s := range sl {
+			g := int(s) + 1
+			lows[next[g]] = uint16(i)
+			next[g]++
+		}
+		key := uint16(lo / chunkRows)
+		for s := range slots {
+			if next[s] < next[s+1] {
+				slots[s].AppendChunk(key, lows[next[s]:next[s+1]])
+			}
+		}
+	}
+	return slots
 }
 
 // dimOf returns the dimension indexing column col.
@@ -715,29 +759,36 @@ func (x *selIndexes) timeRange(lo, hi int64) *bitmap.Bitmap {
 	return b
 }
 
-// IndexStat describes one selection-index dimension: how many key bitmaps
-// it holds, how many row ids they index in total, and their compressed
-// payload size. `mirapack -info` prints these.
+// IndexStat describes one selection-index dimension: whether it is built
+// yet, how many key bitmaps it holds, how many row ids they index in total,
+// and their compressed payload size. A dimension not yet built reports
+// zero keys, rows and bytes. `mirapack -info` prints these.
 type IndexStat struct {
 	Domain string // "job" or "event"
 	Column string
+	Built  bool
 	Keys   int // dictionary slots with at least one row
 	Rows   int // total indexed rows across keys
 	Bytes  int // compressed size of all key bitmaps
 }
 
-// IndexStats builds every selection-index dimension and reports its
-// cardinality and compressed size, in fixed dimension order.
+// IndexStats reports each selection-index dimension's cardinality and
+// compressed size, in fixed dimension order. It builds nothing: a
+// dimension builds on the first selection that reads it, or in
+// BuildIndexes.
 func (d *Dataset) IndexStats() []IndexStat {
 	x := d.selIdx()
-	x.allDimensions()
 	stats := make([]IndexStat, numDims)
 	for k := range dimSpecs {
 		st := &stats[k]
 		st.Domain, st.Column = dimSpecs[k].dom.String(), dimSpecs[k].col
-		slots := x.dim(dimKey(k)).slots
-		for j := range slots {
-			b := &slots[j]
+		idx := x.built[k].Load()
+		if idx == nil {
+			continue
+		}
+		st.Built = true
+		for j := range idx.slots {
+			b := &idx.slots[j]
 			if b.IsEmpty() {
 				continue
 			}
@@ -749,11 +800,12 @@ func (d *Dataset) IndexStats() []IndexStat {
 	return stats
 }
 
-// allDimensions builds every dimension not yet built, at GOMAXPROCS
-// workers: the builds are independent, and a query that builds one of
-// them meanwhile shares that build through the dimension's memo. Once all
-// are built it returns at once and starts no goroutine.
-func (x *selIndexes) allDimensions() {
+// BuildIndexes builds every selection-index dimension not yet built, at
+// GOMAXPROCS workers: the builds are independent, and a query that builds
+// one of them meanwhile shares that build through the dimension's memo.
+// Once all are built it returns at once and starts no goroutine.
+func (d *Dataset) BuildIndexes() {
+	x := d.selIdx()
 	_, err := x.allDims.Get(func() (struct{}, error) {
 		return struct{}{}, par.ForEach(context.Background(), int(numDims), 0, func(k int) error {
 			x.dim(dimKey(k))

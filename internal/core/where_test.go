@@ -676,6 +676,7 @@ func TestSelectEventsMatchesSweep(t *testing.T) {
 
 func TestIndexStats(t *testing.T) {
 	d, _ := dataset(t)
+	d.BuildIndexes()
 	stats := d.IndexStats()
 	jv, ev := d.JobView(), d.EventView()
 	// walk counts the distinct keys of a column and the rows that have
@@ -715,7 +716,7 @@ func TestIndexStats(t *testing.T) {
 			continue
 		}
 		keys, rows := walk(w.n, w.key)
-		if s.Keys != keys || s.Rows != rows {
+		if !s.Built || s.Keys != keys || s.Rows != rows {
 			t.Errorf("%s stat = %+v, the column walk gives %d keys covering %d rows", w.dim, s, keys, rows)
 		}
 		if s.Rows > 0 && s.Bytes == 0 {

@@ -1,10 +1,9 @@
 // Package serve turns the analysis substrate into a long-running HTTP
 // service: mirad loads one corpus snapshot at startup, pre-warms the
-// scan views and per-dimension bitmap indexes, and answers concurrent
-// profile/cohort/experiment queries from a sharded LRU of rendered
-// responses keyed by the predicate's canonical form, with singleflight
-// collapsing so a stampede of identical queries computes each cohort
-// exactly once (DESIGN.md §15).
+// whole-corpus profile, and answers concurrent profile/cohort/experiment
+// queries from a sharded LRU of rendered responses keyed by the
+// predicate's canonical form, with singleflight collapsing so a stampede
+// of identical queries computes each cohort exactly once (DESIGN.md §15).
 package serve
 
 import (

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -272,18 +273,45 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestWarm pins the cold-start contract: Warm leaves the whole-corpus
+// profile resident, so the first /v1/profile is a cache hit, and builds no
+// selection index, nor does /v1/stats; a cohort query then builds exactly
+// the dimensions its predicate names.
 func TestWarm(t *testing.T) {
-	s := newTestServer(t)
-	ws, err := s.Warm()
+	src := testDataset(t)
+	d, err := core.NewDatasetFromViews(src.IO, src.JobView(), src.TaskView(), src.EventView())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.IndexDims == 0 || ws.IndexBytes == 0 {
-		t.Errorf("warm built nothing: %+v", ws)
+	env := experiments.NewEnvFromDataset(d)
+	env.Parallelism = 1
+	s := New(env, Options{Parallelism: 1})
+	if _, err := s.Warm(); err != nil {
+		t.Fatal(err)
 	}
-	// The whole-corpus profile is resident: first /v1/profile is a hit.
+	built := func() []string {
+		var dims []string
+		for _, st := range d.IndexStats() {
+			if st.Built {
+				dims = append(dims, st.Domain+"."+st.Column)
+			}
+		}
+		return dims
+	}
 	if rec := do(t, s, "/v1/profile"); rec.Header().Get("X-Cache") != "hit" {
 		t.Errorf("profile after Warm: X-Cache = %q, want hit", rec.Header().Get("X-Cache"))
+	}
+	if rec := do(t, s, "/v1/stats"); rec.Code != http.StatusOK {
+		t.Fatalf("stats: %d", rec.Code)
+	}
+	if dims := built(); len(dims) != 0 {
+		t.Errorf("after Warm and /v1/stats, built dimensions %v, want none", dims)
+	}
+	if rec := do(t, s, cohortURL("exit == system and nodes >= 2048 and rack == R00 and time >= 2000-01-01")); rec.Code != http.StatusOK {
+		t.Fatalf("cohort: %d %s", rec.Code, rec.Body.String())
+	}
+	if dims, want := built(), []string{"job.exit", "event.rack"}; !slices.Equal(dims, want) {
+		t.Errorf("after one cohort query, built dimensions %v, want %v", dims, want)
 	}
 }
 

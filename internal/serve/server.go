@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/joblog"
 	"repro/internal/pack"
-	"repro/internal/par"
 	"repro/internal/sel"
 )
 
@@ -118,36 +116,19 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // WarmStats reports what Warm pre-built.
 type WarmStats struct {
-	Duration   time.Duration
-	IndexDims  int
-	IndexBytes int
+	Duration time.Duration
 }
 
-// Warm pre-builds everything the first queries would otherwise pay for
-// under traffic: every per-dimension bitmap index, built at GOMAXPROCS
-// workers (IndexStats), and alongside
-// them the whole-corpus fused profile (which also becomes the /v1/profile
-// cache entry). The worker bounds of
-// Options.Parallelism and of the Env apply to fused scans only, not to
-// the index builds.
+// Warm pre-builds the whole-corpus fused profile, which also becomes the
+// /v1/profile cache entry, so the first profile request is a cache hit.
+// It builds no selection index: each dimension builds on the first cohort
+// query that reads it, and concurrent first readers share that build.
 func (s *Server) Warm() (WarmStats, error) {
 	t0 := time.Now()
-	var stats []core.IndexStat
-	err := par.ForEach(context.Background(), 2, 2, func(i int) error {
-		if i == 1 {
-			stats = s.env.D.IndexStats()
-			return nil
-		}
-		_, _, err := s.profileBody()
-		return err
-	})
-	if err != nil {
+	if _, _, err := s.profileBody(); err != nil {
 		return WarmStats{}, err
 	}
-	ws := WarmStats{Duration: time.Since(t0), IndexDims: len(stats)}
-	for _, st := range stats {
-		ws.IndexBytes += st.Bytes
-	}
+	ws := WarmStats{Duration: time.Since(t0)}
 	s.warm = ws.Duration
 	return ws, nil
 }

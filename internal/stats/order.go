@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // This file is the package's one sort kernel: a stable LSD radix sort over
@@ -56,6 +57,22 @@ func floatKeys(x []float64) (keys []uint64, ok bool) {
 	return keys, true
 }
 
+// radixScratch is radixSort's working storage: a digit histogram per pass
+// and the ping-pong buffers for keys and perm. It is pooled, so repeated
+// sorts reuse it instead of allocating it afresh. The buffers stay in the
+// pool only up to radixPoolMax elements: a larger sort allocates its own,
+// so the pool never holds a buffer the size of a whole-corpus column
+// between sorts.
+type radixScratch struct {
+	counts [][1 << digitBits]int
+	keys   []uint64
+	perm   []int32
+}
+
+const radixPoolMax = 1 << 13
+
+var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
 // radixSort sorts keys ascending by their bits from bit `from` up, in
 // place, and, when perm is non-nil, applies the same moves to perm. It is
 // stable, so keys equal in those bits keep their relative order. A first
@@ -80,16 +97,20 @@ func radixSort(keys []uint64, perm []int32, from uint) {
 	if len(digits) == 0 {
 		return
 	}
-	counts := make([][1 << digitBits]int, len(digits))
+	sc := radixPool.Get().(*radixScratch)
+	defer radixPool.Put(sc)
+	sc.counts = grow(sc.counts, len(digits))
+	counts := sc.counts
+	clear(counts)
 	for _, k := range keys {
 		for i, d := range digits {
 			counts[i][(k>>d)&digitMask]++
 		}
 	}
-	bufK := make([]uint64, n)
+	bufK := scratch(&sc.keys, n)
 	var bufP []int32
 	if perm != nil {
-		bufP = make([]int32, n)
+		bufP = scratch(&sc.perm, n)
 	}
 	src, srcP, dst, dstP := keys, perm, bufK, bufP
 	for i, shift := range digits {
@@ -119,6 +140,25 @@ func radixSort(keys []uint64, perm []int32, from uint) {
 		copy(keys, src)
 		copy(perm, srcP)
 	}
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scratch returns an n-element buffer: *pooled, grown, when n is at most
+// radixPoolMax, else a fresh allocation the pool does not keep.
+func scratch[T any](pooled *[]T, n int) []T {
+	if n > radixPoolMax {
+		return make([]T, n)
+	}
+	*pooled = grow(*pooled, n)
+	return *pooled
 }
 
 // SortFloat64s sorts x ascending in place, leaving the same bits that
