@@ -99,8 +99,7 @@ func radixSort(keys []uint64, perm []int32, from uint) {
 	}
 	sc := radixPool.Get().(*radixScratch)
 	defer radixPool.Put(sc)
-	sc.counts = grow(sc.counts, len(digits))
-	counts := sc.counts
+	counts := scratch(&sc.counts, len(digits))
 	clear(counts)
 	for _, k := range keys {
 		for i, d := range digits {
@@ -142,22 +141,17 @@ func radixSort(keys []uint64, perm []int32, from uint) {
 	}
 }
 
-// grow returns s resized to n elements, reallocating only when its
-// capacity is short; the contents are unspecified.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// scratch returns an n-element buffer: *pooled, grown, when n is at most
+// scratch returns an n-element buffer with unspecified contents: *pooled,
+// reallocated only when its capacity is short, when n is at most
 // radixPoolMax, else a fresh allocation the pool does not keep.
 func scratch[T any](pooled *[]T, n int) []T {
 	if n > radixPoolMax {
 		return make([]T, n)
 	}
-	*pooled = grow(*pooled, n)
+	if cap(*pooled) < n {
+		*pooled = make([]T, n)
+	}
+	*pooled = (*pooled)[:n]
 	return *pooled
 }
 
